@@ -50,7 +50,9 @@ def store(operation: str, config: dict, result: str):
     d = cache_dir()
     os.makedirs(d, exist_ok=True)
     path = os.path.join(d, cache_key(operation, config) + ".json")
-    tmp = path + ".tmp"
+    # a temp file of its own per writer process: concurrent stores of one
+    # key must not move each other's file away
+    tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump({"operation": operation, "config": config, "result": result},
                   fh, sort_keys=True, separators=(",", ":"))

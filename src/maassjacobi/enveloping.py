@@ -517,14 +517,6 @@ def build_casimir(N: int) -> PBWElement:
     return head + mid + quart.scale(quarter)
 
 
-def sl2_casimir(alg: JacobiLieAlgebra) -> PBWElement:
-    """H^2 - 2H + 4EF, the rank-0 reference normalization."""
-    E = PBWElement.gen(alg, "E")
-    F = PBWElement.gen(alg, "F")
-    H = PBWElement.gen(alg, "H")
-    return H * H - H.scale(2) + (E * F).scale(4)
-
-
 # -- localization at det(Z) ----------------------------------------------------------
 
 
@@ -590,17 +582,6 @@ class LocalizedPBW:
     def is_zero(self):
         return self.numerator.is_zero()
 
-    def reduce(self) -> "LocalizedPBW":
-        """Divide out exact common det(Z) factors."""
-        num, p = self.numerator, self.detpow
-        while p > 0:
-            try:
-                num = divide_by_det(num)
-            except DivisibilityError:
-                break
-            p -= 1
-        return LocalizedPBW(num, p)
-
     def __repr__(self):
         return f"LocalizedPBW({self.numerator!r} / det(Z)^{self.detpow})"
 
@@ -641,10 +622,6 @@ def nu_casimir_identity(N: int, constant_override=None):
 
 
 # -- symmetric algebra: classical invariants and the symmetrizer ---------------------
-
-
-def sym_gen(alg, name: str) -> Poly:
-    return alg.sym_ring.var(name)
 
 
 def build_classical_invariants(N: int) -> dict:

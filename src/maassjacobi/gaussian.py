@@ -102,14 +102,6 @@ class GaussianRational:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.im:
-            raise ValueError(f"{self} is not real")
-        return self.re
-
     def to_mpc(self, mp):
         """Convert to an mpmath complex at the current working precision."""
         return mp.mpc(mp.mpf(self.re.numerator) / self.re.denominator,

@@ -204,9 +204,6 @@ class Jet:
             n >>= 1
         return out
 
-    def conj_coeffs(self) -> "Jet":
-        return Jet(self.space, {e: mp.conj(c) for e, c in self.coeffs.items()})
-
     # -- calculus --------------------------------------------------------------
 
     def derivative_at_base(self, alpha) -> "mp.mpc":

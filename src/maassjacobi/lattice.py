@@ -112,10 +112,6 @@ def _floor_sqrt(x: Fraction) -> int:
     return lo
 
 
-def _ceil_neg_sqrt(x: Fraction) -> int:
-    return -_floor_sqrt(x)
-
-
 def enumerate_shifted(L: GramLattice, center, bound: Fraction):
     """All integer vectors lam with L[lam + center] <= bound.
 

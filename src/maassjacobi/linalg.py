@@ -141,10 +141,6 @@ def to_gaussian(a):
     return tuple(tuple(GaussianRational.coerce(x) for x in r) for r in a)
 
 
-def to_fraction(a):
-    return tuple(tuple(Fraction(x) for x in r) for r in a)
-
-
 def leading_principal_minors(a):
     n = len(a)
     return [det(tuple(tuple(a[i][j] for j in range(k)) for i in range(k)))

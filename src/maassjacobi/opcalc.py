@@ -91,14 +91,6 @@ class OpRing:
                 out = out + d.scale(rate)
         return out
 
-    def multi_deriv(self, poly: Poly, dexp) -> Poly:
-        for direction, count in enumerate(dexp):
-            for _ in range(count):
-                poly = self.deriv_poly(poly, direction)
-                if poly.is_zero():
-                    return poly
-        return poly
-
 
 class DiffOp:
     """Finite sum of coefficient x derivative-monomial terms."""
@@ -259,15 +251,6 @@ class DiffOp:
         return any(
             p.uses("x") or any(p.uses(f"u{j}") for j in range(1, self.op_ring.N + 1))
             for p in self.terms.values()
-        )
-
-    def substitute_k(self, value) -> "DiffOp":
-        R = self.op_ring
-        sub = {"k": R.ring.const(GaussianRational.coerce(value))}
-        return DiffOp(
-            R,
-            {e: (p.subs(sub) if p.uses("k") else p) for e, p in self.terms.items()},
-            self.shift,
         )
 
     # -- numeric application --------------------------------------------------------------

@@ -171,17 +171,6 @@ class Poly:
     def constant_value(self) -> GaussianRational:
         return self.terms.get(self.ring._zero_exp, ZERO)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    def degree_in(self, name: str) -> int:
-        i = self.ring.index[name]
-        if not self.terms:
-            return 0
-        return max(e[i] for e in self.terms)
-
     def uses(self, name: str) -> bool:
         i = self.ring.index[name]
         return any(e[i] for e in self.terms)

@@ -153,8 +153,9 @@ def poincare_csum(s, k, L: GramLattice, n, r, nprime, rprime,
                   c_lo: int, c_hi: int, ctx: PrecisionContext = None):
     """Partial sum over c in [c_lo, c_hi] of c^{-(N+2)/2} K_c Bessel(..).
 
-    Returns (sum, |last term|).  This is the unit the worker pool
-    parallelizes over; reduction in c-order keeps outputs deterministic.
+    Returns (sum, |last term|), summed in c-order.  J is used when
+    D D' > 0 and I otherwise; the skew-holomorphic coefficients use it at
+    s = (2k - N)/4.
     """
     ctx = ctx or PrecisionContext()
     s = Fraction(s)
@@ -217,14 +218,9 @@ def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
                 / mp.sqrt(to_mpf(L.det))
                 * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
             )
-            order = Fraction(k) - Fraction(N + 2, 2)
-            xbase = mp.pi * mp.sqrt(to_mpf(Dp * D)) / to_mpf(L.det)
-            acc = mp.mpc(0)
-            for c in range(1, c_max + 1):
-                kl = kloosterman(c, L, n, r, nprime, [-x for x in rp], ctx)
-                acc += mp.power(c, -mp.mpf(N + 2) / 2) * kl * bessel_J(
-                    order, xbase / c, ctx
-                )
+            # at s = (2k - N)/4 the c-sum's J_{2s-1} is J_{k-(N+2)/2}
+            acc, _ = poincare_csum(Fraction(2 * k - N, 4), k, L, n, r, nprime,
+                                   [-x for x in rp], 1, c_max, ctx)
             return pref * acc
 
     b = one_sided(rprime)
@@ -265,10 +261,13 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
             bB, _ = poincare_coeff_b(1, s, kd, L, npd, rpd, n, r, c_max, ctx,
                                      include_profile=False)
             ratios_b.append(bA / bB if abs(bB) > ctx.eps else None)
-            cA, _ = full_coeff_c(1, s, k, L, n, r, npd, rpd, c_max, ctx,
-                                 include_profile=False)
-            cB, _ = full_coeff_c(1, s, kd, L, npd, rpd, n, r, c_max, ctx,
-                                 include_profile=False)
+            # the symmetrized c of full_coeff_c, reusing bA and bB
+            bA_neg, _ = poincare_coeff_b(1, s, k, L, n, r, npd, [-x for x in rpd],
+                                         c_max, ctx, include_profile=False)
+            bB_neg, _ = poincare_coeff_b(1, s, kd, L, npd, rpd, n, [-x for x in r],
+                                         c_max, ctx, include_profile=False)
+            cA = bA + (-1) ** int(k) * bA_neg
+            cB = bB + (-1) ** kd * bB_neg
             ratios_c.append(cA / cB if abs(cB) > ctx.eps else None)
         mean_b, spread_b = _stats(ratios_b)
         mean_c, spread_c = _stats(ratios_c)

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -74,6 +75,29 @@ def test_cache_corruption_recovers(cache_dir, capsys):
     # and the entry is rewritten with valid content
     code, out3 = run(capsys, *args)
     assert out3 == out1
+
+
+def _store_many(times):
+    try:
+        for _ in range(times):
+            cache.store("race", {"x": 1}, '{"v": 1}')
+    except Exception:
+        os._exit(1)
+    os._exit(0)
+
+
+def test_concurrent_stores_of_one_key(cache_dir):
+    # more writers than a small machine has cores, so that stores interleave
+    procs = [multiprocessing.get_context("fork").Process(target=_store_many, args=(200,))
+             for _ in range(4)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=120)
+    assert not any(p.is_alive() for p in procs)
+    assert [p.exitcode for p in procs] == [0] * 4
+    assert cache.lookup("race", {"x": 1}) == '{"v": 1}'
+    assert not [f for f in os.listdir(cache_dir) if f.endswith(".tmp")]
 
 
 def test_no_cache_flag(cache_dir, capsys):
@@ -152,15 +176,18 @@ def test_determinism_byte_identical(cache_dir, capsys):
 
 
 def test_parallel_jobs_match_sequential(cache_dir, capsys):
-    seq = ("poincare", "--k", "2", "--L", "1", "--s", "5/2", "--n", "-1",
-           "--r", "1", "--window", "1", "--cmax", "6")
-    _, out1 = run(capsys, "--no-cache", *seq)
-    _, out2 = run(capsys, "--no-cache", "--jobs", "3", *seq)
-    t1 = json.loads(out1)["table"]
-    t2 = json.loads(out2)["table"]
-    for a, b in zip(t1, t2):
-        if "value" in a:
-            assert a["value"] == b["value"]
+    # each table has error rows (the poincare one at D' = 0), which must be
+    # the same at any --jobs, like the value rows
+    for request_args in [
+            ("poincare", "--k", "2", "--L", "1", "--s", "5/2", "--n", "-1",
+             "--r", "1", "--window", "1", "--cmax", "6"),
+            ("skew-poincare", "--k", "3", "--L", "1", "--n", "1", "--r", "1",
+             "--window", "2", "--cmax", "6")]:
+        code1, out1 = run(capsys, "--no-cache", *request_args)
+        code2, out2 = run(capsys, "--no-cache", "--jobs", "2", *request_args)
+        assert code1 == code2 == 0
+        assert any("error" in row for row in json.loads(out1)["table"])
+        assert out2 == out1
 
 
 def test_missing_input_file_is_structured_error(cache_dir, capsys):

@@ -185,6 +185,35 @@ def test_skew_poincare(ctx):
         b1 = skew_poincare_coeff(3, L, 1, [1], 2, [1], 6, ctx, symmetrized=False)
         b2 = skew_poincare_coeff(3, L, 1, [1], 2, [-1], 6, ctx, symmetrized=False)
         assert abs(v - (b1 - b2)) < mp.mpf("1e-30")
+    # oracle: the displayed one-sided coefficient, prefactor times
+    # sum_c c^{-(N+2)/2} K_c(n, r, n', -r') J_{k-(N+2)/2}(x/c), evaluated
+    # in the same operation order, so the match is exact
+    from maassjacobi.precision import to_mpf
+    from maassjacobi.series import _i_power, _pow_ratio
+    from maassjacobi.specfun import bessel_J
+
+    for entries, k, n, r, np_, rp, c_max in [
+            ([[1]], 3, 1, [1], 2, [1], 6),
+            ([[2, 1], [1, 2]], 4, 1, [1, 0], 1, [0, 1], 3)]:
+        L = GramLattice(entries)
+        N = L.N
+        D, Dp = discriminant(L, n, r), discriminant(L, np_, rp)
+        assert D > 0 and Dp > 0
+        with ctx.working():
+            pref = (mp.power(2, 1 - mp.mpf(N) / 2) * mp.pi * _i_power(-k + 1)
+                    / mp.sqrt(to_mpf(L.det))
+                    * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4)))
+            order = Fraction(k) - Fraction(N + 2, 2)
+            xbase = mp.pi * mp.sqrt(to_mpf(Dp * D)) / to_mpf(L.det)
+            acc = mp.mpc(0)
+            for c in range(1, c_max + 1):
+                kl = kloosterman(c, L, n, r, np_, [-x for x in rp], ctx)
+                acc += mp.power(c, -mp.mpf(N + 2) / 2) * kl * bessel_J(
+                    order, xbase / c, ctx)
+            got = skew_poincare_coeff(k, L, n, r, np_, rp, c_max, ctx,
+                                      symmetrized=False)
+            assert got == pref * acc
+    L = GramLattice([[1]])
     with pytest.raises(DomainError):
         skew_poincare_coeff(2, L, 1, [1], 1, [0], 4, ctx)   # k < 3
     with pytest.raises(DomainError):
@@ -205,3 +234,12 @@ def test_duality_mechanism(ctx):
         assert rep["b_relative_spread"] < mp.mpf("1e-30")
         expect = mp.mpc(0, 1) * mp.gamma(mp.mpf(13) / 4) / mp.gamma(mp.mpf(11) / 4)
         assert abs(rep["b_mean"] - expect) < mp.mpf("1e-30")
+    # the c-ratio is exactly that of full_coeff_c; at odd N with |L| = 1 the
+    # c-table is degenerate, so this uses an even-N lattice
+    L2 = GramLattice([[2, 1], [1, 2]])
+    (n, r), (npd, rpd) = pair = ((0, [1, 0]), (-1, [1, 1]))
+    rep2 = duality_report(s, 1, L2, [pair], 3, ctx)
+    with ctx.working():
+        cA, _ = full_coeff_c(1, s, 1, L2, n, r, npd, rpd, 3, ctx, include_profile=False)
+        cB, _ = full_coeff_c(1, s, 3, L2, npd, rpd, n, r, 3, ctx, include_profile=False)
+        assert abs(cA) > 0 and rep2["c_ratios"] == [cA / cB]
