@@ -3,15 +3,21 @@ coefficients for lattice-index Jacobi forms of both kinds (Maass and
 skew-holomorphic), including the data needed for the weight k vs N+2-k
 duality checks.
 
-Kloosterman phases are exact rationals; only the final roots of unity are
-evaluated at working precision.
+A Kloosterman sum is exact integer work up to its last step: one pass over
+lambda in (Z/c)^N histograms the pairs (L[lam] + r.lam + n, r'.lam) mod c,
+each unit d relabels the bins, and the collected phases num/c index a
+cached table of the c-th roots of unity at the working precision.  The
+r' and -r' sides of a symmetrized coefficient share D', so they share one
+prefactor, Whittaker profile, c-power and Bessel value per c.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd
+from operator import mul
 
 from mpmath import mp
 
@@ -21,6 +27,17 @@ from .lattice import GramLattice, discriminant
 from .precision import PrecisionContext, e_of, to_mpc, to_mpf
 from .specfun import bessel_I, bessel_J, whittaker_W_renorm
 
+# (c, precision) pairs whose tables of c-th roots of unity are kept
+_ROOT_TABLES = 256
+
+
+@lru_cache(maxsize=_ROOT_TABLES)
+def _roots_of_unity(c: int, prec: int):
+    """(e(0/c), e(1/c), ..., e((c-1)/c)) at prec bits, exactly as e_of gives
+    them at that precision."""
+    with mp.workprec(prec):
+        return tuple(e_of(Fraction(j, c)) for j in range(c))
+
 
 def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
                 ctx: PrecisionContext = None):
@@ -28,8 +45,12 @@ def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
 
     Prefactor e(-r^T L^{-1} r' / 2c) times the sum over units d mod c and
     lambda in (Z/c)^N of e((dbar L[lam] + dbar r.lam + dbar n + n' d
-    - r'.lam)/c).  All phases are exact rationals; identical phases are
-    collected before any floating evaluation.
+    - r'.lam)/c).  The lambda part does not depend on d: one pass over
+    (Z/c)^N, in integers, histograms the pairs (a, b) = (L[lam] + r.lam + n,
+    r'.lam) mod c, and each unit d, in increasing order, adds every bin's
+    count at the phase (dbar a + n' d - b)/c.  Equal phases are collected
+    exactly, in order of first appearance, and only then weighted by the
+    cached table of c-th roots of unity at the working precision.
     """
     ctx = ctx or PrecisionContext()
     if c < 1:
@@ -39,6 +60,16 @@ def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
     r = [int(x) for x in r]
     rprime = [int(x) for x in rprime]
     N = L.N
+    # L[lam] = sum_i L_ii lam_i^2 + sum_{i<j} 2 L_ij lam_i lam_j; GramLattice
+    # makes these coefficients integers
+    terms = [(i, j, int((1 if i == j else 2) * L.entries[i][j]))
+             for i in range(N) for j in range(i, N)]
+
+    hist = {}
+    for lam in product(range(c), repeat=N):
+        q = sum([coef * lam[i] * lam[j] for i, j, coef in terms])
+        pair = ((q + sum(map(mul, r, lam)) + n) % c, sum(map(mul, rprime, lam)) % c)
+        hist[pair] = hist.get(pair, 0) + 1
 
     counts = {}
     for d in range(1, c + 1):
@@ -46,23 +77,18 @@ def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
             continue
         dbar = pow(d, -1, c)
         nd = (nprime * d) % c
-        for lam in product(range(c), repeat=N):
-            q = L.quad(lam)
-            assert q.denominator == 1
-            num = (
-                dbar * (int(q) + sum(a * b for a, b in zip(r, lam)) + n)
-                + nd
-                - sum(a * b for a, b in zip(rprime, lam))
-            ) % c
-            counts[num] = counts.get(num, 0) + 1
+        for (a, b), cnt in hist.items():
+            num = (dbar * a + nd - b) % c
+            counts[num] = counts.get(num, 0) + cnt
 
     pre_phase = -Fraction(
         sum(rr * x for rr, x in zip(r, L.inv_apply(rprime)))
     ) / (2 * c)
     with ctx.working():
+        roots = _roots_of_unity(c, mp.prec)
         acc = mp.mpc(0)
         for num, cnt in counts.items():
-            acc += cnt * e_of(Fraction(num, c))
+            acc += cnt * roots[num]
         return e_of(pre_phase) * acc
 
 
@@ -105,6 +131,14 @@ def poincare_coeff_b(y, s, k, L: GramLattice, n, r, nprime, rprime,
     values), and the truncated c-sum; tail_ratio is |last term|/|sum|, the
     recorded truncation heuristic.
     """
+    return _coeff_b_sides(y, s, k, L, n, r, nprime, [rprime], c_max, ctx,
+                          include_profile=include_profile)[0]
+
+
+def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprimes, c_max: int,
+                   ctx: PrecisionContext, *, include_profile: bool):
+    """poincare_coeff_b at (n', r') for each r' of rprimes, which share D'
+    (as r' and -r' do): one prefactor and profile, and one c-sum pass."""
     ctx = ctx or PrecisionContext()
     k = int(k)
     s = Fraction(s)
@@ -112,7 +146,7 @@ def poincare_coeff_b(y, s, k, L: GramLattice, n, r, nprime, rprime,
     if s <= 1 + Fraction(N, 2):
         raise DomainError("convergence requires Re(s) > 1 + N/2")
     D = discriminant(L, n, r)
-    Dp = discriminant(L, nprime, rprime)
+    Dp = discriminant(L, nprime, rprimes[0])
     if D == 0:
         raise DomainError("seed index must have D != 0")
     if Dp == 0:
@@ -125,7 +159,7 @@ def poincare_coeff_b(y, s, k, L: GramLattice, n, r, nprime, rprime,
 
     with ctx.working():
         if c_max == 0:
-            return mp.mpc(0), mp.mpf(0)
+            return [(mp.mpc(0), mp.mpf(0)) for _ in rprimes]
         sgn = 1 if Dp > 0 else -1
         gam = mp.gamma(to_mpf(2 * s)) / mp.gamma(
             to_mpf(s - sgn * (Fraction(k, 2) - Fraction(N, 4)))
@@ -144,48 +178,53 @@ def poincare_coeff_b(y, s, k, L: GramLattice, n, r, nprime, rprime,
             pref *= mp.exp(arg / 2) * whittaker_W_renorm(
                 s, Fraction(k) - Fraction(N, 2), arg, ctx
             )
-        acc, last = poincare_csum(s, k, L, n, r, nprime, rprime, 1, c_max, ctx)
-        tail = last / abs(acc) if acc != 0 else mp.mpf(0)
-        return pref * acc, tail
+        sides = poincare_csum(s, L, n, r, nprime, rprimes, 1, c_max, ctx)
+        return [(pref * acc, last / abs(acc) if acc != 0 else mp.mpf(0))
+                for acc, last in sides]
 
 
-def poincare_csum(s, k, L: GramLattice, n, r, nprime, rprime,
+def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
                   c_lo: int, c_hi: int, ctx: PrecisionContext = None):
-    """Partial sum over c in [c_lo, c_hi] of c^{-(N+2)/2} K_c Bessel(..).
+    """Partial sums over c in [c_lo, c_hi] of c^{-(N+2)/2} K_c Bessel(..),
+    one for each r' of rprimes.
 
-    Returns (sum, |last term|), summed in c-order.  J is used when
-    D D' > 0 and I otherwise; the skew-holomorphic coefficients use it at
+    The r' must share D' (as r' and -r' do), so each c has one power and
+    one Bessel value for all of them.  Returns [(sum, |last term|)] in the
+    order of rprimes, each summed in c-order.  J is used when D D' > 0 and
+    I otherwise; the skew-holomorphic coefficients use it at
     s = (2k - N)/4.
     """
     ctx = ctx or PrecisionContext()
     s = Fraction(s)
     N = L.N
     D = discriminant(L, n, r)
-    Dp = discriminant(L, nprime, rprime)
+    Dp = discriminant(L, nprime, rprimes[0])
+    if any(discriminant(L, nprime, rp) != Dp for rp in rprimes):
+        raise DomainError("the r' sides of one c-sum must share D'")
     with ctx.working():
         bessel = bessel_J if D * Dp > 0 else bessel_I
         xbase = mp.pi * mp.sqrt(abs(to_mpf(Dp * D))) / to_mpf(L.det)
-        acc = mp.mpc(0)
-        last = mp.mpf(0)
+        accs = [mp.mpc(0)] * len(rprimes)
+        lasts = [mp.mpf(0)] * len(rprimes)
         for c in range(c_lo, c_hi + 1):
-            kl = kloosterman(c, L, n, r, nprime, rprime, ctx)
-            term = mp.power(c, -mp.mpf(N + 2) / 2) * kl * bessel(
-                2 * s - 1, xbase / c, ctx
-            )
-            acc += term
-            last = abs(term)
-        return acc, last
+            w = mp.power(c, -mp.mpf(N + 2) / 2)
+            bv = bessel(2 * s - 1, xbase / c, ctx)
+            for i, rp in enumerate(rprimes):
+                term = w * kloosterman(c, L, n, r, nprime, rp, ctx) * bv
+                accs[i] += term
+                lasts[i] = abs(term)
+        return list(zip(accs, lasts))
 
 
 def full_coeff_c(y, s, k, L: GramLattice, n, r, nprime, rprime, c_max: int,
                  ctx: PrecisionContext = None, *, include_profile: bool = True):
     """b(n', r') + (-1)^k b(n', -r'), the symmetrized coefficient."""
-    b1, t1 = poincare_coeff_b(y, s, k, L, n, r, nprime, rprime, c_max, ctx,
-                              include_profile=include_profile)
-    b2, t2 = poincare_coeff_b(y, s, k, L, n, r, nprime,
-                              [-x for x in rprime], c_max, ctx,
-                              include_profile=include_profile)
-    return b1 + (-1) ** int(k) * b2, max(t1, t2)
+    ctx = ctx or PrecisionContext()
+    (b1, t1), (b2, t2) = _coeff_b_sides(
+        y, s, k, L, n, r, nprime, [rprime, [-x for x in rprime]], c_max, ctx,
+        include_profile=include_profile)
+    with ctx.working():
+        return b1 + (-1) ** int(k) * b2, max(t1, t2)
 
 
 def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
@@ -194,6 +233,7 @@ def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
     """Fourier coefficient of the skew-holomorphic Poincare series.
 
     Requires k >= 3 and D, D' > 0; note the -r' inside the Kloosterman sum.
+    The symmetrized value adds (-1)^k times the side at -r'.
     """
     ctx = ctx or PrecisionContext()
     k = int(k)
@@ -207,26 +247,24 @@ def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
     if c_max < 0:
         raise DomainError("c_max must be nonnegative")
 
-    def one_sided(rp):
-        with ctx.working():
-            if c_max == 0:
-                return mp.mpc(0)
-            pref = (
-                mp.power(2, 1 - mp.mpf(N) / 2)
-                * mp.pi
-                * _i_power(-k + 1)
-                / mp.sqrt(to_mpf(L.det))
-                * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
-            )
-            # at s = (2k - N)/4 the c-sum's J_{2s-1} is J_{k-(N+2)/2}
-            acc, _ = poincare_csum(Fraction(2 * k - N, 4), k, L, n, r, nprime,
-                                   [-x for x in rp], 1, c_max, ctx)
-            return pref * acc
-
-    b = one_sided(rprime)
-    if not symmetrized:
-        return b
-    return b + (-1) ** k * one_sided([-x for x in rprime])
+    with ctx.working():
+        if c_max == 0:
+            return mp.mpc(0)
+        pref = (
+            mp.power(2, 1 - mp.mpf(N) / 2)
+            * mp.pi
+            * _i_power(-k + 1)
+            / mp.sqrt(to_mpf(L.det))
+            * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
+        )
+        # at s = (2k - N)/4 the c-sum's J_{2s-1} is J_{k-(N+2)/2}
+        sides = [[-x for x in rprime]] + ([rprime] if symmetrized else [])
+        sums = poincare_csum(Fraction(2 * k - N, 4), L, n, r, nprime, sides,
+                             1, c_max, ctx)
+        b = pref * sums[0][0]
+        if not symmetrized:
+            return b
+        return b + (-1) ** k * (pref * sums[1][0])
 
 
 def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
@@ -238,8 +276,10 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
     c_max.  The symmetrized c-ratios are recorded alongside: for even N the
     two tables agree; for odd N the (-1)^k symmetrization flips sign on the
     dual side (and with |L| = 1 the odd-weight side vanishes identically),
-    so the c-table may be degenerate and is never asserted.  Ratios are
-    reported, not asserted.
+    so the c-table may be degenerate and is never asserted.  A c-ratio is
+    None where either side's two terms cancel to within eps of their sizes,
+    so rounding noise is never reported as a ratio.  Ratios are reported,
+    not asserted.
     """
     ctx = ctx or PrecisionContext()
     N = L.N
@@ -256,19 +296,19 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
     ratios_b, ratios_c = [], []
     with ctx.working():
         for (n, r), (npd, rpd) in index_pairs:
-            bA, _ = poincare_coeff_b(1, s, k, L, n, r, npd, rpd, c_max, ctx,
-                                     include_profile=False)
-            bB, _ = poincare_coeff_b(1, s, kd, L, npd, rpd, n, r, c_max, ctx,
-                                     include_profile=False)
+            (bA, _), (bA_neg, _) = _coeff_b_sides(
+                1, s, k, L, n, r, npd, [rpd, [-x for x in rpd]], c_max, ctx,
+                include_profile=False)
+            (bB, _), (bB_neg, _) = _coeff_b_sides(
+                1, s, kd, L, npd, rpd, n, [r, [-x for x in r]], c_max, ctx,
+                include_profile=False)
             ratios_b.append(bA / bB if abs(bB) > ctx.eps else None)
-            # the symmetrized c of full_coeff_c, reusing bA and bB
-            bA_neg, _ = poincare_coeff_b(1, s, k, L, n, r, npd, [-x for x in rpd],
-                                         c_max, ctx, include_profile=False)
-            bB_neg, _ = poincare_coeff_b(1, s, kd, L, npd, rpd, n, [-x for x in r],
-                                         c_max, ctx, include_profile=False)
+            # the symmetrized c of full_coeff_c, from the same four b
             cA = bA + (-1) ** int(k) * bA_neg
             cB = bB + (-1) ** kd * bB_neg
-            ratios_c.append(cA / cB if abs(cB) > ctx.eps else None)
+            cancelled = (abs(cA) <= ctx.eps * (abs(bA) + abs(bA_neg))
+                         or abs(cB) <= ctx.eps * (abs(bB) + abs(bB_neg)))
+            ratios_c.append(None if cancelled else cA / cB)
         mean_b, spread_b = _stats(ratios_b)
         mean_c, spread_c = _stats(ratios_c)
     return {
