@@ -14,6 +14,7 @@ Exit codes: 0 success (and, for ``verify``, every check passed);
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -119,7 +120,8 @@ def fail(args, exc: Exception, code: int = EXIT_ERROR) -> int:
     return code
 
 
-# -- verification suites ---------------------------------------------------------
+# -- verification suites: the one definition of each check and its tolerance;
+# tests/test_acceptance.py runs these same functions --------------------------
 
 
 def _check(name, ok, detail=None):
@@ -129,7 +131,8 @@ def _check(name, ok, detail=None):
     return entry
 
 
-def suite_commutators(N, L, ctx, samples):
+def suite_commutators(L, ctx, samples):
+    N = L.N
     checks = []
     ops = build_raising_lowering(L)
     R = OpRing(N)
@@ -155,13 +158,13 @@ def suite_commutators(N, L, ctx, samples):
     return checks
 
 
-def suite_centrality(N, L, ctx, samples):
-    bad = check_centrality(build_casimir(N))
-    return [_check(f"[Omega_{N}, g] = 0 for all generators", not bad,
+def suite_centrality(L, ctx, samples):
+    bad = check_centrality(build_casimir(L.N))
+    return [_check(f"[Omega_{L.N}, g] = 0 for all generators", not bad,
                    detail=[b[0] for b in bad] or "exact")]
 
 
-def suite_casimir_equality(N, L, ctx, samples):
+def suite_casimir_equality(L, ctx, samples):
     a = build_casimir_op(L)
     b = build_casimir_RL(L)
     checks = [_check("coordinate Casimir equals raising/lowering assembly", a == b)]
@@ -172,7 +175,7 @@ def suite_casimir_equality(N, L, ctx, samples):
     return checks
 
 
-def suite_bridge(N, L, ctx, samples):
+def suite_bridge(L, ctx, samples):
     lhs, rhs, eq, xu_free = bridge_check(L)
     return [
         _check("uea image of Omega_N equals det(calL)(k(k-N-2) - 2C)", eq),
@@ -180,7 +183,7 @@ def suite_bridge(N, L, ctx, samples):
     ]
 
 
-def suite_cocycle(N, L, ctx, samples):
+def suite_cocycle(L, ctx, samples):
     from . import linalg
     from .group import (
         AlgebraElement, cocycle_a, act, Point,
@@ -193,9 +196,9 @@ def suite_cocycle(N, L, ctx, samples):
     worst_exp = mp.mpf(0)
     with ctx.working():
         for _ in range(samples):
-            g = random_group_element(N, rng)
-            h = random_group_element(N, rng)
-            tau, z = random_point(N, rng)
+            g = random_group_element(L.N, rng)
+            h = random_group_element(L.N, rng)
+            tau, z = random_point(L.N, rng)
             p = Point(mp.mpc(tau), tuple(mp.mpc(w) for w in z))
             gm, hm = g.to_numeric(), h.to_numeric()
             a1 = cocycle_a(jacobi_mul(gm, hm), p)
@@ -203,7 +206,7 @@ def suite_cocycle(N, L, ctx, samples):
             worst_a = max(worst_a, max(
                 abs(x - y) for r1, r2 in zip(a1, a2) for x, y in zip(r1, r2)))
         for _ in range(max(samples // 5, 5)):
-            Y = AlgebraElement.from_basis(N, {
+            Y = AlgebraElement.from_basis(L.N, {
                 "E": Fraction(rng.randint(-2, 2), 2),
                 "F": Fraction(rng.randint(-2, 2), 2),
                 "H": Fraction(rng.randint(-2, 2), 2),
@@ -226,7 +229,8 @@ def suite_cocycle(N, L, ctx, samples):
     ]
 
 
-def suite_covariance(N, L, ctx, samples):
+def suite_covariance(L, ctx, samples):
+    N = L.N
     ops = build_raising_lowering(L)
     k = Fraction(3)
     jobs = [
@@ -250,7 +254,8 @@ def suite_covariance(N, L, ctx, samples):
     return checks
 
 
-def suite_eigen(N, L, ctx, samples):
+def suite_eigen(L, ctx, samples):
+    N = L.N
     rng = random.Random(99)
     checks = []
     ks = [0, 2, 3]
@@ -277,11 +282,11 @@ def suite_eigen(N, L, ctx, samples):
     return checks
 
 
-def suite_duality(N, L, ctx, samples, s=Fraction(5, 2), c_max=50):
+def suite_duality(L, ctx, samples, s=Fraction(5, 2), c_max=50):
     neg, pos = [], []
     for n in range(-3, 4):
         for r0 in range(0, 5):
-            r = [r0] + [0] * (N - 1)
+            r = [r0] + [0] * (L.N - 1)
             D = discriminant(L, n, r)
             if D < 0 and len(neg) < 6:
                 neg.append((n, r))
@@ -316,15 +321,15 @@ def suite_duality(N, L, ctx, samples, s=Fraction(5, 2), c_max=50):
     return checks
 
 
-def suite_kloosterman_symmetry(N, L, ctx, samples):
+def suite_kloosterman_symmetry(L, ctx, samples):
     rng = random.Random(7)
     worst = mp.mpf(0)
     with ctx.working():
         for _ in range(samples):
             c = rng.randint(1, 24)
             n, np_ = rng.randint(-5, 5), rng.randint(-5, 5)
-            r = [rng.randint(-4, 4) for _ in range(N)]
-            rp = [rng.randint(-4, 4) for _ in range(N)]
+            r = [rng.randint(-4, 4) for _ in range(L.N)]
+            rp = [rng.randint(-4, 4) for _ in range(L.N)]
             a = kloosterman(c, L, n, r, np_, rp, ctx)
             b = kloosterman(c, L, np_, rp, n, r, ctx)
             worst = max(worst, abs(a - b))
@@ -350,9 +355,7 @@ def cmd_verify(args, config) -> int:
     suite = args.suite
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
-    N = int(_merge(args, config, "N", 1, int))
-    L = _lattice(args, config, N)
-    N = L.N
+    L = _lattice(args, config, int(_merge(args, config, "N", 1, int)))
     ctx = _ctx(args, config)
     fn, default_samples = SUITES[suite]
     samples = int(_merge(args, config, "samples", default_samples or 50, int))
@@ -360,10 +363,10 @@ def cmd_verify(args, config) -> int:
     if suite == "duality":
         kwargs["s"] = Fraction(_merge(args, config, "s", "5/2", str))
         kwargs["c_max"] = int(_merge(args, config, "cmax", 50, int))
-    checks = fn(N, L, ctx, samples, **kwargs)
+    checks = fn(L, ctx, samples, **kwargs)
     ok = all(c["status"] == "pass" for c in checks)
     emit(args, {
-        "suite": suite, "N": N, "lattice": L.to_json_obj(),
+        "suite": suite, "N": L.N, "lattice": L.to_json_obj(),
         "precision_bits": ctx.bits, "checks": checks,
         "pass": ok,
     })
@@ -396,12 +399,7 @@ def _cached(args, config, operation: str, key_config: dict, compute) -> int:
         result = compute()
         cache.store(operation, key_config, result)
     # hits and misses print the same bytes: the payload is the cached string
-    text = json.dumps(json.loads(result), sort_keys=True, indent=2)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    emit(args, json.loads(result))
     return EXIT_OK
 
 
@@ -589,6 +587,7 @@ def _global_options(parser, suppress: bool):
     parser.add_argument("--jobs", type=int, default=default)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="maassjacobi", allow_abbrev=False,

@@ -137,24 +137,13 @@ class Jet:
         out.pop(self.space._zero, None)
         return Jet(self.space, out)
 
-    def _series(self, scalars) -> "Jet":
-        """sum scalars[n] * (nilpotent part)^n, scalars[0] applied to 1."""
-        delta = self.nilpotent_part()
-        acc = Jet.const(self.space, scalars[0])
-        power = Jet.const(self.space, 1)
-        for n in range(1, min(len(scalars), self.space.degree + 1)):
-            power = power * delta
-            if not power.coeffs:
-                break
-            acc = acc + power * scalars[n]
-        return acc
-
     def reciprocal(self) -> "Jet":
         c = self.value
         if c == 0:
             raise ZeroDivisionError("jet with zero constant term")
         inv = 1 / c
-        return (self * inv)._series([mp.mpc(-1) ** n for n in range(self.space.degree + 1)]) * inv
+        scalars = [mp.mpc(-1) ** n for n in range(self.space.degree + 1)]
+        return compose_univariate(scalars, self * inv) * inv
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -165,7 +154,7 @@ class Jet:
 
     def exp(self) -> "Jet":
         scalars = [mp.mpf(1) / factorial(n) for n in range(self.space.degree + 1)]
-        return self._series(scalars) * mp.exp(self.value)
+        return compose_univariate(scalars, self) * mp.exp(self.value)
 
     def log(self) -> "Jet":
         c = self.value
@@ -174,7 +163,7 @@ class Jet:
         scalars = [mp.mpc(0)] + [
             mp.mpc(-1) ** (n + 1) / n for n in range(1, self.space.degree + 1)
         ]
-        return (self * (1 / c))._series(scalars) + mp.log(c)
+        return compose_univariate(scalars, self * (1 / c)) + mp.log(c)
 
     def pow_scalar(self, alpha) -> "Jet":
         """(c + delta)^alpha by the generalized binomial series."""
@@ -190,7 +179,7 @@ class Jet:
         for n in range(self.space.degree + 1):
             scalars.append(b)
             b = b * (alpha - n) / (n + 1)
-        return (self * (1 / c))._series(scalars) * mp.power(c, alpha)
+        return compose_univariate(scalars, self * (1 / c)) * mp.power(c, alpha)
 
     def __pow__(self, n: int):
         if n < 0:

@@ -942,19 +942,18 @@ def _scalar_cocycle(k, kbar, L: GramLattice, g, tau, z):
     return w
 
 
-def random_group_element(N: int, rng, include_sl2=True):
+def random_group_element(N: int, rng):
     """Exact random element with small integer data."""
     from .group import GroupElement
 
     m = linalg.identity(2, GaussianRational(1), GaussianRational(0))
-    if include_sl2:
-        for _ in range(3):
-            t = GaussianRational(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
-            if rng.random() < 0.5:
-                e = ((GaussianRational(1), t), (GaussianRational(0), GaussianRational(1)))
-            else:
-                e = ((GaussianRational(1), GaussianRational(0)), (t, GaussianRational(1)))
-            m = linalg.mul(m, e)
+    for _ in range(3):
+        t = GaussianRational(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+        if rng.random() < 0.5:
+            e = ((GaussianRational(1), t), (GaussianRational(0), GaussianRational(1)))
+        else:
+            e = ((GaussianRational(1), GaussianRational(0)), (t, GaussianRational(1)))
+        m = linalg.mul(m, e)
     X = [
         [GaussianRational(Fraction(rng.randint(-2, 2), rng.randint(1, 2))) for _ in range(2)]
         for _ in range(N)
@@ -981,8 +980,7 @@ def random_point(N: int, rng):
 
 def covariance_check(T: DiffOp, k, L: GramLattice, k2, L2: GramLattice,
                      samples: int, ctx: PrecisionContext = None, *,
-                     kbar=0, kbar2=0, seed_index: int = 0, rng_seed: int = 0,
-                     degree: int = None):
+                     kbar=0, kbar2=0):
     """Max modulus of T(f|_{k,L}[g]) - (Tf)|_{k2,L2}[g] over random samples.
 
     The seed f is a fixed Gaussian-exponential; the residual is normalized
@@ -991,17 +989,16 @@ def covariance_check(T: DiffOp, k, L: GramLattice, k2, L2: GramLattice,
     import random
 
     ctx = ctx or PrecisionContext()
-    rng = random.Random(77001 + rng_seed)
+    rng = random.Random(77001)
     N = L.N
-    seed = GaussianSeed(N, seed_index)
-    deg = degree if degree is not None else T.order()
+    seed = GaussianSeed(N)
     worst = mp.mpf(0)
     with ctx.working():
         kv = to_mpc(Fraction(k))
         for _ in range(samples):
             g = random_group_element(N, rng)
             tau, z = random_point(N, rng)
-            sj, f_at_q, (q_tau, q_z) = slashed_jet(seed, k, kbar, L, g, tau, z, deg)
+            sj, f_at_q, (q_tau, q_z) = slashed_jet(seed, k, kbar, L, g, tau, z, T.order())
             lhs = T.apply_jet(sj, base_values(tau, z), k_value=kv)
             rhs = _scalar_cocycle(k2, kbar2, L2, g, tau, z) * T.apply_jet(
                 f_at_q, base_values(q_tau, q_z), k_value=kv
@@ -1015,8 +1012,7 @@ def covariance_check(T: DiffOp, k, L: GramLattice, k2, L2: GramLattice,
 # -- joint kernel of the raising operators ------------------------------------------------
 
 
-def kernel_seed(k, L: GramLattice, l, h, ctx: PrecisionContext = None,
-                exp_coeff=None, sample_count: int = 10, rng_seed: int = 5):
+def kernel_seed(k, L: GramLattice, l, h, ctx: PrecisionContext = None):
     """The function y^{-k} e(l taubar + h zbar + c L[v]/y) and its
     annihilation report under X+ and the Y+_i.
 
@@ -1050,7 +1046,7 @@ def kernel_seed(k, L: GramLattice, l, h, ctx: PrecisionContext = None,
             expo = expo + lv * y.reciprocal() * mp.mpc(c_coeff)
         return y.pow_scalar(-k) * (expo * (2j * mp.pi)).exp()
 
-    rng = random.Random(31000 + rng_seed)
+    rng = random.Random(31005)
     with ctx.working():
         # derive the exponent constant from Y+_1 annihilation: residual is
         # linear in c, so two evaluations solve it
@@ -1078,7 +1074,7 @@ def kernel_seed(k, L: GramLattice, l, h, ctx: PrecisionContext = None,
             "derived_vs_minus_2i": abs(derived - mp.mpc(0, -2)),
             "samples": [],
         }
-        for _ in range(sample_count):
+        for _ in range(10):
             tau, z = random_point(N, rng)
             coords = coordinate_jets(space, tau, z)
             vals = base_values(tau, z)

@@ -121,24 +121,24 @@ def _pow_ratio(num, den, expo: Fraction):
 
 
 def poincare_coeff_b(y, s, k, L: GramLattice, n, r, nprime, rprime,
-                     c_max: int, ctx: PrecisionContext = None, *,
-                     include_profile: bool = True):
+                     c_max: int, ctx: PrecisionContext = None):
     """One unsymmetrized Fourier coefficient of the Maass Poincare series.
 
     Returns (value, tail_ratio): the displayed product of the Gamma ratio,
-    the (D'/D) power, the y-profile e(-iD'y/4|L|) W_{s,k-N/2}(pi D'y/|L|)
-    (skippable: the duality statements concern the profile-stripped
-    values), and the truncated c-sum; tail_ratio is |last term|/|sum|, the
-    recorded truncation heuristic.
+    the (D'/D) power, the y-profile e(-iD'y/4|L|) W_{s,k-N/2}(pi D'y/|L|),
+    and the truncated c-sum; tail_ratio is |last term|/|sum|, the recorded
+    truncation heuristic.
     """
     return _coeff_b_sides(y, s, k, L, n, r, nprime, [rprime], c_max, ctx,
-                          include_profile=include_profile)[0]
+                          include_profile=True)[0]
 
 
 def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprimes, c_max: int,
                    ctx: PrecisionContext, *, include_profile: bool):
     """poincare_coeff_b at (n', r') for each r' of rprimes, which share D'
-    (as r' and -r' do): one prefactor and profile, and one c-sum pass."""
+    (as r' and -r' do): one prefactor and profile, and one c-sum pass.
+    Without the profile (``include_profile=False``) the values are the
+    profile-stripped ones that the duality statements concern."""
     ctx = ctx or PrecisionContext()
     k = int(k)
     s = Fraction(s)
@@ -217,12 +217,12 @@ def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
 
 
 def full_coeff_c(y, s, k, L: GramLattice, n, r, nprime, rprime, c_max: int,
-                 ctx: PrecisionContext = None, *, include_profile: bool = True):
+                 ctx: PrecisionContext = None):
     """b(n', r') + (-1)^k b(n', -r'), the symmetrized coefficient."""
     ctx = ctx or PrecisionContext()
     (b1, t1), (b2, t2) = _coeff_b_sides(
         y, s, k, L, n, r, nprime, [rprime, [-x for x in rprime]], c_max, ctx,
-        include_profile=include_profile)
+        include_profile=True)
     with ctx.working():
         return b1 + (-1) ** int(k) * b2, max(t1, t2)
 

@@ -1,5 +1,7 @@
 """Acceptance suite: one test per criterion, each at its stated tolerance,
-printing one pass/fail line.  Everything runs on a desktop in minutes."""
+printing one pass/fail line.  Criteria that ``maassjacobi verify`` also
+checks run its suite functions, where their tolerances are defined.
+Everything runs on a desktop in minutes."""
 
 import random
 from fractions import Fraction
@@ -8,14 +10,13 @@ import pytest
 from mpmath import mp
 
 from conftest import random_group_element, random_point
-from maassjacobi import linalg
+from maassjacobi.cli import SUITES
 from maassjacobi.enveloping import (
     JacobiLieAlgebra,
     LocalizedPBW,
     PBWElement,
     build_casimir,
     build_classical_invariants,
-    check_centrality,
     classical_relations_residuals,
     det_z,
     eta,
@@ -33,7 +34,6 @@ from maassjacobi.fourier import (
     heat_residual,
     maass_fourier_term,
     mixed_mock_term,
-    phi_seed,
     residue_reduce,
     skew_fourier_term,
     theta_decompose_semi,
@@ -41,39 +41,9 @@ from maassjacobi.fourier import (
     theta_reassemble,
 )
 from maassjacobi.gaussian import GaussianRational, I
-from maassjacobi.group import (
-    Point,
-    act,
-    cocycle_a,
-    jacobi_mul,
-    jacobi_exp,
-    embed_algebra,
-    embed_group,
-    expm,
-    slash,
-)
+from maassjacobi.group import Point, jacobi_mul, slash
 from maassjacobi.lattice import GramLattice, discriminant
-from maassjacobi.opcalc import (
-    DiffOp,
-    OpRing,
-    bridge_check,
-    build_casimir_op,
-    build_casimir_RL,
-    build_D_minus,
-    build_heat,
-    build_laplace,
-    build_raising_lowering,
-    calL,
-    covariance_check,
-    d_minus_direct,
-    semiholomorphic_casimir,
-)
 from maassjacobi.precision import PrecisionContext
-from maassjacobi.series import (
-    casimir_eigenvalue,
-    duality_report,
-    kloosterman,
-)
 from maassjacobi.specfun import (
     bessel_I_jet,
     bessel_J_jet,
@@ -82,6 +52,25 @@ from maassjacobi.specfun import (
 )
 
 CTX = PrecisionContext(bits=128)
+LATTICES = {1: GramLattice([[1]]),
+            2: GramLattice([[1, 0], [0, 1]]),
+            3: GramLattice([[1, 0, 0], [0, 2, 0], [0, 0, 1]])}
+
+
+def run_suites(names, lattices, samples=0, **kwargs):
+    """Every check of the named ``maassjacobi verify`` suites over the
+    lattices; each criterion and its tolerance is defined there."""
+    return [check for L in lattices for name in names
+            for check in SUITES[name][0](L, CTX, samples, **kwargs)]
+
+
+def passed(checks):
+    return all(c["status"] == "pass" for c in checks)
+
+
+def worst(checks):
+    """The largest residual the checks report, for the report line."""
+    return f"worst {float(max(mp.mpf(c['detail']) for c in checks)):.2e}"
 
 
 def report(num, name, ok, detail=""):
@@ -132,8 +121,9 @@ def test_02_pbw_confluence():
 
 
 def test_03_casimir_centrality():
-    ok = all(check_centrality(build_casimir(N)) == [] for N in (1, 2))
-    report(3, "Casimir centrality [Omega_N, g] = 0, exact, N = 1 and 2", ok)
+    checks = run_suites(["centrality"], [LATTICES[1], LATTICES[2]])
+    report(3, "Casimir centrality [Omega_N, g] = 0, exact, N = 1 and 2",
+           passed(checks))
 
 
 def test_04_virtual_copy_identities():
@@ -189,200 +179,76 @@ def test_07_tau_automorphism():
               "exact, N = 1, 2", ok)
 
 
-LATTICES = {1: GramLattice([[1]]),
-            2: GramLattice([[1, 0], [0, 1]]),
-            3: GramLattice([[1, 0, 0], [0, 2, 0], [0, 0, 1]])}
-
-
 def test_08_operator_identities():
-    ok = True
-    for N in (1, 2, 3):
-        L = LATTICES[N]
-        R = OpRing(N)
-        ops = build_raising_lowering(L)
-        Xp, Xm, Yp, Ym = ops["X+"], ops["X-"], ops["Y+"], ops["Y-"]
-        k = R.ring.var("k")
-        ok &= Xm.commutator(Xp) == DiffOp.multiplication(R, -k)
-        cl = calL(R, L)
-        for j in range(N):
-            for jp in range(N):
-                ok &= Ym[j].commutator(Yp[jp]) == DiffOp.multiplication(
-                    R, cl[j][jp].scale(GaussianRational(0, 1)))
-                ok &= Yp[j].commutator(Yp[jp]).is_zero()
-                ok &= Ym[j].commutator(Ym[jp]).is_zero()
-            ok &= Xm.commutator(Yp[j]) == -Ym[j]
-            ok &= Ym[j].commutator(Xp) == Yp[j]
-            ok &= Xp.commutator(Yp[j]).is_zero()
-            ok &= Xm.commutator(Ym[j]).is_zero()
-        C = build_casimir_op(L)
-        ok &= C == build_casimir_RL(L)
-        ok &= C.restrict_semiholomorphic() == semiholomorphic_casimir(L)
-        ok &= build_D_minus(L) == d_minus_direct(L)
+    checks = run_suites(["commutators", "casimir-equality"], LATTICES.values())
     report(8, "operator identities (commutator table, Casimir equality, "
-              "semi-holomorphic form, D- decomposition), symbolic in k, N <= 3", ok)
+              "semi-holomorphic form, D- decomposition), symbolic in k, N <= 3",
+           passed(checks))
 
 
 def test_09_bridge_identity():
-    ok = True
-    for L in (GramLattice([[1]]), GramLattice([[2]]),
-              GramLattice([[1, 0], [0, 1]])):
-        _, _, eq, xu = bridge_check(L)
-        ok &= eq and xu
+    checks = run_suites(["bridge"], [GramLattice([[1]]), GramLattice([[2]]),
+                                     LATTICES[2]])
     report(9, "bridge: uea image of Omega_N = det(calL)(k(k-N-2) - 2C), "
-              "exact symbolic in k, N = 1 and N = 2 (identity Gram)", ok)
+              "exact symbolic in k, N = 1 and N = 2 (identity Gram)", passed(checks))
 
 
 @pytest.mark.parametrize("N", [1, 2])
 def test_10_numeric_covariance(N):
-    L = LATTICES[N]
-    ops = build_raising_lowering(L)
-    k = Fraction(3)
-    C_metric = [[1 if i == j else 0 for j in range(N)] for i in range(N)]
-    jobs = [("X+", ops["X+"], k, k + 2, 0, 0),
-            ("X-", ops["X-"], k, k - 2, 0, 0),
-            ("Casimir", build_casimir_op(L), k, k, 0, 0),
-            ("Laplace", build_laplace(L, C_metric), k, k, 0, 0),
-            ("D-", build_D_minus(L), k, k - 2, 0, 0),
-            ("heat", build_heat(L), Fraction(N, 2), Fraction(N, 2) + 2,
-             Fraction(N, 2) - 1, Fraction(N, 2) - 1)]
-    for j in range(N):
-        jobs.append((f"Y+_{j + 1}", ops["Y+"][j], k, k + 1, 0, 0))
-        jobs.append((f"Y-_{j + 1}", ops["Y-"][j], k, k - 1, 0, 0))
-    worst = mp.mpf(0)
-    ok = True
-    for name, op, kin, kout, kb1, kb2 in jobs:
-        r = covariance_check(op, kin, L, kout, L, 100, CTX, kbar=kb1, kbar2=kb2)
-        worst = max(worst, r)
-        ok &= r < mp.mpf("1e-22")
+    checks = run_suites(["covariance"], [LATTICES[N]], samples=100)
     report(10, f"numeric covariance of the operator zoo, N = {N}, "
-               "100 samples at 128 bits < 1e-22", ok, detail=f"worst {float(worst):.2e}")
+               "100 samples at 128 bits", passed(checks), detail=worst(checks))
 
 
 def test_11_eigenfunction_check():
-    L = GramLattice([[1]])
-    N = 1
-    rng = random.Random(99)
-    with CTX.working():
-        pts = [(mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.7, 1.2)),
-                [mp.mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3))])
-               for _ in range(3)]
-    worst = mp.mpf(0)
-    ok = True
-    count = 0
-    for k in (0, 2, 3):
-        svals = {Fraction(k, 2) - Fraction(N, 4),
-                 1 + Fraction(N, 4) - Fraction(k, 2), Fraction(5, 2)}
-        for s in svals:
-            for (n, r) in [(1, [0]), (-1, [1]), (0, [1])]:
-                if discriminant(L, n, r) == 0:
-                    continue
-                f = phi_seed(k, L, s, n, r)
-                res = casimir_residual(f, k, pts, CTX,
-                                       eigenvalue=casimir_eigenvalue(k, N, s))
-                worst = max(worst, res)
-                ok &= res < mp.mpf("1e-10")
-                count += 1
-    report(11, f"Casimir eigenvalue of the seed on a (k,s,n,r) grid of {count} "
-               "cases incl. both annihilation roots, jet residual < 1e-10",
-           ok, detail=f"worst {float(worst):.2e}")
+    checks = run_suites(["eigen"], [GramLattice([[1]])])
+    report(11, f"Casimir eigenvalue of the seed on a (k,s,n,r) grid of {len(checks)} "
+               "cases incl. both annihilation roots", passed(checks),
+           detail=worst(checks))
 
 
 def test_12_cocycle_and_slash():
+    checks = run_suites(["cocycle"], [GramLattice([[1]])], samples=100)
     rng = random.Random(1234)
     L = ((Fraction(1),),)
-    N = 1
 
     def seed(p):
         return mp.exp(1j * p.tau + mp.mpc("0.2", "0.1") * p.z[0]
                       - mp.mpf("0.1") * p.z[0] ** 2)
 
     with CTX.working():
-        worst_a = mp.mpf(0)
-        for _ in range(100):
-            g, h = random_group_element(N, rng), random_group_element(N, rng)
-            tau, z = random_point(N, rng)
-            p = Point(tau, z)
-            gm, hm = g.to_numeric(), h.to_numeric()
-            a1 = cocycle_a(jacobi_mul(gm, hm), p)
-            a2 = linalg.add(cocycle_a(gm, act(hm, p)), cocycle_a(hm, p))
-            worst_a = max(worst_a, max(abs(x - y) for r1, r2 in zip(a1, a2)
-                                       for x, y in zip(r1, r2)))
         worst_s = mp.mpf(0)
         for _ in range(50):
-            g, h = random_group_element(N, rng), random_group_element(N, rng)
-            tau, z = random_point(N, rng)
-            p = Point(tau, z)
+            g, h = random_group_element(1, rng), random_group_element(1, rng)
+            p = Point(*random_point(1, rng))
             f1 = slash(slash(seed, 3, 0, L, g, CTX), 3, 0, L, h, CTX)
             f2 = slash(seed, 3, 0, L, jacobi_mul(g, h), CTX)
             worst_s = max(worst_s, abs(f1(p) - f2(p)) / max(mp.mpf(1), abs(f2(p))))
-        worst_e = mp.mpf(0)
-        from conftest import random_algebra_element
-        for _ in range(20):
-            Y = random_algebra_element(N, rng)
-            lhs = embed_group(jacobi_exp(Y, CTX))
-            rhs = expm(embed_algebra(Y), CTX)
-            worst_e = max(worst_e, max(abs(a - b) for ra, rb in zip(lhs, rhs)
-                                       for a, b in zip(ra, rb)))
-        ok = worst_a < mp.mpf("1e-25") and worst_s < mp.mpf("1e-25") \
-            and worst_e < mp.mpf("1e-25")
-    report(12, "cocycle additivity (100 samples), slash right action (50 pairs), "
-               "exp vs matrix exponential, all < 1e-25",
-           ok, detail=f"a {float(worst_a):.2e}, slash {float(worst_s):.2e}, "
-                      f"exp {float(worst_e):.2e}")
+        ok = passed(checks) and worst_s < mp.mpf("1e-25")
+    report(12, "cocycle additivity (100 samples), exp vs matrix exponential, "
+               "slash right action (50 pairs, < 1e-25)",
+           ok, detail=f"{worst(checks)}, slash {float(worst_s):.2e}")
 
 
 def test_13_kloosterman_symmetry():
-    rng = random.Random(31)
-    with CTX.working():
-        worst = mp.mpf(0)
-        for L in (GramLattice([[1]]), GramLattice([[2, 1], [1, 2]])):
-            for _ in range(25):
-                c = rng.randint(1, 24)
-                n, np_ = rng.randint(-5, 5), rng.randint(-5, 5)
-                r = [rng.randint(-4, 4) for _ in range(L.N)]
-                rp = [rng.randint(-4, 4) for _ in range(L.N)]
-                worst = max(worst, abs(kloosterman(c, L, n, r, np_, rp, CTX)
-                                       - kloosterman(c, L, np_, rp, n, r, CTX)))
-        L1 = GramLattice([[1]])
-        from maassjacobi.precision import e_of
-        exact1 = abs(kloosterman(1, L1, 1, [3], 2, [5], CTX) - e_of(Fraction(-15, 2)))
-        exact2 = abs(kloosterman(2, L1, 1, [0], 1, [0], CTX))
-        ok = worst < mp.mpf("1e-30") and exact1 < mp.mpf("1e-36") \
-            and exact2 < mp.mpf("1e-36")
-    report(13, "Kloosterman symmetry, 50 tuples, c <= 24, N <= 2, < 1e-30; "
-               "c = 1 closed form and hand-checked c = 2 value",
-           ok, detail=f"worst {float(worst):.2e}")
+    checks = run_suites(["kloosterman-symmetry"],
+                        [GramLattice([[1]]), GramLattice([[2, 1], [1, 2]])], samples=25)
+    report(13, "Kloosterman symmetry, 50 tuples, c <= 24, N <= 2", passed(checks),
+           detail=worst(checks))
 
 
 def test_14_zagier_duality():
-    L = GramLattice([[1]])
-    s = Fraction(5, 2)
-    neg = [(n, [r]) for n in range(-2, 1) for r in range(0, 4)
-           if discriminant(L, n, [r]) < 0][:6]
-    pos = [(n, [r]) for n in range(1, 4) for r in range(0, 3)
-           if discriminant(L, n, [r]) > 0][:5]
-    ok = True
+    checks = run_suites(["duality"], [GramLattice([[1]])], c_max=50)
     details = []
-    for regime, pool in (("D,D'<0", neg), ("D<0<D'", pos)):
-        pairs = []
-        for a in neg[:3]:
-            for b in pool:
-                if a != b:
-                    pairs.append((a, b))
-                if len(pairs) >= 5:
-                    break
-            if len(pairs) >= 5:
-                break
-        rep = duality_report(s, 1, L, pairs, 50, CTX)
-        with CTX.working():
-            ok &= rep["b_relative_spread"] < mp.mpf("1e-6")
-            details.append(f"{regime}: ratio {mp.nstr(rep['b_mean'], 10)} "
-                           f"spread {float(rep['b_relative_spread']):.2e}; "
-                           f"symmetrized-c table "
-                           f"{'degenerate' if rep['c_mean'] is None else mp.nstr(rep['c_mean'], 6)}")
+    for c in checks:
+        d = c["detail"]
+        ratio = mp.mpc(*d["b_mean_ratio"].strip("()j").split())
+        details.append(f"{c['name']}: ratio {mp.nstr(ratio, 10)} spread "
+                       f"{float(mp.mpf(d['b_relative_spread'])):.2e}; symmetrized-c "
+                       f"table {d['c_mean_ratio'] or 'degenerate'}")
     report(14, "Zagier-type duality: ratio constant over 5 pairs per regime "
                "at matched c_max = 50, s = 5/2, N = 1 (ratio recorded, not "
-               "asserted)", ok, detail=" | ".join(details))
+               "asserted)", passed(checks), detail=" | ".join(details))
 
 
 def test_15_special_function_certification():

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from maassjacobi import cache
-from maassjacobi.cli import main, parse_rational_matrix
+from maassjacobi.cli import SUITES, main, parse_rational_matrix
 from maassjacobi.fourier import theta_lmu
 from maassjacobi.lattice import GramLattice
 
@@ -37,11 +37,34 @@ def test_unknown_suite_is_usage_error(cache_dir, capsys):
     assert err["error"]["type"] == "UsageError"
 
 
-def test_verify_exit_codes(cache_dir, capsys):
-    code, out = run(capsys, "verify", "centrality", "--N", "1")
-    assert code == 0
+# small sizes; N = 1, since `verify eigen` at N = 2 is a known PoleError
+SMALL_SUITE_ARGS = {"cocycle": ("--samples", "5"), "covariance": ("--samples", "2"),
+                    "duality": ("--cmax", "4"), "kloosterman-symmetry": ("--samples", "5")}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_exit_codes(cache_dir, capsys, suite):
+    code, out = run(capsys, "verify", suite, "--N", "1",
+                    *SMALL_SUITE_ARGS.get(suite, ()))
     rep = json.loads(out)
-    assert rep["pass"] and rep["suite"] == "centrality"
+    assert code == 0 and rep["pass"] and rep["suite"] == suite and rep["N"] == 1
+    assert rep["checks"]
+
+
+def test_parser_state_does_not_leak_between_calls(cache_dir, capsys, tmp_path):
+    out_file = tmp_path / "first.json"
+    args = ("kloosterman", "--c", "2", "--L", "1", "--n", "1", "--r", "0",
+            "--nprime", "1", "--rprime", "0")
+    code, out = run(capsys, "--no-cache", *args, "--out", str(out_file))
+    assert code == 0 and out == "" and json.loads(out_file.read_text())["table"]
+    # swap the stored result for a marker that only a cache read can print
+    [entry] = [cache_dir / f for f in os.listdir(cache_dir)]
+    stored = json.loads(entry.read_text())
+    entry.write_text(json.dumps(dict(stored, result='{"marker": 1}')))
+    # the second call sets neither flag: it reads the cache and prints
+    code, out = run(capsys, *args)
+    assert code == 0 and json.loads(out) == {"marker": 1}
+    assert json.loads(out_file.read_text())["table"]
 
 
 def test_kloosterman_closed_form_and_cache(cache_dir, capsys):

@@ -190,10 +190,15 @@ def test_phi_seed_eigen(ctx):
     L = GramLattice([[1]])
     with pytest.raises(DomainError):
         phi_seed(2, L, Fraction(5, 2), 1, [2])  # D = 0
+    # the (n, r) = (0, [1]) index over the (k, s) grid of `verify eigen`,
+    # which checks only (1, [0]) and (-1, [1])
+    grid = [(k, s, 0, [1]) for k in (0, 2, 3)
+            for s in (Fraction(k, 2) - Fraction(1, 4), Fraction(5, 4) - Fraction(k, 2),
+                      Fraction(5, 2))]
     for (k, s, n, r) in [(2, Fraction(5, 2), 1, [0]),
                          (3, Fraction(5, 4), -1, [1]),
                          (0, Fraction(5, 4), 1, [0]),
-                         (4, Fraction(7, 2), 1, [1])]:
+                         (4, Fraction(7, 2), 1, [1])] + grid:
         f = phi_seed(k, L, s, n, r)
         ev = casimir_eigenvalue(k, 1, s)
         assert casimir_residual(f, k, PTS1, ctx, eigenvalue=ev) < mp.mpf("1e-10")
