@@ -39,8 +39,6 @@ from .enveloping import (
     PBWElement,
     LocalizedPBW,
     pbw_normal_order,
-    pbw_mul,
-    pbw_commutator,
     adjugate_substitute,
     divide_by_det,
     build_casimir,
@@ -60,8 +58,6 @@ from .jets import Jet, JetSpace
 from .opcalc import (
     DiffOp,
     OpRing,
-    op_compose,
-    op_commutator,
     build_raising_lowering,
     build_casimir_op,
     build_casimir_RL,

@@ -355,9 +355,16 @@ def cmd_verify(args, config) -> int:
     suite = args.suite
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
+    fn, default_samples = SUITES[suite]
+    # flags only: a config file may set keys that some suites do not read
+    unread = [] if default_samples else ["samples"]
+    if suite != "duality":
+        unread += ["s", "cmax"]
+    for key in unread:
+        if getattr(args, key, None) is not None:
+            raise UsageError(f"verify {suite} does not read --{key}")
     L = _lattice(args, config, int(_merge(args, config, "N", 1, int)))
     ctx = _ctx(args, config)
-    fn, default_samples = SUITES[suite]
     samples = int(_merge(args, config, "samples", default_samples or 50, int))
     kwargs = {}
     if suite == "duality":
@@ -391,13 +398,13 @@ def _lattice(args, config, N=None) -> GramLattice:
 
 
 def _cached(args, config, operation: str, key_config: dict, compute) -> int:
-    no_cache = bool(getattr(args, "no_cache", False))
-    result = None
-    if not no_cache:
-        result = cache.lookup(operation, key_config)
+    # --no-cache bypasses the cache both ways: no lookup and no store
+    use_cache = not getattr(args, "no_cache", False)
+    result = cache.lookup(operation, key_config) if use_cache else None
     if result is None:
         result = compute()
-        cache.store(operation, key_config, result)
+        if use_cache:
+            cache.store(operation, key_config, result)
     # hits and misses print the same bytes: the payload is the cached string
     emit(args, json.loads(result))
     return EXIT_OK

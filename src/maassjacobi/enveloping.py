@@ -21,7 +21,7 @@ from math import comb
 from . import linalg
 from .errors import DivisibilityError, MaassJacobiError
 from .gaussian import GaussianRational, ZERO, ONE, I, format_gaussian, parse_gaussian
-from .polys import Poly, PolyRing
+from .polys import Poly, PolyRing, SparseTerms
 
 CENTRALITY_DEGREE_CAP = 3
 
@@ -201,14 +201,18 @@ class JacobiLieAlgebra:
         return f"JacobiLieAlgebra(N={self.N})"
 
 
-class PBWElement:
+class PBWElement(SparseTerms):
     """An element of the enveloping algebra in PBW normal form."""
 
     __slots__ = ("alg", "terms")
+    _zero = ZERO
 
     def __init__(self, alg: JacobiLieAlgebra, terms: dict):
         self.alg = alg
         self.terms = terms
+
+    def _like(self, terms, other) -> "PBWElement":
+        return PBWElement(self.alg, terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -232,28 +236,6 @@ class PBWElement:
         return PBWElement(alg, {tuple(exp): ONE})
 
     # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return PBWElement(self.alg, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PBWElement(self.alg, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
 
     def scale(self, c) -> "PBWElement":
         c = GaussianRational.coerce(c)
@@ -297,29 +279,11 @@ class PBWElement:
             return self.scale(other)
         return self._coerce(other) * self
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power in the enveloping algebra")
-        out = PBWElement.const(self.alg, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def commutator(self, other) -> "PBWElement":
         other = self._coerce(other)
         return self * other - other * self
 
     # -- structure ------------------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other):
         if isinstance(other, PBWElement):
@@ -363,14 +327,6 @@ def pbw_normal_order(alg: JacobiLieAlgebra, word) -> PBWElement:
     for g in word:
         acc = acc * PBWElement.gen(alg, g)
     return acc
-
-
-def pbw_mul(a: PBWElement, b: PBWElement) -> PBWElement:
-    return a * b
-
-
-def pbw_commutator(a: PBWElement, b: PBWElement) -> PBWElement:
-    return a.commutator(b)
 
 
 def check_centrality(a: PBWElement, override_degree_cap: bool = False):

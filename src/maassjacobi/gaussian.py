@@ -10,6 +10,18 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def power(x, n: int, one):
+    """x ** n for n >= 0 by repeated squaring, starting from ``one``."""
+    out = one
+    base = x
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 class GaussianRational:
     """A number a + b*i with a, b rational, exact."""
 
@@ -73,14 +85,7 @@ class GaussianRational:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, GaussianRational(1))
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)

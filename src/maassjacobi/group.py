@@ -319,6 +319,23 @@ def cocycle_alpha(L, g: GroupElement, p: Point, ctx: PrecisionContext = None):
         return mp.exp(2j * mp.pi * tr)
 
 
+def automorphy_factor(k, kprime, L, g: GroupElement, p: Point,
+                      ctx: PrecisionContext = None):
+    """beta^(k-k') |beta|^(2k') alpha_L(g, p), the factor the slash action
+    puts in front of f(g p).
+
+    ``g`` and ``p`` are numeric, k - k' is an integer, and the caller holds
+    the working-precision block; ``ctx`` sets the precision of alpha_L.
+    """
+    kprime = Fraction(kprime)
+    beta = cocycle_beta(g.M, p.tau)
+    w = beta ** int(Fraction(k) - kprime)
+    if kprime:
+        w *= (beta * mp.conj(beta)).real ** (mp.mpf(kprime.numerator) / kprime.denominator)
+    w *= cocycle_alpha(L, g, p, ctx)
+    return w
+
+
 def slash(f, k, kprime, L, g: GroupElement, ctx: PrecisionContext = None):
     """Right slash action on function handles.
 
@@ -327,25 +344,14 @@ def slash(f, k, kprime, L, g: GroupElement, ctx: PrecisionContext = None):
     arbitrary rational weights.
     """
     ctx = ctx or PrecisionContext()
-    k = Fraction(k)
-    kprime = Fraction(kprime)
-    if (k - kprime).denominator != 1:
+    if (Fraction(k) - Fraction(kprime)).denominator != 1:
         raise DomainError("slash action requires k - k' to be an integer")
-    kk = int(k - kprime)
 
     def slashed(p: Point):
         with ctx.working():
             gm = g if not g.exact else g.to_numeric()
-            tau = to_mpc(p.tau)
-            pm = Point(tau, tuple(to_mpc(zj) for zj in p.z))
-            beta = cocycle_beta(gm.M, tau)
-            w = beta ** kk
-            if kprime:
-                w *= (beta * mp.conj(beta)).real ** (
-                    mp.mpf(kprime.numerator) / kprime.denominator
-                )
-            w *= cocycle_alpha(L, gm, pm, ctx)
-            return w * f(act(gm, pm))
+            pm = Point(to_mpc(p.tau), tuple(to_mpc(zj) for zj in p.z))
+            return automorphy_factor(k, kprime, L, gm, pm, ctx) * f(act(gm, pm))
 
     return slashed
 

@@ -16,6 +16,7 @@ from math import factorial
 from mpmath import mp
 
 from .errors import DegreeError
+from .polys import SparseTerms
 
 
 class JetSpace:
@@ -45,14 +46,18 @@ class JetSpace:
         return hash((self.nvars, self.degree))
 
 
-class Jet:
+class Jet(SparseTerms):
     """Truncated Taylor expansion: exponent tuple -> coefficient."""
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = ("space", "terms")
+    _zero = mp.mpc(0)
 
-    def __init__(self, space: JetSpace, coeffs: dict):
+    def __init__(self, space: JetSpace, terms: dict):
         self.space = space
-        self.coeffs = coeffs
+        self.terms = terms
+
+    def _like(self, terms, other) -> "Jet":
+        return Jet(self.space, terms)
 
     # -- constructors -------------------------------------------------------
 
@@ -74,36 +79,14 @@ class Jet:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, mp.mpc(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Jet(self.space, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.space, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
         if not isinstance(other, Jet):
             c = mp.mpc(other)
             if c == 0:
                 return Jet(self.space, {})
-            return Jet(self.space, {e: c * v for e, v in self.coeffs.items()})
+            return Jet(self.space, {e: c * v for e, v in self.terms.items()})
         deg = self.space.degree
-        a, b = self.coeffs, other.coeffs
+        a, b = self.terms, other.terms
         if len(b) < len(a):
             a, b = b, a
         out = {}
@@ -130,10 +113,10 @@ class Jet:
 
     @property
     def value(self):
-        return self.coeffs.get(self.space._zero, mp.mpc(0))
+        return self.terms.get(self.space._zero, mp.mpc(0))
 
     def nilpotent_part(self) -> "Jet":
-        out = dict(self.coeffs)
+        out = dict(self.terms)
         out.pop(self.space._zero, None)
         return Jet(self.space, out)
 
@@ -183,15 +166,8 @@ class Jet:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.reciprocal() ** (-n)
-        out = Jet.const(self.space, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return self.reciprocal() ** -n
+        return super().__pow__(n)
 
     # -- calculus --------------------------------------------------------------
 
@@ -203,7 +179,7 @@ class Jet:
             raise DegreeError(
                 f"jet of degree {self.space.degree} cannot deliver order {sum(alpha)}"
             )
-        c = self.coeffs.get(alpha, mp.mpc(0))
+        c = self.terms.get(alpha, mp.mpc(0))
         scale = 1
         for a in alpha:
             scale *= factorial(a)
@@ -231,15 +207,15 @@ class Jet:
             return p
 
         out = Jet.const(target, 0)
-        for e in sorted(self.coeffs.keys(), key=lambda t: (sum(t), t)):
-            out = out + product_for(e) * self.coeffs[e]
+        for e in sorted(self.terms.keys(), key=lambda t: (sum(t), t)):
+            out = out + product_for(e) * self.terms[e]
         return out
 
     def max_abs(self):
-        return max((abs(c) for c in self.coeffs.values()), default=mp.mpf(0))
+        return max((abs(c) for c in self.terms.values()), default=mp.mpf(0))
 
     def __repr__(self):
-        n = len(self.coeffs)
+        n = len(self.terms)
         return f"Jet(deg<={self.space.degree}, {n} terms, value={self.value})"
 
 
@@ -281,7 +257,7 @@ def compose_univariate(series, inner: Jet) -> Jet:
     power = Jet.const(inner.space, 1)
     for n in range(1, min(len(series), inner.space.degree + 1)):
         power = power * delta
-        if not power.coeffs:
+        if not power.terms:
             break
         acc = acc + power * series[n]
     return acc

@@ -22,9 +22,10 @@ from . import linalg
 from .enveloping import PBWElement
 from .errors import DegreeError, DomainError, SingularIndexError
 from .gaussian import GaussianRational
+from .group import Point, automorphy_factor
 from .jets import Jet, JetSpace, coordinate_jets, real_coordinate_jets
 from .lattice import GramLattice
-from .polys import Poly, PolyRing
+from .polys import Poly, PolyRing, SparseTerms
 from .precision import PrecisionContext, to_mpc
 
 _HALF = Fraction(1, 2)
@@ -83,6 +84,13 @@ class OpRing:
     def v(self, j):
         return self.ring.var(f"v{j}")
 
+    def dexp(self, *directions) -> tuple:
+        """The derivative monomial with one factor per listed direction."""
+        e = [0] * self.ndirs
+        for d in directions:
+            e[d] += 1
+        return tuple(e)
+
     def deriv_poly(self, poly: Poly, direction: int) -> Poly:
         out = self.ring.zero()
         for name, rate in self.rules[direction].items():
@@ -92,7 +100,7 @@ class OpRing:
         return out
 
 
-class DiffOp:
+class DiffOp(SparseTerms):
     """Finite sum of coefficient x derivative-monomial terms."""
 
     __slots__ = ("op_ring", "terms", "shift")
@@ -101,6 +109,15 @@ class DiffOp:
         self.op_ring = op_ring
         self.terms = {e: p for e, p in terms.items() if not p.is_zero()}
         self.shift = shift
+
+    @property
+    def _zero(self) -> Poly:
+        return self.op_ring.ring.zero()
+
+    def _like(self, terms, other) -> "DiffOp":
+        if self.shift != other.shift and self.terms and other.terms:
+            raise ValueError("cannot add operators of different weight shifts")
+        return DiffOp(self.op_ring, terms, self.shift if self.terms else other.shift)
 
     # -- constructors -----------------------------------------------------
 
@@ -118,35 +135,13 @@ class DiffOp:
 
     @staticmethod
     def derivative(op_ring: OpRing, direction: int, coeff=None, shift: int = 0) -> "DiffOp":
-        e = [0] * op_ring.ndirs
-        e[direction] = 1
         return DiffOp(
-            op_ring, {tuple(e): coeff if coeff is not None else op_ring.ring.one()},
+            op_ring,
+            {op_ring.dexp(direction): coeff if coeff is not None else op_ring.ring.one()},
             shift,
         )
 
     # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if self.shift != other.shift and self.terms and other.terms:
-            raise ValueError("cannot add operators of different weight shifts")
-        out = dict(self.terms)
-        for e, p in other.terms.items():
-            s = out.get(e, self.op_ring.ring.zero()) + p
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return DiffOp(self.op_ring, out, self.shift if self.terms else other.shift)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DiffOp(self.op_ring, {e: -p for e, p in self.terms.items()}, self.shift)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
 
     def scale(self, c) -> "DiffOp":
         if isinstance(c, Poly):
@@ -226,9 +221,6 @@ class DiffOp:
             return 0
         return max(sum(e) for e in self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, DiffOp):
             try:
@@ -296,14 +288,6 @@ class DiffOp:
         return f"DiffOp(order={self.order()}, terms={len(self.terms)}, shift={self.shift})"
 
 
-def op_compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a.compose(b)
-
-
-def op_commutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a.commutator(b)
-
-
 def base_values(tau, z) -> dict:
     """Coordinate values fed to DiffOp.apply_jet at a base point."""
     tau = mp.mpc(tau)
@@ -359,25 +343,15 @@ def build_raising_lowering(L: GramLattice) -> dict:
     k = ring.var("k")
 
     # X- = -2iy (y d_taubar + sum v_j d_zbar_j)
-    xm_terms = {}
-    e = [0] * R.ndirs
-    e[R.d_taubar()] = 1
-    xm_terms[tuple(e)] = (y * y).scale(GaussianRational(0, -2))
+    xm_terms = {R.dexp(R.d_taubar()): (y * y).scale(GaussianRational(0, -2))}
     for j in range(1, N + 1):
-        e = [0] * R.ndirs
-        e[R.d_zbar(j)] = 1
-        xm_terms[tuple(e)] = (y * ring.var(f"v{j}")).scale(GaussianRational(0, -2))
+        xm_terms[R.dexp(R.d_zbar(j))] = (y * ring.var(f"v{j}")).scale(GaussianRational(0, -2))
     X_minus = DiffOp(R, xm_terms, shift=-2)
 
     # X+ = 2i(d_tau + y^{-1} v^T d_z + y^{-2} calL[v]) + k / y
-    xp_terms = {}
-    e = [0] * R.ndirs
-    e[R.d_tau()] = 1
-    xp_terms[tuple(e)] = ring.const(GaussianRational(0, 2))
+    xp_terms = {R.dexp(R.d_tau()): ring.const(GaussianRational(0, 2))}
     for j in range(1, N + 1):
-        e = [0] * R.ndirs
-        e[R.d_z(j)] = 1
-        xp_terms[tuple(e)] = (yinv * ring.var(f"v{j}")).scale(GaussianRational(0, 2))
+        xp_terms[R.dexp(R.d_z(j))] = (yinv * ring.var(f"v{j}")).scale(GaussianRational(0, 2))
     lv = ring.zero()
     cl = calL(R, L)
     for a in range(N):
@@ -392,11 +366,8 @@ def build_raising_lowering(L: GramLattice) -> dict:
     # Y-_j = -iy d_zbar_j ; Y+_j = i d_z_j + 2i y^{-1} (calL v)_j
     Y_minus, Y_plus = [], []
     for j in range(1, N + 1):
-        e = [0] * R.ndirs
-        e[R.d_zbar(j)] = 1
-        Y_minus.append(DiffOp(R, {tuple(e): y.scale(GaussianRational(0, -1))}, shift=-1))
-        e = [0] * R.ndirs
-        e[R.d_z(j)] = 1
+        Y_minus.append(DiffOp(R, {R.dexp(R.d_zbar(j)): y.scale(GaussianRational(0, -1))},
+                              shift=-1))
         clv = ring.zero()
         for b in range(N):
             clv = clv + cl[j - 1][b] * ring.var(f"v{b + 1}")
@@ -404,7 +375,7 @@ def build_raising_lowering(L: GramLattice) -> dict:
             DiffOp(
                 R,
                 {
-                    tuple(e): ring.const(GaussianRational(0, 1)),
+                    R.dexp(R.d_z(j)): ring.const(GaussianRational(0, 1)),
                     R.zero_dexp: (yinv * clv).scale(GaussianRational(0, 2)),
                 },
                 shift=1,
@@ -417,16 +388,10 @@ def weighted_laplacian(R: OpRing, weight: Poly) -> DiffOp:
     """4 y^2 d_tau d_taubar - 2 i w y d_taubar at formal weight w."""
     ring = R.ring
     y = ring.var("y")
-    e = [0] * R.ndirs
-    e[R.d_tau()] = 1
-    e[R.d_taubar()] = 1
-    terms = {tuple(e): (y * y).scale(4)}
-    e = [0] * R.ndirs
-    e[R.d_taubar()] = 1
-    terms[tuple(e)] = terms.get(tuple(e), ring.zero()) + (weight * y).scale(
-        GaussianRational(0, -2)
-    )
-    return DiffOp(R, terms)
+    return DiffOp(R, {
+        R.dexp(R.d_tau(), R.d_taubar()): (y * y).scale(4),
+        R.dexp(R.d_taubar()): (weight * y).scale(GaussianRational(0, -2)),
+    })
 
 
 def build_casimir_op(L: GramLattice) -> DiffOp:
@@ -439,13 +404,6 @@ def build_casimir_op(L: GramLattice) -> DiffOp:
     k = ring.var("k")
     linv = calL_inv(R, L)
     half = Fraction(1, 2)
-
-    def dexp(pairs):
-        e = [0] * R.ndirs
-        for d in pairs:
-            e[d] += 1
-        return tuple(e)
-
     acc = {}
 
     def add(e, poly):
@@ -462,12 +420,12 @@ def build_casimir_op(L: GramLattice) -> DiffOp:
     for a in range(1, N + 1):
         for b in range(1, N + 1):
             c = linv[a - 1][b - 1]
-            add(dexp([R.d_taubar(), R.d_z(a), R.d_z(b)]), y2 * c)
-            add(dexp([R.d_tau(), R.d_zbar(a), R.d_zbar(b)]), y2 * c)
+            add(R.dexp(R.d_taubar(), R.d_z(a), R.d_z(b)), y2 * c)
+            add(R.dexp(R.d_tau(), R.d_zbar(a), R.d_zbar(b)), y2 * c)
 
     # - 8 y d_tau v^T d_zbar
     for j in range(1, N + 1):
-        add(dexp([R.d_tau(), R.d_zbar(j)]), (y * ring.var(f"v{j}")).scale(-8))
+        add(R.dexp(R.d_tau(), R.d_zbar(j)), (y * ring.var(f"v{j}")).scale(-8))
 
     # - 1/2 y^2 ( L^{-1}[d_zbar] L^{-1}[d_z] - (d_zbar^T L^{-1} d_z)^2 )
     for a in range(1, N + 1):
@@ -475,9 +433,9 @@ def build_casimir_op(L: GramLattice) -> DiffOp:
             for c in range(1, N + 1):
                 for d in range(1, N + 1):
                     coeff = linv[a - 1][b - 1] * linv[c - 1][d - 1]
-                    e1 = dexp([R.d_zbar(a), R.d_zbar(b), R.d_z(c), R.d_z(d)])
+                    e1 = R.dexp(R.d_zbar(a), R.d_zbar(b), R.d_z(c), R.d_z(d))
                     add(e1, (y * y * coeff).scale(-half))
-                    e2 = dexp([R.d_zbar(a), R.d_z(b), R.d_zbar(c), R.d_z(d)])
+                    e2 = R.dexp(R.d_zbar(a), R.d_z(b), R.d_zbar(c), R.d_z(d))
                     add(e2, (y * y * coeff).scale(half))
 
     # + 2 y (v^T d_zbar) d_z^T L^{-1} d_u      (d_u = d_z + d_zbar)
@@ -485,29 +443,29 @@ def build_casimir_op(L: GramLattice) -> DiffOp:
         for a in range(1, N + 1):
             for b in range(1, N + 1):
                 coeff = (y * ring.var(f"v{i}") * linv[a - 1][b - 1]).scale(2)
-                add(dexp([R.d_zbar(i), R.d_z(a), R.d_z(b)]), coeff)
-                add(dexp([R.d_zbar(i), R.d_z(a), R.d_zbar(b)]), coeff)
+                add(R.dexp(R.d_zbar(i), R.d_z(a), R.d_z(b)), coeff)
+                add(R.dexp(R.d_zbar(i), R.d_z(a), R.d_zbar(b)), coeff)
 
     # - 1/2 (2k - N + 1) i y d_zbar^T L^{-1} d_u
     w1 = (k.scale(2) - ring.const(N - 1)) * y
     for a in range(1, N + 1):
         for b in range(1, N + 1):
             coeff = (w1 * linv[a - 1][b - 1]).scale(GaussianRational(0, -half))
-            add(dexp([R.d_zbar(a), R.d_z(b)]), coeff)
-            add(dexp([R.d_zbar(a), R.d_zbar(b)]), coeff)
+            add(R.dexp(R.d_zbar(a), R.d_z(b)), coeff)
+            add(R.dexp(R.d_zbar(a), R.d_zbar(b)), coeff)
 
     # + 2 (v^T d_zbar)^2
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             add(
-                dexp([R.d_zbar(i), R.d_zbar(j)]),
+                R.dexp(R.d_zbar(i), R.d_zbar(j)),
                 (ring.var(f"v{i}") * ring.var(f"v{j}")).scale(2),
             )
 
     # + (2k - N - 1) i v^T d_zbar
     w2 = (k.scale(2) - ring.const(N + 1)).scale(GaussianRational(0, 1))
     for j in range(1, N + 1):
-        add(dexp([R.d_zbar(j)]), w2 * ring.var(f"v{j}"))
+        add(R.dexp(R.d_zbar(j)), w2 * ring.var(f"v{j}"))
 
     return DiffOp(R, acc)
 
@@ -568,11 +526,7 @@ def semiholomorphic_casimir(L: GramLattice) -> DiffOp:
     y2 = (y * y).scale(2)
     for a in range(1, N + 1):
         for b in range(1, N + 1):
-            e = [0] * R.ndirs
-            e[R.d_taubar()] = 1
-            e[R.d_z(a)] += 1
-            e[R.d_z(b)] += 1
-            key = tuple(e)
+            key = R.dexp(R.d_taubar(), R.d_z(a), R.d_z(b))
             add = y2 * linv[a - 1][b - 1]
             acc[key] = acc.get(key, ring.zero()) + add
     return DiffOp(R, acc)
@@ -599,17 +553,11 @@ def build_heat(L: GramLattice) -> DiffOp:
     _check_invertible(L)
     N = L.N
     R = OpRing(N)
-    terms = {}
-    e = [0] * R.ndirs
-    e[R.d_tau()] = 1
-    terms[tuple(e)] = R.ring.const(2)
+    terms = {R.dexp(R.d_tau()): R.ring.const(2)}
     linv = calL_inv(R, L)
     for a in range(1, N + 1):
         for b in range(1, N + 1):
-            e = [0] * R.ndirs
-            e[R.d_z(a)] += 1
-            e[R.d_z(b)] += 1
-            key = tuple(e)
+            key = R.dexp(R.d_z(a), R.d_z(b))
             terms[key] = terms.get(key, R.ring.zero()) - linv[a - 1][b - 1].scale(
                 Fraction(1, 2)
             )
@@ -635,21 +583,13 @@ def d_minus_direct(L: GramLattice) -> DiffOp:
     R = OpRing(N)
     ring = R.ring
     y = ring.var("y")
-    terms = {}
-    e = [0] * R.ndirs
-    e[R.d_taubar()] = 1
-    terms[tuple(e)] = (y * y).scale(GaussianRational(0, -2))
+    terms = {R.dexp(R.d_taubar()): (y * y).scale(GaussianRational(0, -2))}
     for j in range(1, N + 1):
-        e = [0] * R.ndirs
-        e[R.d_zbar(j)] = 1
-        terms[tuple(e)] = (y * ring.var(f"v{j}")).scale(GaussianRational(0, -2))
+        terms[R.dexp(R.d_zbar(j))] = (y * ring.var(f"v{j}")).scale(GaussianRational(0, -2))
     linv = calL_inv(R, L)
     for a in range(1, N + 1):
         for b in range(1, N + 1):
-            e = [0] * R.ndirs
-            e[R.d_zbar(a)] += 1
-            e[R.d_zbar(b)] += 1
-            key = tuple(e)
+            key = R.dexp(R.d_zbar(a), R.d_zbar(b))
             add = (y * y * linv[a - 1][b - 1]).scale(GaussianRational(0, _HALF))
             terms[key] = terms.get(key, ring.zero()) + add
     return DiffOp(R, terms, shift=-2)
@@ -875,9 +815,9 @@ def _cocycle_a_jets(g, coords, N):
     return rows
 
 
-def slashed_jet(seed, k, kbar, L: GramLattice, g, tau, z, degree: int,
-                with_f_at_q: bool = True):
-    """Jet of f|_{k,kbar,L}[g] at (tau, z), plus the jet of f at g(tau,z).
+def slashed_jet(seed, k, kbar, L: GramLattice, g, tau, z, degree: int):
+    """Jet of f|_{k,kbar,L}[g] at (tau, z), plus the jet of f at the point
+    g(tau, z) and that point.
 
     Runs inside the caller's working-precision block.  k - kbar must be an
     integer; the modulus factor keeps rational weights single-valued.
@@ -921,25 +861,7 @@ def slashed_jet(seed, k, kbar, L: GramLattice, g, tau, z, degree: int,
                 t = a_jets[j][i] * lij
                 tr = t if tr is None else tr + t
     alpha = (tr * (2j * mp.pi)).exp() if tr is not None else Jet.const(space, 1)
-    out = composed * weight * alpha
-    if with_f_at_q:
-        return out, f_at_q, (q_tau, q_z)
-    return out
-
-
-def _scalar_cocycle(k, kbar, L: GramLattice, g, tau, z):
-    from .group import Point, cocycle_beta, cocycle_alpha
-
-    k = Fraction(k)
-    kbar = Fraction(kbar)
-    gm = g.to_numeric() if g.exact else g
-    beta = cocycle_beta(gm.M, mp.mpc(tau))
-    w = beta ** int(k - kbar)
-    if kbar:
-        w *= (beta * mp.conj(beta)).real ** (mp.mpf(kbar.numerator) / kbar.denominator)
-    p = Point(mp.mpc(tau), tuple(mp.mpc(x) for x in z))
-    w *= cocycle_alpha(L.entries, gm, p)
-    return w
+    return composed * weight * alpha, f_at_q, (q_tau, q_z)
 
 
 def random_group_element(N: int, rng):
@@ -1000,9 +922,9 @@ def covariance_check(T: DiffOp, k, L: GramLattice, k2, L2: GramLattice,
             tau, z = random_point(N, rng)
             sj, f_at_q, (q_tau, q_z) = slashed_jet(seed, k, kbar, L, g, tau, z, T.order())
             lhs = T.apply_jet(sj, base_values(tau, z), k_value=kv)
-            rhs = _scalar_cocycle(k2, kbar2, L2, g, tau, z) * T.apply_jet(
-                f_at_q, base_values(q_tau, q_z), k_value=kv
-            )
+            factor = automorphy_factor(k2, kbar2, L2.entries, g.to_numeric(),
+                                       Point(tau, z), ctx)
+            rhs = factor * T.apply_jet(f_at_q, base_values(q_tau, q_z), k_value=kv)
             r = abs(lhs - rhs) / max(mp.mpf(1), abs(rhs))
             if r > worst:
                 worst = r

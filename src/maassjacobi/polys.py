@@ -10,7 +10,57 @@ GaussianRational coefficients.
 from __future__ import annotations
 
 from .errors import DivisibilityError
-from .gaussian import GaussianRational, ZERO, ONE
+from .gaussian import GaussianRational, ZERO, ONE, power
+
+
+class SparseTerms:
+    """A finite sum of terms: ``terms`` maps exponent tuples to nonzero
+    coefficients.  This is the one definition of sum, negation, difference
+    and non-negative power for polynomials, PBW elements, differential
+    operators and jets.
+
+    Subclasses supply ``_zero`` (the coefficient zero), ``_like(terms,
+    other)`` (an element of their own kind with these terms, ``other``
+    being the second summand, or the element itself) and ``_coerce``
+    (scalars and elements of the same space to elements).  Powers use the
+    subclass's ``*``.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        zero = self._zero
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, zero) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return self._like(out, other)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({e: -c for e, c in self.terms.items()}, self)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        return power(self, n, self._coerce(1))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def is_zero(self) -> bool:
+        return not self.terms
 
 
 class PolyRing:
@@ -73,38 +123,20 @@ def _grlex_key(exp):
     return (sum(exp), exp)
 
 
-class Poly:
+class Poly(SparseTerms):
     """Immutable sparse polynomial; never stores zero coefficients."""
 
     __slots__ = ("ring", "terms")
+    _zero = ZERO
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
 
+    def _like(self, terms, other) -> "Poly":
+        return Poly(self.ring, terms)
+
     # -- ring operations ------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.ring, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -121,18 +153,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def scale(self, c) -> "Poly":
         c = GaussianRational.coerce(c)
         if not c:
@@ -148,9 +168,6 @@ class Poly:
 
     # -- structure -------------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.ring == other.ring and self.terms == other.terms
@@ -161,9 +178,6 @@ class Poly:
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {self.ring._zero_exp}

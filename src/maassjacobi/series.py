@@ -173,7 +173,7 @@ def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprimes, c_max: int,
             * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
         )
         if include_profile:
-            yv = mp.mpf(y) if not isinstance(y, Fraction) else to_mpf(y)
+            yv = to_mpf(y)
             arg = mp.pi * to_mpf(Dp / L.det) * yv
             pref *= mp.exp(arg / 2) * whittaker_W_renorm(
                 s, Fraction(k) - Fraction(N, 2), arg, ctx

@@ -70,7 +70,7 @@ def _whittaker_jet(kind: str, s, kappa, t, order, ctx: PrecisionContext):
     if t == 0:
         raise DomainError("Whittaker argument must be nonzero")
     sgn = 1 if t > 0 else -1
-    x0 = abs(to_mpf(t) if isinstance(t, Fraction) else mp.mpf(t))
+    x0 = abs(to_mpf(t))
     kap_eff = Fraction(sgn, 1) * kappa / 2
     mu = s - Fraction(1, 2)
     a = to_mpf(mu - kap_eff + Fraction(1, 2))
@@ -124,7 +124,7 @@ def whittaker_ode_residual(kind: str, s, kappa, t, ctx: PrecisionContext = None)
     kappa = _frac(kappa)
     with ctx.working():
         sgn = 1 if t > 0 else -1
-        x = abs(mp.mpf(t) if not isinstance(t, Fraction) else to_mpf(t))
+        x = abs(to_mpf(t))
         kap_eff = to_mpf(Fraction(sgn) * kappa / 2)
         mu = to_mpf(s - Fraction(1, 2))
         a = mu - kap_eff + mp.mpf("0.5")
@@ -149,7 +149,7 @@ def bessel_J(nu, x, ctx: PrecisionContext = None):
     if x <= 0:
         raise DomainError("bessel_J requires x > 0")
     with ctx.working():
-        return mp.besselj(to_mpf(_frac(nu)), mp.mpf(x) if not isinstance(x, Fraction) else to_mpf(x))
+        return mp.besselj(to_mpf(_frac(nu)), to_mpf(x))
 
 
 def bessel_I(nu, x, ctx: PrecisionContext = None):
@@ -157,7 +157,7 @@ def bessel_I(nu, x, ctx: PrecisionContext = None):
     if x <= 0:
         raise DomainError("bessel_I requires x > 0")
     with ctx.working():
-        return mp.besseli(to_mpf(_frac(nu)), mp.mpf(x) if not isinstance(x, Fraction) else to_mpf(x))
+        return mp.besseli(to_mpf(_frac(nu)), to_mpf(x))
 
 
 def _bessel_derivs(kind, nu, x, order):
@@ -201,7 +201,7 @@ def upper_incomplete_gamma(a, x, ctx: PrecisionContext = None):
     if x <= 0:
         raise DomainError("upper_incomplete_gamma requires x > 0")
     with ctx.working():
-        return mp.gammainc(to_mpf(_frac(a)), mp.mpf(x) if not isinstance(x, Fraction) else to_mpf(x))
+        return mp.gammainc(to_mpf(_frac(a)), to_mpf(x))
 
 
 def upper_incomplete_gamma_jet(a, x, order: int = 4, ctx: PrecisionContext = None):
@@ -211,7 +211,7 @@ def upper_incomplete_gamma_jet(a, x, order: int = 4, ctx: PrecisionContext = Non
         raise DomainError("upper_incomplete_gamma requires x > 0")
     a = _frac(a)
     with ctx.working():
-        xv = mp.mpf(x) if not isinstance(x, Fraction) else to_mpf(x)
+        xv = to_mpf(x)
         space = _uni(max(order - 1, 0))
         xjet = Jet.variable(space, 0, xv)
         g = -(xjet.pow_scalar(to_mpf(a - 1)) * (-xjet).exp())
@@ -235,7 +235,7 @@ def h_profile(k, N: int, y, ctx: PrecisionContext = None):
     ctx = ctx or PrecisionContext()
     a = _frac(k) + Fraction(N, 2)
     with ctx.working():
-        yv = mp.mpf(y) if not isinstance(y, Fraction) else to_mpf(y)
+        yv = to_mpf(y)
         if yv > 0 and a >= 1:
             raise DomainError(
                 f"H(y) diverges at t=0 for y > 0 with k + N/2 = {a} >= 1"
@@ -251,7 +251,7 @@ def h_profile_jet(k, N: int, y, order: int = 4, ctx: PrecisionContext = None):
     ctx = ctx or PrecisionContext()
     a = _frac(k) + Fraction(N, 2)
     with ctx.working():
-        yv = mp.mpf(y) if not isinstance(y, Fraction) else to_mpf(y)
+        yv = to_mpf(y)
         if yv >= 0:
             raise DomainError("the H jet is implemented on y < 0 (negative index terms)")
         space = _uni(max(order - 1, 0))
@@ -269,7 +269,7 @@ def e_profile(z, ctx: PrecisionContext = None):
     """E(z) = 2 int_0^z e^{-pi u^2} du = erf(sqrt(pi) z)."""
     ctx = ctx or PrecisionContext()
     with ctx.working():
-        zv = mp.mpf(z) if not isinstance(z, Fraction) else to_mpf(z)
+        zv = to_mpf(z)
         return mp.erf(mp.sqrt(mp.pi) * zv)
 
 
@@ -277,7 +277,7 @@ def e_profile_jet(z, order: int = 4, ctx: PrecisionContext = None):
     """Derivatives of E via E'(z) = 2 e^{-pi z^2}."""
     ctx = ctx or PrecisionContext()
     with ctx.working():
-        zv = mp.mpf(z) if not isinstance(z, Fraction) else to_mpf(z)
+        zv = to_mpf(z)
         space = _uni(max(order - 1, 0))
         zjet = Jet.variable(space, 0, zv)
         g = (zjet * zjet * (-mp.pi)).exp() * 2

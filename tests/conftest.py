@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -59,7 +58,3 @@ def random_point(N, rng):
     tau = mp.mpc(rng.uniform(-0.8, 0.8), rng.uniform(0.6, 1.5))
     z = [mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) for _ in range(N)]
     return tau, z
-
-
-def rng_for(name: str) -> random.Random:
-    return random.Random(hash(name) % (2**31))

@@ -51,17 +51,32 @@ def test_verify_exit_codes(cache_dir, capsys, suite):
     assert rep["checks"]
 
 
+@pytest.mark.parametrize("suite, argv, flag", [
+    ("centrality", ("--s", "3", "--samples", "7", "--cmax", "2"), "--samples"),
+    ("eigen", ("--samples", "7"), "--samples"),
+    ("duality", ("--samples", "7"), "--samples"),
+    ("commutators", ("--s", "3"), "--s"),
+    ("covariance", ("--cmax", "2"), "--cmax"),
+    ("kloosterman-symmetry", ("--s", "3"), "--s"),
+])
+def test_verify_rejects_flags_its_suite_does_not_read(cache_dir, capsys, suite, argv, flag):
+    code, out = run(capsys, "verify", suite, "--N", "1", *argv)
+    err = json.loads(out)["error"]
+    assert code == 2 and err["type"] == "UsageError" and flag in err["message"]
+
+
 def test_parser_state_does_not_leak_between_calls(cache_dir, capsys, tmp_path):
     out_file = tmp_path / "first.json"
     args = ("kloosterman", "--c", "2", "--L", "1", "--n", "1", "--r", "0",
             "--nprime", "1", "--rprime", "0")
-    code, out = run(capsys, "--no-cache", *args, "--out", str(out_file))
-    assert code == 0 and out == "" and json.loads(out_file.read_text())["table"]
+    assert run(capsys, *args)[0] == 0
     # swap the stored result for a marker that only a cache read can print
     [entry] = [cache_dir / f for f in os.listdir(cache_dir)]
     stored = json.loads(entry.read_text())
     entry.write_text(json.dumps(dict(stored, result='{"marker": 1}')))
-    # the second call sets neither flag: it reads the cache and prints
+    code, out = run(capsys, "--no-cache", *args, "--out", str(out_file))
+    assert code == 0 and out == "" and json.loads(out_file.read_text())["table"]
+    # the third call sets neither flag: it reads the cache and prints
     code, out = run(capsys, *args)
     assert code == 0 and json.loads(out) == {"marker": 1}
     assert json.loads(out_file.read_text())["table"]
@@ -129,6 +144,8 @@ def test_no_cache_flag(cache_dir, capsys):
     code, out1 = run(capsys, *args)
     code, out2 = run(capsys, *args)
     assert out1 == out2
+    # bypassed both ways: nothing is read and nothing is written
+    assert not cache_dir.exists() or not os.listdir(cache_dir)
 
 
 def test_theta_command_matches_library(cache_dir, capsys, tmp_path):
@@ -179,7 +196,8 @@ def test_eigen_command(cache_dir, capsys):
 
 def test_config_file_precedence(cache_dir, capsys, tmp_path):
     cfg = tmp_path / "job.cfg"
-    cfg.write_text("N = 1\nL = 2\n")
+    # a config key the suite does not read is no error, unlike the flag
+    cfg.write_text("N = 1\nL = 2\nsamples = 7\n")
     code, out = run(capsys, "--config", str(cfg), "verify", "commutators")
     assert code == 0
     rep = json.loads(out)

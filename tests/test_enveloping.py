@@ -20,7 +20,6 @@ from maassjacobi.enveloping import (
     multiply_by_det,
     nu,
     nu_casimir_identity,
-    pbw_commutator,
     pbw_from_json,
     pbw_normal_order,
     pbw_to_json,
@@ -82,13 +81,13 @@ def test_normal_order_basics():
     expect = pbw_normal_order(alg, ["E", "F"]) - PBWElement.gen(alg, "H")
     assert y == expect
     # [E, f1] = -e1 matches the ad-table
-    c = pbw_commutator(PBWElement.gen(alg, "E"), PBWElement.gen(alg, "f1"))
+    c = PBWElement.gen(alg, "E").commutator(PBWElement.gen(alg, "f1"))
     assert c == -PBWElement.gen(alg, "e1")
     # [x, 1] = 0 and [Z, anything] = 0
     one = PBWElement.const(alg, 1)
-    assert pbw_commutator(PBWElement.gen(alg, "E"), one).is_zero()
+    assert PBWElement.gen(alg, "E").commutator(one).is_zero()
     w = pbw_normal_order(alg, ["E", "f1", "H"])
-    assert pbw_commutator(PBWElement.gen(alg, "Z11"), w).is_zero()
+    assert PBWElement.gen(alg, "Z11").commutator(w).is_zero()
 
 
 def test_pbw_confluence_random_associativity():

@@ -26,8 +26,6 @@ from maassjacobi.opcalc import (
     covariance_check,
     d_minus_direct,
     kernel_seed,
-    op_commutator,
-    op_compose,
     semiholomorphic_casimir,
     uea_to_op,
     GaussianSeed,
@@ -61,12 +59,12 @@ def test_compose_identity_and_derivation_rule():
     R = OpRing(1)
     A = _random_op(R, random.Random(0))
     one = DiffOp.identity(R)
-    assert op_compose(one, A) == A
-    assert op_compose(A, one) == A
+    assert one.compose(A) == A
+    assert A.compose(one) == A
     # [d_tau, y] = -i/2
     dtau = DiffOp.derivative(R, R.d_tau())
     ymul = DiffOp.multiplication(R, R.ring.var("y"))
-    c = op_commutator(dtau, ymul)
+    c = dtau.commutator(ymul)
     assert c == DiffOp.multiplication(R, R.ring.const(GaussianRational(0, Fraction(-1, 2))))
 
 
@@ -75,7 +73,7 @@ def test_compose_associativity_random():
     rng = random.Random(3)
     for _ in range(50):
         A, B, C = (_random_op(R, rng) for _ in range(3))
-        assert op_compose(op_compose(A, B), C) == op_compose(A, op_compose(B, C))
+        assert A.compose(B).compose(C) == A.compose(B.compose(C))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -164,7 +162,7 @@ def test_uea_to_op_reverses_order():
     alg = JacobiLieAlgebra(1)
     ef = pbw_normal_order(alg, ["E", "F"])
     got = uea_to_op(ef, L)
-    expect = op_compose(build_lie_slash("F", L), build_lie_slash("E", L))
+    expect = build_lie_slash("F", L).compose(build_lie_slash("E", L))
     assert got == expect
 
 
@@ -193,6 +191,15 @@ def test_covariance_numeric(ctx):
     # identity operator is trivially covariant with k'=k
     R = OpRing(1)
     assert covariance_check(DiffOp.identity(R), k, L, k, L, 3, ctx) < mp.mpf("1e-30")
+
+
+def test_covariance_check_keeps_its_precision():
+    # the automorphy factor on the right-hand side is computed at the
+    # check's precision, not at the default 128 bits
+    L = GramLattice([[1]])
+    X_plus = build_raising_lowering(L)["X+"]
+    r = covariance_check(X_plus, 3, L, 5, L, 4, PrecisionContext(bits=256))
+    assert r < mp.mpf("1e-70")
 
 
 def test_heat_covariance_type(ctx):
@@ -282,15 +289,13 @@ def test_invariant_operator_basis_elements_are_invariant(ctx):
     L = GramLattice([[1, 0], [0, 1]])
     ops = build_raising_lowering(L)
     k = Fraction(3)
-    cands = [DiffOp.identity(OpRing(2)), op_compose(ops["X+"], ops["X-"])]
+    cands = [DiffOp.identity(OpRing(2)), ops["X+"].compose(ops["X-"])]
     for i in range(2):
         for j in range(2):
-            cands.append(op_compose(ops["Y+"][i], ops["Y-"][j]))
+            cands.append(ops["Y+"][i].compose(ops["Y-"][j]))
             if i <= j:
-                cands.append(op_compose(ops["X+"],
-                                        op_compose(ops["Y-"][i], ops["Y-"][j])))
-                cands.append(op_compose(ops["Y+"][i],
-                                        op_compose(ops["Y+"][j], ops["X-"])))
+                cands.append(ops["X+"].compose(ops["Y-"][i].compose(ops["Y-"][j])))
+                cands.append(ops["Y+"][i].compose(ops["Y+"][j].compose(ops["X-"])))
     for T in cands:
         assert T.shift == 0
         assert covariance_check(T, k, L, k, L, 4, ctx) < mp.mpf("1e-22")
