@@ -355,21 +355,20 @@ def cmd_verify(args, config) -> int:
     suite = args.suite
     if suite not in SUITES:
         raise UsageError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
-    fn, default_samples = SUITES[suite]
-    # flags only: a config file may set keys that some suites do not read
-    unread = [] if default_samples else ["samples"]
-    if suite != "duality":
-        unread += ["s", "cmax"]
-    for key in unread:
-        if getattr(args, key, None) is not None:
-            raise UsageError(f"verify {suite} does not read --{key}")
     L = _lattice(args, config, int(_merge(args, config, "N", 1, int)))
     ctx = _ctx(args, config)
-    samples = int(_merge(args, config, "samples", default_samples or 50, int))
+    fn, default_samples = SUITES[suite]
+    read = {"samples"} if default_samples else set()
     kwargs = {}
     if suite == "duality":
+        read |= {"s", "cmax"}
         kwargs["s"] = Fraction(_merge(args, config, "s", "5/2", str))
         kwargs["c_max"] = int(_merge(args, config, "cmax", 50, int))
+    # flags only: a config file may set keys that some suites do not read
+    for key in ("samples", "s", "cmax"):
+        if key not in read and getattr(args, key, None) is not None:
+            raise UsageError(f"verify {suite} does not read --{key}")
+    samples = int(_merge(args, config, "samples", default_samples or 50, int))
     checks = fn(L, ctx, samples, **kwargs)
     ok = all(c["status"] == "pass" for c in checks)
     emit(args, {
@@ -398,13 +397,13 @@ def _lattice(args, config, N=None) -> GramLattice:
 
 
 def _cached(args, config, operation: str, key_config: dict, compute) -> int:
-    # --no-cache bypasses the cache both ways: no lookup and no store
-    use_cache = not getattr(args, "no_cache", False)
-    result = cache.lookup(operation, key_config) if use_cache else None
+    no_cache = bool(getattr(args, "no_cache", False))
+    result = None
+    if not no_cache:
+        result = cache.lookup(operation, key_config)
     if result is None:
         result = compute()
-        if use_cache:
-            cache.store(operation, key_config, result)
+        cache.store(operation, key_config, result)
     # hits and misses print the same bytes: the payload is the cached string
     emit(args, json.loads(result))
     return EXIT_OK

@@ -319,17 +319,26 @@ def cocycle_alpha(L, g: GroupElement, p: Point, ctx: PrecisionContext = None):
         return mp.exp(2j * mp.pi * tr)
 
 
+def weight_gap(k, kprime) -> int:
+    """k - k', which the slash action requires to be an integer."""
+    gap = Fraction(k) - Fraction(kprime)
+    if gap.denominator != 1:
+        raise DomainError("slash action requires k - k' to be an integer")
+    return int(gap)
+
+
 def automorphy_factor(k, kprime, L, g: GroupElement, p: Point,
                       ctx: PrecisionContext = None):
     """beta^(k-k') |beta|^(2k') alpha_L(g, p), the factor the slash action
     puts in front of f(g p).
 
-    ``g`` and ``p`` are numeric, k - k' is an integer, and the caller holds
-    the working-precision block; ``ctx`` sets the precision of alpha_L.
+    ``g`` and ``p`` are numeric and the caller holds the working-precision
+    block; ``ctx`` sets the precision of alpha_L.  Raises DomainError
+    unless k - k' is an integer.
     """
     kprime = Fraction(kprime)
     beta = cocycle_beta(g.M, p.tau)
-    w = beta ** int(Fraction(k) - kprime)
+    w = beta ** weight_gap(k, kprime)
     if kprime:
         w *= (beta * mp.conj(beta)).real ** (mp.mpf(kprime.numerator) / kprime.denominator)
     w *= cocycle_alpha(L, g, p, ctx)
@@ -344,8 +353,7 @@ def slash(f, k, kprime, L, g: GroupElement, ctx: PrecisionContext = None):
     arbitrary rational weights.
     """
     ctx = ctx or PrecisionContext()
-    if (Fraction(k) - Fraction(kprime)).denominator != 1:
-        raise DomainError("slash action requires k - k' to be an integer")
+    weight_gap(k, kprime)
 
     def slashed(p: Point):
         with ctx.working():

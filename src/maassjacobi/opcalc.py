@@ -22,7 +22,7 @@ from . import linalg
 from .enveloping import PBWElement
 from .errors import DegreeError, DomainError, SingularIndexError
 from .gaussian import GaussianRational
-from .group import Point, automorphy_factor
+from .group import Point, automorphy_factor, weight_gap
 from .jets import Jet, JetSpace, coordinate_jets, real_coordinate_jets
 from .lattice import GramLattice
 from .polys import Poly, PolyRing, SparseTerms
@@ -104,6 +104,8 @@ class DiffOp(SparseTerms):
     """Finite sum of coefficient x derivative-monomial terms."""
 
     __slots__ = ("op_ring", "terms", "shift")
+    # operators compose rather than multiply, so there is no power
+    __pow__ = None
 
     def __init__(self, op_ring: OpRing, terms: dict, shift: int = 0):
         self.op_ring = op_ring
@@ -822,10 +824,8 @@ def slashed_jet(seed, k, kbar, L: GramLattice, g, tau, z, degree: int):
     Runs inside the caller's working-precision block.  k - kbar must be an
     integer; the modulus factor keeps rational weights single-valued.
     """
-    k = Fraction(k)
     kbar = Fraction(kbar)
-    if (k - kbar).denominator != 1:
-        raise DomainError("slash requires k - kbar in Z")
+    gap = weight_gap(k, kbar)
     N = L.N
     space = JetSpace.for_rank(N, degree)
     coords = coordinate_jets(space, tau, z)
@@ -849,7 +849,7 @@ def slashed_jet(seed, k, kbar, L: GramLattice, g, tau, z, degree: int):
     f_at_q = seed.jet(coordinate_jets(space, q_tau, q_z))
     composed = f_at_q.compose([tau_p, taubar_p] + z_p + zbar_p)
 
-    weight = beta ** int(k - kbar)
+    weight = beta ** gap
     if kbar:
         weight = weight * (beta * betabar).pow_scalar(kbar)
     a_jets = _cocycle_a_jets(gm, coords, N)

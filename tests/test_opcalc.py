@@ -68,6 +68,12 @@ def test_compose_identity_and_derivation_rule():
     assert c == DiffOp.multiplication(R, R.ring.const(GaussianRational(0, Fraction(-1, 2))))
 
 
+def test_diffop_has_no_power():
+    # operators compose; the power of the shared sparse-term core needs *
+    with pytest.raises(TypeError):
+        DiffOp.identity(OpRing(1)) ** 2
+
+
 def test_compose_associativity_random():
     R = OpRing(2)
     rng = random.Random(3)
@@ -200,6 +206,14 @@ def test_covariance_check_keeps_its_precision():
     X_plus = build_raising_lowering(L)["X+"]
     r = covariance_check(X_plus, 3, L, 5, L, 4, PrecisionContext(bits=256))
     assert r < mp.mpf("1e-70")
+
+
+def test_covariance_check_rejects_a_fractional_weight_gap(ctx):
+    # target weights (11/2, 0) give no single-valued automorphy factor
+    L = GramLattice([[1]])
+    X_plus = build_raising_lowering(L)["X+"]
+    with pytest.raises(DomainError):
+        covariance_check(X_plus, 3, L, Fraction(11, 2), L, 1, ctx)
 
 
 def test_heat_covariance_type(ctx):
