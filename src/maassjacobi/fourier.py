@@ -476,37 +476,37 @@ def phi_seed(k, L: GramLattice, s, n, r) -> FourierExpansion:
 # -- operator annihilation / eigenvalue reports ------------------------------------
 
 
+def _worst_residual(f: FourierExpansion, op, points, ctx, k_value=None, lam=None):
+    """max_p |T f - lam f| / max(1, |f|) over sample points, via jets; no
+    lam means T f alone.  Runs inside the caller's working-precision block."""
+    deg = op.order()
+    worst = None
+    for tau, z in points:
+        jet = f.jet(tau, z, degree=deg, ctx=ctx)
+        val = op.apply_jet(jet, base_values(tau, z), k_value=k_value)
+        if lam is not None:
+            val = val - lam * jet.value
+        res = abs(val) / max(mp.mpf(1), abs(jet.value))
+        worst = res if worst is None else max(worst, res)
+    return worst
+
+
 def casimir_residual(f: FourierExpansion, k, points, ctx: PrecisionContext = None,
                      eigenvalue=0):
     """max_p |C^{k,L} f - lambda f| / |f| over sample points, via jets."""
     ctx = ctx or PrecisionContext()
-    L = f.lattice
-    op = build_casimir_op(L)
-    deg = op.order()
-    worst = None
+    op = build_casimir_op(f.lattice)
     with ctx.working():
-        kv = to_mpc(Fraction(k))
-        ev = to_mpc(eigenvalue)
-        for tau, z in points:
-            jet = f.jet(tau, z, degree=deg, ctx=ctx)
-            val = op.apply_jet(jet, base_values(tau, z), k_value=kv)
-            res = abs(val - ev * jet.value) / max(mp.mpf(1), abs(jet.value))
-            worst = res if worst is None else max(worst, res)
-    return worst
+        return _worst_residual(f, op, points, ctx, to_mpc(Fraction(k)),
+                               to_mpc(eigenvalue))
 
 
 def heat_residual(f: FourierExpansion, points, ctx: PrecisionContext = None):
     """max_p |heat f| / |f| over sample points."""
     ctx = ctx or PrecisionContext()
     op = build_heat(f.lattice)
-    worst = None
     with ctx.working():
-        for tau, z in points:
-            jet = f.jet(tau, z, degree=op.order(), ctx=ctx)
-            val = op.apply_jet(jet, base_values(tau, z))
-            res = abs(val) / max(mp.mpf(1), abs(jet.value))
-            worst = res if worst is None else max(worst, res)
-    return worst
+        return _worst_residual(f, op, points, ctx)
 
 
 def eigenfunction_ratio_residual(f: FourierExpansion, k, probe_point, points,
@@ -515,21 +515,13 @@ def eigenfunction_ratio_residual(f: FourierExpansion, k, probe_point, points,
     C f = lambda f at the other points (the paper states eigenfunction-ness
     without the eigenvalue)."""
     ctx = ctx or PrecisionContext()
-    L = f.lattice
-    op = build_casimir_op(L)
-    deg = op.order()
+    op = build_casimir_op(f.lattice)
     with ctx.working():
         kv = to_mpc(Fraction(k))
         tau, z = probe_point
-        jet = f.jet(tau, z, degree=deg, ctx=ctx)
+        jet = f.jet(tau, z, degree=op.order(), ctx=ctx)
         lam = op.apply_jet(jet, base_values(tau, z), k_value=kv) / jet.value
-        worst = mp.mpf(0)
-        for tau, z in points:
-            jet = f.jet(tau, z, degree=deg, ctx=ctx)
-            val = op.apply_jet(jet, base_values(tau, z), k_value=kv)
-            res = abs(val - lam * jet.value) / max(mp.mpf(1), abs(jet.value))
-            worst = max(worst, res)
-    return worst, lam
+        return _worst_residual(f, op, points, ctx, kv, lam), lam
 
 
 # -- torsion specialization --------------------------------------------------------

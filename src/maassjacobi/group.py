@@ -16,6 +16,7 @@ from mpmath import mp
 from . import linalg
 from .errors import DomainError, MalformedElementError
 from .gaussian import GaussianRational
+from .jets import Jet
 from .precision import PrecisionContext, to_mpc
 
 J2 = ((0, -1), (1, 0))
@@ -234,7 +235,7 @@ class AlgebraElement:
 
 
 class Point:
-    """A point (tau, z) of H x C^N."""
+    """A point (tau, z) of H x C^N, or the coordinate jets at such a point."""
 
     __slots__ = ("tau", "z")
 
@@ -255,6 +256,8 @@ class Point:
 def _imag(x):
     if isinstance(x, GaussianRational):
         return x.im
+    if isinstance(x, Jet):
+        x = x.value
     return mp.mpc(x).imag
 
 
@@ -270,21 +273,33 @@ def cocycle_beta(M, tau):
     den = c * tau + d
     if isinstance(den, GaussianRational):
         return den.inverse()
+    if isinstance(den, Jet):
+        return den.reciprocal()
     return 1 / den
+
+
+def act_coordinates(g, tau, z):
+    """The coordinates (M tau, beta (z + X1 tau + X2)) of g (tau, z), and
+    beta = beta(M, tau).
+
+    Only +, * and / enter, so the map also carries coordinate jets, and for
+    the real group it maps (taubar, zbar) by the same formula.
+    """
+    M, X = g.M, g.X
+    beta = cocycle_beta(M, tau)
+    znew = tuple((zj + X[j][0] * tau + X[j][1]) * beta for j, zj in enumerate(z))
+    return mobius(M, tau), znew, beta
 
 
 def act(g, p: Point) -> Point:
     """Left action (M, X)(tau, z) = (M tau, beta (z + X1 tau + X2))."""
-    M, X = g.M, g.X
-    beta = cocycle_beta(M, p.tau)
-    znew = tuple(
-        beta * (zj + X[j][0] * p.tau + X[j][1]) for j, zj in enumerate(p.z)
-    )
-    return Point(mobius(M, p.tau), znew)
+    tau, z, _ = act_coordinates(g, p.tau, p.z)
+    return Point(tau, z)
 
 
 def cocycle_a(g: GroupElement, p: Point):
-    """The symmetric-matrix-valued cocycle underlying alpha_L."""
+    """The symmetric-matrix-valued cocycle underlying alpha_L; exact on exact
+    input, and on a point of coordinate jets the jets of a."""
     M, X, kappa = g.M, g.X, g.kappa
     N = g.N
     c = M[1][0]

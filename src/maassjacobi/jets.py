@@ -102,6 +102,12 @@ class Jet(SparseTerms):
 
     __rmul__ = __mul__
 
+    def _mpmath_(self, prec, rounding):
+        # mpmath calls this when an mpf or mpc meets a jet on its left; the
+        # TypeError hands the operation to the jet's reflected method before
+        # mpmath formats the jet for an error message of its own
+        raise TypeError("a jet is not an mpmath number")
+
     def _coerce(self, other) -> "Jet":
         if isinstance(other, Jet):
             if other.space != self.space:

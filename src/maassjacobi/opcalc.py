@@ -18,11 +18,11 @@ from math import comb
 
 from mpmath import mp
 
-from . import linalg
+from . import group, linalg
 from .enveloping import PBWElement
 from .errors import DegreeError, DomainError, SingularIndexError
 from .gaussian import GaussianRational
-from .group import Point, automorphy_factor, weight_gap
+from .group import J2, AlgebraElement, GroupElement, Point, automorphy_factor, weight_gap
 from .jets import Jet, JetSpace, coordinate_jets, real_coordinate_jets
 from .lattice import GramLattice
 from .polys import Poly, PolyRing, SparseTerms
@@ -472,6 +472,16 @@ def build_casimir_op(L: GramLattice) -> DiffOp:
     return DiffOp(R, acc)
 
 
+def quad_form(linv, left, right) -> DiffOp:
+    """left^T calL^{-1} right as a composed operator; ``linv`` is calL_inv."""
+    N = len(left)
+    acc = DiffOp.zero(left[0].op_ring, left[0].shift + right[0].shift)
+    for a in range(N):
+        for b in range(N):
+            acc = acc + left[a].compose(right[b]).scale(linv[a][b])
+    return acc
+
+
 def build_casimir_RL(L: GramLattice) -> DiffOp:
     """The Casimir operator assembled from raising/lowering compositions."""
     _check_invertible(L)
@@ -481,34 +491,26 @@ def build_casimir_RL(L: GramLattice) -> DiffOp:
     ops = build_raising_lowering(L)
     Xp, Xm, Yp, Ym = ops["X+"], ops["X-"], ops["Y+"], ops["Y-"]
     linv = calL_inv(R, L)
-
-    def quad_form(vec_left, vec_right):
-        """vec_left^T calL^{-1} vec_right as a composed operator."""
-        acc = DiffOp.zero(R, vec_left[0].shift + vec_right[0].shift)
-        for a in range(N):
-            for b in range(N):
-                acc = acc + vec_left[a].compose(vec_right[b]).scale(linv[a][b])
-        return acc
+    pp, mm = quad_form(linv, Yp, Yp), quad_form(linv, Ym, Ym)
+    pm = quad_form(linv, Yp, Ym)  # Y+^T L^{-1} Y-
 
     c = Xp.compose(Xm).scale(-2)
-    c = c + Xp.compose(quad_form(Ym, Ym)).scale(GaussianRational(0, 1))
-    c = c - quad_form(Yp, Yp).compose(Xm).scale(GaussianRational(0, 1))
+    c = c + Xp.compose(mm).scale(GaussianRational(0, 1))
+    c = c - pp.compose(Xm).scale(GaussianRational(0, 1))
 
     # -1/2 ( L^{-1}[Y+] L^{-1}[Y-] - Y+^T (Y+^T L^{-1} Y-) L^{-1} Y- )
     half = Fraction(1, 2)
-    c = c - quad_form(Yp, Yp).compose(quad_form(Ym, Ym)).scale(half)
+    c = c - pp.compose(mm).scale(half)
     quart = DiffOp.zero(R)
     for i_ in range(N):
         for j_ in range(N):
-            inner = quad_form(Yp, Ym)  # Y+^T L^{-1} Y-
-            term = Yp[i_].compose(inner.compose(Ym[j_])).scale(linv[i_][j_])
-            quart = quart + term
+            quart = quart + Yp[i_].compose(pm.compose(Ym[j_])).scale(linv[i_][j_])
     c = c + quart.scale(half)
 
     # -1/2 (2k - N - 3) i Y+^T L^{-1} Y-
     k = ring.var("k")
     w = (k.scale(2) - ring.const(N + 3)).scale(GaussianRational(0, -half))
-    c = c + quad_form(Yp, Ym).scale(w)
+    c = c + pm.scale(w)
     return c
 
 
@@ -569,13 +571,7 @@ def build_heat(L: GramLattice) -> DiffOp:
 def build_D_minus(L: GramLattice) -> DiffOp:
     """X- - (i/2) L^{-1}[Y-]; the xi-operator's polynomial part."""
     ops = build_raising_lowering(L)
-    R = OpRing(L.N)
-    linv = calL_inv(R, L)
-    Ym = ops["Y-"]
-    quad = DiffOp.zero(R, -2)
-    for a in range(L.N):
-        for b in range(L.N):
-            quad = quad + Ym[a].compose(Ym[b]).scale(linv[a][b])
+    quad = quad_form(calL_inv(OpRing(L.N), L), ops["Y-"], ops["Y-"])
     return ops["X-"] - quad.scale(GaussianRational(0, Fraction(1, 2)))
 
 
@@ -630,8 +626,6 @@ def build_lie_slash(Y, L: GramLattice) -> DiffOp:
     in the extended ring with x and u present.  These operators act within a
     single weight, so they carry no shift; the formal k is the weight.
     """
-    from .group import AlgebraElement
-
     N = L.N
     R = OpRing(N)
     if isinstance(Y, str):
@@ -792,67 +786,37 @@ class GaussianSeed:
         return self.value(p.tau, p.z)
 
 
-def _cocycle_a_jets(g, coords, N):
-    """Jets of the matrix cocycle a(g, (tau, z))."""
-    M, X, kappa = g.M, g.X, g.kappa
-    c = mp.mpc(M[1][0])
-    d = mp.mpc(M[1][1])
-    tau = coords["tau"]
-    beta = (tau * c + d).reciprocal()
-    z = [coords[f"z{j}"] for j in range(1, N + 1)]
-    x1 = [mp.mpc(X[j][0]) for j in range(N)]
-    x2 = [mp.mpc(X[j][1]) for j in range(N)]
-    w = [z[j] + tau * x1[j] + x2[j] for j in range(N)]
-    rows = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            val = (
-                z[j] * x1[i] + z[i] * x1[j] + tau * (x1[i] * x1[j])
-                - beta * w[i] * w[j] * c
-                + (mp.mpc(kappa[i][j]) + x2[i] * x1[j])
-            )
-            row.append(val)
-        rows.append(row)
-    return rows
-
-
 def slashed_jet(seed, k, kbar, L: GramLattice, g, tau, z, degree: int):
     """Jet of f|_{k,kbar,L}[g] at (tau, z), plus the jet of f at the point
     g(tau, z) and that point.
 
-    Runs inside the caller's working-precision block.  k - kbar must be an
-    integer; the modulus factor keeps rational weights single-valued.
+    The coordinate map and the a-cocycle are group's, run on jets; they are
+    looked up on the module, so that the benchmark tracer's patches of
+    group are seen.  Runs inside the caller's working-precision block.
+    k - kbar must be an integer; the modulus factor keeps rational weights
+    single-valued.
     """
     kbar = Fraction(kbar)
     gap = weight_gap(k, kbar)
     N = L.N
     space = JetSpace.for_rank(N, degree)
     coords = coordinate_jets(space, tau, z)
+    zs = [coords[f"z{j}"] for j in range(1, N + 1)]
+    zbars = [coords[f"zbar{j}"] for j in range(1, N + 1)]
     gm = g.to_numeric() if g.exact else g
-    a, b = (mp.mpc(x) for x in gm.M[0])
-    c, d = (mp.mpc(x) for x in gm.M[1])
-
-    beta = (coords["tau"] * c + d).reciprocal()
-    betabar = (coords["taubar"] * c + d).reciprocal()
-    tau_p = (coords["tau"] * a + b) * beta
-    taubar_p = (coords["taubar"] * a + b) * betabar
-    z_p, zbar_p = [], []
-    for j in range(1, N + 1):
-        x1 = mp.mpc(gm.X[j - 1][0])
-        x2 = mp.mpc(gm.X[j - 1][1])
-        z_p.append((coords[f"z{j}"] + coords["tau"] * x1 + x2) * beta)
-        zbar_p.append((coords[f"zbar{j}"] + coords["taubar"] * x1 + x2) * betabar)
+    tau_p, z_p, beta = group.act_coordinates(gm, coords["tau"], zs)
+    taubar_p, zbar_p, betabar = group.act_coordinates(gm, coords["taubar"], zbars)
 
     q_tau = tau_p.value
     q_z = [jj.value for jj in z_p]
     f_at_q = seed.jet(coordinate_jets(space, q_tau, q_z))
-    composed = f_at_q.compose([tau_p, taubar_p] + z_p + zbar_p)
+    composed = f_at_q.compose([tau_p, taubar_p, *z_p, *zbar_p])
 
+    # the weight needs the independent taubar jet, so it is not group's
     weight = beta ** gap
     if kbar:
         weight = weight * (beta * betabar).pow_scalar(kbar)
-    a_jets = _cocycle_a_jets(gm, coords, N)
+    a_jets = group.cocycle_a(gm, Point(coords["tau"], zs))
     tr = None
     for i in range(N):
         for j in range(N):
@@ -864,10 +828,20 @@ def slashed_jet(seed, k, kbar, L: GramLattice, g, tau, z, degree: int):
     return composed * weight * alpha, f_at_q, (q_tau, q_z)
 
 
-def random_group_element(N: int, rng):
-    """Exact random element with small integer data."""
-    from .group import GroupElement
+# -- the one sampler: group elements, algebra elements and points -------------------------
 
+
+def _random_symmetric(N: int, rng):
+    S = [[GaussianRational(rng.randint(-2, 2)) for _ in range(N)] for _ in range(N)]
+    for i in range(N):
+        for j in range(i):
+            S[i][j] = S[j][i]
+    return linalg.mat(S)
+
+
+def random_group_element(N: int, rng) -> GroupElement:
+    """Exact random element: M a product of three elementary matrices, X
+    and the symmetric part of kappa with small rational entries."""
     m = linalg.identity(2, GaussianRational(1), GaussianRational(0))
     for _ in range(3):
         t = GaussianRational(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
@@ -876,22 +850,23 @@ def random_group_element(N: int, rng):
         else:
             e = ((GaussianRational(1), GaussianRational(0)), (t, GaussianRational(1)))
         m = linalg.mul(m, e)
-    X = [
+    X = linalg.mat([
         [GaussianRational(Fraction(rng.randint(-2, 2), rng.randint(1, 2))) for _ in range(2)]
         for _ in range(N)
-    ]
-    S = [[GaussianRational(rng.randint(-2, 2)) for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        for j in range(i):
-            S[i][j] = S[j][i]
-    Xm = linalg.mat(X)
-    j2 = linalg.to_gaussian(J2_EXACT)
-    XJX = linalg.mul(linalg.mul(Xm, j2), linalg.transpose(Xm))
-    kap = linalg.sub(linalg.mat(S), linalg.scale(GaussianRational(Fraction(1, 2)), XJX))
+    ])
+    XJX = linalg.mul(linalg.mul(X, linalg.to_gaussian(J2)), linalg.transpose(X))
+    kap = linalg.sub(_random_symmetric(N, rng),
+                     linalg.scale(GaussianRational(_HALF), XJX))
     return GroupElement(m, X, kap)
 
 
-J2_EXACT = ((0, -1), (1, 0))
+def random_algebra_element(N: int, rng) -> AlgebraElement:
+    """Exact random element with every coordinate a small integer."""
+    a = GaussianRational(rng.randint(-2, 2))
+    M = ((a, GaussianRational(rng.randint(-2, 2))),
+         (GaussianRational(rng.randint(-2, 2)), -a))
+    X = [[GaussianRational(rng.randint(-2, 2)) for _ in range(2)] for _ in range(N)]
+    return AlgebraElement(M, X, _random_symmetric(N, rng))
 
 
 def random_point(N: int, rng):

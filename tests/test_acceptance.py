@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from conftest import random_group_element, random_point
 from maassjacobi.cli import SUITES
 from maassjacobi.enveloping import (
     JacobiLieAlgebra,
@@ -43,6 +42,7 @@ from maassjacobi.fourier import (
 from maassjacobi.gaussian import GaussianRational, I
 from maassjacobi.group import Point, jacobi_mul, slash
 from maassjacobi.lattice import GramLattice, discriminant
+from maassjacobi.opcalc import random_group_element, random_point
 from maassjacobi.precision import PrecisionContext
 from maassjacobi.specfun import (
     bessel_I_jet,

@@ -65,6 +65,12 @@ def test_verify_rejects_flags_its_suite_does_not_read(cache_dir, capsys, suite, 
     assert code == 2 and err["type"] == "UsageError" and flag in err["message"]
 
 
+def test_verify_rejects_n_that_is_not_the_rank_of_l(cache_dir, capsys):
+    code, out = run(capsys, "verify", "commutators", "--N", "2", "--L", "1")
+    err = json.loads(out)["error"]
+    assert code == 2 and err["type"] == "UsageError" and "--N 2" in err["message"]
+
+
 def test_parser_state_does_not_leak_between_calls(cache_dir, capsys, tmp_path):
     out_file = tmp_path / "first.json"
     args = ("kloosterman", "--c", "2", "--L", "1", "--n", "1", "--r", "0",

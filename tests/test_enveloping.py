@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_algebra_element
 from maassjacobi.enveloping import (
     JacobiLieAlgebra,
     LocalizedPBW,
@@ -30,6 +29,7 @@ from maassjacobi.enveloping import (
 from maassjacobi.errors import DivisibilityError, MaassJacobiError
 from maassjacobi.gaussian import GaussianRational, I
 from maassjacobi.group import AlgebraElement
+from maassjacobi.opcalc import random_algebra_element
 
 
 def _structure_bracket(alg, a, b):

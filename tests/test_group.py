@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from conftest import random_algebra_element, random_group_element, random_point
 from maassjacobi import linalg
 from maassjacobi.errors import DomainError, MalformedElementError
 from maassjacobi.gaussian import GaussianRational
@@ -25,6 +26,8 @@ from maassjacobi.group import (
     mobius,
     slash,
 )
+from maassjacobi.jets import JetSpace, coordinate_jets
+from maassjacobi.opcalc import random_algebra_element, random_group_element, random_point
 from maassjacobi.precision import to_mpc
 
 GR = GaussianRational
@@ -207,6 +210,28 @@ def test_cocycle_identities(ctx):
         assert worst_a < mp.mpf("1e-30")
 
 
+_FRACTIONS = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+
+@st.composite
+def exact_points(draw, N):
+    """A Gaussian-rational point of H x C^N."""
+    tau = GR(draw(_FRACTIONS),
+             draw(st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=6)))
+    return Point(tau, [GR(draw(_FRACTIONS), draw(_FRACTIONS)) for _ in range(N)])
+
+
+@settings(settings.get_profile("exact"))
+@given(N=st.sampled_from([1, 2]), rng=st.randoms(use_true_random=False), data=st.data())
+def test_cocycle_identities_exact(N, rng, data):
+    g, h = random_group_element(N, rng), random_group_element(N, rng)
+    p = data.draw(exact_points(N))
+    assert cocycle_beta(linalg.mul(g.M, h.M), p.tau) == (
+        cocycle_beta(g.M, mobius(h.M, p.tau)) * cocycle_beta(h.M, p.tau))
+    assert cocycle_a(jacobi_mul(g, h), p) == linalg.add(cocycle_a(g, act(h, p)),
+                                                         cocycle_a(h, p))
+
+
 def test_cocycle_a_special_values(ctx):
     with ctx.working():
         p = Point(mp.mpc(0.1, 0.9), (mp.mpc(0.2, -0.1), mp.mpc(0.3, 0.5)))
@@ -260,6 +285,9 @@ def test_slash_right_action_and_central_triviality(ctx):
 def test_point_requires_upper_half_plane():
     with pytest.raises(DomainError):
         Point(mp.mpc(0.5, -1.0), ())
+    coords = coordinate_jets(JetSpace.for_rank(1, 2), mp.mpc(0.5, -1.0), [mp.mpc(0)])
+    with pytest.raises(DomainError):
+        Point(coords["tau"], [coords["z1"]])
 
 
 def test_cocycle_alpha_multiplicative(ctx):

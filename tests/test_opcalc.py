@@ -7,7 +7,7 @@ from mpmath import mp
 from maassjacobi.enveloping import JacobiLieAlgebra, PBWElement, build_casimir, pbw_normal_order
 from maassjacobi.errors import DegreeError, DomainError
 from maassjacobi.gaussian import GaussianRational
-from maassjacobi.group import AlgebraElement
+from maassjacobi.group import AlgebraElement, Point, slash
 from maassjacobi.jets import Jet, JetSpace, coordinate_jets, finite_difference
 from maassjacobi.lattice import GramLattice
 from maassjacobi.opcalc import (
@@ -26,6 +26,8 @@ from maassjacobi.opcalc import (
     covariance_check,
     d_minus_direct,
     kernel_seed,
+    random_group_element,
+    random_point,
     semiholomorphic_casimir,
     uea_to_op,
     GaussianSeed,
@@ -214,6 +216,28 @@ def test_covariance_check_rejects_a_fractional_weight_gap(ctx):
     X_plus = build_raising_lowering(L)["X+"]
     with pytest.raises(DomainError):
         covariance_check(X_plus, 3, L, Fraction(11, 2), L, 1, ctx)
+
+
+@pytest.mark.parametrize("entries, k, kbar", [
+    ([[2]], 3, 0),
+    ([[1]], Fraction(7, 2), Fraction(3, 2)),
+    ([[2, 1], [1, 2]], 3, 0),
+    ([[2, Fraction(1, 2)], [Fraction(1, 2), 1]], Fraction(5, 2), Fraction(1, 2)),
+])
+def test_slashed_jet_value_is_the_slash(ctx, entries, k, kbar):
+    # the jet path and group.slash share the action and the a-cocycle, but
+    # not the weight: slashed_jet builds it from the independent taubar jet
+    L = GramLattice(entries)
+    N = L.N
+    seed = GaussianSeed(N)
+    rng = random.Random(80 + N)
+    with ctx.working():
+        for _ in range(4):
+            g = random_group_element(N, rng)
+            tau, z = random_point(N, rng)
+            jet, _, _ = slashed_jet(seed, k, kbar, L, g, tau, z, 1)
+            expect = slash(seed, k, kbar, L.entries, g, ctx)(Point(tau, z))
+            assert abs(jet.value - expect) < mp.mpf("1e-30") * abs(expect)
 
 
 def test_heat_covariance_type(ctx):
