@@ -189,11 +189,13 @@ def suite_bridge(L, ctx, samples):
 def suite_cocycle(L, ctx, samples):
     # imported here, so that the benchmark tracer's patches of group are seen
     from .group import (
-        Point, act, cocycle_a, embed_algebra, embed_group, expm, jacobi_exp, jacobi_mul,
+        Point, act, cocycle_a, cocycle_alpha, embed_algebra, embed_group, expm, jacobi_exp,
+        jacobi_mul,
     )
 
     rng = random.Random(4242)
     worst_a = mp.mpf(0)
+    worst_alpha = mp.mpf(0)
     worst_exp = mp.mpf(0)
     with ctx.working():
         for _ in range(samples):
@@ -202,10 +204,15 @@ def suite_cocycle(L, ctx, samples):
             tau, z = random_point(L.N, rng)
             p = Point(mp.mpc(tau), tuple(mp.mpc(w) for w in z))
             gm, hm = g.to_numeric(), h.to_numeric()
-            a1 = cocycle_a(jacobi_mul(gm, hm), p)
-            a2 = linalg.add(cocycle_a(gm, act(hm, p)), cocycle_a(hm, p))
+            gh, hp = jacobi_mul(gm, hm), act(hm, p)
+            a1 = cocycle_a(gh, p)
+            a2 = linalg.add(cocycle_a(gm, hp), cocycle_a(hm, p))
             worst_a = max(worst_a, max(
                 abs(x - y) for r1, r2 in zip(a1, a2) for x, y in zip(r1, r2)))
+            # alpha_L is the one factor of the slash action that reads L
+            lhs = cocycle_alpha(L.entries, gh, p, ctx)
+            rhs = cocycle_alpha(L.entries, gm, hp, ctx) * cocycle_alpha(L.entries, hm, p, ctx)
+            worst_alpha = max(worst_alpha, abs(lhs - rhs) / abs(rhs))
         for _ in range(max(samples // 5, 5)):
             Y = random_algebra_element(L.N, rng)
             g = jacobi_exp(Y, ctx)
@@ -218,6 +225,8 @@ def suite_cocycle(L, ctx, samples):
     return [
         _check("cocycle additivity of a", worst_a < mp.mpf("1e-30"),
                detail=mpf_str(worst_a)),
+        _check("multiplicativity of alpha_L", worst_alpha < mp.mpf("1e-30"),
+               detail=mpf_str(worst_alpha)),
         _check("exp matches matrix exponential", worst_exp < mp.mpf("1e-25"),
                detail=mpf_str(worst_exp)),
     ]

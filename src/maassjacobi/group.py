@@ -261,10 +261,13 @@ def _imag(x):
     return mp.mpc(x).imag
 
 
-def mobius(M, tau):
+def mobius(M, tau, beta=None):
+    """M tau = (a tau + b) beta, with beta = beta(M, tau) computed here
+    unless the caller has it."""
     a, b = M[0]
-    c, d = M[1]
-    return (a * tau + b) / (c * tau + d)
+    if beta is None:
+        beta = cocycle_beta(M, tau)
+    return (a * tau + b) * beta
 
 
 def cocycle_beta(M, tau):
@@ -288,7 +291,7 @@ def act_coordinates(g, tau, z):
     M, X = g.M, g.X
     beta = cocycle_beta(M, tau)
     znew = tuple((zj + X[j][0] * tau + X[j][1]) * beta for j, zj in enumerate(z))
-    return mobius(M, tau), znew, beta
+    return mobius(M, tau, beta), znew, beta
 
 
 def act(g, p: Point) -> Point:

@@ -6,17 +6,186 @@ derivatives plain coordinate derivatives and keeps group transformations
 componentwise holomorphic.  Coefficients are mpmath numbers at the caller's
 working precision; the caller is responsible for the enclosing workprec
 block.
+
+Products and compositions are exact sums, each rounded once per
+coefficient.  Each operand's coefficients become Gaussian integers sharing
+one binary exponent, every output coefficient is summed exactly as an
+integer over a product table, and it is rounded to the working precision
+and rounding mode only when it is stored.  So results do not depend on the
+order of the terms, and a product of two one-term jets has the bits of
+mpmath's own product.  The tables of each (nvars, degree) are built on
+first use.  A product of jets or a composition with a non-finite
+coefficient, and a product by a non-finite scalar, raise DomainError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from math import factorial
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
-from .errors import DegreeError
+from .errors import DegreeError, DomainError
 from .polys import SparseTerms
+
+
+class _Tables:
+    """The monomials of one (nvars, degree), sorted by (total degree,
+    exponent), their index, and for each monomial i the row of indices of
+    i + j over the prefix of monomials j with deg i + deg j <= degree;
+    ``parents[k]`` is (index of e - unit_v, v) for the last variable v of
+    monomial e = monos[k], k > 0."""
+
+    __slots__ = ("monos", "index", "rows", "parents")
+
+    def __init__(self, nvars: int, degree: int):
+        monos = []
+        upto = []
+        for d in range(degree + 1):
+            block = []
+            for combo in combinations_with_replacement(range(nvars), d):
+                e = [0] * nvars
+                for v in combo:
+                    e[v] += 1
+                block.append(tuple(e))
+            monos.extend(sorted(block))
+            upto.append(len(monos))
+        index = {e: k for k, e in enumerate(monos)}
+        self.monos = tuple(monos)
+        self.index = index
+        self.rows = tuple(
+            tuple(index[tuple(x + y for x, y in zip(e1, e2))]
+                  for e2 in monos[:upto[degree - sum(e1)]])
+            for e1 in monos
+        )
+        parents = [None]
+        for e in monos[1:]:
+            v = max(j for j, x in enumerate(e) if x)
+            parents.append((index[e[:v] + (e[v] - 1,) + e[v + 1:]], v))
+        self.parents = tuple(parents)
+
+
+@lru_cache(maxsize=64)
+def _tables(nvars: int, degree: int) -> _Tables:
+    """The tables of a space, shared read-only by every jet of the space."""
+    return _Tables(nvars, degree)
+
+
+# An exact jet is (re, im, exp): dense lists of ints over the monomial
+# order, the coefficient of monomial k being (re[k] + i im[k]) 2^exp.
+
+
+def _parts(c):
+    """(re, im) raw mpf parts of a coefficient; DomainError unless finite."""
+    try:
+        re, im = c._mpc_
+    except AttributeError:
+        re, im = mp.mpc(c)._mpc_
+    # a raw mpf with zero mantissa and nonzero exponent is inf or nan
+    if (not re[1] and re[2]) or (not im[1] and im[2]):
+        raise DomainError(f"non-finite jet coefficient {c}")
+    return re, im
+
+
+def _int(part, emin: int) -> int:
+    """A raw mpf part as an integer multiple of 2^emin."""
+    s, m, x, _ = part
+    if not m:
+        return 0
+    m <<= x - emin
+    return -m if s else m
+
+
+def _exact(jet: "Jet", nilpotent: bool = False):
+    """The exact form of a jet, or of its nilpotent part."""
+    t = _tables(jet.space.nvars, jet.space.degree)
+    index = t.index
+    items = []
+    for e, c in jet.terms.items():
+        k = index.get(e)
+        if k is None:
+            raise DomainError(f"exponent {e} is not a monomial of the jet space")
+        re, im = _parts(c)
+        if k or not nilpotent:
+            items.append((k, re, im))
+    size = len(t.monos)
+    ore, oim = [0] * size, [0] * size
+    emin = min((p[2] for _, re, im in items for p in (re, im) if p[1]), default=0)
+    for k, re, im in items:
+        ore[k] = _int(re, emin)
+        oim[k] = _int(im, emin)
+    return ore, oim, emin
+
+
+def _scalar(c):
+    """An exact scalar (re, im, exp)."""
+    re, im = _parts(c)
+    emin = min((p[2] for p in (re, im) if p[1]), default=0)
+    return _int(re, emin), _int(im, emin), emin
+
+
+def _unit(size: int):
+    one = [0] * size
+    one[0] = 1
+    return one, [0] * size, 0
+
+
+def _mul_exact(a, b, rows):
+    """The exact truncated product of two exact jets."""
+    are, aim, ea = a
+    bre, bim, eb = b
+    size = len(are)
+    nz = [(j, bre[j], bim[j]) for j in range(size) if bre[j] or bim[j]]
+    ore, oim = [0] * size, [0] * size
+    for i in range(size):
+        x, y = are[i], aim[i]
+        if not (x or y):
+            continue
+        row = rows[i]
+        n = len(row)
+        for j, u, v in nz:
+            if j >= n:
+                break
+            k = row[j]
+            ore[k] += x * u - y * v
+            oim[k] += x * v + y * u
+    return ore, oim, ea + eb
+
+
+def _combine(terms, size: int):
+    """The exact sum of scalar * exact-jet terms."""
+    terms = [(s, j) for s, j in terms if s[0] or s[1]]
+    if not terms:
+        return [0] * size, [0] * size, 0
+    emin = min(s[2] + j[2] for s, j in terms)
+    ore, oim = [0] * size, [0] * size
+    for (a, b, x), (re, im, e) in terms:
+        # shift the scalar, not the jet, onto the common exponent
+        shift = x + e - emin
+        a, b = a << shift, b << shift
+        for k in range(size):
+            u, v = re[k], im[k]
+            if u or v:
+                ore[k] += a * u - b * v
+                oim[k] += a * v + b * u
+    return ore, oim, emin
+
+
+def _rounded(space: "JetSpace", exact) -> "Jet":
+    """The jet of an exact form, each coefficient rounded once."""
+    re, im, e = exact
+    monos = _tables(space.nvars, space.degree).monos
+    prec, rnd = mp._prec_rounding
+    make = mp.make_mpc
+    terms = {}
+    for k, (u, v) in enumerate(zip(re, im)):
+        if u or v:
+            terms[monos[k]] = make((from_man_exp(u, e, prec, rnd),
+                                    from_man_exp(v, e, prec, rnd)))
+    return Jet(space, terms)
 
 
 class JetSpace:
@@ -59,6 +228,13 @@ class Jet(SparseTerms):
     def _like(self, terms, other) -> "Jet":
         return Jet(self.space, terms)
 
+    def __eq__(self, other):
+        if not isinstance(other, Jet):
+            return NotImplemented
+        return self.space == other.space and self.terms == other.terms
+
+    __hash__ = None
+
     # -- constructors -------------------------------------------------------
 
     @staticmethod
@@ -82,23 +258,13 @@ class Jet(SparseTerms):
     def __mul__(self, other):
         if not isinstance(other, Jet):
             c = mp.mpc(other)
+            _parts(c)  # DomainError unless finite
             if c == 0:
                 return Jet(self.space, {})
             return Jet(self.space, {e: c * v for e, v in self.terms.items()})
-        deg = self.space.degree
-        a, b = self.terms, other.terms
-        if len(b) < len(a):
-            a, b = b, a
-        out = {}
-        for e1, c1 in a.items():
-            d1 = sum(e1)
-            for e2, c2 in b.items():
-                if d1 + sum(e2) > deg:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, mp.mpc(0)) + c1 * c2
-                out[e] = s
-        return Jet(self.space, {e: c for e, c in out.items() if c != 0})
+        other = self._coerce(other)
+        rows = _tables(self.space.nvars, self.space.degree).rows
+        return _rounded(self.space, _mul_exact(_exact(self), _exact(other), rows))
 
     __rmul__ = __mul__
 
@@ -200,22 +366,24 @@ class Jet(SparseTerms):
         if len(inners) != self.space.nvars:
             raise ValueError("wrong number of inner jets")
         target = inners[0].space
-        deltas = [j.nilpotent_part() for j in inners]
-        prod_cache = {(0,) * self.space.nvars: Jet.const(target, 1)}
+        if any(j.space != target for j in inners):
+            raise ValueError("mixed jet spaces")
+        rows = _tables(target.nvars, target.degree).rows
+        parents = _tables(self.space.nvars, self.space.degree).parents
+        deltas = [_exact(j, nilpotent=True) for j in inners]
+        re, im, e = _exact(self)
+        products = {0: _unit(len(rows))}
 
-        def product_for(e):
-            if e in prod_cache:
-                return prod_cache[e]
-            i = max(j for j, k in enumerate(e) if k)
-            prev = e[:i] + (e[i] - 1,) + e[i + 1:]
-            p = product_for(prev) * deltas[i]
-            prod_cache[e] = p
-            return p
+        def product(k):
+            # prod_v delta_v^(monomial k), exact; parents have lower indices
+            if k not in products:
+                prev, v = parents[k]
+                products[k] = _mul_exact(product(prev), deltas[v], rows)
+            return products[k]
 
-        out = Jet.const(target, 0)
-        for e in sorted(self.terms.keys(), key=lambda t: (sum(t), t)):
-            out = out + product_for(e) * self.terms[e]
-        return out
+        terms = [((re[k], im[k], e), product(k))
+                 for k in range(len(re)) if re[k] or im[k]]
+        return _rounded(target, _combine(terms, len(rows)))
 
     def max_abs(self):
         return max((abs(c) for c in self.terms.values()), default=mp.mpf(0))
@@ -257,16 +425,19 @@ def real_coordinate_jets(coords: dict, N: int):
 
 def compose_univariate(series, inner: Jet) -> Jet:
     """Compose an outer 1-d Taylor series (list of coefficients around the
-    inner jet's value) with the inner jet."""
-    delta = inner.nilpotent_part()
-    acc = Jet.const(inner.space, series[0])
-    power = Jet.const(inner.space, 1)
-    for n in range(1, min(len(series), inner.space.degree + 1)):
-        power = power * delta
-        if not power.terms:
+    inner jet's value) with the inner jet: sum_n series[n] delta^n, with
+    delta the inner jet's nilpotent part."""
+    space = inner.space
+    rows = _tables(space.nvars, space.degree).rows
+    delta = _exact(inner, nilpotent=True)
+    power = _unit(len(rows))
+    terms = [(_scalar(series[0]), power)]
+    for n in range(1, min(len(series), space.degree + 1)):
+        power = _mul_exact(power, delta, rows)
+        if not (any(power[0]) or any(power[1])):
             break
-        acc = acc + power * series[n]
-    return acc
+        terms.append((_scalar(series[n]), power))
+    return _rounded(space, _combine(terms, len(rows)))
 
 
 FD_WEIGHTS_8 = tuple(

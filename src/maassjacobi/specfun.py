@@ -20,15 +20,6 @@ from .errors import DomainError, PoleError
 from .jets import Jet, JetSpace, compose_univariate
 from .precision import PrecisionContext, to_mpf
 
-_UNI_CACHE = {}
-
-
-def _uni(order: int) -> JetSpace:
-    if order not in _UNI_CACHE:
-        _UNI_CACHE[order] = JetSpace(1, order)
-    return _UNI_CACHE[order]
-
-
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -75,7 +66,7 @@ def _whittaker_jet(kind: str, s, kappa, t, order, ctx: PrecisionContext):
     mu = s - Fraction(1, 2)
     a = to_mpf(mu - kap_eff + Fraction(1, 2))
     b = to_mpf(1 + 2 * mu)
-    space = _uni(order)
+    space = JetSpace(1, order)
     xjet = Jet.variable(space, 0, x0)
     if kind == "M":
         _pole_check_M(s)
@@ -129,7 +120,7 @@ def whittaker_ode_residual(kind: str, s, kappa, t, ctx: PrecisionContext = None)
         mu = to_mpf(s - Fraction(1, 2))
         a = mu - kap_eff + mp.mpf("0.5")
         b = 1 + 2 * mu
-        space = _uni(2)
+        space = JetSpace(1, 2)
         xjet = Jet.variable(space, 0, x)
         if kind == "M":
             _pole_check_M(s)
@@ -212,7 +203,7 @@ def upper_incomplete_gamma_jet(a, x, order: int = 4, ctx: PrecisionContext = Non
     a = _frac(a)
     with ctx.working():
         xv = to_mpf(x)
-        space = _uni(max(order - 1, 0))
+        space = JetSpace(1, max(order - 1, 0))
         xjet = Jet.variable(space, 0, xv)
         g = -(xjet.pow_scalar(to_mpf(a - 1)) * (-xjet).exp())
         taylor = [mp.mpc(upper_incomplete_gamma(a, x, ctx))]
@@ -254,7 +245,7 @@ def h_profile_jet(k, N: int, y, order: int = 4, ctx: PrecisionContext = None):
         yv = to_mpf(y)
         if yv >= 0:
             raise DomainError("the H jet is implemented on y < 0 (negative index terms)")
-        space = _uni(max(order - 1, 0))
+        space = JetSpace(1, max(order - 1, 0))
         yjet = Jet.variable(space, 0, yv)
         elem = yjet.exp() * (yjet * mp.mpf(-2)).pow_scalar(to_mpf(-a)) * 2
         # H = sum taylor[m] (y - y0)^m with taylor[m+1] = (elem_m - taylor[m])/(m+1)
@@ -278,7 +269,7 @@ def e_profile_jet(z, order: int = 4, ctx: PrecisionContext = None):
     ctx = ctx or PrecisionContext()
     with ctx.working():
         zv = to_mpf(z)
-        space = _uni(max(order - 1, 0))
+        space = JetSpace(1, max(order - 1, 0))
         zjet = Jet.variable(space, 0, zv)
         g = (zjet * zjet * (-mp.pi)).exp() * 2
         taylor = [mp.mpc(e_profile(z, ctx))]

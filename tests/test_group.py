@@ -291,18 +291,11 @@ def test_point_requires_upper_half_plane():
 
 
 def test_cocycle_alpha_multiplicative(ctx):
-    from maassjacobi.group import cocycle_alpha
+    # the check is `verify cocycle`'s, here on a Gram matrix with a
+    # half-integral off-diagonal entry and 20 samples
+    from maassjacobi.cli import SUITES
+    from maassjacobi.lattice import GramLattice
 
-    rng = random.Random(70)
-    L = ((Fraction(2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)))
-    with ctx.working():
-        worst = mp.mpf(0)
-        for _ in range(20):
-            g, h = random_group_element(2, rng), random_group_element(2, rng)
-            tau, z = random_point(2, rng)
-            p = Point(tau, z)
-            gm, hm = g.to_numeric(), h.to_numeric()
-            lhs = cocycle_alpha(L, jacobi_mul(gm, hm), p, ctx)
-            rhs = cocycle_alpha(L, gm, act(hm, p), ctx) * cocycle_alpha(L, hm, p, ctx)
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-        assert worst < mp.mpf("1e-30")
+    L = GramLattice([[2, Fraction(1, 2)], [Fraction(1, 2), 1]])
+    checks = {c["name"]: c for c in SUITES["cocycle"][0](L, ctx, 20)}
+    assert checks["multiplicativity of alpha_L"]["status"] == "pass"

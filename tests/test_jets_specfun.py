@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import mp
 
+from maassjacobi import jets
 from maassjacobi.errors import DomainError, PoleError
-from maassjacobi.jets import Jet, JetSpace
+from maassjacobi.jets import Jet, JetSpace, compose_univariate
 from maassjacobi.precision import to_mpf
 from maassjacobi.specfun import (
     bessel_I,
@@ -60,6 +62,201 @@ def test_jet_compose(ctx):
         composed = outer.compose([inner1, inner2])
         direct = (inner1 * inner1 + inner2).exp()
         assert (composed - direct).max_abs() < mp.mpf("1e-30")
+
+
+# -- the dict-of-mpc engine, the oracle of the table-driven one ----------------
+
+_scalar_mul = Jet.__mul__
+
+
+def _oracle_mul(a, b):
+    """Jet product summed term by term in mpc, rounding after every product
+    and every partial sum."""
+    if not isinstance(b, Jet):
+        return _scalar_mul(a, b)
+    deg = a.space.degree
+    x, y = a.terms, b.terms
+    if len(y) < len(x):
+        x, y = y, x
+    out = {}
+    for e1, c1 in x.items():
+        d1 = sum(e1)
+        for e2, c2 in y.items():
+            if d1 + sum(e2) > deg:
+                continue
+            e = tuple(u + v for u, v in zip(e1, e2))
+            out[e] = out.get(e, mp.mpc(0)) + c1 * c2
+    return Jet(a.space, {e: c for e, c in out.items() if c != 0})
+
+
+def _oracle_compose_univariate(series, inner):
+    delta = inner.nilpotent_part()
+    acc = Jet.const(inner.space, series[0])
+    power = Jet.const(inner.space, 1)
+    for n in range(1, min(len(series), inner.space.degree + 1)):
+        power = _oracle_mul(power, delta)
+        if not power.terms:
+            break
+        acc = acc + power * series[n]
+    return acc
+
+
+def _oracle_compose(outer, inners):
+    target = inners[0].space
+    deltas = [j.nilpotent_part() for j in inners]
+    prod_cache = {(0,) * outer.space.nvars: Jet.const(target, 1)}
+
+    def product_for(e):
+        if e not in prod_cache:
+            i = max(j for j, k in enumerate(e) if k)
+            prev = e[:i] + (e[i] - 1,) + e[i + 1:]
+            prod_cache[e] = _oracle_mul(product_for(prev), deltas[i])
+        return prod_cache[e]
+
+    out = Jet.const(target, 0)
+    for e in sorted(outer.terms, key=lambda t: (sum(t), t)):
+        out = out + product_for(e) * outer.terms[e]
+    return out
+
+
+def _random_jet(sp, rng, fill=1.0, dyadic=False, value=None):
+    """A jet whose coefficients span 1e-40 to 1e40 (or are small dyadic
+    numbers), with exact zeros: absent terms, and zero real or imaginary
+    parts."""
+    monos = jets._tables(sp.nvars, sp.degree).monos
+    terms = {}
+    for e in monos:
+        if rng.random() > fill:
+            continue
+        parts = []
+        for _ in range(2):
+            r = rng.random()
+            if r < 0.2:
+                parts.append(mp.mpf(0))
+            elif dyadic:
+                parts.append(mp.mpf(rng.randint(-64, 64)) / 8)
+            else:
+                parts.append(mp.mpf(rng.uniform(-1, 1)) * mp.mpf(10) ** rng.uniform(-40, 40)
+                             + mp.mpf(rng.uniform(-1, 1)) * mp.mpf(2) ** -mp.prec)
+        c = mp.mpc(*parts)
+        if c != 0:
+            terms[e] = c
+    if value is not None:
+        terms[sp._zero] = mp.mpc(value)
+    return Jet(sp, terms)
+
+
+def _assert_close(new, old, bits=8):
+    """Per coefficient, relative 2^-(prec - bits)."""
+    assert new.space == old.space
+    tol = mp.mpf(2) ** (bits - mp.prec)
+    for e in set(new.terms) | set(old.terms):
+        a, b = new.terms.get(e, mp.mpc(0)), old.terms.get(e, mp.mpc(0))
+        assert abs(a - b) <= tol * abs(b), (e, a, b)
+
+
+SPACES = [JetSpace(1, 5), JetSpace(4, 3), JetSpace(6, 4)]
+
+
+@pytest.mark.parametrize("sp", SPACES, ids=lambda sp: f"{sp.nvars},{sp.degree}")
+def test_jet_engine_matches_dict_oracle(ctx, sp, monkeypatch):
+    rng = random.Random(sp.nvars * 10 + sp.degree)
+    fill = 0.3 if sp.nvars == 6 else 1.0
+    with ctx.working():
+        a = _random_jet(sp, rng, fill)
+        b = _random_jet(sp, rng, fill)
+        u = _random_jet(sp, rng, fill, value=mp.mpc("1.3", "-0.4"))
+        series = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / factorial(n)
+                  for n in range(sp.degree + 2)]
+        alpha = mp.mpf(1) / 3
+        new = [a * b, compose_univariate(series, a), u.reciprocal(), u.exp(), u.log(),
+               u.pow_scalar(alpha)]
+        with monkeypatch.context() as m:
+            m.setattr(Jet, "__mul__", _oracle_mul)
+            m.setattr(Jet, "__rmul__", _oracle_mul)
+            m.setattr(jets, "compose_univariate", _oracle_compose_univariate)
+            old = [a * b, _oracle_compose_univariate(series, a), u.reciprocal(), u.exp(),
+                   u.log(), u.pow_scalar(alpha)]
+        for x, y in zip(new, old):
+            _assert_close(x, y)
+        # compose: an outer jet in a space of its own, inner jets in sp
+        outer_sp = JetSpace(3, sp.degree)
+        outer = _random_jet(outer_sp, rng)
+        inners = [_random_jet(sp, rng, fill, value=i + 1) for i in range(3)]
+        _assert_close(outer.compose(inners), _oracle_compose(outer, inners))
+
+
+@pytest.mark.parametrize("sp", SPACES, ids=lambda sp: f"{sp.nvars},{sp.degree}")
+def test_jet_engine_is_correctly_rounded(ctx, sp):
+    # the dict oracle at a precision where it makes no rounding at all,
+    # rounded once to the working precision, is the new engine's result
+    rng = random.Random(sp.nvars * 7 + sp.degree)
+    fill = 0.3 if sp.nvars == 6 else 1.0
+
+    def exactly(fn, *args):
+        with mp.workprec(8000):
+            out = fn(*args)
+        return Jet(out.space, {e: +c for e, c in out.terms.items()})
+
+    with ctx.working():
+        a = _random_jet(sp, rng, fill)
+        b = _random_jet(sp, rng, fill)
+        series = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / factorial(n)
+                  for n in range(sp.degree + 1)]
+        assert a * b == exactly(_oracle_mul, a, b)
+        assert compose_univariate(series, a) == exactly(_oracle_compose_univariate, series, a)
+        outer = _random_jet(JetSpace(2, sp.degree), rng)
+        inners = [_random_jet(sp, rng, fill, value=3), _random_jet(sp, rng, fill, value=-1)]
+        assert outer.compose(inners) == exactly(_oracle_compose, outer, inners)
+
+
+@pytest.mark.parametrize("sp", SPACES, ids=lambda sp: f"{sp.nvars},{sp.degree}")
+def test_jet_engine_dyadic_sums_are_exact(ctx, sp):
+    rng = random.Random(sp.nvars + sp.degree)
+    with ctx.working():
+        a = _random_jet(sp, rng, dyadic=True)
+        b = _random_jet(sp, rng, dyadic=True)
+        assert a * b == _oracle_mul(a, b)
+        assert a * b == b * a
+        series = [mp.mpf(rng.randint(-8, 8)) / 4 for _ in range(sp.degree + 1)]
+        assert compose_univariate(series, a) == _oracle_compose_univariate(series, a)
+        outer = _random_jet(JetSpace(2, sp.degree), rng, dyadic=True)
+        inners = [_random_jet(sp, rng, 0.5, dyadic=True), _random_jet(sp, rng, 0.5, dyadic=True)]
+        assert outer.compose(inners) == _oracle_compose(outer, inners)
+    # the order of the terms does not matter either
+    with ctx.working():
+        a = _random_jet(sp, rng)
+        b = _random_jet(sp, rng)
+        shuffled = list(b.terms.items())
+        rng.shuffle(shuffled)
+        assert a * b == b * a == a * Jet(sp, dict(shuffled))
+
+
+def test_non_finite_jet_coefficients_raise(ctx):
+    with ctx.working():
+        sp = JetSpace(2, 3)
+        x = Jet.variable(sp, 0, mp.mpf("0.5"))
+        for bad in (mp.inf, -mp.inf, mp.nan, mp.mpc(1, mp.inf), mp.mpc(mp.nan, 0)):
+            j = x + Jet(sp, {(1, 1): mp.mpc(bad)})
+            with pytest.raises(DomainError):
+                x * j
+            with pytest.raises(DomainError):
+                j * x
+            with pytest.raises(DomainError):
+                j.exp()
+            with pytest.raises(DomainError):
+                compose_univariate([1, 1], j)
+            with pytest.raises(DomainError):
+                x.compose([j, x])
+            with pytest.raises(DomainError):
+                j.compose([x, x])
+            with pytest.raises(DomainError):
+                x * bad
+        with pytest.raises(DomainError):
+            Jet.const(sp, mp.inf).reciprocal()
+        # an exponent outside the space is a domain error too, not a KeyError
+        with pytest.raises(DomainError):
+            x * Jet(sp, {(4, 0): mp.mpc(1)})
 
 
 def test_whittaker_closed_forms(ctx):
