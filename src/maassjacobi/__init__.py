@@ -4,7 +4,7 @@ covariant differential-operator calculus on H x C^N, the special functions
 behind Fourier-coefficient profiles, and the arithmetic series (theta,
 Kloosterman, Poincare) with their weight duality."""
 
-from .precision import PrecisionContext, DEFAULT_CONTEXT
+from .precision import PrecisionContext
 from .gaussian import GaussianRational
 from .errors import (
     MaassJacobiError,

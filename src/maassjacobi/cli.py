@@ -57,6 +57,7 @@ from .opcalc import (
 )
 from .precision import PrecisionContext, mpf_str
 from .series import (
+    annihilation_roots,
     casimir_eigenvalue,
     duality_report,
     full_coeff_c,
@@ -270,9 +271,7 @@ def suite_eigen(L, ctx, samples):
                  for _ in range(N)]
             pts.append((tau, z))
     for k in ks:
-        roots = [Fraction(k, 2) - Fraction(N, 4), 1 + Fraction(N, 4) - Fraction(k, 2)]
-        svals = roots + [Fraction(5, 2)]
-        for s in svals:
+        for s in annihilation_roots(k, N) + [Fraction(5, 2)]:
             for (n, r) in [(1, [0] * N), (-1, [1] + [0] * (N - 1))]:
                 if discriminant(L, n, r) == 0:
                     continue
@@ -449,14 +448,15 @@ def cmd_theta(args, config) -> int:
     bound = Fraction(_merge(args, config, "bound", 2, str))
     mu = _merge(args, config, "mu", None, str)
     kmode = _merge(args, config, "k", None, str)
+    r = _merge(args, config, "r", None, str)
+    variant = bool(getattr(args, "zeta_variant", False))
     key = {"L": L.to_json_obj(), "bound": str(bound), "mu": mu, "k": kmode,
-           "r": getattr(args, "r", None), "variant": bool(getattr(args, "zeta_variant", False))}
+           "r": r, "variant": variant}
 
     def compute():
         if kmode is not None:
-            r = parse_vector(_merge(args, config, "r", ",".join(["0"] * L.N), str))
-            exp = theta_klr(int(kmode), L, r, bound,
-                            zeta_variant=bool(getattr(args, "zeta_variant", False)))
+            rv = parse_vector(r if r is not None else ",".join(["0"] * L.N))
+            exp = theta_klr(int(kmode), L, rv, bound, zeta_variant=variant)
         else:
             muv = parse_vector(mu if mu is not None else ",".join(["0"] * L.N))
             exp = theta_lmu(L, muv, bound)
@@ -568,8 +568,7 @@ def cmd_eigen(args, config) -> int:
     emit(args, {
         "operation": "eigen", "N": N, "k": str(k), "s": str(s),
         "eigenvalue": str(val),
-        "annihilation_roots": [str(Fraction(k, 2) - Fraction(N, 4)),
-                               str(1 + Fraction(N, 4) - Fraction(k, 2))],
+        "annihilation_roots": [str(x) for x in annihilation_roots(k, N)],
     })
     return EXIT_OK
 

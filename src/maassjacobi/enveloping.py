@@ -561,18 +561,16 @@ def nu(alg: JacobiLieAlgebra, gen: str) -> LocalizedPBW:
     return LocalizedPBW(PBWElement.gen(alg, gen), 0) - eta(alg, gen)
 
 
-def nu_casimir_identity(N: int, constant_override=None):
+def nu_casimir_identity(N: int):
     """Compare nu(Omega_sl2) with det(Z)^{-1} Omega_N + N(N+4)/4.
 
-    Returns (lhs, rhs, equal).  ``constant_override`` replaces the additive
-    constant, for sanity inversions in tests.
+    Returns (lhs, rhs, equal).
     """
     alg = JacobiLieAlgebra(N)
     nH, nE, nF = nu(alg, "H"), nu(alg, "E"), nu(alg, "F")
     lhs = nH * nH - nH * 2 + nE * nF * 4
-    const = Fraction(N * (N + 4), 4) if constant_override is None else constant_override
     rhs = LocalizedPBW(build_casimir(N), 1) + LocalizedPBW(
-        PBWElement.const(alg, const), 0
+        PBWElement.const(alg, Fraction(N * (N + 4), 4)), 0
     )
     return lhs, rhs, lhs == rhs
 

@@ -66,12 +66,10 @@ def _profile_jet(tag: str, params: dict, reals: dict, N: int, order: int,
         if tag == "H":
             derivs = h_profile_jet(Fraction(params["k"]), int(params["N"]),
                                    arg.value.real, order, ctx)
-        elif tag == "W":
-            derivs = whittaker_W_jet(Fraction(params["s"]), Fraction(params["kappa"]),
-                                     arg.value.real, order, ctx)
         else:
-            derivs = whittaker_M_jet(Fraction(params["s"]), Fraction(params["kappa"]),
-                                     arg.value.real, order, ctx)
+            whittaker = whittaker_W_jet if tag == "W" else whittaker_M_jet
+            derivs = whittaker(Fraction(params["s"]), Fraction(params["kappa"]),
+                               arg.value.real, order, ctx)
         taylor = [d / factorial(j) for j, d in enumerate(derivs)]
         out = compose_univariate(taylor, arg)
         c2 = Fraction(params.get("eexp", 0))
@@ -149,8 +147,7 @@ class FourierExpansion:
     def sorted_items(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0].n, kv[0].r))
 
-    def evaluate(self, tau, z, ctx: PrecisionContext = None):
-        ctx = ctx or PrecisionContext()
+    def evaluate(self, tau, z, ctx: PrecisionContext):
         N = self.lattice.N
         with ctx.working():
             space = JetSpace.for_rank(N, 0)
@@ -160,8 +157,7 @@ class FourierExpansion:
                 acc += term_jet(index, tag, params, coeff, N, coords, ctx, order=0).value
             return acc
 
-    def jet(self, tau, z, degree: int = 5, ctx: PrecisionContext = None) -> Jet:
-        ctx = ctx or PrecisionContext()
+    def jet(self, tau, z, degree: int, ctx: PrecisionContext) -> Jet:
         N = self.lattice.N
         space = JetSpace.for_rank(N, degree)
         coords = coordinate_jets(space, tau, z)
@@ -491,30 +487,27 @@ def _worst_residual(f: FourierExpansion, op, points, ctx, k_value=None, lam=None
     return worst
 
 
-def casimir_residual(f: FourierExpansion, k, points, ctx: PrecisionContext = None,
+def casimir_residual(f: FourierExpansion, k, points, ctx: PrecisionContext,
                      eigenvalue=0):
     """max_p |C^{k,L} f - lambda f| / |f| over sample points, via jets."""
-    ctx = ctx or PrecisionContext()
     op = build_casimir_op(f.lattice)
     with ctx.working():
         return _worst_residual(f, op, points, ctx, to_mpc(Fraction(k)),
                                to_mpc(eigenvalue))
 
 
-def heat_residual(f: FourierExpansion, points, ctx: PrecisionContext = None):
+def heat_residual(f: FourierExpansion, points, ctx: PrecisionContext):
     """max_p |heat f| / |f| over sample points."""
-    ctx = ctx or PrecisionContext()
     op = build_heat(f.lattice)
     with ctx.working():
         return _worst_residual(f, op, points, ctx)
 
 
 def eigenfunction_ratio_residual(f: FourierExpansion, k, probe_point, points,
-                                 ctx: PrecisionContext = None):
+                                 ctx: PrecisionContext):
     """Fit the eigenvalue at probe_point, then report the worst residual of
     C f = lambda f at the other points (the paper states eigenfunction-ness
     without the eigenvalue)."""
-    ctx = ctx or PrecisionContext()
     op = build_casimir_op(f.lattice)
     with ctx.working():
         kv = to_mpc(Fraction(k))
@@ -555,13 +548,12 @@ def specialize_torsion(f, lam, mu):
 
 
 def specialization_chain_rule_residual(f: FourierExpansion, lam, mu, tau0,
-                                       ctx: PrecisionContext = None, h=None):
+                                       ctx: PrecisionContext, h=None):
     """d/dtaubar of the specialized function vs (d_taubar + sum lam_i
     d_zbar_i) f at the specialized point, via jets of f and a finite
     difference in taubar of the specialization."""
     from .jets import finite_difference
 
-    ctx = ctx or PrecisionContext()
     L = f.lattice
     N = L.N
     lam = [Fraction(x) for x in lam]

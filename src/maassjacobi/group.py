@@ -104,9 +104,8 @@ def _half(exact: bool):
     return GaussianRational(Fraction(1, 2)) if exact else mp.mpf("0.5")
 
 
-def jacobi_identity_element(N: int, exact: bool = True) -> GroupElement:
-    one = GaussianRational(1) if exact else mp.mpf(1)
-    zero = GaussianRational(0) if exact else mp.mpf(0)
+def jacobi_identity_element(N: int) -> GroupElement:
+    one, zero = GaussianRational(1), GaussianRational(0)
     return GroupElement(
         linalg.identity(2, one, zero), linalg.zeros(N, 2, zero), linalg.zeros(N, N, zero)
     )
@@ -326,9 +325,8 @@ def cocycle_a(g: GroupElement, p: Point):
     return tuple(rows)
 
 
-def cocycle_alpha(L, g: GroupElement, p: Point, ctx: PrecisionContext = None):
+def cocycle_alpha(L, g: GroupElement, p: Point, ctx: PrecisionContext):
     """alpha_L = exp(2 pi i tr(L a(g, p))), evaluated numerically."""
-    ctx = ctx or PrecisionContext()
     a = cocycle_a(g, p)
     with ctx.working():
         Lm = tuple(tuple(to_mpc(x) for x in r) for r in linalg.mat(L))
@@ -346,7 +344,7 @@ def weight_gap(k, kprime) -> int:
 
 
 def automorphy_factor(k, kprime, L, g: GroupElement, p: Point,
-                      ctx: PrecisionContext = None):
+                      ctx: PrecisionContext):
     """beta^(k-k') |beta|^(2k') alpha_L(g, p), the factor the slash action
     puts in front of f(g p).
 
@@ -363,14 +361,13 @@ def automorphy_factor(k, kprime, L, g: GroupElement, p: Point,
     return w
 
 
-def slash(f, k, kprime, L, g: GroupElement, ctx: PrecisionContext = None):
+def slash(f, k, kprime, L, g: GroupElement, ctx: PrecisionContext):
     """Right slash action on function handles.
 
     Returns p -> beta^(k-k') |beta|^(2k') alpha_L(g,p) f(g p).  Requires
     k - k' to be an integer; the split keeps the power single-valued for
     arbitrary rational weights.
     """
-    ctx = ctx or PrecisionContext()
     weight_gap(k, kprime)
 
     def slashed(p: Point):
@@ -425,13 +422,12 @@ def _exp_series_2x2(M, ctx: PrecisionContext):
     return exp_acc, g_acc, h_acc
 
 
-def jacobi_exp(Y: AlgebraElement, ctx: PrecisionContext = None) -> GroupElement:
+def jacobi_exp(Y: AlgebraElement, ctx: PrecisionContext) -> GroupElement:
     """exp(M, X, kappa) = (e^M, X g(M), kappa - X h(M) J2 X^T).
 
     Inputs with ||M|| beyond the series bound are halved recursively and
     recombined with the group law (exact squaring in the group).
     """
-    ctx = ctx or PrecisionContext()
     with ctx.working():
         M = tuple(tuple(to_mpc(x) for x in r) for r in Y.M)
         X = tuple(tuple(to_mpc(x) for x in r) for r in Y.X)
@@ -452,13 +448,12 @@ def jacobi_exp(Y: AlgebraElement, ctx: PrecisionContext = None) -> GroupElement:
         return GroupElement(eM, Xg, linalg.sub(kappa, corr), check=False)
 
 
-def expm(A, ctx: PrecisionContext = None):
+def expm(A, ctx: PrecisionContext):
     """Scaling-and-squaring exponential of a general square matrix.
 
     Kept independent of jacobi_exp on purpose: it is the oracle the
     exponential map is tested against.
     """
-    ctx = ctx or PrecisionContext()
     with ctx.working():
         n = len(A)
         A = tuple(tuple(to_mpc(x) for x in r) for r in A)

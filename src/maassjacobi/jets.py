@@ -240,6 +240,7 @@ class Jet(SparseTerms):
     @staticmethod
     def const(space: JetSpace, value) -> "Jet":
         value = mp.mpc(value)
+        _parts(value)
         if value == 0:
             return Jet(space, {})
         return Jet(space, {space._zero: value})
@@ -247,6 +248,7 @@ class Jet(SparseTerms):
     @staticmethod
     def variable(space: JetSpace, i: int, base) -> "Jet":
         c = {space._zero: mp.mpc(base)}
+        _parts(c[space._zero])
         if space.degree >= 1:
             e = [0] * space.nvars
             e[i] = 1

@@ -593,9 +593,8 @@ def d_minus_direct(L: GramLattice) -> DiffOp:
     return DiffOp(R, terms, shift=-2)
 
 
-def xi_apply(k, L: GramLattice, jet: Jet, tau, z, ctx: PrecisionContext = None):
+def xi_apply(k, L: GramLattice, jet: Jet, tau, z, ctx: PrecisionContext):
     """y^{k - 5/2} D_- f at a point; the non-polynomial power is numeric only."""
-    ctx = ctx or PrecisionContext()
     with ctx.working():
         dm = build_D_minus(L)
         vals = base_values(tau, z)
@@ -876,7 +875,7 @@ def random_point(N: int, rng):
 
 
 def covariance_check(T: DiffOp, k, L: GramLattice, k2, L2: GramLattice,
-                     samples: int, ctx: PrecisionContext = None, *,
+                     samples: int, ctx: PrecisionContext, *,
                      kbar=0, kbar2=0):
     """Max modulus of T(f|_{k,L}[g]) - (Tf)|_{k2,L2}[g] over random samples.
 
@@ -885,7 +884,6 @@ def covariance_check(T: DiffOp, k, L: GramLattice, k2, L2: GramLattice,
     """
     import random
 
-    ctx = ctx or PrecisionContext()
     rng = random.Random(77001)
     N = L.N
     seed = GaussianSeed(N)
@@ -909,7 +907,7 @@ def covariance_check(T: DiffOp, k, L: GramLattice, k2, L2: GramLattice,
 # -- joint kernel of the raising operators ------------------------------------------------
 
 
-def kernel_seed(k, L: GramLattice, l, h, ctx: PrecisionContext = None):
+def kernel_seed(k, L: GramLattice, l, h, ctx: PrecisionContext):
     """The function y^{-k} e(l taubar + h zbar + c L[v]/y) and its
     annihilation report under X+ and the Y+_i.
 
@@ -919,7 +917,6 @@ def kernel_seed(k, L: GramLattice, l, h, ctx: PrecisionContext = None):
     """
     import random
 
-    ctx = ctx or PrecisionContext()
     N = L.N
     k = Fraction(k)
     l = Fraction(l)

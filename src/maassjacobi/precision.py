@@ -50,9 +50,6 @@ class PrecisionContext:
         )
 
 
-DEFAULT_CONTEXT = PrecisionContext()
-
-
 def to_mpf(x):
     """Exact rational (or int/float/mpf) to mpf at current working precision."""
     if isinstance(x, Fraction):

@@ -40,7 +40,7 @@ def _roots_of_unity(c: int, prec: int):
 
 
 def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
-                ctx: PrecisionContext = None):
+                ctx: PrecisionContext):
     """The higher Kloosterman sum K_{c,L}(n, r, n', r').
 
     Prefactor e(-r^T L^{-1} r' / 2c) times the sum over units d mod c and
@@ -52,7 +52,6 @@ def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
     exactly, in order of first appearance, and only then weighted by the
     cached table of c-th roots of unity at the working precision.
     """
-    ctx = ctx or PrecisionContext()
     if c < 1:
         raise DomainError("c must be a positive integer")
     n = int(n)
@@ -110,8 +109,26 @@ def casimir_eigenvalue(k, N: int, s) -> Fraction:
     )
 
 
-def _i_power(k: int):
-    return (GaussianRational(0, 1) ** int(k)).to_mpc(mp)
+def annihilation_roots(k, N: int) -> list:
+    """The two s at which casimir_eigenvalue(k, N, s) vanishes, exactly:
+    k/2 - N/4 and 1 + N/4 - k/2."""
+    k = Fraction(k)
+    return [k / 2 - Fraction(N, 4), 1 + Fraction(N, 4) - k / 2]
+
+
+def _empty_c_sum(c_max: int) -> bool:
+    """True when c_max = 0 leaves a c-sum without terms; DomainError when
+    c_max < 0."""
+    if c_max < 0:
+        raise DomainError("c_max must be nonnegative")
+    return c_max == 0
+
+
+def _prefactor(L: GramLattice, p: int):
+    """2^{1-N/2} pi i^p / sqrt|L|, the leading factor of the Maass (p = -k)
+    and skew (p = 1 - k) Poincare coefficients."""
+    return (mp.power(2, 1 - mp.mpf(L.N) / 2) * mp.pi
+            * (GaussianRational(0, 1) ** p).to_mpc(mp) / mp.sqrt(to_mpf(L.det)))
 
 
 def _pow_ratio(num, den, expo: Fraction):
@@ -121,7 +138,7 @@ def _pow_ratio(num, den, expo: Fraction):
 
 
 def poincare_coeff_b(y, s, k, L: GramLattice, n, r, nprime, rprime,
-                     c_max: int, ctx: PrecisionContext = None):
+                     c_max: int, ctx: PrecisionContext):
     """One unsymmetrized Fourier coefficient of the Maass Poincare series.
 
     Returns (value, tail_ratio): the displayed product of the Gamma ratio,
@@ -139,7 +156,6 @@ def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprimes, c_max: int,
     (as r' and -r' do): one prefactor and profile, and one c-sum pass.
     Without the profile (``include_profile=False``) the values are the
     profile-stripped ones that the duality statements concern."""
-    ctx = ctx or PrecisionContext()
     k = int(k)
     s = Fraction(s)
     N = L.N
@@ -154,24 +170,16 @@ def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprimes, c_max: int,
             "D' = 0 coefficients are unsupported: the defining constant "
             "a_s(n', r') is not specified"
         )
-    if c_max < 0:
-        raise DomainError("c_max must be nonnegative")
 
     with ctx.working():
-        if c_max == 0:
+        if _empty_c_sum(c_max):
             return [(mp.mpc(0), mp.mpf(0)) for _ in rprimes]
         sgn = 1 if Dp > 0 else -1
         gam = mp.gamma(to_mpf(2 * s)) / mp.gamma(
             to_mpf(s - sgn * (Fraction(k, 2) - Fraction(N, 4)))
         )
-        pref = (
-            mp.power(2, 1 - mp.mpf(N) / 2)
-            * mp.pi
-            * _i_power(-k)
-            / mp.sqrt(to_mpf(L.det))
-            * gam
-            * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
-        )
+        pref = (_prefactor(L, -k) * gam
+                * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4)))
         if include_profile:
             yv = to_mpf(y)
             arg = mp.pi * to_mpf(Dp / L.det) * yv
@@ -184,7 +192,7 @@ def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprimes, c_max: int,
 
 
 def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
-                  c_lo: int, c_hi: int, ctx: PrecisionContext = None):
+                  c_lo: int, c_hi: int, ctx: PrecisionContext):
     """Partial sums over c in [c_lo, c_hi] of c^{-(N+2)/2} K_c Bessel(..),
     one for each r' of rprimes.
 
@@ -194,7 +202,6 @@ def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
     I otherwise; the skew-holomorphic coefficients use it at
     s = (2k - N)/4.
     """
-    ctx = ctx or PrecisionContext()
     s = Fraction(s)
     N = L.N
     D = discriminant(L, n, r)
@@ -217,9 +224,8 @@ def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
 
 
 def full_coeff_c(y, s, k, L: GramLattice, n, r, nprime, rprime, c_max: int,
-                 ctx: PrecisionContext = None):
+                 ctx: PrecisionContext):
     """b(n', r') + (-1)^k b(n', -r'), the symmetrized coefficient."""
-    ctx = ctx or PrecisionContext()
     (b1, t1), (b2, t2) = _coeff_b_sides(
         y, s, k, L, n, r, nprime, [rprime, [-x for x in rprime]], c_max, ctx,
         include_profile=True)
@@ -228,14 +234,13 @@ def full_coeff_c(y, s, k, L: GramLattice, n, r, nprime, rprime, c_max: int,
 
 
 def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
-                        ctx: PrecisionContext = None, *,
+                        ctx: PrecisionContext, *,
                         symmetrized: bool = True):
     """Fourier coefficient of the skew-holomorphic Poincare series.
 
     Requires k >= 3 and D, D' > 0; note the -r' inside the Kloosterman sum.
     The symmetrized value adds (-1)^k times the side at -r'.
     """
-    ctx = ctx or PrecisionContext()
     k = int(k)
     N = L.N
     if k < 3:
@@ -244,19 +249,11 @@ def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
     Dp = discriminant(L, nprime, rprime)
     if D <= 0 or Dp <= 0:
         raise DomainError("skew coefficients require D, D' > 0")
-    if c_max < 0:
-        raise DomainError("c_max must be nonnegative")
 
     with ctx.working():
-        if c_max == 0:
+        if _empty_c_sum(c_max):
             return mp.mpc(0)
-        pref = (
-            mp.power(2, 1 - mp.mpf(N) / 2)
-            * mp.pi
-            * _i_power(-k + 1)
-            / mp.sqrt(to_mpf(L.det))
-            * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
-        )
+        pref = _prefactor(L, 1 - k) * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
         # at s = (2k - N)/4 the c-sum's J_{2s-1} is J_{k-(N+2)/2}
         sides = [[-x for x in rprime]] + ([rprime] if symmetrized else [])
         sums = poincare_csum(Fraction(2 * k - N, 4), L, n, r, nprime, sides,
@@ -268,7 +265,7 @@ def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
 
 
 def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
-                   ctx: PrecisionContext = None):
+                   ctx: PrecisionContext):
     """Weight k vs N+2-k coefficient ratios over profile-stripped values.
 
     The primary table pairs the unsymmetrized coefficients b, whose ratio
@@ -281,7 +278,6 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
     so rounding noise is never reported as a ratio.  Ratios are reported,
     not asserted.
     """
-    ctx = ctx or PrecisionContext()
     N = L.N
     kd = N + 2 - int(k)
 

@@ -161,6 +161,22 @@ def test_theta_command_matches_library(cache_dir, capsys, tmp_path):
     assert data["expansion"] == expect
 
 
+def test_theta_cache_key_reads_r_from_config(cache_dir, capsys, tmp_path):
+    # two config files that differ only in r must not share a cache entry
+    outs = {}
+    for r in ("1", "3"):
+        cfg = tmp_path / f"r{r}.cfg"
+        cfg.write_text(f"r = {r}\n")
+        argv = ("--config", str(cfg), "theta", "--L", "1", "--k", "2", "--bound", "2")
+        code, outs[r] = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--no-cache") == (0, outs[r])
+        flag = json.loads(run(capsys, "theta", "--L", "1", "--k", "2", "--bound", "2",
+                              "--r", r)[1])
+        assert json.loads(outs[r])["expansion"] == flag["expansion"]
+    assert outs["1"] != outs["3"]
+
+
 def test_poincare_dprime_zero_is_structured_error(cache_dir, capsys):
     # the D' = 0 row carries a structured error object, the rest compute
     code, out = run(capsys, "poincare", "--k", "2", "--L", "1", "--s", "5/2",

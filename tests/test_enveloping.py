@@ -212,9 +212,9 @@ def test_nu_casimir_identity():
     for N in (1, 2):
         _, _, eq = nu_casimir_identity(N)
         assert eq
-    # sanity inversion: dropping the constant breaks it
-    _, _, eq = nu_casimir_identity(1, constant_override=0)
-    assert not eq
+    # sanity inversion: dropping the constant N(N+4)/4 breaks it
+    lhs, rhs, _ = nu_casimir_identity(1)
+    assert lhs != rhs - Fraction(5, 4)
 
 
 def test_classical_invariants_and_relations():

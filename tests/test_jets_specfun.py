@@ -252,8 +252,15 @@ def test_non_finite_jet_coefficients_raise(ctx):
                 j.compose([x, x])
             with pytest.raises(DomainError):
                 x * bad
+            # the constructors check too, so a scalar sum cannot smuggle one in
+            with pytest.raises(DomainError):
+                x + bad
+            with pytest.raises(DomainError):
+                Jet.const(sp, bad)
+            with pytest.raises(DomainError):
+                Jet.variable(sp, 1, bad)
         with pytest.raises(DomainError):
-            Jet.const(sp, mp.inf).reciprocal()
+            Jet(sp, {(0, 0): mp.mpc(mp.inf)}).reciprocal()
         # an exponent outside the space is a domain error too, not a KeyError
         with pytest.raises(DomainError):
             x * Jet(sp, {(4, 0): mp.mpc(1)})

@@ -224,7 +224,7 @@ def test_skew_poincare(ctx):
     # sum_c c^{-(N+2)/2} K_c(n, r, n', -r') J_{k-(N+2)/2}(x/c), evaluated
     # in the same operation order, so the match is exact
     from maassjacobi.precision import to_mpf
-    from maassjacobi.series import _i_power, _pow_ratio
+    from maassjacobi.series import _pow_ratio
     from maassjacobi.specfun import bessel_J
 
     for entries, k, n, r, np_, rp, c_max in [
@@ -235,7 +235,8 @@ def test_skew_poincare(ctx):
         D, Dp = discriminant(L, n, r), discriminant(L, np_, rp)
         assert D > 0 and Dp > 0
         with ctx.working():
-            pref = (mp.power(2, 1 - mp.mpf(N) / 2) * mp.pi * _i_power(-k + 1)
+            i_power = mp.mpc([1, 1j, -1, -1j][(1 - k) % 4])
+            pref = (mp.power(2, 1 - mp.mpf(N) / 2) * mp.pi * i_power
                     / mp.sqrt(to_mpf(L.det))
                     * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4)))
             order = Fraction(k) - Fraction(N + 2, 2)
