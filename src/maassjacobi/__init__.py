@@ -13,7 +13,6 @@ from .errors import (
     PoleError,
     PrecisionError,
     DivisibilityError,
-    SingularIndexError,
     NotSemiHolomorphicError,
     DegreeError,
     UsageError,

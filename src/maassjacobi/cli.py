@@ -263,6 +263,7 @@ def suite_eigen(L, ctx, samples):
     rng = random.Random(99)
     checks = []
     ks = [0, 2, 3]
+    casimir = build_casimir_op(L)
     with ctx.working():
         pts = []
         for _ in range(3):
@@ -277,7 +278,7 @@ def suite_eigen(L, ctx, samples):
                     continue
                 f = phi_seed(k, L, s, n, r)
                 ev = casimir_eigenvalue(k, N, s)
-                res = casimir_residual(f, k, pts, ctx, eigenvalue=ev)
+                res = casimir_residual(f, casimir, k, pts, ctx, eigenvalue=ev)
                 checks.append(_check(
                     f"seed eigen k={k} s={s} (n,r)=({n},{r})",
                     res < mp.mpf("1e-10"), detail=mpf_str(res)))

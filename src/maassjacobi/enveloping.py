@@ -375,16 +375,20 @@ def _f_vec(alg):
     return tuple(PBWElement.gen(alg, alg.f(i + 1)) for i in range(alg.N))
 
 
-def bilinear_adj(alg, left: str, right: str) -> PBWElement:
-    """det(Z) * (left^T Z^{-1} right) via the adjugate, in written order."""
-    vecs = {"e": _e_vec(alg), "f": _f_vec(alg)}
-    u, v = vecs[left], vecs[right]
+def _adj_form(alg, u, v) -> PBWElement:
+    """sum_ij u_i adj(Z)_ij v_j, each product in written order."""
     adj = adj_z(alg)
     acc = PBWElement.zero(alg)
     for i in range(alg.N):
         for j in range(alg.N):
             acc = acc + u[i] * adj[i][j] * v[j]
     return acc
+
+
+def bilinear_adj(alg, left: str, right: str) -> PBWElement:
+    """det(Z) * (left^T Z^{-1} right) via the adjugate, in written order."""
+    vecs = {"e": _e_vec(alg), "f": _f_vec(alg)}
+    return _adj_form(alg, vecs[left], vecs[right])
 
 
 def adjugate_substitute(alg: JacobiLieAlgebra, template: str) -> PBWElement:
@@ -460,13 +464,8 @@ def build_casimir(N: int) -> PBWElement:
     half_n3 = GaussianRational(Fraction(N + 3, 2))
     mid = -(H * eZf - eZf.scale(half_n3)) + E * fZf - eZe * F
 
-    quart = PBWElement.zero(alg)
-    adj = adj_z(alg)
-    e_v, f_v = _e_vec(alg), _f_vec(alg)
-    for i in range(alg.N):
-        for j in range(alg.N):
-            quart = quart + e_v[i] * eZf * adj[i][j] * f_v[j]
-    quart = quart - eZe * fZf
+    # sum_ij e_i eZf adj(Z)_ij f_j - eZe fZf
+    quart = _adj_form(alg, [e * eZf for e in _e_vec(alg)], _f_vec(alg)) - eZe * fZf
     quart = divide_by_det(quart)
 
     quarter = GaussianRational(Fraction(1, 4))
@@ -498,12 +497,16 @@ class LocalizedPBW:
             return LocalizedPBW(other, 0)
         return LocalizedPBW(PBWElement.const(self.alg, other), 0)
 
-    def __add__(self, other):
+    def _common(self, other):
+        """Both numerators over det(Z)^p, p the larger power, and p."""
         other = self._lift(other)
         p = max(self.detpow, other.detpow)
         d = det_z(self.alg)
-        a = self.numerator * d ** (p - self.detpow)
-        b = other.numerator * d ** (p - other.detpow)
+        return (self.numerator * d ** (p - self.detpow),
+                other.numerator * d ** (p - other.detpow), p)
+
+    def __add__(self, other):
+        a, b, p = self._common(other)
         return LocalizedPBW(a + b, p)
 
     __radd__ = __add__
@@ -528,11 +531,7 @@ class LocalizedPBW:
         return self * other - other * self
 
     def __eq__(self, other):
-        other = self._lift(other)
-        d = det_z(self.alg)
-        p = max(self.detpow, other.detpow)
-        a = self.numerator * d ** (p - self.detpow)
-        b = other.numerator * d ** (p - other.detpow)
+        a, b, _ = self._common(other)
         return a == b
 
     def is_zero(self):

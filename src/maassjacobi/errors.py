@@ -25,10 +25,6 @@ class DivisibilityError(MaassJacobiError):
     """An exact polynomial division that a theorem guarantees has failed."""
 
 
-class SingularIndexError(MaassJacobiError):
-    """The index (Gram) matrix of a construction is singular."""
-
-
 class NotSemiHolomorphicError(MaassJacobiError):
     """An expansion does not satisfy the (D, r mod L) dependence required
     by the theta decomposition."""

@@ -347,6 +347,16 @@ def residue_classes(L: GramLattice):
     return seen
 
 
+def _component_key(L: GramLattice, index: FourierIndex):
+    """(r mod L Z^N, D/(4|L|)): the component and exponent of a term."""
+    D = discriminant(L, index.n, index.r)
+    return residue_reduce(L, index.r), D / (4 * L.det)
+
+
+def _conjugate(c):
+    return c.conjugate() if isinstance(c, GaussianRational) else mp.conj(c)
+
+
 def theta_decompose_semi(f: FourierExpansion, conjugate: bool = False) -> dict:
     """Components h_mu with exponents D/(4|L|).
 
@@ -357,17 +367,13 @@ def theta_decompose_semi(f: FourierExpansion, conjugate: bool = False) -> dict:
     L = f.lattice
     out = {}
     for index, (tag, params, coeff) in f.terms.items():
-        mu = residue_reduce(L, index.r)
-        D = discriminant(L, index.n, index.r)
-        expo = D / (4 * L.det)
-        c = coeff
-        if conjugate:
-            c = c.conjugate() if isinstance(c, GaussianRational) else mp.conj(c)
+        mu, expo = _component_key(L, index)
+        c = _conjugate(coeff) if conjugate else coeff
         comp = out.setdefault(mu, {})
         if expo in comp:
             if comp[expo][0] != c:
                 raise NotSemiHolomorphicError(
-                    f"coefficients at (D={D}, mu={mu}) disagree: "
+                    f"coefficients at (D={expo * 4 * L.det}, mu={mu}) disagree: "
                     f"{comp[expo][0]} vs {c}"
                 )
             comp[expo] = (c, comp[expo][1] + [index])
@@ -386,13 +392,9 @@ def theta_reassemble(components: dict, f_support: FourierExpansion,
     L = f_support.lattice
     out = FourierExpansion(L)
     for index, (tag, params, _) in f_support.terms.items():
-        mu = residue_reduce(L, index.r)
-        D = discriminant(L, index.n, index.r)
-        expo = D / (4 * L.det)
+        mu, expo = _component_key(L, index)
         c = components[mu][expo][0]
-        if conjugate:
-            c = c.conjugate() if isinstance(c, GaussianRational) else mp.conj(c)
-        out.terms[index] = (tag, params, c)
+        out.terms[index] = (tag, params, _conjugate(c) if conjugate else c)
     return out
 
 
@@ -487,12 +489,12 @@ def _worst_residual(f: FourierExpansion, op, points, ctx, k_value=None, lam=None
     return worst
 
 
-def casimir_residual(f: FourierExpansion, k, points, ctx: PrecisionContext,
+def casimir_residual(f: FourierExpansion, casimir, k, points, ctx: PrecisionContext,
                      eigenvalue=0):
-    """max_p |C^{k,L} f - lambda f| / |f| over sample points, via jets."""
-    op = build_casimir_op(f.lattice)
+    """max_p |C^{k,L} f - lambda f| / |f| over sample points, via jets;
+    ``casimir`` is build_casimir_op(f.lattice), built once by the caller."""
     with ctx.working():
-        return _worst_residual(f, op, points, ctx, to_mpc(Fraction(k)),
+        return _worst_residual(f, casimir, points, ctx, to_mpc(Fraction(k)),
                                to_mpc(eigenvalue))
 
 

@@ -5,6 +5,10 @@ coefficients in a formal weight k, a formal pi, y and 1/y, and the real
 coordinates v_j (plus x, u_j, which only the Lie slash action needs).  All
 operator identities here are exact; numerics enter only through jets.
 
+Every operator is written from one derivative basis (``derivatives``) with
+the sums, ``scale`` and ``compose`` of DiffOp, the forms ``dot`` and
+``quad_form``, and ``calL_apply`` for calL w and calL[w].
+
 Weight-shift bookkeeping: an operator carries the shift of the slash weight
 it effects, and composition substitutes k -> k + shift(right factor) into
 the left factor, so that e.g. the raising product X+ X+ really means
@@ -15,13 +19,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from mpmath import mp
 
 from . import group, linalg
 from .enveloping import PBWElement
-from .errors import DegreeError, DomainError, SingularIndexError
-from .gaussian import GaussianRational
+from .errors import DegreeError, DomainError
+from .gaussian import I, GaussianRational
 from .group import J2, AlgebraElement, GroupElement, Point, automorphy_factor, weight_gap
 from .jets import Jet, JetSpace, coordinate_jets, real_coordinate_jets
 from .lattice import GramLattice
@@ -34,7 +39,11 @@ _MIHALF = GaussianRational(0, -_HALF)     # -i/2
 
 
 class OpRing:
-    """Coefficient ring and direction bookkeeping for fixed rank N."""
+    """Coefficient ring and direction bookkeeping for fixed rank N.
+
+    Directions are ordered d_tau, d_taubar, d_z_1..d_z_N, d_zbar_1..d_zbar_N;
+    the coordinates k, x, y and the vectors u, v are attributes.
+    """
 
     _instances = {}
 
@@ -51,6 +60,10 @@ class OpRing:
         names += [f"v{j}" for j in range(1, N + 1)]
         names += [f"u{j}" for j in range(1, N + 1)]
         self.ring = PolyRing(names, laurent=("pi", "y"))
+        var = self.ring.var
+        self.k, self.x, self.y = var("k"), var("x"), var("y")
+        self.u = tuple(var(f"u{j}") for j in range(1, N + 1))
+        self.v = tuple(var(f"v{j}") for j in range(1, N + 1))
         self.ndirs = 2 * N + 2
         self.zero_dexp = (0,) * self.ndirs
         # directional derivative rules on the coefficient ring
@@ -61,35 +74,6 @@ class OpRing:
             self.rules.append({f"v{j}": _MIHALF, f"u{j}": GaussianRational(_HALF)})
         for j in range(1, N + 1):                                         # d_zbar_j
             self.rules.append({f"v{j}": _IHALF, f"u{j}": GaussianRational(_HALF)})
-
-    # direction indices
-    def d_tau(self):
-        return 0
-
-    def d_taubar(self):
-        return 1
-
-    def d_z(self, j):
-        return 1 + j
-
-    def d_zbar(self, j):
-        return 1 + self.N + j
-
-    def k(self):
-        return self.ring.var("k")
-
-    def y(self, power=1):
-        return self.ring.var("y", power)
-
-    def v(self, j):
-        return self.ring.var(f"v{j}")
-
-    def dexp(self, *directions) -> tuple:
-        """The derivative monomial with one factor per listed direction."""
-        e = [0] * self.ndirs
-        for d in directions:
-            e[d] += 1
-        return tuple(e)
 
     def deriv_poly(self, poly: Poly, direction: int) -> Poly:
         out = self.ring.zero()
@@ -124,8 +108,8 @@ class DiffOp(SparseTerms):
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def zero(op_ring: OpRing, shift: int = 0) -> "DiffOp":
-        return DiffOp(op_ring, {}, shift)
+    def zero(op_ring: OpRing) -> "DiffOp":
+        return DiffOp(op_ring, {})
 
     @staticmethod
     def identity(op_ring: OpRing) -> "DiffOp":
@@ -135,17 +119,14 @@ class DiffOp(SparseTerms):
     def multiplication(op_ring: OpRing, poly: Poly, shift: int = 0) -> "DiffOp":
         return DiffOp(op_ring, {op_ring.zero_dexp: poly}, shift)
 
-    @staticmethod
-    def derivative(op_ring: OpRing, direction: int, coeff=None, shift: int = 0) -> "DiffOp":
-        return DiffOp(
-            op_ring,
-            {op_ring.dexp(direction): coeff if coeff is not None else op_ring.ring.one()},
-            shift,
-        )
+    def with_shift(self, shift: int) -> "DiffOp":
+        """The same terms, as an operator shifting the weight by ``shift``."""
+        return DiffOp(self.op_ring, self.terms, shift)
 
     # -- linear structure ----------------------------------------------------
 
     def scale(self, c) -> "DiffOp":
+        """c T, with c a constant or a polynomial standing left of T."""
         if isinstance(c, Poly):
             return DiffOp(
                 self.op_ring, {e: c * p for e, p in self.terms.items()}, self.shift
@@ -301,12 +282,36 @@ def base_values(tau, z) -> dict:
     return out
 
 
-# -- the index matrix in the coefficient ring ------------------------------------------------
+# -- the derivative basis and the forms built on it ------------------------------------------
 
 
-def _check_invertible(L: GramLattice):
-    if L.det == 0:
-        raise SingularIndexError("index matrix is singular")
+class Derivatives(NamedTuple):
+    """d_tau, d_taubar and the vectors d_z, d_zbar, each with coefficient 1."""
+
+    tau: DiffOp
+    taubar: DiffOp
+    z: tuple
+    zbar: tuple
+
+
+def derivatives(R: OpRing) -> Derivatives:
+    one = R.ring.one()
+    d = [DiffOp(R, {tuple(int(i == j) for i in range(R.ndirs)): one})
+         for j in range(R.ndirs)]
+    return Derivatives(d[0], d[1], tuple(d[2:2 + R.N]), tuple(d[2 + R.N:]))
+
+
+def dot(coeffs, ops) -> DiffOp:
+    """coeffs^T ops = sum_j c_j op_j, each c_j standing left of op_j."""
+    return sum((op.scale(c) for c, op in zip(coeffs, ops)), DiffOp.zero(ops[0].op_ring))
+
+
+def quad_form(M, left, right) -> DiffOp:
+    """left^T M right = sum_ab M_ab left_a right_b, each M_ab standing left
+    of its composed pair; M holds constants or polynomials."""
+    return sum((a.compose(b).scale(m)
+                for a, row in zip(left, M) for b, m in zip(right, row)),
+               DiffOp.zero(left[0].op_ring))
 
 
 def calL(R: OpRing, L: GramLattice):
@@ -320,198 +325,109 @@ def calL(R: OpRing, L: GramLattice):
 
 def calL_inv(R: OpRing, L: GramLattice):
     """(2 pi i L)^{-1} = -(i/2) L^{-1} / pi."""
-    _check_invertible(L)
     piinv = R.ring.var("pi", -1)
     return tuple(
-        tuple(
-            piinv.scale(GaussianRational(0, -Fraction(1, 2) * L.inv[i][j]))
-            for j in range(L.N)
-        )
+        tuple(piinv.scale(_MIHALF * L.inv[i][j]) for j in range(L.N))
         for i in range(L.N)
     )
+
+
+def calL_apply(R: OpRing, L: GramLattice, w):
+    """calL w and calL[w] = w^T calL w for a vector w of polynomials."""
+    zero = R.ring.zero()
+    lw = [sum((c * x for c, x in zip(row, w)), zero) for row in calL(R, L)]
+    return lw, sum((x * y for x, y in zip(w, lw)), zero)
 
 
 # -- raising and lowering operators ------------------------------------------------------------
 
 
 def build_raising_lowering(L: GramLattice) -> dict:
-    """X-, X+, and the vectors Y-, Y+ with their weight shifts."""
-    _check_invertible(L)
-    N = L.N
-    R = OpRing(N)
-    ring = R.ring
-    y = ring.var("y")
-    yinv = ring.var("y", -1)
-    k = ring.var("k")
+    """X-, X+, and the vectors Y-, Y+ with their weight shifts:
 
-    # X- = -2iy (y d_taubar + sum v_j d_zbar_j)
-    xm_terms = {R.dexp(R.d_taubar()): (y * y).scale(GaussianRational(0, -2))}
-    for j in range(1, N + 1):
-        xm_terms[R.dexp(R.d_zbar(j))] = (y * ring.var(f"v{j}")).scale(GaussianRational(0, -2))
-    X_minus = DiffOp(R, xm_terms, shift=-2)
+        X-   = -2iy (y d_taubar + v^T d_zbar)
+        X+   = 2i (d_tau + y^{-1} v^T d_z + y^{-2} calL[v]) + k / y
+        Y-_j = -iy d_zbar_j
+        Y+_j = i d_z_j + 2i y^{-1} (calL v)_j
+    """
+    R = OpRing(L.N)
+    d = derivatives(R)
+    k, y, v = R.k, R.y, R.v
+    yinv = R.ring.var("y", -1)
+    Lv, Lvv = calL_apply(R, L, v)
 
-    # X+ = 2i(d_tau + y^{-1} v^T d_z + y^{-2} calL[v]) + k / y
-    xp_terms = {R.dexp(R.d_tau()): ring.const(GaussianRational(0, 2))}
-    for j in range(1, N + 1):
-        xp_terms[R.dexp(R.d_z(j))] = (yinv * ring.var(f"v{j}")).scale(GaussianRational(0, 2))
-    lv = ring.zero()
-    cl = calL(R, L)
-    for a in range(N):
-        for b in range(N):
-            lv = lv + cl[a][b] * ring.var(f"v{a + 1}") * ring.var(f"v{b + 1}")
-    zero_e = R.zero_dexp
-    xp_terms[zero_e] = (
-        (yinv * yinv * lv).scale(GaussianRational(0, 2)) + k * yinv
-    )
-    X_plus = DiffOp(R, xp_terms, shift=2)
+    def mul(p):
+        return DiffOp.multiplication(R, p)
 
-    # Y-_j = -iy d_zbar_j ; Y+_j = i d_z_j + 2i y^{-1} (calL v)_j
-    Y_minus, Y_plus = [], []
-    for j in range(1, N + 1):
-        Y_minus.append(DiffOp(R, {R.dexp(R.d_zbar(j)): y.scale(GaussianRational(0, -1))},
-                              shift=-1))
-        clv = ring.zero()
-        for b in range(N):
-            clv = clv + cl[j - 1][b] * ring.var(f"v{b + 1}")
-        Y_plus.append(
-            DiffOp(
-                R,
-                {
-                    R.dexp(R.d_z(j)): ring.const(GaussianRational(0, 1)),
-                    R.zero_dexp: (yinv * clv).scale(GaussianRational(0, 2)),
-                },
-                shift=1,
-            )
-        )
-    return {"X+": X_plus, "X-": X_minus, "Y+": Y_plus, "Y-": Y_minus}
+    X_minus = (d.taubar.scale(y) + dot(v, d.zbar)).scale(y * -2 * I)
+    X_plus = ((d.tau + dot(v, d.z).scale(yinv) + mul(yinv * yinv * Lvv)).scale(2 * I)
+              + mul(k * yinv))
+    Y_minus = [dzb.scale(y * -I).with_shift(-1) for dzb in d.zbar]
+    Y_plus = [(dz.scale(I) + mul(yinv * lv).scale(2 * I)).with_shift(1)
+              for dz, lv in zip(d.z, Lv)]
+    return {"X+": X_plus.with_shift(2), "X-": X_minus.with_shift(-2),
+            "Y+": Y_plus, "Y-": Y_minus}
 
 
 def weighted_laplacian(R: OpRing, weight: Poly) -> DiffOp:
     """4 y^2 d_tau d_taubar - 2 i w y d_taubar at formal weight w."""
-    ring = R.ring
-    y = ring.var("y")
-    return DiffOp(R, {
-        R.dexp(R.d_tau(), R.d_taubar()): (y * y).scale(4),
-        R.dexp(R.d_taubar()): (weight * y).scale(GaussianRational(0, -2)),
-    })
+    d = derivatives(R)
+    return (d.tau.compose(d.taubar).scale(R.y * R.y * 4)
+            - d.taubar.scale(weight * R.y * 2 * I))
 
 
 def build_casimir_op(L: GramLattice) -> DiffOp:
-    """The Casimir operator in coordinates; order 3 at N=1 and 4 beyond."""
-    _check_invertible(L)
+    """The Casimir operator in coordinates; order 3 at N=1 and 4 beyond:
+
+        -2 Delta_{k-N/2} + 2 y^2 (d_taubar L^{-1}[d_z] + d_tau L^{-1}[d_zbar])
+        - 8 y d_tau v^T d_zbar
+        - 1/2 y^2 (L^{-1}[d_zbar] L^{-1}[d_z] - (d_zbar^T L^{-1} d_z)^2)
+        + 2 y (v^T d_zbar) d_z^T L^{-1} d_u
+        - 1/2 (2k - N + 1) i y d_zbar^T L^{-1} d_u
+        + 2 (v^T d_zbar)^2 + (2k - N - 1) i v^T d_zbar
+
+    with L^{-1} = calL^{-1} and d_u = d_z + d_zbar; every coefficient stands
+    left of all derivatives.
+    """
     N = L.N
     R = OpRing(N)
-    ring = R.ring
-    y = ring.var("y")
-    k = ring.var("k")
+    d = derivatives(R)
+    k, y, v = R.k, R.y, R.v
     linv = calL_inv(R, L)
-    half = Fraction(1, 2)
-    acc = {}
-
-    def add(e, poly):
-        cur = acc.get(e)
-        acc[e] = poly if cur is None else cur + poly
-
-    # -2 Delta_{k - N/2}
-    wl = weighted_laplacian(R, k - ring.const(Fraction(N, 2)))
-    for e, p in wl.terms.items():
-        add(e, p.scale(-2))
-
-    # + 2 y^2 (d_taubar L^{-1}[d_z] + d_tau L^{-1}[d_zbar])
-    y2 = (y * y).scale(2)
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            c = linv[a - 1][b - 1]
-            add(R.dexp(R.d_taubar(), R.d_z(a), R.d_z(b)), y2 * c)
-            add(R.dexp(R.d_tau(), R.d_zbar(a), R.d_zbar(b)), y2 * c)
-
-    # - 8 y d_tau v^T d_zbar
-    for j in range(1, N + 1):
-        add(R.dexp(R.d_tau(), R.d_zbar(j)), (y * ring.var(f"v{j}")).scale(-8))
-
-    # - 1/2 y^2 ( L^{-1}[d_zbar] L^{-1}[d_z] - (d_zbar^T L^{-1} d_z)^2 )
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            for c in range(1, N + 1):
-                for d in range(1, N + 1):
-                    coeff = linv[a - 1][b - 1] * linv[c - 1][d - 1]
-                    e1 = R.dexp(R.d_zbar(a), R.d_zbar(b), R.d_z(c), R.d_z(d))
-                    add(e1, (y * y * coeff).scale(-half))
-                    e2 = R.dexp(R.d_zbar(a), R.d_z(b), R.d_zbar(c), R.d_z(d))
-                    add(e2, (y * y * coeff).scale(half))
-
-    # + 2 y (v^T d_zbar) d_z^T L^{-1} d_u      (d_u = d_z + d_zbar)
-    for i in range(1, N + 1):
-        for a in range(1, N + 1):
-            for b in range(1, N + 1):
-                coeff = (y * ring.var(f"v{i}") * linv[a - 1][b - 1]).scale(2)
-                add(R.dexp(R.d_zbar(i), R.d_z(a), R.d_z(b)), coeff)
-                add(R.dexp(R.d_zbar(i), R.d_z(a), R.d_zbar(b)), coeff)
-
-    # - 1/2 (2k - N + 1) i y d_zbar^T L^{-1} d_u
-    w1 = (k.scale(2) - ring.const(N - 1)) * y
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            coeff = (w1 * linv[a - 1][b - 1]).scale(GaussianRational(0, -half))
-            add(R.dexp(R.d_zbar(a), R.d_z(b)), coeff)
-            add(R.dexp(R.d_zbar(a), R.d_zbar(b)), coeff)
-
-    # + 2 (v^T d_zbar)^2
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            add(
-                R.dexp(R.d_zbar(i), R.d_zbar(j)),
-                (ring.var(f"v{i}") * ring.var(f"v{j}")).scale(2),
-            )
-
-    # + (2k - N - 1) i v^T d_zbar
-    w2 = (k.scale(2) - ring.const(N + 1)).scale(GaussianRational(0, 1))
-    for j in range(1, N + 1):
-        add(R.dexp(R.d_zbar(j)), w2 * ring.var(f"v{j}"))
-
-    return DiffOp(R, acc)
-
-
-def quad_form(linv, left, right) -> DiffOp:
-    """left^T calL^{-1} right as a composed operator; ``linv`` is calL_inv."""
-    N = len(left)
-    acc = DiffOp.zero(left[0].op_ring, left[0].shift + right[0].shift)
-    for a in range(N):
-        for b in range(N):
-            acc = acc + left[a].compose(right[b]).scale(linv[a][b])
-    return acc
+    d_u = [dz + dzb for dz, dzb in zip(d.z, d.zbar)]
+    v_dzbar = dot(v, d.zbar)
+    Lz, Lzbar = quad_form(linv, d.z, d.z), quad_form(linv, d.zbar, d.zbar)
+    zbar_z = quad_form(linv, d.zbar, d.z)
+    return (
+        weighted_laplacian(R, k - Fraction(N, 2)).scale(-2)
+        + (d.taubar.compose(Lz) + d.tau.compose(Lzbar)).scale(y * y * 2)
+        - d.tau.compose(v_dzbar).scale(y * 8)
+        - (Lzbar.compose(Lz) - zbar_z.compose(zbar_z)).scale(y * y * _HALF)
+        + v_dzbar.compose(quad_form(linv, d.z, d_u)).scale(y * 2)
+        - quad_form(linv, d.zbar, d_u).scale((k * 2 - (N - 1)) * y * _IHALF)
+        + quad_form([[a * b for b in v] for a in v], d.zbar, d.zbar).scale(2)
+        + v_dzbar.scale((k * 2 - (N + 1)) * I)
+    )
 
 
 def build_casimir_RL(L: GramLattice) -> DiffOp:
-    """The Casimir operator assembled from raising/lowering compositions."""
-    _check_invertible(L)
+    """The Casimir operator assembled from raising/lowering compositions:
+
+        -2 X+ X- + i X+ L^{-1}[Y-] - i L^{-1}[Y+] X-
+        - 1/2 (L^{-1}[Y+] L^{-1}[Y-] - Y+^T (Y+^T L^{-1} Y-) L^{-1} Y-)
+        - 1/2 (2k - N - 3) i Y+^T L^{-1} Y-
+    """
     N = L.N
     R = OpRing(N)
-    ring = R.ring
     ops = build_raising_lowering(L)
     Xp, Xm, Yp, Ym = ops["X+"], ops["X-"], ops["Y+"], ops["Y-"]
     linv = calL_inv(R, L)
-    pp, mm = quad_form(linv, Yp, Yp), quad_form(linv, Ym, Ym)
-    pm = quad_form(linv, Yp, Ym)  # Y+^T L^{-1} Y-
-
-    c = Xp.compose(Xm).scale(-2)
-    c = c + Xp.compose(mm).scale(GaussianRational(0, 1))
-    c = c - pp.compose(Xm).scale(GaussianRational(0, 1))
-
-    # -1/2 ( L^{-1}[Y+] L^{-1}[Y-] - Y+^T (Y+^T L^{-1} Y-) L^{-1} Y- )
-    half = Fraction(1, 2)
-    c = c - pp.compose(mm).scale(half)
-    quart = DiffOp.zero(R)
-    for i_ in range(N):
-        for j_ in range(N):
-            quart = quart + Yp[i_].compose(pm.compose(Ym[j_])).scale(linv[i_][j_])
-    c = c + quart.scale(half)
-
-    # -1/2 (2k - N - 3) i Y+^T L^{-1} Y-
-    k = ring.var("k")
-    w = (k.scale(2) - ring.const(N + 3)).scale(GaussianRational(0, -half))
-    c = c + pm.scale(w)
-    return c
+    pp, mm, pm = quad_form(linv, Yp, Yp), quad_form(linv, Ym, Ym), quad_form(linv, Yp, Ym)
+    return (
+        Xp.compose(Xm).scale(-2) + Xp.compose(mm).scale(I) - pp.compose(Xm).scale(I)
+        - (pp.compose(mm) - quad_form(linv, Yp, [pm.compose(ym) for ym in Ym])).scale(_HALF)
+        - pm.scale((R.k * 2 - (N + 3)) * _IHALF)
+    )
 
 
 def semiholomorphic_casimir(L: GramLattice) -> DiffOp:
@@ -519,78 +435,45 @@ def semiholomorphic_casimir(L: GramLattice) -> DiffOp:
     semi-holomorphic functions."""
     N = L.N
     R = OpRing(N)
-    ring = R.ring
-    y = ring.var("y")
-    k = ring.var("k")
-    acc = {}
-    wl = weighted_laplacian(R, k - ring.const(Fraction(N, 2)))
-    for e, p in wl.terms.items():
-        acc[e] = p.scale(-2)
-    linv = calL_inv(R, L)
-    y2 = (y * y).scale(2)
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            key = R.dexp(R.d_taubar(), R.d_z(a), R.d_z(b))
-            add = y2 * linv[a - 1][b - 1]
-            acc[key] = acc.get(key, ring.zero()) + add
-    return DiffOp(R, acc)
+    d = derivatives(R)
+    Lz = quad_form(calL_inv(R, L), d.z, d.z)
+    return (weighted_laplacian(R, R.k - Fraction(N, 2)).scale(-2)
+            + d.taubar.compose(Lz).scale(R.y * R.y * 2))
 
 
 def build_laplace(L: GramLattice, C) -> DiffOp:
     """X+ X- + Y+^T C Y- for a positive definite symmetric C."""
-    N = L.N
     Cm = [[Fraction(x) for x in row] for row in C]
     minors = linalg.leading_principal_minors(linalg.mat(Cm))
     if any(m <= 0 for m in minors):
         raise DomainError("C must be positive definite")
     ops = build_raising_lowering(L)
-    acc = ops["X+"].compose(ops["X-"])
-    for a in range(N):
-        for b in range(N):
-            if Cm[a][b]:
-                acc = acc + ops["Y+"][a].compose(ops["Y-"][b]).scale(Cm[a][b])
-    return acc
+    return ops["X+"].compose(ops["X-"]) + quad_form(Cm, ops["Y+"], ops["Y-"])
 
 
 def build_heat(L: GramLattice) -> DiffOp:
     """2 d_tau - (1/2) L^{-1}[d_z]."""
-    _check_invertible(L)
-    N = L.N
-    R = OpRing(N)
-    terms = {R.dexp(R.d_tau()): R.ring.const(2)}
-    linv = calL_inv(R, L)
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            key = R.dexp(R.d_z(a), R.d_z(b))
-            terms[key] = terms.get(key, R.ring.zero()) - linv[a - 1][b - 1].scale(
-                Fraction(1, 2)
-            )
-    return DiffOp(R, terms, shift=2)
+    R = OpRing(L.N)
+    d = derivatives(R)
+    Lz = quad_form(calL_inv(R, L), d.z, d.z)
+    return (d.tau.scale(2) - Lz.scale(_HALF)).with_shift(2)
 
 
 def build_D_minus(L: GramLattice) -> DiffOp:
     """X- - (i/2) L^{-1}[Y-]; the xi-operator's polynomial part."""
     ops = build_raising_lowering(L)
     quad = quad_form(calL_inv(OpRing(L.N), L), ops["Y-"], ops["Y-"])
-    return ops["X-"] - quad.scale(GaussianRational(0, Fraction(1, 2)))
+    return ops["X-"] - quad.scale(_IHALF)
 
 
 def d_minus_direct(L: GramLattice) -> DiffOp:
     """-2iy( y d_taubar + v^T d_zbar - (1/4) y L^{-1}[d_zbar] ), as displayed."""
-    N = L.N
-    R = OpRing(N)
-    ring = R.ring
-    y = ring.var("y")
-    terms = {R.dexp(R.d_taubar()): (y * y).scale(GaussianRational(0, -2))}
-    for j in range(1, N + 1):
-        terms[R.dexp(R.d_zbar(j))] = (y * ring.var(f"v{j}")).scale(GaussianRational(0, -2))
-    linv = calL_inv(R, L)
-    for a in range(1, N + 1):
-        for b in range(1, N + 1):
-            key = R.dexp(R.d_zbar(a), R.d_zbar(b))
-            add = (y * y * linv[a - 1][b - 1]).scale(GaussianRational(0, _HALF))
-            terms[key] = terms.get(key, ring.zero()) + add
-    return DiffOp(R, terms, shift=-2)
+    R = OpRing(L.N)
+    d = derivatives(R)
+    y = R.y
+    Lzbar = quad_form(calL_inv(R, L), d.zbar, d.zbar)
+    inner = d.taubar.scale(y) + dot(R.v, d.zbar) - Lzbar.scale(y.scale(Fraction(1, 4)))
+    return inner.scale(y * -2 * I).with_shift(-2)
 
 
 def xi_apply(k, L: GramLattice, jet: Jet, tau, z, ctx: PrecisionContext):
@@ -604,18 +487,6 @@ def xi_apply(k, L: GramLattice, jet: Jet, tau, z, ctx: PrecisionContext):
 
 
 # -- the Lie slash action and the enveloping-algebra bridge ------------------------------
-
-
-def _tau_poly(R: OpRing, conj: bool) -> Poly:
-    x = R.ring.var("x")
-    y = R.ring.var("y")
-    return x + y.scale(GaussianRational(0, -1 if conj else 1))
-
-
-def _z_poly(R: OpRing, j: int, conj: bool) -> Poly:
-    u = R.ring.var(f"u{j}")
-    v = R.ring.var(f"v{j}")
-    return u + v.scale(GaussianRational(0, -1 if conj else 1))
 
 
 def build_lie_slash(Y, L: GramLattice) -> DiffOp:
@@ -639,52 +510,35 @@ def build_lie_slash(Y, L: GramLattice) -> DiffOp:
 
 
 def _lie_slash_gen(name: str, R: OpRing, L: GramLattice) -> DiffOp:
-    ring = R.ring
-    N = R.N
-    k = ring.var("k")
-    cl = calL(R, L)
-    tau, taubar = _tau_poly(R, False), _tau_poly(R, True)
+    d = derivatives(R)
+    k = R.k
+    tau, taubar = R.x + R.y.scale(I), R.x - R.y.scale(I)
+    z = [u + v.scale(I) for u, v in zip(R.u, R.v)]
+    zbar = [u - v.scale(I) for u, v in zip(R.u, R.v)]
 
-    def drv(direction, coeff) -> DiffOp:
-        return DiffOp.derivative(R, direction, coeff)
+    def mul(p):
+        return DiffOp.multiplication(R, p)
 
     if name == "E":
-        return drv(R.d_tau(), ring.one()) + drv(R.d_taubar(), ring.one())
-
+        return d.tau + d.taubar
     if name == "H":
-        acc = drv(R.d_tau(), tau.scale(2)) + drv(R.d_taubar(), taubar.scale(2))
-        for j in range(1, N + 1):
-            acc = acc + drv(R.d_z(j), _z_poly(R, j, False))
-            acc = acc + drv(R.d_zbar(j), _z_poly(R, j, True))
-        return acc + DiffOp.multiplication(R, k)
-
+        return (d.tau.scale(tau * 2) + d.taubar.scale(taubar * 2)
+                + dot(z, d.z) + dot(zbar, d.zbar) + mul(k))
     if name == "F":
-        acc = drv(R.d_tau(), -(tau * tau)) + drv(R.d_taubar(), -(taubar * taubar))
-        for j in range(1, N + 1):
-            acc = acc + drv(R.d_z(j), -(tau * _z_poly(R, j, False)))
-            acc = acc + drv(R.d_zbar(j), -(taubar * _z_poly(R, j, True)))
-        lz = ring.zero()
-        for a in range(N):
-            for b in range(N):
-                lz = lz + cl[a][b] * _z_poly(R, a + 1, False) * _z_poly(R, b + 1, False)
-        return acc + DiffOp.multiplication(R, -(k * tau) - lz)
-
+        Lzz = calL_apply(R, L, z)[1]
+        return -(d.tau.scale(tau * tau) + d.taubar.scale(taubar * taubar)
+                 + dot(z, d.z).scale(tau) + dot(zbar, d.zbar).scale(taubar)
+                 + mul(k * tau + Lzz))
     if name.startswith("e"):
-        i = int(name[1:])
-        return drv(R.d_z(i), ring.one()) + drv(R.d_zbar(i), ring.one())
-
+        i = int(name[1:]) - 1
+        return d.z[i] + d.zbar[i]
     if name.startswith("f"):
-        i = int(name[1:])
-        acc = drv(R.d_z(i), tau) + drv(R.d_zbar(i), taubar)
-        lz = ring.zero()
-        for b in range(N):
-            lz = lz + cl[i - 1][b] * _z_poly(R, b + 1, False)
-        return acc + DiffOp.multiplication(R, lz.scale(2))
-
+        i = int(name[1:]) - 1
+        Lz = calL_apply(R, L, z)[0]
+        return d.z[i].scale(tau) + d.zbar[i].scale(taubar) + mul(Lz[i] * 2)
     if name.startswith("Z"):
         i, j = int(name[1]), int(name[2])
-        return DiffOp.multiplication(R, cl[i - 1][j - 1])
-
+        return mul(calL(R, L)[i - 1][j - 1])
     raise DomainError(f"unknown generator {name}")
 
 

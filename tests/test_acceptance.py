@@ -42,7 +42,7 @@ from maassjacobi.fourier import (
 from maassjacobi.gaussian import GaussianRational, I
 from maassjacobi.group import Point, jacobi_mul, slash
 from maassjacobi.lattice import GramLattice, discriminant
-from maassjacobi.opcalc import random_group_element, random_point
+from maassjacobi.opcalc import build_casimir_op, random_group_element, random_point
 from maassjacobi.precision import PrecisionContext
 from maassjacobi.specfun import (
     bessel_I_jet,
@@ -294,12 +294,13 @@ def test_16_fourier_term_templates():
                (mp.mpc("0.05", "0.6"), [mp.mpc("0.4", "-0.2")])]
     L1 = GramLattice([[1]])
     L2 = GramLattice([[2]])
-    r_cm = casimir_residual(maass_fourier_term("c-", 2, L1, -1, [1]), 2, pts, CTX)
+    C1, C2 = build_casimir_op(L1), build_casimir_op(L2)
+    r_cm = casimir_residual(maass_fourier_term("c-", 2, L1, -1, [1]), C1, 2, pts, CTX)
     r_sk = heat_residual(skew_fourier_term(L1, 1, [1]), pts, CTX)
     r_sk2 = heat_residual(skew_fourier_term(L2, 1, [2]), pts, CTX)
     # matched mixed-mock parameters: D = -2|L| nu^2, h = 0
-    mm1 = casimir_residual(mixed_mock_term(1, L2, 0, [2], 1, [0]), 1, pts, CTX)
-    mm2 = casimir_residual(mixed_mock_term(2, L2, 0, [2], 1, [0]), 2, pts, CTX)
+    mm1 = casimir_residual(mixed_mock_term(1, L2, 0, [2], 1, [0]), C2, 1, pts, CTX)
+    mm2 = casimir_residual(mixed_mock_term(2, L2, 0, [2], 1, [0]), C2, 2, pts, CTX)
     ok = (r_cm < mp.mpf("1e-8") and r_sk < mp.mpf("1e-8")
           and r_sk2 < mp.mpf("1e-8") and mm1 < mp.mpf("1e-8")
           and mm2 > mp.mpf("1e-3"))

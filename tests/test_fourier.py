@@ -28,6 +28,7 @@ from maassjacobi.fourier import (
 )
 from maassjacobi.gaussian import GaussianRational
 from maassjacobi.lattice import GramLattice, discriminant
+from maassjacobi.opcalc import build_casimir_op
 from maassjacobi.series import casimir_eigenvalue
 
 PTS1 = [(mp.mpc("0.13", "0.9"), [mp.mpc("0.21", "0.17")]),
@@ -167,13 +168,14 @@ def test_maass_fourier_terms(ctx):
         maass_fourier_term("c-", 2, L, 1, [2])   # D = 0
     with pytest.raises(DomainError):
         maass_fourier_term("oops", 2, L, 1, [1])
+    C = build_casimir_op(L)
     with ctx.working():
         f = maass_fourier_term("c+", 2, L, 1, [1])
-        assert casimir_residual(f, 2, PTS1, ctx) < mp.mpf("1e-10")
+        assert casimir_residual(f, C, 2, PTS1, ctx) < mp.mpf("1e-10")
         f = maass_fourier_term("c-", 2, L, -1, [1])
-        assert casimir_residual(f, 2, PTS1, ctx) < mp.mpf("1e-8")
+        assert casimir_residual(f, C, 2, PTS1, ctx) < mp.mpf("1e-8")
         f = maass_fourier_term("c0", 2, L, 1, [2])
-        assert casimir_residual(f, 2, PTS1, ctx) < mp.mpf("1e-10")
+        assert casimir_residual(f, C, 2, PTS1, ctx) < mp.mpf("1e-10")
 
 
 def test_skew_term_heat_annihilation(ctx):
@@ -195,13 +197,14 @@ def test_phi_seed_eigen(ctx):
     grid = [(k, s, 0, [1]) for k in (0, 2, 3)
             for s in (Fraction(k, 2) - Fraction(1, 4), Fraction(5, 4) - Fraction(k, 2),
                       Fraction(5, 2))]
+    C = build_casimir_op(L)
     for (k, s, n, r) in [(2, Fraction(5, 2), 1, [0]),
                          (3, Fraction(5, 4), -1, [1]),
                          (0, Fraction(5, 4), 1, [0]),
                          (4, Fraction(7, 2), 1, [1])] + grid:
         f = phi_seed(k, L, s, n, r)
         ev = casimir_eigenvalue(k, 1, s)
-        assert casimir_residual(f, k, PTS1, ctx, eigenvalue=ev) < mp.mpf("1e-10")
+        assert casimir_residual(f, C, k, PTS1, ctx, eigenvalue=ev) < mp.mpf("1e-10")
 
 
 def test_mixed_mock_terms(ctx):
@@ -212,10 +215,11 @@ def test_mixed_mock_terms(ctx):
         assert abs(f0.evaluate(mp.mpc("0.2", "0.9"), [mp.mpc("0.1", "0.2")], ctx)) == 0
     # matched parameters (D = -2|L| nu^2, h = 0): annihilated iff k = 1
     L2 = GramLattice([[2]])
+    C2 = build_casimir_op(L2)
     f = mixed_mock_term(1, L2, 0, [2], 1, [0])
-    assert casimir_residual(f, 1, PTS1, ctx) < mp.mpf("1e-8")
+    assert casimir_residual(f, C2, 1, PTS1, ctx) < mp.mpf("1e-8")
     f2 = mixed_mock_term(2, L2, 0, [2], 1, [0])
-    assert casimir_residual(f2, 2, PTS1, ctx) > mp.mpf("1e-3")
+    assert casimir_residual(f2, C2, 2, PTS1, ctx) > mp.mpf("1e-3")
     # ratio-based eigen test gives the same verdict
     probe = (mp.mpc("0.3", "1.05"), [mp.mpc("0.2", "0.3")])
     r1, _ = eigenfunction_ratio_residual(f, 1, probe, PTS1, ctx)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from maassjacobi.opcalc import (
     calL,
     covariance_check,
     d_minus_direct,
+    derivatives,
     kernel_seed,
     random_group_element,
     random_point,
@@ -64,7 +66,7 @@ def test_compose_identity_and_derivation_rule():
     assert one.compose(A) == A
     assert A.compose(one) == A
     # [d_tau, y] = -i/2
-    dtau = DiffOp.derivative(R, R.d_tau())
+    dtau = derivatives(R).tau
     ymul = DiffOp.multiplication(R, R.ring.var("y"))
     c = dtau.commutator(ymul)
     assert c == DiffOp.multiplication(R, R.ring.const(GaussianRational(0, Fraction(-1, 2))))
@@ -141,11 +143,9 @@ def test_lie_slash_table_and_anti_homomorphism():
     # |[Z11] = calL_11, |[E] = d_x = d_tau + d_taubar, |[e1] = d_u1
     cl = calL(R, L)
     assert build_lie_slash("Z11", L) == DiffOp.multiplication(R, cl[0][0])
-    dE = build_lie_slash("E", L)
-    expect = DiffOp.derivative(R, R.d_tau()) + DiffOp.derivative(R, R.d_taubar())
-    assert dE == expect
-    de1 = build_lie_slash("e1", L)
-    assert de1 == DiffOp.derivative(R, R.d_z(1)) + DiffOp.derivative(R, R.d_zbar(1))
+    d = derivatives(R)
+    assert build_lie_slash("E", L) == d.tau + d.taubar
+    assert build_lie_slash("e1", L) == d.z[0] + d.zbar[0]
     # [op(a), op(b)] = op([b, a]) for all basis pairs
     alg = JacobiLieAlgebra(1)
     for a in alg.names:
@@ -382,3 +382,83 @@ def test_diffop_canonical_text_golden():
         "((-1 i)*pi^-1*y^2) * dtau dzbar1^2"
     )
     assert got == golden, got
+    # higher rank: each builder's shift and the sha256 of its canonical text
+    for entries, pinned in GOLDEN_SHA256.items():
+        L = GramLattice([list(row) for row in entries])
+        N = L.N
+        rl = build_raising_lowering(L)
+        ops = {"X+": rl["X+"], "X-": rl["X-"],
+               "casimir": build_casimir_op(L),
+               "semiholomorphic": semiholomorphic_casimir(L),
+               "heat": build_heat(L),
+               "d_minus_direct": d_minus_direct(L),
+               "D_minus": build_D_minus(L),
+               "laplace": build_laplace(L, [[int(i == j) for j in range(N)]
+                                            for i in range(N)])}
+        for j in range(N):
+            ops[f"Y+{j + 1}"] = rl["Y+"][j]
+            ops[f"Y-{j + 1}"] = rl["Y-"][j]
+        assert set(ops) == set(pinned)
+        for name, op in ops.items():
+            digest = hashlib.sha256(op.canonical_text().encode()).hexdigest()
+            assert (op.shift, digest) == pinned[name], (entries, name)
+
+
+GOLDEN_SHA256 = {
+    ((2, 1), (1, 2)): {
+        "X+": (2, "8a69ae5e053e197d2600f30167f80347"
+              "d867717cb899f4678119e39eb499ee7c"),
+        "X-": (-2, "4aabd220a829186e2dcd691445627cad"
+              "35259aabe2d3b83f2ef6b1bea9177ba2"),
+        "Y+1": (1, "f32b2fa848e69eb8a5bf56b38e1972c2"
+               "70ba48f65289b29690db8ee4d418e577"),
+        "Y-1": (-1, "042a378df69a4d4ed6bd762fac347575"
+               "54504ef80455c86bf0cab4d583e75b9b"),
+        "Y+2": (1, "eccbd53c43539f4a09dab7379c7ff096"
+               "cc3a163c0e9ebb5ac5a509bdc1125132"),
+        "Y-2": (-1, "d4adb064879cdcf0d51cfc32b4c17aa3"
+               "c6270dbe3bc548786f7d7e9bd6670ac4"),
+        "casimir": (0, "499e08bd89ac5e06307fd9c6985c7f36"
+                   "7832cf090cb8a861170f234279198f82"),
+        "semiholomorphic": (0, "f21f7d56b9294b0eb17e40b7092eea22"
+                           "8a9a1beb6a42c2334bb324849a779336"),
+        "heat": (2, "793d16b2ea8fe998f9f7a09f9df5d734"
+                "c822aff82bc1f304cc79e97ddea5f6b2"),
+        "d_minus_direct": (-2, "7ed426141711f922706e7a7aa51c45a5"
+                          "3f94058133178ea7565e1aa18cdb951b"),
+        "D_minus": (-2, "7ed426141711f922706e7a7aa51c45a5"
+                   "3f94058133178ea7565e1aa18cdb951b"),
+        "laplace": (0, "7baf2cc2cd4e246f1d7f12d2ed87b69e"
+                   "d21cacbcfbae2ca87696d83cb0405885"),
+    },
+    ((2, 1, 0), (1, 2, 1), (0, 1, 2)): {
+        "X+": (2, "4661629004fd2c1acd31d58dce705c47"
+              "064d94d09e75152625bda9adb85c9c7a"),
+        "X-": (-2, "b5f1e12fd707438e04e4ee0b9bed9b7c"
+              "f78bbd07cc2719427e93908f1f224188"),
+        "Y+1": (1, "f32b2fa848e69eb8a5bf56b38e1972c2"
+               "70ba48f65289b29690db8ee4d418e577"),
+        "Y-1": (-1, "042a378df69a4d4ed6bd762fac347575"
+               "54504ef80455c86bf0cab4d583e75b9b"),
+        "Y+2": (1, "658732104fe3a7a4b4f0332074018d32"
+               "d1f2b590f196c59a57320b60b458634f"),
+        "Y-2": (-1, "d4adb064879cdcf0d51cfc32b4c17aa3"
+               "c6270dbe3bc548786f7d7e9bd6670ac4"),
+        "Y+3": (1, "655276fb835a90c8a3574f004c51613e"
+               "981f2df9d6b390793ea63a3ca0ee4403"),
+        "Y-3": (-1, "9a650316fa56c0467effb7bcf6763f63"
+               "d038e49b2ba0331c777812f50fc2e090"),
+        "casimir": (0, "967aef22e657347123bcf78360ba3c37"
+                   "b8a7cad99f0b30fc0f02661bbccba9be"),
+        "semiholomorphic": (0, "5dc64de0653c31af56fcbd7d09b06667"
+                           "c1e5c4d777f61b68234932ec7dac339b"),
+        "heat": (2, "b3f63a08bb5829284f50f66e809774e4"
+                "f73545e164f771e6d8c721f5880660b5"),
+        "d_minus_direct": (-2, "d4197a7d904356457ea4d14cb780e2f8"
+                          "2bea3745b65fb46de237c36af022a767"),
+        "D_minus": (-2, "d4197a7d904356457ea4d14cb780e2f8"
+                   "2bea3745b65fb46de237c36af022a767"),
+        "laplace": (0, "f1e689a09bf93fdf657ba9b0f60798df"
+                   "6b48bf9bed46c76e73fa590f60994736"),
+    },
+}
