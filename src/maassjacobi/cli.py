@@ -28,6 +28,7 @@ from .enveloping import build_casimir, check_centrality
 from .errors import MaassJacobiError, UsageError
 from .fourier import (
     FourierExpansion,
+    coeff_pair,
     phi_seed,
     casimir_residual,
     theta_decompose_semi,
@@ -536,8 +537,7 @@ def cmd_decompose(args, config) -> int:
            "components": {}}
     for mu, comp in sorted(comps.items()):
         obj["components"][",".join(map(str, mu))] = [
-            {"exponent": str(expo), "coeff": [str(c.re), str(c.im)]
-             if isinstance(c, GaussianRational) else [mpf_str(c.real), mpf_str(c.imag)]}
+            {"exponent": str(expo), "coeff": coeff_pair(c)}
             for expo, (c, _) in sorted(comp.items())
         ]
     emit(args, obj)
@@ -556,7 +556,7 @@ def cmd_specialize(args, config) -> int:
     emit(args, {"operation": "specialize",
                 "lam": [str(x) for x in lam], "mu": [str(x) for x in mu],
                 "terms": [{"exponent": str(e),
-                           "coeff": [str(c.re), str(c.im)],
+                           "coeff": coeff_pair(c),
                            "phase": str(ph)} for e, c, ph in terms]})
     return EXIT_OK
 

@@ -176,7 +176,7 @@ class FourierExpansion:
                 "r": list(index.r),
                 "profile": tag,
                 "params": {k: _param_str(v) for k, v in sorted(params.items())},
-                "coeff": _coeff_pair(coeff),
+                "coeff": coeff_pair(coeff),
             })
         return json.dumps(
             {"lattice": self.lattice.to_json_obj(), "terms": terms},
@@ -211,7 +211,9 @@ def _param_parse(v):
     return int(f) if f.denominator == 1 else f
 
 
-def _coeff_pair(coeff):
+def coeff_pair(coeff):
+    """The JSON pair [re, im] of a coefficient: exact strings for a rational
+    one, mpmath strings otherwise."""
     if isinstance(coeff, (int, Fraction)):
         coeff = GaussianRational.coerce(coeff)
     if isinstance(coeff, GaussianRational):
@@ -550,7 +552,7 @@ def specialize_torsion(f, lam, mu):
 
 
 def specialization_chain_rule_residual(f: FourierExpansion, lam, mu, tau0,
-                                       ctx: PrecisionContext, h=None):
+                                       ctx: PrecisionContext):
     """d/dtaubar of the specialized function vs (d_taubar + sum lam_i
     d_zbar_i) f at the specialized point, via jets of f and a finite
     difference in taubar of the specialization."""
@@ -561,7 +563,7 @@ def specialization_chain_rule_residual(f: FourierExpansion, lam, mu, tau0,
     lam = [Fraction(x) for x in lam]
     mu = [Fraction(x) for x in mu]
     with ctx.working():
-        h = h or mp.mpf("1e-6")
+        h = mp.mpf("1e-6")
         tau0 = mp.mpc(tau0)
         z0 = [to_mpc(a) * tau0 + to_mpc(b) for a, b in zip(lam, mu)]
         jet = f.jet(tau0, z0, degree=1, ctx=ctx)

@@ -17,7 +17,7 @@ from . import linalg
 from .errors import DomainError, MalformedElementError
 from .gaussian import GaussianRational
 from .jets import Jet
-from .precision import PrecisionContext, to_mpc
+from .precision import MAX_TERMS, PrecisionContext, to_mpc
 
 J2 = ((0, -1), (1, 0))
 
@@ -407,7 +407,7 @@ def _exp_series_2x2(M, ctx: PrecisionContext):
     n = 0
     while True:
         n += 1
-        if n > ctx.max_terms:
+        if n > MAX_TERMS:
             ctx.exhausted("matrix exponential series")
         term = linalg.mul(term, M)
         fact *= n
@@ -468,7 +468,7 @@ def expm(A, ctx: PrecisionContext):
         k = 0
         while True:
             k += 1
-            if k > ctx.max_terms:
+            if k > MAX_TERMS:
                 ctx.exhausted("expm series")
             term = linalg.scale(1 / mp.mpf(k), linalg.mul(term, A))
             acc = linalg.add(acc, term)

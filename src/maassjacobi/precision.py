@@ -17,20 +17,19 @@ from .errors import PrecisionError
 from .gaussian import GaussianRational
 
 GUARD_BITS = 24
+# the cap on the length of a summed series
+MAX_TERMS = 20000
 
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision in bits plus a cap on series summation length."""
+    """Working precision in bits."""
 
     bits: int = 128
-    max_terms: int = 20000
 
     def __post_init__(self):
         if self.bits < 53:
             raise ValueError("precision below 53 bits is not supported")
-        if self.max_terms <= 0:
-            raise ValueError("max_terms must be positive")
 
     def working(self):
         """mpmath workprec block at bits + guard digits."""
@@ -42,11 +41,11 @@ class PrecisionContext:
             return mp.mpf(2) ** (-self.bits)
 
     def doubled(self) -> "PrecisionContext":
-        return PrecisionContext(bits=2 * self.bits, max_terms=2 * self.max_terms)
+        return PrecisionContext(bits=2 * self.bits)
 
     def exhausted(self, what: str):
         raise PrecisionError(
-            f"{what}: did not converge within {self.max_terms} terms at {self.bits} bits"
+            f"{what}: did not converge within {MAX_TERMS} terms at {self.bits} bits"
         )
 
 

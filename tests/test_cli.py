@@ -205,6 +205,20 @@ def test_decompose_and_specialize_commands(cache_dir, capsys, tmp_path):
     assert terms and all("exponent" in t for t in terms)
 
 
+def test_decompose_and_specialize_print_a_numeric_coefficient_alike(cache_dir, capsys,
+                                                                     tmp_path):
+    # a coefficient that is not rational is printed, not a traceback
+    src = tmp_path / "f.json"
+    src.write_text('{"lattice":[["1"]],"terms":[{"n":"1","r":[1],"profile":"constant",'
+                   '"params":{},"coeff":["inf","0"]}]}')
+    code, out = run(capsys, "decompose", "--in", str(src))
+    assert code == 0
+    assert json.loads(out)["components"]["0"][0]["coeff"] == ["+inf", "0.0"]
+    code, out = run(capsys, "specialize", "--in", str(src))
+    assert code == 0
+    assert json.loads(out)["terms"][0]["coeff"] == ["+inf", "0.0"]
+
+
 def test_eigen_command(cache_dir, capsys):
     code, out = run(capsys, "eigen", "--N", "1", "--k", "0", "--s", "2")
     assert code == 0
