@@ -40,6 +40,10 @@ class JacobiLieAlgebra:
             cls._instances[N] = inst
         return cls._instances[N]
 
+    def __reduce__(self):
+        # one instance per rank: copies and unpickled objects share it
+        return (JacobiLieAlgebra, (self.N,))
+
     def _init(self, N: int):
         self.N = N
         names = ["E", "F", "H"]
@@ -440,10 +444,6 @@ def divide_by_det(a: PBWElement) -> PBWElement:
         for zexp, c in q.terms.items():
             out[nc + zexp] = c
     return PBWElement(alg, out)
-
-
-def multiply_by_det(a: PBWElement) -> PBWElement:
-    return a * det_z(a.alg)
 
 
 # -- the Casimir element ------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Exact Gaussian rational arithmetic.
 
 The coefficient field everywhere on the exact side of the toolkit is Q(i).
-Elements are immutable pairs of fractions and support mixed arithmetic with
-int and Fraction.
+An element is stored as one reduced integer triple ``(a, b, d)`` for
+``(a + b i) / d``, with ``d > 0`` and ``gcd(a, b, d) == 1``, so that each
+element has exactly one form; zero is ``(0, 0, 1)``.  Arithmetic works on
+the integers and reduces each result by one gcd (Knuth, TAOCP Vol. 2,
+4.5.1).  Elements are immutable and support mixed arithmetic with int and
+Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def power(x, n: int, one):
@@ -25,14 +30,20 @@ def power(x, n: int, one):
 class GaussianRational:
     """A number a + b*i with a, b rational, exact."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_abd",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of two reduced denominators the triple is reduced
+        rd, id_ = re.denominator, im.denominator
+        d = rd * id_ // gcd(rd, id_)
+        _set_abd(self, (re.numerator * (d // rd), im.numerator * (d // id_), d))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return (_reduced, self._abd)
 
     # -- constructors -------------------------------------------------
 
@@ -40,20 +51,39 @@ class GaussianRational:
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
+        if type(x) is int:
+            return _raw(x, 0, 1)
         if isinstance(x, (int, Fraction)):
-            return GaussianRational(x)
+            x = Fraction(x)
+            return _raw(x.numerator, 0, x.denominator)
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+
+    @property
+    def re(self) -> Fraction:
+        a, _, d = self._abd
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _, b, d = self._abd
+        return Fraction(b, d)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = other._abd
+        if d1 == d2:
+            return _reduced(a1 + a2, b1 + b2, d1)
+        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self._abd
+        return _raw(-a, -b, d)
 
     def __sub__(self, other):
         return self + (-GaussianRational.coerce(other))
@@ -62,19 +92,20 @@ class GaussianRational:
         return GaussianRational.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a1, b1, d1 = self._abd
+        a2, b2, d2 = other._abd
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        a, b, d = self._abd
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other):
         return self * GaussianRational.coerce(other).inverse()
@@ -85,32 +116,40 @@ class GaussianRational:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return power(self, n, GaussianRational(1))
+        return power(self, n, ONE)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self._abd
+        return _raw(a, -b, d)
 
     # -- predicates / conversions --------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        a, b, _ = self._abd
+        return bool(a or b)
 
     def __eq__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if other.__class__ is not GaussianRational:
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
+        # the reduced triple is canonical
+        return self._abd == other._abd
 
     def __hash__(self):
-        if not self.im:
+        # a real element equals its real part, so it hashes as that Fraction
+        if not self._abd[1]:
             return hash(self.re)
         return hash((self.re, self.im))
 
     def to_mpc(self, mp):
-        """Convert to an mpmath complex at the current working precision."""
-        return mp.mpc(mp.mpf(self.re.numerator) / self.re.denominator,
-                      mp.mpf(self.im.numerator) / self.im.denominator)
+        """Convert to an mpmath complex at the current working precision.
+
+        Each part is divided in its own lowest terms, as one rounding."""
+        a, b, d = self._abd
+        ga, gb = gcd(a, d), gcd(b, d)
+        return mp.mpc(mp.mpf(a // ga) / (d // ga), mp.mpf(b // gb) / (d // gb))
 
     # -- formatting -----------------------------------------------------
 
@@ -119,6 +158,27 @@ class GaussianRational:
 
     def __str__(self):
         return format_gaussian(self)
+
+
+_new = object.__new__
+_set_abd = GaussianRational._abd.__set__
+
+
+def _raw(a, b, d) -> GaussianRational:
+    """The element with the triple (a, b, d), which must already be reduced."""
+    x = _new(GaussianRational)
+    _set_abd(x, (a, b, d))
+    return x
+
+
+def _reduced(a, b, d) -> GaussianRational:
+    """(a + b i) / d for integers a, b and d > 0, reduced by one gcd."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _raw(a, b, d)
 
 
 I = GaussianRational(0, 1)

@@ -155,6 +155,18 @@ def _mul_exact(a, b, rows):
     return ore, oim, ea + eb
 
 
+def _monomial_product(k, products, parents, deltas, rows):
+    """prod_v delta_v^(monomial k), exact, memoized in ``products``; parents
+    have lower indices.  A module function rather than a recursive closure,
+    whose reference cycle would keep every product alive until the cyclic
+    garbage collector runs."""
+    if k not in products:
+        prev, v = parents[k]
+        products[k] = _mul_exact(_monomial_product(prev, products, parents, deltas, rows),
+                                 deltas[v], rows)
+    return products[k]
+
+
 def _combine(terms, size: int):
     """The exact sum of scalar * exact-jet terms."""
     terms = [(s, j) for s, j in terms if s[0] or s[1]]
@@ -289,11 +301,6 @@ class Jet(SparseTerms):
     def value(self):
         return self.terms.get(self.space._zero, mp.mpc(0))
 
-    def nilpotent_part(self) -> "Jet":
-        out = dict(self.terms)
-        out.pop(self.space._zero, None)
-        return Jet(self.space, out)
-
     def reciprocal(self) -> "Jet":
         c = self.value
         if c == 0:
@@ -375,20 +382,9 @@ class Jet(SparseTerms):
         deltas = [_exact(j, nilpotent=True) for j in inners]
         re, im, e = _exact(self)
         products = {0: _unit(len(rows))}
-
-        def product(k):
-            # prod_v delta_v^(monomial k), exact; parents have lower indices
-            if k not in products:
-                prev, v = parents[k]
-                products[k] = _mul_exact(product(prev), deltas[v], rows)
-            return products[k]
-
-        terms = [((re[k], im[k], e), product(k))
+        terms = [((re[k], im[k], e), _monomial_product(k, products, parents, deltas, rows))
                  for k in range(len(re)) if re[k] or im[k]]
         return _rounded(target, _combine(terms, len(rows)))
-
-    def max_abs(self):
-        return max((abs(c) for c in self.terms.values()), default=mp.mpf(0))
 
     def __repr__(self):
         n = len(self.terms)

@@ -152,8 +152,3 @@ def enumerate_shifted(L: GramLattice, center, bound: Fraction):
 
     rec(N - 1, bound, [Fraction(0)] * N)
     yield from sorted(out)
-
-
-def enumerate_quadratic(L: GramLattice, bound: Fraction):
-    """All integer lam with L[lam] <= bound."""
-    yield from enumerate_shifted(L, [0] * L.N, bound)

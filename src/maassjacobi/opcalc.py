@@ -55,6 +55,10 @@ class OpRing:
             cls._instances[N] = inst
         return cls._instances[N]
 
+    def __reduce__(self):
+        # one instance per rank: copies and unpickled objects share it
+        return (OpRing, (self.N,))
+
     def _init(self, N: int):
         self.N = N
         names = ["k", "pi", "y", "x"]

@@ -40,9 +40,6 @@ class PrecisionContext:
         with self.working():
             return mp.mpf(2) ** (-self.bits)
 
-    def doubled(self) -> "PrecisionContext":
-        return PrecisionContext(bits=2 * self.bits)
-
     def exhausted(self, what: str):
         raise PrecisionError(
             f"{what}: did not converge within {MAX_TERMS} terms at {self.bits} bits"

@@ -236,14 +236,3 @@ def e_profile_jet(z, order: int, ctx: PrecisionContext):
     with ctx.working():
         return _integrated_jet(e_profile(z, ctx), to_mpf(z),
                                lambda t: (t * t * (-mp.pi)).exp() * 2, order)
-
-
-def monotone_precision_digits(fn, ctx: PrecisionContext, digits: int = 20) -> bool:
-    """True when doubling the working precision leaves the leading digits
-    of fn(ctx) unchanged."""
-    lo = fn(ctx)
-    hi = fn(ctx.doubled())
-    with ctx.doubled().working():
-        lo, hi = mp.mpc(lo), mp.mpc(hi)
-        scale = max(abs(hi), mp.mpf(10) ** (-digits))
-        return bool(abs(lo - hi) / scale < mp.mpf(10) ** (-digits))

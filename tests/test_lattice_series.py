@@ -10,7 +10,6 @@ from maassjacobi.errors import DomainError
 from maassjacobi.lattice import (
     GramLattice,
     discriminant,
-    enumerate_quadratic,
     enumerate_shifted,
     h_of_r,
 )
@@ -64,7 +63,7 @@ def test_enumeration_matches_box_oracle():
                            ([[2, Fraction(1, 2)], [Fraction(1, 2), 1]], 4),
                            ([[2, 1], [1, 2]], 4), ([[1, 0], [0, 3]], 4)]:
         L = GramLattice(entries)
-        got = list(enumerate_quadratic(L, bound))
+        got = list(enumerate_shifted(L, [0] * L.N, bound))
         want = sorted(lam for lam in product(range(-10, 11), repeat=L.N)
                       if L.quad(lam) <= bound)
         assert got == want
