@@ -1,14 +1,17 @@
 """Command-line front end: verification suites, series computation,
 coefficient tables, caching, machine-readable JSON output.
 
-Config precedence is flags > config file > defaults; the config file is
-flat ``key = value`` text.  Identical (command, config, precision) produce
-byte-identical output; every failure exits nonzero with a structured error
-object.
+Each option is declared once, as its parse function and the text of its
+default (``GLOBAL_OPTIONS`` and ``COMMANDS``).  ``_resolve`` applies flags >
+config file > defaults in one place, and a config value goes through the
+same parse function as a flag; the config file is flat ``key = value``
+text.  Identical (command, config, precision) produce byte-identical
+output; every failure exits nonzero with a structured error object.
 
 Exit codes: 0 success (and, for ``verify``, every check passed);
-1 a verification check failed; 2 usage or configuration error;
-3 a domain/computation error surfaced from the library.
+1 a verification check failed; 2 usage or configuration error, a malformed
+value or an unknown flag included; 3 a domain/computation error surfaced
+from the library.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from mpmath import mp
 
@@ -85,6 +89,37 @@ def parse_vector(text: str):
     return [int(x.strip()) for x in text.split(",") if x.strip()]
 
 
+def _rationals(text: str):
+    return [Fraction(x) for x in text.split(",")]
+
+
+def _c_range(text: str):
+    """'c', or 'lo:hi' with both ends included."""
+    lo, sep, hi = text.partition(":")
+    return list(range(int(lo), int(hi) + 1)) if sep else [int(text)]
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError("must be at least 1")
+    return n
+
+
+class Option(NamedTuple):
+    """The function that parses an option's text, from a flag and from a
+    config file alike, and the text of its default.  Without a parse
+    function it is a switch: a flag with no value and no config key."""
+
+    parse: Callable | None = None
+    default: str | None = None
+    flag: str | None = None   # when it is not --<name>
+    help: str | None = None
+
+
+SWITCH = Option()
+
+
 def load_config_file(path: str) -> dict:
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -99,25 +134,13 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _merge(args, config: dict, key: str, default, conv=None):
-    val = getattr(args, key, None)
-    if val is None:
-        val = config.get(key)
-        if val is not None and conv is not None:
-            val = conv(val)
-    if val is None:
-        val = default
-    return val
-
-
-def emit(args, obj: dict) -> str:
+def emit(args, obj: dict) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2)
-    if getattr(args, "out", None):
+    if args is not None and args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
-    return text
 
 
 def fail(args, exc: Exception, code: int = EXIT_ERROR) -> int:
@@ -355,28 +378,20 @@ SUITES = {
 }
 
 
-def cmd_verify(args, config) -> int:
+def cmd_verify(args) -> int:
     suite = args.suite
-    if suite not in SUITES:
-        raise UsageError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
-    N = _merge(args, config, "N", None, int)
-    L = _lattice(args, config, 1 if N is None else N)
-    if N is not None and N != L.N:
-        raise UsageError(f"--N {N} is not the rank {L.N} of --L")
-    ctx = _ctx(args, config)
+    L = GramLattice(linalg.identity(args.N or 1) if args.L is None else args.L)
+    if args.N not in (None, L.N):
+        raise UsageError(f"--N {args.N} is not the rank {L.N} of --L")
+    ctx = args.precision_bits
     fn, default_samples = SUITES[suite]
-    read = {"samples"} if default_samples else set()
-    kwargs = {}
-    if suite == "duality":
-        read |= {"s", "cmax"}
-        kwargs["s"] = Fraction(_merge(args, config, "s", "5/2", str))
-        kwargs["c_max"] = int(_merge(args, config, "cmax", 50, int))
+    read = {"samples"} if default_samples else {"s", "cmax"} if suite == "duality" else set()
     # flags only: a config file may set keys that some suites do not read
     for key in ("samples", "s", "cmax"):
-        if key not in read and getattr(args, key, None) is not None:
+        if key not in read and key in args.flags:
             raise UsageError(f"verify {suite} does not read --{key}")
-    samples = int(_merge(args, config, "samples", default_samples or 50, int))
-    checks = fn(L, ctx, samples, **kwargs)
+    kwargs = {"s": args.s, "c_max": args.cmax} if suite == "duality" else {}
+    checks = fn(L, ctx, args.samples or default_samples, **kwargs)
     ok = all(c["status"] == "pass" for c in checks)
     emit(args, {
         "suite": suite, "N": L.N, "lattice": L.to_json_obj(),
@@ -389,25 +404,19 @@ def cmd_verify(args, config) -> int:
 # -- computation subcommands -------------------------------------------------------
 
 
-def _ctx(args, config) -> PrecisionContext:
-    bits = int(_merge(args, config, "precision_bits", 128, int))
-    return PrecisionContext(bits=bits)
+def _lattice(args) -> GramLattice:
+    if args.L is None:
+        raise UsageError("--L is required")
+    return GramLattice(args.L)
 
 
-def _lattice(args, config, N=None) -> GramLattice:
-    text = _merge(args, config, "L", None, str)
-    if text is None:
-        if N is None:
-            raise UsageError("--L is required")
-        return GramLattice([[1 if i == j else 0 for j in range(N)] for i in range(N)])
-    return GramLattice(parse_rational_matrix(text))
+def _or_zero(vector, L: GramLattice):
+    """A vector option; when it is not given, the zero vector of L's rank."""
+    return [0] * L.N if vector is None else vector
 
 
-def _cached(args, config, operation: str, key_config: dict, compute) -> int:
-    no_cache = bool(getattr(args, "no_cache", False))
-    result = None
-    if not no_cache:
-        result = cache.lookup(operation, key_config)
+def _cached(args, operation: str, key_config: dict, compute) -> int:
+    result = None if args.no_cache else cache.lookup(operation, key_config)
     if result is None:
         result = compute()
         cache.store(operation, key_config, result)
@@ -416,69 +425,46 @@ def _cached(args, config, operation: str, key_config: dict, compute) -> int:
     return EXIT_OK
 
 
-def cmd_kloosterman(args, config) -> int:
-    L = _lattice(args, config)
-    ctx = _ctx(args, config)
-    c_spec = _merge(args, config, "c", "1", str)
-    if ":" in c_spec:
-        lo, hi = c_spec.split(":")
-        crange = list(range(int(lo), int(hi) + 1))
-    else:
-        crange = [int(c_spec)]
-    n = int(_merge(args, config, "n", 0, int))
-    np_ = int(_merge(args, config, "nprime", 0, int))
-    r = parse_vector(_merge(args, config, "r", ",".join(["0"] * L.N), str))
-    rp = parse_vector(_merge(args, config, "rprime", ",".join(["0"] * L.N), str))
-    key = {"L": L.to_json_obj(), "c": crange, "n": n, "r": r, "nprime": np_,
+def cmd_kloosterman(args) -> int:
+    L, ctx = _lattice(args), args.precision_bits
+    r, rp = _or_zero(args.r, L), _or_zero(args.rprime, L)
+    key = {"L": L.to_json_obj(), "c": args.c, "n": args.n, "r": r, "nprime": args.nprime,
            "rprime": rp, "precision_bits": ctx.bits}
 
     def compute():
         rows = []
         with ctx.working():
-            for c in crange:
-                v = kloosterman(c, L, n, r, np_, rp, ctx)
+            for c in args.c:
+                v = kloosterman(c, L, args.n, r, args.nprime, rp, ctx)
                 rows.append({"c": c, "value": [mpf_str(v.real), mpf_str(v.imag)]})
         return json.dumps({"operation": "kloosterman", "config": key, "table": rows},
                           sort_keys=True)
 
-    return _cached(args, config, "kloosterman", key, compute)
+    return _cached(args, "kloosterman", key, compute)
 
 
-def cmd_theta(args, config) -> int:
-    L = _lattice(args, config)
-    ctx = _ctx(args, config)
-    bound = Fraction(_merge(args, config, "bound", 2, str))
-    mu = _merge(args, config, "mu", None, str)
-    kmode = _merge(args, config, "k", None, str)
-    r = _merge(args, config, "r", None, str)
-    variant = bool(getattr(args, "zeta_variant", False))
-    key = {"L": L.to_json_obj(), "bound": str(bound), "mu": mu, "k": kmode,
-           "r": r, "variant": variant}
+def cmd_theta(args) -> int:
+    L = _lattice(args)
+    # mu, k and r are keyed and printed as the text they were given
+    key = {"L": L.to_json_obj(), "bound": str(args.bound), "mu": args.given.get("mu"),
+           "k": args.given.get("k"), "r": args.given.get("r"), "variant": args.zeta_variant}
 
     def compute():
-        if kmode is not None:
-            rv = parse_vector(r if r is not None else ",".join(["0"] * L.N))
-            exp = theta_klr(int(kmode), L, rv, bound, zeta_variant=variant)
+        if args.k is not None:
+            exp = theta_klr(args.k, L, _or_zero(args.r, L), args.bound,
+                            zeta_variant=args.zeta_variant)
         else:
-            muv = parse_vector(mu if mu is not None else ",".join(["0"] * L.N))
-            exp = theta_lmu(L, muv, bound)
+            exp = theta_lmu(L, _or_zero(args.mu, L), args.bound)
         return json.dumps({"operation": "theta", "config": key,
                            "expansion": json.loads(exp.to_json())}, sort_keys=True)
 
-    return _cached(args, config, "theta", key, compute)
+    return _cached(args, "theta", key, compute)
 
 
-def cmd_poincare(args, config, skew=False) -> int:
-    L = _lattice(args, config)
-    ctx = _ctx(args, config)
-    k = int(_merge(args, config, "k", 3, int))
-    c_max = int(_merge(args, config, "cmax", 50, int))
-    n = int(_merge(args, config, "n", 1, int))
-    r = parse_vector(_merge(args, config, "r", ",".join(["0"] * L.N), str))
-    window = int(_merge(args, config, "window", 2, int))
-    jobs = int(_merge(args, config, "jobs", 1, int))
-    s = None if skew else Fraction(_merge(args, config, "s", "5/2", str))
-    y = None if skew else Fraction(_merge(args, config, "y", 1, str))
+def cmd_poincare(args, skew=False) -> int:
+    L, ctx = _lattice(args), args.precision_bits
+    k, c_max, n, r, window = args.k, args.cmax, args.n, _or_zero(args.r, L), args.window
+    s, y = (None, None) if skew else (args.s, args.y)
     key = {"L": L.to_json_obj(), "k": k, "cmax": c_max, "n": n, "r": r,
            "window": window, "skew": skew, "s": None if s is None else str(s),
            "y": None if y is None else str(y), "precision_bits": ctx.bits}
@@ -487,7 +473,7 @@ def cmd_poincare(args, config, skew=False) -> int:
         specs = [(skew, y, s, k, L, n, r, np_, [rp0] + [0] * (L.N - 1), c_max, ctx)
                  for np_ in range(-window, window + 1)
                  for rp0 in range(0, window + 1)]
-        workers = min(jobs, len(specs))
+        workers = min(args.jobs, len(specs))
         if workers > 1:
             rows = _parallel_coeff(specs, workers)
         else:
@@ -495,7 +481,7 @@ def cmd_poincare(args, config, skew=False) -> int:
         return json.dumps({"operation": "skew-poincare" if skew else "poincare",
                            "config": key, "table": rows}, sort_keys=True)
 
-    return _cached(args, config, "skew-poincare" if skew else "poincare", key, compute)
+    return _cached(args, "skew-poincare" if skew else "poincare", key, compute)
 
 
 def _poincare_row(spec):
@@ -526,13 +512,16 @@ def _parallel_coeff(specs, jobs):
         return list(pool.map(_poincare_row, specs))
 
 
-def cmd_decompose(args, config) -> int:
-    path = _merge(args, config, "infile", None, str)
-    if path is None:
-        raise UsageError("decompose requires --in FILE")
-    with open(path, "r", encoding="utf-8") as fh:
-        f = FourierExpansion.from_json(fh.read())
-    comps = theta_decompose_semi(f, conjugate=bool(getattr(args, "skew", False)))
+def _expansion(args) -> FourierExpansion:
+    if args.infile is None:
+        raise UsageError(f"{args.command} requires --in FILE")
+    with open(args.infile, "r", encoding="utf-8") as fh:
+        return FourierExpansion.from_json(fh.read())
+
+
+def cmd_decompose(args) -> int:
+    f = _expansion(args)
+    comps = theta_decompose_semi(f, conjugate=args.skew)
     obj = {"operation": "decompose", "lattice": f.lattice.to_json_obj(),
            "components": {}}
     for mu, comp in sorted(comps.items()):
@@ -544,27 +533,19 @@ def cmd_decompose(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_specialize(args, config) -> int:
-    path = _merge(args, config, "infile", None, str)
-    if path is None:
-        raise UsageError("specialize requires --in FILE")
-    with open(path, "r", encoding="utf-8") as fh:
-        f = FourierExpansion.from_json(fh.read())
-    lam = [Fraction(x) for x in _merge(args, config, "lam", "0", str).split(",")]
-    mu = [Fraction(x) for x in _merge(args, config, "mu", "0", str).split(",")]
-    terms = specialize_torsion(f, lam, mu)
+def cmd_specialize(args) -> int:
+    f = _expansion(args)
+    terms = specialize_torsion(f, args.lam, args.mu)
     emit(args, {"operation": "specialize",
-                "lam": [str(x) for x in lam], "mu": [str(x) for x in mu],
+                "lam": [str(x) for x in args.lam], "mu": [str(x) for x in args.mu],
                 "terms": [{"exponent": str(e),
                            "coeff": coeff_pair(c),
                            "phase": str(ph)} for e, c, ph in terms]})
     return EXIT_OK
 
 
-def cmd_eigen(args, config) -> int:
-    N = int(_merge(args, config, "N", 1, int))
-    k = Fraction(_merge(args, config, "k", 2, str))
-    s = Fraction(_merge(args, config, "s", "5/2", str))
+def cmd_eigen(args) -> int:
+    N, k, s = args.N or 1, args.k, args.s
     val = casimir_eigenvalue(k, N, s)
     emit(args, {
         "operation": "eigen", "N": N, "k": str(k), "s": str(s),
@@ -576,114 +557,128 @@ def cmd_eigen(args, config) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
+# accepted before and after the subcommand, by every subcommand
+GLOBAL_OPTIONS = {
+    "precision_bits": Option(lambda text: PrecisionContext(bits=int(text)), "128"),
+    "cmax": Option(int, "50", help="c-sum truncation for Poincare coefficients"),
+    "bound": Option(Fraction, "2", help="q-exponent truncation for theta expansions"),
+    "N": Option(_positive_int, help="rank"),
+    "L": Option(parse_rational_matrix,
+                help="rational Gram matrix literal, rows ';'-separated: '2,1/2;1/2,1'"),
+    "s": Option(Fraction, "5/2", help="spectral parameter"),
+    "no_cache": SWITCH,
+    "jobs": Option(int, "1"),
+}
 
-def _global_options(parser, suppress: bool):
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--config", help="flat key = value config file",
-                        default=default)
-    parser.add_argument("--precision-bits", dest="precision_bits", type=int,
-                        default=default)
-    parser.add_argument("--cmax", type=int, default=default,
-                        help="c-sum truncation for Poincare coefficients")
-    parser.add_argument("--bound", default=default,
-                        help="q-exponent truncation for theta expansions")
-    parser.add_argument("--N", type=int, default=default, help="rank")
-    parser.add_argument("--L", default=default,
-                        help="rational Gram matrix literal, rows ';'-separated: "
-                             "'2,1/2;1/2,1'")
-    parser.add_argument("--s", default=default, help="spectral parameter")
-    parser.add_argument("--out", default=default,
-                        help="write JSON output to this file")
-    parser.add_argument("--no-cache", dest="no_cache", action="store_true",
-                        default=default)
-    parser.add_argument("--jobs", type=int, default=default)
+_POINCARE_OPTIONS = {"k": Option(int, "3"), "n": Option(int, "1"),
+                     "r": Option(parse_vector), "window": Option(int, "2")}
+
+# subcommand -> (its function, its help, the options it adds to the global ones)
+COMMANDS = {
+    "verify": (cmd_verify, "run a verification suite",
+               {"samples": Option(_positive_int)}),
+    "kloosterman": (cmd_kloosterman, "Kloosterman sum table",
+                    {"c": Option(_c_range, "1"), "n": Option(int, "0"),
+                     "r": Option(parse_vector), "nprime": Option(int, "0"),
+                     "rprime": Option(parse_vector)}),
+    "theta": (cmd_theta, "theta series expansion",
+              {"mu": Option(parse_vector), "k": Option(int), "r": Option(parse_vector),
+               "zeta_variant": SWITCH}),
+    "poincare": (functools.partial(cmd_poincare, skew=False),
+                 "poincare coefficient table",
+                 {**_POINCARE_OPTIONS, "y": Option(Fraction, "1")}),
+    "skew-poincare": (functools.partial(cmd_poincare, skew=True),
+                      "skew-poincare coefficient table", _POINCARE_OPTIONS),
+    "decompose": (cmd_decompose, "theta decomposition of an expansion file",
+                  {"infile": Option(str, flag="--in"), "skew": SWITCH}),
+    "specialize": (cmd_specialize, "torsion-point specialization",
+                   {"infile": Option(str, flag="--in"), "lam": Option(_rationals, "0"),
+                    "mu": Option(_rationals, "0")}),
+    "eigen": (cmd_eigen, "Casimir eigenvalue of the Whittaker seed",
+              {"k": Option(Fraction, "2")}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own errors as UsageError instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _flag(name: str, opt: Option) -> str:
+    return opt.flag or "--" + name.replace("_", "-")
+
+
+def _add_options(parser, options: dict, default) -> None:
+    for name, opt in options.items():
+        kind = {"help": opt.help} if opt.parse else {"action": "store_true"}
+        parser.add_argument(_flag(name, opt), dest=name, default=default, **kind)
+
+
+def _global_options(parser, default) -> None:
+    parser.add_argument("--config", default=default, help="flat key = value config file")
+    parser.add_argument("--out", default=default, help="write JSON output to this file")
+    _add_options(parser, GLOBAL_OPTIONS, default)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    # every default is None: _resolve applies config values and defaults, so
+    # no config value is ever written into these cached parsers
+    p = _Parser(
         prog="maassjacobi", allow_abbrev=False,
         description="Exact and arbitrary-precision toolkit for higher rank "
                     "Jacobi forms: verification suites and arithmetic series.")
-    _global_options(p, suppress=False)
+    _global_options(p, None)
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed before it
     globals_after = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    _global_options(globals_after, suppress=True)
+    _global_options(globals_after, argparse.SUPPRESS)
     sub = p.add_subparsers(dest="command", required=True,
-                           parser_class=lambda **kw: argparse.ArgumentParser(
+                           parser_class=lambda **kw: _Parser(
                                parents=[globals_after], allow_abbrev=False, **kw))
-
-    v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite")
-    v.add_argument("--samples", type=int)
-
-    kl = sub.add_parser("kloosterman", help="Kloosterman sum table")
-    kl.add_argument("--c")
-    kl.add_argument("--n", type=int)
-    kl.add_argument("--r")
-    kl.add_argument("--nprime", type=int)
-    kl.add_argument("--rprime")
-
-    th = sub.add_parser("theta", help="theta series expansion")
-    th.add_argument("--mu")
-    th.add_argument("--k")
-    th.add_argument("--r")
-    th.add_argument("--zeta-variant", dest="zeta_variant", action="store_true",
-                    default=None)
-
-    for name in ("poincare", "skew-poincare"):
-        po = sub.add_parser(name, help=f"{name} coefficient table")
-        po.add_argument("--k", type=int)
-        po.add_argument("--n", type=int)
-        po.add_argument("--r")
-        po.add_argument("--window", type=int)
-        po.add_argument("--y")
-
-    de = sub.add_parser("decompose", help="theta decomposition of an expansion file")
-    de.add_argument("--in", dest="infile")
-    de.add_argument("--skew", action="store_true", default=None)
-
-    sp = sub.add_parser("specialize", help="torsion-point specialization")
-    sp.add_argument("--in", dest="infile")
-    sp.add_argument("--lam")
-    sp.add_argument("--mu")
-
-    ei = sub.add_parser("eigen", help="Casimir eigenvalue of the Whittaker seed")
-    ei.add_argument("--k")
+    for name, (_, help_text, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if name == "verify":
+            sp.add_argument("suite", choices=SUITES)
+        _add_options(sp, options, None)
     return p
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = {}
-    if args.config:
+def _resolve(args, options: dict, config: dict) -> None:
+    """Set each option on ``args`` to its value parsed from its flag, else
+    from the config file, else from its default.  ``args.flags`` holds the
+    names that flags set (``verify`` rejects a flag its suite does not read,
+    not a config key); ``args.given`` the text a flag or the file gave."""
+    args.flags = {name for name in options if getattr(args, name) is not None}
+    args.given = {}
+    for name, opt in options.items():
+        text, source = getattr(args, name), _flag(name, opt)
+        if opt.parse is None:
+            setattr(args, name, bool(text))
+            continue
+        if text is None:
+            text, source = config.get(name), f"config key {name!r}"
+        if text is not None:
+            args.given[name] = text
+        else:
+            text = opt.default
         try:
-            config = load_config_file(args.config)
-        except (OSError, UsageError) as exc:
-            return fail(args, exc, EXIT_USAGE)
+            setattr(args, name, None if text is None else opt.parse(text))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"{source}: bad value {text!r}: {exc}") from None
+
+
+def main(argv=None) -> int:
+    args = None  # an error before the namespace exists is printed to stdout
     try:
-        if args.command == "verify":
-            return cmd_verify(args, config)
-        if args.command == "kloosterman":
-            return cmd_kloosterman(args, config)
-        if args.command == "theta":
-            return cmd_theta(args, config)
-        if args.command == "poincare":
-            return cmd_poincare(args, config, skew=False)
-        if args.command == "skew-poincare":
-            return cmd_poincare(args, config, skew=True)
-        if args.command == "decompose":
-            return cmd_decompose(args, config)
-        if args.command == "specialize":
-            return cmd_specialize(args, config)
-        if args.command == "eigen":
-            return cmd_eigen(args, config)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        return fail(args, exc, EXIT_USAGE)
-    except OSError as exc:
+        args = build_parser().parse_args(argv)
+        run, _, options = COMMANDS[args.command]
+        config = load_config_file(args.config) if args.config else {}
+        _resolve(args, {**GLOBAL_OPTIONS, **options}, config)
+        return run(args)
+    except (UsageError, OSError) as exc:
         return fail(args, exc, EXIT_USAGE)
     except MaassJacobiError as exc:
         return fail(args, exc, EXIT_ERROR)

@@ -65,6 +65,29 @@ def test_verify_rejects_flags_its_suite_does_not_read(cache_dir, capsys, suite, 
     assert code == 2 and err["type"] == "UsageError" and flag in err["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "commutators", "--L", "abc"),
+    ("kloosterman", "--L", "2", "--c", "x"),
+    ("kloosterman", "--L", "2", "--r", "1,a"),
+    ("poincare", "--L", "2", "--s", "abc"),
+    ("eigen", "--k", "abc"),
+    ("theta", "--L", "2", "--bound", "x"),
+    ("kloosterman", "--L", "2", "--precision-bits", "10"),
+    ("--config", "BAD_CONFIG", "poincare", "--L", "2"),
+    ("kloosterman", "--L", "2", "--bogus", "1"),
+    ("verify", "covariance", "--L", "2", "--samples", "-3"),
+    ("verify", "kloosterman-symmetry", "--L", "2", "--samples", "0"),
+    ("skew-poincare", "--L", "2", "--y", "7"),
+], ids=" ".join)
+def test_malformed_values_are_usage_errors(cache_dir, capsys, tmp_path, argv):
+    config = tmp_path / "bad.cfg"
+    config.write_text("cmax = abc\n")
+    code = main([str(config) if a == "BAD_CONFIG" else a for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"]["type"] == "UsageError"
+
+
 def test_verify_rejects_n_that_is_not_the_rank_of_l(cache_dir, capsys):
     code, out = run(capsys, "verify", "commutators", "--N", "2", "--L", "1")
     err = json.loads(out)["error"]
@@ -85,6 +108,19 @@ def test_parser_state_does_not_leak_between_calls(cache_dir, capsys, tmp_path):
     code, out = run(capsys, *args)
     assert code == 0 and json.loads(out) == {"marker": 1}
     assert json.loads(out_file.read_text())["table"]
+
+
+def test_config_file_values_do_not_leak_between_calls(cache_dir, capsys, tmp_path):
+    config = tmp_path / "job.cfg"
+    config.write_text("c = 2\nn = 1\nr = 1\nrprime = 1\nprecision_bits = 64\n")
+    args = ("--no-cache", "kloosterman", "--L", "1")
+    code, out = run(capsys, "--config", str(config), *args)
+    assert code == 0 and json.loads(out)["config"]["precision_bits"] == 64
+    # the same call without the file prints every default
+    code, out = run(capsys, *args)
+    assert code == 0 and json.loads(out)["config"] == {
+        "L": [["1"]], "c": [1], "n": 0, "r": [0], "nprime": 0, "rprime": [0],
+        "precision_bits": 128}
 
 
 def test_kloosterman_closed_form_and_cache(cache_dir, capsys):

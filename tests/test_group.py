@@ -25,6 +25,7 @@ from maassjacobi.group import (
     jacobi_mul,
     mobius,
     slash,
+    weight_gap,
 )
 from maassjacobi.jets import JetSpace, coordinate_jets
 from maassjacobi.opcalc import random_algebra_element, random_group_element, random_point
@@ -75,12 +76,30 @@ def test_embedding_homomorphism_and_inverse():
             assert lhs == rhs
 
 
-def test_associativity_exact():
-    rng = random.Random(5)
-    for N in (1, 2):
-        for _ in range(10):
-            g, h, f = (random_group_element(N, rng) for _ in range(3))
-            assert jacobi_mul(jacobi_mul(g, h), f) == jacobi_mul(g, jacobi_mul(h, f))
+@settings(settings.get_profile("exact"))
+@given(N=st.sampled_from([1, 2]), rng=st.randoms(use_true_random=False))
+def test_associativity_exact(N, rng):
+    g, h, f = (random_group_element(N, rng) for _ in range(3))
+    assert jacobi_mul(jacobi_mul(g, h), f) == jacobi_mul(g, jacobi_mul(h, f))
+
+
+@settings(settings.get_profile("exact"))
+@given(N=st.sampled_from([1, 2]), rng=st.randoms(use_true_random=False))
+def test_inverse_is_two_sided_exact(N, rng):
+    g = random_group_element(N, rng)
+    e = jacobi_identity_element(N)
+    assert jacobi_mul(g, jacobi_inv(g)) == e == jacobi_mul(jacobi_inv(g), g)
+
+
+@settings(settings.get_profile("exact"))
+@given(k=st.fractions(min_value=-8, max_value=8, max_denominator=12),
+       gap=st.fractions(min_value=-8, max_value=8, max_denominator=12))
+def test_weight_gap_rejects_fractional_gaps(k, gap):
+    if gap.denominator == 1:
+        assert weight_gap(k + gap, k) == gap
+    else:
+        with pytest.raises(DomainError):
+            weight_gap(k + gap, k)
 
 
 def _perm_matrix(size, perm):
