@@ -38,7 +38,6 @@ from .enveloping import (
     PBWElement,
     LocalizedPBW,
     pbw_normal_order,
-    adjugate_substitute,
     divide_by_det,
     build_casimir,
     check_centrality,
@@ -101,7 +100,6 @@ from .fourier import (
     theta_lmu,
     theta_klr,
     theta_decompose_semi,
-    theta_decompose_skew,
     theta_reassemble,
     residue_classes,
     maass_fourier_term,

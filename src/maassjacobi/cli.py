@@ -144,7 +144,13 @@ def emit(args, obj: dict) -> None:
 
 
 def fail(args, exc: Exception, code: int = EXIT_ERROR) -> int:
-    emit(args, {"error": {"type": type(exc).__name__, "message": str(exc)}})
+    """Emit ``exc`` as the JSON error object; on stdout, exit 2, if --out fails."""
+    obj = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+    try:
+        emit(args, obj)
+    except OSError:
+        emit(None, obj)
+        return EXIT_USAGE
     return code
 
 
@@ -515,8 +521,12 @@ def _parallel_coeff(specs, jobs):
 def _expansion(args) -> FourierExpansion:
     if args.infile is None:
         raise UsageError(f"{args.command} requires --in FILE")
-    with open(args.infile, "r", encoding="utf-8") as fh:
-        return FourierExpansion.from_json(fh.read())
+    try:
+        with open(args.infile, "r", encoding="utf-8") as fh:
+            return FourierExpansion.from_json(fh.read())
+    except (ValueError, LookupError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise UsageError(f"--in {args.infile}: not an expansion file: "
+                         f"{type(exc).__name__}: {exc}") from None
 
 
 def cmd_decompose(args) -> int:

@@ -302,9 +302,6 @@ class PBWElement(SparseTerms):
             return 0
         return max(sum(e) for e in self.terms)
 
-    def coefficient(self, exp: tuple) -> GaussianRational:
-        return self.terms.get(tuple(exp), ZERO)
-
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
 
@@ -333,17 +330,14 @@ def pbw_normal_order(alg: JacobiLieAlgebra, word) -> PBWElement:
     return acc
 
 
-def check_centrality(a: PBWElement, override_degree_cap: bool = False):
+def check_centrality(a: PBWElement):
     """Commutators of ``a`` with every generator; empty list iff central.
 
-    Rank is capped (combinatorial growth) unless override_degree_cap is set.
+    Rank is capped at CENTRALITY_DEGREE_CAP (combinatorial growth).
     """
     alg = a.alg
-    if alg.N > CENTRALITY_DEGREE_CAP and not override_degree_cap:
-        raise MaassJacobiError(
-            f"centrality suite capped at N <= {CENTRALITY_DEGREE_CAP}; "
-            "pass override_degree_cap=True to force"
-        )
+    if alg.N > CENTRALITY_DEGREE_CAP:
+        raise MaassJacobiError(f"centrality suite capped at N <= {CENTRALITY_DEGREE_CAP}")
     bad = []
     for g in range(alg.ngen):
         c = a.commutator(PBWElement.gen(alg, g))
@@ -395,26 +389,13 @@ def bilinear_adj(alg, left: str, right: str) -> PBWElement:
     return _adj_form(alg, vecs[left], vecs[right])
 
 
-def adjugate_substitute(alg: JacobiLieAlgebra, template: str) -> PBWElement:
-    """Resolve a det(Z)-cleared bilinear template, one of
-    'eZf', 'fZf', 'eZe'."""
-    tags = {"eZf": ("e", "f"), "fZf": ("f", "f"), "eZe": ("e", "e")}
-    if template not in tags:
-        raise ValueError(f"unknown template {template!r}")
-    return bilinear_adj(alg, *tags[template])
-
-
 # -- exact division by det(Z) ------------------------------------------------------
-
-
-def _z_poly_of(alg, zexps_to_coeff: dict) -> Poly:
-    return Poly(alg.z_ring, dict(zexps_to_coeff))
 
 
 def _det_z_poly(alg) -> Poly:
     d = det_z(alg)
     zs = alg.z_start
-    return _z_poly_of(alg, {e[zs:]: c for e, c in d.terms.items()})
+    return Poly(alg.z_ring, {e[zs:]: c for e, c in d.terms.items()})
 
 
 def divide_by_det(a: PBWElement) -> PBWElement:
@@ -432,7 +413,7 @@ def divide_by_det(a: PBWElement) -> PBWElement:
     out = {}
     for nc, zterms in groups.items():
         try:
-            q = _z_poly_of(alg, zterms).divide_exact(d)
+            q = Poly(alg.z_ring, zterms).divide_exact(d)
         except DivisibilityError as exc:
             mono = "*".join(
                 alg.names[i] + (f"^{k}" if k > 1 else "")

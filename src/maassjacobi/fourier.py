@@ -363,8 +363,8 @@ def theta_decompose_semi(f: FourierExpansion, conjugate: bool = False) -> dict:
     """Components h_mu with exponents D/(4|L|).
 
     Requires (and checks) that coefficients depend only on (D, r mod L Z^N);
-    violation raises NotSemiHolomorphicError.  The skew variant conjugates
-    the component coefficients.
+    violation raises NotSemiHolomorphicError.  With ``conjugate`` (the skew
+    variant) the component coefficients are conjugated.
     """
     L = f.lattice
     out = {}
@@ -382,10 +382,6 @@ def theta_decompose_semi(f: FourierExpansion, conjugate: bool = False) -> dict:
         else:
             comp[expo] = (c, [index])
     return out
-
-
-def theta_decompose_skew(f: FourierExpansion) -> dict:
-    return theta_decompose_semi(f, conjugate=True)
 
 
 def theta_reassemble(components: dict, f_support: FourierExpansion,

@@ -3,8 +3,9 @@ map, matrix embeddings, the action on H x C^N, and the scalar cocycles that
 define the slash actions.
 
 Elements carry either exact Gaussian-rational entries or mpmath numbers;
-the mode is chosen at construction and never inferred.  Algebraic formulas
-(product, inverse, embeddings, the a-cocycle) stay exact on exact input.
+the mode is decided once, at construction, from the entry types.  Algebraic
+formulas (product, inverse, embeddings, the a-cocycle) stay exact on exact
+input.
 """
 
 from __future__ import annotations
@@ -30,16 +31,6 @@ def _is_exact(entries) -> bool:
     )
 
 
-def _as_exact(rows):
-    return linalg.to_gaussian(rows)
-
-
-def _j2(exact: bool):
-    if exact:
-        return _as_exact(J2)
-    return tuple(tuple(mp.mpc(x) for x in r) for r in J2)
-
-
 def _sym_defect(m):
     n = len(m)
     return max(
@@ -48,22 +39,31 @@ def _sym_defect(m):
     )
 
 
-class GroupElement:
-    """(M, X, kappa) with det M = 1 and kappa + X J2 X^T / 2 symmetric."""
+class _Triple:
+    """(M, X, kappa), the form of group and Lie algebra elements alike: exact,
+    stored as GaussianRational, when every entry is int, Fraction or
+    GaussianRational.  Each subclass checks its invariants in ``_validate``."""
 
     __slots__ = ("M", "X", "kappa", "N", "exact")
 
     def __init__(self, M, X, kappa, check: bool = True):
-        M = linalg.mat(M)
-        X = linalg.mat(X)
-        kappa = linalg.mat(kappa)
+        M, X, kappa = map(linalg.mat, (M, X, kappa))
         self.exact = _is_exact(M) and _is_exact(X) and _is_exact(kappa)
         if self.exact:
-            M, X, kappa = _as_exact(M), _as_exact(X), _as_exact(kappa)
+            M, X, kappa = map(linalg.to_gaussian, (M, X, kappa))
         self.M, self.X, self.kappa = M, X, kappa
         self.N = len(X)
         if check:
             self._validate()
+
+    def __repr__(self):
+        return f"{type(self).__name__}(M={self.M}, X={self.X}, kappa={self.kappa})"
+
+
+class GroupElement(_Triple):
+    """(M, X, kappa) with det M = 1 and kappa + X J2 X^T / 2 symmetric."""
+
+    __slots__ = ()
 
     def _validate(self):
         if linalg.dims(self.M) != (2, 2):
@@ -71,9 +71,8 @@ class GroupElement:
         if linalg.dims(self.X) != (self.N, 2) or linalg.dims(self.kappa) != (self.N, self.N):
             raise MalformedElementError("X must be Nx2 and kappa NxN")
         d = linalg.det(self.M)
-        sym = linalg.add(self.kappa, linalg.scale(_half(self.exact),
-                         linalg.mul(linalg.mul(self.X, _j2(self.exact)),
-                                    linalg.transpose(self.X))))
+        sym = linalg.add(self.kappa, linalg.scale(Fraction(1, 2), linalg.mul(
+            linalg.mul(self.X, J2), linalg.transpose(self.X))))
         if self.exact:
             if d != GaussianRational(1):
                 raise MalformedElementError(f"det(M) = {d} != 1")
@@ -84,9 +83,6 @@ class GroupElement:
                 raise MalformedElementError(f"det(M) deviates from 1 by {abs(complex(d)-1)}")
             if _sym_defect(sym) > NUMERIC_TOL:
                 raise MalformedElementError("kappa + X J2 X^T / 2 is not symmetric")
-
-    def __repr__(self):
-        return f"GroupElement(M={self.M}, X={self.X}, kappa={self.kappa})"
 
     def __eq__(self, other):
         return (
@@ -100,26 +96,17 @@ class GroupElement:
         return GroupElement(conv(self.M), conv(self.X), conv(self.kappa), check=False)
 
 
-def _half(exact: bool):
-    return GaussianRational(Fraction(1, 2)) if exact else mp.mpf("0.5")
-
-
 def jacobi_identity_element(N: int) -> GroupElement:
-    one, zero = GaussianRational(1), GaussianRational(0)
-    return GroupElement(
-        linalg.identity(2, one, zero), linalg.zeros(N, 2, zero), linalg.zeros(N, N, zero)
-    )
+    return GroupElement(linalg.identity(2), linalg.zeros(N, 2), linalg.zeros(N, N))
 
 
 def jacobi_mul(g: GroupElement, h: GroupElement) -> GroupElement:
     """(M, X, k)(M', X', k') = (MM', XM' + X', k + k' - X M' J2 X'^T)."""
     if g.N != h.N:
         raise MalformedElementError("rank mismatch")
-    exact = g.exact and h.exact
     MM = linalg.mul(g.M, h.M)
     XX = linalg.add(linalg.mul(g.X, h.M), h.X)
-    cross = linalg.mul(linalg.mul(linalg.mul(g.X, h.M), _j2(exact)),
-                       linalg.transpose(h.X))
+    cross = linalg.mul(linalg.mul(linalg.mul(g.X, h.M), J2), linalg.transpose(h.X))
     kk = linalg.sub(linalg.add(g.kappa, h.kappa), cross)
     return GroupElement(MM, XX, kk, check=False)
 
@@ -129,54 +116,34 @@ def jacobi_inv(g: GroupElement) -> GroupElement:
     Minv = linalg.inverse(g.M)
     Xinv = linalg.neg(linalg.mul(g.X, Minv))
     kinv = linalg.neg(linalg.add(
-        g.kappa,
-        linalg.mul(linalg.mul(g.X, _j2(g.exact)), linalg.transpose(g.X)),
-    ))
+        g.kappa, linalg.mul(linalg.mul(g.X, J2), linalg.transpose(g.X))))
     return GroupElement(Minv, Xinv, kinv, check=False)
 
 
-class AlgebraElement:
+class AlgebraElement(_Triple):
     """(M, X, kappa) with tr M = 0 and kappa symmetric."""
 
-    __slots__ = ("M", "X", "kappa", "N", "exact")
+    __slots__ = ()
 
-    def __init__(self, M, X, kappa, check: bool = True):
-        M = linalg.mat(M)
-        X = linalg.mat(X)
-        kappa = linalg.mat(kappa)
-        self.exact = _is_exact(M) and _is_exact(X) and _is_exact(kappa)
+    def _validate(self):
+        tr = self.M[0][0] + self.M[1][1]
         if self.exact:
-            M, X, kappa = _as_exact(M), _as_exact(X), _as_exact(kappa)
-        self.M, self.X, self.kappa = M, X, kappa
-        self.N = len(X)
-        if check:
-            tr = M[0][0] + M[1][1]
-            if self.exact:
-                if tr != GaussianRational(0):
-                    raise MalformedElementError("M is not traceless")
-                if kappa != linalg.transpose(kappa):
-                    raise MalformedElementError("kappa is not symmetric")
-            else:
-                if abs(complex(tr)) > NUMERIC_TOL or _sym_defect(kappa) > NUMERIC_TOL:
-                    raise MalformedElementError("algebra element invariants violated")
+            if tr != GaussianRational(0):
+                raise MalformedElementError("M is not traceless")
+            if self.kappa != linalg.transpose(self.kappa):
+                raise MalformedElementError("kappa is not symmetric")
+        elif abs(complex(tr)) > NUMERIC_TOL or _sym_defect(self.kappa) > NUMERIC_TOL:
+            raise MalformedElementError("algebra element invariants violated")
 
     def bracket(self, other: "AlgebraElement") -> "AlgebraElement":
         """([M,M'], XM' - X'M, X' J2 X^T - X J2 X'^T)."""
-        exact = self.exact and other.exact
-        j2 = _j2(exact)
         Mb = linalg.sub(linalg.mul(self.M, other.M), linalg.mul(other.M, self.M))
         Xb = linalg.sub(linalg.mul(self.X, other.M), linalg.mul(other.X, self.M))
         kb = linalg.sub(
-            linalg.mul(linalg.mul(other.X, j2), linalg.transpose(self.X)),
-            linalg.mul(linalg.mul(self.X, j2), linalg.transpose(other.X)),
+            linalg.mul(linalg.mul(other.X, J2), linalg.transpose(self.X)),
+            linalg.mul(linalg.mul(self.X, J2), linalg.transpose(other.X)),
         )
         return AlgebraElement(Mb, Xb, kb, check=False)
-
-    def scale(self, c) -> "AlgebraElement":
-        return AlgebraElement(
-            linalg.scale(c, self.M), linalg.scale(c, self.X), linalg.scale(c, self.kappa),
-            check=False,
-        )
 
     def add(self, other: "AlgebraElement") -> "AlgebraElement":
         return AlgebraElement(
@@ -229,9 +196,6 @@ class AlgebraElement:
                 raise ValueError(f"unknown generator {name}")
         return AlgebraElement(M, X, K)
 
-    def __repr__(self):
-        return f"AlgebraElement(M={self.M}, X={self.X}, kappa={self.kappa})"
-
 
 class Point:
     """A point (tau, z) of H x C^N, or the coordinate jets at such a point."""
@@ -243,10 +207,6 @@ class Point:
         self.z = tuple(z)
         if _imag(tau) <= 0:
             raise DomainError("Im(tau) must be positive")
-
-    @property
-    def N(self):
-        return len(self.z)
 
     def __repr__(self):
         return f"Point({self.tau}, {self.z})"
@@ -442,9 +402,8 @@ def jacobi_exp(Y: AlgebraElement, ctx: PrecisionContext) -> GroupElement:
             ghalf = jacobi_exp(half, ctx)
             return jacobi_mul(ghalf, ghalf)
         eM, gM, hM = _exp_series_2x2(M, ctx)
-        j2 = _j2(False)
         Xg = linalg.mul(X, gM)
-        corr = linalg.mul(linalg.mul(linalg.mul(X, hM), j2), linalg.transpose(X))
+        corr = linalg.mul(linalg.mul(linalg.mul(X, hM), J2), linalg.transpose(X))
         return GroupElement(eM, Xg, linalg.sub(kappa, corr), check=False)
 
 
@@ -482,32 +441,19 @@ def expm(A, ctx: PrecisionContext):
 def embed_group(g: GroupElement):
     """(2N+2)-dimensional matrix embedding of the group."""
     N = g.N
-    exact = g.exact
-    one = GaussianRational(1) if exact else mp.mpf(1)
-    zero = GaussianRational(0) if exact else mp.mpf(0)
-    MJX = linalg.neg(linalg.mul(linalg.mul(g.M, _j2(exact)), linalg.transpose(g.X)))
-    return _blocks(N, linalg.identity(N, one, zero), g.X, g.kappa,
-                   g.M, MJX, linalg.identity(N, one, zero), zero)
+    MJX = linalg.neg(linalg.mul(linalg.mul(g.M, J2), linalg.transpose(g.X)))
+    return _blocks(N, linalg.identity(N), g.X, g.kappa, g.M, MJX, linalg.identity(N))
 
 
 def embed_algebra(Y: AlgebraElement):
     """(2N+2)-dimensional matrix embedding of the Lie algebra."""
     N = Y.N
-    exact = Y.exact
-    zero = GaussianRational(0) if exact else mp.mpf(0)
-    JX = linalg.neg(linalg.mul(_j2(exact), linalg.transpose(Y.X)))
-    return _blocks(N, linalg.zeros(N, N, zero), Y.X, Y.kappa,
-                   Y.M, JX, linalg.zeros(N, N, zero), zero)
+    JX = linalg.neg(linalg.mul(J2, linalg.transpose(Y.X)))
+    return _blocks(N, linalg.zeros(N, N), Y.X, Y.kappa, Y.M, JX, linalg.zeros(N, N))
 
 
-def _blocks(N, tl, X, kappa, M, corner, br, zero):
-    size = 2 * N + 2
-    rows = []
-    for i in range(N):
-        rows.append(tuple(tl[i]) + tuple(X[i]) + tuple(kappa[i]))
-    for i in range(2):
-        rows.append(tuple(zero for _ in range(N)) + tuple(M[i]) + tuple(corner[i]))
-    for i in range(N):
-        rows.append(tuple(zero for _ in range(N + 2)) + tuple(br[i]))
-    assert len(rows) == size
+def _blocks(N, tl, X, kappa, M, corner, br):
+    rows = [tuple(tl[i]) + tuple(X[i]) + tuple(kappa[i]) for i in range(N)]
+    rows += [(0,) * N + tuple(M[i]) + tuple(corner[i]) for i in range(2)]
+    rows += [(0,) * (N + 2) + tuple(br[i]) for i in range(N)]
     return linalg.mat(rows)

@@ -1,8 +1,8 @@
 """Positive definite even lattices given by exact Gram matrices.
 
 Entries live in (1/2)Z with integral diagonal, so L[lambda] is an integer
-for integer vectors.  The determinant, adjugate and inverse are cached
-exactly; bounded enumeration runs over exact LDL^T pivots.
+for integer vectors.  The determinant and inverse are cached exactly;
+bounded enumeration runs over exact LDL^T pivots.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .errors import DomainError
 class GramLattice:
     """Exact Gram matrix of an even positive definite lattice."""
 
-    __slots__ = ("N", "entries", "det", "adjugate", "inv", "_ldl")
+    __slots__ = ("N", "entries", "det", "inv", "_ldl")
 
     def __init__(self, entries):
         rows = [[Fraction(x) for x in r] for r in entries]
@@ -42,17 +42,8 @@ class GramLattice:
         self.N = N
         self.entries = m
         self.det = linalg.det(m)
-        self.adjugate = linalg.adjugate(m)
         self.inv = linalg.inverse(m)
         self._ldl = linalg.ldl(m)
-
-    @staticmethod
-    def coerce(L) -> "GramLattice":
-        if isinstance(L, GramLattice):
-            return L
-        if isinstance(L, (int, Fraction)):
-            return GramLattice([[L]])
-        return GramLattice(L)
 
     def __eq__(self, other):
         return isinstance(other, GramLattice) and self.entries == other.entries

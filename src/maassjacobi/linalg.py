@@ -118,14 +118,11 @@ def adjugate(a):
 
 
 def inverse(a):
+    """a^-1, exact on exact entries; numeric entries must be mpc."""
     d = det(a)
     if not d:
         raise ZeroDivisionError("singular matrix")
-    if isinstance(d, GaussianRational):
-        return scale(d.inverse(), adjugate(a))
-    if isinstance(d, (int, Fraction)):
-        return scale(Fraction(1, 1) / d, adjugate(a))
-    return scale(1 / d, adjugate(a))
+    return scale(Fraction(1) / d, adjugate(a))
 
 
 def quad_form(a, v):

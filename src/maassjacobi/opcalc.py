@@ -701,7 +701,7 @@ def random_group_element(N: int, rng) -> GroupElement:
         [GaussianRational(Fraction(rng.randint(-2, 2), rng.randint(1, 2))) for _ in range(2)]
         for _ in range(N)
     ])
-    XJX = linalg.mul(linalg.mul(X, linalg.to_gaussian(J2)), linalg.transpose(X))
+    XJX = linalg.mul(linalg.mul(X, J2), linalg.transpose(X))
     kap = linalg.sub(_random_symmetric(N, rng),
                      linalg.scale(GaussianRational(_HALF), XJX))
     return GroupElement(m, X, kap)
@@ -756,8 +756,8 @@ def covariance_check(T: DiffOp, k, L: GramLattice, k2, L2: GramLattice,
 
 
 def kernel_seed(k, L: GramLattice, l, h, ctx: PrecisionContext):
-    """The function y^{-k} e(l taubar + h zbar + c L[v]/y) and its
-    annihilation report under X+ and the Y+_i.
+    """The annihilation report of y^{-k} e(l taubar + h zbar + c L[v]/y)
+    under X+ and the Y+_i.
 
     The displayed exponent constant is re-derived by solving the first-order
     annihilation condition numerically (linear in c) instead of asserting
@@ -829,13 +829,4 @@ def kernel_seed(k, L: GramLattice, l, h, ctx: PrecisionContext):
             report["samples"].append({"X+": xres, "Y+": yres})
         report["max_X+"] = max(s["X+"] for s in report["samples"])
         report["max_Y+"] = max(max(s["Y+"]) for s in report["samples"])
-
-        def handle(tau, z):
-            space1 = JetSpace.for_rank(N, 0)
-            return build_jet(coordinate_jets(space1, tau, z), derived).value
-
-        def jet_source(tau, z, degree=4):
-            sp = JetSpace.for_rank(N, degree)
-            return build_jet(coordinate_jets(sp, tau, z), derived)
-
-    return handle, jet_source, report
+    return report

@@ -99,12 +99,6 @@ class PolyRing:
         exp[i] = power
         return Poly(self, {tuple(exp): ONE})
 
-    def monomial(self, exps, coeff=ONE) -> "Poly":
-        coeff = GaussianRational.coerce(coeff)
-        if not coeff:
-            return self.zero()
-        return Poly(self, {tuple(exps): coeff})
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyRing)
@@ -144,11 +138,15 @@ class Poly(SparseTerms):
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
+                s = out.get(e)
+                if s is None:
+                    out[e] = c1 * c2
                 else:
-                    out.pop(e, None)
+                    s = s + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
@@ -178,12 +176,6 @@ class Poly(SparseTerms):
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.terms.items())))
-
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {self.ring._zero_exp}
-
-    def constant_value(self) -> GaussianRational:
-        return self.terms.get(self.ring._zero_exp, ZERO)
 
     def uses(self, name: str) -> bool:
         i = self.ring.index[name]
@@ -215,7 +207,8 @@ class Poly(SparseTerms):
     # -- substitution / evaluation ----------------------------------------
 
     def subs(self, assignment: dict) -> "Poly":
-        """Substitute polynomials or constants for variables (same ring)."""
+        """Substitute polynomials or constants for variables (same ring);
+        a substituted variable may not occur at a negative power."""
         out = self.ring.zero()
         for e, c in self.terms.items():
             term = self.ring.const(c)
@@ -227,13 +220,6 @@ class Poly(SparseTerms):
                     repl = assignment[name]
                     if not isinstance(repl, Poly):
                         repl = self.ring.const(repl)
-                    if k < 0:
-                        if not repl.is_constant():
-                            raise ValueError(
-                                f"cannot substitute non-constant into {name}^{k}"
-                            )
-                        repl = self.ring.const(repl.constant_value() ** -1)
-                        k = -k
                     term = term * repl ** k
                 else:
                     term = term * self.ring.var(name, k)

@@ -78,14 +78,28 @@ def test_verify_rejects_flags_its_suite_does_not_read(cache_dir, capsys, suite, 
     ("verify", "covariance", "--L", "2", "--samples", "-3"),
     ("verify", "kloosterman-symmetry", "--L", "2", "--samples", "0"),
     ("skew-poincare", "--L", "2", "--y", "7"),
+    ("decompose", "--in", "NO_TERMS_FILE"),
+    ("decompose", "--in", "NOT_JSON_FILE"),
 ], ids=" ".join)
 def test_malformed_values_are_usage_errors(cache_dir, capsys, tmp_path, argv):
-    config = tmp_path / "bad.cfg"
-    config.write_text("cmax = abc\n")
-    code = main([str(config) if a == "BAD_CONFIG" else a for a in argv])
+    files = {"BAD_CONFIG": "cmax = abc\n", "NO_TERMS_FILE": '{"lattice": [["1"]]}',
+             "NOT_JSON_FILE": "not json"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = main([str(tmp_path / a) if a in files else a for a in argv])
     out, err = capsys.readouterr()
     assert code == 2 and err == ""
-    assert json.loads(out)["error"]["type"] == "UsageError"
+    error = json.loads(out)["error"]
+    assert error["type"] == "UsageError"
+    if argv[0] == "decompose":  # the message names the expansion file
+        assert str(tmp_path / argv[-1]) in error["message"]
+
+
+def test_bad_lattice_in_expansion_file_is_domain_error(cache_dir, capsys, tmp_path):
+    infile = tmp_path / "f.json"
+    infile.write_text('{"lattice": [["1", "2"], ["0", "1"]], "terms": []}')
+    code, out = run(capsys, "decompose", "--in", str(infile))
+    assert code == 3 and json.loads(out)["error"]["type"] == "DomainError"
 
 
 def test_verify_rejects_n_that_is_not_the_rank_of_l(cache_dir, capsys):
@@ -305,3 +319,13 @@ def test_missing_input_file_is_structured_error(cache_dir, capsys):
                     "--lam", "0", "--mu", "0")
     assert code == 2
     assert json.loads(out)["error"]["type"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("eigen", "--k", "abc"), "UsageError"),
+    (("eigen",), "FileNotFoundError"),
+], ids=["bad-value", "good-value"])
+def test_unwritable_out_reports_on_stdout(cache_dir, capsys, tmp_path, argv, error):
+    out_file = str(tmp_path / "missing-dir" / "x.json")
+    code, out = run(capsys, *argv, "--out", out_file)
+    assert code == 2 and json.loads(out)["error"]["type"] == error

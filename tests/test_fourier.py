@@ -21,7 +21,6 @@ from maassjacobi.fourier import (
     specialization_chain_rule_residual,
     specialize_torsion,
     theta_decompose_semi,
-    theta_decompose_skew,
     theta_klr,
     theta_lmu,
     theta_reassemble,
@@ -93,11 +92,27 @@ def test_theta_klr():
 
 
 def test_expansion_json_round_trip():
-    th = theta_klr(2, GramLattice([[2, 1], [1, 2]]), [1, 0], 3)
-    s = th.to_json()
-    back = FourierExpansion.from_json(s)
-    assert back == th
-    assert back.to_json() == s
+    # one expansion per profile tag
+    L, L2 = GramLattice([[1]]), GramLattice([[2, 1], [1, 2]])
+    k = Fraction(5, 2)
+    seed = phi_seed(k, L2, Fraction(5, 3), 1, [1, 0])
+    expansions = [
+        theta_klr(2, L2, [1, 0], 3),
+        maass_fourier_term("c0", k, L, 1, [2]),
+        maass_fourier_term("c+", k, L, 1, [1]),
+        maass_fourier_term("c-", k, L, -1, [1]),
+        skew_fourier_term(L2, 1, [1, 0]),
+        mixed_mock_term(k, L2, 1, [1, 0], 3, [Fraction(1, 2), -3]),
+        seed,
+        FourierExpansion(L2, {i: ("W", p, c) for i, (_, p, c) in seed.terms.items()}),
+    ]
+    tags = {tag for f in expansions for tag, _, _ in f.terms.values()}
+    assert tags == {"y_power", "constant", "H", "exp_real", "E", "M", "W"}
+    for f in expansions:
+        s = f.to_json()
+        back = FourierExpansion.from_json(s)
+        assert back == f
+        assert back.to_json() == s
 
 
 def test_residue_classes_and_reduce():
@@ -130,7 +145,7 @@ def test_theta_decomposition_round_trip():
             f.terms[FourierIndex.of(n, r)] = ("constant", {}, coefmap[key])
     comp = theta_decompose_semi(f)
     assert theta_reassemble(comp, f) == f
-    comp = theta_decompose_skew(f)
+    comp = theta_decompose_semi(f, conjugate=True)
     assert theta_reassemble(comp, f, conjugate=True) == f
     # component exponents are D/(4|L|)
     for mu, c in comp.items():

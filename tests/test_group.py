@@ -148,6 +148,22 @@ def test_exp_matches_matrix_exponential(ctx):
         assert worst < mp.mpf("1e-25")
 
 
+def test_exp_halves_large_elements(ctx):
+    # ||M|| = 9 exceeds the series bound, so jacobi_exp halves before summing
+    M = ((GR(5), GR(4)), (GR(-3), GR(-5)))
+    for N in (1, 2):
+        rng = random.Random(N)
+        X = [[GR(rng.randint(-2, 2)) for _ in range(2)] for _ in range(N)]
+        kap = [[GR(1 + i + j) for j in range(N)] for i in range(N)]
+        Y = AlgebraElement(M, X, kap)
+        with ctx.working():
+            lhs = embed_group(jacobi_exp(Y, ctx))
+            rhs = expm(embed_algebra(Y), ctx)
+            scale = max(abs(b) for rb in rhs for b in rb)
+            worst = max(abs(a - b) for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))
+            assert worst < mp.mpf("1e-25") * scale
+
+
 def test_exp_special_cases(ctx):
     # exp(0, X, kappa) = (I, X, kappa - X J2 X^T / 2)
     X = [[GR(2), GR(-1)], [GR(1), GR(3)]]

@@ -429,8 +429,7 @@ def test_apply_jet_degree_error(ctx):
 
 def test_kernel_seed(ctx):
     L = GramLattice([[1]])
-    handle, jet_source, rep = kernel_seed(Fraction(2), L, Fraction(1),
-                                          [Fraction(1, 2)], ctx)
+    rep = kernel_seed(Fraction(2), L, Fraction(1), [Fraction(1, 2)], ctx)
     with ctx.working():
         # the ODE oracle rederives the exponent constant as -2i inside e(.)
         assert rep["derived_vs_minus_2i"] < mp.mpf("1e-30")
@@ -450,7 +449,7 @@ def test_kernel_seed(ctx):
                                         k_value=mp.mpf(2))) / abs(naked.value)
         assert resid > mp.mpf("1e-6")
     # h = l = 0, k = 0 reduces to exp(4 pi L[v]/y); Y+ still annihilates
-    _, _, rep0 = kernel_seed(0, L, 0, [0], ctx)
+    rep0 = kernel_seed(0, L, 0, [0], ctx)
     with ctx.working():
         assert rep0["max_Y+"] < mp.mpf("1e-30")
 
