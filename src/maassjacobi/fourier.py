@@ -197,10 +197,13 @@ class FourierExpansion:
 
 
 def _param_str(v):
+    """A parameter as the rational string(s) that _param_parse reads back; a
+    bool would come back as a number, so it is refused."""
+    items = v if isinstance(v, (list, tuple)) else [v]
+    if any(isinstance(x, bool) for x in items):
+        raise DomainError(f"parameter {v!r} is not a rational number")
     if isinstance(v, (list, tuple)):
         return [str(Fraction(x)) for x in v]
-    if isinstance(v, bool) or isinstance(v, int):
-        return str(v)
     return str(Fraction(v))
 
 

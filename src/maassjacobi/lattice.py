@@ -1,14 +1,17 @@
 """Positive definite even lattices given by exact Gram matrices.
 
 Entries live in (1/2)Z with integral diagonal, so L[lambda] is an integer
-for integer vectors.  The determinant and inverse are cached exactly;
-bounded enumeration runs over exact LDL^T pivots.
+for integer vectors.  The determinant and inverse are cached exactly, the
+inverse also as an integer matrix over one denominator, on which the forms
+of L^{-1} are integer sums; bounded enumeration runs over exact LDL^T
+pivots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import ceil, floor, isqrt, lcm
+from operator import mul
 
 from . import linalg
 from .errors import DomainError
@@ -17,7 +20,7 @@ from .errors import DomainError
 class GramLattice:
     """Exact Gram matrix of an even positive definite lattice."""
 
-    __slots__ = ("N", "entries", "det", "inv", "_ldl")
+    __slots__ = ("N", "entries", "det", "inv", "_inv_int", "_ldl")
 
     def __init__(self, entries):
         rows = [[Fraction(x) for x in r] for r in entries]
@@ -43,6 +46,10 @@ class GramLattice:
         self.entries = m
         self.det = linalg.det(m)
         self.inv = linalg.inverse(m)
+        # L^{-1} = A / d with A an integer matrix
+        d = lcm(*(x.denominator for row in self.inv for x in row))
+        self._inv_int = (tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                               for row in self.inv), d)
         self._ldl = linalg.ldl(m)
 
     def __eq__(self, other):
@@ -55,16 +62,29 @@ class GramLattice:
         """L[v] = v^T L v."""
         return linalg.quad_form(self.entries, tuple(Fraction(x) for x in v))
 
+    def _inv_form_int(self, u, v):
+        """(num, den) with u^T L^{-1} v = num / den, both integers, den > 0."""
+        A, d = self._inv_int
+        (u, e), (v, f) = _over_one_denominator(u), _over_one_denominator(v)
+        return sum(x * sum(map(mul, row, v)) for x, row in zip(u, A)), d * e * f
+
+    def inv_form(self, u, v) -> Fraction:
+        """u^T L^{-1} v."""
+        return Fraction(*self._inv_form_int(u, v))
+
     def inv_quad(self, v) -> Fraction:
         """L^{-1}[v]."""
-        return linalg.quad_form(self.inv, tuple(Fraction(x) for x in v))
+        return self.inv_form(v, v)
 
     def apply(self, v):
         """L v as a tuple of Fractions."""
         return linalg.matvec(self.entries, tuple(Fraction(x) for x in v))
 
     def inv_apply(self, v):
-        return linalg.matvec(self.inv, tuple(Fraction(x) for x in v))
+        """L^{-1} v as a tuple of Fractions."""
+        A, d = self._inv_int
+        v, e = _over_one_denominator(v)
+        return tuple(Fraction(sum(map(mul, row, v)), d * e) for row in A)
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for r in self.entries for x in r)
@@ -80,9 +100,24 @@ class GramLattice:
         return f"GramLattice({[[str(x) for x in r] for r in self.entries]})"
 
 
+def _rational(x):
+    """x itself if it is an int or a Fraction, else Fraction(x)."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
+def _over_one_denominator(v):
+    """(w, e) with v = w / e for a vector of rationals v: integers w, e > 0."""
+    v = [_rational(x) for x in v]
+    e = lcm(*(x.denominator for x in v))
+    return [x.numerator * (e // x.denominator) for x in v], e
+
+
 def discriminant(L: GramLattice, n, r) -> Fraction:
-    """D = |L| (4n - L^{-1}[r])."""
-    return L.det * (4 * Fraction(n) - L.inv_quad(r))
+    """D = |L| (4n - L^{-1}[r]), over one denominator."""
+    n = _rational(n)
+    q, den = L._inv_form_int(r, r)
+    return Fraction(L.det.numerator * (4 * n.numerator * den - n.denominator * q),
+                    L.det.denominator * n.denominator * den)
 
 
 def h_of_r(L: GramLattice, r) -> Fraction:

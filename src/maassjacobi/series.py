@@ -6,7 +6,8 @@ duality checks.
 A Kloosterman sum is exact integer work up to its last step: one pass over
 lambda in (Z/c)^N histograms the pairs (L[lam] + r.lam + n, r'.lam) mod c,
 each unit d relabels the bins, and the collected phases num/c index a
-cached table of the c-th roots of unity at the working precision.  The
+cached table of the c-th roots of unity at the working precision; the
+prefactor e(-r^T L^{-1} r'/2c) is cached by its exact phase.  The
 r' and -r' sides of a symmetrized coefficient share D', so they share one
 prefactor, Whittaker profile, c-power and Bessel value per c.
 """
@@ -27,8 +28,10 @@ from .lattice import GramLattice, discriminant
 from .precision import PrecisionContext, e_of, to_mpc, to_mpf
 from .specfun import bessel_I, bessel_J, whittaker_W_renorm
 
-# (c, precision) pairs whose tables of c-th roots of unity are kept
+# (c, precision) pairs whose tables of c-th roots of unity are kept, and
+# (phase, precision) pairs whose prefactors are kept
 _ROOT_TABLES = 256
+_PREFACTORS = 4096
 
 
 @lru_cache(maxsize=_ROOT_TABLES)
@@ -37,6 +40,13 @@ def _roots_of_unity(c: int, prec: int):
     them at that precision."""
     with mp.workprec(prec):
         return tuple(e_of(Fraction(j, c)) for j in range(c))
+
+
+@lru_cache(maxsize=_PREFACTORS)
+def _root(phase: Fraction, prec: int):
+    """e(phase) at prec bits, exactly as e_of gives it at that precision."""
+    with mp.workprec(prec):
+        return e_of(phase)
 
 
 def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
@@ -80,15 +90,13 @@ def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
             num = (dbar * a + nd - b) % c
             counts[num] = counts.get(num, 0) + cnt
 
-    pre_phase = -Fraction(
-        sum(rr * x for rr, x in zip(r, L.inv_apply(rprime)))
-    ) / (2 * c)
+    pre_phase = -L.inv_form(r, rprime) / (2 * c)
     with ctx.working():
         roots = _roots_of_unity(c, mp.prec)
         acc = mp.mpc(0)
         for num, cnt in counts.items():
             acc += cnt * roots[num]
-        return e_of(pre_phase) * acc
+        return _root(pre_phase, mp.prec) * acc
 
 
 def casimir_eigenvalue(k, N: int, s) -> Fraction:

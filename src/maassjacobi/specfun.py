@@ -3,23 +3,27 @@ coefficients: renormalized Whittaker functions, Bessel J and I, the upper
 incomplete gamma, and the H- and E-profiles, each with a jet variant
 carrying derivatives in the real argument.
 
-Scalar evaluation is backed by mpmath's hypergeometric machinery under an
-explicit PrecisionContext; jet derivatives come from shifted-parameter
-closed forms (Kummer/Bessel contiguous relations) or the defining ODE, so
-ODE-residual tests exercise independently computed orders.
+Scalar evaluation runs under an explicit PrecisionContext.  Kummer's U at
+an integer b parameter (every W the Poincare coefficients use) is one
+integer fixed-point pass rounded once (``_kummer_u``); everything else is
+backed by mpmath's hypergeometric machinery.  Jet derivatives come from
+shifted-parameter closed forms (Kummer/Bessel contiguous relations) or the
+defining ODE, so ODE-residual tests exercise independently computed orders.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from operator import add, sub
 
-from mpmath import mp
+from mpmath import libmp, mp
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, PrecisionError
 from .jets import Jet, JetSpace, compose_univariate
-from .precision import PrecisionContext, to_mpf
+from .precision import MAX_TERMS, PrecisionContext, to_mpf
 
 
 def _frac(x) -> Fraction:
@@ -35,20 +39,238 @@ def _pole_check_M(s):
 
 
 def _pochhammer(a, j):
-    out = mp.mpf(1)
-    for i in range(j):
-        out *= a + i
-    return out
+    """(a)_j = a (a + 1) ... (a + j - 1), in the arithmetic of a."""
+    return math.prod(a + i for i in range(j))
 
 
-def _kummer_derivs(kind: str, a, b, x, order):
+def _kummer_derivs(kind: str, a: Fraction, b: Fraction, x, order):
     """[F(x), F'(x), ...] for F = M(a, b, .) or U(a, b, .), via parameter
     shifts."""
     if kind == "M":
+        a, b = to_mpf(a), to_mpf(b)
         return [_pochhammer(a, j) / _pochhammer(b, j) * mp.hyp1f1(a + j, b + j, x)
                 for j in range(order + 1)]
-    return [(-1) ** j * _pochhammer(a, j) * mp.hyperu(a + j, b + j, x)
+    return [to_mpf((-1) ** j * _pochhammer(a, j)) * _kummer_u(a + j, b + j, x)
             for j in range(order + 1)]
+
+
+def _round32(bits: int) -> int:
+    # working precisions come in steps of 32 bits, so that the cached
+    # constants of _gamma_data serve every x of a step
+    return -(-bits // 32) * 32
+
+
+def _man_exp(v):
+    """The mpf v as (man, exp) with v = man 2^exp and man signed."""
+    sign, man, exp, _ = v._mpf_
+    return (-man if sign else man), exp
+
+
+def _exact(x) -> Fraction:
+    """The mpf x as the dyadic rational it is."""
+    man, exp = _man_exp(x)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _rounded(v: Fraction):
+    """The rational v rounded once to mp.prec."""
+    return mp.make_mpf(libmp.from_rational(v.numerator, v.denominator, mp.prec,
+                                           libmp.round_nearest))
+
+
+@lru_cache(maxsize=256)
+def _gamma_data(a: Fraction, wp: int):
+    """(psi(a) + 2 gamma as an integer over 2^wp, 1/Gamma(a) to wp bits as a
+    signed (man, exp))."""
+    with mp.workprec(wp + 8):
+        psi = libmp.to_fixed((mp.digamma(to_mpf(a)) + 2 * mp.euler)._mpf_, wp)
+    with mp.workprec(wp):
+        return psi, _man_exp(mp.rgamma(to_mpf(a)))
+
+
+def _kummer_u(a, b, x):
+    """Kummer's U(a, b, x) at the working precision mp.prec, for exact
+    rational a and b and an mpf x > 0.
+
+    At an integer b the value is exact arithmetic on the dyadic x rounded
+    once, or one integer fixed-point pass whose error is checked against the
+    cancellation it met, rounded once:
+    - when a or a - b + 1 is a nonpositive integer, U is the polynomial of
+      DLMF 13.2.7, after Kummer's transformation 13.2.40 in the second case;
+    - otherwise, after 13.2.40 when b <= 0, the asymptotic series 13.7.3
+      where it reaches mp.prec bits, and the logarithmic series 13.2.9
+      elsewhere.
+    At any other b it is mpmath's hyperu.
+    """
+    a, b = _frac(a), _frac(b)
+    if b.denominator != 1:
+        return mp.hyperu(to_mpf(a), to_mpf(b), x)
+    b = int(b)
+    a2 = a - b + 1
+    if a.denominator == 1 and a <= 0:
+        return _rounded(_u_polynomial(-int(a), b, _exact(x)))
+    if a2.denominator == 1 and a2 <= 0:
+        xq = _exact(x)
+        return _rounded(xq ** (1 - b) * _u_polynomial(-int(a2), 2 - b, xq))
+    m = 0
+    if b <= 0:
+        # U(a, b, x) = x^{1-b} U(a - b + 1, 2 - b, x)
+        a, b, m = a2, 2 - b, 1 - b
+    man, exp = _u_asymptotic(a, b, x, mp.prec) or _u_log_series(a, b - 1, x, mp.prec)
+    xman, xexp = _man_exp(x)
+    return mp.make_mpf(libmp.from_man_exp(man * xman ** m, exp + xexp * m,
+                                          mp.prec, libmp.round_nearest))
+
+
+def _u_polynomial(m: int, b: int, x: Fraction) -> Fraction:
+    """U(-m, b, x) = (-1)^m sum_k C(m, k) (b + k)_{m-k} (-x)^k (DLMF 13.2.7)."""
+    return (-1) ** m * sum(math.comb(m, k) * _pochhammer(b + k, m - k) * (-x) ** k
+                           for k in range(m + 1))
+
+
+def _u_asymptotic(a: Fraction, b: int, x, prec: int):
+    """U(a, b, x) for b >= 1 as (man, exp) from the asymptotic series of
+    DLMF 13.7.3, or None where that does not reach prec bits.
+
+    With a > 0, U = x^{-a} times _asymptotic_sum.  Otherwise V_j = x^{a+j}
+    U(a + j, b, x) at the first two j with a + j > 0 are such sums, and
+    DLMF 13.3.7 run downward,
+        V_{j-1} = (1 - (b - 2 a_j) / x) V_j - a_j (a_j - b + 1) / x^2 V_{j+1}
+    with a_j = a + j, gives V_0.  U is the dominant solution downward: the
+    other one shrinks against it by about x^{-2} a step.
+    """
+    if a > 0:
+        found = _asymptotic_sum(a, b, x, prec)
+        if found is None:
+            return None
+        acc, wp = found
+    else:
+        m = math.floor(-a) + 1
+        sums = [_asymptotic_sum(a + j, b, x, prec + m.bit_length() + 8) for j in (m, m + 1)]
+        if None in sums:
+            return None
+        wp = max(w for _, w in sums)
+        v0, v1 = (acc << wp - w for acc, w in sums)
+        p, q = a.numerator, a.denominator
+        X = libmp.to_fixed(x._mpf_, wp)
+        for j in range(m, 0, -1):
+            pj = p + j * q          # a_j = pj / q
+            v0, v1 = (v0 - (v0 * (b * q - 2 * pj) << wp) // (q * X)
+                      - (v1 * pj * (pj - (b - 1) * q) << 2 * wp) // (q * q * X * X)), v0
+        acc = v0
+        if acc.bit_length() < wp - 8:
+            return None
+    with mp.workprec(wp):
+        man, exp = _man_exp(mp.power(x, -to_mpf(a)))
+    return acc * man, exp - wp
+
+
+def _asymptotic_sum(a: Fraction, b: int, x, prec: int):
+    """(sum_{s<S} (a)_s (a-b+1)_s / s! (-x)^{-s} as an integer over 2^wp, wp)
+    for a > 0, or None where it does not reach prec bits.
+
+    U = (1/Gamma(a)) int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt, and the
+    Taylor remainder of (1+t)^{b-a-1} after S >= b - a - 1 terms is at most
+    its next term; so the remainder of x^a U - sum is at most the first
+    neglected term.  S is the first such count whose neglected term is below
+    2^-(prec+16); the scan of term sizes runs in floats, and gives up where
+    the terms grow again.
+    """
+    a2 = a - b + 1
+    s_min, af, a2f = float(b - a - 1), float(a), float(a2)
+    xman, xexp = _man_exp(x)
+    lx = math.log2(xman) + xexp
+    if lx < 0:
+        # below x = 1 the terms never get small
+        return None
+    lg = top = 0.0      # log2 of the term |u_s|, and of the largest term
+    s, last = 0, math.inf
+    while s < s_min or lg > -(prec + 16):
+        lr = math.log2(abs((af + s) * (a2f + s)) / (s + 1)) - lx   # of u_{s+1}/u_s
+        if s >= s_min and 0 <= lr > last:
+            return None
+        last = lr
+        lg += lr
+        top = max(top, lg)
+        s += 1
+    wp = prec + 16 + math.ceil(top) + s.bit_length()
+    p, p2, q = a.numerator, a2.numerator, a.denominator
+    X = libmp.to_fixed(x._mpf_, wp)
+    u, acc = 1 << wp, 0
+    for j in range(s):
+        acc += u
+        u = -(u * (p + j * q) * (p2 + j * q) << wp) // (q * q * (j + 1) * X)
+    # the remainder bound is relative to the sum, so it must not cancel
+    if acc.bit_length() < wp + math.floor(top) - 8:
+        return None
+    return acc, wp
+
+
+def _u_log_series(a: Fraction, n: int, x, prec: int):
+    """U(a, n + 1, x) for n >= 0 as (man, exp), by DLMF 13.2.9 with
+    1/Gamma(a - n) = (a - n)_n / Gamma(a):
+
+        Gamma(a) U = (-1)^{n+1} (a - n)_n / n! S + F,
+        S = sum_k (a)_k / ((n + 1)_k k!) x^k (ln x + P_k),
+        P_k = psi(a + k) - psi(1 + k) - psi(n + k + 1),
+        F = sum_{k=1}^n (k - 1)! (1 - a + k)_{n-k} / (n - k)! x^{-k}.
+
+    a and a - n are not nonpositive integers.  The terms of S, P_k and ln x
+    are integers over 2^wp (Gil, Segura & Temme, Numerical Methods for
+    Special Functions, SIAM 2007, ch. 6 and 8); F and the factor of S are
+    exact rationals.  wp starts at prec + ceil(x / ln 2 + 2 log2(x + 2)) +
+    24 guard bits, for the cancellation of terms of size e^x down to a
+    result of size x^{-a}; if the terms met more cancellation than that
+    left room for, the pass is repeated with the room it needed.
+    """
+    xf = float(x)
+    if 2 * xf > MAX_TERMS:
+        raise PrecisionError(f"U({a}, {n + 1}, x) at x = {xf:.6g} needs more than "
+                             f"{MAX_TERMS} terms of its series")
+    wp = _round32(prec + math.ceil(xf / math.log(2) + 2 * math.log2(xf + 2)) + 24)
+    while True:
+        V, lost, terms = _u_bracket(a, n, x, wp)
+        need = prec + lost + 2 * terms.bit_length() + 16
+        if need <= wp:
+            break
+        wp = _round32(need + 16)
+    man, exp = _gamma_data(a, wp)[1]
+    return V * man, exp - wp
+
+
+def _u_bracket(a: Fraction, n: int, x, wp: int):
+    """(Gamma(a) U(a, n + 1, x) as an integer over 2^wp, the bits its sum
+    lost to cancellation, the number of terms of S); see _u_log_series."""
+    one = 1 << wp
+    p, q = a.numerator, a.denominator
+    X = libmp.to_fixed(x._mpf_, wp)
+    with mp.workprec(wp):
+        lnx = libmp.to_fixed(mp.log(x)._mpf_, wp)
+    # P_0 = psi(a) + 2 gamma - H_n; the term t_k = |(a)_k x^k / ((n+1)_k k!)|
+    # has the sign neg
+    psi = _gamma_data(a, wp)[0] - sum(one // j for j in range(1, n + 1))
+    t, neg, acc, big, k = one, False, 0, 0, 0
+    # from k = 2x + 2|a| + 2 on, each term is at most 3/4 of the one before,
+    # so the sum may stop at the first term that truncates to zero
+    k_min = 2 * float(x) + 2 * abs(float(a)) + 2
+    while k < k_min or t:
+        term = t * (lnx + psi)
+        acc += -term if neg else term
+        big = max(big, abs(term))
+        c = p + k * q
+        psi += (q << wp) // c - one // (k + 1) - one // (n + k + 1)
+        if c < 0:
+            neg, c = not neg, -c
+        t = (t * X * c >> wp) // (q * (n + 1 + k) * (k + 1))
+        k += 1
+    factor = Fraction((-1) ** (n + 1), factorial(n)) * _pochhammer(a - n, n)
+    xq = _exact(x)
+    F = sum(Fraction(factorial(j - 1), factorial(n - j)) * _pochhammer(1 - a + j, n - j)
+            / xq ** j for j in range(1, n + 1))
+    sv = (acc >> wp) * factor.numerator // factor.denominator
+    fv = F.numerator * one // F.denominator
+    mag = max(abs(factor.numerator) * big // factor.denominator >> wp, abs(fv), one)
+    return sv + fv, mag.bit_length() - abs(sv + fv).bit_length(), k
 
 
 def _whittaker_x_jet(kind: str, s, kappa, t, order):
@@ -67,8 +289,8 @@ def _whittaker_x_jet(kind: str, s, kappa, t, order):
     x0 = abs(to_mpf(t))
     kap_eff = Fraction(sgn, 1) * kappa / 2
     mu = s - Fraction(1, 2)
-    a = to_mpf(mu - kap_eff + Fraction(1, 2))
-    b = to_mpf(1 + 2 * mu)
+    a = mu - kap_eff + Fraction(1, 2)
+    b = 1 + 2 * mu
     space = JetSpace(1, order)
     xjet = Jet.variable(space, 0, x0)
     if kind == "M":
@@ -122,14 +344,19 @@ def whittaker_ode_residual(kind: str, s, kappa, t, ctx: PrecisionContext):
 def _bessel_jet(kind: str, nu, x, order: int, ctx: PrecisionContext):
     """[B(x), B'(x), ..., B^(order)(x)] for B = J_nu or I_nu and x > 0: values
     from mpmath, derivatives from the contiguous recurrence
-    B_nu' = (B_{nu-1} -+ B_{nu+1})/2."""
+    B_nu' = (B_{nu-1} -+ B_{nu+1})/2.
+
+    mpmath may return a value with more bits than the working precision
+    (J_3(5) at 152 bits has 201), so each is rounded to it first: then every
+    later bit is fixed by correctly rounded operations on working-precision
+    values, whichever way the recurrence is written."""
     if x <= 0:
         raise DomainError(f"bessel_{kind} requires x > 0")
     fn, pm = (mp.besselj, sub) if kind == "J" else (mp.besseli, add)
     with ctx.working():
         nu, x = to_mpf(_frac(nu)), to_mpf(x)
         # row[m] is the j-th derivative of B_{nu+m}, for |m| <= order - j
-        row = {m: fn(nu + m, x) for m in range(-order, order + 1)}
+        row = {m: +fn(nu + m, x) for m in range(-order, order + 1)}
         out = [row[0]]
         for j in range(1, order + 1):
             row = {m: pm(row[m - 1], row[m + 1]) / 2 for m in range(j - order, order - j + 1)}

@@ -115,6 +115,15 @@ def test_expansion_json_round_trip():
         assert back.to_json() == s
 
 
+def test_bool_parameter_is_refused_at_serialization():
+    # "True" would not read back as a parameter, so it is not written
+    L = GramLattice([[1]])
+    index = FourierIndex.of(1, [1])
+    for params in ({"s": Fraction(5, 2), "nu": True}, {"mu": [1, False]}):
+        with pytest.raises(DomainError):
+            FourierExpansion(L, {index: ("W", params, 1)}).to_json()
+
+
 def test_residue_classes_and_reduce():
     for entries in ([[1]], [[2]], [[3]], [[2, 1], [1, 2]], [[2, 0], [0, 2]]):
         L = GramLattice(entries)

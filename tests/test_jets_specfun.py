@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
 from math import factorial
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from maassjacobi import jets
+from maassjacobi import jets, specfun
 from maassjacobi.errors import DomainError, PoleError
 from maassjacobi.jets import Jet, JetSpace, compose_univariate
 from maassjacobi.precision import PrecisionContext, to_mpf
 from maassjacobi.specfun import (
+    _kummer_u,
     bessel_I,
     bessel_I_jet,
     bessel_J,
@@ -509,3 +513,91 @@ def test_whittaker_W_large_t_decay(ctx):
             assert abs(r50 - 1) < mp.mpf("0.1")
             assert abs(r100 - 1) < abs(r50 - 1)
             assert abs(r100 - 1) < mp.mpf("0.05")
+
+
+def test_bessel_values_are_rounded_to_working_precision(ctx, monkeypatch):
+    # mpmath returns J_3(5) with 201 bits at 152; rounded first, every value
+    # and derivative has at most the working precision's bits
+    for jet in (bessel_J_jet, bessel_I_jet):
+        for nu, x in ((3, 5), (Fraction(7, 3), mp.mpf("2.2")), (Fraction(-1, 2), mp.mpf("0.9"))):
+            values = jet(nu, x, 4, ctx)
+            with ctx.working():
+                assert all(v.man.bit_length() <= mp.prec for v in values), (jet, nu, x)
+    # so the recurrence's bits do not depend on how its difference is written
+    reference = bessel_J_jet(3, 5, 4, ctx)
+    monkeypatch.setattr(specfun, "sub", lambda u, v: u + (-1) * v)
+    assert bessel_J_jet(3, 5, 4, ctx) == reference
+
+
+def _hyperu(a, b, x):
+    """Kummer's U by mpmath, the evaluator W used before _kummer_u; at an
+    integer b it takes mpmath's degenerate-limit path."""
+    return mp.hyperu(to_mpf(a), to_mpf(b), x)
+
+
+def _close(value, oracle, bits):
+    return abs(value - oracle) <= mp.mpf(2) ** (8 - bits) * abs(oracle)
+
+
+# (s, kappa, t) of the Whittaker seeds: b = 2s is an integer, b <= 0 at
+# s = 0 and s = -1/2, kappa in (1/2)Z reaches the polynomial cases, and t
+# ranges from near 0 to |t| = 60
+_S = st.sampled_from([Fraction(j, 2) for j in range(-2, 9)])
+_KAPPA = st.integers(-8, 12).map(lambda j: Fraction(j, 2))
+_T = st.tuples(st.sampled_from([1, -1]),
+               st.one_of(st.floats(1e-6, 1e-2), st.floats(0.1, 60))).map(lambda p: p[0] * p[1])
+
+
+@settings(settings.get_profile("numeric"))
+@given(a=st.tuples(st.integers(-16, 40), st.sampled_from([1, 2, 3, 4])).map(
+           lambda p: Fraction(*p)),
+       b=st.integers(-4, 10), x=st.floats(1e-6, 200), bits=st.sampled_from([64, 128]))
+@example(a=Fraction(9, 4), b=5, x=3.7, bits=128)       # the log series
+@example(a=Fraction(-1), b=0, x=1.3, bits=128)         # a polynomial
+@example(a=Fraction(2), b=3, x=1.3, bits=128)          # a - b + 1 = 0: a polynomial
+@example(a=Fraction(7, 4), b=-1, x=40.0, bits=128)     # Kummer's transformation
+@example(a=Fraction(1, 4), b=1, x=150.0, bits=128)     # the asymptotic series
+@example(a=Fraction(-3, 4), b=-4, x=190.0, bits=128)   # both
+@example(a=Fraction(-3, 4), b=2, x=20.0, bits=128)     # a, a - b + 1 < 0: the log series
+@example(a=Fraction(-17, 4), b=3, x=150.0, bits=128)   # and the recurrence downward in a
+def test_kummer_u_matches_hyperu_at_double_precision(a, b, x, bits):
+    with mp.workprec(bits):
+        value = _kummer_u(a, b, mp.mpf(x))
+    with mp.workprec(2 * bits):
+        assert _close(value, _hyperu(a, b, mp.mpf(x)), bits)
+
+
+def _whitw(s, kappa, t, bits):
+    """|t|^{-kappa/2} W_{sgn(t) kappa/2, s-1/2}(|t|) by mpmath's whitw."""
+    with mp.workprec(bits):
+        x = abs(mp.mpf(t))
+        kap = to_mpf(Fraction(1 if t > 0 else -1) * kappa / 2)
+        return mp.power(x, -to_mpf(kappa / 2)) * mp.whitw(kap, to_mpf(s - Fraction(1, 2)), x)
+
+
+@settings(settings.get_profile("numeric"))
+@given(s=_S, kappa=_KAPPA, t=_T)
+@example(s=Fraction(0), kappa=Fraction(2), t=1.7)           # U(-1, 0, x), a polynomial
+@example(s=Fraction(0), kappa=Fraction(2), t=-1.3)          # U(1, 0, x)
+@example(s=Fraction(-1, 2), kappa=Fraction(1, 2), t=2.2)
+@example(s=Fraction(5, 2), kappa=Fraction(1, 2), t=16.8)
+@example(s=Fraction(3), kappa=Fraction(-3, 2), t=-1e-6)
+def test_whittaker_W_matches_whitw_at_double_precision(ctx, s, kappa, t):
+    with mock.patch.object(mp, "hyperu", side_effect=AssertionError("mp.hyperu called")):
+        value = whittaker_W_renorm(s, kappa, t, ctx)
+    assert _close(value, _whitw(s, kappa, t, 2 * ctx.bits), ctx.bits)
+
+
+@settings(settings.get_profile("numeric"))
+@given(s=_S, kappa=_KAPPA, t=_T)
+@example(s=Fraction(0), kappa=Fraction(0), t=7.3)
+@example(s=Fraction(-1, 2), kappa=Fraction(3), t=-0.4)
+def test_whittaker_W_jet_matches_hyperu_path(ctx, s, kappa, t):
+    # every order of the jet, against the same jet built on mpmath's hyperu
+    with mock.patch.object(mp, "hyperu", side_effect=AssertionError("mp.hyperu called")):
+        jet = whittaker_W_jet(s, kappa, t, 4, ctx)
+    with mock.patch.object(specfun, "_kummer_u", _hyperu):
+        oracle = whittaker_W_jet(s, kappa, t, 4, ctx)
+    with ctx.working():
+        for j, (value, expect) in enumerate(zip(jet, oracle)):
+            assert _close(value, expect, ctx.bits), j

@@ -4,8 +4,11 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from maassjacobi import linalg
 from maassjacobi.errors import DomainError
 from maassjacobi.lattice import (
     GramLattice,
@@ -92,6 +95,36 @@ def test_kloosterman_closed_forms(ctx):
         kloosterman(0, L1, 0, [0], 0, [0], ctx)
 
 
+def _inv_apply_fractions(L, v):
+    """L^{-1} v by Fraction arithmetic on the cached inverse."""
+    return linalg.matvec(L.inv, tuple(Fraction(x) for x in v))
+
+
+_RATIONAL = st.one_of(st.integers(-6, 6),
+                      st.fractions(-6, 6, max_denominator=4))
+
+
+@settings(settings.get_profile("exact"))
+@given(entries=st.sampled_from([[[1]], [[3]], [[2, 1], [1, 2]], [[2, 0], [0, 4]],
+                                [[1, Fraction(1, 2)], [Fraction(1, 2), 1]],
+                                [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+                                [[2, Fraction(1, 2), 0], [Fraction(1, 2), 2, Fraction(1, 2)],
+                                 [0, Fraction(1, 2), 2]]]),
+       n=_RATIONAL, u=st.lists(_RATIONAL, min_size=3, max_size=3),
+       v=st.lists(_RATIONAL, min_size=3, max_size=3))
+def test_integer_forms_of_the_inverse_match_fractions(entries, n, u, v):
+    # the forms of L^{-1} over one integer denominator equal the Fraction
+    # arithmetic they replace
+    L = GramLattice(entries)
+    u, v = u[:L.N], v[:L.N]
+    inv_v = _inv_apply_fractions(L, v)
+    assert L.inv_apply(v) == inv_v
+    assert L.inv_form(u, v) == sum(Fraction(a) * b for a, b in zip(u, inv_v))
+    assert L.inv_quad(v) == linalg.quad_form(L.inv, tuple(Fraction(x) for x in v))
+    assert discriminant(L, n, v) == L.det * (4 * Fraction(n) - linalg.quad_form(
+        L.inv, tuple(Fraction(x) for x in v)))
+
+
 def _kloosterman_oracle(c, L, n, r, nprime, rprime, ctx):
     """The definitional double sum over units d, then lambda in (Z/c)^N, with
     L[lam] in Fractions and one e_of per distinct phase, collected in order
@@ -106,7 +139,7 @@ def _kloosterman_oracle(c, L, n, r, nprime, rprime, ctx):
             num = (dbar * (int(q) + sum(a * b for a, b in zip(r, lam)) + n)
                    + nprime * d - sum(a * b for a, b in zip(rprime, lam))) % c
             counts[num] = counts.get(num, 0) + 1
-    pre_phase = -Fraction(sum(a * b for a, b in zip(r, L.inv_apply(rprime)))) / (2 * c)
+    pre_phase = -Fraction(sum(a * b for a, b in zip(r, _inv_apply_fractions(L, rprime)))) / (2 * c)
     with ctx.working():
         acc = mp.mpc(0)
         for num, cnt in counts.items():
