@@ -15,6 +15,7 @@ from operator import mul
 
 from . import linalg
 from .errors import DomainError
+from .precision import to_fraction
 
 
 class GramLattice:
@@ -100,21 +101,16 @@ class GramLattice:
         return f"GramLattice({[[str(x) for x in r] for r in self.entries]})"
 
 
-def _rational(x):
-    """x itself if it is an int or a Fraction, else Fraction(x)."""
-    return x if isinstance(x, (int, Fraction)) else Fraction(x)
-
-
 def _over_one_denominator(v):
     """(w, e) with v = w / e for a vector of rationals v: integers w, e > 0."""
-    v = [_rational(x) for x in v]
+    v = [to_fraction(x) for x in v]
     e = lcm(*(x.denominator for x in v))
     return [x.numerator * (e // x.denominator) for x in v], e
 
 
 def discriminant(L: GramLattice, n, r) -> Fraction:
     """D = |L| (4n - L^{-1}[r]), over one denominator."""
-    n = _rational(n)
+    n = to_fraction(n)
     q, den = L._inv_form_int(r, r)
     return Fraction(L.det.numerator * (4 * n.numerator * den - n.denominator * q),
                     L.det.denominator * n.denominator * den)

@@ -46,6 +46,11 @@ class PrecisionContext:
         )
 
 
+def to_fraction(x) -> Fraction:
+    """x as a Fraction: itself if it is one, else Fraction(x)."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def to_mpf(x):
     """Exact rational (or int/float/mpf) to mpf at current working precision."""
     if isinstance(x, Fraction):

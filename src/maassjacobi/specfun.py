@@ -21,19 +21,15 @@ from operator import add, sub
 
 from mpmath import libmp, mp
 
-from .errors import DomainError, PoleError, PrecisionError
+from .errors import DomainError, PoleError
 from .jets import Jet, JetSpace, compose_univariate
-from .precision import MAX_TERMS, PrecisionContext, to_mpf
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .precision import MAX_TERMS, PrecisionContext, to_fraction, to_mpf
 
 
 def _pole_check_M(s):
     """The Kummer series for M has poles when its b-parameter 2s is a
     nonpositive integer."""
-    b = 2 * _frac(s)
+    b = 2 * to_fraction(s)
     if b.denominator == 1 and b <= 0:
         raise PoleError(f"Whittaker M parameter pole: 2s = {b}")
 
@@ -97,12 +93,11 @@ def _kummer_u(a, b, x):
     cancellation it met, rounded once:
     - when a or a - b + 1 is a nonpositive integer, U is the polynomial of
       DLMF 13.2.7, after Kummer's transformation 13.2.40 in the second case;
-    - otherwise, after 13.2.40 when b <= 0, the asymptotic series 13.7.3
-      where it reaches mp.prec bits, and the logarithmic series 13.2.9
-      elsewhere.
-    At any other b it is mpmath's hyperu.
+    - otherwise, after 13.2.40 when b <= 0, the logarithmic series 13.2.9,
+      for x up to MAX_TERMS / 2, past which it needs more terms than that.
+    At any other b, and past that x, it is mpmath's hyperu.
     """
-    a, b = _frac(a), _frac(b)
+    a, b = to_fraction(a), to_fraction(b)
     if b.denominator != 1:
         return mp.hyperu(to_mpf(a), to_mpf(b), x)
     b = int(b)
@@ -112,11 +107,13 @@ def _kummer_u(a, b, x):
     if a2.denominator == 1 and a2 <= 0:
         xq = _exact(x)
         return _rounded(xq ** (1 - b) * _u_polynomial(-int(a2), 2 - b, xq))
+    if 2 * x > MAX_TERMS:
+        return mp.hyperu(to_mpf(a), to_mpf(b), x)
     m = 0
     if b <= 0:
         # U(a, b, x) = x^{1-b} U(a - b + 1, 2 - b, x)
         a, b, m = a2, 2 - b, 1 - b
-    man, exp = _u_asymptotic(a, b, x, mp.prec) or _u_log_series(a, b - 1, x, mp.prec)
+    man, exp = _u_log_series(a, b - 1, x, mp.prec)
     xman, xexp = _man_exp(x)
     return mp.make_mpf(libmp.from_man_exp(man * xman ** m, exp + xexp * m,
                                           mp.prec, libmp.round_nearest))
@@ -126,84 +123,6 @@ def _u_polynomial(m: int, b: int, x: Fraction) -> Fraction:
     """U(-m, b, x) = (-1)^m sum_k C(m, k) (b + k)_{m-k} (-x)^k (DLMF 13.2.7)."""
     return (-1) ** m * sum(math.comb(m, k) * _pochhammer(b + k, m - k) * (-x) ** k
                            for k in range(m + 1))
-
-
-def _u_asymptotic(a: Fraction, b: int, x, prec: int):
-    """U(a, b, x) for b >= 1 as (man, exp) from the asymptotic series of
-    DLMF 13.7.3, or None where that does not reach prec bits.
-
-    With a > 0, U = x^{-a} times _asymptotic_sum.  Otherwise V_j = x^{a+j}
-    U(a + j, b, x) at the first two j with a + j > 0 are such sums, and
-    DLMF 13.3.7 run downward,
-        V_{j-1} = (1 - (b - 2 a_j) / x) V_j - a_j (a_j - b + 1) / x^2 V_{j+1}
-    with a_j = a + j, gives V_0.  U is the dominant solution downward: the
-    other one shrinks against it by about x^{-2} a step.
-    """
-    if a > 0:
-        found = _asymptotic_sum(a, b, x, prec)
-        if found is None:
-            return None
-        acc, wp = found
-    else:
-        m = math.floor(-a) + 1
-        sums = [_asymptotic_sum(a + j, b, x, prec + m.bit_length() + 8) for j in (m, m + 1)]
-        if None in sums:
-            return None
-        wp = max(w for _, w in sums)
-        v0, v1 = (acc << wp - w for acc, w in sums)
-        p, q = a.numerator, a.denominator
-        X = libmp.to_fixed(x._mpf_, wp)
-        for j in range(m, 0, -1):
-            pj = p + j * q          # a_j = pj / q
-            v0, v1 = (v0 - (v0 * (b * q - 2 * pj) << wp) // (q * X)
-                      - (v1 * pj * (pj - (b - 1) * q) << 2 * wp) // (q * q * X * X)), v0
-        acc = v0
-        if acc.bit_length() < wp - 8:
-            return None
-    with mp.workprec(wp):
-        man, exp = _man_exp(mp.power(x, -to_mpf(a)))
-    return acc * man, exp - wp
-
-
-def _asymptotic_sum(a: Fraction, b: int, x, prec: int):
-    """(sum_{s<S} (a)_s (a-b+1)_s / s! (-x)^{-s} as an integer over 2^wp, wp)
-    for a > 0, or None where it does not reach prec bits.
-
-    U = (1/Gamma(a)) int_0^inf e^{-xt} t^{a-1} (1+t)^{b-a-1} dt, and the
-    Taylor remainder of (1+t)^{b-a-1} after S >= b - a - 1 terms is at most
-    its next term; so the remainder of x^a U - sum is at most the first
-    neglected term.  S is the first such count whose neglected term is below
-    2^-(prec+16); the scan of term sizes runs in floats, and gives up where
-    the terms grow again.
-    """
-    a2 = a - b + 1
-    s_min, af, a2f = float(b - a - 1), float(a), float(a2)
-    xman, xexp = _man_exp(x)
-    lx = math.log2(xman) + xexp
-    if lx < 0:
-        # below x = 1 the terms never get small
-        return None
-    lg = top = 0.0      # log2 of the term |u_s|, and of the largest term
-    s, last = 0, math.inf
-    while s < s_min or lg > -(prec + 16):
-        lr = math.log2(abs((af + s) * (a2f + s)) / (s + 1)) - lx   # of u_{s+1}/u_s
-        if s >= s_min and 0 <= lr > last:
-            return None
-        last = lr
-        lg += lr
-        top = max(top, lg)
-        s += 1
-    wp = prec + 16 + math.ceil(top) + s.bit_length()
-    p, p2, q = a.numerator, a2.numerator, a.denominator
-    X = libmp.to_fixed(x._mpf_, wp)
-    u, acc = 1 << wp, 0
-    for j in range(s):
-        acc += u
-        u = -(u * (p + j * q) * (p2 + j * q) << wp) // (q * q * (j + 1) * X)
-    # the remainder bound is relative to the sum, so it must not cancel
-    if acc.bit_length() < wp + math.floor(top) - 8:
-        return None
-    return acc, wp
 
 
 def _u_log_series(a: Fraction, n: int, x, prec: int):
@@ -224,9 +143,6 @@ def _u_log_series(a: Fraction, n: int, x, prec: int):
     left room for, the pass is repeated with the room it needed.
     """
     xf = float(x)
-    if 2 * xf > MAX_TERMS:
-        raise PrecisionError(f"U({a}, {n + 1}, x) at x = {xf:.6g} needs more than "
-                             f"{MAX_TERMS} terms of its series")
     wp = _round32(prec + math.ceil(xf / math.log(2) + 2 * math.log2(xf + 2)) + 24)
     while True:
         V, lost, terms = _u_bracket(a, n, x, wp)
@@ -281,8 +197,8 @@ def _whittaker_x_jet(kind: str, s, kappa, t, order):
     mu, w), where w is the jet in x of the unrenormalized e^{-x/2} x^{mu+1/2}
     times M(a, b, x) or U(a, b, x), i.e. M-or-W_{kappa_eff, mu}(x).
     """
-    s = _frac(s)
-    kappa = _frac(kappa)
+    s = to_fraction(s)
+    kappa = to_fraction(kappa)
     if t == 0:
         raise DomainError("Whittaker argument must be nonzero")
     sgn = 1 if t > 0 else -1
@@ -305,7 +221,7 @@ def _whittaker_jet(kind: str, s, kappa, t, order, ctx: PrecisionContext):
     """Derivatives in t of |t|^{-kappa/2} M-or-W_{sgn(t) kappa/2, s-1/2}(|t|)."""
     with ctx.working():
         sgn, xjet, _, _, whit = _whittaker_x_jet(kind, s, kappa, t, order)
-        renorm = xjet.pow_scalar(to_mpf(-_frac(kappa) / 2)) * whit
+        renorm = xjet.pow_scalar(to_mpf(-to_fraction(kappa) / 2)) * whit
         # d/dt = sgn * d/dx
         return [renorm.derivative_at_base((j,)) * sgn ** j for j in range(order + 1)]
 
@@ -354,7 +270,7 @@ def _bessel_jet(kind: str, nu, x, order: int, ctx: PrecisionContext):
         raise DomainError(f"bessel_{kind} requires x > 0")
     fn, pm = (mp.besselj, sub) if kind == "J" else (mp.besseli, add)
     with ctx.working():
-        nu, x = to_mpf(_frac(nu)), to_mpf(x)
+        nu, x = to_mpf(to_fraction(nu)), to_mpf(x)
         # row[m] is the j-th derivative of B_{nu+m}, for |m| <= order - j
         row = {m: +fn(nu + m, x) for m in range(-order, order + 1)}
         out = [row[0]]
@@ -401,14 +317,14 @@ def upper_incomplete_gamma(a, x, ctx: PrecisionContext):
     if x <= 0:
         raise DomainError("upper_incomplete_gamma requires x > 0")
     with ctx.working():
-        return mp.gammainc(to_mpf(_frac(a)), to_mpf(x))
+        return mp.gammainc(to_mpf(to_fraction(a)), to_mpf(x))
 
 
 def upper_incomplete_gamma_jet(a, x, order: int, ctx: PrecisionContext):
     """Derivatives of Gamma(a, .) via d/dx Gamma(a, x) = -x^{a-1} e^{-x}."""
     if x <= 0:
         raise DomainError("upper_incomplete_gamma requires x > 0")
-    a = _frac(a)
+    a = to_fraction(a)
     with ctx.working():
         return _integrated_jet(
             upper_incomplete_gamma(a, x, ctx), to_mpf(x),
@@ -425,7 +341,7 @@ def h_profile(k, N: int, y, ctx: PrecisionContext):
     complex number is returned otherwise.  Divergent parameter combinations
     raise instead of regularizing.
     """
-    a = _frac(k) + Fraction(N, 2)
+    a = to_fraction(k) + Fraction(N, 2)
     with ctx.working():
         yv = to_mpf(y)
         if yv > 0 and a >= 1:
@@ -440,7 +356,7 @@ def h_profile(k, N: int, y, ctx: PrecisionContext):
 
 def h_profile_jet(k, N: int, y, order: int, ctx: PrecisionContext):
     """Derivatives of H via H'(y) = -H(y) + 2 e^y (-2y)^{-k-N/2}."""
-    a = _frac(k) + Fraction(N, 2)
+    a = to_fraction(k) + Fraction(N, 2)
     with ctx.working():
         yv = to_mpf(y)
         if yv >= 0:

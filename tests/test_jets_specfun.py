@@ -556,10 +556,11 @@ _T = st.tuples(st.sampled_from([1, -1]),
 @example(a=Fraction(-1), b=0, x=1.3, bits=128)         # a polynomial
 @example(a=Fraction(2), b=3, x=1.3, bits=128)          # a - b + 1 = 0: a polynomial
 @example(a=Fraction(7, 4), b=-1, x=40.0, bits=128)     # Kummer's transformation
-@example(a=Fraction(1, 4), b=1, x=150.0, bits=128)     # the asymptotic series
-@example(a=Fraction(-3, 4), b=-4, x=190.0, bits=128)   # both
+@example(a=Fraction(1, 4), b=1, x=150.0, bits=128)     # large x: the log series cancels most
+@example(a=Fraction(-3, 4), b=-4, x=190.0, bits=128)   # and after Kummer's transformation
 @example(a=Fraction(-3, 4), b=2, x=20.0, bits=128)     # a, a - b + 1 < 0: the log series
-@example(a=Fraction(-17, 4), b=3, x=150.0, bits=128)   # and the recurrence downward in a
+@example(a=Fraction(-17, 4), b=3, x=150.0, bits=128)
+@example(a=Fraction(1, 4), b=1, x=10001.0, bits=128)   # past MAX_TERMS / 2: mpmath's hyperu
 def test_kummer_u_matches_hyperu_at_double_precision(a, b, x, bits):
     with mp.workprec(bits):
         value = _kummer_u(a, b, mp.mpf(x))
