@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from . import linalg
-from .errors import DomainError, MalformedElementError
+from . import fixedpoint, linalg
+from .errors import DomainError, MalformedElementError, PrecisionError
 from .gaussian import GaussianRational
 from .jets import Jet
 from .precision import MAX_TERMS, PrecisionContext, to_mpc
@@ -37,6 +37,11 @@ def _sym_defect(m):
         (abs(complex(m[i][j] - m[j][i])) for i in range(n) for j in range(i + 1, n)),
         default=0.0,
     )
+
+
+def _numeric(m):
+    """A matrix as mpc entries at the working precision."""
+    return tuple(tuple(to_mpc(x) for x in r) for r in m)
 
 
 class _Triple:
@@ -92,8 +97,8 @@ class GroupElement(_Triple):
 
     def to_numeric(self) -> "GroupElement":
         """Copy with entries converted to mpc at current working precision."""
-        conv = lambda m: tuple(tuple(to_mpc(x) for x in r) for r in m)
-        return GroupElement(conv(self.M), conv(self.X), conv(self.kappa), check=False)
+        return GroupElement(_numeric(self.M), _numeric(self.X), _numeric(self.kappa),
+                            check=False)
 
 
 def jacobi_identity_element(N: int) -> GroupElement:
@@ -164,37 +169,6 @@ class AlgebraElement(_Triple):
                 c = self.kappa[i][j]
                 out[f"Z{i + 1}{j + 1}"] = c if i == j else 2 * c
         return out
-
-    @staticmethod
-    def from_basis(N: int, coeffs: dict) -> "AlgebraElement":
-        z = GaussianRational(0)
-        M = [[z, z], [z, z]]
-        X = [[z, z] for _ in range(N)]
-        K = [[z for _ in range(N)] for _ in range(N)]
-        half = GaussianRational(Fraction(1, 2))
-        for name, c in coeffs.items():
-            c = GaussianRational.coerce(c)
-            if name == "E":
-                M[0][1] = M[0][1] + c
-            elif name == "F":
-                M[1][0] = M[1][0] + c
-            elif name == "H":
-                M[0][0] = M[0][0] + c
-                M[1][1] = M[1][1] - c
-            elif name.startswith("e"):
-                X[int(name[1:]) - 1][1] = X[int(name[1:]) - 1][1] + c
-            elif name.startswith("f"):
-                X[int(name[1:]) - 1][0] = X[int(name[1:]) - 1][0] + c
-            elif name.startswith("Z"):
-                i, j = int(name[1]) - 1, int(name[2]) - 1
-                if i == j:
-                    K[i][i] = K[i][i] + c
-                else:
-                    K[i][j] = K[i][j] + c * half
-                    K[j][i] = K[j][i] + c * half
-            else:
-                raise ValueError(f"unknown generator {name}")
-        return AlgebraElement(M, X, K)
 
 
 class Point:
@@ -289,9 +263,7 @@ def cocycle_alpha(L, g: GroupElement, p: Point, ctx: PrecisionContext):
     """alpha_L = exp(2 pi i tr(L a(g, p))), evaluated numerically."""
     a = cocycle_a(g, p)
     with ctx.working():
-        Lm = tuple(tuple(to_mpc(x) for x in r) for r in linalg.mat(L))
-        am = tuple(tuple(to_mpc(x) for x in r) for r in a)
-        tr = linalg.trace(linalg.mul(Lm, am))
+        tr = linalg.trace(linalg.mul(_numeric(L), _numeric(a)))
         return mp.exp(2j * mp.pi * tr)
 
 
@@ -342,100 +314,110 @@ def slash(f, k, kprime, L, g: GroupElement, ctx: PrecisionContext):
 # -- exponential map and embeddings -------------------------------------------
 
 
-_EXP_NORM_BOUND = 8
+# jacobi_exp halves Y until ||M|| < 2^_EXP_NORM_BITS before summing
+_EXP_NORM_BITS = 3
+# expm refuses ||A|| >= 2^_EXPM_NORM_BITS, whose fixed-point integers would
+# need more than 3 * 2^_EXPM_NORM_BITS bits above the working precision
+_EXPM_NORM_BITS = 12
+_J2 = fixedpoint.matrix(J2)
 
 
-def _mat_norm(M):
-    return max(sum(abs(complex(x)) for x in row) for row in M)
+def _guard(norm_bits: int, s: int = 0) -> int:
+    """The fixed-point scale P of an exponential series: the working bits,
+    plus s bits for s squarings, bits for the number of terms (at most the
+    working bits), and ``norm_bits`` for the growth the norm allows."""
+    return mp.prec + s + mp.prec.bit_length() + norm_bits
 
 
 def _exp_series_2x2(M, ctx: PrecisionContext):
-    """exp, g, h power series on a 2x2 matrix with rigorous tail control.
+    """exp, g, h power series on a 2x2 integer matrix with ||M|| < 8, in
+    fixed point at 2^-P, with rigorous tail control.
 
-    g(z) = (e^z - 1)/z and h(z) = (e^z - z - 1)/z^2, summed jointly as
-    sum M^n/n!, sum M^n/(n+1)!, sum M^n/(n+2)!.
+    g(z) = (e^z - 1)/z and h(z) = (e^z - z - 1)/z^2.  Only h(M) = sum
+    M^n/(n+2)! is summed; then g(M) = 1 + M h(M) and e^M = 1 + M g(M).
+    The entries of all three are below e^8 < 2^12 in modulus, and the two
+    products by M scale the error of h by at most 2^6.
     """
-    one = linalg.identity(2, mp.mpf(1), mp.mpf(0))
-    term = one
-    exp_acc = one
-    g_acc = linalg.scale(mp.mpf(1), one)
-    h_acc = linalg.scale(mp.mpf("0.5"), one)
-    norm = _mat_norm(M)
-    bound = mp.mpf(norm)
-    fact = mp.mpf(1)
-    tol = mp.mpf(2) ** (-(ctx.bits + 16))
+    P = _guard(18)
+    M = fixedpoint.rescale(M, -P)
+    one = fixedpoint.identity(2, -P)
+    term = h_acc = fixedpoint.floordiv(one, 2)
+    norm = fixedpoint.row_norm(M)
+    # norm^(n+1)/(n+1)! at 2^-P, rounded up, bounds the tails of all three
+    # series after their terms in M^n
+    tail = norm
+    tol = 1 << (P - ctx.bits - 16)
     n = 0
     while True:
         n += 1
         if n > MAX_TERMS:
             ctx.exhausted("matrix exponential series")
-        term = linalg.mul(term, M)
-        fact *= n
-        exp_acc = linalg.add(exp_acc, linalg.scale(1 / fact, term))
-        g_acc = linalg.add(g_acc, linalg.scale(1 / (fact * (n + 1)), term))
-        h_acc = linalg.add(h_acc, linalg.scale(1 / (fact * (n + 1) * (n + 2)), term))
+        term = fixedpoint.floordiv(fixedpoint.matmul(term, M, P), n + 2)
+        h_acc = fixedpoint.add(h_acc, term)
+        tail = -((-tail * norm >> P) // (n + 1))
         # once the ratio bound norm/(n+1) < 1/2, the remaining tail is below
         # twice the next term bound
-        tail = bound ** (n + 1) / (fact * (n + 1))
-        if norm < (n + 1) / 2 and tail < tol:
+        if 2 * norm < (n + 1) << P and tail < tol:
             break
-    return exp_acc, g_acc, h_acc
+    g_acc = fixedpoint.add(one, fixedpoint.matmul(M, h_acc, P))
+    return fixedpoint.add(one, fixedpoint.matmul(M, g_acc, P)), g_acc, h_acc
 
 
 def jacobi_exp(Y: AlgebraElement, ctx: PrecisionContext) -> GroupElement:
     """exp(M, X, kappa) = (e^M, X g(M), kappa - X h(M) J2 X^T).
 
-    Inputs with ||M|| beyond the series bound are halved recursively and
-    recombined with the group law (exact squaring in the group).
+    The series run in fixed point, X and kappa enter exactly, and each
+    entry is rounded once.  Inputs with ||M|| beyond the series bound are
+    halved s times and recombined by s squarings with the group law.
+    Raises DomainError on a non-finite entry.
     """
     with ctx.working():
-        M = tuple(tuple(to_mpc(x) for x in r) for r in Y.M)
-        X = tuple(tuple(to_mpc(x) for x in r) for r in Y.X)
-        kappa = tuple(tuple(to_mpc(x) for x in r) for r in Y.kappa)
-        if _mat_norm(M) > _EXP_NORM_BOUND:
-            half = AlgebraElement(
-                linalg.scale(mp.mpf("0.5"), M),
-                linalg.scale(mp.mpf("0.5"), X),
-                linalg.scale(mp.mpf("0.5"), kappa),
-                check=False,
-            )
-            ghalf = jacobi_exp(half, ctx)
-            return jacobi_mul(ghalf, ghalf)
+        M, X, kappa = (fixedpoint.matrix(_numeric(m)) for m in (Y.M, Y.X, Y.kappa))
+        s = max(0, fixedpoint.norm_exponent(M) - _EXP_NORM_BITS)
+        M, X, kappa = (fixedpoint.scaled(m, s) for m in (M, X, kappa))
         eM, gM, hM = _exp_series_2x2(M, ctx)
-        Xg = linalg.mul(X, gM)
-        corr = linalg.mul(linalg.mul(linalg.mul(X, hM), J2), linalg.transpose(X))
-        return GroupElement(eM, Xg, linalg.sub(kappa, corr), check=False)
+        XhJ = fixedpoint.matmul(fixedpoint.matmul(X, hM), _J2)
+        corr = fixedpoint.matmul(XhJ, fixedpoint.transpose(X))
+        g = GroupElement(fixedpoint.to_mpc(eM), fixedpoint.to_mpc(fixedpoint.matmul(X, gM)),
+                         fixedpoint.to_mpc(fixedpoint.add(kappa, corr, -1)), check=False)
+        for _ in range(s):
+            g = jacobi_mul(g, g)
+        return g
 
 
 def expm(A, ctx: PrecisionContext):
-    """Scaling-and-squaring exponential of a general square matrix.
+    """Scaling-and-squaring exponential of a general square matrix, in
+    fixed point at 2^-P, each entry rounded once; DomainError on a
+    non-finite entry.
 
     Kept independent of jacobi_exp on purpose: it is the oracle the
     exponential map is tested against.
     """
     with ctx.working():
-        n = len(A)
-        A = tuple(tuple(to_mpc(x) for x in r) for r in A)
-        s = 0
-        while _mat_norm(A) > mp.mpf("0.5"):
-            A = linalg.scale(mp.mpf("0.5"), A)
-            s += 1
-        one = linalg.identity(n, mp.mpf(1), mp.mpf(0))
-        acc = one
-        term = one
-        tol = mp.mpf(2) ** (-(ctx.bits + 16))
+        A = fixedpoint.matrix(_numeric(A))
+        t = fixedpoint.norm_exponent(A)
+        if t > _EXPM_NORM_BITS:
+            raise PrecisionError(f"expm: a norm up to 2^{t} is beyond the fixed-point "
+                                 f"range, 2^{_EXPM_NORM_BITS}")
+        # ||A / 2^s|| < 2^(t - s) <= 1/2; the error of s squarings grows by
+        # at most 2^s e^||A||, and |e^A| >= e^-||A||, so P adds 3 ||A|| bits
+        s = max(0, t + 1)
+        P = _guard(3 << max(t, 0), s)
+        A = fixedpoint.rescale(fixedpoint.scaled(A, s), -P)
+        acc = term = fixedpoint.identity(len(A[0]), -P)
+        tol = 1 << (P - ctx.bits - 16)
         k = 0
         while True:
             k += 1
             if k > MAX_TERMS:
                 ctx.exhausted("expm series")
-            term = linalg.scale(1 / mp.mpf(k), linalg.mul(term, A))
-            acc = linalg.add(acc, term)
-            if _mat_norm(term) < tol and k > 4:
+            term = fixedpoint.floordiv(fixedpoint.matmul(term, A, P), k)
+            acc = fixedpoint.add(acc, term)
+            if fixedpoint.row_norm(term) < tol and k > 4:
                 break
         for _ in range(s):
-            acc = linalg.mul(acc, acc)
-        return acc
+            acc = fixedpoint.matmul(acc, acc, P)
+        return fixedpoint.to_mpc(acc)
 
 
 def embed_group(g: GroupElement):

@@ -8,14 +8,15 @@ working precision; the caller is responsible for the enclosing workprec
 block.
 
 Products and compositions are exact sums, each rounded once per
-coefficient.  Each operand's coefficients become Gaussian integers sharing
-one binary exponent, every output coefficient is summed exactly as an
-integer over a product table, and it is rounded to the working precision
-and rounding mode only when it is stored.  So results do not depend on the
-order of the terms, and a product of two one-term jets has the bits of
-mpmath's own product.  The tables of each (nvars, degree) are built on
-first use.  A product of jets or a composition with a non-finite
-coefficient, and a product by a non-finite scalar, raise DomainError.
+coefficient, on the Gaussian-integer kernel of ``fixedpoint``.  Each
+operand's coefficients become Gaussian integers sharing one binary
+exponent, every output coefficient is summed exactly as an integer over a
+product table, and it is rounded to the working precision and rounding
+mode only when it is stored.  So results do not depend on the order of the
+terms, and a product of two one-term jets has the bits of mpmath's own
+product.  The tables of each (nvars, degree) are built on first use.  A
+product of jets or a composition with a non-finite coefficient, and a
+product by a non-finite scalar, raise DomainError.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp
 
 from .errors import DegreeError, DomainError
+from .fixedpoint import parts, rounded, to_ints
 from .polys import SparseTerms
 
 
@@ -78,53 +79,33 @@ def _tables(nvars: int, degree: int) -> _Tables:
 # order, the coefficient of monomial k being (re[k] + i im[k]) 2^exp.
 
 
-def _parts(c):
-    """(re, im) raw mpf parts of a coefficient; DomainError unless finite."""
-    try:
-        re, im = c._mpc_
-    except AttributeError:
-        re, im = mp.mpc(c)._mpc_
-    # a raw mpf with zero mantissa and nonzero exponent is inf or nan
-    if (not re[1] and re[2]) or (not im[1] and im[2]):
-        raise DomainError(f"non-finite jet coefficient {c}")
-    return re, im
-
-
-def _int(part, emin: int) -> int:
-    """A raw mpf part as an integer multiple of 2^emin."""
-    s, m, x, _ = part
-    if not m:
-        return 0
-    m <<= x - emin
-    return -m if s else m
-
-
 def _exact(jet: "Jet", nilpotent: bool = False):
     """The exact form of a jet, or of its nilpotent part."""
     t = _tables(jet.space.nvars, jet.space.degree)
     index = t.index
-    items = []
+    ks, values = [], []
     for e, c in jet.terms.items():
         k = index.get(e)
         if k is None:
             raise DomainError(f"exponent {e} is not a monomial of the jet space")
-        re, im = _parts(c)
         if k or not nilpotent:
-            items.append((k, re, im))
+            ks.append(k)
+            values.append(c)
+        else:
+            parts(c)  # DomainError unless finite
+    re, im, emin = to_ints(values)
     size = len(t.monos)
     ore, oim = [0] * size, [0] * size
-    emin = min((p[2] for _, re, im in items for p in (re, im) if p[1]), default=0)
-    for k, re, im in items:
-        ore[k] = _int(re, emin)
-        oim[k] = _int(im, emin)
+    for k, u, v in zip(ks, re, im):
+        ore[k] = u
+        oim[k] = v
     return ore, oim, emin
 
 
 def _scalar(c):
     """An exact scalar (re, im, exp)."""
-    re, im = _parts(c)
-    emin = min((p[2] for p in (re, im) if p[1]), default=0)
-    return _int(re, emin), _int(im, emin), emin
+    (re,), (im,), e = to_ints((c,))
+    return re, im, e
 
 
 def _unit(size: int):
@@ -190,14 +171,9 @@ def _rounded(space: "JetSpace", exact) -> "Jet":
     """The jet of an exact form, each coefficient rounded once."""
     re, im, e = exact
     monos = _tables(space.nvars, space.degree).monos
-    prec, rnd = mp._prec_rounding
-    make = mp.make_mpc
-    terms = {}
-    for k, (u, v) in enumerate(zip(re, im)):
-        if u or v:
-            terms[monos[k]] = make((from_man_exp(u, e, prec, rnd),
-                                    from_man_exp(v, e, prec, rnd)))
-    return Jet(space, terms)
+    nz = [k for k in range(len(re)) if re[k] or im[k]]
+    values = rounded([re[k] for k in nz], [im[k] for k in nz], e)
+    return Jet(space, dict(zip([monos[k] for k in nz], values)))
 
 
 class JetSpace:
@@ -252,7 +228,7 @@ class Jet(SparseTerms):
     @staticmethod
     def const(space: JetSpace, value) -> "Jet":
         value = mp.mpc(value)
-        _parts(value)
+        parts(value)
         if value == 0:
             return Jet(space, {})
         return Jet(space, {space._zero: value})
@@ -260,7 +236,7 @@ class Jet(SparseTerms):
     @staticmethod
     def variable(space: JetSpace, i: int, base) -> "Jet":
         c = {space._zero: mp.mpc(base)}
-        _parts(c[space._zero])
+        parts(c[space._zero])
         if space.degree >= 1:
             e = [0] * space.nvars
             e[i] = 1
@@ -272,7 +248,7 @@ class Jet(SparseTerms):
     def __mul__(self, other):
         if not isinstance(other, Jet):
             c = mp.mpc(other)
-            _parts(c)  # DomainError unless finite
+            parts(c)  # DomainError unless finite
             if c == 0:
                 return Jet(self.space, {})
             return Jet(self.space, {e: c * v for e, v in self.terms.items()})

@@ -2,7 +2,9 @@
 
 Matrices are tuples of tuples.  The same routines serve exact entries
 (Fraction, GaussianRational) and mpmath numbers; nothing here ever converts
-between the two worlds implicitly.
+between the two worlds implicitly.  Numeric code that wants mpc products
+summed exactly and rounded once converts to the Gaussian-integer matrices
+of ``fixedpoint`` instead; these routines never dispatch to it.
 """
 
 from __future__ import annotations

@@ -30,11 +30,31 @@ from maassjacobi.group import AlgebraElement
 from maassjacobi.opcalc import random_algebra_element
 
 
+def _generator(N, name):
+    """The algebra element of one basis generator in the matrix
+    realization, the inverse of AlgebraElement.basis_coefficients."""
+    M = [[0, 0], [0, 0]]
+    X = [[0, 0] for _ in range(N)]
+    K = [[0] * N for _ in range(N)]
+    if name == "E":
+        M[0][1] = 1
+    elif name == "F":
+        M[1][0] = 1
+    elif name == "H":
+        M[0][0], M[1][1] = 1, -1
+    elif name[0] in "ef":
+        X[int(name[1:]) - 1][name[0] == "e"] = 1
+    else:
+        i, j = int(name[1]) - 1, int(name[2]) - 1
+        K[i][j] = K[j][i] = 1 if i == j else Fraction(1, 2)
+    return AlgebraElement(M, X, K)
+
+
 def _structure_bracket(alg, a, b):
     """Bracket of two generators via the matrix realization, in basis
     coordinates; the independent oracle for the bracket table."""
-    ea = AlgebraElement.from_basis(alg.N, {alg.names[a]: 1})
-    eb = AlgebraElement.from_basis(alg.N, {alg.names[b]: 1})
+    ea = _generator(alg.N, alg.names[a])
+    eb = _generator(alg.N, alg.names[b])
     return ea.bracket(eb).basis_coefficients()
 
 

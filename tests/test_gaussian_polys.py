@@ -21,6 +21,7 @@ from maassjacobi.gaussian import (
     parse_gaussian,
     power,
 )
+from maassjacobi.jets import Jet, JetSpace, _tables
 from maassjacobi.opcalc import DiffOp, OpRing
 from maassjacobi.polys import Poly, PolyRing
 
@@ -335,3 +336,29 @@ def test_sparse_terms_laws_on_diffops(N, shift, data, n):
     _check_sum_laws(a, b, c)
     with pytest.raises(TypeError):
         a ** n
+
+
+_JET_SPACE = JetSpace(3, 3)
+
+
+@st.composite
+def _jets(draw):
+    """A jet with dyadic coefficients of a few bits each, so that every sum
+    and product below is exact at the working precision."""
+    dyadic = st.builds(lambda n: mp.mpf(n) / 4, st.integers(-8, 8))
+    monos = st.sampled_from(_tables(_JET_SPACE.nvars, _JET_SPACE.degree).monos)
+    terms = draw(st.dictionaries(monos, st.builds(mp.mpc, dyadic, dyadic), max_size=6))
+    return Jet(_JET_SPACE, {e: c for e, c in terms.items() if c})
+
+
+@settings(settings.get_profile("exact"))
+@given(data=st.data(), m=st.integers(0, 2), n=st.integers(0, 2))
+def test_sparse_terms_laws_on_jets(data, m, n):
+    with mp.workprec(128):
+        a, b, c = (data.draw(_jets()) for _ in range(3))
+        _check_sum_laws(a, b, c)
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a ** (m + n) == a ** m * a ** n
+

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from maassjacobi import linalg
-from maassjacobi.errors import DomainError, MalformedElementError
+from maassjacobi import fixedpoint, linalg
+from maassjacobi.errors import DomainError, MalformedElementError, PrecisionError
 from maassjacobi.gaussian import GaussianRational
 from maassjacobi.group import (
+    J2,
     AlgebraElement,
     GroupElement,
     Point,
@@ -29,7 +30,7 @@ from maassjacobi.group import (
 )
 from maassjacobi.jets import JetSpace, coordinate_jets
 from maassjacobi.opcalc import random_algebra_element, random_group_element, random_point
-from maassjacobi.precision import to_mpc
+from maassjacobi.precision import MAX_TERMS, PrecisionContext, to_mpc
 
 GR = GaussianRational
 
@@ -162,6 +163,197 @@ def test_exp_halves_large_elements(ctx):
             scale = max(abs(b) for rb in rhs for b in rb)
             worst = max(abs(a - b) for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))
             assert worst < mp.mpf("1e-25") * scale
+
+
+# -- the mpc exponentials, the oracles of the fixed-point ones ----------------
+
+_EXP_NORM_BOUND = 8
+
+
+def _mat_norm(M):
+    return max(sum(abs(complex(x)) for x in row) for row in M)
+
+
+def _mpc_exp_series_2x2(M, ctx: PrecisionContext):
+    """exp, g, h power series on a 2x2 matrix with rigorous tail control.
+
+    g(z) = (e^z - 1)/z and h(z) = (e^z - z - 1)/z^2, summed jointly as
+    sum M^n/n!, sum M^n/(n+1)!, sum M^n/(n+2)!.
+    """
+    one = linalg.identity(2, mp.mpf(1), mp.mpf(0))
+    term = one
+    exp_acc = one
+    g_acc = linalg.scale(mp.mpf(1), one)
+    h_acc = linalg.scale(mp.mpf("0.5"), one)
+    norm = _mat_norm(M)
+    bound = mp.mpf(norm)
+    fact = mp.mpf(1)
+    tol = mp.mpf(2) ** (-(ctx.bits + 16))
+    n = 0
+    while True:
+        n += 1
+        if n > MAX_TERMS:
+            ctx.exhausted("matrix exponential series")
+        term = linalg.mul(term, M)
+        fact *= n
+        exp_acc = linalg.add(exp_acc, linalg.scale(1 / fact, term))
+        g_acc = linalg.add(g_acc, linalg.scale(1 / (fact * (n + 1)), term))
+        h_acc = linalg.add(h_acc, linalg.scale(1 / (fact * (n + 1) * (n + 2)), term))
+        # once the ratio bound norm/(n+1) < 1/2, the remaining tail is below
+        # twice the next term bound
+        tail = bound ** (n + 1) / (fact * (n + 1))
+        if norm < (n + 1) / 2 and tail < tol:
+            break
+    return exp_acc, g_acc, h_acc
+
+
+def _mpc_jacobi_exp(Y: AlgebraElement, ctx: PrecisionContext) -> GroupElement:
+    """exp(M, X, kappa) = (e^M, X g(M), kappa - X h(M) J2 X^T).
+
+    Inputs with ||M|| beyond the series bound are halved recursively and
+    recombined with the group law (exact squaring in the group).
+    """
+    with ctx.working():
+        M = tuple(tuple(to_mpc(x) for x in r) for r in Y.M)
+        X = tuple(tuple(to_mpc(x) for x in r) for r in Y.X)
+        kappa = tuple(tuple(to_mpc(x) for x in r) for r in Y.kappa)
+        if _mat_norm(M) > _EXP_NORM_BOUND:
+            half = AlgebraElement(
+                linalg.scale(mp.mpf("0.5"), M),
+                linalg.scale(mp.mpf("0.5"), X),
+                linalg.scale(mp.mpf("0.5"), kappa),
+                check=False,
+            )
+            ghalf = _mpc_jacobi_exp(half, ctx)
+            return jacobi_mul(ghalf, ghalf)
+        eM, gM, hM = _mpc_exp_series_2x2(M, ctx)
+        Xg = linalg.mul(X, gM)
+        corr = linalg.mul(linalg.mul(linalg.mul(X, hM), J2), linalg.transpose(X))
+        return GroupElement(eM, Xg, linalg.sub(kappa, corr), check=False)
+
+
+def _mpc_expm(A, ctx: PrecisionContext):
+    """Scaling-and-squaring exponential of a general square matrix.
+
+    Kept independent of jacobi_exp on purpose: it is the oracle the
+    exponential map is tested against.
+    """
+    with ctx.working():
+        n = len(A)
+        A = tuple(tuple(to_mpc(x) for x in r) for r in A)
+        s = 0
+        while _mat_norm(A) > mp.mpf("0.5"):
+            A = linalg.scale(mp.mpf("0.5"), A)
+            s += 1
+        one = linalg.identity(n, mp.mpf(1), mp.mpf(0))
+        acc = one
+        term = one
+        tol = mp.mpf(2) ** (-(ctx.bits + 16))
+        k = 0
+        while True:
+            k += 1
+            if k > MAX_TERMS:
+                ctx.exhausted("expm series")
+            term = linalg.scale(1 / mp.mpf(k), linalg.mul(term, A))
+            acc = linalg.add(acc, term)
+            if _mat_norm(term) < tol and k > 4:
+                break
+        for _ in range(s):
+            acc = linalg.mul(acc, acc)
+        return acc
+
+
+def _assert_close(new, old, ctx):
+    """Entrywise within 2^-(bits-8) of the largest entry of the oracle."""
+    with ctx.working():
+        scale = max(abs(b) for rb in old for b in rb)
+        worst = max(abs(a - b) for ra, rb in zip(new, old) for a, b in zip(ra, rb))
+        assert worst <= mp.mpf(2) ** (8 - ctx.bits) * scale
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=8)
+
+
+@st.composite
+def _mpc_matrices(draw, m, n, real):
+    """m x n matrices of mpc entries that span about 2^-60 to 2^60, with
+    exact zeros."""
+    def part():
+        if real is None and draw(st.booleans()):
+            return mp.mpf(0)
+        return mp.ldexp(draw(st.integers(-2 ** 60, 2 ** 60)), draw(st.integers(-120, 0)))
+    return tuple(tuple(mp.mpc(part(), mp.mpf(0) if real else part()) for _ in range(n))
+                 for _ in range(m))
+
+
+@settings(settings.get_profile("numeric"))
+@given(dims=st.tuples(*[st.integers(1, 6)] * 3), real=st.sampled_from([True, False, None]),
+       data=st.data())
+def test_kernel_product_matches_linalg_mul(ctx, dims, real, data):
+    m, k, n = dims
+    with ctx.working():
+        a = data.draw(_mpc_matrices(m, k, real))
+        b = data.draw(_mpc_matrices(k, n, real))
+        new = fixedpoint.to_mpc(fixedpoint.matmul(fixedpoint.matrix(a), fixedpoint.matrix(b)))
+        old = linalg.mul(a, b)
+        tol = mp.mpf(2) ** (8 - ctx.bits)
+        for i in range(m):
+            for j in range(n):
+                size = sum(abs(a[i][q] * b[q][j]) for q in range(k))
+                assert abs(new[i][j] - old[i][j]) <= tol * size
+        # and each entry is the exact sum, rounded once
+        with mp.workprec(4000):
+            exact = linalg.mul(a, b)
+        assert new == tuple(tuple(+x for x in r) for r in exact)
+
+
+@settings(settings.get_profile("numeric"))
+@given(N=st.sampled_from([1, 2]), rng=st.randoms(use_true_random=False), data=st.data())
+def test_expm_matches_the_mpc_oracle(ctx, N, rng, data):
+    # the embedding of an algebra element at N = 1, 2, and a complex matrix
+    A = embed_algebra(random_algebra_element(N, rng))
+    _assert_close(expm(A, ctx), _mpc_expm(A, ctx), ctx)
+    n = data.draw(st.integers(1, 4))
+    A = [[GR(data.draw(_SMALL), data.draw(_SMALL)) for _ in range(n)] for _ in range(n)]
+    _assert_close(expm(A, ctx), _mpc_expm(A, ctx), ctx)
+
+
+@settings(settings.get_profile("numeric"))
+@given(N=st.sampled_from([1, 2]), data=st.data())
+def test_exp_halving_matches_the_mpc_oracle(ctx, N, data):
+    # ||M|| = 9 exceeds the series bound, so both halve once before summing
+    M = ((GR(5), GR(4)), (GR(-3), GR(-5)))
+    X = [[GR(data.draw(_SMALL)) for _ in range(2)] for _ in range(N)]
+    kap = [[GR(0)] * N for _ in range(N)]
+    for i in range(N):
+        for j in range(i, N):
+            kap[i][j] = kap[j][i] = GR(data.draw(_SMALL))
+    Y = AlgebraElement(M, X, kap)
+    _assert_close(embed_group(jacobi_exp(Y, ctx)), embed_group(_mpc_jacobi_exp(Y, ctx)), ctx)
+
+
+@pytest.mark.parametrize("bad", [mp.inf, mp.nan], ids=["inf", "nan"])
+def test_expm_rejects_non_finite_entries(ctx, bad):
+    with pytest.raises(DomainError):
+        expm(((mp.mpf(1), bad), (mp.mpf(0), mp.mpf(1))), ctx)
+
+
+@pytest.mark.parametrize("bad", [mp.inf, mp.nan], ids=["inf", "nan"])
+def test_jacobi_exp_rejects_non_finite_entries(ctx, bad):
+    with ctx.working():
+        Y = AlgebraElement(((mp.mpf(0), bad), (mp.mpf(0), mp.mpf(0))),
+                           ((mp.mpf(1), mp.mpf(0)),), ((mp.mpf(0),),))
+    with pytest.raises(DomainError):
+        jacobi_exp(Y, ctx)
+
+
+def test_expm_refuses_norms_beyond_its_fixed_point_range(ctx):
+    # the guard bits keep a tiny entry to full relative precision
+    tiny = expm(((GR(2047), GR(0)), (GR(0), GR(-2047))), ctx)[1][1]
+    with ctx.working():
+        assert abs(tiny / mp.exp(-2047) - 1) < mp.mpf(2) ** (8 - ctx.bits)
+    with pytest.raises(PrecisionError):
+        expm(((GR(4096), GR(0)), (GR(0), GR(0))), ctx)
 
 
 def test_exp_special_cases(ctx):

@@ -291,7 +291,7 @@ def test_lie_slash_table_and_anti_homomorphism():
                 rhs = rhs + build_lie_slash(alg.names[idx], L).scale(c)
             assert lhs == rhs, (a, b)
     # linearity through AlgebraElement input
-    Y = AlgebraElement.from_basis(1, {"E": 2, "f1": Fraction(1, 2), "Z11": -1})
+    Y = AlgebraElement(((0, 2), (0, 0)), [[Fraction(1, 2), 0]], [[-1]])  # 2 E + f1/2 - Z11
     got = build_lie_slash(Y, L)
     expect = build_lie_slash("E", L).scale(2) + \
         build_lie_slash("f1", L).scale(Fraction(1, 2)) - build_lie_slash("Z11", L)
