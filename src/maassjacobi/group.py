@@ -5,7 +5,8 @@ define the slash actions.
 Elements carry either exact Gaussian-rational entries or mpmath numbers;
 the mode is decided once, at construction, from the entry types.  Algebraic
 formulas (product, inverse, embeddings, the a-cocycle) stay exact on exact
-input.
+input.  The exponential map and its oracle ``expm`` sum their series on the
+Gaussian-integer kernel of ``fixedpoint`` and round each entry once.
 """
 
 from __future__ import annotations
