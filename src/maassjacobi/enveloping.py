@@ -7,9 +7,12 @@ Basis order is fixed once and for all:
 
     E < F < H < e_1 < ... < e_N < f_1 < ... < f_N < Z_11 < Z_12 < ... < Z_NN
 
-PBW monomials are exponent tuples over this list; elements map monomials to
-Gaussian-rational coefficients.  The Z generators are central, which the
-rewriting engine exploits by keeping their exponents in a commutative tail.
+PBW monomials are exponent tuples over this list.  The Z generators are
+central, so an element is stored over the centre: each noncentral PBW word,
+an exponent tuple over E, ..., f_N, maps to its coefficient, a polynomial
+in the Z_ij over the Gaussian rationals (an element of ``alg.z_ring``).
+This module alone knows that split; ``PBWElement.flat_terms`` gives the
+flat form, one exponent tuple over the whole list per term.
 """
 
 from __future__ import annotations
@@ -19,11 +22,9 @@ from fractions import Fraction
 from math import comb
 
 from . import linalg
-from .errors import DivisibilityError, MaassJacobiError
-from .gaussian import GaussianRational, ZERO, ONE, I, format_gaussian, parse_gaussian
+from .errors import DivisibilityError, DomainError
+from .gaussian import GaussianRational, I, format_gaussian, parse_gaussian
 from .polys import Poly, PolyRing, SparseTerms
-
-CENTRALITY_DEGREE_CAP = 3
 
 
 class JacobiLieAlgebra:
@@ -33,7 +34,7 @@ class JacobiLieAlgebra:
 
     def __new__(cls, N: int):
         if N < 1:
-            raise ValueError("rank N must be at least 1")
+            raise DomainError("rank N must be at least 1")
         if N not in cls._instances:
             inst = super().__new__(cls)
             inst._init(N)
@@ -54,16 +55,14 @@ class JacobiLieAlgebra:
         names += [f"Z{i}{j}" for i, j in self._zpairs]
         self.names = tuple(names)
         self.ngen = len(names)
-        self.nz = self.ngen - self.z_start
         self.index = {n: k for k, n in enumerate(names)}
         self._zero_nc = (0,) * self.z_start
-        self._zero_z = (0,) * self.nz
-        self.zero_exp = (0,) * self.ngen
         self._brackets = self._build_brackets()
         self._gen_cache = {}
         self._mul_cache = {}
-        # commutative Z-coefficient ring, for exact division by det(Z)
-        self.z_ring = PolyRing([f"Z{i}{j}" for i, j in self._zpairs])
+        # the centre: the coefficient ring of every noncentral PBW word
+        self.z_ring = PolyRing(names[self.z_start:])
+        self.z_one = self.z_ring.one()
         # commutative full symmetric algebra ring
         self.sym_ring = PolyRing(self.names)
 
@@ -133,16 +132,22 @@ class JacobiLieAlgebra:
                 break
         return out
 
-    def mul_nc(self, a: tuple, b: tuple) -> dict:
-        """Product of two normal noncentral monomials.
+    def z_mul(self, p: Poly, q: Poly) -> Poly:
+        """p q in the centre.  A factor that is the shared unit ``z_one``,
+        as most straightening coefficients are, costs no product."""
+        if p is self.z_one:
+            return q
+        if q is self.z_one:
+            return p
+        return p * q
 
-        Returns a dict mapping (noncentral exponents, Z exponents) to int
-        coefficients.
-        """
+    def mul_nc(self, a: tuple, b: tuple) -> dict:
+        """Product of two normal noncentral words, as a dict mapping normal
+        noncentral words to their coefficients in ``z_ring``."""
         if not any(b):
-            return {(a, self._zero_z): 1}
+            return {a: self.z_one}
         if not any(a):
-            return {(b, self._zero_z): 1}
+            return {b: self.z_one}
         key = (a, b)
         hit = self._mul_cache.get(key)
         if hit is not None:
@@ -150,20 +155,19 @@ class JacobiLieAlgebra:
         g = next(i for i, k in enumerate(b) if k)
         rest = b[:g] + (b[g] - 1,) + b[g + 1:]
         out = {}
-        for (m, z1), c1 in self._mul_gen(a, g).items():
-            for (m2, z2), c2 in self.mul_nc(m, rest).items():
-                k = (m2, tuple(x + y for x, y in zip(z1, z2)))
-                out[k] = out.get(k, 0) + c1 * c2
-        out = {k: c for k, c in out.items() if c}
+        for m, p in self._mul_gen(a, g).items():
+            for m2, q in self.mul_nc(m, rest).items():
+                _accumulate(out, m2, self.z_mul(p, q))
+        out = {m: p for m, p in out.items() if p}
         self._mul_cache[key] = out
         return out
 
     def _mul_gen(self, a: tuple, g: int) -> dict:
-        """Normal noncentral monomial times a single noncentral generator."""
+        """Normal noncentral word times one noncentral generator, in the
+        layout of ``mul_nc``."""
         t = max((i for i, k in enumerate(a) if k), default=-1)
         if t <= g:
-            m = a[:g] + (a[g] + 1,) + a[g + 1:]
-            return {(m, self._zero_z): 1}
+            return {a[:g] + (a[g] + 1,) + a[g + 1:]: self.z_one}
         key = (a, g)
         hit = self._gen_cache.get(key)
         if hit is not None:
@@ -171,49 +175,53 @@ class JacobiLieAlgebra:
         e = a[t]
         p = a[:t] + (0,) + a[t + 1:]
         out = {}
-        ads = self._ad_powers(t, g, e)
-        for j, combo in enumerate(ads):
+        for j, combo in enumerate(self._ad_powers(t, g, e)):
             if not combo:
                 break
-            binom = comb(e, j)
+            tp = self._zero_nc[:t] + (e - j,) + self._zero_nc[t + 1:]
             for s, cs in combo.items():
-                coeff = binom * cs
                 if self.is_central(s):
-                    zidx = s - self.z_start
-                    heads = {(p, self._mk_z(zidx)): 1}
+                    heads = {p: self.z_ring.var(self.names[s])}
                 else:
                     heads = self._mul_gen(p, s)
-                tp = tuple(
-                    (e - j) if i == t else 0 for i in range(self.z_start)
-                )
-                for (hm, hz), hc in heads.items():
-                    if e - j == 0:
-                        k = (hm, hz)
-                        out[k] = out.get(k, 0) + coeff * hc
-                    else:
-                        for (fm, fz), fc in self.mul_nc(hm, tp).items():
-                            k = (fm, tuple(x + y for x, y in zip(hz, fz)))
-                            out[k] = out.get(k, 0) + coeff * hc * fc
-        out = {k: c for k, c in out.items() if c}
+                c = comb(e, j) * cs
+                for hm, hp in heads.items():
+                    hp = hp if c == 1 else hp.scale(c)
+                    for fm, fp in self.mul_nc(hm, tp).items():
+                        _accumulate(out, fm, self.z_mul(hp, fp))
+        out = {m: p for m, p in out.items() if p}
         self._gen_cache[key] = out
         return out
-
-    def _mk_z(self, zidx: int) -> tuple:
-        return tuple(1 if i == zidx else 0 for i in range(self.nz))
 
     def __repr__(self):
         return f"JacobiLieAlgebra(N={self.N})"
 
 
+def _accumulate(out: dict, key, p: Poly):
+    """out[key] += p; the caller drops the sums that cancel to zero."""
+    out[key] = out[key] + p if key in out else p
+
+
+def _monomial_text(alg: JacobiLieAlgebra, exp: tuple) -> str:
+    return "*".join(
+        alg.names[i] + (f"^{k}" if k > 1 else "") for i, k in enumerate(exp) if k
+    ) or "1"
+
+
 class PBWElement(SparseTerms):
-    """An element of the enveloping algebra in PBW normal form."""
+    """An element of the enveloping algebra in PBW normal form, over the
+    centre: ``terms`` maps normal noncentral words to nonzero elements of
+    ``alg.z_ring``."""
 
     __slots__ = ("alg", "terms")
-    _zero = ZERO
 
     def __init__(self, alg: JacobiLieAlgebra, terms: dict):
         self.alg = alg
         self.terms = terms
+
+    @property
+    def _zero(self) -> Poly:
+        return self.alg.z_ring.zero()
 
     def _like(self, terms, other) -> "PBWElement":
         return PBWElement(self.alg, terms)
@@ -229,15 +237,30 @@ class PBWElement(SparseTerms):
         c = GaussianRational.coerce(c)
         if not c:
             return PBWElement.zero(alg)
-        return PBWElement(alg, {alg.zero_exp: c})
+        return PBWElement(alg, {alg._zero_nc: alg.z_ring.const(c)})
 
     @staticmethod
     def gen(alg, g) -> "PBWElement":
         if isinstance(g, str):
             g = alg.index[g]
-        exp = [0] * alg.ngen
-        exp[g] = 1
-        return PBWElement(alg, {tuple(exp): ONE})
+        if alg.is_central(g):
+            return PBWElement(alg, {alg._zero_nc: alg.z_ring.var(alg.names[g])})
+        word = alg._zero_nc[:g] + (1,) + alg._zero_nc[g + 1:]
+        return PBWElement(alg, {word: alg.z_one})
+
+    @staticmethod
+    def from_flat(alg, terms: dict) -> "PBWElement":
+        """The element whose ``flat_terms`` are ``terms`` (zeros dropped)."""
+        zs = alg.z_start
+        grouped = {}
+        for e, c in terms.items():
+            if c:
+                grouped.setdefault(e[:zs], {})[e[zs:]] = c
+        return PBWElement(alg, {w: Poly(alg.z_ring, z) for w, z in grouped.items()})
+
+    def flat_terms(self) -> dict:
+        """The terms as {exponent tuple over all generators: coefficient}."""
+        return {w + z: c for w, p in self.terms.items() for z, c in p.terms.items()}
 
     # -- linear structure ----------------------------------------------------
 
@@ -245,12 +268,12 @@ class PBWElement(SparseTerms):
         c = GaussianRational.coerce(c)
         if not c:
             return PBWElement.zero(self.alg)
-        return PBWElement(self.alg, {e: c * v for e, v in self.terms.items()})
+        return PBWElement(self.alg, {w: p.scale(c) for w, p in self.terms.items()})
 
     def _coerce(self, other) -> "PBWElement":
         if isinstance(other, PBWElement):
             if other.alg is not self.alg:
-                raise ValueError("mixed algebras")
+                raise DomainError("mixed algebras")
             return other
         return PBWElement.const(self.alg, other)
 
@@ -261,22 +284,13 @@ class PBWElement(SparseTerms):
             return self.scale(other)
         other = self._coerce(other)
         alg = self.alg
-        zs = alg.z_start
         out = {}
-        for e1, c1 in self.terms.items():
-            nc1, z1 = e1[:zs], e1[zs:]
-            for e2, c2 in other.terms.items():
-                nc2, z2 = e2[:zs], e2[zs:]
-                zadd = tuple(x + y for x, y in zip(z1, z2))
-                c12 = c1 * c2
-                for (m, z), k in alg.mul_nc(nc1, nc2).items():
-                    full = m + tuple(x + y for x, y in zip(z, zadd))
-                    s = out.get(full, ZERO) + c12 * k
-                    if s:
-                        out[full] = s
-                    else:
-                        out.pop(full, None)
-        return PBWElement(alg, out)
+        for w1, p1 in self.terms.items():
+            for w2, p2 in other.terms.items():
+                p12 = alg.z_mul(p1, p2)
+                for w, q in alg.mul_nc(w1, w2).items():
+                    _accumulate(out, w, alg.z_mul(p12, q))
+        return PBWElement(alg, {w: p for w, p in out.items() if p})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -298,24 +312,18 @@ class PBWElement(SparseTerms):
         return hash((id(self.alg), frozenset(self.terms.items())))
 
     def degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.flat_terms()), default=0)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+        return sorted(self.flat_terms().items(), key=lambda t: (sum(t[0]), t[0]),
+                      reverse=True)
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.sorted_terms()
+        if not terms:
             return "PBW(0)"
-        parts = []
-        for e, c in self.sorted_terms()[:12]:
-            mono = "*".join(
-                self.alg.names[i] + (f"^{k}" if k > 1 else "")
-                for i, k in enumerate(e) if k
-            ) or "1"
-            parts.append(f"({c})*{mono}")
-        more = "" if len(self.terms) <= 12 else f" ... [{len(self.terms)} terms]"
+        parts = [f"({c})*{_monomial_text(self.alg, e)}" for e, c in terms[:12]]
+        more = "" if len(terms) <= 12 else f" ... [{len(terms)} terms]"
         return "PBW(" + " + ".join(parts) + more + ")"
 
 
@@ -331,13 +339,8 @@ def pbw_normal_order(alg: JacobiLieAlgebra, word) -> PBWElement:
 
 
 def check_centrality(a: PBWElement):
-    """Commutators of ``a`` with every generator; empty list iff central.
-
-    Rank is capped at CENTRALITY_DEGREE_CAP (combinatorial growth).
-    """
+    """Commutators of ``a`` with every generator; empty list iff central."""
     alg = a.alg
-    if alg.N > CENTRALITY_DEGREE_CAP:
-        raise MaassJacobiError(f"centrality suite capped at N <= {CENTRALITY_DEGREE_CAP}")
     bad = []
     for g in range(alg.ngen):
         c = a.commutator(PBWElement.gen(alg, g))
@@ -392,12 +395,6 @@ def bilinear_adj(alg, left: str, right: str) -> PBWElement:
 # -- exact division by det(Z) ------------------------------------------------------
 
 
-def _det_z_poly(alg) -> Poly:
-    d = det_z(alg)
-    zs = alg.z_start
-    return Poly(alg.z_ring, {e[zs:]: c for e, c in d.terms.items()})
-
-
 def divide_by_det(a: PBWElement) -> PBWElement:
     """Exact quotient of ``a`` by the central determinant det(Z).
 
@@ -405,25 +402,15 @@ def divide_by_det(a: PBWElement) -> PBWElement:
     failure raises DivisibilityError rather than returning a remainder.
     """
     alg = a.alg
-    zs = alg.z_start
-    groups = {}
-    for e, c in a.terms.items():
-        groups.setdefault(e[:zs], {})[e[zs:]] = c
-    d = _det_z_poly(alg)
+    d = det_z(alg).terms[alg._zero_nc]
     out = {}
-    for nc, zterms in groups.items():
+    for w, p in a.terms.items():
         try:
-            q = Poly(alg.z_ring, zterms).divide_exact(d)
+            out[w] = p.divide_exact(d)
         except DivisibilityError as exc:
-            mono = "*".join(
-                alg.names[i] + (f"^{k}" if k > 1 else "")
-                for i, k in enumerate(nc) if k
-            ) or "1"
             raise DivisibilityError(
-                f"coefficient of {mono} is not divisible by det(Z)"
+                f"coefficient of {_monomial_text(alg, w)} is not divisible by det(Z)"
             ) from exc
-        for zexp, c in q.terms.items():
-            out[nc + zexp] = c
     return PBWElement(alg, out)
 
 
@@ -463,7 +450,7 @@ class LocalizedPBW:
 
     def __init__(self, numerator: PBWElement, detpow: int = 0):
         if detpow < 0:
-            raise ValueError("detpow must be nonnegative")
+            raise DomainError("detpow must be nonnegative")
         self.numerator = numerator
         self.detpow = detpow
 
@@ -533,7 +520,7 @@ def eta(alg: JacobiLieAlgebra, gen: str) -> LocalizedPBW:
     if gen == "H":
         num = det_z(alg).scale(half * alg.N) + bilinear_adj(alg, "e", "f").scale(half)
         return LocalizedPBW(num, 1)
-    raise ValueError("eta is defined on the sl2 generators E, F, H")
+    raise DomainError("eta is defined on the sl2 generators E, F, H")
 
 
 def nu(alg: JacobiLieAlgebra, gen: str) -> LocalizedPBW:
@@ -619,7 +606,7 @@ def symmetrize(a: Poly, alg: JacobiLieAlgebra) -> PBWElement:
     from itertools import permutations
 
     if a.ring != alg.sym_ring:
-        raise ValueError("symmetrize expects an element of the symmetric algebra")
+        raise DomainError("symmetrize expects an element of the symmetric algebra")
     out = PBWElement.zero(alg)
     for exp, coeff in a.terms.items():
         word = []
@@ -672,7 +659,7 @@ def tau_automorphism(a: PBWElement) -> PBWElement:
     images = tilde_basis(alg.N)
     img = [images[name] for name in alg.names]
     out = PBWElement.zero(alg)
-    for exp, coeff in a.terms.items():
+    for exp, coeff in a.flat_terms().items():
         term = PBWElement.const(alg, coeff)
         for i, k in enumerate(exp):
             for _ in range(k):
@@ -688,7 +675,7 @@ def pbw_to_json(a: PBWElement) -> str:
     """Canonical JSON: grlex-sorted monomials, coefficients as exact strings."""
     terms = [
         {"monomial": list(e), "coeff": format_gaussian(c)}
-        for e, c in sorted(a.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+        for e, c in sorted(a.flat_terms().items(), key=lambda t: (sum(t[0]), t[0]))
     ]
     return json.dumps({"N": a.alg.N, "terms": terms}, separators=(",", ":"))
 
@@ -699,4 +686,4 @@ def pbw_from_json(s: str) -> PBWElement:
     terms = {
         tuple(t["monomial"]): parse_gaussian(t["coeff"]) for t in data["terms"]
     }
-    return PBWElement(alg, {e: c for e, c in terms.items() if c})
+    return PBWElement.from_flat(alg, terms)

@@ -530,22 +530,19 @@ def uea_to_op(a: PBWElement, L: GramLattice) -> DiffOp:
     The slash action is a right action while the generator formulas are
     left-acting, so each PBW word maps to the composition of its letters'
     operators in reversed order.  A central letter Z_ij acts as the constant
-    calL_ij, so it scales the term; the noncentral words are taken in sorted
-    order, so each shared prefix is composed once.
+    calL_ij, so each noncentral word is scaled by its Z polynomial at calL;
+    the words are taken in sorted order, so each shared prefix is composed
+    once.
     """
     alg = a.alg
     if alg.N != L.N:
         raise DomainError("rank mismatch between element and lattice")
     R = OpRing(L.N)
-    zs = alg.z_start
     letters = [build_lie_slash(name, L) for name in alg.names]
-    zconst = [z.terms.get(R.zero_dexp, R.ring.zero()) for z in letters[zs:]]
-    # each noncentral word's scalar: the sum of coeff * prod calL_ij^(power of Z_ij)
-    scalars = {}
-    for exp, coeff in a.terms.items():
-        word = tuple(g for g, kexp in enumerate(exp[:zs]) for _ in range(kexp))
-        c = prod(map(pow, zconst, exp[zs:]), start=R.ring.const(coeff))
-        scalars[word] = scalars.get(word, R.ring.zero()) + c
+    zvalues = {name: op.terms.get(R.zero_dexp, R.ring.zero())
+               for name, op in zip(alg.names, letters) if name in alg.z_ring.index}
+    scalars = {tuple(g for g, kexp in enumerate(w) for _ in range(kexp)):
+               p.eval_numeric(zvalues, R.ring.const) for w, p in a.terms.items()}
     out, prev, chain = DiffOp.zero(R), (), [DiffOp.identity(R)]
     for word in sorted(scalars):
         # keep the images of the prefixes this word shares with the last one

@@ -1,7 +1,15 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maassjacobi import cache
+from maassjacobi.cli import main
 
 from maassjacobi.enveloping import (
     JacobiLieAlgebra,
@@ -24,8 +32,8 @@ from maassjacobi.enveloping import (
     tau_automorphism,
     tilde_basis,
 )
-from maassjacobi.errors import DivisibilityError, MaassJacobiError
-from maassjacobi.gaussian import GaussianRational, I
+from maassjacobi.errors import DivisibilityError, DomainError
+from maassjacobi.gaussian import ZERO, GaussianRational, I
 from maassjacobi.group import AlgebraElement
 from maassjacobi.opcalc import random_algebra_element
 
@@ -56,6 +64,138 @@ def _structure_bracket(alg, a, b):
     ea = _generator(alg.N, alg.names[a])
     eb = _generator(alg.N, alg.names[b])
     return ea.bracket(eb).basis_coefficients()
+
+
+class _FlatAlgebra:
+    """The straightening engine of the flat layout, in which a PBW term is
+    one exponent tuple over all generators, Z's last.  ``mul_nc``,
+    ``_mul_gen``, ``_mk_z`` and the body of ``mul`` are the engine and the
+    product that PBWElement had before it stored its terms over the
+    centre, kept verbatim as the oracle of today's product."""
+
+    def __init__(self, alg):
+        self.z_start = alg.z_start
+        self.nz = alg.ngen - alg.z_start
+        self._zero_z = (0,) * self.nz
+        self._gen_cache = {}
+        self._mul_cache = {}
+        self.is_central = alg.is_central
+        self._ad_powers = alg._ad_powers
+
+    def mul_nc(self, a: tuple, b: tuple) -> dict:
+        """Product of two normal noncentral monomials.
+
+        Returns a dict mapping (noncentral exponents, Z exponents) to int
+        coefficients.
+        """
+        if not any(b):
+            return {(a, self._zero_z): 1}
+        if not any(a):
+            return {(b, self._zero_z): 1}
+        key = (a, b)
+        hit = self._mul_cache.get(key)
+        if hit is not None:
+            return hit
+        g = next(i for i, k in enumerate(b) if k)
+        rest = b[:g] + (b[g] - 1,) + b[g + 1:]
+        out = {}
+        for (m, z1), c1 in self._mul_gen(a, g).items():
+            for (m2, z2), c2 in self.mul_nc(m, rest).items():
+                k = (m2, tuple(x + y for x, y in zip(z1, z2)))
+                out[k] = out.get(k, 0) + c1 * c2
+        out = {k: c for k, c in out.items() if c}
+        self._mul_cache[key] = out
+        return out
+
+    def _mul_gen(self, a: tuple, g: int) -> dict:
+        """Normal noncentral monomial times a single noncentral generator."""
+        t = max((i for i, k in enumerate(a) if k), default=-1)
+        if t <= g:
+            m = a[:g] + (a[g] + 1,) + a[g + 1:]
+            return {(m, self._zero_z): 1}
+        key = (a, g)
+        hit = self._gen_cache.get(key)
+        if hit is not None:
+            return hit
+        e = a[t]
+        p = a[:t] + (0,) + a[t + 1:]
+        out = {}
+        ads = self._ad_powers(t, g, e)
+        for j, combo in enumerate(ads):
+            if not combo:
+                break
+            binom = comb(e, j)
+            for s, cs in combo.items():
+                coeff = binom * cs
+                if self.is_central(s):
+                    zidx = s - self.z_start
+                    heads = {(p, self._mk_z(zidx)): 1}
+                else:
+                    heads = self._mul_gen(p, s)
+                tp = tuple(
+                    (e - j) if i == t else 0 for i in range(self.z_start)
+                )
+                for (hm, hz), hc in heads.items():
+                    if e - j == 0:
+                        k = (hm, hz)
+                        out[k] = out.get(k, 0) + coeff * hc
+                    else:
+                        for (fm, fz), fc in self.mul_nc(hm, tp).items():
+                            k = (fm, tuple(x + y for x, y in zip(hz, fz)))
+                            out[k] = out.get(k, 0) + coeff * hc * fc
+        out = {k: c for k, c in out.items() if c}
+        self._gen_cache[key] = out
+        return out
+
+    def _mk_z(self, zidx: int) -> tuple:
+        return tuple(1 if i == zidx else 0 for i in range(self.nz))
+
+    def mul(self, a_terms: dict, b_terms: dict) -> dict:
+        """The flat terms of a b, from the flat terms of a and b."""
+        alg = self
+        zs = alg.z_start
+        out = {}
+        for e1, c1 in a_terms.items():
+            nc1, z1 = e1[:zs], e1[zs:]
+            for e2, c2 in b_terms.items():
+                nc2, z2 = e2[:zs], e2[zs:]
+                zadd = tuple(x + y for x, y in zip(z1, z2))
+                c12 = c1 * c2
+                for (m, z), k in alg.mul_nc(nc1, nc2).items():
+                    full = m + tuple(x + y for x, y in zip(z, zadd))
+                    s = out.get(full, ZERO) + c12 * k
+                    if s:
+                        out[full] = s
+                    else:
+                        out.pop(full, None)
+        return out
+
+
+_FLAT = {N: _FlatAlgebra(JacobiLieAlgebra(N)) for N in (1, 2, 3)}
+
+
+@st.composite
+def _elements(draw, alg):
+    """Up to three normal monomials of up to three letters each, any
+    generator (Z's included) at power 1 or 2, with small coefficients."""
+    letters = st.lists(st.tuples(st.integers(0, alg.ngen - 1), st.integers(1, 2)),
+                       max_size=3)
+    coeffs = st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3))
+    terms = {}
+    for mono, c in draw(st.lists(st.tuples(letters, coeffs), max_size=3)):
+        exp = [0] * alg.ngen
+        for g, k in mono:
+            exp[g] += k
+        terms[tuple(exp)] = c
+    return PBWElement.from_flat(alg, terms)
+
+
+@settings(settings.get_profile("exact"))
+@given(N=st.sampled_from([1, 2, 3]), data=st.data())
+def test_product_matches_the_flat_oracle(N, data):
+    alg = JacobiLieAlgebra(N)
+    a, b = (data.draw(_elements(alg)) for _ in range(2))
+    assert (a * b).flat_terms() == _FLAT[N].mul(a.flat_terms(), b.flat_terms())
 
 
 def test_bracket_table_matches_matrix_realization():
@@ -194,9 +334,12 @@ def test_casimir_degree_and_centrality():
     assert bad and any(name == "F" for name, _ in bad)
 
 
-def test_centrality_rank_cap():
-    with pytest.raises(MaassJacobiError):
-        check_centrality(PBWElement.const(JacobiLieAlgebra(4), 1))
+def test_centrality_at_rank_4(tmp_path, monkeypatch, capsys):
+    # the A4 Gram matrix: Omega_4 has degree 6
+    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
+    code = main(["verify", "centrality", "--L", "2,1,0,0;1,2,1,0;0,1,2,1;0,0,1,2"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0 and rep["pass"] and rep["N"] == 4
 
 
 def test_eta_is_sl2_homomorphism_and_nu_commutes_with_radical():
@@ -316,6 +459,28 @@ def test_tau_automorphism():
         # tau(Omega_N) = (i/2)^N Omega_N
         om = build_casimir(N)
         assert tau_automorphism(om) == om.scale((I * GaussianRational(Fraction(1, 2))) ** N)
+
+
+# sha256 of pbw_to_json(build_casimir(N)) as the flat layout wrote it
+@pytest.mark.parametrize("N, digest", [
+    (1, "44043f09128e3cd86cd33b80ba782d6474bd8ff5094ef6cf5d5ea2dc0e2dad8f"),
+    (2, "bb1e380ad7e036daf8cb9c5daccdd6d5fd11410603a3a781eeefffcc2db2399c"),
+    (3, "a8e3c2721661da58d4497b96d3c8e911c3ded546dddef07019b14540b313eba0"),
+])
+def test_casimir_json_is_unchanged(N, digest):
+    assert hashlib.sha256(pbw_to_json(build_casimir(N)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("call", [
+    lambda: JacobiLieAlgebra(0),
+    lambda: PBWElement.gen(JacobiLieAlgebra(1), "E") * PBWElement.gen(JacobiLieAlgebra(2), "E"),
+    lambda: LocalizedPBW(PBWElement.const(JacobiLieAlgebra(1), 1), -1),
+    lambda: eta(JacobiLieAlgebra(1), "e1"),
+    lambda: symmetrize(JacobiLieAlgebra(2).sym_ring.var("E"), JacobiLieAlgebra(1)),
+], ids=["rank-0", "mixed-algebras", "negative-detpow", "eta-of-e1", "symmetrize-ring"])
+def test_bad_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_pbw_json_round_trip():

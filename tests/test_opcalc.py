@@ -94,7 +94,7 @@ def _uea_to_op_wordwise(a, L):
     """Each PBW term's word composed letter by letter, Z letters included."""
     R = OpRing(L.N)
     out = DiffOp.zero(R)
-    for exp, coeff in a.terms.items():
+    for exp, coeff in a.flat_terms().items():
         term = DiffOp.identity(R)
         for name, kexp in zip(a.alg.names, exp):
             for _ in range(kexp):
@@ -179,10 +179,10 @@ def test_uea_to_op_composes_each_prefix_once(monkeypatch):
             for _ in range(rng.randint(1, 3)):
                 nc[rng.choice(letters)] += 1
             for _ in range(rng.randint(1, 3)):
-                zexp = tuple(rng.randint(0, 2) for _ in range(alg.nz))
+                zexp = tuple(rng.randint(0, 2) for _ in range(alg.ngen - zs))
                 terms[tuple(nc) + zexp] = GaussianRational(rng.randint(-3, 3) or 1,
                                                            rng.randint(-2, 2))
-        a = PBWElement(alg, terms)
+        a = PBWElement.from_flat(alg, terms)
         words = {tuple(g for g, kexp in enumerate(e[:zs]) for _ in range(kexp))
                  for e in terms}
         prefixes = {w[:n] for w in words for n in range(1, len(w) + 1)}
@@ -286,7 +286,7 @@ def test_lie_slash_table_and_anti_homomorphism():
             lhs = build_lie_slash(a, L).commutator(build_lie_slash(b, L))
             br = PBWElement.gen(alg, b).commutator(PBWElement.gen(alg, a))
             rhs = DiffOp.zero(R)
-            for exp, c in br.terms.items():
+            for exp, c in br.flat_terms().items():
                 idx = [i for i, kk in enumerate(exp) if kk][0]
                 rhs = rhs + build_lie_slash(alg.names[idx], L).scale(c)
             assert lhs == rhs, (a, b)
