@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from . import linalg
@@ -364,7 +365,9 @@ def det_z(alg: JacobiLieAlgebra) -> PBWElement:
     return linalg.det(z_matrix(alg))
 
 
+@lru_cache(maxsize=None)
 def adj_z(alg: JacobiLieAlgebra):
+    """adj(Z), computed once per rank: the algebra has one instance per rank."""
     return linalg.adjugate(z_matrix(alg))
 
 

@@ -21,7 +21,7 @@ from .errors import DomainError, NotSemiHolomorphicError
 from .gaussian import GaussianRational
 from .jets import Jet, JetSpace, compose_univariate, coordinate_jets, real_coordinate_jets
 from .lattice import GramLattice, discriminant, enumerate_shifted
-from .opcalc import base_values, build_casimir_op, build_heat
+from .opcalc import base_values, build_heat
 from .precision import PrecisionContext, mpf_str, to_mpc, to_mpf
 from .specfun import (
     e_profile_jet,
@@ -100,16 +100,6 @@ def _index_exponential_jet(index: FourierIndex, coords: dict, N: int) -> Jet:
     return (expo * (2j * mp.pi)).exp()
 
 
-def term_jet(index: FourierIndex, tag: str, params: dict, coeff, N: int,
-             coords: dict, ctx: PrecisionContext, order: int = None) -> Jet:
-    """Jet of one expansion term at the base point of ``coords``."""
-    reals = real_coordinate_jets(coords, N)
-    ordr = order if order is not None else coords["tau"].space.degree
-    pj = _profile_jet(tag, params, reals, N, ordr, ctx)
-    qz = _index_exponential_jet(index, coords, N)
-    return pj * qz * to_mpc(coeff)
-
-
 class FourierExpansion:
     """A finite Fourier expansion over a fixed lattice."""
 
@@ -148,22 +138,27 @@ class FourierExpansion:
         return sorted(self.terms.items(), key=lambda kv: (kv[0].n, kv[0].r))
 
     def evaluate(self, tau, z, ctx: PrecisionContext):
-        N = self.lattice.N
         with ctx.working():
-            space = JetSpace.for_rank(N, 0)
-            coords = coordinate_jets(space, tau, z)
-            acc = mp.mpc(0)
-            for index, (tag, params, coeff) in self.terms.items():
-                acc += term_jet(index, tag, params, coeff, N, coords, ctx, order=0).value
-            return acc
+            return self.jet(tau, z, 0, ctx).value
 
     def jet(self, tau, z, degree: int, ctx: PrecisionContext) -> Jet:
+        coords = coordinate_jets(JetSpace.for_rank(self.lattice.N, degree), tau, z)
+        return self._jet_at(coords, real_coordinate_jets(coords, self.lattice.N), {}, ctx)
+
+    def _jet_at(self, coords: dict, reals: dict, exponentials: dict,
+               ctx: PrecisionContext) -> Jet:
+        """Jet at the base point of the coordinate jets ``coords``, whose
+        real-coordinate jets are ``reals``; ``exponentials`` caches the
+        jet of e(n tau + r.z) by index, at this base point."""
         N = self.lattice.N
-        space = JetSpace.for_rank(N, degree)
-        coords = coordinate_jets(space, tau, z)
+        space = coords["tau"].space
         acc = Jet.const(space, 0)
         for index, (tag, params, coeff) in self.terms.items():
-            acc = acc + term_jet(index, tag, params, coeff, N, coords, ctx)
+            pj = _profile_jet(tag, params, reals, N, space.degree, ctx)
+            qz = exponentials.get(index)
+            if qz is None:
+                qz = exponentials[index] = _index_exponential_jet(index, coords, N)
+            acc = acc + pj * qz * to_mpc(coeff)
         return acc
 
     # -- serialization: stable key order, exact rational strings ------------
@@ -475,49 +470,57 @@ def phi_seed(k, L: GramLattice, s, n, r) -> FourierExpansion:
 # -- operator annihilation / eigenvalue reports ------------------------------------
 
 
-def _worst_residual(f: FourierExpansion, op, points, ctx, k_value=None, lam=None):
-    """max_p |T f - lam f| / max(1, |f|) over sample points, via jets; no
-    lam means T f alone.  Runs inside the caller's working-precision block."""
-    deg = op.order()
-    worst = None
+def _worst_residual(op, cases, points, ctx):
+    """For each case (f, k_value, lam), max_p |T f - lam f| / max(1, |f|)
+    over the sample points, via jets; lam None means T f alone.
+
+    The cases share one rank.  The points are the outer loop: their
+    coordinate jets, real-coordinate jets and index exponentials are built
+    once and shared by every case.  Runs inside the caller's
+    working-precision block.
+    """
+    if not cases:
+        return []
+    N = cases[0][0].lattice.N
+    space = JetSpace.for_rank(N, op.order())
+    worst = [None] * len(cases)
     for tau, z in points:
-        jet = f.jet(tau, z, degree=deg, ctx=ctx)
-        val = op.apply_jet(jet, base_values(tau, z), k_value=k_value)
-        if lam is not None:
-            val = val - lam * jet.value
-        res = abs(val) / max(mp.mpf(1), abs(jet.value))
-        worst = res if worst is None else max(worst, res)
+        coords = coordinate_jets(space, tau, z)
+        reals = real_coordinate_jets(coords, N)
+        exponentials = {}
+        here = base_values(tau, z)
+        for i, (f, k_value, lam) in enumerate(cases):
+            jet = f._jet_at(coords, reals, exponentials, ctx)
+            val = op.apply_jet(jet, here, k_value=k_value)
+            if lam is not None:
+                val = val - lam * jet.value
+            res = abs(val) / max(mp.mpf(1), abs(jet.value))
+            worst[i] = res if worst[i] is None else max(worst[i], res)
     return worst
+
+
+def casimir_residuals(cases, casimir, points, ctx: PrecisionContext):
+    """For each case (f, k, eigenvalue), max_p |C^{k,L} f - eigenvalue f| / |f|
+    over sample points, via jets; ``casimir`` is build_casimir_op of the
+    cases' lattice, built once by the caller."""
+    with ctx.working():
+        return _worst_residual(
+            casimir, [(f, to_mpc(Fraction(k)), to_mpc(ev)) for f, k, ev in cases],
+            points, ctx)
 
 
 def casimir_residual(f: FourierExpansion, casimir, k, points, ctx: PrecisionContext,
                      eigenvalue=0):
-    """max_p |C^{k,L} f - lambda f| / |f| over sample points, via jets;
-    ``casimir`` is build_casimir_op(f.lattice), built once by the caller."""
-    with ctx.working():
-        return _worst_residual(f, casimir, points, ctx, to_mpc(Fraction(k)),
-                               to_mpc(eigenvalue))
+    """max_p |C^{k,L} f - lambda f| / |f| over sample points: the one-case
+    call of ``casimir_residuals``."""
+    return casimir_residuals([(f, k, eigenvalue)], casimir, points, ctx)[0]
 
 
 def heat_residual(f: FourierExpansion, points, ctx: PrecisionContext):
     """max_p |heat f| / |f| over sample points."""
     op = build_heat(f.lattice)
     with ctx.working():
-        return _worst_residual(f, op, points, ctx)
-
-
-def eigenfunction_ratio_residual(f: FourierExpansion, k, probe_point, points,
-                                 ctx: PrecisionContext):
-    """Fit the eigenvalue at probe_point, then report the worst residual of
-    C f = lambda f at the other points (the paper states eigenfunction-ness
-    without the eigenvalue)."""
-    op = build_casimir_op(f.lattice)
-    with ctx.working():
-        kv = to_mpc(Fraction(k))
-        tau, z = probe_point
-        jet = f.jet(tau, z, degree=op.order(), ctx=ctx)
-        lam = op.apply_jet(jet, base_values(tau, z), k_value=kv) / jet.value
-        return _worst_residual(f, op, points, ctx, kv, lam), lam
+        return _worst_residual(op, [(f, None, None)], points, ctx)[0]
 
 
 # -- torsion specialization --------------------------------------------------------

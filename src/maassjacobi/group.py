@@ -262,7 +262,11 @@ def cocycle_a(g: GroupElement, p: Point):
 
 def cocycle_alpha(L, g: GroupElement, p: Point, ctx: PrecisionContext):
     """alpha_L = exp(2 pi i tr(L a(g, p))), evaluated numerically."""
-    a = cocycle_a(g, p)
+    return _alpha_of_a(L, cocycle_a(g, p), ctx)
+
+
+def _alpha_of_a(L, a, ctx: PrecisionContext):
+    """exp(2 pi i tr(L a)) for an a = a(g, p) already computed."""
     with ctx.working():
         tr = linalg.trace(linalg.mul(_numeric(L), _numeric(a)))
         return mp.exp(2j * mp.pi * tr)

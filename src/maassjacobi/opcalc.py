@@ -630,18 +630,20 @@ class GaussianSeed:
         return self.value(p.tau, p.z)
 
 
-def slashed_jet(seed, k, kbar, L: GramLattice, g, tau, z, degree: int):
-    """Jet of f|_{k,kbar,L}[g] at (tau, z), plus the jet of f at the point
-    g(tau, z) and that point.
+def slashed_jet(seed, weights, L: GramLattice, g, tau, z, degree: int):
+    """Jets of f|_{k,kbar,L}[g] at (tau, z), one for each (k, kbar) in
+    ``weights``, plus the jet of f at the point g(tau, z) and that point.
 
+    The weight-free part is built once: the coordinate action on the tau
+    and taubar jets, f at g(tau, z) composed with it, beta, betabar and
+    the alpha_L jet.  Each weight pair then gives composed * weight * alpha.
     The coordinate map and the a-cocycle are group's, run on jets; they are
     looked up on the module, so that the benchmark tracer's patches of
     group are seen.  Runs inside the caller's working-precision block.
-    k - kbar must be an integer; the modulus factor keeps rational weights
-    single-valued.
+    Each k - kbar must be an integer; the modulus factor keeps rational
+    weights single-valued.
     """
-    kbar = Fraction(kbar)
-    gap = weight_gap(k, kbar)
+    gaps = [(weight_gap(k, kbar), Fraction(kbar)) for k, kbar in weights]
     N = L.N
     space = JetSpace.for_rank(N, degree)
     coords = coordinate_jets(space, tau, z)
@@ -656,10 +658,6 @@ def slashed_jet(seed, k, kbar, L: GramLattice, g, tau, z, degree: int):
     f_at_q = seed.jet(coordinate_jets(space, q_tau, q_z))
     composed = f_at_q.compose([tau_p, taubar_p, *z_p, *zbar_p])
 
-    # the weight needs the independent taubar jet, so it is not group's
-    weight = beta ** gap
-    if kbar:
-        weight = weight * (beta * betabar).pow_scalar(kbar)
     a_jets = group.cocycle_a(gm, Point(coords["tau"], zs))
     tr = None
     for i in range(N):
@@ -669,7 +667,16 @@ def slashed_jet(seed, k, kbar, L: GramLattice, g, tau, z, degree: int):
                 t = a_jets[j][i] * lij
                 tr = t if tr is None else tr + t
     alpha = (tr * (2j * mp.pi)).exp() if tr is not None else Jet.const(space, 1)
-    return composed * weight * alpha, f_at_q, (q_tau, q_z)
+
+    # the weight needs the independent taubar jet, so it is not group's
+    modulus = beta * betabar if any(kbar for _, kbar in gaps) else None
+    jets = []
+    for gap, kbar in gaps:
+        weight = beta ** gap
+        if kbar:
+            weight = weight * modulus.pow_scalar(kbar)
+        jets.append(composed * weight * alpha)
+    return jets, f_at_q, (q_tau, q_z)
 
 
 # -- the one sampler: group elements, algebra elements and points -------------------------
@@ -719,34 +726,52 @@ def random_point(N: int, rng):
     return tau, z
 
 
-def covariance_check(T: DiffOp, k, L: GramLattice, k2, L2: GramLattice,
-                     samples: int, ctx: PrecisionContext, *,
-                     kbar=0, kbar2=0):
-    """Max modulus of T(f|_{k,L}[g]) - (Tf)|_{k2,L2}[g] over random samples.
+def covariance_residuals(jobs, L: GramLattice, samples: int, ctx: PrecisionContext):
+    """For each job (T, k, k2, kbar, kbar2), the max modulus of
+    T(f|_{k,kbar,L}[g]) - (Tf)|_{k2,kbar2,L}[g] over random samples.
 
-    The seed f is a fixed Gaussian-exponential; the residual is normalized
-    by max(1, |rhs|).
+    The seed f is a fixed Gaussian-exponential; each residual is normalized
+    by max(1, |rhs|).  Every job sees the same samples.  Per sample there is
+    one ``slashed_jet`` call, at the highest order of the jobs, with one jet
+    per source weight pair, and one automorphy factor per target weight
+    pair.  A jet coefficient is an exact sum rounded once and does not
+    depend on the higher-order ones, so each residual has the bits of a
+    check of its job alone at the order of its operator.
     """
     import random
 
     rng = random.Random(77001)
     N = L.N
     seed = GaussianSeed(N)
-    worst = mp.mpf(0)
+    sources = list(dict.fromkeys((k, kbar) for _, k, _, kbar, _ in jobs))
+    targets = list(dict.fromkeys((k2, kbar2) for _, _, k2, _, kbar2 in jobs))
+    degree = max((T.order() for T, *_ in jobs), default=0)
+    worst = [mp.mpf(0)] * len(jobs)
     with ctx.working():
-        kv = to_mpc(Fraction(k))
+        kvs = [to_mpc(Fraction(k)) for _, k, *_ in jobs]
         for _ in range(samples):
             g = random_group_element(N, rng)
             tau, z = random_point(N, rng)
-            sj, f_at_q, (q_tau, q_z) = slashed_jet(seed, k, kbar, L, g, tau, z, T.order())
-            lhs = T.apply_jet(sj, base_values(tau, z), k_value=kv)
-            factor = automorphy_factor(k2, kbar2, L2.entries, g.to_numeric(),
-                                       Point(tau, z), ctx)
-            rhs = factor * T.apply_jet(f_at_q, base_values(q_tau, q_z), k_value=kv)
-            r = abs(lhs - rhs) / max(mp.mpf(1), abs(rhs))
-            if r > worst:
-                worst = r
+            sjs, f_at_q, (q_tau, q_z) = slashed_jet(seed, sources, L, g, tau, z, degree)
+            slashed = dict(zip(sources, sjs))
+            gm, p = g.to_numeric(), Point(tau, z)
+            factors = {(k2, kbar2): automorphy_factor(k2, kbar2, L.entries, gm, p, ctx)
+                       for k2, kbar2 in targets}
+            here, there = base_values(tau, z), base_values(q_tau, q_z)
+            for i, ((T, k, k2, kbar, kbar2), kv) in enumerate(zip(jobs, kvs)):
+                lhs = T.apply_jet(slashed[k, kbar], here, k_value=kv)
+                rhs = factors[k2, kbar2] * T.apply_jet(f_at_q, there, k_value=kv)
+                r = abs(lhs - rhs) / max(mp.mpf(1), abs(rhs))
+                if r > worst[i]:
+                    worst[i] = r
     return worst
+
+
+def covariance_check(T: DiffOp, k, L: GramLattice, k2, samples: int,
+                     ctx: PrecisionContext, *, kbar=0, kbar2=0):
+    """Max modulus of T(f|_{k,kbar,L}[g]) - (Tf)|_{k2,kbar2,L}[g] over random
+    samples: the one-job call of ``covariance_residuals``."""
+    return covariance_residuals([(T, k, k2, kbar, kbar2)], L, samples, ctx)[0]
 
 
 # -- joint kernel of the raising operators ------------------------------------------------

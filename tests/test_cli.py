@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -49,6 +50,31 @@ def test_verify_exit_codes(cache_dir, capsys, suite):
     rep = json.loads(out)
     assert code == 0 and rep["pass"] and rep["suite"] == suite and rep["N"] == 1
     assert rep["checks"]
+
+
+# sha256 of the stdout, computed before the covariance and eigen suites
+# shared each sample's jets and the cocycle suite each a(g, p)
+@pytest.mark.parametrize("argv, digest", [
+    (("covariance", "--L", "2", "--samples", "2"),
+     "29c3a13650b4e970368721c98c8109337b98e1fedd055501153415410db370fc"),
+    (("covariance", "--L", "2,1;1,2", "--samples", "1"),
+     "e9de8cd6db09bea457534964482977b6c04d0c3e5ed851783a61455239df2312"),
+    (("eigen", "--L", "1"),
+     "6e9a8e164de5bda386c53b0f9f56f1a349dc9062e0f698b9abc29a5c1a8985fc"),
+    (("cocycle", "--L", "2", "--samples", "5"),
+     "08b60f3bed74e7c17e84d58d966bbbe1647db319d2683d39e0100b871ccead21"),
+])
+def test_verify_output_is_unchanged(cache_dir, capsys, argv, digest):
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_eigen_at_rank_2_is_the_known_pole_error(cache_dir, capsys):
+    # the M-seed grid meets a Kummer pole at N = 2; the benchmark's
+    # eigen-pole matcher reads this type and message
+    code, out = run(capsys, "verify", "eigen", "--L", "2,1;1,2")
+    err = json.loads(out)["error"]
+    assert code == 3 and err["type"] == "PoleError" and "2s = -1" in err["message"]
 
 
 @pytest.mark.parametrize("suite, argv, flag", [

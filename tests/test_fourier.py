@@ -5,12 +5,14 @@ from itertools import product
 import pytest
 from mpmath import mp
 
+from maassjacobi.cli import eigen_grid
 from maassjacobi.errors import DomainError, NotSemiHolomorphicError
 from maassjacobi.fourier import (
     FourierExpansion,
     FourierIndex,
+    _worst_residual,
     casimir_residual,
-    eigenfunction_ratio_residual,
+    casimir_residuals,
     heat_residual,
     maass_fourier_term,
     mixed_mock_term,
@@ -27,12 +29,26 @@ from maassjacobi.fourier import (
 )
 from maassjacobi.gaussian import GaussianRational
 from maassjacobi.lattice import GramLattice, discriminant
-from maassjacobi.opcalc import build_casimir_op
+from maassjacobi.opcalc import base_values, build_casimir_op
+from maassjacobi.precision import PrecisionContext, to_mpc
 from maassjacobi.series import casimir_eigenvalue
 
 PTS1 = [(mp.mpc("0.13", "0.9"), [mp.mpc("0.21", "0.17")]),
         (mp.mpc("-0.4", "1.3"), [mp.mpc("-0.3", "0.4")]),
         (mp.mpc("0.05", "0.72"), [mp.mpc("0.4", "-0.2")])]
+
+
+def eigenfunction_ratio_residual(f: FourierExpansion, k, probe_point, points, ctx):
+    """Fit the eigenvalue at probe_point, then report the worst residual of
+    C f = lambda f at the other points (the paper states eigenfunction-ness
+    without the eigenvalue)."""
+    op = build_casimir_op(f.lattice)
+    with ctx.working():
+        kv = to_mpc(Fraction(k))
+        tau, z = probe_point
+        jet = f.jet(tau, z, degree=op.order(), ctx=ctx)
+        lam = op.apply_jet(jet, base_values(tau, z), k_value=kv) / jet.value
+        return _worst_residual(op, [(f, kv, lam)], points, ctx)[0], lam
 
 
 def test_theta_lmu_examples():
@@ -229,6 +245,23 @@ def test_phi_seed_eigen(ctx):
         f = phi_seed(k, L, s, n, r)
         ev = casimir_eigenvalue(k, 1, s)
         assert casimir_residual(f, C, k, PTS1, ctx, eigenvalue=ev) < mp.mpf("1e-10")
+
+
+@pytest.mark.parametrize("entries, bits", [
+    ([[1]], 128), ([[3]], 256), ([[2, 1], [1, 2]], 128),
+])
+def test_shared_eigen_matches_the_per_seed_oracle(entries, bits):
+    # the grid of `verify eigen` in one call, against one call per seed; at
+    # N = 2 only s = 5/2, since the other grid points meet the Kummer pole
+    L = GramLattice(entries)
+    ctx = PrecisionContext(bits=bits)
+    pts, grid = eigen_grid(L, ctx)
+    cases = [case for name, case in grid if L.N == 1 or " s=5/2 " in name]
+    assert len(cases) > 1
+    C = build_casimir_op(L)
+    shared = casimir_residuals(cases, C, pts, ctx)
+    assert shared == [casimir_residual(f, C, k, pts, ctx, eigenvalue=ev) for f, k, ev in cases]
+    assert all(r < mp.mpf("1e-10") for r in shared)
 
 
 def test_mixed_mock_terms(ctx):

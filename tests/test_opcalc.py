@@ -6,10 +6,11 @@ from math import comb
 import pytest
 from mpmath import mp
 
+from maassjacobi.cli import covariance_jobs
 from maassjacobi.enveloping import JacobiLieAlgebra, PBWElement, build_casimir, pbw_normal_order
 from maassjacobi.errors import DegreeError, DomainError
 from maassjacobi.gaussian import GaussianRational
-from maassjacobi.group import AlgebraElement, Point, slash
+from maassjacobi.group import AlgebraElement, Point, automorphy_factor, slash
 from maassjacobi.jets import Jet, JetSpace, coordinate_jets, finite_difference
 from maassjacobi.lattice import GramLattice
 from maassjacobi.opcalc import (
@@ -26,6 +27,7 @@ from maassjacobi.opcalc import (
     build_raising_lowering,
     calL,
     covariance_check,
+    covariance_residuals,
     d_minus_direct,
     derivatives,
     kernel_seed,
@@ -36,7 +38,7 @@ from maassjacobi.opcalc import (
     GaussianSeed,
     slashed_jet,
 )
-from maassjacobi.precision import PrecisionContext
+from maassjacobi.precision import PrecisionContext, to_mpc
 
 LATTICES = {
     1: [GramLattice([[1]]), GramLattice([[2]])],
@@ -326,12 +328,12 @@ def test_covariance_numeric(ctx):
     L = GramLattice([[2]])
     ops = build_raising_lowering(L)
     k = Fraction(3)
-    assert covariance_check(ops["X+"], k, L, k + 2, L, 10, ctx) < mp.mpf("1e-22")
+    assert covariance_check(ops["X+"], k, L, k + 2, 10, ctx) < mp.mpf("1e-22")
     C = build_casimir_op(L)
-    assert covariance_check(C, k, L, k, L, 5, ctx) < mp.mpf("1e-22")
+    assert covariance_check(C, k, L, k, 5, ctx) < mp.mpf("1e-22")
     # identity operator is trivially covariant with k'=k
     R = OpRing(1)
-    assert covariance_check(DiffOp.identity(R), k, L, k, L, 3, ctx) < mp.mpf("1e-30")
+    assert covariance_check(DiffOp.identity(R), k, L, k, 3, ctx) < mp.mpf("1e-30")
 
 
 def test_covariance_check_keeps_its_precision():
@@ -339,7 +341,7 @@ def test_covariance_check_keeps_its_precision():
     # check's precision, not at the default 128 bits
     L = GramLattice([[1]])
     X_plus = build_raising_lowering(L)["X+"]
-    r = covariance_check(X_plus, 3, L, 5, L, 4, PrecisionContext(bits=256))
+    r = covariance_check(X_plus, 3, L, 5, 4, PrecisionContext(bits=256))
     assert r < mp.mpf("1e-70")
 
 
@@ -348,7 +350,7 @@ def test_covariance_check_rejects_a_fractional_weight_gap(ctx):
     L = GramLattice([[1]])
     X_plus = build_raising_lowering(L)["X+"]
     with pytest.raises(DomainError):
-        covariance_check(X_plus, 3, L, Fraction(11, 2), L, 1, ctx)
+        covariance_check(X_plus, 3, L, Fraction(11, 2), 1, ctx)
 
 
 @pytest.mark.parametrize("entries, k, kbar", [
@@ -368,9 +370,54 @@ def test_slashed_jet_value_is_the_slash(ctx, entries, k, kbar):
         for _ in range(4):
             g = random_group_element(N, rng)
             tau, z = random_point(N, rng)
-            jet, _, _ = slashed_jet(seed, k, kbar, L, g, tau, z, 1)
+            (jet,), _, _ = slashed_jet(seed, [(k, kbar)], L, g, tau, z, 1)
             expect = slash(seed, k, kbar, L.entries, g, ctx)(Point(tau, z))
             assert abs(jet.value - expect) < mp.mpf("1e-30") * abs(expect)
+
+
+def _per_operator_residuals(jobs, L, samples, ctx):
+    """The covariance loop before the samples were shared, kept as the
+    oracle of covariance_residuals: each job redraws the samples, builds
+    its own slashed jet at the order of its operator and its own
+    automorphy factor."""
+    N = L.N
+    seed = GaussianSeed(N)
+    out = []
+    for T, k, k2, kbar, kbar2 in jobs:
+        rng = random.Random(77001)
+        worst = mp.mpf(0)
+        with ctx.working():
+            kv = to_mpc(Fraction(k))
+            for _ in range(samples):
+                g = random_group_element(N, rng)
+                tau, z = random_point(N, rng)
+                (sj,), f_at_q, (q_tau, q_z) = slashed_jet(seed, [(k, kbar)], L, g, tau, z,
+                                                          T.order())
+                lhs = T.apply_jet(sj, base_values(tau, z), k_value=kv)
+                factor = automorphy_factor(k2, kbar2, L.entries, g.to_numeric(),
+                                           Point(tau, z), ctx)
+                rhs = factor * T.apply_jet(f_at_q, base_values(q_tau, q_z), k_value=kv)
+                worst = max(worst, abs(lhs - rhs) / max(mp.mpf(1), abs(rhs)))
+        out.append(worst)
+    return out
+
+
+@pytest.mark.parametrize("N, which, samples, bits", [
+    (1, 0, 3, 128), (1, 1, 2, 256),
+    (2, 1, 2, 128), (2, 0, 1, 256),
+    (3, 1, 1, 128), (3, 0, 1, 256),
+])
+def test_shared_covariance_matches_the_per_operator_oracle(N, which, samples, bits):
+    # every operator of `verify covariance`, heat's (N/2, N/2 - 1) weights
+    # included, with the same bits as one check per operator
+    L = LATTICES[N][which]
+    ctx = PrecisionContext(bits=bits)
+    jobs = list(covariance_jobs(L).values())
+    # heat's source weights are the second pair
+    assert len({(k, kbar) for _, k, _, kbar, _ in jobs}) == 2
+    shared = covariance_residuals(jobs, L, samples, ctx)
+    assert shared == _per_operator_residuals(jobs, L, samples, ctx)
+    assert all(r < mp.mpf("1e-22") for r in shared)
 
 
 def test_heat_covariance_type(ctx):
@@ -379,10 +426,10 @@ def test_heat_covariance_type(ctx):
         N = L.N
         heat = build_heat(L)
         k1 = Fraction(N, 2)
-        good = covariance_check(heat, k1, L, k1 + 2, L, 6, ctx,
+        good = covariance_check(heat, k1, L, k1 + 2, 6, ctx,
                                 kbar=k1 - 1, kbar2=k1 - 1)
         assert good < mp.mpf("1e-22")
-        bad = covariance_check(heat, k1 + 1, L, k1 + 3, L, 6, ctx,
+        bad = covariance_check(heat, k1 + 1, L, k1 + 3, 6, ctx,
                                kbar=k1, kbar2=k1)
         assert bad > mp.mpf("1e-12")
 
@@ -468,7 +515,7 @@ def test_invariant_operator_basis_elements_are_invariant(ctx):
                 cands.append(ops["Y+"][i].compose(ops["Y+"][j].compose(ops["X-"])))
     for T in cands:
         assert T.shift == 0
-        assert covariance_check(T, k, L, k, L, 4, ctx) < mp.mpf("1e-22")
+        assert covariance_check(T, k, L, k, 4, ctx) < mp.mpf("1e-22")
 
 
 def test_xi_apply_and_dminus_on_semiholomorphic(ctx):
