@@ -588,22 +588,6 @@ def build_classical_invariants(N: int) -> dict:
     return {"Q0": Q0, "Q": linalg.mat(Q), "C": linalg.mat(C), "PN": PN, "detZ": detZ}
 
 
-def classical_relations_residuals(N: int):
-    """The two quadratic relations among Q0, Q_ij, C_ij, over all indices."""
-    data = build_classical_invariants(N)
-    Q0, Q, C = data["Q0"], data["Q"], data["C"]
-    residuals = []
-    rng = range(N)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                for l in rng:
-                    r1 = Q[i][j] * Q[k][l] + Q[i][l] * Q[j][k] + Q[i][k] * Q[l][j]
-                    r2 = C[i][j] * C[k][l] - C[i][k] * C[j][l] + Q0 * Q[i][l] * Q[j][k]
-                    residuals.append(((i, j, k, l), r1, r2))
-    return residuals
-
-
 def symmetrize(a: Poly, alg: JacobiLieAlgebra) -> PBWElement:
     """The symmetrizer map S(g) -> U(g), linear over monomials."""
     from itertools import permutations

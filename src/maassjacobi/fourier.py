@@ -551,39 +551,3 @@ def specialize_torsion(f, lam, mu):
         return f(tau, z)
 
     return handle
-
-
-def specialization_chain_rule_residual(f: FourierExpansion, lam, mu, tau0,
-                                       ctx: PrecisionContext):
-    """d/dtaubar of the specialized function vs (d_taubar + sum lam_i
-    d_zbar_i) f at the specialized point, via jets of f and a finite
-    difference in taubar of the specialization."""
-    from .jets import finite_difference
-
-    L = f.lattice
-    N = L.N
-    lam = [Fraction(x) for x in lam]
-    mu = [Fraction(x) for x in mu]
-    with ctx.working():
-        h = mp.mpf("1e-6")
-        tau0 = mp.mpc(tau0)
-        z0 = [to_mpc(a) * tau0 + to_mpc(b) for a, b in zip(lam, mu)]
-        jet = f.jet(tau0, z0, degree=1, ctx=ctx)
-        rhs = jet.derivative_at_base((0, 1) + (0,) * (2 * N))
-        for i in range(N):
-            e = [0] * (2 * N + 2)
-            e[2 + N + i] = 1
-            rhs += to_mpc(lam[i]) * jet.derivative_at_base(tuple(e))
-
-        # d/dtaubar = (d/dx + i d/dy)/2 on the specialized one-variable function
-        def g(pt):
-            x, y = pt
-            tau = mp.mpc(x, y)
-            z = [to_mpc(a) * tau + to_mpc(b) for a, b in zip(lam, mu)]
-            return f.evaluate(tau, z, ctx)
-
-        base = [tau0.real, tau0.imag]
-        dx = finite_difference(g, base, 0, h)
-        dy = finite_difference(g, base, 1, h)
-        lhs = (dx + 1j * dy) / 2
-        return abs(lhs - rhs)

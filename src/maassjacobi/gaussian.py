@@ -184,7 +184,6 @@ def _reduced(a, b, d) -> GaussianRational:
 I = GaussianRational(0, 1)
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
-HALF = GaussianRational(Fraction(1, 2))
 
 
 def format_gaussian(x: GaussianRational) -> str:

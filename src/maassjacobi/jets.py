@@ -102,12 +102,6 @@ def _exact(jet: "Jet", nilpotent: bool = False):
     return ore, oim, emin
 
 
-def _scalar(c):
-    """An exact scalar (re, im, exp)."""
-    (re,), (im,), e = to_ints((c,))
-    return re, im, e
-
-
 def _unit(size: int):
     one = [0] * size
     one[0] = 1
@@ -398,39 +392,9 @@ def real_coordinate_jets(coords: dict, N: int):
 
 
 def compose_univariate(series, inner: Jet) -> Jet:
-    """Compose an outer 1-d Taylor series (list of coefficients around the
-    inner jet's value) with the inner jet: sum_n series[n] delta^n, with
-    delta the inner jet's nilpotent part."""
-    space = inner.space
-    rows = _tables(space.nvars, space.degree).rows
-    delta = _exact(inner, nilpotent=True)
-    power = _unit(len(rows))
-    terms = [(_scalar(series[0]), power)]
-    for n in range(1, min(len(series), space.degree + 1)):
-        power = _mul_exact(power, delta, rows)
-        if not (any(power[0]) or any(power[1])):
-            break
-        terms.append((_scalar(series[n]), power))
-    return _rounded(space, _combine(terms, len(rows)))
-
-
-FD_WEIGHTS_8 = tuple(
-    zip(
-        range(-4, 5),
-        (Fraction(1, 280), Fraction(-4, 105), Fraction(1, 5), Fraction(-4, 5),
-         Fraction(0), Fraction(4, 5), Fraction(-1, 5), Fraction(4, 105),
-         Fraction(-1, 280)),
-    )
-)
-
-
-def finite_difference(fun, base: list, var: int, h) -> "mp.mpc":
-    """8th-order central first difference of fun over coordinate tuples."""
-    acc = mp.mpc(0)
-    for n, w in FD_WEIGHTS_8:
-        if w == 0:
-            continue
-        pt = list(base)
-        pt[var] = pt[var] + n * h
-        acc += (mp.mpf(w.numerator) / w.denominator) * fun(pt)
-    return acc / h
+    """Compose an outer 1-d Taylor series (coefficients around the inner
+    jet's value), taken as a one-variable jet, with the inner jet: sum_n
+    series[n] delta^n, with delta the inner jet's nilpotent part."""
+    outer = JetSpace(1, min(len(series) - 1, inner.space.degree))
+    monos = _tables(1, outer.degree).monos
+    return Jet(outer, dict(zip(monos, series))).compose([inner])

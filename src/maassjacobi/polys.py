@@ -252,19 +252,25 @@ class Poly(SparseTerms):
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         lead_e, lead_c = divisor.leading()
-        rem = self
+        rem = dict(self.terms)
         q = {}
-        while rem.terms:
-            e, c = rem.leading()
+        while rem:
+            e = max(rem, key=_grlex_key)
             diff = tuple(a - b for a, b in zip(e, lead_e))
             if any(d < 0 for d in diff):
                 raise DivisibilityError(
                     f"leading term {e} not divisible by divisor leading {lead_e}"
                 )
-            qc = c / lead_c
-            q[diff] = q.get(diff, ZERO) + qc
-            rem = rem - Poly(self.ring, {diff: qc}) * divisor
-        return Poly(self.ring, {e: c for e, c in q.items() if c})
+            # each step cancels the leading term, so each diff comes once
+            qc = q[diff] = rem[e] / lead_c
+            for de, dc in divisor.terms.items():
+                k = tuple(a + b for a, b in zip(diff, de))
+                s = rem.get(k, ZERO) - qc * dc
+                if s:
+                    rem[k] = s
+                else:
+                    del rem[k]
+        return Poly(self.ring, q)
 
     # -- formatting ----------------------------------------------------------
 

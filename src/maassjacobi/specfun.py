@@ -193,9 +193,9 @@ def _whittaker_x_jet(kind: str, s, kappa, t, order):
     """The Whittaker map (s, kappa, t) -> (sgn, x, a, b, mu) and the jet in x.
 
     With sgn = sgn(t), x = |t|, kappa_eff = sgn kappa/2, mu = s - 1/2,
-    a = mu - kappa_eff + 1/2 and b = 1 + 2 mu, returns (sgn, xjet, kappa_eff,
-    mu, w), where w is the jet in x of the unrenormalized e^{-x/2} x^{mu+1/2}
-    times M(a, b, x) or U(a, b, x), i.e. M-or-W_{kappa_eff, mu}(x).
+    a = mu - kappa_eff + 1/2 and b = 1 + 2 mu, returns (sgn, xjet, w), where
+    w is the jet in x of the unrenormalized e^{-x/2} x^{mu+1/2} times
+    M(a, b, x) or U(a, b, x), i.e. M-or-W_{kappa_eff, mu}(x).
     """
     s = to_fraction(s)
     kappa = to_fraction(kappa)
@@ -214,13 +214,13 @@ def _whittaker_x_jet(kind: str, s, kappa, t, order):
     dvals = _kummer_derivs(kind, a, b, x0, order)
     hyp = compose_univariate([d / factorial(j) for j, d in enumerate(dvals)], xjet)
     whit = (xjet * mp.mpf("-0.5")).exp() * xjet.pow_scalar(to_mpf(mu + Fraction(1, 2))) * hyp
-    return sgn, xjet, kap_eff, mu, whit
+    return sgn, xjet, whit
 
 
 def _whittaker_jet(kind: str, s, kappa, t, order, ctx: PrecisionContext):
     """Derivatives in t of |t|^{-kappa/2} M-or-W_{sgn(t) kappa/2, s-1/2}(|t|)."""
     with ctx.working():
-        sgn, xjet, _, _, whit = _whittaker_x_jet(kind, s, kappa, t, order)
+        sgn, xjet, whit = _whittaker_x_jet(kind, s, kappa, t, order)
         renorm = xjet.pow_scalar(to_mpf(-to_fraction(kappa) / 2)) * whit
         # d/dt = sgn * d/dx
         return [renorm.derivative_at_base((j,)) * sgn ** j for j in range(order + 1)]
@@ -242,19 +242,6 @@ def whittaker_W_renorm(s, kappa, t, ctx: PrecisionContext):
 
 def whittaker_W_jet(s, kappa, t, order: int, ctx: PrecisionContext):
     return _whittaker_jet("W", s, kappa, t, order, ctx)
-
-
-def whittaker_ode_residual(kind: str, s, kappa, t, ctx: PrecisionContext):
-    """Residual of w'' + (-1/4 + kap/x + (1/4 - mu^2)/x^2) w for the
-    unrenormalized Whittaker function at x = |t|, all three orders from
-    independent parameter-shift evaluations."""
-    with ctx.working():
-        _, xjet, kap_eff, mu, w = _whittaker_x_jet(kind, s, kappa, t, 2)
-        x = xjet.value.real
-        w0 = w.derivative_at_base((0,))
-        w2 = w.derivative_at_base((2,))
-        q = mp.mpf("-0.25") + to_mpf(kap_eff) / x + (mp.mpf("0.25") - to_mpf(mu) ** 2) / x ** 2
-        return abs(w2 + q * w0) / max(mp.mpf(1), abs(w0))
 
 
 def _bessel_jet(kind: str, nu, x, order: int, ctx: PrecisionContext):

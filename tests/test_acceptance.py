@@ -16,7 +16,6 @@ from maassjacobi.enveloping import (
     PBWElement,
     build_casimir,
     build_classical_invariants,
-    classical_relations_residuals,
     det_z,
     eta,
     nu,
@@ -48,8 +47,10 @@ from maassjacobi.specfun import (
     bessel_I_jet,
     bessel_J_jet,
     whittaker_W_renorm,
-    whittaker_ode_residual,
 )
+
+from conftest import classical_relations_residuals, whittaker_ode_residual
+
 
 CTX = PrecisionContext(bits=128)
 LATTICES = {1: GramLattice([[1]]),
@@ -80,6 +81,8 @@ def report(num, name, ok, detail=""):
 
 
 def test_01_lie_algebra_soundness():
+    # Test-only: a self-check of the bracket table, which depends on N alone;
+    # the verify suites check what is computed from it for a given lattice.
     # antisymmetry and the Jacobi identity of all structure constants
     ok = True
     for N in (1, 2, 3):
@@ -107,6 +110,8 @@ def test_01_lie_algebra_soundness():
 
 
 def test_02_pbw_confluence():
+    # Test-only: a self-check of PBW normal ordering on fixed random words,
+    # which depends on N alone; verify centrality runs the same engine.
     alg = JacobiLieAlgebra(2)
     rng = random.Random(7)
     ok = True
@@ -127,6 +132,8 @@ def test_03_casimir_centrality():
 
 
 def test_04_virtual_copy_identities():
+    # Test-only: the virtual copies live in the localization at det(Z), which
+    # no command uses, and the identities depend on N alone.
     ok = True
     for N in (1, 2):
         alg = JacobiLieAlgebra(N)
@@ -146,6 +153,8 @@ def test_04_virtual_copy_identities():
 
 
 def test_05_symmetrizer_identity():
+    # Test-only: the symmetrizer and the classical invariants feed no
+    # command, and the identity depends on N alone.
     ok = True
     for N in (1, 2):
         alg = JacobiLieAlgebra(N)
@@ -155,12 +164,16 @@ def test_05_symmetrizer_identity():
 
 
 def test_06_classical_invariant_relations():
+    # Test-only: identities of the symmetric algebra in N alone, among
+    # classical invariants that no command uses.
     ok = all(r1.is_zero() and r2.is_zero()
              for N in (2, 3) for _, r1, r2 in classical_relations_residuals(N))
     report(6, "classical-invariant quadratic relations vanish, exact, N <= 3", ok)
 
 
 def test_07_tau_automorphism():
+    # Test-only: tau is used by no command, and its identities depend on N
+    # alone.
     ok = True
     for N in (1, 2):
         alg = JacobiLieAlgebra(N)
@@ -208,6 +221,8 @@ def test_11_eigenfunction_check():
 
 
 def test_12_cocycle_and_slash():
+    # The slash half stays test-only: it slashes the seed function defined
+    # here, and the CLI takes no function; the cocycle half is verify cocycle.
     checks = run_suites(["cocycle"], [GramLattice([[1]])], samples=100)
     rng = random.Random(1234)
     L = ((Fraction(1),),)
@@ -252,6 +267,8 @@ def test_14_zagier_duality():
 
 
 def test_15_special_function_certification():
+    # Test-only: certifies the special-function kernels at fixed arguments;
+    # the eigen and duality suites check what is built from their values.
     with CTX.working():
         worst_ode = mp.mpf(0)
         for kind in ("M", "W"):
@@ -288,6 +305,8 @@ def test_15_special_function_certification():
 
 
 def test_16_fourier_term_templates():
+    # Test-only: its mixed-mock half must fail at k = 2, which a verify
+    # check, passing on correct code, does not express.
     with CTX.working():
         pts = [(mp.mpc("0.13", "0.9"), [mp.mpc("0.21", "0.17")]),
                (mp.mpc("-0.4", "0.8"), [mp.mpc("-0.3", "0.4")]),
@@ -311,6 +330,8 @@ def test_16_fourier_term_templates():
 
 
 def test_17_theta_decomposition():
+    # Test-only: a round trip over randomly drawn expansions; maassjacobi
+    # decompose already applies the decomposition to a user's file.
     LL = GramLattice([[2, 1], [1, 2]])
     rng = random.Random(5)
     ok = True

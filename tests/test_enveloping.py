@@ -19,7 +19,6 @@ from maassjacobi.enveloping import (
     build_casimir,
     build_classical_invariants,
     check_centrality,
-    classical_relations_residuals,
     det_z,
     divide_by_det,
     eta,
@@ -36,6 +35,8 @@ from maassjacobi.errors import DivisibilityError, DomainError
 from maassjacobi.gaussian import ZERO, GaussianRational, I
 from maassjacobi.group import AlgebraElement
 from maassjacobi.opcalc import random_algebra_element
+
+from conftest import classical_relations_residuals
 
 
 def _generator(N, name):

@@ -20,7 +20,6 @@ from maassjacobi.fourier import (
     residue_classes,
     residue_reduce,
     skew_fourier_term,
-    specialization_chain_rule_residual,
     specialize_torsion,
     theta_decompose_semi,
     theta_klr,
@@ -32,6 +31,8 @@ from maassjacobi.lattice import GramLattice, discriminant
 from maassjacobi.opcalc import base_values, build_casimir_op
 from maassjacobi.precision import PrecisionContext, to_mpc
 from maassjacobi.series import casimir_eigenvalue
+
+from conftest import finite_difference
 
 PTS1 = [(mp.mpc("0.13", "0.9"), [mp.mpc("0.21", "0.17")]),
         (mp.mpc("-0.4", "1.3"), [mp.mpc("-0.3", "0.4")]),
@@ -281,6 +282,40 @@ def test_mixed_mock_terms(ctx):
     probe = (mp.mpc("0.3", "1.05"), [mp.mpc("0.2", "0.3")])
     r1, _ = eigenfunction_ratio_residual(f, 1, probe, PTS1, ctx)
     assert r1 < mp.mpf("1e-8")
+
+
+def specialization_chain_rule_residual(f: FourierExpansion, lam, mu, tau0,
+                                       ctx: PrecisionContext):
+    """d/dtaubar of the specialized function vs (d_taubar + sum lam_i
+    d_zbar_i) f at the specialized point, via jets of f and a finite
+    difference in taubar of the specialization."""
+    L = f.lattice
+    N = L.N
+    lam = [Fraction(x) for x in lam]
+    mu = [Fraction(x) for x in mu]
+    with ctx.working():
+        h = mp.mpf("1e-6")
+        tau0 = mp.mpc(tau0)
+        z0 = [to_mpc(a) * tau0 + to_mpc(b) for a, b in zip(lam, mu)]
+        jet = f.jet(tau0, z0, degree=1, ctx=ctx)
+        rhs = jet.derivative_at_base((0, 1) + (0,) * (2 * N))
+        for i in range(N):
+            e = [0] * (2 * N + 2)
+            e[2 + N + i] = 1
+            rhs += to_mpc(lam[i]) * jet.derivative_at_base(tuple(e))
+
+        # d/dtaubar = (d/dx + i d/dy)/2 on the specialized one-variable function
+        def g(pt):
+            x, y = pt
+            tau = mp.mpc(x, y)
+            z = [to_mpc(a) * tau + to_mpc(b) for a, b in zip(lam, mu)]
+            return f.evaluate(tau, z, ctx)
+
+        base = [tau0.real, tau0.imag]
+        dx = finite_difference(g, base, 0, h)
+        dy = finite_difference(g, base, 1, h)
+        lhs = (dx + 1j * dy) / 2
+        return abs(lhs - rhs)
 
 
 def test_specialize_torsion(ctx):

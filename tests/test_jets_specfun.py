@@ -25,10 +25,11 @@ from maassjacobi.specfun import (
     upper_incomplete_gamma,
     whittaker_M_jet,
     whittaker_M_renorm,
-    whittaker_ode_residual,
     whittaker_W_jet,
     whittaker_W_renorm,
 )
+
+from conftest import whittaker_ode_residual
 
 
 def _nilpotent_part(j):

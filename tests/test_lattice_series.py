@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import floor, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +166,40 @@ def test_kloosterman_matches_oracle_exactly():
         ctx = PrecisionContext(bits=bits)
         for case in cases:
             assert kloosterman(*case, ctx) == _kloosterman_oracle(*case, ctx), (bits, case)
+
+
+_MAX_C = {1: 24, 2: 12, 3: 8}
+
+
+@st.composite
+def _even_gram(draw):
+    """An even Gram matrix of rank 1 to 3: off-diagonal entries in (1/2)Z,
+    each diagonal entry above its row's off-diagonal sum, hence positive
+    definite."""
+    N = draw(st.integers(1, 3))
+    entries = [[Fraction(0)] * N for _ in range(N)]
+    for i in range(N):
+        for j in range(i + 1, N):
+            entries[i][j] = entries[j][i] = Fraction(draw(st.integers(-2, 2)), 2)
+    for i in range(N):
+        off = sum(abs(x) for j, x in enumerate(entries[i]) if j != i)
+        entries[i][i] = Fraction(floor(off) + draw(st.integers(1, 3)))
+    return GramLattice(entries)
+
+
+@settings(settings.get_profile("numeric"))
+@given(L=_even_gram(), data=st.data())
+def test_kloosterman_properties(ctx, L, data):
+    # the engine against the definitional double sum, bit for bit, and the
+    # symmetry K(n, r, n', r') = K(n', r', n, r) at the suite's 1e-30
+    c = data.draw(st.integers(1, _MAX_C[L.N]), label="c")
+    n, nprime = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+    index = st.lists(st.integers(-4, 4), min_size=L.N, max_size=L.N)
+    r, rprime = data.draw(index), data.draw(index)
+    k = kloosterman(c, L, n, r, nprime, rprime, ctx)
+    assert k == _kloosterman_oracle(c, L, n, r, nprime, rprime, ctx)
+    with ctx.working():
+        assert abs(k - kloosterman(c, L, nprime, rprime, n, r, ctx)) < mp.mpf("1e-30")
 
 
 def test_casimir_eigenvalue_values():

@@ -11,7 +11,7 @@ from maassjacobi.enveloping import JacobiLieAlgebra, PBWElement, build_casimir, 
 from maassjacobi.errors import DegreeError, DomainError
 from maassjacobi.gaussian import GaussianRational
 from maassjacobi.group import AlgebraElement, Point, automorphy_factor, slash
-from maassjacobi.jets import Jet, JetSpace, coordinate_jets, finite_difference
+from maassjacobi.jets import JetSpace, coordinate_jets
 from maassjacobi.lattice import GramLattice
 from maassjacobi.opcalc import (
     DiffOp,
@@ -39,6 +39,8 @@ from maassjacobi.opcalc import (
     slashed_jet,
 )
 from maassjacobi.precision import PrecisionContext, to_mpc
+
+from conftest import finite_difference
 
 LATTICES = {
     1: [GramLattice([[1]]), GramLattice([[2]])],

@@ -1,9 +1,15 @@
-"""Every numeric routine takes its PrecisionContext from the caller: no
-``ctx`` parameter anywhere in the package has a default to fall back on."""
+"""Package-wide rules of the source.  Every numeric routine takes its
+PrecisionContext from the caller: no ``ctx`` parameter anywhere in the
+package has a default to fall back on.  And every module-level name the
+package defines is used by the package or exported by it, so that code
+only the tests call lives in the tests."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from collections import Counter
+from pathlib import Path
 
 import maassjacobi
 
@@ -35,3 +41,40 @@ def test_ctx_is_never_defaulted():
             defaulted.append(qualname)
     assert seen > 30
     assert defaulted == []
+
+
+def _reads(stmt):
+    """The names a statement reads, as names or attributes, or imports."""
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def _defines(stmt):
+    """The names a module-level statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def test_every_definition_is_exported_or_used():
+    # a name only the tests call belongs in the tests
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(maassjacobi.__file__).parent.glob("*.py")}
+    exported = {alias.name for stmt in trees["__init__"].body
+                if isinstance(stmt, ast.ImportFrom) for alias in stmt.names}
+    reads = [(module, stmt, Counter(_reads(stmt)))
+             for module, tree in trees.items() for stmt in tree.body]
+    total = sum((own for _, _, own in reads), Counter())
+    unused = [f"{module}.{name}" for module, stmt, own in reads for name in _defines(stmt)
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in exported and total[name] == own[name]]
+    assert unused == []
