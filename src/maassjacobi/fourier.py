@@ -21,7 +21,7 @@ from .errors import DomainError, NotSemiHolomorphicError
 from .gaussian import GaussianRational
 from .jets import Jet, JetSpace, compose_univariate, coordinate_jets, real_coordinate_jets
 from .lattice import GramLattice, discriminant, enumerate_shifted
-from .opcalc import base_values, build_heat
+from .opcalc import apply_coefficients, base_values, build_heat
 from .precision import PrecisionContext, mpf_str, to_mpc, to_mpf
 from .specfun import (
     e_profile_jet,
@@ -476,8 +476,8 @@ def _worst_residual(op, cases, points, ctx):
 
     The cases share one rank.  The points are the outer loop: their
     coordinate jets, real-coordinate jets and index exponentials are built
-    once and shared by every case.  Runs inside the caller's
-    working-precision block.
+    once and shared by every case, and the operator's coefficient values
+    once per k_value.  Runs inside the caller's working-precision block.
     """
     if not cases:
         return []
@@ -489,9 +489,12 @@ def _worst_residual(op, cases, points, ctx):
         reals = real_coordinate_jets(coords, N)
         exponentials = {}
         here = base_values(tau, z)
+        coefficients = {}
         for i, (f, k_value, lam) in enumerate(cases):
             jet = f._jet_at(coords, reals, exponentials, ctx)
-            val = op.apply_jet(jet, here, k_value=k_value)
+            if k_value not in coefficients:
+                coefficients[k_value] = op.coefficients_at(here, k_value)
+            val = apply_coefficients(coefficients[k_value], jet)
             if lam is not None:
                 val = val - lam * jet.value
             res = abs(val) / max(mp.mpf(1), abs(jet.value))

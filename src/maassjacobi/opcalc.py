@@ -163,12 +163,18 @@ class DiffOp(SparseTerms):
         R = self.op_ring
         ksub = {"k": R.ring.var("k") + R.ring.const(other.shift)} if other.shift else None
         out = {}
+        # d^delta b, keyed by (exponent of b, delta): the same derivative
+        # recurs for every left term whose exponent reaches delta
+        derivs = {}
         for ae, ap in self.terms.items():
             if ksub is not None and ap.uses("k"):
                 ap = ap.subs(ksub)
             for be, bp in other.terms.items():
                 for gamma in product(*(range(a + 1) for a in ae)):
-                    dp = R.derivative(bp, [a - g for a, g in zip(ae, gamma)])
+                    delta = tuple(a - g for a, g in zip(ae, gamma))
+                    dp = derivs.get((be, delta))
+                    if dp is None:
+                        dp = derivs[be, delta] = R.derivative(bp, delta)
                     if dp.is_zero():
                         continue
                     e = tuple(g + b for g, b in zip(gamma, be))
@@ -212,27 +218,34 @@ class DiffOp(SparseTerms):
 
     # -- numeric application --------------------------------------------------------------
 
-    def apply_jet(self, jet: Jet, base_values: dict, k_value=None):
-        """Value of (T f)(p) from a jet of f at p.
+    def coefficients_at(self, base_values: dict, k_value=None) -> list:
+        """[(e, c)]: the value c of each coefficient that is nonzero at a
+        base point, with its derivative exponent e, in the stored order.
 
         base_values holds mpc values for y, x, v_j, u_j at the base point;
         k_value is required when the operator still contains the formal k.
+        The values serve every jet at that point and k (``apply_coefficients``).
         """
-        if jet.space.degree < self.order():
-            raise DegreeError(
-                f"operator order {self.order()} exceeds jet degree {jet.space.degree}"
-            )
         values = dict(base_values)
         values["pi"] = mp.pi
         if k_value is not None:
             values["k"] = to_mpc(k_value)
         to_num = lambda c: c.to_mpc(mp)
-        acc = mp.mpc(0)
+        out = []
         for e, p in self.terms.items():
             c = p.eval_numeric(values, to_num)
             if c:
-                acc += c * jet.derivative_at_base(e)
-        return acc
+                out.append((e, c))
+        return out
+
+    def apply_jet(self, jet: Jet, base_values: dict, k_value=None):
+        """Value of (T f)(p) from a jet of f at p; the arguments after the
+        jet are those of ``coefficients_at``."""
+        if jet.space.degree < self.order():
+            raise DegreeError(
+                f"operator order {self.order()} exceeds jet degree {jet.space.degree}"
+            )
+        return apply_coefficients(self.coefficients_at(base_values, k_value), jet)
 
     # -- rendering ---------------------------------------------------------------------------
 
@@ -251,6 +264,15 @@ class DiffOp(SparseTerms):
 
     def __repr__(self):
         return f"DiffOp(order={self.order()}, terms={len(self.terms)}, shift={self.shift})"
+
+
+def apply_coefficients(coefficients: list, jet: Jet):
+    """(T f)(p) = sum c d^e f(p) over the (e, c) of ``T.coefficients_at(p)``,
+    summed in their order, from a jet of f at p."""
+    acc = mp.mpc(0)
+    for e, c in coefficients:
+        acc += c * jet.derivative_at_base(e)
+    return acc
 
 
 def base_values(tau, z) -> dict:

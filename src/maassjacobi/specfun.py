@@ -6,9 +6,13 @@ carrying derivatives in the real argument.
 Scalar evaluation runs under an explicit PrecisionContext.  Kummer's U at
 an integer b parameter (every W the Poincare coefficients use) is one
 integer fixed-point pass rounded once (``_kummer_u``); everything else is
-backed by mpmath's hypergeometric machinery.  Jet derivatives come from
-shifted-parameter closed forms (Kummer/Bessel contiguous relations) or the
-defining ODE, so ODE-residual tests exercise independently computed orders.
+backed by mpmath's hypergeometric machinery.  Whittaker jets come from
+Whittaker's equation: its Taylor recurrence, seeded by the value and the
+first derivative, runs exactly and rounds each derivative once.  The tests
+keep the parameter-shift path (one Kummer function per order) as its
+oracle, and the ODE-residual criterion runs on that path's independently
+computed orders.  Bessel jets come from the contiguous relations, and the
+incomplete-gamma, H and E jets from their first-order defining equations.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from operator import add, sub
 from mpmath import libmp, mp
 
 from .errors import DomainError, PoleError
-from .jets import Jet, JetSpace, compose_univariate
-from .precision import MAX_TERMS, PrecisionContext, to_fraction, to_mpf
+from .jets import Jet, JetSpace
+from .precision import GUARD_BITS, MAX_TERMS, PrecisionContext, to_fraction, to_mpf
 
 
 def _pole_check_M(s):
@@ -37,17 +41,6 @@ def _pole_check_M(s):
 def _pochhammer(a, j):
     """(a)_j = a (a + 1) ... (a + j - 1), in the arithmetic of a."""
     return math.prod(a + i for i in range(j))
-
-
-def _kummer_derivs(kind: str, a: Fraction, b: Fraction, x, order):
-    """[F(x), F'(x), ...] for F = M(a, b, .) or U(a, b, .), via parameter
-    shifts."""
-    if kind == "M":
-        a, b = to_mpf(a), to_mpf(b)
-        return [_pochhammer(a, j) / _pochhammer(b, j) * mp.hyp1f1(a + j, b + j, x)
-                for j in range(order + 1)]
-    return [to_mpf((-1) ** j * _pochhammer(a, j)) * _kummer_u(a + j, b + j, x)
-            for j in range(order + 1)]
 
 
 def _round32(bits: int) -> int:
@@ -189,41 +182,104 @@ def _u_bracket(a: Fraction, n: int, x, wp: int):
     return sv + fv, mag.bit_length() - abs(sv + fv).bit_length(), k
 
 
-def _whittaker_x_jet(kind: str, s, kappa, t, order):
-    """The Whittaker map (s, kappa, t) -> (sgn, x, a, b, mu) and the jet in x.
+def _kummer(kind: str, a: Fraction, b: Fraction, x):
+    """M(a, b, x) or U(a, b, x) at the working precision mp.prec."""
+    if kind == "M":
+        return mp.hyp1f1(to_mpf(a), to_mpf(b), x)
+    return _kummer_u(a, b, x)
 
-    With sgn = sgn(t), x = |t|, kappa_eff = sgn kappa/2, mu = s - 1/2,
-    a = mu - kappa_eff + 1/2 and b = 1 + 2 mu, returns (sgn, xjet, w), where
-    w is the jet in x of the unrenormalized e^{-x/2} x^{mu+1/2} times
-    M(a, b, x) or U(a, b, x), i.e. M-or-W_{kappa_eff, mu}(x).
+
+def _whittaker_jet(kind: str, s, kappa, t, order, ctx: PrecisionContext):
+    """Derivatives in t of h(t) = |t|^{-kappa/2} M-or-W_{sgn(t) kappa/2, s-1/2}(|t|).
+
+    With x = |t|, p = -kappa/2, kappa_eff = sgn(t) kappa/2, mu = s - 1/2,
+    a = mu - kappa_eff + 1/2, b = 2s and K = M(a, b, .) or U(a, b, .),
+    h = x^p e^{-x/2} x^{mu + 1/2} K(x).  The value is that product of
+    working-precision factors, formed in that order.  The higher
+    derivatives come from Whittaker's equation (DLMF 13.14.1), which for h
+    reads
+
+        x^2 h'' - 2p x h' + (p(p + 1) + 1/4 - mu^2 + kappa_eff x - x^2/4) h = 0:
+
+    its derivatives at x0 follow exactly from h(x0) and h'(x0)
+    (``_ode_derivatives``), with K' = (a/b) M(a + 1, b + 1, .) or
+    -a U(a + 1, b + 1, .) (DLMF 13.3.15, 13.3.22).  The two seeds are taken
+    at GUARD_BITS more bits, and each derivative is rounded once.
     """
     s = to_fraction(s)
     kappa = to_fraction(kappa)
     if t == 0:
         raise DomainError("Whittaker argument must be nonzero")
-    sgn = 1 if t > 0 else -1
-    x0 = abs(to_mpf(t))
-    kap_eff = Fraction(sgn, 1) * kappa / 2
-    mu = s - Fraction(1, 2)
-    a = mu - kap_eff + Fraction(1, 2)
-    b = 1 + 2 * mu
-    space = JetSpace(1, order)
-    xjet = Jet.variable(space, 0, x0)
     if kind == "M":
         _pole_check_M(s)
-    dvals = _kummer_derivs(kind, a, b, x0, order)
-    hyp = compose_univariate([d / factorial(j) for j, d in enumerate(dvals)], xjet)
-    whit = (xjet * mp.mpf("-0.5")).exp() * xjet.pow_scalar(to_mpf(mu + Fraction(1, 2))) * hyp
-    return sgn, xjet, whit
-
-
-def _whittaker_jet(kind: str, s, kappa, t, order, ctx: PrecisionContext):
-    """Derivatives in t of |t|^{-kappa/2} M-or-W_{sgn(t) kappa/2, s-1/2}(|t|)."""
+    sgn = 1 if t > 0 else -1
+    kap_eff = sgn * kappa / 2
+    mu = s - Fraction(1, 2)
+    a = mu - kap_eff + Fraction(1, 2)
+    b = 2 * s
+    p = -kappa / 2
+    q = p + mu + Fraction(1, 2)
     with ctx.working():
-        sgn, xjet, whit = _whittaker_x_jet(kind, s, kappa, t, order)
-        renorm = xjet.pow_scalar(to_mpf(-to_fraction(kappa) / 2)) * whit
-        # d/dt = sgn * d/dx
-        return [renorm.derivative_at_base((j,)) * sgn ** j for j in range(order + 1)]
+        x0 = abs(to_mpf(t))
+        z = mp.mpc(x0)
+        whit = (mp.exp(mp.mpc(-x0 / 2)) * mp.power(z, to_mpf(mu + Fraction(1, 2)))
+                * +_kummer(kind, a, b, x0))
+        out = [mp.power(z, to_mpf(p)) * whit]
+        if order:
+            with mp.workprec(mp.prec + GUARD_BITS):
+                k0 = _kummer(kind, a, b, x0)
+                if kind == "M":
+                    k1 = to_mpf(a / b) * mp.hyp1f1(to_mpf(a + 1), to_mpf(b + 1), x0)
+                else:
+                    k1 = to_mpf(-a) * _kummer_u(a + 1, b + 1, x0)
+                pre = mp.exp(-x0 / 2) * mp.power(x0, to_mpf(q))
+                h0 = pre * k0
+                h1 = pre * (k1 + (to_mpf(q) / x0 - mp.mpf(0.5)) * k0)
+            derivs = _ode_derivatives(_exact(h0), _exact(h1), _exact(x0), p, mu, kap_eff,
+                                      order)
+            # d/dt = sgn d/dx
+            out += [mp.mpc(_rounded(v * sgn ** j)) for j, v in enumerate(derivs) if j]
+        return out
+
+
+def _ode_derivatives(h0: Fraction, h1: Fraction, x0: Fraction, p: Fraction, mu: Fraction,
+                     kap_eff: Fraction, order: int) -> list:
+    """[h(x0), h'(x0), ..., h^(order)(x0)], exactly, for the solution of
+    x^2 h'' - 2p x h' + (c + kappa_eff x - x^2/4) h = 0, c = p(p + 1) + 1/4 -
+    mu^2, with h(x0) = h0 and h'(x0) = h1; x0 > 0, h0 and h1 are dyadic.
+
+    This is the Taylor-series method for ODEs (Corliss & Chang, ACM TOMS 8
+    (1982) 114-144).  With h = sum h_n (x - x0)^n and g_n = h_n x0^n, the
+    coefficient of (x - x0)^n in the equation gives
+
+        (n + 1)(n + 2) g_{n+2} = -[(2n - 2p)(n + 1) g_{n+1}
+            + (n(n - 1) - 2pn + c + kappa_eff x0 - x0^2/4) g_n
+            + (kappa_eff x0 - x0^2/2) g_{n-1} - (x0^2/4) g_{n-2}].
+
+    Times m = 4 d D^2, with x0 = X / D and d the common denominator of p, c
+    and kappa_eff, every coefficient is an integer, and the g_n are kept as
+    integers over one running denominator.
+    """
+    c = p * (p + 1) + Fraction(1, 4) - mu * mu
+    d = math.lcm(p.denominator, c.denominator, kap_eff.denominator)
+    X, D = x0.numerator, x0.denominator
+    m = 4 * d * D * D
+    kx = int(4 * d * kap_eff) * X * D          # kappa_eff x0 m
+    xx = d * X * X                             # (x0^2/4) m
+    g0, g1 = h0, h1 * x0
+    den = max(g0.denominator, g1.denominator)  # both powers of two
+    g = [g0.numerator * (den // g0.denominator), g1.numerator * (den // g1.denominator)]
+    for n in range(order - 1):
+        acc = (int((2 * n - 2 * p) * (n + 1) * m) * g[n + 1]
+               + (int((n * (n - 1) - 2 * p * n + c) * m) + kx - xx) * g[n])
+        if n >= 1:
+            acc += (kx - 2 * xx) * g[n - 1]
+        if n >= 2:
+            acc -= xx * g[n - 2]
+        f = (n + 1) * (n + 2) * m
+        g = [v * f for v in g] + [-acc]
+        den *= f
+    return [Fraction(v * factorial(j) * D ** j, den * X ** j) for j, v in enumerate(g)]
 
 
 def whittaker_M_renorm(s, kappa, t, ctx: PrecisionContext):

@@ -42,14 +42,14 @@ from maassjacobi.gaussian import GaussianRational, I
 from maassjacobi.group import Point, jacobi_mul, slash
 from maassjacobi.lattice import GramLattice, discriminant
 from maassjacobi.opcalc import build_casimir_op, random_group_element, random_point
-from maassjacobi.precision import PrecisionContext
+from maassjacobi.precision import PrecisionContext, to_fraction, to_mpf
 from maassjacobi.specfun import (
     bessel_I_jet,
     bessel_J_jet,
     whittaker_W_renorm,
 )
 
-from conftest import classical_relations_residuals, whittaker_ode_residual
+from conftest import whittaker_x_jet_by_shifts
 
 
 CTX = PrecisionContext(bits=128)
@@ -163,6 +163,22 @@ def test_05_symmetrizer_identity():
     report(5, "Sym(P_N) = Omega_N + N(N+3)/4 det(Z), exact, N = 1 and 2", ok)
 
 
+def classical_relations_residuals(N: int):
+    """The two quadratic relations among Q0, Q_ij, C_ij, over all indices."""
+    data = build_classical_invariants(N)
+    Q0, Q, C = data["Q0"], data["Q"], data["C"]
+    residuals = []
+    rng = range(N)
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                for l in rng:
+                    r1 = Q[i][j] * Q[k][l] + Q[i][l] * Q[j][k] + Q[i][k] * Q[l][j]
+                    r2 = C[i][j] * C[k][l] - C[i][k] * C[j][l] + Q0 * Q[i][l] * Q[j][k]
+                    residuals.append(((i, j, k, l), r1, r2))
+    return residuals
+
+
 def test_06_classical_invariant_relations():
     # Test-only: identities of the symmetric algebra in N alone, among
     # classical invariants that no command uses.
@@ -264,6 +280,22 @@ def test_14_zagier_duality():
     report(14, "Zagier-type duality: ratio constant over 5 pairs per regime "
                "at matched c_max = 50, s = 5/2, N = 1 (ratio recorded, not "
                "asserted)", passed(checks), detail=" | ".join(details))
+
+
+def whittaker_ode_residual(kind: str, s, kappa, t, ctx: PrecisionContext):
+    """Residual of w'' + (-1/4 + kap/x + (1/4 - mu^2)/x^2) w for the
+    unrenormalized Whittaker function at x = |t|, all three orders from
+    independent parameter-shift evaluations.  ``specfun`` takes its jets
+    from this equation, so the residual is checked on the oracle's."""
+    with ctx.working():
+        sgn, xjet, w = whittaker_x_jet_by_shifts(kind, s, kappa, t, 2)
+        kap_eff = sgn * to_fraction(kappa) / 2
+        mu = to_fraction(s) - Fraction(1, 2)
+        x = xjet.value.real
+        w0 = w.derivative_at_base((0,))
+        w2 = w.derivative_at_base((2,))
+        q = mp.mpf("-0.25") + to_mpf(kap_eff) / x + (mp.mpf("0.25") - to_mpf(mu) ** 2) / x ** 2
+        return abs(w2 + q * w0) / max(mp.mpf(1), abs(w0))
 
 
 def test_15_special_function_certification():

@@ -1,9 +1,12 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from maassjacobi.cli import covariance_jobs
@@ -11,11 +14,12 @@ from maassjacobi.enveloping import JacobiLieAlgebra, PBWElement, build_casimir, 
 from maassjacobi.errors import DegreeError, DomainError
 from maassjacobi.gaussian import GaussianRational
 from maassjacobi.group import AlgebraElement, Point, automorphy_factor, slash
-from maassjacobi.jets import JetSpace, coordinate_jets
+from maassjacobi.jets import Jet, JetSpace, coordinate_jets
 from maassjacobi.lattice import GramLattice
 from maassjacobi.opcalc import (
     DiffOp,
     OpRing,
+    apply_coefficients,
     base_values,
     bridge_check,
     build_casimir_op,
@@ -474,6 +478,47 @@ def test_apply_jet_degree_error(ctx):
         jet = seed.jet(coordinate_jets(space, mp.mpc(0, 1), [mp.mpc(0)]))
         with pytest.raises(DegreeError):
             C.apply_jet(jet, base_values(mp.mpc(0, 1), [mp.mpc(0)]), k_value=mp.mpf(2))
+
+
+def _apply_jet_per_term(op, jet, here, k_value):
+    """(T f)(p) with every coefficient evaluated for this one jet, summed in
+    the stored order: DiffOp.apply_jet before its coefficient values were
+    shared by the jets of one point and k."""
+    values = dict(here)
+    values["pi"] = mp.pi
+    if k_value is not None:
+        values["k"] = to_mpc(k_value)
+    acc = mp.mpc(0)
+    for e, p in op.terms.items():
+        c = p.eval_numeric(values, lambda c: c.to_mpc(mp))
+        if c:
+            acc += c * jet.derivative_at_base(e)
+    return acc
+
+
+@settings(settings.get_profile("numeric"))
+@given(N=st.sampled_from([1, 2]), which=st.sampled_from(["casimir", "heat"]),
+       k=st.integers(-6, 6).map(lambda j: Fraction(j, 2)), seed=st.integers(0, 2 ** 32),
+       bits=st.sampled_from([128, 256]))
+def test_shared_coefficients_match_the_per_term_oracle(N, which, k, seed, bits):
+    # the coefficient values of one point and k, shared by three drawn jets,
+    # give each jet the bits of the per-term loop
+    L = LATTICES[N][seed % 2]
+    op = build_casimir_op(L) if which == "casimir" else build_heat(L)
+    k_value = to_mpc(k) if which == "casimir" else None
+    rng = random.Random(seed)
+    space = JetSpace.for_rank(N, op.order())
+    monos = [e for e in product(range(space.degree + 1), repeat=space.nvars)
+             if sum(e) <= space.degree]
+    with PrecisionContext(bits=bits).working():
+        tau, z = random_point(N, rng)
+        here = base_values(tau, z)
+        shared = op.coefficients_at(here, k_value)
+        for _ in range(3):
+            jet = Jet(space, {e: mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for e in monos})
+            expect = _apply_jet_per_term(op, jet, here, k_value)
+            assert apply_coefficients(shared, jet) == expect
+            assert op.apply_jet(jet, here, k_value=k_value) == expect
 
 
 def test_kernel_seed(ctx):
