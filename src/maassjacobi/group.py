@@ -19,7 +19,7 @@ from . import fixedpoint, linalg
 from .errors import DomainError, MalformedElementError, PrecisionError
 from .gaussian import GaussianRational
 from .jets import Jet
-from .precision import MAX_TERMS, PrecisionContext, to_mpc
+from .precision import MAX_TERMS, PrecisionContext, to_mpc, to_mpf
 
 J2 = ((0, -1), (1, 0))
 
@@ -293,7 +293,7 @@ def automorphy_factor(k, kprime, L, g: GroupElement, p: Point,
     beta = cocycle_beta(g.M, p.tau)
     w = beta ** weight_gap(k, kprime)
     if kprime:
-        w *= (beta * mp.conj(beta)).real ** (mp.mpf(kprime.numerator) / kprime.denominator)
+        w *= (beta * mp.conj(beta)).real ** to_mpf(kprime)
     w *= cocycle_alpha(L, g, p, ctx)
     return w
 

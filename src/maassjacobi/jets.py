@@ -21,7 +21,6 @@ product by a non-finite scalar, raise DomainError.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
@@ -31,6 +30,7 @@ from mpmath import mp
 from .errors import DegreeError, DomainError
 from .fixedpoint import parts, rounded, to_ints
 from .polys import SparseTerms
+from .precision import to_mpf
 
 
 class _Tables:
@@ -304,10 +304,7 @@ class Jet(SparseTerms):
         c = self.value
         if c == 0:
             raise ZeroDivisionError("fractional power of jet with zero constant term")
-        if isinstance(alpha, Fraction):
-            alpha = mp.mpf(alpha.numerator) / alpha.denominator
-        else:
-            alpha = mp.mpf(alpha)
+        alpha = to_mpf(alpha)
         scalars = []
         b = mp.mpc(1)
         for n in range(self.space.degree + 1):

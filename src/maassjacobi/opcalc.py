@@ -32,7 +32,7 @@ from .group import J2, AlgebraElement, GroupElement, Point, automorphy_factor, w
 from .jets import Jet, JetSpace, coordinate_jets, real_coordinate_jets
 from .lattice import GramLattice
 from .polys import Poly, PolyRing, SparseTerms
-from .precision import PrecisionContext, to_mpc
+from .precision import PrecisionContext, to_mpc, to_mpf
 
 _HALF = Fraction(1, 2)
 _IHALF = GaussianRational(0, _HALF)       # i/2
@@ -487,7 +487,7 @@ def xi_apply(k, L: GramLattice, jet: Jet, tau, z, ctx: PrecisionContext):
         vals = base_values(tau, z)
         v = dm.apply_jet(jet, vals, k_value=to_mpc(Fraction(k)))
         kk = Fraction(k) - Fraction(5, 2)
-        return mp.power(vals["y"].real, mp.mpf(kk.numerator) / kk.denominator) * v
+        return mp.power(vals["y"].real, to_mpf(kk)) * v
 
 
 # -- the Lie slash action and the enveloping-algebra bridge ------------------------------

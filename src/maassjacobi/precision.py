@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .errors import PrecisionError
 from .gaussian import GaussianRational
@@ -47,14 +47,21 @@ class PrecisionContext:
 
 
 def to_fraction(x) -> Fraction:
-    """x as a Fraction: itself if it is one, else Fraction(x)."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction: itself if it is one, a finite mpf as the dyadic
+    rational it is, else Fraction(x)."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, mpmath.mpf) and mp.isfinite(x):
+        return Fraction(*libmp.to_rational(x._mpf_))
+    return Fraction(x)
 
 
 def to_mpf(x):
-    """Exact rational (or int/float/mpf) to mpf at current working precision."""
+    """Exact rational (or int/float/mpf) to mpf at current working precision;
+    a Fraction is rounded once, however wide its numerator."""
     if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / x.denominator
+        return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, mp.prec,
+                                               libmp.round_nearest))
     return mp.mpf(x)
 
 

@@ -6,13 +6,13 @@ carrying derivatives in the real argument.
 Scalar evaluation runs under an explicit PrecisionContext.  Kummer's U at
 an integer b parameter (every W the Poincare coefficients use) is one
 integer fixed-point pass rounded once (``_kummer_u``); everything else is
-backed by mpmath's hypergeometric machinery.  Whittaker jets come from
-Whittaker's equation: its Taylor recurrence, seeded by the value and the
-first derivative, runs exactly and rounds each derivative once.  The tests
-keep the parameter-shift path (one Kummer function per order) as its
-oracle, and the ODE-residual criterion runs on that path's independently
-computed orders.  Bessel jets come from the contiguous relations, and the
-incomplete-gamma, H and E jets from their first-order defining equations.
+backed by mpmath's hypergeometric machinery.  Each function solves a
+second-order linear equation with polynomial coefficients, and every jet
+is the scalar value followed by that equation's Taylor recurrence
+(``_ode_jet``): seeded by the value and the first derivative at GUARD_BITS
+more bits, it runs exactly and rounds each derivative once.  The tests
+keep the parameter-shift Whittaker jets (one Kummer function per order)
+and mpmath's numerical differentiation as oracles.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from operator import add, sub
 
 from mpmath import libmp, mp
 
-from .errors import DomainError, PoleError
-from .jets import Jet, JetSpace
+from .errors import DomainError, PoleError, PrecisionError
 from .precision import GUARD_BITS, MAX_TERMS, PrecisionContext, to_fraction, to_mpf
 
 
@@ -53,18 +51,6 @@ def _man_exp(v):
     """The mpf v as (man, exp) with v = man 2^exp and man signed."""
     sign, man, exp, _ = v._mpf_
     return (-man if sign else man), exp
-
-
-def _exact(x) -> Fraction:
-    """The mpf x as the dyadic rational it is."""
-    man, exp = _man_exp(x)
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
-def _rounded(v: Fraction):
-    """The rational v rounded once to mp.prec."""
-    return mp.make_mpf(libmp.from_rational(v.numerator, v.denominator, mp.prec,
-                                           libmp.round_nearest))
 
 
 @lru_cache(maxsize=256)
@@ -96,10 +82,10 @@ def _kummer_u(a, b, x):
     b = int(b)
     a2 = a - b + 1
     if a.denominator == 1 and a <= 0:
-        return _rounded(_u_polynomial(-int(a), b, _exact(x)))
+        return to_mpf(_u_polynomial(-int(a), b, to_fraction(x)))
     if a2.denominator == 1 and a2 <= 0:
-        xq = _exact(x)
-        return _rounded(xq ** (1 - b) * _u_polynomial(-int(a2), 2 - b, xq))
+        xq = to_fraction(x)
+        return to_mpf(xq ** (1 - b) * _u_polynomial(-int(a2), 2 - b, xq))
     if 2 * x > MAX_TERMS:
         return mp.hyperu(to_mpf(a), to_mpf(b), x)
     m = 0
@@ -173,7 +159,7 @@ def _u_bracket(a: Fraction, n: int, x, wp: int):
         t = (t * X * c >> wp) // (q * (n + 1 + k) * (k + 1))
         k += 1
     factor = Fraction((-1) ** (n + 1), factorial(n)) * _pochhammer(a - n, n)
-    xq = _exact(x)
+    xq = to_fraction(x)
     F = sum(Fraction(factorial(j - 1), factorial(n - j)) * _pochhammer(1 - a + j, n - j)
             / xq ** j for j in range(1, n + 1))
     sv = (acc >> wp) * factor.numerator // factor.denominator
@@ -184,9 +170,63 @@ def _u_bracket(a: Fraction, n: int, x, wp: int):
 
 def _kummer(kind: str, a: Fraction, b: Fraction, x):
     """M(a, b, x) or U(a, b, x) at the working precision mp.prec."""
-    if kind == "M":
+    if kind != "M":
+        return _kummer_u(a, b, x)
+    try:
         return mp.hyp1f1(to_mpf(a), to_mpf(b), x)
-    return _kummer_u(a, b, x)
+    except ValueError:
+        # mpmath's series fails to converge at a zero of M, such as
+        # M(1/2, -1/2, 1/2) = 0
+        raise PrecisionError(f"Kummer M({a}, {b}, {x}) did not converge "
+                             f"at {mp.prec} bits") from None
+
+
+def _ode_jet(P, x0: Fraction, h0: Fraction, h1: Fraction, order: int) -> list:
+    """[h(x0), h'(x0), ..., h^(order)(x0)], exactly, for the solution of
+    P[0] h + P[1] h' + P[2] h'' = 0 with h(x0) = h0 and h'(x0) = h1.
+
+    Each P[i] is a polynomial as its rational coefficients, constant term
+    first, with P[2](x0) != 0; x0, h0 and h1 are dyadic.  This is the
+    Taylor-series method for ODEs (Corliss & Chang, ACM TOMS 8 (1982)
+    114-144).  With h = sum h_n u^n and P[i](x0 + u) = sum_j p_ij u^j, the
+    coefficient of u^n in the equation gives
+
+        p_20 (n + 1)(n + 2) h_{n+2} = -sum_{(i, j) != (2, 0), j <= n}
+                                           p_ij (n - j + 1)_i h_{n-j+i}.
+
+    Times d D^e, with x0 = X / D, e the largest degree and d the common
+    denominator of the coefficients, every p_ij is an integer, and the h_n
+    are kept as integers over one running denominator.
+    """
+    X, D = x0.numerator, x0.denominator
+    e = max(len(q) for q in P) - 1
+    d = math.lcm(*(c.denominator for q in P for c in q))
+    # p[i][j] = p_ij d D^e
+    p = [[sum(math.comb(l, j) * q[l].numerator * (d // q[l].denominator) * X ** (l - j)
+              * D ** (e - l + j) for l in range(j, len(q))) for j in range(len(q))] for q in P]
+    den = math.lcm(h0.denominator, h1.denominator)
+    g = [h0.numerator * (den // h0.denominator), h1.numerator * (den // h1.denominator)]
+    for n in range(order - 1):
+        acc = sum(c * _pochhammer(n - j + 1, i) * g[n - j + i] for i, q in enumerate(p)
+                  for j, c in enumerate(q[:n + 1]) if c and (i, j) != (2, 0))
+        f = p[2][0] * (n + 1) * (n + 2)
+        g = [v * f for v in g] + [-acc]
+        den *= f
+    return [Fraction(factorial(j) * v, den) for j, v in enumerate(g[:order + 1])]
+
+
+def _derivatives(x0, problem, order: int, ctx: PrecisionContext) -> list:
+    """[h'(x0), ..., h^(order)(x0)] for the solution h of the equation P of
+    _ode_jet with (P, h(x0), h'(x0)) = problem(c), which runs under the
+    PrecisionContext c, GUARD_BITS wider than ctx.  Each derivative is
+    rounded once to the working precision; call it inside ctx.working()."""
+    if not order:
+        return []
+    seed = PrecisionContext(ctx.bits + GUARD_BITS)
+    with seed.working():
+        P, h0, h1 = problem(seed)
+    return [to_mpf(v) for v in
+            _ode_jet(P, to_fraction(x0), to_fraction(h0), to_fraction(h1), order)[1:]]
 
 
 def _whittaker_jet(kind: str, s, kappa, t, order, ctx: PrecisionContext):
@@ -197,14 +237,12 @@ def _whittaker_jet(kind: str, s, kappa, t, order, ctx: PrecisionContext):
     h = x^p e^{-x/2} x^{mu + 1/2} K(x).  The value is that product of
     working-precision factors, formed in that order.  The higher
     derivatives come from Whittaker's equation (DLMF 13.14.1), which for h
-    reads
+    reads, in t (kappa_eff x = kappa t/2),
 
-        x^2 h'' - 2p x h' + (p(p + 1) + 1/4 - mu^2 + kappa_eff x - x^2/4) h = 0:
+        t^2 h'' - 2p t h' + (p(p + 1) + 1/4 - mu^2 + kappa t/2 - t^2/4) h = 0,
 
-    its derivatives at x0 follow exactly from h(x0) and h'(x0)
-    (``_ode_derivatives``), with K' = (a/b) M(a + 1, b + 1, .) or
-    -a U(a + 1, b + 1, .) (DLMF 13.3.15, 13.3.22).  The two seeds are taken
-    at GUARD_BITS more bits, and each derivative is rounded once.
+    seeded with K' = (a/b) M(a + 1, b + 1, .) or -a U(a + 1, b + 1, .)
+    (DLMF 13.3.15, 13.3.22).
     """
     s = to_fraction(s)
     kappa = to_fraction(kappa)
@@ -219,67 +257,22 @@ def _whittaker_jet(kind: str, s, kappa, t, order, ctx: PrecisionContext):
     b = 2 * s
     p = -kappa / 2
     q = p + mu + Fraction(1, 2)
+
+    def problem(_):
+        k0 = _kummer(kind, a, b, x0)
+        k1 = to_mpf(a / b if kind == "M" else -a) * _kummer(kind, a + 1, b + 1, x0)
+        pre = mp.exp(-x0 / 2) * mp.power(x0, to_mpf(q))
+        P = ([p * (p + 1) + Fraction(1, 4) - mu * mu, kappa / 2, Fraction(-1, 4)],
+             [0, -2 * p], [0, 0, 1])
+        return P, pre * k0, sgn * pre * (k1 + (to_mpf(q) / x0 - mp.mpf(0.5)) * k0)
+
     with ctx.working():
         x0 = abs(to_mpf(t))
         z = mp.mpc(x0)
         whit = (mp.exp(mp.mpc(-x0 / 2)) * mp.power(z, to_mpf(mu + Fraction(1, 2)))
                 * +_kummer(kind, a, b, x0))
-        out = [mp.power(z, to_mpf(p)) * whit]
-        if order:
-            with mp.workprec(mp.prec + GUARD_BITS):
-                k0 = _kummer(kind, a, b, x0)
-                if kind == "M":
-                    k1 = to_mpf(a / b) * mp.hyp1f1(to_mpf(a + 1), to_mpf(b + 1), x0)
-                else:
-                    k1 = to_mpf(-a) * _kummer_u(a + 1, b + 1, x0)
-                pre = mp.exp(-x0 / 2) * mp.power(x0, to_mpf(q))
-                h0 = pre * k0
-                h1 = pre * (k1 + (to_mpf(q) / x0 - mp.mpf(0.5)) * k0)
-            derivs = _ode_derivatives(_exact(h0), _exact(h1), _exact(x0), p, mu, kap_eff,
-                                      order)
-            # d/dt = sgn d/dx
-            out += [mp.mpc(_rounded(v * sgn ** j)) for j, v in enumerate(derivs) if j]
-        return out
-
-
-def _ode_derivatives(h0: Fraction, h1: Fraction, x0: Fraction, p: Fraction, mu: Fraction,
-                     kap_eff: Fraction, order: int) -> list:
-    """[h(x0), h'(x0), ..., h^(order)(x0)], exactly, for the solution of
-    x^2 h'' - 2p x h' + (c + kappa_eff x - x^2/4) h = 0, c = p(p + 1) + 1/4 -
-    mu^2, with h(x0) = h0 and h'(x0) = h1; x0 > 0, h0 and h1 are dyadic.
-
-    This is the Taylor-series method for ODEs (Corliss & Chang, ACM TOMS 8
-    (1982) 114-144).  With h = sum h_n (x - x0)^n and g_n = h_n x0^n, the
-    coefficient of (x - x0)^n in the equation gives
-
-        (n + 1)(n + 2) g_{n+2} = -[(2n - 2p)(n + 1) g_{n+1}
-            + (n(n - 1) - 2pn + c + kappa_eff x0 - x0^2/4) g_n
-            + (kappa_eff x0 - x0^2/2) g_{n-1} - (x0^2/4) g_{n-2}].
-
-    Times m = 4 d D^2, with x0 = X / D and d the common denominator of p, c
-    and kappa_eff, every coefficient is an integer, and the g_n are kept as
-    integers over one running denominator.
-    """
-    c = p * (p + 1) + Fraction(1, 4) - mu * mu
-    d = math.lcm(p.denominator, c.denominator, kap_eff.denominator)
-    X, D = x0.numerator, x0.denominator
-    m = 4 * d * D * D
-    kx = int(4 * d * kap_eff) * X * D          # kappa_eff x0 m
-    xx = d * X * X                             # (x0^2/4) m
-    g0, g1 = h0, h1 * x0
-    den = max(g0.denominator, g1.denominator)  # both powers of two
-    g = [g0.numerator * (den // g0.denominator), g1.numerator * (den // g1.denominator)]
-    for n in range(order - 1):
-        acc = (int((2 * n - 2 * p) * (n + 1) * m) * g[n + 1]
-               + (int((n * (n - 1) - 2 * p * n + c) * m) + kx - xx) * g[n])
-        if n >= 1:
-            acc += (kx - 2 * xx) * g[n - 1]
-        if n >= 2:
-            acc -= xx * g[n - 2]
-        f = (n + 1) * (n + 2) * m
-        g = [v * f for v in g] + [-acc]
-        den *= f
-    return [Fraction(v * factorial(j) * D ** j, den * X ** j) for j, v in enumerate(g)]
+        return [mp.power(z, to_mpf(p)) * whit] + [
+            mp.mpc(v) for v in _derivatives(sgn * x0, problem, order, ctx)]
 
 
 def whittaker_M_renorm(s, kappa, t, ctx: PrecisionContext):
@@ -301,26 +294,25 @@ def whittaker_W_jet(s, kappa, t, order: int, ctx: PrecisionContext):
 
 
 def _bessel_jet(kind: str, nu, x, order: int, ctx: PrecisionContext):
-    """[B(x), B'(x), ..., B^(order)(x)] for B = J_nu or I_nu and x > 0: values
-    from mpmath, derivatives from the contiguous recurrence
-    B_nu' = (B_{nu-1} -+ B_{nu+1})/2.
+    """[B(x), B'(x), ..., B^(order)(x)] for B = J_nu or I_nu and x > 0.
 
-    mpmath may return a value with more bits than the working precision
-    (J_3(5) at 152 bits has 201), so each is rounded to it first: then every
-    later bit is fixed by correctly rounded operations on working-precision
-    values, whichever way the recurrence is written."""
+    The value is mpmath's, rounded to the working precision (it may carry
+    more bits: J_3(5) at 152 bits has 201).  The derivatives come from
+    Bessel's equation x^2 B'' + x B' + (+-x^2 - nu^2) B = 0, + for J and -
+    for I (DLMF 10.2.1, 10.25.1), seeded with B and B' = (B_{nu-1} -+
+    B_{nu+1})/2 (DLMF 10.6.2, 10.29.2)."""
     if x <= 0:
         raise DomainError(f"bessel_{kind} requires x > 0")
-    fn, pm = (mp.besselj, sub) if kind == "J" else (mp.besseli, add)
+    fn, sign = (mp.besselj, -1) if kind == "J" else (mp.besseli, 1)
+    nu = to_fraction(nu)
+
+    def problem(_):
+        return (([-nu * nu, 0, -sign], [0, 1], [0, 0, 1]), fn(to_mpf(nu), x),
+                (fn(to_mpf(nu - 1), x) + sign * fn(to_mpf(nu + 1), x)) / 2)
+
     with ctx.working():
-        nu, x = to_mpf(to_fraction(nu)), to_mpf(x)
-        # row[m] is the j-th derivative of B_{nu+m}, for |m| <= order - j
-        row = {m: +fn(nu + m, x) for m in range(-order, order + 1)}
-        out = [row[0]]
-        for j in range(1, order + 1):
-            row = {m: pm(row[m - 1], row[m + 1]) / 2 for m in range(j - order, order - j + 1)}
-            out.append(row[0])
-        return out
+        x = to_mpf(x)
+        return [+fn(to_mpf(nu), x)] + _derivatives(x, problem, order, ctx)
 
 
 def bessel_J(nu, x, ctx: PrecisionContext):
@@ -339,22 +331,6 @@ def bessel_I_jet(nu, x, order: int, ctx: PrecisionContext):
     return _bessel_jet("I", nu, x, order, ctx)
 
 
-def _integrated_jet(value, base, derivative, order: int, *, minus_value=False):
-    """[f, f', ..., f^(order)] at ``base`` of the function with f(base) =
-    ``value`` and f' = derivative(t), less f itself when ``minus_value``;
-    ``derivative`` maps the variable jet t of degree order - 1 to a jet."""
-    g = derivative(Jet.variable(JetSpace(1, max(order - 1, 0)), 0, base))
-    # f = sum taylor[m] (t - base)^m with taylor[m+1] = g_m/(m+1), or
-    # (g_m - taylor[m])/(m+1) when minus_value
-    taylor = [mp.mpc(value)]
-    for m in range(order):
-        gm = g.derivative_at_base((m,)) / factorial(m)
-        if minus_value:
-            gm = gm - taylor[m]
-        taylor.append(gm / (m + 1))
-    return [taylor[j] * factorial(j) for j in range(order + 1)]
-
-
 def upper_incomplete_gamma(a, x, ctx: PrecisionContext):
     """Gamma(a, x) = int_x^inf t^{a-1} e^{-t} dt for x > 0."""
     if x <= 0:
@@ -364,14 +340,20 @@ def upper_incomplete_gamma(a, x, ctx: PrecisionContext):
 
 
 def upper_incomplete_gamma_jet(a, x, order: int, ctx: PrecisionContext):
-    """Derivatives of Gamma(a, .) via d/dx Gamma(a, x) = -x^{a-1} e^{-x}."""
+    """Derivatives of G = Gamma(a, .) at x > 0, from x G'' + (x + 1 - a) G' = 0,
+    seeded with G and G'(x) = -x^{a-1} e^{-x}."""
     if x <= 0:
         raise DomainError("upper_incomplete_gamma requires x > 0")
     a = to_fraction(a)
+
+    def problem(c):
+        return (([0], [1 - a, 1], [0, 1]), upper_incomplete_gamma(a, x, c),
+                -mp.power(x, to_mpf(a - 1)) * mp.exp(-x))
+
     with ctx.working():
-        return _integrated_jet(
-            upper_incomplete_gamma(a, x, ctx), to_mpf(x),
-            lambda t: -(t.pow_scalar(to_mpf(a - 1)) * (-t).exp()), order)
+        x = to_mpf(x)
+        return [mp.mpc(v) for v in [upper_incomplete_gamma(a, x, ctx),
+                                    *_derivatives(x, problem, order, ctx)]]
 
 
 def h_profile(k, N: int, y, ctx: PrecisionContext):
@@ -398,16 +380,20 @@ def h_profile(k, N: int, y, ctx: PrecisionContext):
 
 
 def h_profile_jet(k, N: int, y, order: int, ctx: PrecisionContext):
-    """Derivatives of H via H'(y) = -H(y) + 2 e^y (-2y)^{-k-N/2}."""
+    """Derivatives of H at y < 0, from y H'' + a H' + (a - y) H = 0 with
+    a = k + N/2, seeded with H and H'(y) = -H(y) + 2 e^y (-2y)^{-a}."""
     a = to_fraction(k) + Fraction(N, 2)
+
+    def problem(c):
+        h = h_profile(k, N, yv, c)
+        return ([a, -1], [a], [0, 1]), h, 2 * mp.exp(yv) * mp.power(-2 * yv, to_mpf(-a)) - h
+
     with ctx.working():
         yv = to_mpf(y)
         if yv >= 0:
             raise DomainError("the H jet is implemented on y < 0 (negative index terms)")
-        return _integrated_jet(
-            h_profile(k, N, y, ctx), yv,
-            lambda t: t.exp() * (t * mp.mpf(-2)).pow_scalar(to_mpf(-a)) * 2, order,
-            minus_value=True)
+        return [mp.mpc(v) for v in [h_profile(k, N, yv, ctx),
+                                    *_derivatives(yv, problem, order, ctx)]]
 
 
 def e_profile(z, ctx: PrecisionContext):
@@ -418,7 +404,13 @@ def e_profile(z, ctx: PrecisionContext):
 
 
 def e_profile_jet(z, order: int, ctx: PrecisionContext):
-    """Derivatives of E via E'(z) = 2 e^{-pi z^2}."""
+    """Derivatives of E from E'' + 2 pi z E' = 0, with pi taken at the seeds'
+    precision, seeded with E and E'(z) = 2 e^{-pi z^2}."""
+
+    def problem(c):
+        return (([0], [0, 2 * to_fraction(+mp.pi)], [1]), e_profile(zv, c),
+                2 * mp.exp(-mp.pi * zv * zv))
+
     with ctx.working():
-        return _integrated_jet(e_profile(z, ctx), to_mpf(z),
-                               lambda t: (t * t * (-mp.pi)).exp() * 2, order)
+        zv = to_mpf(z)
+        return [mp.mpc(v) for v in [e_profile(zv, ctx), *_derivatives(zv, problem, order, ctx)]]

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from maassjacobi import jets, specfun
-from maassjacobi.errors import DomainError, PoleError
+from maassjacobi.errors import DomainError, PoleError, PrecisionError
 from maassjacobi.jets import Jet, JetSpace, compose_univariate
-from maassjacobi.precision import PrecisionContext, to_mpf
+from maassjacobi.precision import PrecisionContext, to_fraction, to_mpf
 from maassjacobi.specfun import (
     _kummer_u,
     bessel_I,
@@ -23,6 +23,7 @@ from maassjacobi.specfun import (
     h_profile,
     h_profile_jet,
     upper_incomplete_gamma,
+    upper_incomplete_gamma_jet,
     whittaker_M_jet,
     whittaker_M_renorm,
     whittaker_W_jet,
@@ -471,8 +472,6 @@ def test_monotone_precision(ctx):
 
 
 def test_incomplete_gamma_jet(ctx):
-    from maassjacobi.specfun import upper_incomplete_gamma_jet
-
     with ctx.working():
         a, x = Fraction(7, 4), mp.mpf("1.3")
         dj = upper_incomplete_gamma_jet(a, x, 4, ctx)
@@ -505,18 +504,14 @@ def test_whittaker_W_large_t_decay(ctx):
             assert abs(r100 - 1) < mp.mpf("0.05")
 
 
-def test_bessel_values_are_rounded_to_working_precision(ctx, monkeypatch):
-    # mpmath returns J_3(5) with 201 bits at 152; rounded first, every value
-    # and derivative has at most the working precision's bits
+def test_bessel_values_are_rounded_to_working_precision(ctx):
+    # mpmath returns J_3(5) with 201 bits at 152; rounded, every value and
+    # derivative has at most the working precision's bits
     for jet in (bessel_J_jet, bessel_I_jet):
         for nu, x in ((3, 5), (Fraction(7, 3), mp.mpf("2.2")), (Fraction(-1, 2), mp.mpf("0.9"))):
             values = jet(nu, x, 4, ctx)
             with ctx.working():
                 assert all(v.man.bit_length() <= mp.prec for v in values), (jet, nu, x)
-    # so the recurrence's bits do not depend on how its difference is written
-    reference = bessel_J_jet(3, 5, 4, ctx)
-    monkeypatch.setattr(specfun, "sub", lambda u, v: u + (-1) * v)
-    assert bessel_J_jet(3, 5, 4, ctx) == reference
 
 
 def _hyperu(a, b, x):
@@ -628,8 +623,8 @@ def test_whittaker_jets_match_the_parameter_shift_oracle(case, order, bits):
         oracle = whittaker_jet_by_shifts(kind, s, kappa, t, order, PrecisionContext(bits=2 * bits))
     except ValueError:
         # mpmath's hyp1f1 does not converge at an exact zero of M; the jet
-        # meets the same failure
-        with pytest.raises(ValueError):
+        # reports it as a PrecisionError
+        with pytest.raises(PrecisionError):
             jet_of(s, kappa, t, order, ctx)
         return
     jet = jet_of(s, kappa, t, order, ctx)
@@ -656,8 +651,104 @@ def test_whittaker_values_keep_the_parameter_shift_bits(case, bits):
         expect = whittaker_jet_by_shifts(kind, s, kappa, t, 0, ctx)[0]
     except ValueError:
         # as in the test above
-        with pytest.raises(ValueError):
+        with pytest.raises(PrecisionError):
             renorm(s, kappa, t, ctx)
         return
     assert renorm(s, kappa, t, ctx) == expect
     assert jet_of(s, kappa, t, 3, ctx)[0] == expect
+
+
+def _renormalized(whit):
+    """(s, kappa) -> t -> |t|^{-kappa/2} whit(sgn(t) kappa/2, s - 1/2, |t|), by mpmath."""
+    return lambda s, kappa: lambda t: mp.power(abs(t), -to_mpf(kappa / 2)) * whit(
+        mp.sign(t) * to_mpf(kappa / 2), to_mpf(s - Fraction(1, 2)), abs(t))
+
+
+def _signed(lo, hi):
+    return st.tuples(st.sampled_from([1, -1]), st.floats(lo, hi)).map(lambda p: p[0] * p[1])
+
+
+def _rational(lo, hi, dens):
+    return st.tuples(st.integers(lo, hi), st.sampled_from(dens)).map(lambda p: Fraction(*p))
+
+
+def _i_order(nu):
+    """I_{-n} = I_n (DLMF 10.27.1): mpmath's besseli takes a slow limit at a
+    negative integer order."""
+    return abs(nu) if nu.denominator == 1 else nu
+
+
+def _whitw_by_m(k, m, z):
+    """W_{k,m}(z) from M_{k,m} and M_{k,-m} (DLMF 13.14.33), for 2m not an
+    integer: at the oracle's precision mpmath's whitw is seconds a call."""
+    return (mp.gamma(-2 * m) * mp.rgamma(mp.mpf(1) / 2 - m - k) * mp.whitm(k, m, z)
+            + mp.gamma(2 * m) * mp.rgamma(mp.mpf(1) / 2 + m - k) * mp.whitm(k, -m, z))
+
+
+def _upper_gamma(a, x):
+    """Gamma(a, x) by mpmath; at a not an integer as Gamma(a) - x^a M(a, a + 1,
+    -x)/a (DLMF 8.2.3, 8.5.1), since there gammainc is a quarter of a second
+    a call at the oracle's precision."""
+    if a.denominator == 1:
+        return mp.gammainc(int(a), x)
+    a = to_mpf(a)
+    return mp.gamma(a) - mp.power(x, a) * mp.hyp1f1(a, a + 1, -x) / a
+
+
+# W draws s in 1/4 + Z, where 2m = 2s - 1 is not an integer; the other
+# Whittaker oracles cover the integer b = 2s
+# name: (jet, scalar function, mpmath oracle of the parameters, parameters, argument)
+_EVERY_JET = {
+    "M": (whittaker_M_jet, whittaker_M_renorm, _renormalized(mp.whitm),
+          st.tuples(_rational(1, 12, [4]), _rational(-8, 12, [2])), _signed(0.01, 20)),
+    "W": (whittaker_W_jet, whittaker_W_renorm, _renormalized(_whitw_by_m),
+          st.tuples(_rational(-2, 6, [1]).map(lambda j: j + Fraction(1, 4)), _rational(-8, 12, [2])),
+          _signed(0.01, 20)),
+    "J": (bessel_J_jet, bessel_J, lambda nu: lambda x: mp.besselj(to_mpf(nu), x),
+          st.tuples(_rational(-12, 12, [1, 2, 3, 4])), st.floats(0.05, 15)),
+    "I": (bessel_I_jet, bessel_I, lambda nu: lambda x: mp.besseli(to_mpf(_i_order(nu)), x),
+          st.tuples(_rational(-12, 12, [1, 2, 3, 4])), st.floats(0.05, 15)),
+    "Gamma": (upper_incomplete_gamma_jet, upper_incomplete_gamma,
+              lambda a: lambda x: _upper_gamma(a, x),
+              st.tuples(_rational(-16, 16, [1, 2, 3, 4])), st.floats(0.05, 30)),
+    "H": (h_profile_jet, h_profile,
+          lambda k, N: lambda y: mp.exp(-y) * _upper_gamma(1 - k - Fraction(N, 2), -2 * y),
+          st.tuples(_rational(-6, 8, [1, 2]), st.sampled_from([1, 2, 3])), st.floats(-15, -0.05)),
+    "E": (e_profile_jet, e_profile, lambda: lambda z: mp.erf(mp.sqrt(mp.pi) * z),
+          st.just(()), _signed(0.01, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVERY_JET))
+@settings(settings.get_profile("numeric"))
+@given(data=st.data(), order=st.integers(0, 4), bits=st.sampled_from([128, 256]))
+def test_every_jet_matches_numerical_differentiation(name, data, order, bits):
+    # every order of every jet against mpmath's numerical differentiation of
+    # the function at twice the bits, and order 0 bit for bit the scalar value
+    jet_of, scalar, oracle, params, arg = _EVERY_JET[name]
+    params, x = data.draw(params), mp.mpf(data.draw(arg))
+    ctx = PrecisionContext(bits=bits)
+    jet = jet_of(*params, x, order, ctx)
+    assert len(jet) == order + 1
+    assert jet[0] == scalar(*params, x, ctx)
+    with mp.workprec(2 * bits):
+        for j, (value, expect) in enumerate(zip(jet, mp.diffs(oracle(*params), x, order))):
+            assert _close(value, expect, bits), j
+
+
+def test_to_mpf_rounds_a_fraction_once():
+    # a numerator wider than the working precision is rounded with the
+    # division, not before it: within half an ulp of the exact rational
+    with mp.workprec(128):
+        for k in range(399):
+            v = Fraction(3 ** k + 1, 7 ** (k % 50 + 1))
+            r = to_mpf(v)
+            sign, man, exp, bc = r._mpf_
+            assert 2 * abs(to_fraction(r) - v) <= Fraction(2) ** (exp + bc - 128), k
+    # and to_fraction reads an mpf exactly
+    with mp.workprec(300):
+        x = mp.mpf(2) ** -200 + 1
+    assert to_fraction(x) == 1 + Fraction(1, 2 ** 200)
+    # and refuses an infinity rather than read it as the zero of its mantissa
+    with pytest.raises(TypeError):
+        to_fraction(mp.inf)

@@ -2,7 +2,8 @@
 PrecisionContext from the caller: no ``ctx`` parameter anywhere in the
 package has a default to fall back on.  And every module-level name the
 package defines is used by the package or exported by it, so that code
-only the tests call lives in the tests."""
+only the tests call lives in the tests, and every module-level import is
+used by its module."""
 
 import ast
 import importlib
@@ -78,3 +79,27 @@ def test_every_definition_is_exported_or_used():
               if not (name.startswith("__") and name.endswith("__"))
               and name not in exported and total[name] == own[name]]
     assert unused == []
+
+
+def _imported(stmt):
+    """The names a module-level import statement binds."""
+    if isinstance(stmt, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in stmt.names]
+    if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+        return [alias.asname or alias.name for alias in stmt.names]
+    return []
+
+
+def test_every_import_is_used():
+    # cli imports these two only so that the benchmark tracer can patch them
+    # in its namespace (ROADMAP item 4); __init__'s imports are the exports
+    allowed = {"cli.casimir_residual", "cli.poincare_csum"}
+    unused = []
+    for path in Path(maassjacobi.__file__).parent.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}.{name}" for stmt in tree.body for name in _imported(stmt)
+                   if name not in names]
+    assert sorted(set(unused) - allowed) == []
