@@ -474,6 +474,15 @@ def cmd_theta(args) -> int:
     return _cached(args, "theta", key, compute)
 
 
+# Lattice points that a table's Kloosterman sums visit (each row sums
+# c = 1..cmax, each c walks (Z/c)^N once) per pool worker.  Below two
+# workers' worth the table runs in-process at any --jobs: forking a pool
+# (about 10 ms) and its children's cold root-of-unity caches cost more than
+# the rows.  On a 2-vCPU VM, --jobs 2 broke even with --jobs 1 between about
+# 4,000 and 17,000 points.
+POINTS_PER_WORKER = 4096
+
+
 def cmd_poincare(args, skew=False) -> int:
     L, ctx = _lattice(args), args.precision_bits
     k, c_max, n, r, window = args.k, args.cmax, args.n, _or_zero(args.r, L), args.window
@@ -486,7 +495,8 @@ def cmd_poincare(args, skew=False) -> int:
         specs = [(skew, y, s, k, L, n, r, np_, [rp0] + [0] * (L.N - 1), c_max, ctx)
                  for np_ in range(-window, window + 1)
                  for rp0 in range(0, window + 1)]
-        workers = min(args.jobs, len(specs))
+        points = len(specs) * sum(c ** L.N for c in range(1, c_max + 1))
+        workers = min(args.jobs, len(specs), points // POINTS_PER_WORKER)
         if workers > 1:
             rows = _parallel_coeff(specs, workers)
         else:

@@ -53,16 +53,27 @@ class FourierIndex(NamedTuple):
 
 
 def _profile_jet(tag: str, params: dict, reals: dict, N: int, order: int,
-                 ctx: PrecisionContext) -> Jet:
+                 ctx: PrecisionContext, per_point: dict) -> Jet:
     y = reals["y"]
+
+    def pi_y(c, exp=False):
+        # the jet of pi c y, or of exp(pi c y), built once per point in
+        # per_point; a key's leading str never equals a FourierIndex's n
+        key = ("exp(pi c y)" if exp else "pi c y", c)
+        jet = per_point.get(key)
+        if jet is None:
+            jet = pi_y(c).exp() if exp else y * (mp.pi * to_mpf(c))
+            per_point[key] = jet
+        return jet
+
     if tag == "constant":
         return Jet.const(y.space, 1)
     if tag == "y_power":
         return y.pow_scalar(to_mpf(Fraction(params["exponent"])))
     if tag == "exp_real":
-        return (y * (mp.pi * to_mpf(Fraction(params["eexp"])))).exp()
+        return pi_y(Fraction(params["eexp"]), exp=True)
     if tag in ("H", "W", "M"):
-        arg = y * (mp.pi * to_mpf(Fraction(params["arg"])))
+        arg = pi_y(Fraction(params["arg"]))
         if tag == "H":
             derivs = h_profile_jet(Fraction(params["k"]), int(params["N"]),
                                    arg.value.real, order, ctx)
@@ -74,7 +85,7 @@ def _profile_jet(tag: str, params: dict, reals: dict, N: int, order: int,
         out = compose_univariate(taylor, arg)
         c2 = Fraction(params.get("eexp", 0))
         if c2:
-            out = out * (y * (mp.pi * to_mpf(c2))).exp()
+            out = out * pi_y(c2, exp=True)
         return out
     if tag == "E":
         h = [Fraction(x) for x in params["h"]]
@@ -145,19 +156,20 @@ class FourierExpansion:
         coords = coordinate_jets(JetSpace.for_rank(self.lattice.N, degree), tau, z)
         return self._jet_at(coords, real_coordinate_jets(coords, self.lattice.N), {}, ctx)
 
-    def _jet_at(self, coords: dict, reals: dict, exponentials: dict,
+    def _jet_at(self, coords: dict, reals: dict, per_point: dict,
                ctx: PrecisionContext) -> Jet:
         """Jet at the base point of the coordinate jets ``coords``, whose
-        real-coordinate jets are ``reals``; ``exponentials`` caches the
-        jet of e(n tau + r.z) by index, at this base point."""
+        real-coordinate jets are ``reals``; ``per_point`` caches jets that
+        depend only on this base point: e(n tau + r.z) by index, and the
+        profiles' pi c y and exp(pi c y) by c."""
         N = self.lattice.N
         space = coords["tau"].space
         acc = Jet.const(space, 0)
         for index, (tag, params, coeff) in self.terms.items():
-            pj = _profile_jet(tag, params, reals, N, space.degree, ctx)
-            qz = exponentials.get(index)
+            pj = _profile_jet(tag, params, reals, N, space.degree, ctx, per_point)
+            qz = per_point.get(index)
             if qz is None:
-                qz = exponentials[index] = _index_exponential_jet(index, coords, N)
+                qz = per_point[index] = _index_exponential_jet(index, coords, N)
             acc = acc + pj * qz * to_mpc(coeff)
         return acc
 
@@ -475,9 +487,10 @@ def _worst_residual(op, cases, points, ctx):
     over the sample points, via jets; lam None means T f alone.
 
     The cases share one rank.  The points are the outer loop: their
-    coordinate jets, real-coordinate jets and index exponentials are built
-    once and shared by every case, and the operator's coefficient values
-    once per k_value.  Runs inside the caller's working-precision block.
+    coordinate jets, real-coordinate jets and the per-point jets of
+    ``_jet_at`` are built once and shared by every case, and the operator's
+    coefficient values once per k_value.  Runs inside the caller's
+    working-precision block.
     """
     if not cases:
         return []
@@ -487,11 +500,11 @@ def _worst_residual(op, cases, points, ctx):
     for tau, z in points:
         coords = coordinate_jets(space, tau, z)
         reals = real_coordinate_jets(coords, N)
-        exponentials = {}
+        per_point = {}
         here = base_values(tau, z)
         coefficients = {}
         for i, (f, k_value, lam) in enumerate(cases):
-            jet = f._jet_at(coords, reals, exponentials, ctx)
+            jet = f._jet_at(coords, reals, per_point, ctx)
             if k_value not in coefficients:
                 coefficients[k_value] = op.coefficients_at(here, k_value)
             val = apply_coefficients(coefficients[k_value], jet)

@@ -290,15 +290,6 @@ class Jet(SparseTerms):
         scalars = [mp.mpf(1) / factorial(n) for n in range(self.space.degree + 1)]
         return compose_univariate(scalars, self) * mp.exp(self.value)
 
-    def log(self) -> "Jet":
-        c = self.value
-        if c == 0:
-            raise ZeroDivisionError("log of jet with zero constant term")
-        scalars = [mp.mpc(0)] + [
-            mp.mpc(-1) ** (n + 1) / n for n in range(1, self.space.degree + 1)
-        ]
-        return compose_univariate(scalars, self * (1 / c)) + mp.log(c)
-
     def pow_scalar(self, alpha) -> "Jet":
         """(c + delta)^alpha by the generalized binomial series."""
         c = self.value

@@ -300,19 +300,25 @@ def _bessel_jet(kind: str, nu, x, order: int, ctx: PrecisionContext):
     more bits: J_3(5) at 152 bits has 201).  The derivatives come from
     Bessel's equation x^2 B'' + x B' + (+-x^2 - nu^2) B = 0, + for J and -
     for I (DLMF 10.2.1, 10.25.1), seeded with B and B' = (B_{nu-1} -+
-    B_{nu+1})/2 (DLMF 10.6.2, 10.29.2)."""
+    B_{nu+1})/2 (DLMF 10.6.2, 10.29.2).  I at an integer order m is taken
+    at |m|: I_{-n} = I_n (DLMF 10.27.1), and mpmath's besseli takes a
+    degenerate limit at a negative integer order that is 10-100 times
+    slower.  The ODE holds nu^2, so the jets at -n and n are equal."""
     if x <= 0:
         raise DomainError(f"bessel_{kind} requires x > 0")
     fn, sign = (mp.besselj, -1) if kind == "J" else (mp.besseli, 1)
     nu = to_fraction(nu)
 
+    def at(m):
+        return fn(to_mpf(abs(m) if kind == "I" and m.denominator == 1 else m), x)
+
     def problem(_):
-        return (([-nu * nu, 0, -sign], [0, 1], [0, 0, 1]), fn(to_mpf(nu), x),
-                (fn(to_mpf(nu - 1), x) + sign * fn(to_mpf(nu + 1), x)) / 2)
+        return (([-nu * nu, 0, -sign], [0, 1], [0, 0, 1]), at(nu),
+                (at(nu - 1) + sign * at(nu + 1)) / 2)
 
     with ctx.working():
         x = to_mpf(x)
-        return [+fn(to_mpf(nu), x)] + _derivatives(x, problem, order, ctx)
+        return [+at(nu)] + _derivatives(x, problem, order, ctx)
 
 
 def bessel_J(nu, x, ctx: PrecisionContext):

@@ -2,13 +2,15 @@ import hashlib
 import json
 import multiprocessing
 import os
+from fractions import Fraction
 
 import pytest
 
-from maassjacobi import cache
+from maassjacobi import cache, cli
 from maassjacobi.cli import SUITES, main, parse_rational_matrix
 from maassjacobi.fourier import theta_lmu
 from maassjacobi.lattice import GramLattice
+from maassjacobi.precision import PrecisionContext
 
 
 @pytest.fixture()
@@ -339,6 +341,64 @@ def test_parallel_jobs_match_sequential(cache_dir, capsys):
         assert code1 == code2 == 0
         assert any("error" in row for row in json.loads(out1)["table"])
         assert out2 == out1
+
+
+def _rank2_table(cmax, jobs):
+    # window 1: six rows, each a c-sum over (Z/c)^2 for c = 1..cmax
+    return ("--no-cache", "--jobs", str(jobs), "poincare", "--k", "1", "--L", "2,1;1,2",
+            "--n=-1", "--r=1,0", "--window", "1", "--cmax", str(cmax))
+
+
+def test_small_table_at_jobs_2_starts_no_pool(cache_dir, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a table below the work threshold started a pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    for request_args in [
+            ("poincare", "--k", "2", "--L", "1", "--s", "5/2", "--n", "-1",
+             "--r", "1", "--window", "1", "--cmax", "10"),
+            ("skew-poincare", "--k", "3", "--L", "1", "--n", "1", "--r", "1",
+             "--window", "2", "--cmax", "6")]:
+        code1, out1 = run(capsys, "--no-cache", *request_args)
+        code2, out2 = run(capsys, "--no-cache", "--jobs", "2", *request_args)
+        assert code1 == code2 == 0 and out2 == out1
+    code1, out1 = run(capsys, *_rank2_table(3, 1))
+    code2, out2 = run(capsys, *_rank2_table(3, 2))
+    assert code1 == code2 == 0 and out2 == out1
+
+
+def test_table_above_the_work_threshold_takes_the_pool(cache_dir, capsys, monkeypatch):
+    # the smallest cmax whose six rows visit two workers' worth of points
+    cmax = next(c for c in range(1, 100)
+                if 6 * sum(j * j for j in range(1, c + 1)) >= 2 * cli.POINTS_PER_WORKER)
+    calls = []
+
+    def rows_in_process(specs, jobs):
+        calls.append(jobs)
+        return [cli._poincare_row(spec) for spec in specs]
+
+    monkeypatch.setattr(cli, "_parallel_coeff", rows_in_process)
+    code1, out1 = run(capsys, *_rank2_table(cmax, 1))
+    assert code1 == 0 and calls == []
+    code2, out2 = run(capsys, *_rank2_table(cmax, 2))
+    assert code2 == 0 and calls == [2] and out2 == out1
+    # more jobs than the work pays for: still two workers
+    code8, out8 = run(capsys, *_rank2_table(cmax, 8))
+    assert code8 == 0 and calls == [2, 2] and out8 == out1
+    # one cmax less is below the threshold and stays in-process
+    assert run(capsys, *_rank2_table(cmax - 1, 2))[0] == 0 and calls == [2, 2]
+
+
+def test_parallel_coeff_on_a_pool_matches_the_rows_in_order():
+    # one row per (table, n', r'), the D' = 0 error rows among them
+    ctx, L = PrecisionContext(bits=128), GramLattice([[1]])
+    specs = [(False, Fraction(1), Fraction(5, 2), 2, L, -1, [1], np_, [rp], 6, ctx)
+             for np_ in (-1, 0, 1) for rp in (0, 1)]
+    specs += [(True, None, None, 3, L, 1, [1], np_, [rp], 6, ctx)
+              for np_ in (-2, 0, 2) for rp in (0, 1, 2)]
+    rows = [cli._poincare_row(spec) for spec in specs]
+    assert any("error" in row for row in rows) and any("value" in row for row in rows)
+    assert cli._parallel_coeff(specs, 2) == rows
 
 
 def test_missing_input_file_is_structured_error(cache_dir, capsys):

@@ -68,8 +68,6 @@ def test_jet_arithmetic(ctx):
         assert _max_abs(_nilpotent_part(g)) < mp.mpf("1e-35")
         p = (x * x + 2).pow_scalar(mp.mpf("0.5"))
         assert _max_abs(p * p - (x * x + 2)) < mp.mpf("1e-35")
-        lg = f.log()
-        assert _max_abs(lg - (x * y + z)) < mp.mpf("1e-33")
         # mixed partial of exp(xy + z): d^3/dx dy dz = (1 + xy) exp(..)
         d = f.derivative_at_base((1, 1, 1))
         expect = (1 + x.value * y.value) * mp.exp(x.value * y.value + z.value)
@@ -197,14 +195,14 @@ def test_jet_engine_matches_dict_oracle(ctx, sp, monkeypatch):
         series = [mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / factorial(n)
                   for n in range(sp.degree + 2)]
         alpha = mp.mpf(1) / 3
-        new = [a * b, compose_univariate(series, a), u.reciprocal(), u.exp(), u.log(),
+        new = [a * b, compose_univariate(series, a), u.reciprocal(), u.exp(),
                u.pow_scalar(alpha)]
         with monkeypatch.context() as m:
             m.setattr(Jet, "__mul__", _oracle_mul)
             m.setattr(Jet, "__rmul__", _oracle_mul)
             m.setattr(jets, "compose_univariate", _oracle_compose_univariate)
             old = [a * b, _oracle_compose_univariate(series, a), u.reciprocal(), u.exp(),
-                   u.log(), u.pow_scalar(alpha)]
+                   u.pow_scalar(alpha)]
         for x, y in zip(new, old):
             _assert_close(x, y)
         # compose: an outer jet in a space of its own, inner jets in sp
@@ -397,6 +395,18 @@ def test_bessel(ctx):
                     < mp.mpf("1e-20")
     with pytest.raises(DomainError):
         bessel_J(1, -1, ctx)
+
+
+def test_bessel_I_at_a_negative_integer_order_is_the_positive_one(ctx, monkeypatch):
+    # I_{-n} = I_n (DLMF 10.27.1) and the ODE holds nu^2, so the jets agree
+    # exactly; mpmath's slow limit at a negative integer order is never taken
+    orders, besseli = [], mp.besseli
+    monkeypatch.setattr(mp, "besseli", lambda nu, x: orders.append(nu) or besseli(nu, x))
+    for n in range(5):
+        for x in (mp.mpf("0.05"), mp.mpf("2.7")):
+            assert bessel_I(-n, x, ctx) == bessel_I(n, x, ctx)
+            assert bessel_I_jet(-n, x, 4, ctx) == bessel_I_jet(n, x, 4, ctx)
+    assert orders and min(orders) >= 0
 
 
 def test_incomplete_gamma(ctx):
