@@ -581,7 +581,7 @@ def build_classical_invariants(N: int) -> dict:
             trC = trC + adjZ[i][j] * C[j][i]
 
     AQ = linalg.mul(adjZ, linalg.mat(Q))
-    trAQ2 = linalg.trace(linalg.mul(AQ, AQ))
+    trAQ2 = linalg.trace_mul(AQ, AQ)
     PN = detZ * Q0 + trC
     if trAQ2:
         PN = PN + trAQ2.divide_exact(detZ).scale(half)

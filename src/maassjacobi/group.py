@@ -268,7 +268,7 @@ def cocycle_alpha(L, g: GroupElement, p: Point, ctx: PrecisionContext):
 def _alpha_of_a(L, a, ctx: PrecisionContext):
     """exp(2 pi i tr(L a)) for an a = a(g, p) already computed."""
     with ctx.working():
-        tr = linalg.trace(linalg.mul(_numeric(L), _numeric(a)))
+        tr = linalg.trace_mul(_numeric(L), _numeric(a))
         return mp.exp(2j * mp.pi * tr)
 
 

@@ -132,8 +132,11 @@ def quad_form(a, v):
     return _dot(v, matvec(a, v))
 
 
-def trace(a):
-    return sum((a[i][i] for i in range(len(a))), start=a[0][0] * 0)
+def trace_mul(a, b):
+    """tr(a b) from the diagonal of a b alone, each entry the ``_dot`` that
+    ``mul`` forms, summed from that entry's zero."""
+    diag = [_dot(ra, cb) for ra, cb in zip(a, transpose(b))]
+    return sum(diag, start=diag[0] * 0)
 
 
 def to_gaussian(a):

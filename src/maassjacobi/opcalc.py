@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
+from operator import add, sub
 from typing import NamedTuple
 
 from mpmath import mp
@@ -31,7 +32,7 @@ from .gaussian import I, GaussianRational
 from .group import J2, AlgebraElement, GroupElement, Point, automorphy_factor, weight_gap
 from .jets import Jet, JetSpace, coordinate_jets, real_coordinate_jets
 from .lattice import GramLattice
-from .polys import Poly, PolyRing, SparseTerms
+from .polys import Poly, PolyRing, SparseTerms, merge_terms
 from .precision import PrecisionContext, to_mpc, to_mpf
 
 _HALF = Fraction(1, 2)
@@ -81,13 +82,21 @@ class OpRing:
             self.rules.append({f"v{j}": _IHALF, f"u{j}": GaussianRational(_HALF)})
 
     def derivative(self, poly: Poly, delta) -> Poly:
-        """d^delta poly, direction 0 first, stopping at the first zero."""
+        """d^delta poly, direction 0 first, stopping at the first zero.
+
+        Each step merges rate * d/dname of every rule of the direction
+        into one dict, in the order of a sum of those terms."""
+        index = self.ring.index
         for i, d in enumerate(delta):
+            if not d:
+                continue
+            rules = [(index[name], rate) for name, rate in self.rules[i].items()]
             for _ in range(d):
                 if poly.is_zero():
                     return poly
-                poly = sum((poly.deriv(name).scale(rate)
-                            for name, rate in self.rules[i].items()), self.ring.zero())
+                poly = Poly(self.ring, merge_terms({}, (
+                    (e[:j] + (e[j] - 1,) + e[j + 1:], rate * (c * e[j]))
+                    for j, rate in rules for e, c in poly.terms.items() if e[j])))
         return poly
 
 
@@ -162,6 +171,8 @@ class DiffOp(SparseTerms):
         other = self._coerce(other)
         R = self.op_ring
         ksub = {"k": R.ring.var("k") + R.ring.const(other.shift)} if other.shift else None
+        # the terms of each output coefficient, merged in place; a key stays
+        # where it was first put even while its coefficient sums to zero
         out = {}
         # d^delta b, keyed by (exponent of b, delta): the same derivative
         # recurs for every left term whose exponent reaches delta
@@ -169,18 +180,27 @@ class DiffOp(SparseTerms):
         for ae, ap in self.terms.items():
             if ksub is not None and ap.uses("k"):
                 ap = ap.subs(ksub)
+            splits = [(gamma, tuple(map(sub, ae, gamma)), prod(map(comb, ae, gamma)))
+                      for gamma in product(*(range(a + 1) for a in ae))]
             for be, bp in other.terms.items():
-                for gamma in product(*(range(a + 1) for a in ae)):
-                    delta = tuple(a - g for a, g in zip(ae, gamma))
+                for gamma, delta, binom in splits:
                     dp = derivs.get((be, delta))
                     if dp is None:
                         dp = derivs[be, delta] = R.derivative(bp, delta)
                     if dp.is_zero():
                         continue
-                    e = tuple(g + b for g, b in zip(gamma, be))
-                    add = (ap * dp).scale(prod(map(comb, ae, gamma)))
-                    out[e] = out[e] + add if e in out else add
-        return DiffOp(R, out, self.shift + other.shift)
+                    terms = (ap * dp).terms
+                    if binom != 1:
+                        for t, c in terms.items():
+                            terms[t] = c * binom
+                    e = tuple(map(add, gamma, be))
+                    acc = out.get(e)
+                    if acc is None:
+                        out[e] = terms
+                    else:
+                        merge_terms(acc, terms.items())
+        return DiffOp(R, {e: Poly(R.ring, t) for e, t in out.items()},
+                      self.shift + other.shift)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other) - other.compose(self)
@@ -552,9 +572,9 @@ def uea_to_op(a: PBWElement, L: GramLattice) -> DiffOp:
     The slash action is a right action while the generator formulas are
     left-acting, so each PBW word maps to the composition of its letters'
     operators in reversed order.  A central letter Z_ij acts as the constant
-    calL_ij, so each noncentral word is scaled by its Z polynomial at calL;
-    the words are taken in sorted order, so each shared prefix is composed
-    once.
+    calL_ij, so each noncentral word is scaled by its Z polynomial at calL,
+    and a word whose polynomial vanishes there is never composed; the words
+    are taken in sorted order, so each shared prefix is composed once.
     """
     alg = a.alg
     if alg.N != L.N:
@@ -565,8 +585,10 @@ def uea_to_op(a: PBWElement, L: GramLattice) -> DiffOp:
                for name, op in zip(alg.names, letters) if name in alg.z_ring.index}
     scalars = {tuple(g for g, kexp in enumerate(w) for _ in range(kexp)):
                p.eval_numeric(zvalues, R.ring.const) for w, p in a.terms.items()}
-    out, prev, chain = DiffOp.zero(R), (), [DiffOp.identity(R)]
-    for word in sorted(scalars):
+    # the terms of each output coefficient, merged in place; a coefficient
+    # that sums to zero leaves, as in a sum of the scaled images
+    out, prev, chain = {}, (), [DiffOp.identity(R)]
+    for word in sorted(w for w, c in scalars.items() if c):
         # keep the images of the prefixes this word shares with the last one
         n = 0
         while n < len(prev) and prev[n] == word[n]:
@@ -575,8 +597,14 @@ def uea_to_op(a: PBWElement, L: GramLattice) -> DiffOp:
         for g in word[n:]:  # first letter acts first: compose onto the left
             chain.append(letters[g].compose(chain[-1]))
         prev = word
-        out = out + chain[-1].scale(scalars[word])
-    return out
+        for e, p in chain[-1].terms.items():
+            terms = (scalars[word] * p).terms
+            acc = out.get(e)
+            if acc is None:
+                out[e] = terms
+            elif not merge_terms(acc, terms.items()):
+                del out[e]
+    return DiffOp(R, {e: Poly(R.ring, t) for e, t in out.items()})
 
 
 def bridge_rhs(L: GramLattice) -> DiffOp:

@@ -9,6 +9,8 @@ GaussianRational coefficients.
 
 from __future__ import annotations
 
+from operator import add, sub
+
 from .errors import DivisibilityError
 from .gaussian import GaussianRational, ZERO, ONE, power
 
@@ -61,6 +63,25 @@ class SparseTerms:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+
+def merge_terms(terms: dict, pairs) -> dict:
+    """Add each (e, c) of ``pairs`` into ``terms`` in place and return it: an
+    existing key keeps its place, a zero sum is deleted, and a new key
+    stores c itself.  This is the order ``SparseTerms.__add__`` leaves, so
+    sums built either way store their terms alike."""
+    get = terms.get
+    for e, c in pairs:
+        s = get(e)
+        if s is None:
+            terms[e] = c
+        else:
+            s = s + c
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
+    return terms
 
 
 class PolyRing:
@@ -133,21 +154,16 @@ class Poly(SparseTerms):
     # -- ring operations ------------------------------------------------
 
     def __mul__(self, other):
+        """The product, with its terms in a new dict that callers may own."""
         other = self._coerce(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e)
-                if s is None:
-                    out[e] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return Poly(self.ring, out)
+        t1, t2 = self.terms, other.terms
+        # a one-term factor shifts exponents, so no two products collide
+        if len(t1) == 1 or len(t2) == 1:
+            return Poly(self.ring, {tuple(map(add, e1, e2)): c1 * c2
+                                    for e1, c1 in t1.items() for e2, c2 in t2.items()})
+        return Poly(self.ring, merge_terms({}, (
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in t1.items() for e2, c2 in t2.items())))
 
     __rmul__ = __mul__
 
@@ -159,7 +175,7 @@ class Poly(SparseTerms):
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixed polynomial rings")
             return other
         return self.ring.const(other)
@@ -191,18 +207,9 @@ class Poly(SparseTerms):
 
     def deriv(self, name: str) -> "Poly":
         i = self.ring.index[name]
-        out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            e2 = e[:i] + (k - 1,) + e[i + 1:]
-            s = out.get(e2, ZERO) + c * k
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
-        return Poly(self.ring, out)
+        return Poly(self.ring, merge_terms({}, (
+            (e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
+            for e, c in self.terms.items() if e[i])))
 
     # -- substitution / evaluation ----------------------------------------
 
@@ -256,20 +263,16 @@ class Poly(SparseTerms):
         q = {}
         while rem:
             e = max(rem, key=_grlex_key)
-            diff = tuple(a - b for a, b in zip(e, lead_e))
+            diff = tuple(map(sub, e, lead_e))
             if any(d < 0 for d in diff):
                 raise DivisibilityError(
                     f"leading term {e} not divisible by divisor leading {lead_e}"
                 )
             # each step cancels the leading term, so each diff comes once
             qc = q[diff] = rem[e] / lead_c
-            for de, dc in divisor.terms.items():
-                k = tuple(a + b for a, b in zip(diff, de))
-                s = rem.get(k, ZERO) - qc * dc
-                if s:
-                    rem[k] = s
-                else:
-                    del rem[k]
+            minus_qc = -qc
+            merge_terms(rem, ((tuple(map(add, diff, de)), minus_qc * dc)
+                              for de, dc in divisor.terms.items()))
         return Poly(self.ring, q)
 
     # -- formatting ----------------------------------------------------------

@@ -66,6 +66,8 @@ def test_verify_exit_codes(cache_dir, capsys, suite):
      "730f11508cbb72e491b43241147b4666004366e5e885b0e91ba88fd638599618"),
     (("cocycle", "--L", "2", "--samples", "5"),
      "08b60f3bed74e7c17e84d58d966bbbe1647db319d2683d39e0100b871ccead21"),
+    (("cocycle", "--L", "2,1;1,2", "--samples", "5"),
+     "2fc0849ddcaae4ea2fe2ad84e49aa7e003d15b1ce3b30d8cb39d50e514ee1893"),
 ])
 def test_verify_output_is_unchanged(cache_dir, capsys, argv, digest):
     code, out = run(capsys, "verify", *argv)

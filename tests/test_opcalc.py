@@ -2,14 +2,14 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from maassjacobi.cli import covariance_jobs
+from maassjacobi.cli import covariance_jobs, parse_rational_matrix
 from maassjacobi.enveloping import JacobiLieAlgebra, PBWElement, build_casimir, pbw_normal_order
 from maassjacobi.errors import DegreeError, DomainError
 from maassjacobi.gaussian import GaussianRational
@@ -22,6 +22,7 @@ from maassjacobi.opcalc import (
     apply_coefficients,
     base_values,
     bridge_check,
+    bridge_rhs,
     build_casimir_op,
     build_casimir_RL,
     build_D_minus,
@@ -71,6 +72,18 @@ def _random_op(R, rng, order=2):
 # -- the slow versions, kept as oracles of DiffOp.compose and uea_to_op ----------
 
 
+def _derivative_by_sums(R, poly, delta):
+    """d^delta poly as a sum of scaled polynomials, one per rule of each
+    direction, direction 0 first, stopping at the first zero."""
+    for i, d in enumerate(delta):
+        for _ in range(d):
+            if poly.is_zero():
+                return poly
+            poly = sum((poly.deriv(name).scale(rate)
+                        for name, rate in R.rules[i].items()), R.ring.zero())
+    return poly
+
+
 def _leibniz_compose(A, B):
     """A after B by the recursive Leibniz expansion: each direction in turn
     splits A's derivatives between B's coefficient and B's derivatives."""
@@ -91,7 +104,7 @@ def _leibniz_compose(A, B):
                     out[e] = add if e not in out else out[e] + add
                     return
                 for g in range(ae[i] + 1):
-                    p2 = R.derivative(poly, [0] * i + [ae[i] - g])
+                    p2 = _derivative_by_sums(R, poly, [0] * i + [ae[i] - g])
                     rec(i + 1, gamma + [g], mult * comb(ae[i], g), p2)
 
             rec(0, [], 1, bp)
@@ -114,6 +127,25 @@ def _uea_to_op_wordwise(a, L):
 def _layout(op):
     """An operator's shift and its terms in their stored order."""
     return op.shift, [(e, list(p.terms.items())) for e, p in op.terms.items()]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_derivative_matches_the_sum_of_scaled_rules(N):
+    # merged in place, the terms must keep the order of the sum
+    R = OpRing(N)
+    rng = random.Random(60 + N)
+    coords = [n for n in R.ring.names if n not in ("k", "pi")]
+    for _ in range(40):
+        # small exponents, so that the rules of one direction collide
+        poly = sum((R.ring.const(GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1)))
+                    * prod(R.ring.var(n, rng.randint(-1 if n == "y" else 0, 2))
+                           for n in rng.sample(coords, 3))
+                    for _ in range(10)), R.ring.zero())
+        delta = [0] * R.ndirs
+        for _ in range(rng.randint(1, 3)):
+            delta[rng.randrange(R.ndirs)] += 1
+        got, expect = R.derivative(poly, delta), _derivative_by_sums(R, poly, delta)
+        assert list(got.terms.items()) == list(expect.terms.items())
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -165,12 +197,40 @@ def test_uea_to_op_matches_the_wordwise_oracle_on_casimir(N):
         assert uea_to_op(omega, L) == _uea_to_op_wordwise(omega, L)
 
 
-def test_uea_to_op_composes_each_prefix_once(monkeypatch):
-    # random N=2 elements whose terms share noncentral words and carry Z letters
-    alg = JacobiLieAlgebra(2)
-    zs = alg.z_start
-    L = LATTICES[2][1]
-    rng = random.Random(17)
+# sha256 of the _layout of uea_to_op(Omega_N, L) and of bridge_rhs(L), taken
+# before uea_to_op and compose merged their coefficients in place
+@pytest.mark.parametrize("gram, uea_digest, rhs_digest", [
+    ("1", "b1a0cc2fabf485f3be6e07d83531b40e2a89d93ce03cc1ced24f8cfa0fb050a8",
+     "7c69217698796ca42d13e756434e926edf3bf6bfeefa1ad4c60a7b01bfd065dd"),
+    ("2", "bfcbe5f3f1d9429578eda0b23a60054e4fddce6fdea2ecf09911f14a4304bda6",
+     "30b1b928b16a92961f4a73f992083a78da6eff8861da8640f326ad9c439af55a"),
+    ("3", "111dae31cfb532d505f79d9e8e024a99150f8424422741c8d2daca65dc9f5bf3",
+     "a8e89c0c0edb4674403101faaec2fbef57576d9b7a5aea0f2cbd922849b327ba"),
+    ("2,1;1,2", "262a872d22299db4baad9f334622d5cfe7c5bc34fc59788e12944c0e969eedf4",
+     "e50cec3d09e11a5bd9a41c62fb0f07647542ab4324615feabed9489ca3821eeb"),
+    ("2,0;0,4", "a424ff1fc9c1df86ff4abbda02ba5e778b102aea8703549aac4e81a635f91168",
+     "743e0a01339ae142b60b8db94b6120531db9941d49e96fb77596e957de8909bf"),
+    ("1,1/2;1/2,1", "7d822deacbe829105a5b0cbf1c94e68054d74829a33e312cc27acccf0ad5862c",
+     "c2ad9dd106996e917fbf95ec228a0f5d3d485532622df5f0fbf4277abae444e7"),
+    ("2,1,0;1,2,1;0,1,2", "7870954b54ea034618535c1c11ee3392c130403c9d42239d0e6c1a04fd6ec305",
+     "8e8fe1120973821d10558019bc4aa3f98dc2d1e34263ef66b033330a21148fdc"),
+])
+def test_bridge_sides_keep_their_term_order(gram, uea_digest, rhs_digest):
+    L = GramLattice(parse_rational_matrix(gram))
+    digests = [hashlib.sha256(repr(_layout(op)).encode()).hexdigest()
+               for op in (uea_to_op(build_casimir(L.N), L), bridge_rhs(L))]
+    assert digests == [uea_digest, rhs_digest]
+
+
+def _word(exp):
+    return tuple(g for g, kexp in enumerate(exp) for _ in range(kexp))
+
+
+def _prefixes(words):
+    return {w[:n] for w in words for n in range(1, len(w) + 1)}
+
+
+def _counting_compose(monkeypatch):
     calls = []
     compose = DiffOp.compose
 
@@ -179,6 +239,19 @@ def test_uea_to_op_composes_each_prefix_once(monkeypatch):
         return compose(self, other)
 
     monkeypatch.setattr(DiffOp, "compose", counted)
+    return calls
+
+
+def test_uea_to_op_composes_each_prefix_once(monkeypatch):
+    # random N=2 elements whose terms share noncentral words and carry Z letters
+    alg = JacobiLieAlgebra(2)
+    zs = alg.z_start
+    L = LATTICES[2][1]
+    R = OpRing(2)
+    zvalues = {name: build_lie_slash(name, L).terms.get(R.zero_dexp, R.ring.zero())
+               for name in alg.names[zs:]}
+    rng = random.Random(17)
+    calls = _counting_compose(monkeypatch)
     for _ in range(3):
         terms = {}
         letters = rng.sample(range(zs), 2)
@@ -191,13 +264,39 @@ def test_uea_to_op_composes_each_prefix_once(monkeypatch):
                 terms[tuple(nc) + zexp] = GaussianRational(rng.randint(-3, 3) or 1,
                                                            rng.randint(-2, 2))
         a = PBWElement.from_flat(alg, terms)
-        words = {tuple(g for g, kexp in enumerate(e[:zs]) for _ in range(kexp))
-                 for e in terms}
-        prefixes = {w[:n] for w in words for n in range(1, len(w) + 1)}
+        # a word whose Z polynomial vanishes at calL is never composed
+        words = {_word(w) for w, p in a.terms.items()
+                 if p.eval_numeric(zvalues, R.ring.const)}
+        prefixes = _prefixes(words)
         assert len(prefixes) < sum(map(len, words))
         calls.clear()
         assert uea_to_op(a, L) == _uea_to_op_wordwise(a, L)
         assert len(calls) == len(prefixes)
+
+
+def test_uea_to_op_skips_a_word_whose_scalar_vanishes(monkeypatch):
+    # Z12 is 0 on a diagonal lattice, so the word F e1 is never composed
+    alg = JacobiLieAlgebra(2)
+    L = LATTICES[2][0]
+    gen = alg.index
+
+    def flat(*names, z=(0, 0, 0)):
+        exp = [0] * alg.z_start
+        for name in names:
+            exp[gen[name]] += 1
+        return tuple(exp) + z
+
+    terms = {flat("E", "e1", z=(1, 0, 0)): GaussianRational(2),
+             flat("E", "e2", z=(0, 0, 1)): GaussianRational(1, -1),
+             flat("F", "e1", z=(0, 1, 0)): GaussianRational(3),
+             flat("F", "e1", z=(0, 2, 1)): GaussianRational(-1)}
+    a = PBWElement.from_flat(alg, terms)
+    calls = _counting_compose(monkeypatch)
+    got = uea_to_op(a, L)
+    assert len(calls) == len(_prefixes([_word(flat("E", "e1")[:alg.z_start]),
+                                        _word(flat("E", "e2")[:alg.z_start])])) == 3
+    assert got == _uea_to_op_wordwise(a, L)
+    assert got == uea_to_op(PBWElement.from_flat(alg, dict(list(terms.items())[:2])), L)
 
 
 def test_compose_identity_and_derivation_rule():
