@@ -5,11 +5,19 @@ duality checks.
 
 A Kloosterman sum is exact integer work up to its last step: one pass over
 lambda in (Z/c)^N histograms the pairs (L[lam] + r.lam + n, r'.lam) mod c,
-each unit d relabels the bins, and the collected phases num/c index a
-cached table of the c-th roots of unity at the working precision; the
-prefactor e(-r^T L^{-1} r'/2c) is cached by its exact phase.  The
-r' and -r' sides of a symmetrized coefficient share D', so they share one
-prefactor, Whittaker profile, c-power and Bessel value per c.
+and each unit d relabels the bins into counts indexed by phase j/c.  The
+sum of the counts times e(j/c) runs over a cached table of the c-th roots
+of unity in the integer form of ``fixedpoint``, so it is exact, does not
+depend on the order of its terms, and is rounded once; the prefactor
+e(-r^T L^{-1} r'/2c) is cached by its exact phase.
+
+A c-sum does each piece of work once per call: D and D', L^{-1}(r, r') of
+each side, each c's power c^{-(N+2)/2} and Bessel value for every side,
+and the sums of equal sides (r' = -r' when r' = 0).  The r' and -r' sides
+of a symmetrized coefficient share D', and the weight-k and dual sides of
+one duality pair share |D D'|, so each shares one power and one Bessel
+value per c.  Nothing is kept between calls but the tables of roots and
+prefactors.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from operator import mul
 
 from mpmath import mp
 
+from . import fixedpoint
 from .errors import DomainError
 from .gaussian import GaussianRational
 from .lattice import GramLattice, discriminant
@@ -36,10 +45,10 @@ _PREFACTORS = 4096
 
 @lru_cache(maxsize=_ROOT_TABLES)
 def _roots_of_unity(c: int, prec: int):
-    """(e(0/c), e(1/c), ..., e((c-1)/c)) at prec bits, exactly as e_of gives
-    them at that precision."""
+    """(re, im, e): e(j/c) = (re[j] + i im[j]) 2^e for j = 0..c-1, the
+    values e_of gives at prec bits, in ``fixedpoint`` integer form."""
     with mp.workprec(prec):
-        return tuple(e_of(Fraction(j, c)) for j in range(c))
+        return fixedpoint.to_ints([e_of(Fraction(j, c)) for j in range(c)])
 
 
 @lru_cache(maxsize=_PREFACTORS)
@@ -49,54 +58,74 @@ def _root(phase: Fraction, prec: int):
         return e_of(phase)
 
 
+def _ints(v) -> tuple:
+    return tuple(int(x) for x in v)
+
+
+def _quad_terms(L: GramLattice):
+    """[(i, j, coef)] with L[lam] = sum coef lam_i lam_j over i <= j:
+    L_ii and 2 L_ij, integers on a GramLattice."""
+    return [(i, j, int((1 if i == j else 2) * L.entries[i][j]))
+            for i in range(L.N) for j in range(i, L.N)]
+
+
+def _phase_counts(c: int, terms, n: int, r, nprime: int, rprime) -> list:
+    """counts[j] = #{(d, lam) : (dbar (L[lam] + r.lam + n) + n' d - r'.lam)
+    = j mod c} over units d mod c and lam in (Z/c)^N, exactly.
+
+    The lambda part does not depend on d: one pass over (Z/c)^N histograms
+    the pairs (a, b) = (L[lam] + r.lam + n, r'.lam) mod c, and each unit d
+    adds every bin's count at the phase dbar a + n' d - b."""
+    hist = {}
+    for lam in product(range(c), repeat=len(r)):
+        q = sum([coef * lam[i] * lam[j] for i, j, coef in terms])
+        pair = ((q + sum(map(mul, r, lam)) + n) % c, sum(map(mul, rprime, lam)) % c)
+        hist[pair] = hist.get(pair, 0) + 1
+    counts = [0] * c
+    for d in range(1, c + 1):
+        if gcd(d, c) != 1:
+            continue
+        dbar = pow(d, -1, c)
+        nd = nprime * d
+        for (a, b), cnt in hist.items():
+            counts[(dbar * a + nd - b) % c] += cnt
+    return counts
+
+
+def _phase_sum(counts, c: int):
+    """sum_j counts[j] e(j/c), summed exactly over the integer roots of unity
+    at the working precision and rounded once."""
+    re, im, e = _roots_of_unity(c, mp.prec)
+    return fixedpoint.rounded([sum(map(mul, counts, re))],
+                              [sum(map(mul, counts, im))], e)[0]
+
+
+def _kloosterman_at(c: int, terms, inv_form: Fraction, n, r, nprime, rprime):
+    """K_c(n, r, n', r') at the working precision, given L's quadratic
+    terms and L^{-1}(r, r')."""
+    counts = _phase_counts(c, terms, n, r, nprime, rprime)
+    return _root(-inv_form / (2 * c), mp.prec) * _phase_sum(counts, c)
+
+
 def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
                 ctx: PrecisionContext):
     """The higher Kloosterman sum K_{c,L}(n, r, n', r').
 
     Prefactor e(-r^T L^{-1} r' / 2c) times the sum over units d mod c and
     lambda in (Z/c)^N of e((dbar L[lam] + dbar r.lam + dbar n + n' d
-    - r'.lam)/c).  The lambda part does not depend on d: one pass over
-    (Z/c)^N, in integers, histograms the pairs (a, b) = (L[lam] + r.lam + n,
-    r'.lam) mod c, and each unit d, in increasing order, adds every bin's
-    count at the phase (dbar a + n' d - b)/c.  Equal phases are collected
-    exactly, in order of first appearance, and only then weighted by the
-    cached table of c-th roots of unity at the working precision.
+    - r'.lam)/c).  The number of (d, lambda) at each phase j/c is counted
+    exactly in integers; the sum of those counts times e(j/c) is then
+    taken exactly over the integer form of the cached c-th roots of unity
+    at the working precision and rounded once, so it does not depend on
+    the order of its terms.  ``poincare_csum`` composes the same pieces,
+    once per call, for its c-range.
     """
     if c < 1:
         raise DomainError("c must be a positive integer")
-    n = int(n)
-    nprime = int(nprime)
-    r = [int(x) for x in r]
-    rprime = [int(x) for x in rprime]
-    N = L.N
-    # L[lam] = sum_i L_ii lam_i^2 + sum_{i<j} 2 L_ij lam_i lam_j; GramLattice
-    # makes these coefficients integers
-    terms = [(i, j, int((1 if i == j else 2) * L.entries[i][j]))
-             for i in range(N) for j in range(i, N)]
-
-    hist = {}
-    for lam in product(range(c), repeat=N):
-        q = sum([coef * lam[i] * lam[j] for i, j, coef in terms])
-        pair = ((q + sum(map(mul, r, lam)) + n) % c, sum(map(mul, rprime, lam)) % c)
-        hist[pair] = hist.get(pair, 0) + 1
-
-    counts = {}
-    for d in range(1, c + 1):
-        if gcd(d, c) != 1:
-            continue
-        dbar = pow(d, -1, c)
-        nd = (nprime * d) % c
-        for (a, b), cnt in hist.items():
-            num = (dbar * a + nd - b) % c
-            counts[num] = counts.get(num, 0) + cnt
-
-    pre_phase = -L.inv_form(r, rprime) / (2 * c)
+    r, rprime = _ints(r), _ints(rprime)
     with ctx.working():
-        roots = _roots_of_unity(c, mp.prec)
-        acc = mp.mpc(0)
-        for num, cnt in counts.items():
-            acc += cnt * roots[num]
-        return _root(pre_phase, mp.prec) * acc
+        return _kloosterman_at(c, _quad_terms(L), L.inv_form(r, rprime),
+                               int(n), r, int(nprime), rprime)
 
 
 def casimir_eigenvalue(k, N: int, s) -> Fraction:
@@ -158,6 +187,44 @@ def poincare_coeff_b(y, s, k, L: GramLattice, n, r, nprime, rprime,
                           include_profile=True)[0]
 
 
+def _coeff_b_discriminants(s: Fraction, L: GramLattice, n, r, nprime, rprime):
+    """(D, D') of the coefficient b(n', r') of the seed (n, r), after the
+    checks that it is defined."""
+    if s <= 1 + Fraction(L.N, 2):
+        raise DomainError("convergence requires Re(s) > 1 + N/2")
+    D = discriminant(L, n, r)
+    Dp = discriminant(L, nprime, rprime)
+    if D == 0:
+        raise DomainError("seed index must have D != 0")
+    if Dp == 0:
+        raise DomainError(
+            "D' = 0 coefficients are unsupported: the defining constant "
+            "a_s(n', r') is not specified"
+        )
+    return D, Dp
+
+
+def _coeff_b_prefactor(y, s: Fraction, k: int, L: GramLattice, D, Dp,
+                       ctx: PrecisionContext, *, include_profile: bool):
+    """The factor of b(n', r') in front of its c-sum, at the working
+    precision: the Gamma ratio, the (D'/D) power and, with
+    ``include_profile``, the y-profile."""
+    N = L.N
+    sgn = 1 if Dp > 0 else -1
+    gam = mp.gamma(to_mpf(2 * s)) / mp.gamma(
+        to_mpf(s - sgn * (Fraction(k, 2) - Fraction(N, 4)))
+    )
+    pref = (_prefactor(L, -k) * gam
+            * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4)))
+    if include_profile:
+        yv = to_mpf(y)
+        arg = mp.pi * to_mpf(Dp / L.det) * yv
+        pref *= mp.exp(arg / 2) * whittaker_W_renorm(
+            s, Fraction(k) - Fraction(N, 2), arg, ctx
+        )
+    return pref
+
+
 def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprimes, c_max: int,
                    ctx: PrecisionContext, *, include_profile: bool):
     """poincare_coeff_b at (n', r') for each r' of rprimes, which share D'
@@ -166,79 +233,87 @@ def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprimes, c_max: int,
     profile-stripped ones that the duality statements concern."""
     k = int(k)
     s = Fraction(s)
-    N = L.N
-    if s <= 1 + Fraction(N, 2):
-        raise DomainError("convergence requires Re(s) > 1 + N/2")
-    D = discriminant(L, n, r)
-    Dp = discriminant(L, nprime, rprimes[0])
-    if D == 0:
-        raise DomainError("seed index must have D != 0")
-    if Dp == 0:
-        raise DomainError(
-            "D' = 0 coefficients are unsupported: the defining constant "
-            "a_s(n', r') is not specified"
-        )
-
+    D, Dp = _coeff_b_discriminants(s, L, n, r, nprime, rprimes[0])
     with ctx.working():
         if _empty_c_sum(c_max):
             return [(mp.mpc(0), mp.mpf(0)) for _ in rprimes]
-        sgn = 1 if Dp > 0 else -1
-        gam = mp.gamma(to_mpf(2 * s)) / mp.gamma(
-            to_mpf(s - sgn * (Fraction(k, 2) - Fraction(N, 4)))
-        )
-        pref = (_prefactor(L, -k) * gam
-                * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4)))
-        if include_profile:
-            yv = to_mpf(y)
-            arg = mp.pi * to_mpf(Dp / L.det) * yv
-            pref *= mp.exp(arg / 2) * whittaker_W_renorm(
-                s, Fraction(k) - Fraction(N, 2), arg, ctx
-            )
-        sides = poincare_csum(s, L, n, r, nprime, rprimes, 1, c_max, ctx)
+        pref = _coeff_b_prefactor(y, s, k, L, D, Dp, ctx,
+                                  include_profile=include_profile)
+        sides = poincare_csum(s, L, n, r, nprime, rprimes, 1, c_max, ctx,
+                              discriminants=(D, Dp))
         return [(pref * acc, last / abs(acc) if acc != 0 else mp.mpf(0))
                 for acc, last in sides]
 
 
 def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
-                  c_lo: int, c_hi: int, ctx: PrecisionContext):
+                  c_lo: int, c_hi: int, ctx: PrecisionContext, *,
+                  dual=(), discriminants=None):
     """Partial sums over c in [c_lo, c_hi] of c^{-(N+2)/2} K_c Bessel(..),
-    one for each r' of rprimes.
+    one for each r' of rprimes, then one for each r_i of ``dual``.
 
     The r' must share D' (as r' and -r' do), so each c has one power and
-    one Bessel value for all of them.  Returns [(sum, |last term|)] in the
-    order of rprimes, each summed in c-order.  J is used when D D' > 0 and
-    I otherwise; the skew-holomorphic coefficients use it at
-    s = (2k - N)/4.
+    one Bessel value for all of them.  A dual side r_i, which must share D
+    with r, sums K_c(n', r'_0, n, r_i) instead: the c-sum of the seed
+    (n', r'_0) at (n, r_i), which the weight N+2-k side of a duality pair
+    takes.  Its |D D'| is the same, so it shares the power and the Bessel
+    value too.  ``discriminants`` is (D, D') when the caller has them
+    (and has checked that its sides share them).  Returns [(sum, |last
+    term|)] in that order, each summed in c-order and each term
+    ``w * K * bv`` with K as ``kloosterman`` gives it; equal sides are
+    summed once.  J is used when D D' > 0 and I otherwise; the
+    skew-holomorphic coefficients use it at s = (2k - N)/4.
     """
     s = Fraction(s)
     N = L.N
-    D = discriminant(L, n, r)
-    Dp = discriminant(L, nprime, rprimes[0])
-    if any(discriminant(L, nprime, rp) != Dp for rp in rprimes):
-        raise DomainError("the r' sides of one c-sum must share D'")
+    if discriminants is None:
+        D, Dp = discriminant(L, n, r), discriminant(L, nprime, rprimes[0])
+        if any(discriminant(L, nprime, rp) != Dp for rp in rprimes):
+            raise DomainError("the r' sides of one c-sum must share D'")
+        if any(discriminant(L, n, ri) != D for ri in dual):
+            raise DomainError("the dual sides of one c-sum must share D")
+    else:
+        D, Dp = discriminants
+    if c_lo < 1 <= c_hi:
+        raise DomainError("c must be a positive integer")
+    n, nprime = int(n), int(nprime)
+    keys = ([(n, _ints(r), nprime, _ints(rp)) for rp in rprimes]
+            + [(nprime, _ints(rprimes[0]), n, _ints(ri)) for ri in dual])
+    sides = list(dict.fromkeys(keys))
+    forms = [L.inv_form(ra, rb) for _, ra, _, rb in sides]
+    terms = _quad_terms(L)
     with ctx.working():
         bessel = bessel_J if D * Dp > 0 else bessel_I
         xbase = mp.pi * mp.sqrt(abs(to_mpf(Dp * D))) / to_mpf(L.det)
-        accs = [mp.mpc(0)] * len(rprimes)
-        lasts = [mp.mpf(0)] * len(rprimes)
+        accs = [mp.mpc(0)] * len(sides)
+        lasts = [mp.mpf(0)] * len(sides)
         for c in range(c_lo, c_hi + 1):
             w = mp.power(c, -mp.mpf(N + 2) / 2)
             bv = bessel(2 * s - 1, xbase / c, ctx)
-            for i, rp in enumerate(rprimes):
-                term = w * kloosterman(c, L, n, r, nprime, rp, ctx) * bv
+            for i, (a, ra, b, rb) in enumerate(sides):
+                term = w * _kloosterman_at(c, terms, forms[i], a, ra, b, rb) * bv
                 accs[i] += term
                 lasts[i] = abs(term)
-        return list(zip(accs, lasts))
+        sums = dict(zip(sides, zip(accs, lasts)))
+        return [sums[key] for key in keys]
+
+
+def _symmetrized(b1, b2, k, ctx: PrecisionContext):
+    """b1 + (-1)^k b2 at the working precision, or an exact zero where the
+    two sides cancel, |b1 + (-1)^k b2| <= eps (|b1| + |b2|): what is left
+    there is rounding residue, not a coefficient."""
+    v = b1 + (-1) ** int(k) * b2
+    return mp.mpc(0) if abs(v) <= ctx.eps * (abs(b1) + abs(b2)) else v
 
 
 def full_coeff_c(y, s, k, L: GramLattice, n, r, nprime, rprime, c_max: int,
                  ctx: PrecisionContext):
-    """b(n', r') + (-1)^k b(n', -r'), the symmetrized coefficient."""
+    """b(n', r') + (-1)^k b(n', -r'), the symmetrized coefficient; an exact
+    zero where the two sides cancel (``_symmetrized``)."""
     (b1, t1), (b2, t2) = _coeff_b_sides(
         y, s, k, L, n, r, nprime, [rprime, [-x for x in rprime]], c_max, ctx,
         include_profile=True)
     with ctx.working():
-        return b1 + (-1) ** int(k) * b2, max(t1, t2)
+        return _symmetrized(b1, b2, k, ctx), max(t1, t2)
 
 
 def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
@@ -247,7 +322,8 @@ def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
     """Fourier coefficient of the skew-holomorphic Poincare series.
 
     Requires k >= 3 and D, D' > 0; note the -r' inside the Kloosterman sum.
-    The symmetrized value adds (-1)^k times the side at -r'.
+    The symmetrized value adds (-1)^k times the side at -r', and is an
+    exact zero where the two sides cancel (``_symmetrized``).
     """
     k = int(k)
     N = L.N
@@ -265,11 +341,11 @@ def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
         # at s = (2k - N)/4 the c-sum's J_{2s-1} is J_{k-(N+2)/2}
         sides = [[-x for x in rprime]] + ([rprime] if symmetrized else [])
         sums = poincare_csum(Fraction(2 * k - N, 4), L, n, r, nprime, sides,
-                             1, c_max, ctx)
+                             1, c_max, ctx, discriminants=(D, Dp))
         b = pref * sums[0][0]
         if not symmetrized:
             return b
-        return b + (-1) ** k * (pref * sums[1][0])
+        return _symmetrized(b, pref * sums[1][0], k, ctx)
 
 
 def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
@@ -282,12 +358,15 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
     two tables agree; for odd N the (-1)^k symmetrization flips sign on the
     dual side (and with |L| = 1 the odd-weight side vanishes identically),
     so the c-table may be degenerate and is never asserted.  A c-ratio is
-    None where either side's two terms cancel to within eps of their sizes,
-    so rounding noise is never reported as a ratio.  Ratios are reported,
-    not asserted.
+    None where either side's two terms cancel (``_symmetrized``), so
+    rounding noise is never reported as a ratio.  Ratios are reported, not
+    asserted.  The two sides of a pair have the same |D D'|, so one c-sum
+    pass serves both.
     """
     N = L.N
-    kd = N + 2 - int(k)
+    k = int(k)
+    kd = N + 2 - k
+    s = Fraction(s)
 
     def _stats(ratios):
         clean = [x for x in ratios if x is not None]
@@ -300,23 +379,26 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
     ratios_b, ratios_c = [], []
     with ctx.working():
         for (n, r), (npd, rpd) in index_pairs:
-            (bA, _), (bA_neg, _) = _coeff_b_sides(
-                1, s, k, L, n, r, npd, [rpd, [-x for x in rpd]], c_max, ctx,
-                include_profile=False)
-            (bB, _), (bB_neg, _) = _coeff_b_sides(
-                1, s, kd, L, npd, rpd, n, [r, [-x for x in r]], c_max, ctx,
-                include_profile=False)
+            D, Dp = _coeff_b_discriminants(s, L, n, r, npd, rpd)
+            if _empty_c_sum(c_max):
+                sums = [(mp.mpc(0), None)] * 4
+            else:
+                sums = poincare_csum(s, L, n, r, npd, [rpd, [-x for x in rpd]],
+                                     1, c_max, ctx, dual=[r, [-x for x in r]],
+                                     discriminants=(D, Dp))
+            prefA = _coeff_b_prefactor(1, s, k, L, D, Dp, ctx, include_profile=False)
+            prefB = _coeff_b_prefactor(1, s, kd, L, Dp, D, ctx, include_profile=False)
+            bA, bA_neg, bB, bB_neg = (pref * acc for pref, (acc, _) in
+                                      zip((prefA, prefA, prefB, prefB), sums))
             ratios_b.append(bA / bB if abs(bB) > ctx.eps else None)
             # the symmetrized c of full_coeff_c, from the same four b
-            cA = bA + (-1) ** int(k) * bA_neg
-            cB = bB + (-1) ** kd * bB_neg
-            cancelled = (abs(cA) <= ctx.eps * (abs(bA) + abs(bA_neg))
-                         or abs(cB) <= ctx.eps * (abs(bB) + abs(bB_neg)))
-            ratios_c.append(None if cancelled else cA / cB)
+            cA = _symmetrized(bA, bA_neg, k, ctx)
+            cB = _symmetrized(bB, bB_neg, kd, ctx)
+            ratios_c.append(None if cA == 0 or cB == 0 else cA / cB)
         mean_b, spread_b = _stats(ratios_b)
         mean_c, spread_c = _stats(ratios_c)
     return {
-        "k": int(k), "k_dual": kd, "c_max": c_max,
+        "k": k, "k_dual": kd, "c_max": c_max,
         "b_ratios": ratios_b, "b_mean": mean_b, "b_relative_spread": spread_b,
         "c_ratios": ratios_c, "c_mean": mean_c, "c_relative_spread": spread_c,
     }

@@ -68,10 +68,50 @@ def test_verify_exit_codes(cache_dir, capsys, suite):
      "08b60f3bed74e7c17e84d58d966bbbe1647db319d2683d39e0100b871ccead21"),
     (("cocycle", "--L", "2,1;1,2", "--samples", "5"),
      "2fc0849ddcaae4ea2fe2ad84e49aa7e003d15b1ce3b30d8cb39d50e514ee1893"),
+    (("duality", "--L", "2", "--cmax", "4"),
+     "2bd902c70e668c9b745ccf7c31f6b8213756ed05d4c6200ed5316a0f2f01d470"),
 ])
 def test_verify_output_is_unchanged(cache_dir, capsys, argv, digest):
     code, out = run(capsys, "verify", *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the stdout, computed since each Kloosterman phase sum is exact
+# and rounded once and cancelled symmetrized coefficients print 0
+@pytest.mark.parametrize("argv, digest", [
+    (("poincare", "--k", "1", "--L", "1", "--s", "5/2", "--n=-1", "--r=-1",
+      "--window", "1", "--cmax", "8"),
+     "f3ffa98e285d98a24bcd5ee757cfef5e0cc391a05a860f516ca4002085335977"),
+    (("poincare", "--k", "1", "--L", "2,1;1,2", "--s", "5/2", "--n=-1", "--r=1,0",
+      "--window", "1", "--cmax", "3"),
+     "0533d9d593ccaf436c1cb43369e404cffe1ad18b13037f865bce03f917092ce4"),
+    (("skew-poincare", "--k", "3", "--L", "1", "--n=1", "--r=1", "--window", "2",
+      "--cmax", "6"),
+     "f867951fb7a85d82fc7b49f9ae40c1e7505a03652262d8ac6f4d8c238df8c5d6"),
+    (("skew-poincare", "--k", "3", "--L", "2,1;1,2", "--n=1", "--r=1,0",
+      "--window", "1", "--cmax", "3"),
+     "b7510ef7f4162114654a96e7e71484dd2420b63021532ec6a3d50b0962bdf622"),
+    (("kloosterman", "--c=1:12", "--L", "1", "--n=1", "--r=1", "--nprime=0",
+      "--rprime=1"),
+     "51ea03b4e3a430e8421e839cec97058f605110c9ab52b480c11ae686194511f5"),
+    (("kloosterman", "--c=1:6", "--L", "2,1;1,2", "--n=1", "--r=1,0", "--nprime=2",
+      "--rprime=0,1"),
+     "e5e4cd6aa6f7ea33b4743936aef05730993d29b30b4ce355011f3a8481f305ef"),
+])
+def test_series_output_is_unchanged(cache_dir, capsys, argv, digest):
+    code, out = run(capsys, *argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cancelled_poincare_row_prints_zero(cache_dir, capsys):
+    # at odd k on |L| = 1 the two sides b(n', r'), b(n', -r') cancel; the
+    # row (n', r') = (-1, [1]) printed about (-5.2e-53, -3.3e-52), its
+    # rounding residue, and now prints an exact zero
+    code, out = run(capsys, "poincare", "--k", "1", "--L", "1", "--s", "5/2",
+                    "--n=-1", "--r=-1", "--window", "1", "--cmax", "8")
+    row = next(row for row in json.loads(out)["table"]
+               if row["nprime"] == -1 and row["rprime"] == [1])
+    assert code == 0 and row["value"] == ["0.0", "0.0"]
 
 
 def test_eigen_at_rank_2_is_the_known_pole_error(cache_dir, capsys):

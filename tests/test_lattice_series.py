@@ -16,7 +16,8 @@ from maassjacobi.lattice import (
     enumerate_shifted,
     h_of_r,
 )
-from maassjacobi.precision import PrecisionContext, e_of
+from maassjacobi.precision import PrecisionContext, e_of, to_fraction, to_mpf
+from maassjacobi.specfun import bessel_I, bessel_J
 from maassjacobi.series import (
     _coeff_b_sides,
     casimir_eigenvalue,
@@ -125,10 +126,11 @@ def test_integer_forms_of_the_inverse_match_fractions(entries, n, u, v):
         L.inv, tuple(Fraction(x) for x in v)))
 
 
-def _kloosterman_oracle(c, L, n, r, nprime, rprime, ctx):
+def _kloosterman_oracle(c, L, n, r, nprime, rprime, ctx, reverse=False):
     """The definitional double sum over units d, then lambda in (Z/c)^N, with
-    L[lam] in Fractions and one e_of per distinct phase, collected in order
-    of first appearance."""
+    L[lam] in Fractions and one e_of per distinct phase: the counts times
+    those roots are summed exactly in Fractions, in order of first
+    appearance (or the reverse), and rounded once."""
     counts = {}
     for d in range(1, c + 1):
         if gcd(d, c) != 1:
@@ -140,11 +142,16 @@ def _kloosterman_oracle(c, L, n, r, nprime, rprime, ctx):
                    + nprime * d - sum(a * b for a, b in zip(rprime, lam))) % c
             counts[num] = counts.get(num, 0) + 1
     pre_phase = -Fraction(sum(a * b for a, b in zip(r, _inv_apply_fractions(L, rprime)))) / (2 * c)
+    items = list(counts.items())
+    if reverse:
+        items.reverse()
     with ctx.working():
-        acc = mp.mpc(0)
-        for num, cnt in counts.items():
-            acc += cnt * e_of(Fraction(num, c))
-        return e_of(pre_phase) * acc
+        re = im = Fraction(0)
+        for num, cnt in items:
+            root = e_of(Fraction(num, c))
+            re += cnt * to_fraction(root.real)
+            im += cnt * to_fraction(root.imag)
+        return e_of(pre_phase) * mp.mpc(to_mpf(re), to_mpf(im))
 
 
 def test_kloosterman_matches_oracle_exactly():
@@ -166,6 +173,22 @@ def test_kloosterman_matches_oracle_exactly():
         ctx = PrecisionContext(bits=bits)
         for case in cases:
             assert kloosterman(*case, ctx) == _kloosterman_oracle(*case, ctx), (bits, case)
+
+
+def test_kloosterman_does_not_depend_on_the_order_of_its_counts():
+    # the exact phase sum is rounded once, so the counts summed in reverse
+    # order of first appearance give the same bits
+    rng = random.Random(12)
+    ctx = PrecisionContext(bits=128)
+    for entries in ([[1]], [[2]], [[2, 1], [1, 2]], [[2, 0], [0, 4]]):
+        L = GramLattice(entries)
+        for _ in range(6):
+            case = (rng.randint(2, 12 if L.N == 1 else 6), L,
+                    rng.randint(-4, 4), [rng.randint(-3, 3) for _ in range(L.N)],
+                    rng.randint(-4, 4), [rng.randint(-3, 3) for _ in range(L.N)])
+            k = kloosterman(*case, ctx)
+            assert k == _kloosterman_oracle(*case, ctx, reverse=True), case
+            assert k == _kloosterman_oracle(*case, ctx), case
 
 
 _MAX_C = {1: 24, 2: 12, 3: 8}
@@ -214,6 +237,13 @@ def test_casimir_eigenvalue_values():
         assert casimir_eigenvalue(k, N, s) == casimir_eigenvalue(k, N, 1 - s)
 
 
+def _symmetrized_oracle(b1, b2, k, ctx):
+    """b1 + (-1)^k b2, or 0 where the two sides cancel to within eps of
+    their sizes."""
+    v = b1 + (-1) ** k * b2
+    return 0 if abs(v) <= ctx.eps * (abs(b1) + abs(b2)) else v
+
+
 def test_poincare_coeff_basics(ctx):
     L = GramLattice([[1]])
     s = Fraction(5, 2)
@@ -238,7 +268,7 @@ def test_poincare_coeff_basics(ctx):
             b1, _ = poincare_coeff_b(1, s, k, L, n, r, np_, rp, 3, ctx)
             b2, _ = poincare_coeff_b(1, s, k, L, n, r, np_, [-rp[0]], 3, ctx)
             cc, _ = full_coeff_c(1, s, k, L, n, r, np_, rp, 3, ctx)
-            assert cc == b1 + (-1) ** k * b2
+            assert cc == _symmetrized_oracle(b1, b2, k, ctx)
     # the two sides are combined at the working precision, not the ambient one
     cc, _ = full_coeff_c(1, s, 1, L, -1, [1], -1, [2], 3, ctx)
     with ctx.working():
@@ -276,16 +306,114 @@ def test_bessel_kind_dispatch(ctx):
         poincare_csum(s, L, -1, [1], -1, [[0], [1]], 1, 2, ctx)  # D' differs
 
 
+def _csum_oracle(s, L, n, r, nprime, rprimes, c_lo, c_hi, ctx, dual=()):
+    """Each side's own loop sum_c w * kloosterman(c, ...) * bv, with every
+    K from the public function: the r' sides at the seed (n, r), then the
+    dual sides K_c(n', r'_0, n, r_i)."""
+    s = Fraction(s)
+    D, Dp = discriminant(L, n, r), discriminant(L, nprime, rprimes[0])
+    problems = ([(n, r, nprime, rp) for rp in rprimes]
+                + [(nprime, rprimes[0], n, ri) for ri in dual])
+    out = []
+    with ctx.working():
+        bessel = bessel_J if D * Dp > 0 else bessel_I
+        xbase = mp.pi * mp.sqrt(abs(to_mpf(Dp * D))) / to_mpf(L.det)
+        for a, ra, b, rb in problems:
+            acc, last = mp.mpc(0), mp.mpf(0)
+            for c in range(c_lo, c_hi + 1):
+                w = mp.power(c, -mp.mpf(L.N + 2) / 2)
+                term = w * kloosterman(c, L, a, ra, b, rb, ctx) * bessel(
+                    2 * s - 1, xbase / c, ctx)
+                acc += term
+                last = abs(term)
+            out.append((acc, last))
+    return out
+
+
+@pytest.mark.parametrize("entries, n, r, nprime, rprimes, c_lo, c_hi, dual", [
+    ([[1]], -1, [1], -1, [[0], [0]], 1, 8, ()),              # r' = 0, J
+    ([[1]], -1, [1], 1, [[0]], 1, 8, ()),                    # I
+    ([[1]], -1, [1], -2, [[1], [-1]], 2, 9, ()),             # +-r', from c = 2
+    ([[1]], -1, [1], 1, [[1], [-1]], 1, 6, ([1], [-1])),    # dual sides, I
+    ([[2, 1], [1, 2]], 0, [1, 0], -1, [[1, 1], [-1, -1]], 1, 4, ([1, 0], [-1, 0])),
+    ([[2, 0], [0, 4]], -1, [0, 0], 0, [[1, 0], [-1, 0]], 1, 4, ([0, 0], [0, 0])),
+    ([[1, Fraction(1, 2)], [Fraction(1, 2), 1]], 1, [1, 0], 1, [[0, 1], [0, -1]], 1, 3, ()),
+])
+def test_poincare_csum_matches_the_per_side_loop(ctx, entries, n, r, nprime, rprimes,
+                                                 c_lo, c_hi, dual):
+    # the c-sum, with its power, Bessel value and equal sides shared, equals
+    # the per-side loop over the public Kloosterman sum bit for bit
+    from maassjacobi.series import poincare_csum
+
+    L = GramLattice(entries)
+    s = Fraction(5, 2)
+    got = poincare_csum(s, L, n, r, nprime, rprimes, c_lo, c_hi, ctx, dual=dual)
+    assert got == _csum_oracle(s, L, n, r, nprime, rprimes, c_lo, c_hi, ctx, dual)
+    D, Dp = discriminant(L, n, r), discriminant(L, nprime, rprimes[0])
+    assert got == poincare_csum(s, L, n, r, nprime, rprimes, c_lo, c_hi, ctx,
+                                dual=dual, discriminants=(D, Dp))
+    with pytest.raises(DomainError):
+        poincare_csum(s, L, n, r, nprime, rprimes, 0, c_hi, ctx, dual=dual)
+
+
+def test_poincare_csum_rejects_sides_of_another_discriminant(ctx):
+    from maassjacobi.series import poincare_csum
+
+    L = GramLattice([[1]])
+    s = Fraction(5, 2)
+    with pytest.raises(DomainError):
+        poincare_csum(s, L, -1, [1], -1, [[0], [1]], 1, 2, ctx)   # D' differs
+    with pytest.raises(DomainError):
+        poincare_csum(s, L, -1, [1], -1, [[0]], 1, 2, ctx, dual=[[0]])  # D differs
+
+
+def test_duality_report_takes_one_bessel_value_per_pair_and_c(ctx, monkeypatch):
+    # the weight-k and the dual side of a pair share |D D'|, so they share
+    # each c's Bessel value: c_max calls per pair, in either regime
+    from maassjacobi import series
+
+    calls = []
+    for name in ("bessel_J", "bessel_I"):
+        original = getattr(series, name)
+
+        def counted(nu, x, ctx, _original=original, _name=name):
+            calls.append(_name)
+            return _original(nu, x, ctx)
+        monkeypatch.setattr(series, name, counted)
+    L = GramLattice([[1]])
+    pairs = [((0, [1]), (-1, [0])), ((0, [1]), (-1, [1])),   # D, D' < 0: J
+             ((-1, [0]), (1, [1])), ((-1, [1]), (1, [0]))]   # D < 0 < D': I
+    duality_report(Fraction(5, 2), 1, L, pairs, 5, ctx)
+    assert calls.count("bessel_J") == 2 * 5 and calls.count("bessel_I") == 2 * 5
+
+
+def test_cancelled_symmetrized_coefficient_is_an_exact_zero(ctx):
+    # poincare --k 1 --L 1 --s 5/2 --n=-1 --r=-1 at (n', r') = (-1, [1]),
+    # c_max 8: two sides of about 5.9e-7 i whose difference is rounding
+    # residue; the coefficient is an exact zero, and its tail ratio stays
+    L = GramLattice([[1]])
+    s = Fraction(5, 2)
+    b1, t1 = poincare_coeff_b(1, s, 1, L, -1, [-1], -1, [1], 8, ctx)
+    b2, t2 = poincare_coeff_b(1, s, 1, L, -1, [-1], -1, [-1], 8, ctx)
+    with ctx.working():
+        assert mp.mpf("5e-7") < abs(b1) < mp.mpf("7e-7")
+        assert abs(b1 - b2) <= ctx.eps * (abs(b1) + abs(b2))
+    c, tail = full_coeff_c(1, s, 1, L, -1, [-1], -1, [1], 8, ctx)
+    assert c == 0 and tail == max(t1, t2)
+
+
 def test_skew_poincare(ctx):
     L = GramLattice([[1]])
     with ctx.working():
         assert skew_poincare_coeff(3, L, 1, [1], 1, [0], 0, ctx) == 0
-        v = skew_poincare_coeff(3, L, 1, [1], 2, [1], 6, ctx)
-        assert abs(v) > 0
-        # symmetrization sign
-        b1 = skew_poincare_coeff(3, L, 1, [1], 2, [1], 6, ctx, symmetrized=False)
-        b2 = skew_poincare_coeff(3, L, 1, [1], 2, [-1], 6, ctx, symmetrized=False)
-        assert v == b1 + (-1) ** 3 * b2
+        # symmetrization sign: at k = 4 the two sides add; at odd k and
+        # |L| = 1 they cancel, and what is left is returned as an exact zero
+        for k in (4, 3):
+            v = skew_poincare_coeff(k, L, 1, [1], 2, [1], 6, ctx)
+            b1 = skew_poincare_coeff(k, L, 1, [1], 2, [1], 6, ctx, symmetrized=False)
+            b2 = skew_poincare_coeff(k, L, 1, [1], 2, [-1], 6, ctx, symmetrized=False)
+            assert abs(b1) > 0 and v == _symmetrized_oracle(b1, b2, k, ctx)
+            assert (v == 0) == (k == 3)
     # oracle: the displayed one-sided coefficient, prefactor times
     # sum_c c^{-(N+2)/2} K_c(n, r, n', -r') J_{k-(N+2)/2}(x/c), evaluated
     # in the same operation order, so the match is exact
@@ -318,7 +446,7 @@ def test_skew_poincare(ctx):
             mirror = skew_poincare_coeff(k, L, n, r, np_, [-x for x in rp], c_max,
                                          ctx, symmetrized=False)
             assert skew_poincare_coeff(k, L, n, r, np_, rp, c_max, ctx) == (
-                got + (-1) ** k * mirror)
+                _symmetrized_oracle(got, mirror, k, ctx))
     L = GramLattice([[1]])
     with pytest.raises(DomainError):
         skew_poincare_coeff(2, L, 1, [1], 1, [0], 4, ctx)   # k < 3
