@@ -336,15 +336,7 @@ def suite_duality(L, ctx, samples, s=Fraction(5, 2), c_max=50):
     checks = []
     reports = {}
     for regime, pool_b in (("D,D'<0", neg), ("D<0<D'", pos)):
-        pairs = []
-        for a in neg[:3]:
-            for b in pool_b:
-                if a != b:
-                    pairs.append((a, b))
-                if len(pairs) >= 5:
-                    break
-            if len(pairs) >= 5:
-                break
+        pairs = [(a, b) for a in neg[:3] for b in pool_b if a != b][:5]
         rep = duality_report(s, k, L, pairs, c_max, ctx)
         with ctx.working():
             reports[regime] = {

@@ -52,7 +52,7 @@ class FourierIndex(NamedTuple):
 #   E           {"nu": int, "h": [rationals]}        E((nu + h.v/y) sqrt(2y))
 
 
-def _profile_jet(tag: str, params: dict, reals: dict, N: int, order: int,
+def _profile_jet(tag: str, params: dict, reals: dict, order: int,
                  ctx: PrecisionContext, per_point: dict) -> Jet:
     y = reals["y"]
 
@@ -103,7 +103,7 @@ def _profile_jet(tag: str, params: dict, reals: dict, N: int, order: int,
     raise DomainError(f"unknown profile tag {tag!r}")
 
 
-def _index_exponential_jet(index: FourierIndex, coords: dict, N: int) -> Jet:
+def _index_exponential_jet(index: FourierIndex, coords: dict) -> Jet:
     expo = coords["tau"] * to_mpc(index.n)
     for j, rj in enumerate(index.r, start=1):
         if rj:
@@ -162,14 +162,13 @@ class FourierExpansion:
         real-coordinate jets are ``reals``; ``per_point`` caches jets that
         depend only on this base point: e(n tau + r.z) by index, and the
         profiles' pi c y and exp(pi c y) by c."""
-        N = self.lattice.N
         space = coords["tau"].space
         acc = Jet.const(space, 0)
         for index, (tag, params, coeff) in self.terms.items():
-            pj = _profile_jet(tag, params, reals, N, space.degree, ctx, per_point)
+            pj = _profile_jet(tag, params, reals, space.degree, ctx, per_point)
             qz = per_point.get(index)
             if qz is None:
-                qz = per_point[index] = _index_exponential_jet(index, coords, N)
+                qz = per_point[index] = _index_exponential_jet(index, coords)
             acc = acc + pj * qz * to_mpc(coeff)
         return acc
 
@@ -345,18 +344,14 @@ def residue_reduce(L: GramLattice, r):
 
 
 def residue_classes(L: GramLattice):
-    """All |L| residue classes of Z^N mod L Z^N, canonically reduced."""
+    """All |L| residue classes of Z^N mod L Z^N, canonically reduced: the
+    box of the Hermite normal form's diagonal, whose points are already the
+    reduced representatives, one per class."""
     from itertools import product as _product
 
     _require_integral(L, "residue classes")
     H = _column_hnf(L.entries)
-    boxes = [range(H[i][i]) for i in range(L.N)]
-    seen = []
-    for tup in _product(*boxes):
-        rep = residue_reduce(L, list(tup))
-        if rep not in seen:
-            seen.append(rep)
-    return seen
+    return list(_product(*(range(H[i][i]) for i in range(L.N))))
 
 
 def _component_key(L: GramLattice, index: FourierIndex):

@@ -279,13 +279,6 @@ class Jet(SparseTerms):
         scalars = [mp.mpc(-1) ** n for n in range(self.space.degree + 1)]
         return compose_univariate(scalars, self * inv) * inv
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.reciprocal()
-
     def exp(self) -> "Jet":
         scalars = [mp.mpf(1) / factorial(n) for n in range(self.space.degree + 1)]
         return compose_univariate(scalars, self) * mp.exp(self.value)

@@ -10,7 +10,7 @@ pivots.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, isqrt, lcm
+from math import ceil, floor, isqrt, lcm, prod
 from operator import mul
 
 from . import linalg
@@ -37,21 +37,15 @@ class GramLattice:
             if rows[i][i].denominator != 1:
                 raise DomainError("diagonal entries must be integers")
         m = linalg.mat(rows)
-        for k, minor in enumerate(linalg.leading_principal_minors(m)):
-            if minor <= 0:
-                raise DomainError(
-                    f"leading principal minor {k + 1} is not positive; "
-                    "lattice must be positive definite"
-                )
+        self._ldl = linalg.ldl(m)
         self.N = N
         self.entries = m
-        self.det = linalg.det(m)
+        self.det = prod(self._ldl[1])
         self.inv = linalg.inverse(m)
         # L^{-1} = A / d with A an integer matrix
         d = lcm(*(x.denominator for row in self.inv for x in row))
         self._inv_int = (tuple(tuple(x.numerator * (d // x.denominator) for x in row)
                                for row in self.inv), d)
-        self._ldl = linalg.ldl(m)
 
     def __eq__(self, other):
         return isinstance(other, GramLattice) and self.entries == other.entries
@@ -59,14 +53,22 @@ class GramLattice:
     def __hash__(self):
         return hash(self.entries)
 
+    def _of_rank(self, v):
+        """v itself, after checking that it has N entries: every method
+        that takes a vector checks it here."""
+        if len(v) != self.N:
+            raise DomainError(f"a vector of {len(v)} entries on a lattice of rank {self.N}")
+        return v
+
     def quad(self, v) -> Fraction:
         """L[v] = v^T L v."""
-        return linalg.quad_form(self.entries, tuple(Fraction(x) for x in v))
+        return linalg.quad_form(self.entries, tuple(Fraction(x) for x in self._of_rank(v)))
 
     def _inv_form_int(self, u, v):
         """(num, den) with u^T L^{-1} v = num / den, both integers, den > 0."""
         A, d = self._inv_int
-        (u, e), (v, f) = _over_one_denominator(u), _over_one_denominator(v)
+        (u, e), (v, f) = (_over_one_denominator(self._of_rank(u)),
+                          _over_one_denominator(self._of_rank(v)))
         return sum(x * sum(map(mul, row, v)) for x, row in zip(u, A)), d * e * f
 
     def inv_form(self, u, v) -> Fraction:
@@ -79,12 +81,12 @@ class GramLattice:
 
     def apply(self, v):
         """L v as a tuple of Fractions."""
-        return linalg.matvec(self.entries, tuple(Fraction(x) for x in v))
+        return linalg.matvec(self.entries, tuple(Fraction(x) for x in self._of_rank(v)))
 
     def inv_apply(self, v):
         """L^{-1} v as a tuple of Fractions."""
         A, d = self._inv_int
-        v, e = _over_one_denominator(v)
+        v, e = _over_one_denominator(self._of_rank(v))
         return tuple(Fraction(sum(map(mul, row, v)), d * e) for row in A)
 
     def is_integral(self) -> bool:
@@ -125,13 +127,8 @@ def _floor_sqrt(x: Fraction) -> int:
     """floor(sqrt(x)) for nonnegative rational x, exactly."""
     if x < 0:
         raise ValueError("negative argument")
-    num, den = x.numerator, x.denominator
-    lo = isqrt(num // den)
-    while (lo + 1) ** 2 * den <= num:
-        lo += 1
-    while lo ** 2 * den > num:
-        lo -= 1
-    return lo
+    # s = isqrt(floor(x)) has s^2 <= floor(x) <= x < floor(x) + 1 <= (s + 1)^2
+    return isqrt(x.numerator // x.denominator)
 
 
 def enumerate_shifted(L: GramLattice, center, bound: Fraction):

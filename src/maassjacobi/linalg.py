@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import DomainError
 from .gaussian import GaussianRational
 
 
@@ -143,17 +144,12 @@ def to_gaussian(a):
     return tuple(tuple(GaussianRational.coerce(x) for x in r) for r in a)
 
 
-def leading_principal_minors(a):
-    n = len(a)
-    return [det(tuple(tuple(a[i][j] for j in range(k)) for i in range(k)))
-            for k in range(1, n + 1)]
-
-
 def ldl(a):
     """Exact LDL^T factorization of a symmetric positive definite matrix.
 
-    Returns (lower_unitriangular, diag) over Fraction.  Raises if a pivot
-    is not positive.
+    Returns (lower_unitriangular, diag) over Fraction.  The pivot diag[j] is
+    the ratio of the leading principal minors j + 1 and j, so the first
+    pivot that is not positive names the first such minor: DomainError.
     """
     n = len(a)
     a = [[Fraction(a[i][j]) for j in range(n)] for i in range(n)]
@@ -162,7 +158,8 @@ def ldl(a):
     for j in range(n):
         d = a[j][j] - sum(diag[k] * lower[j][k] ** 2 for k in range(j))
         if d <= 0:
-            raise ValueError("matrix is not positive definite")
+            raise DomainError(f"leading principal minor {j + 1} is not positive; "
+                              "the matrix must be positive definite")
         diag[j] = d
         for i in range(j + 1, n):
             s = a[i][j] - sum(diag[k] * lower[i][k] * lower[j][k] for k in range(j))

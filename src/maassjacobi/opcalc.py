@@ -468,9 +468,9 @@ def semiholomorphic_casimir(L: GramLattice) -> DiffOp:
 def build_laplace(L: GramLattice, C) -> DiffOp:
     """X+ X- + Y+^T C Y- for a positive definite symmetric C."""
     Cm = [[Fraction(x) for x in row] for row in C]
-    minors = linalg.leading_principal_minors(linalg.mat(Cm))
-    if any(m <= 0 for m in minors):
-        raise DomainError("C must be positive definite")
+    if [len(row) for row in Cm] != [L.N] * L.N or Cm != [list(c) for c in zip(*Cm)]:
+        raise DomainError(f"C must be a symmetric {L.N} x {L.N} matrix")
+    linalg.ldl(Cm)  # DomainError unless C is positive definite
     ops = build_raising_lowering(L)
     return ops["X+"].compose(ops["X-"]) + quad_form(Cm, ops["Y+"], ops["Y-"])
 

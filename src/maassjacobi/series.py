@@ -153,14 +153,6 @@ def annihilation_roots(k, N: int) -> list:
     return [k / 2 - Fraction(N, 4), 1 + Fraction(N, 4) - k / 2]
 
 
-def _empty_c_sum(c_max: int) -> bool:
-    """True when c_max = 0 leaves a c-sum without terms; DomainError when
-    c_max < 0."""
-    if c_max < 0:
-        raise DomainError("c_max must be nonnegative")
-    return c_max == 0
-
-
 def _prefactor(L: GramLattice, p: int):
     """2^{1-N/2} pi i^p / sqrt|L|, the leading factor of the Maass (p = -k)
     and skew (p = 1 - k) Poincare coefficients."""
@@ -174,17 +166,26 @@ def _pow_ratio(num, den, expo: Fraction):
     return mp.power(ratio, to_mpf(expo))
 
 
+def _weight_factor(s: Fraction, k: int, L: GramLattice, sgn: int):
+    """2^{1-N/2} pi i^{-k} Gamma(2s) / (sqrt|L| Gamma(s - sgn (k/2 - N/4))) of
+    a weight-k Maass coefficient whose D' has sign sgn; exactly 0 at a pole
+    of the lower Gamma, as 1/Gamma is entire (s = k/2 - N/4 when sgn = 1)."""
+    a = s - sgn * (Fraction(k, 2) - Fraction(L.N, 4))
+    if a <= 0 and a.denominator == 1:
+        return mp.mpc(0)
+    return _prefactor(L, -k) * (mp.gamma(to_mpf(2 * s)) / mp.gamma(to_mpf(a)))
+
+
 def poincare_coeff_b(y, s, k, L: GramLattice, n, r, nprime, rprime,
                      c_max: int, ctx: PrecisionContext):
     """One unsymmetrized Fourier coefficient of the Maass Poincare series.
 
-    Returns (value, tail_ratio): the displayed product of the Gamma ratio,
-    the (D'/D) power, the y-profile e(-iD'y/4|L|) W_{s,k-N/2}(pi D'y/|L|),
-    and the truncated c-sum; tail_ratio is |last term|/|sum|, the recorded
-    truncation heuristic.
+    Returns (value, tail_ratio): the displayed product of the weight factor
+    (``_weight_factor``), the (D'/D) power, the y-profile
+    e(-iD'y/4|L|) W_{s,k-N/2}(pi D'y/|L|), and the truncated c-sum;
+    tail_ratio is |last term|/|sum|, the recorded truncation heuristic.
     """
-    return _coeff_b_sides(y, s, k, L, n, r, nprime, [rprime], c_max, ctx,
-                          include_profile=True)[0]
+    return _coeff_b_sides(y, s, k, L, n, r, nprime, [rprime], c_max, ctx)[0]
 
 
 def _coeff_b_discriminants(s: Fraction, L: GramLattice, n, r, nprime, rprime):
@@ -204,43 +205,22 @@ def _coeff_b_discriminants(s: Fraction, L: GramLattice, n, r, nprime, rprime):
     return D, Dp
 
 
-def _coeff_b_prefactor(y, s: Fraction, k: int, L: GramLattice, D, Dp,
-                       ctx: PrecisionContext, *, include_profile: bool):
-    """The factor of b(n', r') in front of its c-sum, at the working
-    precision: the Gamma ratio, the (D'/D) power and, with
-    ``include_profile``, the y-profile."""
-    N = L.N
-    sgn = 1 if Dp > 0 else -1
-    gam = mp.gamma(to_mpf(2 * s)) / mp.gamma(
-        to_mpf(s - sgn * (Fraction(k, 2) - Fraction(N, 4)))
-    )
-    pref = (_prefactor(L, -k) * gam
-            * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4)))
-    if include_profile:
-        yv = to_mpf(y)
-        arg = mp.pi * to_mpf(Dp / L.det) * yv
-        pref *= mp.exp(arg / 2) * whittaker_W_renorm(
-            s, Fraction(k) - Fraction(N, 2), arg, ctx
-        )
-    return pref
-
-
 def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprimes, c_max: int,
-                   ctx: PrecisionContext, *, include_profile: bool):
+                   ctx: PrecisionContext):
     """poincare_coeff_b at (n', r') for each r' of rprimes, which share D'
-    (as r' and -r' do): one prefactor and profile, and one c-sum pass.
-    Without the profile (``include_profile=False``) the values are the
-    profile-stripped ones that the duality statements concern."""
+    (as r' and -r' do): one weight factor, power and profile, and one c-sum
+    pass."""
     k = int(k)
     s = Fraction(s)
+    N = L.N
     D, Dp = _coeff_b_discriminants(s, L, n, r, nprime, rprimes[0])
     with ctx.working():
-        if _empty_c_sum(c_max):
-            return [(mp.mpc(0), mp.mpf(0)) for _ in rprimes]
-        pref = _coeff_b_prefactor(y, s, k, L, D, Dp, ctx,
-                                  include_profile=include_profile)
         sides = poincare_csum(s, L, n, r, nprime, rprimes, 1, c_max, ctx,
                               discriminants=(D, Dp))
+        arg = mp.pi * to_mpf(Dp / L.det) * to_mpf(y)
+        profile = mp.exp(arg / 2) * whittaker_W_renorm(s, k - Fraction(N, 2), arg, ctx)
+        pref = (_weight_factor(s, k, L, 1 if Dp > 0 else -1)
+                * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4)) * profile)
         return [(pref * acc, last / abs(acc) if acc != 0 else mp.mpf(0))
                 for acc, last in sides]
 
@@ -251,20 +231,25 @@ def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
     """Partial sums over c in [c_lo, c_hi] of c^{-(N+2)/2} K_c Bessel(..),
     one for each r' of rprimes, then one for each r_i of ``dual``.
 
-    The r' must share D' (as r' and -r' do), so each c has one power and
-    one Bessel value for all of them.  A dual side r_i, which must share D
-    with r, sums K_c(n', r'_0, n, r_i) instead: the c-sum of the seed
-    (n', r'_0) at (n, r_i), which the weight N+2-k side of a duality pair
-    takes.  Its |D D'| is the same, so it shares the power and the Bessel
-    value too.  ``discriminants`` is (D, D') when the caller has them
-    (and has checked that its sides share them).  Returns [(sum, |last
-    term|)] in that order, each summed in c-order and each term
-    ``w * K * bv`` with K as ``kloosterman`` gives it; equal sides are
-    summed once.  J is used when D D' > 0 and I otherwise; the
-    skew-holomorphic coefficients use it at s = (2k - N)/4.
+    It needs c_lo >= 1 and c_hi >= 0; an empty range gives zero sums.  The
+    r' must share D' (as r' and -r' do), so each c has one power and one
+    Bessel value for all of them.  A dual side r_i, which must share D with
+    r, sums K_c(n', r'_0, n, r_i) instead: the c-sum of the seed (n', r'_0)
+    at (n, r_i), which the weight N+2-k side of a duality pair takes.  Its
+    |D D'| is the same, so it shares the power and the Bessel value too.
+    ``discriminants`` is (D, D') when the caller has them (and has checked
+    that its sides share them).  Returns [(sum, |last term|)] in that
+    order, each summed in c-order and each term ``w * K * bv`` with K as
+    ``kloosterman`` gives it; equal sides are summed once.  J is used when
+    D D' > 0 and I otherwise; the skew-holomorphic coefficients use it at
+    s = (2k - N)/4.
     """
     s = Fraction(s)
     N = L.N
+    if c_lo < 1:
+        raise DomainError("c must be a positive integer")
+    if c_hi < 0:
+        raise DomainError("c_max must be nonnegative")
     if discriminants is None:
         D, Dp = discriminant(L, n, r), discriminant(L, nprime, rprimes[0])
         if any(discriminant(L, nprime, rp) != Dp for rp in rprimes):
@@ -273,8 +258,6 @@ def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
             raise DomainError("the dual sides of one c-sum must share D")
     else:
         D, Dp = discriminants
-    if c_lo < 1 <= c_hi:
-        raise DomainError("c must be a positive integer")
     n, nprime = int(n), int(nprime)
     keys = ([(n, _ints(r), nprime, _ints(rp)) for rp in rprimes]
             + [(nprime, _ints(rprimes[0]), n, _ints(ri)) for ri in dual])
@@ -310,8 +293,7 @@ def full_coeff_c(y, s, k, L: GramLattice, n, r, nprime, rprime, c_max: int,
     """b(n', r') + (-1)^k b(n', -r'), the symmetrized coefficient; an exact
     zero where the two sides cancel (``_symmetrized``)."""
     (b1, t1), (b2, t2) = _coeff_b_sides(
-        y, s, k, L, n, r, nprime, [rprime, [-x for x in rprime]], c_max, ctx,
-        include_profile=True)
+        y, s, k, L, n, r, nprime, [rprime, [-x for x in rprime]], c_max, ctx)
     with ctx.working():
         return _symmetrized(b1, b2, k, ctx), max(t1, t2)
 
@@ -335,13 +317,11 @@ def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
         raise DomainError("skew coefficients require D, D' > 0")
 
     with ctx.working():
-        if _empty_c_sum(c_max):
-            return mp.mpc(0)
-        pref = _prefactor(L, 1 - k) * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
         # at s = (2k - N)/4 the c-sum's J_{2s-1} is J_{k-(N+2)/2}
         sides = [[-x for x in rprime]] + ([rprime] if symmetrized else [])
         sums = poincare_csum(Fraction(2 * k - N, 4), L, n, r, nprime, sides,
                              1, c_max, ctx, discriminants=(D, Dp))
+        pref = _prefactor(L, 1 - k) * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
         b = pref * sums[0][0]
         if not symmetrized:
             return b
@@ -354,19 +334,22 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
 
     The primary table pairs the unsymmetrized coefficients b, whose ratio
     the Kloosterman-symmetry mechanism makes exactly constant at matched
-    c_max.  The symmetrized c-ratios are recorded alongside: for even N the
-    two tables agree; for odd N the (-1)^k symmetrization flips sign on the
-    dual side (and with |L| = 1 the odd-weight side vanishes identically),
-    so the c-table may be degenerate and is never asserted.  A c-ratio is
-    None where either side's two terms cancel (``_symmetrized``), so
-    rounding noise is never reported as a ratio.  Ratios are reported, not
-    asserted.  The two sides of a pair have the same |D D'|, so one c-sum
-    pass serves both.
+    c_max >= 1.  The symmetrized c-ratios are recorded alongside: for even
+    N the two tables agree; for odd N the (-1)^k symmetrization flips sign
+    on the dual side (and with |L| = 1 the odd-weight side vanishes
+    identically), so the c-table may be degenerate and is never asserted.
+    A c-ratio is None where either side's two terms cancel
+    (``_symmetrized``), so rounding noise is never reported as a ratio.
+    Ratios are reported, not asserted.  The two sides of a pair have the
+    same |D D'|, so one c-sum pass serves both, and the weight factor is
+    taken once per weight and sign of D'.
     """
     N = L.N
     k = int(k)
     kd = N + 2 - k
     s = Fraction(s)
+    if c_max < 1:
+        raise DomainError("duality ratios need c_max >= 1")
 
     def _stats(ratios):
         clean = [x for x in ratios if x is not None]
@@ -376,18 +359,21 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
         denom = max(abs(mean), mp.mpf("1e-30"))
         return mean, max(abs(x - mean) for x in clean) / denom
 
+    weight = lru_cache(maxsize=None)(lambda kw, sgn: _weight_factor(s, kw, L, sgn))
+
+    def _pref(kw, Dp, D):
+        # the profile-free factor of a weight-kw coefficient at D' over D
+        return (weight(kw, 1 if Dp > 0 else -1)
+                * _pow_ratio(Dp, D, Fraction(kw, 2) - Fraction(N + 2, 4)))
+
     ratios_b, ratios_c = [], []
     with ctx.working():
         for (n, r), (npd, rpd) in index_pairs:
             D, Dp = _coeff_b_discriminants(s, L, n, r, npd, rpd)
-            if _empty_c_sum(c_max):
-                sums = [(mp.mpc(0), None)] * 4
-            else:
-                sums = poincare_csum(s, L, n, r, npd, [rpd, [-x for x in rpd]],
-                                     1, c_max, ctx, dual=[r, [-x for x in r]],
-                                     discriminants=(D, Dp))
-            prefA = _coeff_b_prefactor(1, s, k, L, D, Dp, ctx, include_profile=False)
-            prefB = _coeff_b_prefactor(1, s, kd, L, Dp, D, ctx, include_profile=False)
+            sums = poincare_csum(s, L, n, r, npd, [rpd, [-x for x in rpd]],
+                                 1, c_max, ctx, dual=[r, [-x for x in r]],
+                                 discriminants=(D, Dp))
+            prefA, prefB = _pref(k, Dp, D), _pref(kd, D, Dp)
             bA, bA_neg, bB, bB_neg = (pref * acc for pref, (acc, _) in
                                       zip((prefA, prefA, prefB, prefB), sums))
             ratios_b.append(bA / bB if abs(bB) > ctx.eps else None)

@@ -311,6 +311,56 @@ def test_poincare_dprime_zero_is_structured_error(cache_dir, capsys):
     assert good
 
 
+def test_poincare_at_a_gamma_pole_prints_zero_rows(cache_dir, capsys):
+    # k = 6 on a rank-2 lattice puts s = 5/2 at the holomorphic point
+    # k/2 - N/4, where the D' > 0 rows divide by Gamma(0): 1/Gamma is entire,
+    # so those coefficients are an exact 0, and the D' < 0 rows compute
+    code, out = run(capsys, "poincare", "--k", "6", "--L", "2,1;1,2", "--s", "5/2",
+                    "--n=1", "--window", "1", "--cmax", "2", "--no-cache")
+    rows = json.loads(out)["table"]
+    positive = [row for row in rows if Fraction(row["D'"]) > 0]
+    negative = [row for row in rows if Fraction(row["D'"]) < 0]
+    assert code == 0 and len(positive) == 2 and len(negative) == 3
+    assert all(row["value"] == ["0.0", "0.0"] for row in positive)
+    assert all(row["value"][0] != "0.0" for row in negative)
+
+
+@pytest.mark.parametrize("command", ["poincare", "skew-poincare"])
+def test_poincare_tables_take_an_empty_and_reject_a_negative_c_range(cache_dir, capsys,
+                                                                    command):
+    argv = (command, "--k", "3", "--L", "1", "--n=1", "--r=1", "--window", "1")
+    code, out = run(capsys, *argv, "--cmax", "0")
+    values = [row["value"] for row in json.loads(out)["table"] if "value" in row]
+    assert code == 0 and values and all(v == ["0.0", "0.0"] for v in values)
+    code, out = run(capsys, *argv, "--cmax", "-1")
+    errors = [row["error"] for row in json.loads(out)["table"]]
+    assert code == 0 and {"type": "DomainError",
+                          "message": "c_max must be nonnegative"} in errors
+
+
+def test_verify_duality_needs_a_positive_cmax(cache_dir, capsys):
+    code, out = run(capsys, "verify", "duality", "--L", "2", "--cmax", "0")
+    err = json.loads(out)["error"]
+    assert code == 3 and err["type"] == "DomainError" and "c_max" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("kloosterman", "--L", "2", "--r=1,2"),
+    ("kloosterman", "--L", "2,1;1,2", "--rprime=1"),
+    ("theta", "--L", "2,1;1,2", "--mu", "1"),
+    ("theta", "--L", "2", "--k", "2", "--r=1,0"),
+    ("poincare", "--L", "2", "--r=1,5"),
+    ("skew-poincare", "--L", "2", "--k", "3", "--r=1,5"),
+])
+def test_vectors_of_the_wrong_rank_are_domain_errors(cache_dir, capsys, argv):
+    code, out = run(capsys, *argv)
+    obj = json.loads(out)
+    errors = [row["error"] for row in obj["table"]] if "table" in obj else [obj["error"]]
+    assert errors and all(e["type"] == "DomainError" and "rank" in e["message"]
+                          for e in errors)
+    assert code == (0 if "table" in obj else 3)
+
+
 def test_decompose_and_specialize_commands(cache_dir, capsys, tmp_path):
     f = theta_lmu(GramLattice([[2]]), [1], 2)
     src = tmp_path / "f.json"

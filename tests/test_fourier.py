@@ -142,10 +142,14 @@ def test_bool_parameter_is_refused_at_serialization():
 
 
 def test_residue_classes_and_reduce():
-    for entries in ([[1]], [[2]], [[3]], [[2, 1], [1, 2]], [[2, 0], [0, 2]]):
+    for entries in ([[1]], [[2]], [[3]], [[2, 1], [1, 2]], [[2, 0], [0, 2]],
+                    [[2, 0], [0, 4]], [[4, 1], [1, 2]], [[2, 1, 0], [1, 2, 1], [0, 1, 2]],
+                    [[4, 2, 1], [2, 4, 1], [1, 1, 2]]):
         L = GramLattice(entries)
         cls = residue_classes(L)
-        assert len(cls) == int(L.det)
+        # |L| distinct classes, each its own canonical representative
+        assert len(cls) == len(set(cls)) == int(L.det)
+        assert all(residue_reduce(L, c) == c for c in cls)
         # reduction is constant on cosets and lands in the class list
         rng = random.Random(0)
         for _ in range(20):

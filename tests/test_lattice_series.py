@@ -19,12 +19,14 @@ from maassjacobi.lattice import (
 from maassjacobi.precision import PrecisionContext, e_of, to_fraction, to_mpf
 from maassjacobi.specfun import bessel_I, bessel_J
 from maassjacobi.series import (
-    _coeff_b_sides,
+    _pow_ratio,
+    _weight_factor,
     casimir_eigenvalue,
     duality_report,
     full_coeff_c,
     kloosterman,
     poincare_coeff_b,
+    poincare_csum,
     skew_poincare_coeff,
 )
 
@@ -46,6 +48,46 @@ def test_gram_lattice_validation():
     for _ in range(50):
         lam = [rng.randint(-5, 5) for _ in range(2)]
         assert L.quad(lam).denominator == 1
+
+
+@pytest.mark.parametrize("entries, minor", [
+    ([[1, 1], [1, 1]], 2),
+    ([[-2]], 1),
+    ([[2, 1, 1], [1, 2, 1], [1, 1, 0]], 3),
+])
+def test_positive_definiteness_names_the_first_nonpositive_minor(entries, minor):
+    with pytest.raises(DomainError, match=f"leading principal minor {minor} is not positive"):
+        GramLattice(entries)
+    with pytest.raises(DomainError, match=f"leading principal minor {minor} "):
+        linalg.ldl(linalg.mat(entries))
+
+
+def test_determinant_is_the_product_of_the_ldl_pivots():
+    # the same Fraction as the cofactor expansion
+    rng = random.Random(3)
+    for entries in ([[1]], [[2, 1], [1, 2]], [[1, Fraction(1, 2)], [Fraction(1, 2), 1]],
+                    [[2, 1, 0], [1, 2, 1], [0, 1, 2]]):
+        L = GramLattice(entries)
+        assert L.det == linalg.det(L.entries) and isinstance(L.det, Fraction)
+    for _ in range(30):
+        N = rng.randint(1, 4)
+        B = [[rng.randint(-3, 3) for _ in range(N)] for _ in range(N)]
+        G = [[2 * sum(B[k][i] * B[k][j] for k in range(N)) + 2 * (i == j)
+              for j in range(N)] for i in range(N)]
+        L = GramLattice(G)
+        assert L.det == linalg.det(L.entries)
+
+
+def test_vectors_must_have_the_lattice_rank(ctx):
+    L = GramLattice([[2, 1], [1, 2]])
+    methods = [L.quad, L.apply, L.inv_apply, L.inv_quad,
+               lambda v: L.inv_form(v, [0, 0]), lambda v: L.inv_form([0, 0], v),
+               lambda v: discriminant(L, 1, v), lambda v: h_of_r(L, v),
+               lambda v: kloosterman(3, L, 1, [1, 0], 1, v, ctx)]
+    for bad in ([1], [1, 2, 3], []):
+        for method in methods:
+            with pytest.raises(DomainError, match="rank 2"):
+                method(bad)
 
 
 def test_discriminant_identities():
@@ -285,9 +327,6 @@ def test_poincare_coeff_basics(ctx):
 def test_bessel_kind_dispatch(ctx):
     # DD' > 0 uses J, DD' < 0 uses I: verified by reproducing the b value
     # with the dispatch forced by hand
-    from maassjacobi.series import poincare_csum
-    from maassjacobi.specfun import bessel_I, bessel_J
-
     L = GramLattice([[1]])
     s = Fraction(5, 2)
     with ctx.working():
@@ -343,8 +382,6 @@ def test_poincare_csum_matches_the_per_side_loop(ctx, entries, n, r, nprime, rpr
                                                  c_lo, c_hi, dual):
     # the c-sum, with its power, Bessel value and equal sides shared, equals
     # the per-side loop over the public Kloosterman sum bit for bit
-    from maassjacobi.series import poincare_csum
-
     L = GramLattice(entries)
     s = Fraction(5, 2)
     got = poincare_csum(s, L, n, r, nprime, rprimes, c_lo, c_hi, ctx, dual=dual)
@@ -357,8 +394,6 @@ def test_poincare_csum_matches_the_per_side_loop(ctx, entries, n, r, nprime, rpr
 
 
 def test_poincare_csum_rejects_sides_of_another_discriminant(ctx):
-    from maassjacobi.series import poincare_csum
-
     L = GramLattice([[1]])
     s = Fraction(5, 2)
     with pytest.raises(DomainError):
@@ -481,11 +516,13 @@ def test_duality_mechanism(ctx):
     rep2 = duality_report(s, 1, L2, [pair], 3, ctx)
 
     def c_stripped(k, n, r, npd, rpd):
-        (b1, _), = _coeff_b_sides(1, s, k, L2, n, r, npd, [rpd], 3, ctx,
-                                  include_profile=False)
-        (b2, _), = _coeff_b_sides(1, s, k, L2, n, r, npd, [[-x for x in rpd]], 3, ctx,
-                                  include_profile=False)
-        return b1 + (-1) ** k * b2
+        # weight factor times (D'/D) power times each side's own c-sum
+        D, Dp = discriminant(L2, n, r), discriminant(L2, npd, rpd)
+        pref = (_weight_factor(s, k, L2, 1 if Dp > 0 else -1)
+                * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(L2.N + 2, 4)))
+        (acc1, _), = poincare_csum(s, L2, n, r, npd, [rpd], 1, 3, ctx)
+        (acc2, _), = poincare_csum(s, L2, n, r, npd, [[-x for x in rpd]], 1, 3, ctx)
+        return pref * acc1 + (-1) ** k * (pref * acc2)
 
     with ctx.working():
         cA = c_stripped(1, n, r, npd, rpd)

@@ -299,6 +299,20 @@ def test_uea_to_op_skips_a_word_whose_scalar_vanishes(monkeypatch):
     assert got == uea_to_op(PBWElement.from_flat(alg, dict(list(terms.items())[:2])), L)
 
 
+def test_laplace_needs_a_positive_definite_c():
+    L = GramLattice([[2, 1], [1, 2]])
+    build_laplace(L, [[2, 1], [1, 2]])
+    with pytest.raises(DomainError, match="leading principal minor 2 is not positive"):
+        build_laplace(L, [[1, 2], [2, 1]])
+    with pytest.raises(DomainError, match="leading principal minor 1 is not positive"):
+        build_laplace(L, [[0, 0], [0, 1]])
+    # the quadratic form of Y+ and Y- reads a symmetric C of the lattice's rank
+    for C in ([[1, 2], [0, 1]], [[1, 0], [2, 1]], [[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+              [[1, 0], [0]]):
+        with pytest.raises(DomainError, match="symmetric 2 x 2"):
+            build_laplace(L, C)
+
+
 def test_compose_identity_and_derivation_rule():
     R = OpRing(1)
     A = _random_op(R, random.Random(0))

@@ -2,8 +2,9 @@
 PrecisionContext from the caller: no ``ctx`` parameter anywhere in the
 package has a default to fall back on.  And every module-level name the
 package defines is used by the package or exported by it, so that code
-only the tests call lives in the tests, and every module-level import is
-used by its module."""
+only the tests call lives in the tests, every module-level import is
+used by its module, and every parameter of a module-level private
+function is read by its body."""
 
 import ast
 import importlib
@@ -103,3 +104,20 @@ def test_every_import_is_used():
         unused += [f"{path.stem}.{name}" for stmt in tree.body for name in _imported(stmt)
                    if name not in names]
     assert sorted(set(unused) - allowed) == []
+
+
+def test_every_parameter_of_a_private_function_is_read():
+    # a module-level helper's callers are all in the package, so a parameter
+    # its body never reads is one they pass for nothing
+    unread = []
+    for path in Path(maassjacobi.__file__).parent.glob("*.py"):
+        for fn in ast.parse(path.read_text()).body:
+            if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("_")):
+                continue
+            a = fn.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [p for p in (a.vararg, a.kwarg) if p is not None]]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.stem}.{fn.name}({p})" for p in params if p not in read]
+    assert unread == []
