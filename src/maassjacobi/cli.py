@@ -586,7 +586,7 @@ GLOBAL_OPTIONS = {
                 help="rational Gram matrix literal, rows ';'-separated: '2,1/2;1/2,1'"),
     "s": Option(Fraction, "5/2", help="spectral parameter"),
     "no_cache": SWITCH,
-    "jobs": Option(int, "1"),
+    "jobs": Option(_positive_int, "1"),
 }
 
 _POINCARE_OPTIONS = {"k": Option(int, "3"), "n": Option(int, "1"),

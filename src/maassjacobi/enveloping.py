@@ -25,7 +25,7 @@ from math import comb
 from . import linalg
 from .errors import DivisibilityError, DomainError
 from .gaussian import GaussianRational, I, format_gaussian, parse_gaussian
-from .polys import Poly, PolyRing, SparseTerms
+from .polys import Poly, PolyRing, SparseTerms, merge_terms
 
 
 class JacobiLieAlgebra:
@@ -123,11 +123,8 @@ class JacobiLieAlgebra:
         out = [{g: 1}]
         cur = {g: 1}
         for _ in range(emax):
-            nxt = {}
-            for s, c in cur.items():
-                for bc, bg in self.bracket_gens(t, s):
-                    nxt[bg] = nxt.get(bg, 0) + c * bc
-            cur = {g: c for g, c in nxt.items() if c}
+            cur = merge_terms({}, ((bg, c * bc) for s, c in cur.items()
+                                   for bc, bg in self.bracket_gens(t, s)))
             out.append(cur)
             if not cur:
                 break
@@ -157,9 +154,8 @@ class JacobiLieAlgebra:
         rest = b[:g] + (b[g] - 1,) + b[g + 1:]
         out = {}
         for m, p in self._mul_gen(a, g).items():
-            for m2, q in self.mul_nc(m, rest).items():
-                _accumulate(out, m2, self.z_mul(p, q))
-        out = {m: p for m, p in out.items() if p}
+            merge_terms(out, ((m2, self.z_mul(p, q))
+                              for m2, q in self.mul_nc(m, rest).items()))
         self._mul_cache[key] = out
         return out
 
@@ -188,19 +184,13 @@ class JacobiLieAlgebra:
                 c = comb(e, j) * cs
                 for hm, hp in heads.items():
                     hp = hp if c == 1 else hp.scale(c)
-                    for fm, fp in self.mul_nc(hm, tp).items():
-                        _accumulate(out, fm, self.z_mul(hp, fp))
-        out = {m: p for m, p in out.items() if p}
+                    merge_terms(out, ((fm, self.z_mul(hp, fp))
+                                      for fm, fp in self.mul_nc(hm, tp).items()))
         self._gen_cache[key] = out
         return out
 
     def __repr__(self):
         return f"JacobiLieAlgebra(N={self.N})"
-
-
-def _accumulate(out: dict, key, p: Poly):
-    """out[key] += p; the caller drops the sums that cancel to zero."""
-    out[key] = out[key] + p if key in out else p
 
 
 def _monomial_text(alg: JacobiLieAlgebra, exp: tuple) -> str:
@@ -219,10 +209,6 @@ class PBWElement(SparseTerms):
     def __init__(self, alg: JacobiLieAlgebra, terms: dict):
         self.alg = alg
         self.terms = terms
-
-    @property
-    def _zero(self) -> Poly:
-        return self.alg.z_ring.zero()
 
     def _like(self, terms, other) -> "PBWElement":
         return PBWElement(self.alg, terms)
@@ -289,9 +275,9 @@ class PBWElement(SparseTerms):
         for w1, p1 in self.terms.items():
             for w2, p2 in other.terms.items():
                 p12 = alg.z_mul(p1, p2)
-                for w, q in alg.mul_nc(w1, w2).items():
-                    _accumulate(out, w, alg.z_mul(p12, q))
-        return PBWElement(alg, {w: p for w, p in out.items() if p})
+                merge_terms(out, ((w, alg.z_mul(p12, q))
+                                  for w, q in alg.mul_nc(w1, w2).items()))
+        return PBWElement(alg, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):

@@ -285,18 +285,13 @@ def theta_klr(k: int, L: GramLattice, r, bound, zeta_variant: bool = False) -> F
             return tuple(int(a - b) for a, b in zip(two_l, r))
         return tuple(int(a + b) for a, b in zip(two_l, r))
 
-    # family with exponent L[lam] + r.lam:  L[lam + L^{-1}r/2] <= bound + L^{-1}[r]/4
-    for lam in enumerate_shifted(L, half_lr, bound + shift):
-        n = L.quad(lam) + sum(a * b for a, b in zip(r, lam))
-        if n > bound:
-            continue
-        out.add_term(FourierIndex.of(n, vec(lam, False)), "constant", {},
-                     GaussianRational(1))
-    for lam in enumerate_shifted(L, [-x for x in half_lr], bound + shift):
-        n = L.quad(lam) - sum(a * b for a, b in zip(r, lam))
-        if n > bound:
-            continue
-        out.add_term(FourierIndex.of(n, vec(lam, True)), "constant", {}, sign)
+    # the families with exponent n = L[lam] +- r.lam: L[lam +- L^{-1}r/2] =
+    # L[lam] +- r.lam + L^{-1}[r]/4 exactly, so enumerating up to
+    # bound + L^{-1}[r]/4 gives exactly the lam with n <= bound
+    for pm, coeff in ((1, GaussianRational(1)), (-1, sign)):
+        for lam in enumerate_shifted(L, [pm * x for x in half_lr], bound + shift):
+            n = L.quad(lam) + pm * sum(a * b for a, b in zip(r, lam))
+            out.add_term(FourierIndex.of(n, vec(lam, pm < 0)), "constant", {}, coeff)
     return out
 
 

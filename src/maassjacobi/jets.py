@@ -201,7 +201,6 @@ class Jet(SparseTerms):
     """Truncated Taylor expansion: exponent tuple -> coefficient."""
 
     __slots__ = ("space", "terms")
-    _zero = mp.mpc(0)
 
     def __init__(self, space: JetSpace, terms: dict):
         self.space = space

@@ -112,10 +112,6 @@ class DiffOp(SparseTerms):
         self.terms = {e: p for e, p in terms.items() if not p.is_zero()}
         self.shift = shift
 
-    @property
-    def _zero(self) -> Poly:
-        return self.op_ring.ring.zero()
-
     def _like(self, terms, other) -> "DiffOp":
         if self.shift != other.shift and self.terms and other.terms:
             raise ValueError("cannot add operators of different weight shifts")

@@ -21,10 +21,10 @@ class SparseTerms:
     and non-negative power for polynomials, PBW elements, differential
     operators and jets.
 
-    Subclasses supply ``_zero`` (the coefficient zero), ``_like(terms,
-    other)`` (an element of their own kind with these terms, ``other``
-    being the second summand, or the element itself) and ``_coerce``
-    (scalars and elements of the same space to elements).  Powers use the
+    Subclasses supply ``_like(terms, other)`` (an element of their own
+    kind with these terms, ``other`` being the second summand, or the
+    element itself) and ``_coerce`` (scalars and elements of the same
+    space to elements).  Sums merge by ``merge_terms``; powers use the
     subclass's ``*``.
     """
 
@@ -32,15 +32,7 @@ class SparseTerms:
 
     def __add__(self, other):
         other = self._coerce(other)
-        zero = self._zero
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, zero) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return self._like(out, other)
+        return self._like(merge_terms(dict(self.terms), other.terms.items()), other)
 
     __radd__ = __add__
 
@@ -68,8 +60,8 @@ class SparseTerms:
 def merge_terms(terms: dict, pairs) -> dict:
     """Add each (e, c) of ``pairs`` into ``terms`` in place and return it: an
     existing key keeps its place, a zero sum is deleted, and a new key
-    stores c itself.  This is the order ``SparseTerms.__add__`` leaves, so
-    sums built either way store their terms alike."""
+    stores c itself.  Sums, products, derivatives, exact division, operator
+    composition and PBW straightening all merge their terms by this rule."""
     get = terms.get
     for e, c in pairs:
         s = get(e)
@@ -142,7 +134,6 @@ class Poly(SparseTerms):
     """Immutable sparse polynomial; never stores zero coefficients."""
 
     __slots__ = ("ring", "terms")
-    _zero = ZERO
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
@@ -204,12 +195,6 @@ class Poly(SparseTerms):
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
-    def deriv(self, name: str) -> "Poly":
-        i = self.ring.index[name]
-        return Poly(self.ring, merge_terms({}, (
-            (e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
-            for e, c in self.terms.items() if e[i])))
 
     # -- substitution / evaluation ----------------------------------------
 

@@ -214,6 +214,8 @@ def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprimes, c_max: int,
     s = Fraction(s)
     N = L.N
     D, Dp = _coeff_b_discriminants(s, L, n, r, nprime, rprimes[0])
+    if y <= 0:
+        raise DomainError("the profile needs a point of H: y = Im tau > 0")
     with ctx.working():
         sides = poincare_csum(s, L, n, r, nprime, rprimes, 1, c_max, ctx,
                               discriminants=(D, Dp))

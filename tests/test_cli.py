@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import multiprocessing
@@ -5,8 +6,10 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from maassjacobi import cache, cli
+from maassjacobi import cache, cli, errors
 from maassjacobi.cli import SUITES, main, parse_rational_matrix
 from maassjacobi.fourier import theta_lmu
 from maassjacobi.lattice import GramLattice
@@ -149,6 +152,8 @@ def test_verify_rejects_flags_its_suite_does_not_read(cache_dir, capsys, suite, 
     ("verify", "covariance", "--L", "2", "--samples", "-3"),
     ("verify", "kloosterman-symmetry", "--L", "2", "--samples", "0"),
     ("skew-poincare", "--L", "2", "--y", "7"),
+    ("poincare", "--L", "2", "--jobs", "0"),
+    ("poincare", "--L", "2", "--jobs=-3"),
     ("decompose", "--in", "NO_TERMS_FILE"),
     ("decompose", "--in", "NOT_JSON_FILE"),
 ], ids=" ".join)
@@ -338,6 +343,19 @@ def test_poincare_tables_take_an_empty_and_reject_a_negative_c_range(cache_dir, 
                           "message": "c_max must be nonnegative"} in errors
 
 
+@pytest.mark.parametrize("y", ["-1", "0"])
+def test_poincare_off_the_upper_half_plane_is_each_rows_domain_error(cache_dir, capsys, y):
+    # the profile is evaluated at Im tau = y, so y <= 0 is no point of H; the
+    # D' = 0 row keeps its own message
+    code, out = run(capsys, "poincare", "--L", "2", "--k", "2", f"--y={y}",
+                    "--window", "1", "--cmax", "3")
+    rows = json.loads(out)["table"]
+    assert code == 0 and len(rows) == 6
+    for row in rows:
+        assert row["error"]["type"] == "DomainError"
+        assert ("D' = 0" if row["D'"] == "0" else "y = Im tau > 0") in row["error"]["message"]
+
+
 def test_verify_duality_needs_a_positive_cmax(cache_dir, capsys):
     code, out = run(capsys, "verify", "duality", "--L", "2", "--cmax", "0")
     err = json.loads(out)["error"]
@@ -508,3 +526,85 @@ def test_unwritable_out_reports_on_stdout(cache_dir, capsys, tmp_path, argv, err
     out_file = str(tmp_path / "missing-dir" / "x.json")
     code, out = run(capsys, *argv, "--out", out_file)
     assert code == 2 and json.loads(out)["error"]["type"] == error
+
+
+# -- the CLI contract on argv drawn from the option tables ------------------------
+
+# small well-formed values of every option, some outside the domain; cmax
+# <= 3 and samples 1 keep each request to milliseconds (a verify suite takes
+# at most 0.3 s at rank 3).  Half the requests also draw "x" or "1/0", which
+# no option parses.
+_VALUES = {
+    "precision_bits": ["64", "128", "8"],
+    "cmax": ["-1", "0", "1", "3"],
+    "bound": ["-1", "0", "2", "5/2"],
+    "N": ["0", "1", "2", "3"],
+    "L": ["1", "2", "2,1;1,2", "1,1/2;1/2,1", "2,1,0;1,2,1;0,1,2", "0", "-1", "1,2;3,4"],
+    "s": ["5/2", "3", "1", "0"],
+    "jobs": ["-3", "0", "1", "2"],
+    "samples": ["1", "0"],
+    "c": ["1", "1:3", "0", "3:1"],
+    "n": ["-1", "0", "1"],
+    "nprime": ["-1", "0", "1"],
+    "r": ["", "0", "-1", "1,0", "1,2"],
+    "rprime": ["0", "1", "1,-1"],
+    "mu": ["0", "1", "1,0", "1/3"],
+    "k": ["-1", "2", "3", "6", "5/2"],
+    "window": ["-1", "0", "1"],
+    "y": ["-1", "0", "1/2", "1"],
+    "lam": ["0", "1/3", "0,1"],
+    "infile": ["@DIR/expansion.json", "@DIR/not.json", "@DIR/missing.json"],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _, _, options = cli.COMMANDS[command]
+    malformed = ["x", "1/0"] if draw(st.booleans()) else []
+    head, tail = [], [command]
+    # the options set on every request that needs them, or where a default
+    # would make it slow
+    required = {"L", "cmax"} if command in ("poincare", "skew-poincare") else \
+        {"L"} if command in ("kloosterman", "theta") else set()
+    if command == "verify":
+        suite = draw(st.sampled_from(sorted(SUITES)))
+        tail.append(suite)
+        required = {"samples"} if SUITES[suite][1] else {"cmax"} if suite == "duality" else set()
+    for name, opt in {**cli.GLOBAL_OPTIONS, **options}.items():
+        if name not in required and not draw(st.booleans()):
+            continue
+        flag = cli._flag(name, opt)
+        arg = flag if opt.parse is None else \
+            f"{flag}={draw(st.sampled_from(_VALUES[name] + malformed))}"
+        (head if name in cli.GLOBAL_OPTIONS and draw(st.booleans()) else tail).append(arg)
+    return head + tail
+
+
+_LIBRARY_ERRORS = {cls.__name__ for cls in vars(errors).values()
+                   if isinstance(cls, type) and issubclass(cls, errors.MaassJacobiError)
+                   and cls is not errors.UsageError}
+
+
+def _is_os_error(name):
+    cls = getattr(builtins, name, None)
+    return isinstance(cls, type) and issubclass(cls, OSError)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+@example(argv=["poincare", "--L", "2", "--k", "2", "--y=-1", "--window", "1", "--cmax", "3"])
+@example(argv=["poincare", "--L", "2", "--jobs", "0", "--window", "1", "--cmax", "1"])
+def test_every_request_ends_in_one_json_object_and_a_typed_exit(cache_dir, capsys, tmp_path,
+                                                                 argv):
+    (tmp_path / "expansion.json").write_text(theta_lmu(GramLattice([[2]]), [1], 2).to_json())
+    (tmp_path / "not.json").write_text("not json")
+    code = main([a.replace("@DIR", str(tmp_path)) for a in argv])
+    obj = json.loads(capsys.readouterr().out)
+    assert isinstance(obj, dict) and code in (0, 1, 2, 3)
+    kind = obj.get("error", {}).get("type")
+    if code == 2:
+        assert kind == "UsageError" or _is_os_error(kind)
+    if code == 3:
+        assert kind in _LIBRARY_ERRORS

@@ -132,6 +132,45 @@ def test_expansion_json_round_trip():
         assert back.to_json() == s
 
 
+_E_CASES = [(GramLattice([[2]]), [1], 0, [Fraction(1, 2)], PTS1[0]),
+            (GramLattice([[2, 1], [1, 2]]), [1, 0], 1, [Fraction(1, 2), -3],
+             (mp.mpc("-0.4", "1.3"), [mp.mpc("-0.3", "0.4"), mp.mpc("0.1", "0.25")]))]
+
+
+@pytest.mark.parametrize("L, r, nu, h, point", _E_CASES, ids=["rank1", "rank2"])
+def test_mixed_mock_profile_with_h(ctx, L, r, nu, h, point):
+    # the multivariable-Appell profile E((nu + h.v/y) sqrt(2y)) e(n tau + r.z)
+    # at h != 0, where the profile reads the v_j
+    n = 1
+    f = mixed_mock_term(Fraction(5, 2), L, n, r, nu, h)
+    tau, z = point
+    with ctx.working():
+        y, hv = tau.imag, sum(to_mpc(hj) * zj.imag for hj, zj in zip(h, z))
+        e = mp.exp(2j * mp.pi * (n * tau + sum(rj * zj for rj, zj in zip(r, z))))
+        expect = mp.erf(mp.sqrt(mp.pi) * (nu + hv / y) * mp.sqrt(2 * y)) * e
+        assert abs(f.evaluate(tau, z, ctx) - expect) < mp.mpf("1e-40")
+
+        # each first derivative of the jet, in tau, taubar, z_j, zbar_j, from
+        # differences in the real coordinates x, y, u_j, v_j
+        N = L.N
+        jet = f.jet(tau, z, 1, ctx)
+
+        def fun(pt):
+            return f.evaluate(mp.mpc(pt[0], pt[1]),
+                              [mp.mpc(pt[2 + j], pt[2 + N + j]) for j in range(N)], ctx)
+
+        base = [tau.real, tau.imag] + [w.real for w in z] + [w.imag for w in z]
+        h_step = mp.mpf("1e-6")
+        for re_var, im_var, holo, anti in [(0, 1, 0, 1)] + [
+                (2 + j, 2 + N + j, 2 + j, 2 + N + j) for j in range(N)]:
+            d_re = finite_difference(fun, base, re_var, h_step)
+            d_im = finite_difference(fun, base, im_var, h_step)
+            for var, sign in ((holo, -1), (anti, 1)):
+                alpha = tuple(int(i == var) for i in range(2 * N + 2))
+                got = jet.derivative_at_base(alpha)
+                assert abs(got - (d_re + sign * 1j * d_im) / 2) < mp.mpf("1e-40")
+
+
 def test_bool_parameter_is_refused_at_serialization():
     # "True" would not read back as a parameter, so it is not written
     L = GramLattice([[1]])

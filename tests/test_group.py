@@ -62,6 +62,21 @@ def test_malformed_elements_rejected():
         AlgebraElement(((GR(1), GR(0)), (GR(0), GR(1))), [[GR(0), GR(0)]], [[GR(0)]])
 
 
+def test_malformed_numeric_elements_rejected():
+    # numeric entries are checked to a tolerance instead of with ==
+    one, zero, half = mp.mpf(1), mp.mpf(0), mp.mpf("0.5")
+    with pytest.raises(MalformedElementError, match="det"):
+        GroupElement([[one, half], [zero, one + half]], [[zero, zero]], [[zero]])
+    with pytest.raises(MalformedElementError, match="symmetric"):
+        GroupElement([[one, zero], [zero, one]], [[one, zero], [zero, one]],
+                     [[zero, zero], [zero, zero]])
+    with pytest.raises(MalformedElementError, match="invariants"):
+        AlgebraElement([[one, zero], [zero, half]], [[zero, zero]], [[zero]])
+    # within the tolerance of 1e-9, the same elements are well formed
+    GroupElement([[one, half], [zero, one + mp.mpf("1e-12")]], [[zero, zero]], [[zero]])
+    AlgebraElement([[one, zero], [zero, -one]], [[half, zero]], [[one]])
+
+
 def test_embedding_homomorphism_and_inverse():
     for N in (1, 2):
         rng = random.Random(10 + N)

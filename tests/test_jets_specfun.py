@@ -451,6 +451,22 @@ def test_h_profile(ctx):
         assert abs(dj[1] - fd) < mp.mpf("1e-10")
 
 
+def test_h_profile_continues_past_zero(ctx):
+    # at y > 0 and a = k + N/2 < 1 the integral from -2y crosses t = 0; on
+    # the principal branch t^{-a} = e^{-i pi a} u^{-a} at t = -u, so
+    # H(y) = e^{-y} (Gamma(1 - a) + e^{-i pi a} int_0^{2y} e^u u^{-a} du),
+    # which is real exactly when a is an integer
+    with ctx.working():
+        for k, N in ((Fraction(-1), 1), (Fraction(-5, 2), 2), (Fraction(-3, 2), 1)):
+            a = to_mpf(k + Fraction(N, 2))
+            for y in (mp.mpf("0.3"), mp.mpf("1.1")):
+                v = h_profile(k, N, y, ctx)
+                q = mp.exp(-y) * (mp.gamma(1 - a) + mp.exp(-1j * mp.pi * a) * mp.quad(
+                    lambda u: mp.exp(u) * mp.power(u, -a), [0, 2 * y]))
+                assert abs(v - q) < abs(q) * mp.mpf("1e-35")
+                assert isinstance(v, mp.mpc) == (a != int(a))
+
+
 def test_e_profile(ctx):
     with ctx.working():
         assert e_profile(0, ctx) == 0

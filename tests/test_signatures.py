@@ -2,9 +2,10 @@
 PrecisionContext from the caller: no ``ctx`` parameter anywhere in the
 package has a default to fall back on.  And every module-level name the
 package defines is used by the package or exported by it, so that code
-only the tests call lives in the tests, every module-level import is
-used by its module, and every parameter of a module-level private
-function is read by its body."""
+only the tests call lives in the tests, every method of a class the
+package does not export is referenced by the package, every module-level
+import is used by its module, and every parameter of a module-level
+private function is read by its body."""
 
 import ast
 import importlib
@@ -67,18 +68,45 @@ def _defines(stmt):
     return []
 
 
-def test_every_definition_is_exported_or_used():
-    # a name only the tests call belongs in the tests
+def _trees():
+    """Each module's syntax tree by its name, and the names ``__init__``
+    exports."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in Path(maassjacobi.__file__).parent.glob("*.py")}
     exported = {alias.name for stmt in trees["__init__"].body
                 if isinstance(stmt, ast.ImportFrom) for alias in stmt.names}
+    return trees, exported
+
+
+def test_every_definition_is_exported_or_used():
+    # a name only the tests call belongs in the tests
+    trees, exported = _trees()
     reads = [(module, stmt, Counter(_reads(stmt)))
              for module, tree in trees.items() for stmt in tree.body]
     total = sum((own for _, _, own in reads), Counter())
     unused = [f"{module}.{name}" for module, stmt, own in reads for name in _defines(stmt)
               if not (name.startswith("__") and name.endswith("__"))
               and name not in exported and total[name] == own[name]]
+    assert unused == []
+
+
+def test_every_method_of_an_unexported_class_is_referenced():
+    # a method only the tests call belongs in the tests; a dunder is called
+    # by its protocol, and an override by the callers of its base's method
+    trees, exported = _trees()
+    total = Counter(name for tree in trees.values() for name in _reads(tree))
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name in exported:
+                continue
+            bases = getattr(importlib.import_module(f"maassjacobi.{module}"),
+                            cls.name).__mro__[1:]
+            unused += [f"{module}.{cls.name}.{fn.name}" for fn in cls.body
+                       if isinstance(fn, ast.FunctionDef)
+                       and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                       and not any(hasattr(base, fn.name) for base in bases)
+                       and total[fn.name] == Counter(_reads(fn))[fn.name]]
     assert unused == []
 
 
