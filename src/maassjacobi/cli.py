@@ -122,16 +122,20 @@ SWITCH = Option()
 
 
 def load_config_file(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config file {path!r} is not UTF-8: {exc}") from None
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {line!r}")
-            key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line: {line!r}")
+        key, val = line.split("=", 1)
+        out[key.strip().replace("-", "_")] = val.strip()
     return out
 
 
@@ -144,7 +148,7 @@ def emit(args, obj: dict) -> None:
         sys.stdout.write(text + "\n")
 
 
-def fail(args, exc: Exception, code: int = EXIT_ERROR) -> int:
+def fail(args, exc: Exception, code: int) -> int:
     """Emit ``exc`` as the JSON error object; on stdout, exit 2, if --out fails."""
     obj = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     try:
@@ -395,7 +399,7 @@ def cmd_verify(args) -> int:
     for key in ("samples", "s", "cmax"):
         if key not in read and key in args.flags:
             raise UsageError(f"verify {suite} does not read --{key}")
-    kwargs = {"s": args.s, "c_max": args.cmax} if suite == "duality" else {}
+    kwargs = {"s": _series_s(args, L), "c_max": args.cmax} if suite == "duality" else {}
     checks = fn(L, ctx, args.samples or default_samples, **kwargs)
     ok = all(c["status"] == "pass" for c in checks)
     emit(args, {
@@ -407,6 +411,13 @@ def cmd_verify(args) -> int:
 
 
 # -- computation subcommands -------------------------------------------------------
+
+
+def _series_s(args, L: GramLattice) -> Fraction:
+    """The s of a Poincare series: --s when a flag or the config gives it,
+    else the default 5/2 raised to (N + 3)/2 at rank N >= 3, where the
+    series needs Re(s) > 1 + N/2."""
+    return args.s if "s" in args.given else max(args.s, Fraction(L.N + 3, 2))
 
 
 def _lattice(args) -> GramLattice:
@@ -478,7 +489,7 @@ POINTS_PER_WORKER = 4096
 def cmd_poincare(args, skew=False) -> int:
     L, ctx = _lattice(args), args.precision_bits
     k, c_max, n, r, window = args.k, args.cmax, args.n, _or_zero(args.r, L), args.window
-    s, y = (None, None) if skew else (args.s, args.y)
+    s, y = (None, None) if skew else (_series_s(args, L), args.y)
     key = {"L": L.to_json_obj(), "k": k, "cmax": c_max, "n": n, "r": r,
            "window": window, "skew": skew, "s": None if s is None else str(s),
            "y": None if y is None else str(y), "precision_bits": ctx.bits}

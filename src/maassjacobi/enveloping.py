@@ -269,6 +269,8 @@ class PBWElement(SparseTerms):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
+        if not isinstance(other, PBWElement):
+            return NotImplemented
         other = self._coerce(other)
         alg = self.alg
         out = {}
@@ -481,7 +483,8 @@ class LocalizedPBW:
         return LocalizedPBW(self.numerator * other.numerator,
                             self.detpow + other.detpow)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return self._lift(other) * self
 
     def commutator(self, other) -> "LocalizedPBW":
         other = self._lift(other)

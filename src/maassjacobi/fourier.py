@@ -19,7 +19,8 @@ from mpmath import mp
 
 from .errors import DomainError, NotSemiHolomorphicError
 from .gaussian import GaussianRational
-from .jets import Jet, JetSpace, compose_univariate, coordinate_jets, real_coordinate_jets
+from .jets import (Coordinates, Jet, JetSpace, compose_univariate, coordinate_jets,
+                   imaginary_parts)
 from .lattice import GramLattice, discriminant, enumerate_shifted
 from .opcalc import apply_coefficients, base_values, build_heat
 from .precision import PrecisionContext, mpf_str, to_mpc, to_mpf
@@ -52,9 +53,9 @@ class FourierIndex(NamedTuple):
 #   E           {"nu": int, "h": [rationals]}        E((nu + h.v/y) sqrt(2y))
 
 
-def _profile_jet(tag: str, params: dict, reals: dict, order: int,
+def _profile_jet(tag: str, params: dict, imag: tuple, order: int,
                  ctx: PrecisionContext, per_point: dict) -> Jet:
-    y = reals["y"]
+    y, v = imag
 
     def pi_y(c, exp=False):
         # the jet of pi c y, or of exp(pi c y), built once per point in
@@ -89,13 +90,11 @@ def _profile_jet(tag: str, params: dict, reals: dict, order: int,
         return out
     if tag == "E":
         h = [Fraction(x) for x in params["h"]]
+        if len(h) != len(v):
+            raise DomainError(f"an h of {len(h)} entries at rank {len(v)}")
         w = Jet.const(y.space, int(params["nu"]))
-        hv = None
-        for j, hj in enumerate(h, start=1):
-            if hj:
-                t = reals[f"v{j}"] * to_mpf(hj)
-                hv = t if hv is None else hv + t
-        if hv is not None:
+        if any(h):
+            hv = sum((vj * to_mpf(hj) for vj, hj in zip(v, h) if hj), Jet.const(y.space, 0))
             w = w + hv * y.reciprocal()
         w = w * (y * 2).pow_scalar(mp.mpf("0.5"))
         derivs = e_profile_jet(w.value.real, order, ctx)
@@ -103,11 +102,9 @@ def _profile_jet(tag: str, params: dict, reals: dict, order: int,
     raise DomainError(f"unknown profile tag {tag!r}")
 
 
-def _index_exponential_jet(index: FourierIndex, coords: dict) -> Jet:
-    expo = coords["tau"] * to_mpc(index.n)
-    for j, rj in enumerate(index.r, start=1):
-        if rj:
-            expo = expo + coords[f"z{j}"] * rj
+def _index_exponential_jet(index: FourierIndex, coords: Coordinates) -> Jet:
+    expo = sum((zj * rj for zj, rj in zip(coords.z, index.r) if rj),
+               coords.tau * to_mpc(index.n))
     return (expo * (2j * mp.pi)).exp()
 
 
@@ -154,18 +151,18 @@ class FourierExpansion:
 
     def jet(self, tau, z, degree: int, ctx: PrecisionContext) -> Jet:
         coords = coordinate_jets(JetSpace.for_rank(self.lattice.N, degree), tau, z)
-        return self._jet_at(coords, real_coordinate_jets(coords, self.lattice.N), {}, ctx)
+        return self._jet_at(coords, imaginary_parts(coords), {}, ctx)
 
-    def _jet_at(self, coords: dict, reals: dict, per_point: dict,
+    def _jet_at(self, coords: Coordinates, imag: tuple, per_point: dict,
                ctx: PrecisionContext) -> Jet:
         """Jet at the base point of the coordinate jets ``coords``, whose
-        real-coordinate jets are ``reals``; ``per_point`` caches jets that
+        imaginary parts (y, v) are ``imag``; ``per_point`` caches jets that
         depend only on this base point: e(n tau + r.z) by index, and the
         profiles' pi c y and exp(pi c y) by c."""
-        space = coords["tau"].space
+        space = coords.tau.space
         acc = Jet.const(space, 0)
         for index, (tag, params, coeff) in self.terms.items():
-            pj = _profile_jet(tag, params, reals, space.degree, ctx, per_point)
+            pj = _profile_jet(tag, params, imag, space.degree, ctx, per_point)
             qz = per_point.get(index)
             if qz is None:
                 qz = per_point[index] = _index_exponential_jet(index, coords)
@@ -477,7 +474,7 @@ def _worst_residual(op, cases, points, ctx):
     over the sample points, via jets; lam None means T f alone.
 
     The cases share one rank.  The points are the outer loop: their
-    coordinate jets, real-coordinate jets and the per-point jets of
+    coordinate jets, their imaginary parts and the per-point jets of
     ``_jet_at`` are built once and shared by every case, and the operator's
     coefficient values once per k_value.  Runs inside the caller's
     working-precision block.
@@ -486,22 +483,22 @@ def _worst_residual(op, cases, points, ctx):
         return []
     N = cases[0][0].lattice.N
     space = JetSpace.for_rank(N, op.order())
-    worst = [None] * len(cases)
+    worst = [mp.mpf(0)] * len(cases)
     for tau, z in points:
         coords = coordinate_jets(space, tau, z)
-        reals = real_coordinate_jets(coords, N)
+        imag = imaginary_parts(coords)
         per_point = {}
         here = base_values(tau, z)
         coefficients = {}
         for i, (f, k_value, lam) in enumerate(cases):
-            jet = f._jet_at(coords, reals, per_point, ctx)
+            jet = f._jet_at(coords, imag, per_point, ctx)
             if k_value not in coefficients:
                 coefficients[k_value] = op.coefficients_at(here, k_value)
             val = apply_coefficients(coefficients[k_value], jet)
             if lam is not None:
                 val = val - lam * jet.value
             res = abs(val) / max(mp.mpf(1), abs(jet.value))
-            worst[i] = res if worst[i] is None else max(worst[i], res)
+            worst[i] = max(worst[i], res)
     return worst
 
 

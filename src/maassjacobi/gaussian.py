@@ -69,10 +69,15 @@ class GaussianRational:
         return Fraction(b, d)
 
     # -- arithmetic ---------------------------------------------------
+    # an operand of a type that coerce refuses gives NotImplemented, so that
+    # Python tries the other operand's reflected method
 
     def __add__(self, other):
         if other.__class__ is not GaussianRational:
-            other = GaussianRational.coerce(other)
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
         a1, b1, d1 = self._abd
         a2, b2, d2 = other._abd
         if d1 == d2:
@@ -86,14 +91,17 @@ class GaussianRational:
         return _raw(-a, -b, d)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
         if other.__class__ is not GaussianRational:
-            other = GaussianRational.coerce(other)
+            try:
+                other = GaussianRational.coerce(other)
+            except TypeError:
+                return NotImplemented
         a1, b1, d1 = self._abd
         a2, b2, d2 = other._abd
         return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
@@ -108,10 +116,18 @@ class GaussianRational:
         return _reduced(d * a, -d * b, n)
 
     def __truediv__(self, other):
-        return self * GaussianRational.coerce(other).inverse()
+        try:
+            other = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
+        try:
+            other = GaussianRational.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return other * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:

@@ -195,12 +195,9 @@ def _imag(x):
     return mp.mpc(x).imag
 
 
-def mobius(M, tau, beta=None):
-    """M tau = (a tau + b) beta, with beta = beta(M, tau) computed here
-    unless the caller has it."""
+def mobius(M, tau, beta):
+    """M tau = (a tau + b) beta, given beta = beta(M, tau)."""
     a, b = M[0]
-    if beta is None:
-        beta = cocycle_beta(M, tau)
     return (a * tau + b) * beta
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -341,34 +342,32 @@ class Jet(SparseTerms):
         return f"Jet(deg<={self.space.degree}, {n} terms, value={self.value})"
 
 
-def coordinate_jets(space: JetSpace, tau, z):
-    """Jets of (tau, taubar, z_j, zbar_j) at a base point of H x C^N."""
+class Coordinates(NamedTuple):
+    """The jets of tau, taubar and the vectors z, zbar at a base point of
+    H x C^N, in jet-variable order."""
+
+    tau: Jet
+    taubar: Jet
+    z: tuple
+    zbar: tuple
+
+
+def coordinate_jets(space: JetSpace, tau, z) -> Coordinates:
+    """The coordinate jets at the base point (tau, z)."""
     N = (space.nvars - 2) // 2
     tau = mp.mpc(tau)
     z = [mp.mpc(w) for w in z]
-    out = {
-        "tau": Jet.variable(space, 0, tau),
-        "taubar": Jet.variable(space, 1, mp.conj(tau)),
-    }
-    for j in range(N):
-        out[f"z{j + 1}"] = Jet.variable(space, 2 + j, z[j])
-        out[f"zbar{j + 1}"] = Jet.variable(space, 2 + N + j, mp.conj(z[j]))
-    return out
+    return Coordinates(
+        Jet.variable(space, 0, tau), Jet.variable(space, 1, mp.conj(tau)),
+        tuple(Jet.variable(space, 2 + j, z[j]) for j in range(N)),
+        tuple(Jet.variable(space, 2 + N + j, mp.conj(z[j])) for j in range(N)))
 
 
-def real_coordinate_jets(coords: dict, N: int):
-    """x, y, u_j, v_j as jets derived from the complex coordinate jets."""
-    half = mp.mpf("0.5")
-    tau, taubar = coords["tau"], coords["taubar"]
-    out = {
-        "x": (tau + taubar) * half,
-        "y": (tau - taubar) * mp.mpc(0, -0.5),
-    }
-    for j in range(1, N + 1):
-        zj, zbj = coords[f"z{j}"], coords[f"zbar{j}"]
-        out[f"u{j}"] = (zj + zbj) * half
-        out[f"v{j}"] = (zj - zbj) * mp.mpc(0, -0.5)
-    return out
+def imaginary_parts(coords: Coordinates):
+    """The jets of y = Im tau and of the vector v = Im z."""
+    minus_half_i = mp.mpc(0, -0.5)
+    return ((coords.tau - coords.taubar) * minus_half_i,
+            tuple((zj - zbj) * minus_half_i for zj, zbj in zip(coords.z, coords.zbar)))
 
 
 def compose_univariate(series, inner: Jet) -> Jet:

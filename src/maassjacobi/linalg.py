@@ -85,16 +85,11 @@ def det(a):
         return a[0][0]
     if n == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    acc = None
+    acc = a[0][0] * 0
     for j in range(n):
-        if not a[0][j]:
-            continue
-        term = a[0][j] * _minor_det(a, 0, j)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return a[0][0] * 0
+        if a[0][j]:
+            term = a[0][j] * _minor_det(a, 0, j)
+            acc = acc + (-term if j % 2 else term)
     return acc
 
 

@@ -30,7 +30,7 @@ from .enveloping import PBWElement
 from .errors import DegreeError, DomainError
 from .gaussian import I, GaussianRational
 from .group import J2, AlgebraElement, GroupElement, Point, automorphy_factor, weight_gap
-from .jets import Jet, JetSpace, coordinate_jets, real_coordinate_jets
+from .jets import Coordinates, Jet, JetSpace, coordinate_jets, imaginary_parts
 from .lattice import GramLattice
 from .polys import Poly, PolyRing, SparseTerms, merge_terms
 from .precision import PrecisionContext, to_mpc, to_mpf
@@ -641,7 +641,6 @@ class GaussianSeed:
         import random
 
         rng = random.Random(10007)
-        self.N = N
 
         def small():
             return mp.mpf(rng.randint(-4, 4)) / 16 + mp.mpf(rng.randint(-4, 4)) / 16 * 1j
@@ -651,20 +650,12 @@ class GaussianSeed:
         self.quad = [small() / 8 for _ in range(nv)]
 
     def _expr(self, vars_):
-        acc = None
-        for c, w in zip(self.lin, vars_):
-            t = w * c
-            acc = t if acc is None else acc + t
-        for c, w in zip(self.quad, vars_):
-            acc = acc + w * w * c
-        return acc
+        # the zero of the variables' kind: jets or numbers
+        acc = sum((w * c for c, w in zip(self.lin, vars_)), vars_[0] * 0)
+        return sum((w * w * c for c, w in zip(self.quad, vars_)), acc)
 
-    def jet(self, coords: dict) -> Jet:
-        N = self.N
-        vars_ = [coords["tau"], coords["taubar"]]
-        vars_ += [coords[f"z{j}"] for j in range(1, N + 1)]
-        vars_ += [coords[f"zbar{j}"] for j in range(1, N + 1)]
-        return self._expr(vars_).exp()
+    def jet(self, coords: Coordinates) -> Jet:
+        return self._expr([coords.tau, coords.taubar, *coords.z, *coords.zbar]).exp()
 
     def value(self, tau, z):
         tau = mp.mpc(tau)
@@ -693,26 +684,20 @@ def slashed_jet(seed, weights, L: GramLattice, g, tau, z, degree: int):
     N = L.N
     space = JetSpace.for_rank(N, degree)
     coords = coordinate_jets(space, tau, z)
-    zs = [coords[f"z{j}"] for j in range(1, N + 1)]
-    zbars = [coords[f"zbar{j}"] for j in range(1, N + 1)]
     gm = g.to_numeric() if g.exact else g
-    tau_p, z_p, beta = group.act_coordinates(gm, coords["tau"], zs)
-    taubar_p, zbar_p, betabar = group.act_coordinates(gm, coords["taubar"], zbars)
+    tau_p, z_p, beta = group.act_coordinates(gm, coords.tau, coords.z)
+    taubar_p, zbar_p, betabar = group.act_coordinates(gm, coords.taubar, coords.zbar)
 
     q_tau = tau_p.value
     q_z = [jj.value for jj in z_p]
     f_at_q = seed.jet(coordinate_jets(space, q_tau, q_z))
     composed = f_at_q.compose([tau_p, taubar_p, *z_p, *zbar_p])
 
-    a_jets = group.cocycle_a(gm, Point(coords["tau"], zs))
-    tr = None
-    for i in range(N):
-        for j in range(N):
-            lij = to_mpc(L.entries[i][j])
-            if lij:
-                t = a_jets[j][i] * lij
-                tr = t if tr is None else tr + t
-    alpha = (tr * (2j * mp.pi)).exp() if tr is not None else Jet.const(space, 1)
+    # alpha_L = e(tr(L a))
+    a_jets = group.cocycle_a(gm, Point(coords.tau, coords.z))
+    tr = sum((a_jets[j][i] * to_mpc(lij) for i, row in enumerate(L.entries)
+              for j, lij in enumerate(row) if lij), Jet.const(space, 0))
+    alpha = (tr * (2j * mp.pi)).exp()
 
     # the weight needs the independent taubar jet, so it is not group's
     modulus = beta * betabar if any(kbar for _, kbar in gaps) else None
@@ -836,23 +821,16 @@ def kernel_seed(k, L: GramLattice, l, h, ctx: PrecisionContext):
     N = L.N
     k = Fraction(k)
     l = Fraction(l)
-    h = [Fraction(x) for x in (h if isinstance(h, (list, tuple)) else [h] * N)]
+    h = [Fraction(x) for x in L._of_rank(h if isinstance(h, (list, tuple)) else [h] * N)]
     ops = build_raising_lowering(L)
 
     def build_jet(coords, c_coeff):
-        reals = real_coordinate_jets(coords, N)
-        y = reals["y"]
-        lv = None
-        for a in range(N):
-            for b in range(N):
-                lab = to_mpc(L.entries[a][b])
-                if lab:
-                    t = reals[f"v{a + 1}"] * reals[f"v{b + 1}"] * lab
-                    lv = t if lv is None else lv + t
-        expo = coords["taubar"] * to_mpc(l)
-        for j in range(1, N + 1):
-            expo = expo + coords[f"zbar{j}"] * to_mpc(h[j - 1])
-        if lv is not None and c_coeff:
+        y, v = imaginary_parts(coords)
+        lv = sum((v[a] * v[b] * to_mpc(lab) for a, row in enumerate(L.entries)
+                  for b, lab in enumerate(row) if lab), Jet.const(y.space, 0))
+        expo = sum((zbj * to_mpc(hj) for zbj, hj in zip(coords.zbar, h)),
+                   coords.taubar * to_mpc(l))
+        if c_coeff:
             expo = expo + lv * y.reciprocal() * mp.mpc(c_coeff)
         return y.pow_scalar(-k) * (expo * (2j * mp.pi)).exp()
 

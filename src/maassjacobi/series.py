@@ -229,7 +229,7 @@ def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprimes, c_max: int,
 
 def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
                   c_lo: int, c_hi: int, ctx: PrecisionContext, *,
-                  dual=(), discriminants=None):
+                  dual=(), discriminants):
     """Partial sums over c in [c_lo, c_hi] of c^{-(N+2)/2} K_c Bessel(..),
     one for each r' of rprimes, then one for each r_i of ``dual``.
 
@@ -239,12 +239,11 @@ def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
     r, sums K_c(n', r'_0, n, r_i) instead: the c-sum of the seed (n', r'_0)
     at (n, r_i), which the weight N+2-k side of a duality pair takes.  Its
     |D D'| is the same, so it shares the power and the Bessel value too.
-    ``discriminants`` is (D, D') when the caller has them (and has checked
-    that its sides share them).  Returns [(sum, |last term|)] in that
-    order, each summed in c-order and each term ``w * K * bv`` with K as
-    ``kloosterman`` gives it; equal sides are summed once.  J is used when
-    D D' > 0 and I otherwise; the skew-holomorphic coefficients use it at
-    s = (2k - N)/4.
+    ``discriminants`` is (D, D'), which the caller has checked its sides
+    share.  Returns [(sum, |last term|)] in that order, each summed in
+    c-order and each term ``w * K * bv`` with K as ``kloosterman`` gives
+    it; equal sides are summed once.  J is used when D D' > 0 and I
+    otherwise; the skew-holomorphic coefficients use it at s = (2k - N)/4.
     """
     s = Fraction(s)
     N = L.N
@@ -252,14 +251,7 @@ def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
         raise DomainError("c must be a positive integer")
     if c_hi < 0:
         raise DomainError("c_max must be nonnegative")
-    if discriminants is None:
-        D, Dp = discriminant(L, n, r), discriminant(L, nprime, rprimes[0])
-        if any(discriminant(L, nprime, rp) != Dp for rp in rprimes):
-            raise DomainError("the r' sides of one c-sum must share D'")
-        if any(discriminant(L, n, ri) != D for ri in dual):
-            raise DomainError("the dual sides of one c-sum must share D")
-    else:
-        D, Dp = discriminants
+    D, Dp = discriminants
     n, nprime = int(n), int(nprime)
     keys = ([(n, _ints(r), nprime, _ints(rp)) for rp in rprimes]
             + [(nprime, _ints(rprimes[0]), n, _ints(ri)) for ri in dual])

@@ -1,7 +1,8 @@
 """Hypothesis profiles, the shared precision fixture, and the helpers that
-more than one test module uses: an 8th-order finite difference, and the
-parameter-shift Whittaker jets, the oracle of the jets that ``specfun``
-takes from Whittaker's equation."""
+more than one test module uses: an 8th-order finite difference, the
+parameter-shift Whittaker jets (the oracle of the jets that ``specfun``
+takes from Whittaker's equation), and the loop that is the oracle of the
+sums at a point."""
 
 from fractions import Fraction
 from math import factorial
@@ -39,6 +40,16 @@ FD_WEIGHTS_8 = tuple(
          Fraction(-1, 280)),
     )
 )
+
+
+def sum_by_loop(terms):
+    """A sum started from its first term: the accumulator that the sums at a
+    point (tr(L a), L[v], h.v, n tau + r.z and the seed's exponent) used
+    before they started from zero, kept as their oracle."""
+    acc = None
+    for t in terms:
+        acc = t if acc is None else acc + t
+    return acc
 
 
 def finite_difference(fun, base: list, var: int, h):

@@ -148,6 +148,7 @@ def test_verify_rejects_flags_its_suite_does_not_read(cache_dir, capsys, suite, 
     ("theta", "--L", "2", "--bound", "x"),
     ("kloosterman", "--L", "2", "--precision-bits", "10"),
     ("--config", "BAD_CONFIG", "poincare", "--L", "2"),
+    ("eigen", "--config", "LATIN1_CONFIG"),
     ("kloosterman", "--L", "2", "--bogus", "1"),
     ("verify", "covariance", "--L", "2", "--samples", "-3"),
     ("verify", "kloosterman-symmetry", "--L", "2", "--samples", "0"),
@@ -158,17 +159,48 @@ def test_verify_rejects_flags_its_suite_does_not_read(cache_dir, capsys, suite, 
     ("decompose", "--in", "NOT_JSON_FILE"),
 ], ids=" ".join)
 def test_malformed_values_are_usage_errors(cache_dir, capsys, tmp_path, argv):
-    files = {"BAD_CONFIG": "cmax = abc\n", "NO_TERMS_FILE": '{"lattice": [["1"]]}',
-             "NOT_JSON_FILE": "not json"}
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    files = {"BAD_CONFIG": b"cmax = abc\n", "LATIN1_CONFIG": b"cmax = 3\n\xff\xfe bad\n",
+             "NO_TERMS_FILE": b'{"lattice": [["1"]]}', "NOT_JSON_FILE": b"not json"}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
     code = main([str(tmp_path / a) if a in files else a for a in argv])
     out, err = capsys.readouterr()
     assert code == 2 and err == ""
     error = json.loads(out)["error"]
     assert error["type"] == "UsageError"
-    if argv[0] == "decompose":  # the message names the expansion file
-        assert str(tmp_path / argv[-1]) in error["message"]
+    if argv[-1] in ("NO_TERMS_FILE", "NOT_JSON_FILE", "LATIN1_CONFIG"):
+        assert str(tmp_path / argv[-1]) in error["message"]  # it names the file
+
+
+RANK_3 = "2,1,0;1,2,1;0,1,2"
+
+
+@pytest.mark.parametrize("L, given, s", [
+    ("2,1;1,2", (), "5/2"),
+    (RANK_3, (), "3"),
+    (RANK_3, ("--s", "7/2"), "7/2"),
+], ids=["rank2", "rank3", "rank3-given"])
+def test_poincare_default_s_converges_at_every_rank(cache_dir, capsys, L, given, s):
+    # unless --s or the config gives it, s is max(5/2, (N + 3)/2) > 1 + N/2
+    code, out = run(capsys, "poincare", "--L", L, "--cmax", "2", "--window", "1",
+                    "--no-cache", *given)
+    obj = json.loads(out)
+    assert code == 0 and obj["config"]["s"] == s
+    assert all("value" in row for row in obj["table"] if row["D'"] != "0")
+
+
+@pytest.mark.parametrize("config", ["", "s = 5/2\n"], ids=["default", "config"])
+def test_duality_at_rank_3(cache_dir, capsys, tmp_path, config):
+    # the default s converges at rank 3; an s the config gives is kept
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(config)
+    code, out = run(capsys, "--config", str(cfg), "verify", "duality", "--N", "3",
+                    "--cmax", "3", "--no-cache")
+    obj = json.loads(out)
+    if config:
+        assert code == 3 and "Re(s) > 1 + N/2" in obj["error"]["message"]
+    else:
+        assert code == 0 and obj["pass"]
 
 
 def test_bad_lattice_in_expansion_file_is_domain_error(cache_dir, capsys, tmp_path):
@@ -556,6 +588,18 @@ _VALUES = {
     "infile": ["@DIR/expansion.json", "@DIR/not.json", "@DIR/missing.json"],
 }
 
+# --config files: a good one, a line without '=', a malformed value, an
+# unknown key and bytes that are not UTF-8; the directory and a missing path
+# are drawn too
+_CONFIG_FILES = {
+    "good.cfg": b"# a comment\n\nprecision-bits = 64\n",
+    "no-equals.cfg": b"cmax 3\n",
+    "bad-value.cfg": b"cmax = x\n",
+    "unknown-key.cfg": b"colour = blue\n",
+    "latin1.cfg": b"cmax = 3\n\xff\xfe bad\n",
+}
+_CONFIGS = [f"@DIR/{name}" for name in _CONFIG_FILES] + ["@DIR", "@DIR/missing.cfg"]
+
 
 @st.composite
 def _argv(draw):
@@ -578,6 +622,8 @@ def _argv(draw):
         arg = flag if opt.parse is None else \
             f"{flag}={draw(st.sampled_from(_VALUES[name] + malformed))}"
         (head if name in cli.GLOBAL_OPTIONS and draw(st.booleans()) else tail).append(arg)
+    if draw(st.booleans()):
+        head.append(f"--config={draw(st.sampled_from(_CONFIGS))}")
     return head + tail
 
 
@@ -596,10 +642,13 @@ def _is_os_error(name):
 @given(argv=_argv())
 @example(argv=["poincare", "--L", "2", "--k", "2", "--y=-1", "--window", "1", "--cmax", "3"])
 @example(argv=["poincare", "--L", "2", "--jobs", "0", "--window", "1", "--cmax", "1"])
+@example(argv=["eigen", "--config=@DIR/latin1.cfg"])
 def test_every_request_ends_in_one_json_object_and_a_typed_exit(cache_dir, capsys, tmp_path,
                                                                  argv):
     (tmp_path / "expansion.json").write_text(theta_lmu(GramLattice([[2]]), [1], 2).to_json())
     (tmp_path / "not.json").write_text("not json")
+    for name, data in _CONFIG_FILES.items():
+        (tmp_path / name).write_bytes(data)
     code = main([a.replace("@DIR", str(tmp_path)) for a in argv])
     obj = json.loads(capsys.readouterr().out)
     assert isinstance(obj, dict) and code in (0, 1, 2, 3)

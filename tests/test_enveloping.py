@@ -364,6 +364,17 @@ def test_eta_is_sl2_homomorphism_and_nu_commutes_with_radical():
                 assert nx.commutator(r).is_zero(), (gen, rname)
 
 
+def test_exact_scalar_and_pbw_element_on_the_left():
+    # each mixed product equals the one with both operands lifted, in
+    # written order
+    alg = JacobiLieAlgebra(1)
+    E, F = PBWElement.gen(alg, "E"), PBWElement.gen(alg, "F")
+    assert I * E == PBWElement.const(alg, I) * E == E * I
+    nE = nu(alg, "E")
+    assert F * nE == LocalizedPBW(F) * nE
+    assert F * nE != nE * LocalizedPBW(F)
+
+
 def test_nu_casimir_identity():
     for N in (1, 2):
         _, _, eq = nu_casimir_identity(N)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import factorial
 
 import pytest
 from mpmath import mp
@@ -10,6 +11,8 @@ from maassjacobi.errors import DomainError, NotSemiHolomorphicError
 from maassjacobi.fourier import (
     FourierExpansion,
     FourierIndex,
+    _index_exponential_jet,
+    _profile_jet,
     _worst_residual,
     casimir_residual,
     casimir_residuals,
@@ -29,10 +32,12 @@ from maassjacobi.fourier import (
 from maassjacobi.gaussian import GaussianRational
 from maassjacobi.lattice import GramLattice, discriminant
 from maassjacobi.opcalc import base_values, build_casimir_op
-from maassjacobi.precision import PrecisionContext, to_mpc
+from maassjacobi.jets import Jet, JetSpace, compose_univariate, coordinate_jets, imaginary_parts
+from maassjacobi.precision import PrecisionContext, to_mpc, to_mpf
+from maassjacobi.specfun import e_profile_jet
 from maassjacobi.series import casimir_eigenvalue
 
-from conftest import finite_difference
+from conftest import finite_difference, sum_by_loop
 
 PTS1 = [(mp.mpc("0.13", "0.9"), [mp.mpc("0.21", "0.17")]),
         (mp.mpc("-0.4", "1.3"), [mp.mpc("-0.3", "0.4")]),
@@ -130,6 +135,47 @@ def test_expansion_json_round_trip():
         back = FourierExpansion.from_json(s)
         assert back == f
         assert back.to_json() == s
+
+
+@pytest.mark.parametrize("h, r", [([0], [0]), ([Fraction(1, 2)], [3]), ([0, 0], [1, 0]),
+                                  ([0, -3], [0, 2]), ([Fraction(1, 2), -3], [-1, 1])])
+@pytest.mark.parametrize("degree", [0, 1, 3])
+def test_point_sums_match_the_loop(ctx, h, r, degree):
+    # h.v of the E profile and n tau + r.z of e(n tau + r.z), each against
+    # its loop, with zero and nonzero h_j and r_j
+    N, n, nu = len(h), Fraction(-3, 4), 1
+    tau, z = mp.mpc("-0.4", "1.3"), [mp.mpc("-0.3", "0.4"), mp.mpc("0.1", "0.25")][:N]
+    with ctx.working():
+        coords = coordinate_jets(JetSpace.for_rank(N, degree), tau, z)
+        y, v = imag = imaginary_parts(coords)
+        hv = sum_by_loop([vj * to_mpf(hj) for vj, hj in zip(v, h) if hj])
+        w = Jet.const(y.space, nu)
+        if hv is not None:
+            w = w + hv * y.reciprocal()
+        w = w * (y * 2).pow_scalar(mp.mpf("0.5"))
+        derivs = e_profile_jet(w.value.real, degree, ctx)
+        expect = compose_univariate([d / factorial(j) for j, d in enumerate(derivs)], w)
+        got = _profile_jet("E", {"nu": nu, "h": h}, imag, degree, ctx, {})
+        assert list(got.terms.items()) == list(expect.terms.items())
+        expo = sum_by_loop([coords.tau * to_mpc(n)]
+                            + [zj * rj for zj, rj in zip(coords.z, r) if rj])
+        got = _index_exponential_jet(FourierIndex.of(n, r), coords)
+        assert list(got.terms.items()) == list((expo * (2j * mp.pi)).exp().terms.items())
+
+
+@pytest.mark.parametrize("h", [[1], [1, 0, 2]], ids=["short", "long"])
+def test_e_profile_h_of_another_rank_is_a_domain_error(ctx, h):
+    f = mixed_mock_term(Fraction(5, 2), GramLattice([[2, 1], [1, 2]]), 1, [1, 0], 0, h)
+    with pytest.raises(DomainError):
+        f.evaluate(mp.mpc("0.1", "1.2"), [mp.mpc("0.2", "0.1"), mp.mpc(0)], ctx)
+
+
+def test_residual_over_no_points_is_zero(ctx):
+    # as in covariance_residuals, each maximum starts from zero
+    L = GramLattice([[2]])
+    f = theta_lmu(L, [1], 2)
+    with ctx.working():
+        assert _worst_residual(build_casimir_op(L), [(f, None, None)], [], ctx) == [mp.mpf(0)]
 
 
 _E_CASES = [(GramLattice([[2]]), [1], 0, [Fraction(1, 2)], PTS1[0]),

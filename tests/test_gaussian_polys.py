@@ -126,6 +126,45 @@ def test_gaussian_field_axioms():
     assert I ** 4 == 1
 
 
+def _det_by_loop(a):
+    """Cofactor expansion along the first row by the None-started loop that
+    linalg.det had before it started from the zero of its entries."""
+    n = len(a)
+    if n <= 2:
+        return linalg.det(a)
+    acc = None
+    for j in range(n):
+        if not a[0][j]:
+            continue
+        minor = tuple(tuple(a[r][c] for c in range(n) if c != j) for r in range(1, n))
+        term = a[0][j] * _det_by_loop(minor)
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return a[0][0] * 0 if acc is None else acc
+
+
+def test_det_matches_the_loop():
+    # Fraction, Gaussian-rational and polynomial entries, first rows with
+    # zeros and all zero; polynomial terms in the same order
+    rng = random.Random(11)
+    R = PolyRing(["a", "b"])
+    kinds = [lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 2)),
+             lambda: GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2)),
+             lambda: R.var("a").scale(rng.randint(-2, 2)) + R.var("b") * rng.randint(-1, 1)]
+    for entry in kinds:
+        for n in (3, 4):
+            for zeros in (0, 1, n):
+                m = [[entry() for _ in range(n)] for _ in range(n)]
+                for j in rng.sample(range(n), zeros):
+                    m[0][j] = m[0][j] * 0
+                m = tuple(map(tuple, m))
+                got, expect = linalg.det(m), _det_by_loop(m)
+                assert got == expect and type(got) is type(expect)
+                if isinstance(got, Poly):
+                    assert list(got.terms.items()) == list(expect.terms.items())
+
+
 def test_gaussian_format_round_trip():
     rng = random.Random(2)
     for _ in range(100):
@@ -165,6 +204,17 @@ def test_poly_arithmetic_and_division():
     y = Ry.var("y")
     yi = Ry.var("y", -1)
     assert y * yi == Ry.one()
+
+
+def test_exact_scalar_on_the_left_of_a_poly():
+    # each mixed operation equals the one with both operands in the ring
+    R = PolyRing(["y", "v"], laurent=("y",))
+    y, lifted = R.var("y") + R.var("v"), R.const(I)
+    assert I * y == lifted * y == y * I
+    assert I + y == lifted + y
+    assert I - y == lifted - y
+    with pytest.raises(TypeError):
+        I * mp.mpf(2)  # neither operand takes the other
 
 
 def test_poly_subs_and_eval():

@@ -10,7 +10,7 @@ from mpmath import mp
 
 from maassjacobi import jets, specfun
 from maassjacobi.errors import DomainError, PoleError, PrecisionError
-from maassjacobi.jets import Jet, JetSpace, compose_univariate
+from maassjacobi.jets import Jet, JetSpace, compose_univariate, coordinate_jets, imaginary_parts
 from maassjacobi.precision import PrecisionContext, to_fraction, to_mpf
 from maassjacobi.specfun import (
     _kummer_u,
@@ -30,7 +30,7 @@ from maassjacobi.specfun import (
     whittaker_W_renorm,
 )
 
-from conftest import whittaker_jet_by_shifts
+from conftest import sum_by_loop, whittaker_jet_by_shifts
 
 
 def _nilpotent_part(j):
@@ -256,6 +256,43 @@ def test_jet_engine_dyadic_sums_are_exact(ctx, sp):
         shuffled = list(b.terms.items())
         rng.shuffle(shuffled)
         assert a * b == b * a == a * Jet(sp, dict(shuffled))
+
+
+@settings(settings.get_profile("exact"))
+@given(N=st.sampled_from([1, 2]), degree=st.integers(0, 4), data=st.data())
+def test_jet_sums_from_zero_match_the_loop(N, degree, data):
+    # small integer parts cancel often, so keys leave and come back; the
+    # thirds round, so coefficients that are not exact sums are met too
+    space = JetSpace.for_rank(N, degree)
+    monos = jets._tables(space.nvars, degree).monos
+    parts = st.integers(-2, 2)
+    terms = data.draw(st.lists(st.dictionaries(
+        st.sampled_from(monos), st.tuples(parts, parts, st.sampled_from([1, 3])),
+        max_size=6), min_size=1, max_size=6))
+    with mp.workprec(128):
+        terms = [Jet(space, {e: mp.mpc(a, b) / d for e, (a, b, d) in t.items() if a or b})
+                 for t in terms]
+        got = sum(terms, Jet.const(space, 0))
+        assert list(got.terms.items()) == list(sum_by_loop(terms).terms.items())
+        values = [t.value for t in terms]
+        assert sum(values, values[0] * 0) == sum_by_loop(values)
+
+
+@pytest.mark.parametrize("N, degree", [(1, 0), (1, 2), (2, 1), (2, 3)])
+def test_coordinate_jets_are_the_variables_in_order(ctx, N, degree):
+    space = JetSpace.for_rank(N, degree)
+    tau, z = mp.mpc("0.3", "1.2"), [mp.mpc("0.1", "-0.4"), mp.mpc("-0.7", "0.25")][:N]
+    with ctx.working():
+        coords = coordinate_jets(space, tau, z)
+        bases = [tau, mp.conj(tau), *z, *(mp.conj(w) for w in z)]
+        assert [coords.tau, coords.taubar, *coords.z, *coords.zbar] == \
+            [Jet.variable(space, i, b) for i, b in enumerate(bases)]
+        # y = (tau - taubar)/(2i) and v_j = (z_j - zbar_j)/(2i), as built
+        # before they were the imaginary parts of Coordinates
+        y, v = imaginary_parts(coords)
+        assert y == (coords.tau - coords.taubar) * mp.mpc(0, -0.5)
+        assert v == tuple((zj - zbj) * mp.mpc(0, -0.5) for zj, zbj in zip(coords.z, coords.zbar))
+        assert y.value == tau.imag and [vj.value for vj in v] == [w.imag for w in z]
 
 
 def test_non_finite_jet_coefficients_raise(ctx):

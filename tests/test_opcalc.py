@@ -14,7 +14,7 @@ from maassjacobi.enveloping import JacobiLieAlgebra, PBWElement, build_casimir, 
 from maassjacobi.errors import DegreeError, DomainError
 from maassjacobi.gaussian import GaussianRational
 from maassjacobi.group import AlgebraElement, Point, automorphy_factor, slash
-from maassjacobi.jets import Jet, JetSpace, coordinate_jets
+from maassjacobi.jets import Jet, JetSpace, coordinate_jets, imaginary_parts
 from maassjacobi.lattice import GramLattice
 from maassjacobi.opcalc import (
     DiffOp,
@@ -562,6 +562,31 @@ def test_heat_covariance_type(ctx):
         assert bad > mp.mpf("1e-12")
 
 
+def _seed_exponent_by_loop(seed, vars_):
+    """GaussianSeed's exponent by the None-started loop it had before it
+    started from the zero of its variables, kept as its oracle."""
+    acc = None
+    for c, w in zip(seed.lin, vars_):
+        t = w * c
+        acc = t if acc is None else acc + t
+    for c, w in zip(seed.quad, vars_):
+        acc = acc + w * w * c
+    return acc
+
+
+@pytest.mark.parametrize("N, degree", [(1, 0), (1, 4), (2, 2)])
+def test_seed_sums_match_the_loop(ctx, N, degree):
+    seed = GaussianSeed(N)
+    tau, z = mp.mpc("0.2", "1.1"), [mp.mpc("0.3", "-0.2"), mp.mpc("-0.1", "0.6")][:N]
+    with ctx.working():
+        coords = coordinate_jets(JetSpace.for_rank(N, degree), tau, z)
+        vars_ = [coords.tau, coords.taubar, *coords.z, *coords.zbar]
+        got, expect = seed.jet(coords), _seed_exponent_by_loop(seed, vars_).exp()
+        assert list(got.terms.items()) == list(expect.terms.items())
+        numbers = [v.value for v in vars_]
+        assert seed.value(tau, z) == mp.exp(_seed_exponent_by_loop(seed, numbers))
+
+
 def test_jet_engine_against_finite_differences(ctx):
     # cross-validate jet application of an operator against 8th order FD
     L = GramLattice([[1]])
@@ -657,10 +682,9 @@ def test_kernel_seed(ctx):
         space = JetSpace.for_rank(1, 1)
         tau, z = mp.mpc("0.1", "0.8"), [mp.mpc("0.2", "0.3")]
         coords = coordinate_jets(space, tau, z)
-        from maassjacobi.jets import real_coordinate_jets
-        reals = real_coordinate_jets(coords, 1)
-        naked = reals["y"].pow_scalar(mp.mpf(-2)) * (
-            (coords["taubar"] + coords["zbar1"] * mp.mpf("0.5")) * (2j * mp.pi)).exp()
+        y, _ = imaginary_parts(coords)
+        naked = y.pow_scalar(mp.mpf(-2)) * (
+            (coords.taubar + coords.zbar[0] * mp.mpf("0.5")) * (2j * mp.pi)).exp()
         resid = abs(ops["X+"].apply_jet(naked, base_values(tau, z),
                                         k_value=mp.mpf(2))) / abs(naked.value)
         assert resid > mp.mpf("1e-6")
@@ -668,6 +692,8 @@ def test_kernel_seed(ctx):
     rep0 = kernel_seed(0, L, 0, [0], ctx)
     with ctx.working():
         assert rep0["max_Y+"] < mp.mpf("1e-30")
+    with pytest.raises(DomainError):  # one h_j for each of the N coordinates
+        kernel_seed(0, L, 0, [0, 1], ctx)
 
 
 def test_invariant_operator_basis_elements_are_invariant(ctx):
@@ -689,7 +715,6 @@ def test_invariant_operator_basis_elements_are_invariant(ctx):
 
 def test_xi_apply_and_dminus_on_semiholomorphic(ctx):
     from maassjacobi.opcalc import xi_apply
-    from maassjacobi.jets import real_coordinate_jets
 
     L = GramLattice([[1]])
     with ctx.working():
@@ -697,9 +722,9 @@ def test_xi_apply_and_dminus_on_semiholomorphic(ctx):
         space = JetSpace.for_rank(1, 2)
         coords = coordinate_jets(space, tau, z)
         # semi-holomorphic seed: no zbar dependence
-        f = (coords["tau"] * mp.mpc("0.3", "0.1")
-             + coords["taubar"] * mp.mpc("0.2")
-             + coords["z1"] * mp.mpc("0.4", "-0.2")).exp()
+        f = (coords.tau * mp.mpc("0.3", "0.1")
+             + coords.taubar * mp.mpc("0.2")
+             + coords.z[0] * mp.mpc("0.4", "-0.2")).exp()
         dm = build_D_minus(L)
         got = dm.apply_jet(f, base_values(tau, z))
         # D- acts on semi-holomorphic jets by -2iy^2 d_taubar

@@ -4,8 +4,10 @@ package has a default to fall back on.  And every module-level name the
 package defines is used by the package or exported by it, so that code
 only the tests call lives in the tests, every method of a class the
 package does not export is referenced by the package, every module-level
-import is used by its module, and every parameter of a module-level
-private function is read by its body."""
+import is used by its module, every parameter of a module-level
+private function is read by its body, and every defaulted parameter of
+a function that the package calls and does not export is omitted by at
+least one of those calls."""
 
 import ast
 import importlib
@@ -149,3 +151,40 @@ def test_every_parameter_of_a_private_function_is_read():
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
             unread += [f"{path.stem}.{fn.name}({p})" for p in params if p not in read]
     assert unread == []
+
+
+def _omits(call: ast.Call, fn: ast.FunctionDef, name: str) -> bool:
+    """Whether ``call`` leaves the parameter ``name`` of ``fn`` to its default."""
+    if any(k.arg in (name, None) for k in call.keywords):   # None: **kwargs
+        return False
+    positional = [p.arg for p in fn.args.posonlyargs + fn.args.args]
+    if name not in positional:
+        return True
+    return (not any(isinstance(a, ast.Starred) for a in call.args)
+            and len(call.args) <= positional.index(name))
+
+
+def test_every_default_is_omitted_by_a_call():
+    # a default that every caller in the package overrides is one no call
+    # uses: the parameter should be required
+    trees, exported = _trees()
+    functions = {fn.name: (module, fn) for module, tree in trees.items() for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name not in exported}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in functions:
+                    calls.setdefault(name, []).append(node)
+    unused = []
+    for name, found in calls.items():
+        module, fn = functions[name]
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        defaulted = ([p.arg for p in positional[len(positional) - len(a.defaults):]]
+                     + [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None])
+        unused += [f"{module}.{name}({p})" for p in defaulted
+                   if not any(_omits(call, fn, p) for call in found)]
+    assert unused == []
