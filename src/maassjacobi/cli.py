@@ -237,8 +237,7 @@ def suite_cocycle(L, ctx, samples):
         for _ in range(samples):
             g = random_group_element(L.N, rng)
             h = random_group_element(L.N, rng)
-            tau, z = random_point(L.N, rng)
-            p = Point(mp.mpc(tau), tuple(mp.mpc(w) for w in z))
+            p = Point(*random_point(L.N, rng))
             gm, hm = g.to_numeric(), h.to_numeric()
             gh, hp = jacobi_mul(gm, hm), act(hm, p)
             a_gh, a_g, a_h = cocycle_a(gh, p), cocycle_a(gm, hp), cocycle_a(hm, p)

@@ -564,14 +564,9 @@ def build_classical_invariants(N: int) -> dict:
     detZ = linalg.det(Zm)
     adjZ = linalg.adjugate(Zm)
 
-    trC = R.zero()
-    for i in range(N):
-        for j in range(N):
-            trC = trC + adjZ[i][j] * C[j][i]
-
     AQ = linalg.mul(adjZ, linalg.mat(Q))
     trAQ2 = linalg.trace_mul(AQ, AQ)
-    PN = detZ * Q0 + trC
+    PN = detZ * Q0 + linalg.trace_mul(adjZ, C)
     if trAQ2:
         PN = PN + trAQ2.divide_exact(detZ).scale(half)
     return {"Q0": Q0, "Q": linalg.mat(Q), "C": linalg.mat(C), "PN": PN, "detZ": detZ}

@@ -22,7 +22,7 @@ from .gaussian import GaussianRational
 from .jets import (Coordinates, Jet, JetSpace, compose_univariate, coordinate_jets,
                    imaginary_parts)
 from .lattice import GramLattice, discriminant, enumerate_shifted
-from .opcalc import apply_coefficients, base_values, build_heat
+from .opcalc import apply_coefficients, build_heat
 from .precision import PrecisionContext, mpf_str, to_mpc, to_mpf
 from .specfun import (
     e_profile_jet,
@@ -117,7 +117,14 @@ class FourierExpansion:
         self.lattice = lattice
         self.terms = dict(terms or {})
 
+    def _check_rank(self, index: FourierIndex, tag: str, params: dict):
+        """DomainError unless r, and the h of an E term, have the lattice's rank."""
+        self.lattice._of_rank(index.r)
+        if tag == "E":
+            self.lattice._of_rank(params["h"])
+
     def add_term(self, index: FourierIndex, tag: str, params: dict, coeff):
+        self._check_rank(index, tag, params)
         if not coeff:
             return
         if index in self.terms:
@@ -188,14 +195,22 @@ class FourierExpansion:
 
     @staticmethod
     def from_json(s: str) -> "FourierExpansion":
+        """The expansion of ``to_json``'s text.  A Gram matrix outside the
+        domain raises DomainError.  Text that is not an expansion raises
+        ValueError, LookupError, TypeError or AttributeError; a term whose
+        r, or whose E profile's h, is not of the lattice's rank raises
+        ValueError."""
         data = json.loads(s)
         L = GramLattice.from_json_obj(data["lattice"])
         out = FourierExpansion(L)
         for t in data["terms"]:
             index = FourierIndex.of(Fraction(t["n"]), t["r"])
             params = {k: _param_parse(v) for k, v in t["params"].items()}
-            coeff = _coeff_unpair(t["coeff"])
-            out.terms[index] = (t["profile"], params, coeff)
+            try:
+                out._check_rank(index, t["profile"], params)
+            except DomainError as exc:
+                raise ValueError(f"the term n = {index.n}, r = {list(index.r)}: {exc}") from None
+            out.terms[index] = (t["profile"], params, _coeff_unpair(t["coeff"]))
         return out
 
 
@@ -488,12 +503,11 @@ def _worst_residual(op, cases, points, ctx):
         coords = coordinate_jets(space, tau, z)
         imag = imaginary_parts(coords)
         per_point = {}
-        here = base_values(tau, z)
         coefficients = {}
         for i, (f, k_value, lam) in enumerate(cases):
             jet = f._jet_at(coords, imag, per_point, ctx)
             if k_value not in coefficients:
-                coefficients[k_value] = op.coefficients_at(here, k_value)
+                coefficients[k_value] = op.coefficients_at(tau, z, k_value)
             val = apply_coefficients(coefficients[k_value], jet)
             if lam is not None:
                 val = val - lam * jet.value

@@ -343,24 +343,37 @@ class Jet(SparseTerms):
 
 
 class Coordinates(NamedTuple):
-    """The jets of tau, taubar and the vectors z, zbar at a base point of
-    H x C^N, in jet-variable order."""
+    """The 2N + 2 slots tau, taubar and the vectors z, zbar of H x C^N, in
+    jet-variable order: the coordinate jets at a point, or the derivative
+    basis d_tau, d_taubar, d_z, d_zbar of ``opcalc``."""
 
-    tau: Jet
-    taubar: Jet
+    tau: object
+    taubar: object
     z: tuple
     zbar: tuple
 
+    def flat(self) -> list:
+        """The entries in jet-variable order."""
+        return [self.tau, self.taubar, *self.z, *self.zbar]
+
+    @staticmethod
+    def of(items) -> "Coordinates":
+        """The inverse of ``flat``: 2N + 2 entries in jet-variable order."""
+        items = tuple(items)
+        N = (len(items) - 2) // 2
+        return Coordinates(items[0], items[1], items[2:2 + N], items[2 + N:])
+
 
 def coordinate_jets(space: JetSpace, tau, z) -> Coordinates:
-    """The coordinate jets at the base point (tau, z)."""
+    """The coordinate jets at the base point (tau, z); z has one entry for
+    each of the space's N."""
     N = (space.nvars - 2) // 2
+    if len(z) != N:
+        raise DomainError(f"a z of {len(z)} entries at rank {N}")
     tau = mp.mpc(tau)
     z = [mp.mpc(w) for w in z]
-    return Coordinates(
-        Jet.variable(space, 0, tau), Jet.variable(space, 1, mp.conj(tau)),
-        tuple(Jet.variable(space, 2 + j, z[j]) for j in range(N)),
-        tuple(Jet.variable(space, 2 + N + j, mp.conj(z[j])) for j in range(N)))
+    bases = [tau, mp.conj(tau), *z, *(mp.conj(w) for w in z)]
+    return Coordinates.of(Jet.variable(space, i, b) for i, b in enumerate(bases))
 
 
 def imaginary_parts(coords: Coordinates):

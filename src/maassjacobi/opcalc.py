@@ -21,7 +21,6 @@ from fractions import Fraction
 from itertools import product
 from math import comb, prod
 from operator import add, sub
-from typing import NamedTuple
 
 from mpmath import mp
 
@@ -43,8 +42,10 @@ _MIHALF = GaussianRational(0, -_HALF)     # -i/2
 class OpRing:
     """Coefficient ring and direction bookkeeping for fixed rank N.
 
-    Directions are ordered d_tau, d_taubar, d_z_1..d_z_N, d_zbar_1..d_zbar_N;
-    the coordinates k, x, y and the vectors u, v are attributes.
+    Directions are ordered d_tau, d_taubar, d_z_1..d_z_N, d_zbar_1..d_zbar_N,
+    as the slots of ``Coordinates``; the ring's variables are ordered k, pi,
+    y, x, v_1..v_N, u_1..u_N, and k, x, y and the vectors u, v are
+    attributes.
     """
 
     _instances = {}
@@ -72,25 +73,21 @@ class OpRing:
         self.v = tuple(var(f"v{j}") for j in range(1, N + 1))
         self.ndirs = 2 * N + 2
         self.zero_dexp = (0,) * self.ndirs
-        # directional derivative rules on the coefficient ring
-        self.rules = []
-        self.rules.append({"y": _MIHALF, "x": GaussianRational(_HALF)})   # d_tau
-        self.rules.append({"y": _IHALF, "x": GaussianRational(_HALF)})    # d_taubar
-        for j in range(1, N + 1):                                         # d_z_j
-            self.rules.append({f"v{j}": _MIHALF, f"u{j}": GaussianRational(_HALF)})
-        for j in range(1, N + 1):                                         # d_zbar_j
-            self.rules.append({f"v{j}": _IHALF, f"u{j}": GaussianRational(_HALF)})
+        # the rule of each direction on the coefficient ring, as (variable
+        # index, rate) pairs: d_tau = -i/2 d_y + 1/2 d_x, d_taubar = i/2 d_y
+        # + 1/2 d_x, and d_z_j, d_zbar_j alike on the indices of v_j, u_j
+        half = GaussianRational(_HALF)
+        parts = [(2, 3)] + [(3 + j, 3 + N + j) for j in range(1, N + 1)]
+        hol, anti = ([((im, rate), (re, half)) for im, re in parts]
+                     for rate in (_MIHALF, _IHALF))
+        self.rules = Coordinates(hol[0], anti[0], hol[1:], anti[1:]).flat()
 
     def derivative(self, poly: Poly, delta) -> Poly:
         """d^delta poly, direction 0 first, stopping at the first zero.
 
-        Each step merges rate * d/dname of every rule of the direction
-        into one dict, in the order of a sum of those terms."""
-        index = self.ring.index
-        for i, d in enumerate(delta):
-            if not d:
-                continue
-            rules = [(index[name], rate) for name, rate in self.rules[i].items()]
+        Each step merges rate * d/dv of every rule of the direction into
+        one dict, in the order of a sum of those terms."""
+        for rules, d in zip(self.rules, delta):
             for _ in range(d):
                 if poly.is_zero():
                     return poly
@@ -218,13 +215,8 @@ class DiffOp(SparseTerms):
 
     def restrict_semiholomorphic(self) -> "DiffOp":
         """Drop every monomial containing a zbar-derivative."""
-        R = self.op_ring
-        lo = 2 + R.N
-        return DiffOp(
-            R,
-            {e: p for e, p in self.terms.items() if not any(e[lo:])},
-            self.shift,
-        )
+        return DiffOp(self.op_ring, {e: p for e, p in self.terms.items()
+                                     if not any(Coordinates.of(e).zbar)}, self.shift)
 
     def uses_extended_coords(self) -> bool:
         return any(
@@ -234,18 +226,22 @@ class DiffOp(SparseTerms):
 
     # -- numeric application --------------------------------------------------------------
 
-    def coefficients_at(self, base_values: dict, k_value=None) -> list:
-        """[(e, c)]: the value c of each coefficient that is nonzero at a
-        base point, with its derivative exponent e, in the stored order.
+    def coefficients_at(self, tau, z, k_value=None) -> list:
+        """[(e, c)]: the value c of each coefficient that is nonzero at the
+        point (tau, z), with its derivative exponent e, in the stored order.
 
-        base_values holds mpc values for y, x, v_j, u_j at the base point;
         k_value is required when the operator still contains the formal k.
         The values serve every jet at that point and k (``apply_coefficients``).
         """
-        values = dict(base_values)
-        values["pi"] = mp.pi
-        if k_value is not None:
-            values["k"] = to_mpc(k_value)
+        N = self.op_ring.N
+        if len(z) != N:
+            raise DomainError(f"a z of {len(z)} entries at rank {N}")
+        tau = mp.mpc(tau)
+        z = [mp.mpc(w) for w in z]
+        # the ring's variables in order: k, pi, y, x, v, u
+        values = [None if k_value is None else to_mpc(k_value), mp.pi,
+                  mp.mpc(tau.imag), mp.mpc(tau.real),
+                  *(mp.mpc(w.imag) for w in z), *(mp.mpc(w.real) for w in z)]
         to_num = lambda c: c.to_mpc(mp)
         out = []
         for e, p in self.terms.items():
@@ -254,14 +250,14 @@ class DiffOp(SparseTerms):
                 out.append((e, c))
         return out
 
-    def apply_jet(self, jet: Jet, base_values: dict, k_value=None):
-        """Value of (T f)(p) from a jet of f at p; the arguments after the
-        jet are those of ``coefficients_at``."""
+    def apply_jet(self, jet: Jet, tau, z, k_value=None):
+        """Value of (T f)(p) from a jet of f at p = (tau, z); the arguments
+        after the jet are those of ``coefficients_at``."""
         if jet.space.degree < self.order():
             raise DegreeError(
                 f"operator order {self.order()} exceeds jet degree {jet.space.degree}"
             )
-        return apply_coefficients(self.coefficients_at(base_values, k_value), jet)
+        return apply_coefficients(self.coefficients_at(tau, z, k_value), jet)
 
     # -- rendering ---------------------------------------------------------------------------
 
@@ -291,34 +287,14 @@ def apply_coefficients(coefficients: list, jet: Jet):
     return acc
 
 
-def base_values(tau, z) -> dict:
-    """Coordinate values fed to DiffOp.apply_jet at a base point."""
-    tau = mp.mpc(tau)
-    out = {"x": mp.mpc(tau.real), "y": mp.mpc(tau.imag)}
-    for j, w in enumerate(z, start=1):
-        w = mp.mpc(w)
-        out[f"u{j}"] = mp.mpc(w.real)
-        out[f"v{j}"] = mp.mpc(w.imag)
-    return out
-
-
 # -- the derivative basis and the forms built on it ------------------------------------------
 
 
-class Derivatives(NamedTuple):
+def derivatives(R: OpRing) -> Coordinates:
     """d_tau, d_taubar and the vectors d_z, d_zbar, each with coefficient 1."""
-
-    tau: DiffOp
-    taubar: DiffOp
-    z: tuple
-    zbar: tuple
-
-
-def derivatives(R: OpRing) -> Derivatives:
     one = R.ring.one()
-    d = [DiffOp(R, {tuple(int(i == j) for i in range(R.ndirs)): one})
-         for j in range(R.ndirs)]
-    return Derivatives(d[0], d[1], tuple(d[2:2 + R.N]), tuple(d[2 + R.N:]))
+    return Coordinates.of(DiffOp(R, {tuple(int(i == j) for i in range(R.ndirs)): one})
+                          for j in range(R.ndirs))
 
 
 def dot(coeffs, ops) -> DiffOp:
@@ -499,11 +475,9 @@ def d_minus_direct(L: GramLattice) -> DiffOp:
 def xi_apply(k, L: GramLattice, jet: Jet, tau, z, ctx: PrecisionContext):
     """y^{k - 5/2} D_- f at a point; the non-polynomial power is numeric only."""
     with ctx.working():
-        dm = build_D_minus(L)
-        vals = base_values(tau, z)
-        v = dm.apply_jet(jet, vals, k_value=to_mpc(Fraction(k)))
+        v = build_D_minus(L).apply_jet(jet, tau, z, k_value=to_mpc(Fraction(k)))
         kk = Fraction(k) - Fraction(5, 2)
-        return mp.power(vals["y"].real, to_mpf(kk)) * v
+        return mp.power(mp.mpc(tau).imag, to_mpf(kk)) * v
 
 
 # -- the Lie slash action and the enveloping-algebra bridge ------------------------------
@@ -577,8 +551,8 @@ def uea_to_op(a: PBWElement, L: GramLattice) -> DiffOp:
         raise DomainError("rank mismatch between element and lattice")
     R = OpRing(L.N)
     letters = [build_lie_slash(name, L) for name in alg.names]
-    zvalues = {name: op.terms.get(R.zero_dexp, R.ring.zero())
-               for name, op in zip(alg.names, letters) if name in alg.z_ring.index}
+    # the central letters' constants, in z_ring order
+    zvalues = [op.terms.get(R.zero_dexp, R.ring.zero()) for op in letters[alg.z_start:]]
     scalars = {tuple(g for g, kexp in enumerate(w) for _ in range(kexp)):
                p.eval_numeric(zvalues, R.ring.const) for w, p in a.terms.items()}
     # the terms of each output coefficient, merged in place; a coefficient
@@ -649,22 +623,12 @@ class GaussianSeed:
         self.lin = [small() for _ in range(nv)]
         self.quad = [small() / 8 for _ in range(nv)]
 
-    def _expr(self, vars_):
-        # the zero of the variables' kind: jets or numbers
-        acc = sum((w * c for c, w in zip(self.lin, vars_)), vars_[0] * 0)
-        return sum((w * w * c for c, w in zip(self.quad, vars_)), acc)
-
     def jet(self, coords: Coordinates) -> Jet:
-        return self._expr([coords.tau, coords.taubar, *coords.z, *coords.zbar]).exp()
-
-    def value(self, tau, z):
-        tau = mp.mpc(tau)
-        z = [mp.mpc(w) for w in z]
-        vars_ = [tau, mp.conj(tau)] + z + [mp.conj(w) for w in z]
-        return mp.exp(self._expr(vars_))
-
-    def __call__(self, p):
-        return self.value(p.tau, p.z)
+        """The seed's jet at the base point of ``coords``; at degree 0 its
+        value is the seed's value there."""
+        vars_ = coords.flat()
+        acc = sum((w * c for c, w in zip(self.lin, vars_)), Jet.const(coords.tau.space, 0))
+        return sum((w * w * c for c, w in zip(self.quad, vars_)), acc).exp()
 
 
 def slashed_jet(seed, weights, L: GramLattice, g, tau, z, degree: int):
@@ -788,10 +752,9 @@ def covariance_residuals(jobs, L: GramLattice, samples: int, ctx: PrecisionConte
             gm, p = g.to_numeric(), Point(tau, z)
             factors = {(k2, kbar2): automorphy_factor(k2, kbar2, L.entries, gm, p, ctx)
                        for k2, kbar2 in targets}
-            here, there = base_values(tau, z), base_values(q_tau, q_z)
             for i, ((T, k, k2, kbar, kbar2), kv) in enumerate(zip(jobs, kvs)):
-                lhs = T.apply_jet(slashed[k, kbar], here, k_value=kv)
-                rhs = factors[k2, kbar2] * T.apply_jet(f_at_q, there, k_value=kv)
+                lhs = T.apply_jet(slashed[k, kbar], tau, z, k_value=kv)
+                rhs = factors[k2, kbar2] * T.apply_jet(f_at_q, q_tau, q_z, k_value=kv)
                 r = abs(lhs - rhs) / max(mp.mpf(1), abs(rhs))
                 if r > worst[i]:
                     worst[i] = r
@@ -842,12 +805,10 @@ def kernel_seed(k, L: GramLattice, l, h, ctx: PrecisionContext):
         tau, z = random_point(N, rng)
         # keep v generically nonzero so (L v) does not vanish
         coords = coordinate_jets(space, tau, z)
-        vals = base_values(tau, z)
 
         def y_plus_residual(c_coeff):
             jet = build_jet(coords, c_coeff)
-            r = ops["Y+"][0].apply_jet(jet, vals) / jet.value
-            return r
+            return ops["Y+"][0].apply_jet(jet, tau, z) / jet.value
 
         r0 = y_plus_residual(0)
         r1 = y_plus_residual(1)
@@ -864,14 +825,10 @@ def kernel_seed(k, L: GramLattice, l, h, ctx: PrecisionContext):
         }
         for _ in range(10):
             tau, z = random_point(N, rng)
-            coords = coordinate_jets(space, tau, z)
-            vals = base_values(tau, z)
-            jet = build_jet(coords, derived)
+            jet = build_jet(coordinate_jets(space, tau, z), derived)
             scalev = abs(jet.value)
-            xres = abs(ops["X+"].apply_jet(jet, vals, k_value=to_mpc(k))) / scalev
-            yres = [
-                abs(ops["Y+"][j].apply_jet(jet, vals)) / scalev for j in range(N)
-            ]
+            xres = abs(ops["X+"].apply_jet(jet, tau, z, k_value=to_mpc(k))) / scalev
+            yres = [abs(ops["Y+"][j].apply_jet(jet, tau, z)) / scalev for j in range(N)]
             report["samples"].append({"X+": xres, "Y+": yres})
         report["max_X+"] = max(s["X+"] for s in report["samples"])
         report["max_Y+"] = max(max(s["Y+"]) for s in report["samples"])

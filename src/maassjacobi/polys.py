@@ -218,8 +218,8 @@ class Poly(SparseTerms):
             out = out + term
         return out
 
-    def eval_numeric(self, values: dict, to_num):
-        """Evaluate with numeric values for all used variables.
+    def eval_numeric(self, values, to_num):
+        """Evaluate with ``values[i]`` the value of the ring's variable i.
 
         ``to_num`` converts a GaussianRational to the numeric domain; values
         must already live there.
@@ -230,7 +230,7 @@ class Poly(SparseTerms):
             for i, k in enumerate(e):
                 if k == 0:
                     continue
-                t = t * values[self.ring.names[i]] ** k
+                t = t * values[i] ** k
             acc = t if acc is None else acc + t
         return acc if acc is not None else to_num(ZERO)
 

@@ -293,13 +293,12 @@ def full_coeff_c(y, s, k, L: GramLattice, n, r, nprime, rprime, c_max: int,
 
 
 def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
-                        ctx: PrecisionContext, *,
-                        symmetrized: bool = True):
+                        ctx: PrecisionContext):
     """Fourier coefficient of the skew-holomorphic Poincare series.
 
     Requires k >= 3 and D, D' > 0; note the -r' inside the Kloosterman sum.
-    The symmetrized value adds (-1)^k times the side at -r', and is an
-    exact zero where the two sides cancel (``_symmetrized``).
+    The value adds (-1)^k times the side at -r', and is an exact zero
+    where the two sides cancel (``_symmetrized``).
     """
     k = int(k)
     N = L.N
@@ -312,14 +311,11 @@ def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
 
     with ctx.working():
         # at s = (2k - N)/4 the c-sum's J_{2s-1} is J_{k-(N+2)/2}
-        sides = [[-x for x in rprime]] + ([rprime] if symmetrized else [])
-        sums = poincare_csum(Fraction(2 * k - N, 4), L, n, r, nprime, sides,
-                             1, c_max, ctx, discriminants=(D, Dp))
+        sums = poincare_csum(Fraction(2 * k - N, 4), L, n, r, nprime,
+                             [[-x for x in rprime], rprime], 1, c_max, ctx,
+                             discriminants=(D, Dp))
         pref = _prefactor(L, 1 - k) * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
-        b = pref * sums[0][0]
-        if not symmetrized:
-            return b
-        return _symmetrized(b, pref * sums[1][0], k, ctx)
+        return _symmetrized(pref * sums[0][0], pref * sums[1][0], k, ctx)
 
 
 def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,

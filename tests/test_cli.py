@@ -139,6 +139,11 @@ def test_verify_rejects_flags_its_suite_does_not_read(cache_dir, capsys, suite, 
     assert code == 2 and err["type"] == "UsageError" and flag in err["message"]
 
 
+def _rank_2_file(term: bytes) -> bytes:
+    return (b'{"lattice":[["2","1"],["1","2"]],"terms":[{"n":"1",' + term
+            + b',"coeff":["1","0"]}]}')
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "commutators", "--L", "abc"),
     ("kloosterman", "--L", "2", "--c", "x"),
@@ -157,10 +162,16 @@ def test_verify_rejects_flags_its_suite_does_not_read(cache_dir, capsys, suite, 
     ("poincare", "--L", "2", "--jobs=-3"),
     ("decompose", "--in", "NO_TERMS_FILE"),
     ("decompose", "--in", "NOT_JSON_FILE"),
+    ("decompose", "--in", "RANK_1_R_FILE"),
+    ("decompose", "--in", "RANK_1_H_FILE"),
 ], ids=" ".join)
 def test_malformed_values_are_usage_errors(cache_dir, capsys, tmp_path, argv):
     files = {"BAD_CONFIG": b"cmax = abc\n", "LATIN1_CONFIG": b"cmax = 3\n\xff\xfe bad\n",
-             "NO_TERMS_FILE": b'{"lattice": [["1"]]}', "NOT_JSON_FILE": b"not json"}
+             "NO_TERMS_FILE": b'{"lattice": [["1"]]}', "NOT_JSON_FILE": b"not json",
+             # a term whose r, or whose E profile's h, is not of the lattice's rank 2
+             "RANK_1_R_FILE": _rank_2_file(b'"r":[1],"profile":"constant","params":{}'),
+             "RANK_1_H_FILE": _rank_2_file(b'"r":[1,0],"profile":"E",'
+                                           b'"params":{"h":["1"],"nu":"0"}')}
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     code = main([str(tmp_path / a) if a in files else a for a in argv])
@@ -168,7 +179,8 @@ def test_malformed_values_are_usage_errors(cache_dir, capsys, tmp_path, argv):
     assert code == 2 and err == ""
     error = json.loads(out)["error"]
     assert error["type"] == "UsageError"
-    if argv[-1] in ("NO_TERMS_FILE", "NOT_JSON_FILE", "LATIN1_CONFIG"):
+    if argv[-1] in ("NO_TERMS_FILE", "NOT_JSON_FILE", "LATIN1_CONFIG", "RANK_1_R_FILE",
+                    "RANK_1_H_FILE"):
         assert str(tmp_path / argv[-1]) in error["message"]  # it names the file
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -31,7 +32,7 @@ from maassjacobi.fourier import (
 )
 from maassjacobi.gaussian import GaussianRational
 from maassjacobi.lattice import GramLattice, discriminant
-from maassjacobi.opcalc import base_values, build_casimir_op
+from maassjacobi.opcalc import build_casimir_op
 from maassjacobi.jets import Jet, JetSpace, compose_univariate, coordinate_jets, imaginary_parts
 from maassjacobi.precision import PrecisionContext, to_mpc, to_mpf
 from maassjacobi.specfun import e_profile_jet
@@ -53,7 +54,7 @@ def eigenfunction_ratio_residual(f: FourierExpansion, k, probe_point, points, ct
         kv = to_mpc(Fraction(k))
         tau, z = probe_point
         jet = f.jet(tau, z, degree=op.order(), ctx=ctx)
-        lam = op.apply_jet(jet, base_values(tau, z), k_value=kv) / jet.value
+        lam = op.apply_jet(jet, tau, z, k_value=kv) / jet.value
         return _worst_residual(op, [(f, kv, lam)], points, ctx)[0], lam
 
 
@@ -165,9 +166,47 @@ def test_point_sums_match_the_loop(ctx, h, r, degree):
 
 @pytest.mark.parametrize("h", [[1], [1, 0, 2]], ids=["short", "long"])
 def test_e_profile_h_of_another_rank_is_a_domain_error(ctx, h):
-    f = mixed_mock_term(Fraction(5, 2), GramLattice([[2, 1], [1, 2]]), 1, [1, 0], 0, h)
+    L = GramLattice([[2, 1], [1, 2]])
+    with pytest.raises(DomainError, match="rank 2"):  # refused where it enters
+        mixed_mock_term(Fraction(5, 2), L, 1, [1, 0], 0, h)
+    # a terms dict given to the constructor is not checked; the profile is
+    f = FourierExpansion(L, {FourierIndex.of(1, [1, 0]):
+                             ("E", {"nu": 0, "h": h}, GaussianRational(1))})
     with pytest.raises(DomainError):
         f.evaluate(mp.mpc("0.1", "1.2"), [mp.mpc("0.2", "0.1"), mp.mpc(0)], ctx)
+
+
+@pytest.mark.parametrize("r", [[1], [1, 0, 0]], ids=["short", "long"])
+def test_term_of_another_rank_is_refused_where_it_enters(r):
+    # by add_term, and by from_json as a file that is not an expansion
+    L = GramLattice([[2, 1], [1, 2]])
+    f = FourierExpansion(L)
+    with pytest.raises(DomainError, match="rank 2"):
+        f.add_term(FourierIndex.of(1, r), "constant", {}, GaussianRational(1))
+    with pytest.raises(DomainError, match="rank 2"):
+        mixed_mock_term(Fraction(5, 2), L, 1, r, 0, [1, 0])
+    assert len(f) == 0
+    for key, value in (("r", r), ("params", {"nu": "0", "h": [str(x) for x in r]})):
+        data = json.loads(mixed_mock_term(Fraction(5, 2), L, 1, [1, 0], 0, [1, 0]).to_json())
+        data["terms"][0][key] = value
+        with pytest.raises(ValueError, match="rank 2"):
+            FourierExpansion.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("z", [[], [mp.mpc("0.2", "0.1"), mp.mpc(5, 5)]],
+                         ids=["empty", "long"])
+def test_z_of_another_length_is_a_domain_error(ctx, z):
+    # the coordinate jets and an operator's values at a point read one z_j
+    # for each of the N coordinates
+    L = GramLattice([[2]])
+    th = theta_lmu(L, [1], 2)
+    with pytest.raises(DomainError, match="rank 1"):
+        th.evaluate(mp.mpc("0.1", "1.2"), z, ctx)
+    with pytest.raises(DomainError, match="rank 1"):
+        coordinate_jets(JetSpace.for_rank(1, 2), mp.mpc("0.1", "1.2"), z)
+    op = build_casimir_op(L)
+    with ctx.working(), pytest.raises(DomainError, match="rank 1"):
+        op.coefficients_at(mp.mpc("0.1", "1.2"), z, to_mpc(Fraction(5, 2)))
 
 
 def test_residual_over_no_points_is_zero(ctx):

@@ -225,8 +225,7 @@ def test_poly_subs_and_eval():
     p = k * k + y.scale(3)
     assert p.subs({"k": k + 2}) == k * k + k.scale(4) + 4 + y.scale(3)
     with mp.workprec(100):
-        v = p.eval_numeric({"k": mp.mpf(2), "y": mp.mpf("0.5")},
-                           lambda c: c.to_mpc(mp))
+        v = p.eval_numeric([mp.mpf(2), mp.mpf("0.5")], lambda c: c.to_mpc(mp))
         assert abs(v - mp.mpf("5.5")) < 1e-25
 
 

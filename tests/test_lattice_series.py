@@ -427,6 +427,29 @@ def test_cancelled_symmetrized_coefficient_is_an_exact_zero(ctx):
     assert c == 0 and tail == max(t1, t2)
 
 
+def _skew_side(k, L, n, r, np_, rp, c_max, ctx):
+    """The displayed one-sided skew coefficient b(n', r'): the prefactor
+    times sum_c c^{-(N+2)/2} K_c(n, r, n', -r') J_{k-(N+2)/2}(x/c), in the
+    operation order of skew_poincare_coeff, so that the match is exact."""
+    from maassjacobi.precision import to_mpf
+    from maassjacobi.series import _pow_ratio
+    from maassjacobi.specfun import bessel_J
+
+    N = L.N
+    D, Dp = discriminant(L, n, r), discriminant(L, np_, rp)
+    i_power = mp.mpc([1, 1j, -1, -1j][(1 - k) % 4])
+    pref = (mp.power(2, 1 - mp.mpf(N) / 2) * mp.pi * i_power
+            / mp.sqrt(to_mpf(L.det))
+            * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4)))
+    order = Fraction(k) - Fraction(N + 2, 2)
+    xbase = mp.pi * mp.sqrt(to_mpf(Dp * D)) / to_mpf(L.det)
+    acc = mp.mpc(0)
+    for c in range(1, c_max + 1):
+        kl = kloosterman(c, L, n, r, np_, [-x for x in rp], ctx)
+        acc += mp.power(c, -mp.mpf(N + 2) / 2) * kl * bessel_J(order, xbase / c, ctx)
+    return pref * acc
+
+
 def test_skew_poincare(ctx):
     L = GramLattice([[1]])
     with ctx.working():
@@ -435,41 +458,19 @@ def test_skew_poincare(ctx):
         # |L| = 1 they cancel, and what is left is returned as an exact zero
         for k in (4, 3):
             v = skew_poincare_coeff(k, L, 1, [1], 2, [1], 6, ctx)
-            b1 = skew_poincare_coeff(k, L, 1, [1], 2, [1], 6, ctx, symmetrized=False)
-            b2 = skew_poincare_coeff(k, L, 1, [1], 2, [-1], 6, ctx, symmetrized=False)
+            b1 = _skew_side(k, L, 1, [1], 2, [1], 6, ctx)
+            b2 = _skew_side(k, L, 1, [1], 2, [-1], 6, ctx)
             assert abs(b1) > 0 and v == _symmetrized_oracle(b1, b2, k, ctx)
             assert (v == 0) == (k == 3)
-    # oracle: the displayed one-sided coefficient, prefactor times
-    # sum_c c^{-(N+2)/2} K_c(n, r, n', -r') J_{k-(N+2)/2}(x/c), evaluated
-    # in the same operation order, so the match is exact
-    from maassjacobi.precision import to_mpf
-    from maassjacobi.series import _pow_ratio
-    from maassjacobi.specfun import bessel_J
-
+    # the value is b(n', r') + (-1)^k b(n', -r') of the displayed sides
     for entries, k, n, r, np_, rp, c_max in [
             ([[1]], 3, 1, [1], 2, [1], 6),
             ([[2, 1], [1, 2]], 4, 1, [1, 0], 1, [0, 1], 3)]:
         L = GramLattice(entries)
-        N = L.N
-        D, Dp = discriminant(L, n, r), discriminant(L, np_, rp)
-        assert D > 0 and Dp > 0
+        assert discriminant(L, n, r) > 0 and discriminant(L, np_, rp) > 0
         with ctx.working():
-            i_power = mp.mpc([1, 1j, -1, -1j][(1 - k) % 4])
-            pref = (mp.power(2, 1 - mp.mpf(N) / 2) * mp.pi * i_power
-                    / mp.sqrt(to_mpf(L.det))
-                    * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4)))
-            order = Fraction(k) - Fraction(N + 2, 2)
-            xbase = mp.pi * mp.sqrt(to_mpf(Dp * D)) / to_mpf(L.det)
-            acc = mp.mpc(0)
-            for c in range(1, c_max + 1):
-                kl = kloosterman(c, L, n, r, np_, [-x for x in rp], ctx)
-                acc += mp.power(c, -mp.mpf(N + 2) / 2) * kl * bessel_J(
-                    order, xbase / c, ctx)
-            got = skew_poincare_coeff(k, L, n, r, np_, rp, c_max, ctx,
-                                      symmetrized=False)
-            assert got == pref * acc
-            mirror = skew_poincare_coeff(k, L, n, r, np_, [-x for x in rp], c_max,
-                                         ctx, symmetrized=False)
+            got = _skew_side(k, L, n, r, np_, rp, c_max, ctx)
+            mirror = _skew_side(k, L, n, r, np_, [-x for x in rp], c_max, ctx)
             assert skew_poincare_coeff(k, L, n, r, np_, rp, c_max, ctx) == (
                 _symmetrized_oracle(got, mirror, k, ctx))
     L = GramLattice([[1]])

@@ -20,7 +20,6 @@ from maassjacobi.opcalc import (
     DiffOp,
     OpRing,
     apply_coefficients,
-    base_values,
     bridge_check,
     bridge_rhs,
     build_casimir_op,
@@ -81,15 +80,26 @@ def _deriv(poly, name):
                             for e, c in poly.terms.items() if e[i]})
 
 
+def _named_rules(N):
+    """The rule of each direction by variable name, d_tau, d_taubar, d_z_j,
+    d_zbar_j, as OpRing kept them before it kept them by variable index."""
+    half = GaussianRational(Fraction(1, 2))
+    minus, plus = GaussianRational(0, -half.re), GaussianRational(0, half.re)
+    return ([{"y": minus, "x": half}, {"y": plus, "x": half}]
+            + [{f"v{j}": minus, f"u{j}": half} for j in range(1, N + 1)]
+            + [{f"v{j}": plus, f"u{j}": half} for j in range(1, N + 1)])
+
+
 def _derivative_by_sums(R, poly, delta):
     """d^delta poly as a sum of scaled polynomials, one per rule of each
     direction, direction 0 first, stopping at the first zero."""
+    rules = _named_rules(R.N)
     for i, d in enumerate(delta):
         for _ in range(d):
             if poly.is_zero():
                 return poly
-            poly = sum((_deriv(poly, name).scale(rate)
-                        for name, rate in R.rules[i].items()), R.ring.zero())
+            poly = sum((_deriv(poly, name).scale(rate) for name, rate in rules[i].items()),
+                       R.ring.zero())
     return poly
 
 
@@ -142,6 +152,8 @@ def _layout(op):
 def test_derivative_matches_the_sum_of_scaled_rules(N):
     # merged in place, the terms must keep the order of the sum
     R = OpRing(N)
+    assert R.rules == [tuple((R.ring.index[name], rate) for name, rate in rule.items())
+                       for rule in _named_rules(N)]
     rng = random.Random(60 + N)
     coords = [n for n in R.ring.names if n not in ("k", "pi")]
     for _ in range(40):
@@ -257,8 +269,8 @@ def test_uea_to_op_composes_each_prefix_once(monkeypatch):
     zs = alg.z_start
     L = LATTICES[2][1]
     R = OpRing(2)
-    zvalues = {name: build_lie_slash(name, L).terms.get(R.zero_dexp, R.ring.zero())
-               for name in alg.names[zs:]}
+    zvalues = [build_lie_slash(name, L).terms.get(R.zero_dexp, R.ring.zero())
+               for name in alg.names[zs:]]
     rng = random.Random(17)
     calls = _counting_compose(monkeypatch)
     for _ in range(3):
@@ -499,7 +511,8 @@ def test_slashed_jet_value_is_the_slash(ctx, entries, k, kbar):
             g = random_group_element(N, rng)
             tau, z = random_point(N, rng)
             (jet,), _, _ = slashed_jet(seed, [(k, kbar)], L, g, tau, z, 1)
-            expect = slash(seed, k, kbar, L.entries, g, ctx)(Point(tau, z))
+            expect = slash(lambda p: _seed_value(seed, p.tau, p.z), k, kbar, L.entries,
+                           g, ctx)(Point(tau, z))
             assert abs(jet.value - expect) < mp.mpf("1e-30") * abs(expect)
 
 
@@ -521,10 +534,10 @@ def _per_operator_residuals(jobs, L, samples, ctx):
                 tau, z = random_point(N, rng)
                 (sj,), f_at_q, (q_tau, q_z) = slashed_jet(seed, [(k, kbar)], L, g, tau, z,
                                                           T.order())
-                lhs = T.apply_jet(sj, base_values(tau, z), k_value=kv)
+                lhs = T.apply_jet(sj, tau, z, k_value=kv)
                 factor = automorphy_factor(k2, kbar2, L.entries, g.to_numeric(),
                                            Point(tau, z), ctx)
-                rhs = factor * T.apply_jet(f_at_q, base_values(q_tau, q_z), k_value=kv)
+                rhs = factor * T.apply_jet(f_at_q, q_tau, q_z, k_value=kv)
                 worst = max(worst, abs(lhs - rhs) / max(mp.mpf(1), abs(rhs)))
         out.append(worst)
     return out
@@ -562,6 +575,11 @@ def test_heat_covariance_type(ctx):
         assert bad > mp.mpf("1e-12")
 
 
+def _seed_value(seed, tau, z):
+    """The seed's value at (tau, z): the value of its degree-0 jet."""
+    return seed.jet(coordinate_jets(JetSpace.for_rank(len(z), 0), tau, z)).value
+
+
 def _seed_exponent_by_loop(seed, vars_):
     """GaussianSeed's exponent by the None-started loop it had before it
     started from the zero of its variables, kept as its oracle."""
@@ -584,7 +602,7 @@ def test_seed_sums_match_the_loop(ctx, N, degree):
         got, expect = seed.jet(coords), _seed_exponent_by_loop(seed, vars_).exp()
         assert list(got.terms.items()) == list(expect.terms.items())
         numbers = [v.value for v in vars_]
-        assert seed.value(tau, z) == mp.exp(_seed_exponent_by_loop(seed, numbers))
+        assert _seed_value(seed, tau, z) == mp.exp(_seed_exponent_by_loop(seed, numbers))
 
 
 def test_jet_engine_against_finite_differences(ctx):
@@ -596,13 +614,13 @@ def test_jet_engine_against_finite_differences(ctx):
         tau, z = mp.mpc("0.2", "1.1"), [mp.mpc("0.3", "-0.2")]
         space = JetSpace.for_rank(1, 2)
         jet = seed.jet(coordinate_jets(space, tau, z))
-        got = ops["X-"].apply_jet(jet, base_values(tau, z))
+        got = ops["X-"].apply_jet(jet, tau, z)
         # X- = -2iy(y d_taubar + v d_zbar); realize with FD in real coordinates
         y0, v0 = tau.imag, z[0].imag
 
         def fun(pt):
             x, y, u, v = pt
-            return seed.value(mp.mpc(x, y), [mp.mpc(u, v)])
+            return _seed_value(seed, mp.mpc(x, y), [mp.mpc(u, v)])
 
         base = [tau.real, tau.imag, z[0].real, z[0].imag]
         h = mp.mpf("1e-3")
@@ -624,22 +642,52 @@ def test_apply_jet_degree_error(ctx):
         space = JetSpace.for_rank(1, 1)
         jet = seed.jet(coordinate_jets(space, mp.mpc(0, 1), [mp.mpc(0)]))
         with pytest.raises(DegreeError):
-            C.apply_jet(jet, base_values(mp.mpc(0, 1), [mp.mpc(0)]), k_value=mp.mpf(2))
+            C.apply_jet(jet, mp.mpc(0, 1), [mp.mpc(0)], k_value=mp.mpf(2))
 
 
-def _apply_jet_per_term(op, jet, here, k_value):
-    """(T f)(p) with every coefficient evaluated for this one jet, summed in
-    the stored order: DiffOp.apply_jet before its coefficient values were
-    shared by the jets of one point and k."""
-    values = dict(here)
+def _base_values(tau, z) -> dict:
+    """A point's values keyed by variable name, as DiffOp.apply_jet took
+    them before it read the ring's variables by position."""
+    tau = mp.mpc(tau)
+    out = {"x": mp.mpc(tau.real), "y": mp.mpc(tau.imag)}
+    for j, w in enumerate(z, start=1):
+        w = mp.mpc(w)
+        out[f"u{j}"] = mp.mpc(w.real)
+        out[f"v{j}"] = mp.mpc(w.imag)
+    return out
+
+
+def _eval_by_name(poly, values: dict, to_num):
+    """Poly.eval_numeric before it read values by variable index."""
+    acc = None
+    for e, c in poly.terms.items():
+        t = to_num(c)
+        for i, k in enumerate(e):
+            if k == 0:
+                continue
+            t = t * values[poly.ring.names[i]] ** k
+        acc = t if acc is None else acc + t
+    return acc if acc is not None else to_num(GaussianRational(0))
+
+
+def _coefficients_by_name(op, tau, z, k_value):
+    """DiffOp.coefficients_at by the name-keyed evaluation, kept as its
+    oracle."""
+    values = _base_values(tau, z)
     values["pi"] = mp.pi
     if k_value is not None:
         values["k"] = to_mpc(k_value)
+    return [(e, c) for e, c in ((e, _eval_by_name(p, values, lambda c: c.to_mpc(mp)))
+                                for e, p in op.terms.items()) if c]
+
+
+def _apply_jet_per_term(op, jet, tau, z, k_value):
+    """(T f)(p) with every coefficient evaluated for this one jet, summed in
+    the stored order: DiffOp.apply_jet before its coefficient values were
+    shared by the jets of one point and k."""
     acc = mp.mpc(0)
-    for e, p in op.terms.items():
-        c = p.eval_numeric(values, lambda c: c.to_mpc(mp))
-        if c:
-            acc += c * jet.derivative_at_base(e)
+    for e, c in _coefficients_by_name(op, tau, z, k_value):
+        acc += c * jet.derivative_at_base(e)
     return acc
 
 
@@ -648,8 +696,9 @@ def _apply_jet_per_term(op, jet, here, k_value):
        k=st.integers(-6, 6).map(lambda j: Fraction(j, 2)), seed=st.integers(0, 2 ** 32),
        bits=st.sampled_from([128, 256]))
 def test_shared_coefficients_match_the_per_term_oracle(N, which, k, seed, bits):
-    # the coefficient values of one point and k, shared by three drawn jets,
-    # give each jet the bits of the per-term loop
+    # the coefficient values of one point and k, read by variable position,
+    # are those of the name-keyed evaluation, and shared by three drawn jets
+    # they give each jet the bits of the per-term loop
     L = LATTICES[N][seed % 2]
     op = build_casimir_op(L) if which == "casimir" else build_heat(L)
     k_value = to_mpc(k) if which == "casimir" else None
@@ -659,13 +708,13 @@ def test_shared_coefficients_match_the_per_term_oracle(N, which, k, seed, bits):
              if sum(e) <= space.degree]
     with PrecisionContext(bits=bits).working():
         tau, z = random_point(N, rng)
-        here = base_values(tau, z)
-        shared = op.coefficients_at(here, k_value)
+        shared = op.coefficients_at(tau, z, k_value)
+        assert shared == _coefficients_by_name(op, tau, z, k_value)
         for _ in range(3):
             jet = Jet(space, {e: mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for e in monos})
-            expect = _apply_jet_per_term(op, jet, here, k_value)
+            expect = _apply_jet_per_term(op, jet, tau, z, k_value)
             assert apply_coefficients(shared, jet) == expect
-            assert op.apply_jet(jet, here, k_value=k_value) == expect
+            assert op.apply_jet(jet, tau, z, k_value=k_value) == expect
 
 
 def test_kernel_seed(ctx):
@@ -685,8 +734,7 @@ def test_kernel_seed(ctx):
         y, _ = imaginary_parts(coords)
         naked = y.pow_scalar(mp.mpf(-2)) * (
             (coords.taubar + coords.zbar[0] * mp.mpf("0.5")) * (2j * mp.pi)).exp()
-        resid = abs(ops["X+"].apply_jet(naked, base_values(tau, z),
-                                        k_value=mp.mpf(2))) / abs(naked.value)
+        resid = abs(ops["X+"].apply_jet(naked, tau, z, k_value=mp.mpf(2))) / abs(naked.value)
         assert resid > mp.mpf("1e-6")
     # h = l = 0, k = 0 reduces to exp(4 pi L[v]/y); Y+ still annihilates
     rep0 = kernel_seed(0, L, 0, [0], ctx)
@@ -726,7 +774,7 @@ def test_xi_apply_and_dminus_on_semiholomorphic(ctx):
              + coords.taubar * mp.mpc("0.2")
              + coords.z[0] * mp.mpc("0.4", "-0.2")).exp()
         dm = build_D_minus(L)
-        got = dm.apply_jet(f, base_values(tau, z))
+        got = dm.apply_jet(f, tau, z)
         # D- acts on semi-holomorphic jets by -2iy^2 d_taubar
         y0 = tau.imag
         expect = -2j * y0 ** 2 * f.derivative_at_base((0, 1, 0, 0))

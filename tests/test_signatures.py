@@ -7,7 +7,8 @@ package does not export is referenced by the package, every module-level
 import is used by its module, every parameter of a module-level
 private function is read by its body, and every defaulted parameter of
 a function that the package calls and does not export is omitted by at
-least one of those calls."""
+least one of those calls.  And each record format is defined once: no two
+NamedTuple classes of the package have the same fields."""
 
 import ast
 import importlib
@@ -188,3 +189,17 @@ def test_every_default_is_omitted_by_a_call():
         unused += [f"{module}.{name}({p})" for p in defaulted
                    if not any(_omits(call, fn, p) for call in found)]
     assert unused == []
+
+
+def test_no_two_namedtuples_have_the_same_fields():
+    # a second NamedTuple with the fields of another is a second copy of
+    # one format
+    by_fields = {}
+    for info in pkgutil.iter_modules(maassjacobi.__path__):
+        module = importlib.import_module(f"maassjacobi.{info.name}")
+        for name, obj in vars(module).items():
+            if (inspect.isclass(obj) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+                    and obj.__module__ == module.__name__):
+                by_fields.setdefault(obj._fields, []).append(f"{info.name}.{name}")
+    assert len(by_fields) >= 2
+    assert [names for names in by_fields.values() if len(names) > 1] == []
