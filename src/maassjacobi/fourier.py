@@ -90,8 +90,6 @@ def _profile_jet(tag: str, params: dict, imag: tuple, order: int,
         return out
     if tag == "E":
         h = [Fraction(x) for x in params["h"]]
-        if len(h) != len(v):
-            raise DomainError(f"an h of {len(h)} entries at rank {len(v)}")
         w = Jet.const(y.space, int(params["nu"]))
         if any(h):
             hv = sum((vj * to_mpf(hj) for vj, hj in zip(v, h) if hj), Jet.const(y.space, 0))
@@ -116,6 +114,8 @@ class FourierExpansion:
     def __init__(self, lattice: GramLattice, terms: dict = None):
         self.lattice = lattice
         self.terms = dict(terms or {})
+        for index, (tag, params, _) in self.terms.items():
+            self._check_rank(index, tag, params)
 
     def _check_rank(self, index: FourierIndex, tag: str, params: dict):
         """DomainError unless r, and the h of an E term, have the lattice's rank."""

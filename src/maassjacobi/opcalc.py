@@ -31,7 +31,7 @@ from .gaussian import I, GaussianRational
 from .group import J2, AlgebraElement, GroupElement, Point, automorphy_factor, weight_gap
 from .jets import Coordinates, Jet, JetSpace, coordinate_jets, imaginary_parts
 from .lattice import GramLattice
-from .polys import Poly, PolyRing, SparseTerms, merge_terms
+from .polys import Poly, PolyRing, PolySum, SparseTerms, merge_terms
 from .precision import PrecisionContext, to_mpc, to_mpf
 
 _HALF = Fraction(1, 2)
@@ -81,6 +81,7 @@ class OpRing:
         hol, anti = ([((im, rate), (re, half)) for im, re in parts]
                      for rate in (_MIHALF, _IHALF))
         self.rules = Coordinates(hol[0], anti[0], hol[1:], anti[1:]).flat()
+        self.rule_masks = [self.ring.mask(i for i, _ in rules) for rules in self.rules]
 
     def derivative(self, poly: Poly, delta) -> Poly:
         """d^delta poly, direction 0 first, stopping at the first zero.
@@ -91,9 +92,7 @@ class OpRing:
             for _ in range(d):
                 if poly.is_zero():
                     return poly
-                poly = Poly(self.ring, merge_terms({}, (
-                    (e[:j] + (e[j] - 1,) + e[j + 1:], rate * (c * e[j]))
-                    for j, rate in rules for e, c in poly.terms.items() if e[j])))
+                poly = poly.diff(rules)
         return poly
 
 
@@ -163,40 +162,49 @@ class DiffOp(SparseTerms):
         where the formal k inside a becomes k + other.shift."""
         other = self._coerce(other)
         R = self.op_ring
-        ksub = {"k": R.ring.var("k") + R.ring.const(other.shift)} if other.shift else None
-        # the terms of each output coefficient, merged in place; a key stays
+        ksub = None
+        # the sum of each output coefficient, added in place; a key stays
         # where it was first put even while its coefficient sums to zero
         out = {}
-        # d^delta b, keyed by (exponent of b, delta): the same derivative
-        # recurs for every left term whose exponent reaches delta
+        # d^delta b by the exponent of b, then by delta: the same derivative
+        # recurs for every left term whose exponent reaches delta; and the
+        # directions, as bits, whose rules meet none of b's variables, where
+        # b has no derivative (a derivative never brings a variable in)
         derivs = {}
+        for be, bp in other.terms.items():
+            support = bp.support()
+            derivs[be] = ({R.zero_dexp: bp},
+                          sum(1 << j for j, mask in enumerate(R.rule_masks) if not support & mask))
         for ae, ap in self.terms.items():
-            if ksub is not None and ap.uses("k"):
+            if other.shift and ap.uses("k"):
+                if ksub is None:
+                    ksub = {"k": R.k + other.shift}
                 ap = ap.subs(ksub)
-            splits = [(gamma, tuple(map(sub, ae, gamma)), prod(map(comb, ae, gamma)))
-                      for gamma in product(*(range(a + 1) for a in ae))]
+            splits = []
+            for gamma in product(*(range(a + 1) for a in ae)):
+                delta = tuple(map(sub, ae, gamma))
+                splits.append((gamma, delta, sum(1 << j for j, d in enumerate(delta) if d),
+                               prod(map(comb, ae, gamma))))
             for be, bp in other.terms.items():
-                for gamma, delta, binom in splits:
-                    dp = derivs.get((be, delta))
-                    if dp is None:
-                        dp = derivs[be, delta] = R.derivative(bp, delta)
-                    if dp.is_zero():
+                dbs, flat = derivs[be]
+                for gamma, delta, dirs, binom in splits:
+                    if dirs & flat:
                         continue
-                    terms = (ap * dp).terms
-                    if binom != 1:
-                        for t, c in terms.items():
-                            terms[t] = c * binom
+                    dp = dbs.get(delta)
+                    if dp is None:
+                        dp = dbs[delta] = R.derivative(bp, delta)
+                    if not dp:
+                        continue
                     e = tuple(map(add, gamma, be))
                     acc = out.get(e)
                     if acc is None:
-                        out[e] = terms
-                    else:
-                        merge_terms(acc, terms.items())
-        return DiffOp(R, {e: Poly(R.ring, t) for e, t in out.items()},
+                        acc = out[e] = PolySum(R.ring)
+                    acc.add_product(ap, dp, binom)
+        return DiffOp(R, {e: acc.poly() for e, acc in out.items()},
                       self.shift + other.shift)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
-        return self.compose(other) - other.compose(self)
+        return sum_ops(self.op_ring, (self.compose(other), -other.compose(self)))
 
     # -- structure ------------------------------------------------------------------
 
@@ -236,16 +244,18 @@ class DiffOp(SparseTerms):
         N = self.op_ring.N
         if len(z) != N:
             raise DomainError(f"a z of {len(z)} entries at rank {N}")
+        if k_value is None and any(p.uses("k") for p in self.terms.values()):
+            raise DomainError("the operator holds the formal k, so k_value is required")
         tau = mp.mpc(tau)
         z = [mp.mpc(w) for w in z]
         # the ring's variables in order: k, pi, y, x, v, u
         values = [None if k_value is None else to_mpc(k_value), mp.pi,
                   mp.mpc(tau.imag), mp.mpc(tau.real),
                   *(mp.mpc(w.imag) for w in z), *(mp.mpc(w.real) for w in z)]
-        to_num = lambda c: c.to_mpc(mp)
+        powers = {}
         out = []
         for e, p in self.terms.items():
-            c = p.eval_numeric(values, to_num)
+            c = p.eval_numeric(values, powers=powers)
             if c:
                 out.append((e, c))
         return out
@@ -297,17 +307,32 @@ def derivatives(R: OpRing) -> Coordinates:
                           for j in range(R.ndirs))
 
 
+def sum_ops(R: OpRing, ops) -> DiffOp:
+    """The sum of ``ops`` in one pass: their terms merged into one dict by
+    ``merge_terms``, with the terms, order and weight shift of the chain
+    ops[0] + ops[1] + ..., and without a running total per ``+``."""
+    terms, shift = {}, 0
+    for op in ops:
+        if op.op_ring is not R:
+            raise ValueError("mixed operator rings")
+        if not terms:
+            shift = op.shift
+        elif op.terms and op.shift != shift:
+            raise ValueError("cannot add operators of different weight shifts")
+        merge_terms(terms, op.terms.items())
+    return DiffOp(R, terms, shift)
+
+
 def dot(coeffs, ops) -> DiffOp:
     """coeffs^T ops = sum_j c_j op_j, each c_j standing left of op_j."""
-    return sum((op.scale(c) for c, op in zip(coeffs, ops)), DiffOp.zero(ops[0].op_ring))
+    return sum_ops(ops[0].op_ring, (op.scale(c) for c, op in zip(coeffs, ops)))
 
 
 def quad_form(M, left, right) -> DiffOp:
     """left^T M right = sum_ab M_ab left_a right_b, each M_ab standing left
     of its composed pair; M holds constants or polynomials."""
-    return sum((a.compose(b).scale(m)
-                for a, row in zip(left, M) for b, m in zip(right, row)),
-               DiffOp.zero(left[0].op_ring))
+    return sum_ops(left[0].op_ring, (a.compose(b).scale(m)
+                                     for a, row in zip(left, M) for b, m in zip(right, row)))
 
 
 def calL(R: OpRing, L: GramLattice):
@@ -394,16 +419,16 @@ def build_casimir_op(L: GramLattice) -> DiffOp:
     v_dzbar = dot(v, d.zbar)
     Lz, Lzbar = quad_form(linv, d.z, d.z), quad_form(linv, d.zbar, d.zbar)
     zbar_z = quad_form(linv, d.zbar, d.z)
-    return (
-        weighted_laplacian(R, k - Fraction(N, 2)).scale(-2)
-        + (d.taubar.compose(Lz) + d.tau.compose(Lzbar)).scale(y * y * 2)
-        - d.tau.compose(v_dzbar).scale(y * 8)
-        - (Lzbar.compose(Lz) - zbar_z.compose(zbar_z)).scale(y * y * _HALF)
-        + v_dzbar.compose(quad_form(linv, d.z, d_u)).scale(y * 2)
-        - quad_form(linv, d.zbar, d_u).scale((k * 2 - (N - 1)) * y * _IHALF)
-        + quad_form([[a * b for b in v] for a in v], d.zbar, d.zbar).scale(2)
-        + v_dzbar.scale((k * 2 - (N + 1)) * I)
-    )
+    return sum_ops(R, (
+        weighted_laplacian(R, k - Fraction(N, 2)).scale(-2),
+        (d.taubar.compose(Lz) + d.tau.compose(Lzbar)).scale(y * y * 2),
+        -d.tau.compose(v_dzbar).scale(y * 8),
+        -(Lzbar.compose(Lz) - zbar_z.compose(zbar_z)).scale(y * y * _HALF),
+        v_dzbar.compose(quad_form(linv, d.z, d_u)).scale(y * 2),
+        -quad_form(linv, d.zbar, d_u).scale((k * 2 - (N - 1)) * y * _IHALF),
+        quad_form([[a * b for b in v] for a in v], d.zbar, d.zbar).scale(2),
+        v_dzbar.scale((k * 2 - (N + 1)) * I),
+    ))
 
 
 def build_casimir_RL(L: GramLattice) -> DiffOp:
@@ -419,11 +444,11 @@ def build_casimir_RL(L: GramLattice) -> DiffOp:
     Xp, Xm, Yp, Ym = ops["X+"], ops["X-"], ops["Y+"], ops["Y-"]
     linv = calL_inv(R, L)
     pp, mm, pm = quad_form(linv, Yp, Yp), quad_form(linv, Ym, Ym), quad_form(linv, Yp, Ym)
-    return (
-        Xp.compose(Xm).scale(-2) + Xp.compose(mm).scale(I) - pp.compose(Xm).scale(I)
-        - (pp.compose(mm) - quad_form(linv, Yp, [pm.compose(ym) for ym in Ym])).scale(_HALF)
-        - pm.scale((R.k * 2 - (N + 3)) * _IHALF)
-    )
+    return sum_ops(R, (
+        Xp.compose(Xm).scale(-2), Xp.compose(mm).scale(I), -pp.compose(Xm).scale(I),
+        -(pp.compose(mm) - quad_form(linv, Yp, [pm.compose(ym) for ym in Ym])).scale(_HALF),
+        -pm.scale((R.k * 2 - (N + 3)) * _IHALF),
+    ))
 
 
 def semiholomorphic_casimir(L: GramLattice) -> DiffOp:
@@ -495,11 +520,8 @@ def build_lie_slash(Y, L: GramLattice) -> DiffOp:
     if isinstance(Y, str):
         return _lie_slash_gen(Y, R, L)
     if isinstance(Y, AlgebraElement):
-        acc = DiffOp.zero(R)
-        for name, c in Y.basis_coefficients().items():
-            if c:
-                acc = acc + _lie_slash_gen(name, R, L).scale(c)
-        return acc
+        return sum_ops(R, (_lie_slash_gen(name, R, L).scale(c)
+                           for name, c in Y.basis_coefficients().items() if c))
     raise DomainError("Y must be a generator name or an AlgebraElement")
 
 
@@ -516,13 +538,13 @@ def _lie_slash_gen(name: str, R: OpRing, L: GramLattice) -> DiffOp:
     if name == "E":
         return d.tau + d.taubar
     if name == "H":
-        return (d.tau.scale(tau * 2) + d.taubar.scale(taubar * 2)
-                + dot(z, d.z) + dot(zbar, d.zbar) + mul(k))
+        return sum_ops(R, (d.tau.scale(tau * 2), d.taubar.scale(taubar * 2),
+                           dot(z, d.z), dot(zbar, d.zbar), mul(k)))
     if name == "F":
         Lzz = calL_apply(R, L, z)[1]
-        return -(d.tau.scale(tau * tau) + d.taubar.scale(taubar * taubar)
-                 + dot(z, d.z).scale(tau) + dot(zbar, d.zbar).scale(taubar)
-                 + mul(k * tau + Lzz))
+        return -sum_ops(R, (d.tau.scale(tau * tau), d.taubar.scale(taubar * taubar),
+                            dot(z, d.z).scale(tau), dot(zbar, d.zbar).scale(taubar),
+                            mul(k * tau + Lzz)))
     if name.startswith("e"):
         i = int(name[1:]) - 1
         return d.z[i] + d.zbar[i]
@@ -553,9 +575,10 @@ def uea_to_op(a: PBWElement, L: GramLattice) -> DiffOp:
     letters = [build_lie_slash(name, L) for name in alg.names]
     # the central letters' constants, in z_ring order
     zvalues = [op.terms.get(R.zero_dexp, R.ring.zero()) for op in letters[alg.z_start:]]
+    powers = {}
     scalars = {tuple(g for g, kexp in enumerate(w) for _ in range(kexp)):
-               p.eval_numeric(zvalues, R.ring.const) for w, p in a.terms.items()}
-    # the terms of each output coefficient, merged in place; a coefficient
+               p.eval_numeric(zvalues, R.ring.const, powers) for w, p in a.terms.items()}
+    # the sum of each output coefficient, added in place; a coefficient
     # that sums to zero leaves, as in a sum of the scaled images
     out, prev, chain = {}, (), [DiffOp.identity(R)]
     for word in sorted(w for w, c in scalars.items() if c):
@@ -568,13 +591,12 @@ def uea_to_op(a: PBWElement, L: GramLattice) -> DiffOp:
             chain.append(letters[g].compose(chain[-1]))
         prev = word
         for e, p in chain[-1].terms.items():
-            terms = (scalars[word] * p).terms
             acc = out.get(e)
             if acc is None:
-                out[e] = terms
-            elif not merge_terms(acc, terms.items()):
+                acc = out[e] = PolySum(R.ring)
+            if not acc.add_product(scalars[word], p):
                 del out[e]
-    return DiffOp(R, {e: Poly(R.ring, t) for e, t in out.items()})
+    return DiffOp(R, {e: acc.poly() for e, acc in out.items()})
 
 
 def bridge_rhs(L: GramLattice) -> DiffOp:

@@ -3,23 +3,48 @@
 One engine serves three distinct uses: commutative symmetric-algebra
 elements, operator coefficients (where some variables are Laurent, e.g. y
 and pi), and Z-coefficient polynomials inside the enveloping algebra.
-Variables are fixed per ring; terms map exponent tuples to nonzero
-GaussianRational coefficients.
+Variables are fixed per ring.
+
+A polynomial is stored fraction-free (Geddes, Czapor & Labahn, *Algorithms
+for Computer Algebra*, 1992, ch. 2): ``num`` maps packed monomials to
+nonzero Gaussian-integer numerators ``(a, b)``, one for each coefficient
+``(a + b i) / den``, over one common denominator ``den > 0``, and ``den``
+has no factor in common with every ``a`` and ``b``, so that each
+polynomial has one form.  Arithmetic works on the integers and takes one
+content gcd per result, none when the denominator is 1.
+
+A monomial is packed into one int (Monagan & Pearce, J. Symbolic Comput.
+46 (2011)).  Variable i has a field of ``FIELD_BITS`` bits, variable 0 the
+highest, holding its exponent plus ``_BIAS``, so Laurent exponents pack as
+well; the bits above the fields hold the total degree.  A product of
+monomials is then a sum of ints, and ints compare as the graded
+lexicographic order of the exponent tuples.  The top bit of each field is
+a guard: it is clear in every stored monomial, and an exponent that leaves
+``[-_BIAS, _BIAS)`` raises DomainError before it can spill into the next
+variable.
+
+``Poly(ring, {exponent tuple: coefficient})`` and ``Poly.terms`` are the
+boundary: exponent tuples and GaussianRational coefficients, in the stored
+order.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
+from functools import reduce
+from math import gcd, lcm
+from operator import or_
 
-from .errors import DivisibilityError
-from .gaussian import GaussianRational, ZERO, ONE, power
+from mpmath import mp
+
+from .errors import DivisibilityError, DomainError
+from .gaussian import GaussianRational, ZERO, ONE, _reduced as _gaussian, power
 
 
 class SparseTerms:
     """A finite sum of terms: ``terms`` maps exponent tuples to nonzero
     coefficients.  This is the one definition of sum, negation, difference
-    and non-negative power for polynomials, PBW elements, differential
-    operators and jets.
+    and non-negative power for PBW elements, differential operators and
+    jets.
 
     Subclasses supply ``_like(terms, other)`` (an element of their own
     kind with these terms, ``other`` being the second summand, or the
@@ -60,8 +85,9 @@ class SparseTerms:
 def merge_terms(terms: dict, pairs) -> dict:
     """Add each (e, c) of ``pairs`` into ``terms`` in place and return it: an
     existing key keeps its place, a zero sum is deleted, and a new key
-    stores c itself.  Sums, products, derivatives, exact division, operator
-    composition and PBW straightening all merge their terms by this rule."""
+    stores c itself.  Sums, operator composition and PBW straightening
+    merge their terms by this rule, and so do the numerator dicts of
+    ``Poly`` (``_merge``)."""
     get = terms.get
     for e, c in pairs:
         s = get(e)
@@ -76,9 +102,33 @@ def merge_terms(terms: dict, pairs) -> dict:
     return terms
 
 
+def _merge(num: dict, pairs) -> dict:
+    """``merge_terms`` on Gaussian-integer numerators ``(a, b)``."""
+    get = num.get
+    for m, c in pairs:
+        s = get(m)
+        if s is None:
+            num[m] = c
+        else:
+            a, b = c
+            a += s[0]
+            b += s[1]
+            if a or b:
+                num[m] = (a, b)
+            else:
+                del num[m]
+    return num
+
+
+FIELD_BITS = 16
+_BIAS = 1 << (FIELD_BITS - 2)
+_MASK = (1 << FIELD_BITS) - 1
+_GUARD = 1 << (FIELD_BITS - 1)
+
+
 class PolyRing:
     """An ordered list of variable names, some of which may carry negative
-    exponents (Laurent variables)."""
+    exponents (Laurent variables), and the packing of its monomials."""
 
     def __init__(self, names, laurent=()):
         self.names = tuple(names)
@@ -89,20 +139,58 @@ class PolyRing:
         for n in self.laurent:
             if n not in self.index:
                 raise ValueError(f"unknown laurent variable {n}")
-        self.nvars = len(self.names)
-        self._zero_exp = (0,) * self.nvars
+        n = self.nvars = len(self.names)
+        # variable i's field starts at shifts[i]; the total degree sits on top
+        self.shifts = tuple((n - 1 - i) * FIELD_BITS for i in range(n))
+        top = 1 << (n * FIELD_BITS)
+        # units[i] raises the exponent of variable i, and the degree, by one
+        self.units = tuple((1 << s) + top for s in self.shifts)
+        # the monomial 1, and the guard bits of every field
+        self.origin = sum(_BIAS << s for s in self.shifts)
+        self.guard = sum(_GUARD << s for s in self.shifts)
+
+    def pack(self, exp) -> int:
+        """The packed monomial of an exponent tuple."""
+        if len(exp) != self.nvars:
+            raise DomainError(f"an exponent tuple of {len(exp)} entries in a ring "
+                              f"of {self.nvars} variables")
+        m = self.origin
+        for name, e, u in zip(self.names, exp, self.units):
+            if not -_BIAS <= e < _BIAS:
+                raise DomainError(f"exponent {e} of {name} outside [{-_BIAS}, {_BIAS})")
+            m += e * u
+        return m
+
+    def mask(self, indices) -> int:
+        """The fields of the variables with these indices."""
+        return sum(_MASK << self.shifts[i] for i in indices)
+
+    def unpack(self, m: int) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        return tuple(((m >> s) & _MASK) - _BIAS for s in self.shifts)
+
+    def check(self, num: dict) -> dict:
+        """``num`` itself, once no monomial of it has left its fields."""
+        if reduce(or_, num, 0) & self.guard:
+            bad = next(m for m in num if m & self.guard)
+            # the lowest field with its guard set is one whose exponent left
+            # its range; a borrow from it may have set those above it
+            i = max(i for i, s in enumerate(self.shifts) if (bad >> s) & _GUARD)
+            raise DomainError(f"an exponent of {self.names[i]} outside "
+                              f"[{-_BIAS}, {_BIAS})")
+        return num
 
     def zero(self) -> "Poly":
-        return Poly(self, {})
+        return _poly(self, {}, 1)
 
     def one(self) -> "Poly":
         return self.const(ONE)
 
     def const(self, c) -> "Poly":
-        c = GaussianRational.coerce(c)
-        if not c:
+        a, b, d = GaussianRational.coerce(c)._abd
+        if not (a or b):
             return self.zero()
-        return Poly(self, {self._zero_exp: c})
+        return _poly(self, {self.origin: (a, b)}, d)
 
     def var(self, name: str, power: int = 1) -> "Poly":
         i = self.index[name]
@@ -110,7 +198,7 @@ class PolyRing:
             raise ValueError(f"negative power of non-laurent variable {name}")
         exp = [0] * self.nvars
         exp[i] = power
-        return Poly(self, {tuple(exp): ONE})
+        return _poly(self, {self.pack(exp): (1, 0)}, 1)
 
     def __eq__(self, other):
         return (
@@ -126,43 +214,112 @@ class PolyRing:
         return f"PolyRing({self.names})"
 
 
-def _grlex_key(exp):
-    return (sum(exp), exp)
+_new = object.__new__
 
 
-class Poly(SparseTerms):
+def _poly(ring: PolyRing, num: dict, den: int) -> "Poly":
+    """The polynomial num / den, which must already be in lowest terms."""
+    p = _new(Poly)
+    p.ring = ring
+    p.num = num
+    p.den = den
+    return p
+
+
+def _reduced(ring: PolyRing, num: dict, den: int) -> "Poly":
+    """num / den in lowest terms, by one content gcd; none when den is 1."""
+    if den != 1:
+        g = den
+        for a, b in num.values():
+            g = gcd(g, a, b)
+            if g == 1:
+                break
+        else:
+            num = {m: (a // g, b // g) for m, (a, b) in num.items()}
+            den //= g
+    return _poly(ring, num, den)
+
+
+def _product(ring: PolyRing, n1: dict, n2: dict) -> dict:
+    """The numerators of a product, in a new dict: each pair of terms, those
+    of n1 outer, merged by the rule of ``merge_terms``."""
+    if len(n1) == 1:
+        n1, n2 = n2, n1
+    if len(n2) == 1:
+        # a one-term factor shifts monomials, so no two products collide
+        ((m2, c2),) = n2.items()
+        if m2 == ring.origin and c2 == (1, 0):
+            return dict(n1)
+        m2 -= ring.origin
+        a2, b2 = c2
+        return ring.check({m1 + m2: (a1 * a2 - b1 * b2, a1 * b2 + b1 * a2)
+                           for m1, (a1, b1) in n1.items()})
+    # _merge, inlined on the hottest loop of the package
+    origin = ring.origin
+    num = {}
+    get = num.get
+    for m1, (a1, b1) in n1.items():
+        m1 -= origin
+        for m2, (a2, b2) in n2.items():
+            m = m1 + m2
+            a = a1 * a2 - b1 * b2
+            b = a1 * b2 + b1 * a2
+            s = get(m)
+            if s is None:
+                num[m] = (a, b)
+            else:
+                a += s[0]
+                b += s[1]
+                if a or b:
+                    num[m] = (a, b)
+                else:
+                    del num[m]
+    return ring.check(num)
+
+
+class Poly:
     """Immutable sparse polynomial; never stores zero coefficients."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: PolyRing, terms: dict):
+        """The polynomial with ``terms``, {exponent tuple: coefficient}, the
+        coefficients GaussianRationals, ints or Fractions; zeros are
+        dropped."""
+        coeffs = [(ring.pack(e), GaussianRational.coerce(c)._abd)
+                  for e, c in terms.items()]
+        den = lcm(*(d for _, (a, b, d) in coeffs if a or b))
+        # each triple is in lowest terms, so over the lcm of their
+        # denominators the numerators have no common factor with it
         self.ring = ring
-        self.terms = terms
+        self.num = {m: (a * (den // d), b * (den // d)) for m, (a, b, d) in coeffs if a or b}
+        self.den = den
 
-    def _like(self, terms, other) -> "Poly":
-        return Poly(self.ring, terms)
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: GaussianRational}, in the stored order."""
+        unpack, d = self.ring.unpack, self.den
+        return {unpack(m): _gaussian(a, b, d) for m, (a, b) in self.num.items()}
 
     # -- ring operations ------------------------------------------------
 
     def __mul__(self, other):
-        """The product, with its terms in a new dict that callers may own."""
-        other = self._coerce(other)
-        t1, t2 = self.terms, other.terms
-        # a one-term factor shifts exponents, so no two products collide
-        if len(t1) == 1 or len(t2) == 1:
-            return Poly(self.ring, {tuple(map(add, e1, e2)): c1 * c2
-                                    for e1, c1 in t1.items() for e2, c2 in t2.items()})
-        return Poly(self.ring, merge_terms({}, (
-            (tuple(map(add, e1, e2)), c1 * c2)
-            for e1, c1 in t1.items() for e2, c2 in t2.items())))
+        """The product, with its numerators in a new dict that callers may own."""
+        ring = self.ring
+        if other.__class__ is not Poly or other.ring is not ring:
+            other = self._coerce(other)
+        num = _product(ring, self.num, other.num)
+        den = self.den * other.den
+        return _poly(ring, num, den) if den == 1 else _reduced(ring, num, den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        c = GaussianRational.coerce(c)
-        if not c:
+        ca, cb, cd = GaussianRational.coerce(c)._abd
+        if not (ca or cb):
             return self.ring.zero()
-        return Poly(self.ring, {e: c * v for e, v in self.terms.items()})
+        return _reduced(self.ring, {m: (a * ca - b * cb, a * cb + b * ca)
+                                    for m, (a, b) in self.num.items()}, self.den * cd)
 
     def _coerce(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -171,94 +328,231 @@ class Poly(SparseTerms):
             return other
         return self.ring.const(other)
 
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, by the rule of ``merge_terms``."""
+        n1, n2 = self.num, other.num
+        if not n2:
+            return self
+        if not n1 and sign == 1:
+            return other
+        d1, d2 = self.den, other.den
+        if d1 == d2:
+            den, out = d1, dict(n1)
+        else:
+            den = lcm(d1, d2)
+            f1 = den // d1
+            out = dict(n1) if f1 == 1 else {m: (a * f1, b * f1) for m, (a, b) in n1.items()}
+        f2 = sign * (den // d2)
+        _merge(out, n2.items() if f2 == 1 else
+               ((m, (a * f2, b * f2)) for m, (a, b) in n2.items()))
+        # with no key shared, each prime of den leaves some numerator of the
+        # operand whose denominator holds it to the higher power undivided
+        if den == 1 or len(out) == len(n1) + len(n2):
+            return _poly(self.ring, out, den)
+        return _reduced(self.ring, out, den)
+
+    def __add__(self, other):
+        return self._plus(self._coerce(other), 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(self._coerce(other), -1)
+
+    def __rsub__(self, other):
+        return self._coerce(other)._plus(self, -1)
+
+    def __neg__(self):
+        return _poly(self.ring, {m: (-a, -b) for m, (a, b) in self.num.items()}, self.den)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a Poly")
+        return power(self, n, self.ring.one())
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def is_zero(self) -> bool:
+        return not self.num
+
+    def diff(self, rules) -> "Poly":
+        """sum rate * d self / d x_i over the (i, rate) of ``rules``, merged
+        in that order, rule by rule and term by term."""
+        ring = self.ring
+        rd = lcm(*(rate._abd[2] for _, rate in rules))
+        out = {}
+        get = out.get
+        for i, rate in rules:
+            ra, rb, d = rate._abd
+            f = rd // d
+            ra *= f
+            rb *= f
+            s, u = ring.shifts[i], ring.units[i]
+            for m, (a, b) in self.num.items():
+                k = ((m >> s) & _MASK) - _BIAS
+                if k:
+                    # _merge, inlined as in __mul__
+                    m -= u
+                    a *= k
+                    b *= k
+                    a, b = a * ra - b * rb, a * rb + b * ra
+                    t = get(m)
+                    if t is None:
+                        out[m] = (a, b)
+                    else:
+                        a += t[0]
+                        b += t[1]
+                        if a or b:
+                            out[m] = (a, b)
+                        else:
+                            del out[m]
+        return _reduced(ring, ring.check(out), self.den * rd)
+
     # -- structure -------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.ring == other.ring and self.terms == other.terms
+            return (self.ring == other.ring and self.den == other.den
+                    and self.num == other.num)
         try:
             return (self - other).is_zero()
         except TypeError:
             return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self.num.items()), self.den))
+
+    def support(self) -> int:
+        """Nonzero on the field of each variable that occurs in a term."""
+        origin = self.ring.origin
+        return reduce(or_, (m ^ origin for m in self.num), 0)
 
     def uses(self, name: str) -> bool:
-        i = self.ring.index[name]
-        return any(e[i] for e in self.terms)
-
-    def leading(self):
-        """(exponent, coeff) of the grlex-leading term."""
-        e = max(self.terms, key=_grlex_key)
-        return e, self.terms[e]
+        s = self.ring.shifts[self.ring.index[name]]
+        return any(((m >> s) & _MASK) != _BIAS for m in self.num)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
+        """(exponent, coeff) pairs, grlex-leading first."""
+        unpack, num, d = self.ring.unpack, self.num, self.den
+        return [(unpack(m), _gaussian(*num[m], d)) for m in sorted(num, reverse=True)]
 
     # -- substitution / evaluation ----------------------------------------
 
     def subs(self, assignment: dict) -> "Poly":
         """Substitute polynomials or constants for variables (same ring);
-        a substituted variable may not occur at a negative power."""
-        out = self.ring.zero()
-        for e, c in self.terms.items():
-            term = self.ring.const(c)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                name = self.ring.names[i]
-                if name in assignment:
-                    repl = assignment[name]
-                    if not isinstance(repl, Poly):
-                        repl = self.ring.const(repl)
-                    term = term * repl ** k
-                else:
-                    term = term * self.ring.var(name, k)
+        a substituted variable may not occur at a negative power.
+
+        Each term is its coefficient times the other variables' powers,
+        times the substituted powers in variable order, and the terms are
+        summed in their stored order."""
+        ring = self.ring
+        subst = [(i, ring.shifts[i], ring.units[i], self._coerce(assignment[name]))
+                 for i, name in enumerate(ring.names) if name in assignment]
+        powers = {}
+        out = ring.zero()
+        for m, c in self.num.items():
+            factors = []
+            for i, s, u, repl in subst:
+                k = ((m >> s) & _MASK) - _BIAS
+                if k:
+                    m -= k * u
+                    f = powers.get((i, k))
+                    if f is None:
+                        f = powers[i, k] = repl ** k
+                    factors.append(f)
+            term = _reduced(ring, {m: c}, self.den)
+            for f in factors:
+                term = term * f
             out = out + term
         return out
 
-    def eval_numeric(self, values, to_num):
+    def eval_numeric(self, values, to_num=None, powers=None):
         """Evaluate with ``values[i]`` the value of the ring's variable i.
 
-        ``to_num`` converts a GaussianRational to the numeric domain; values
-        must already live there.
+        Each term is its coefficient times ``values[i] ** k`` for each
+        variable in order, and the terms are summed in their stored order.
+        ``to_num`` converts a GaussianRational coefficient to the values'
+        domain; by default each coefficient is rounded to an mpc at the
+        working precision as ``GaussianRational.to_mpc`` rounds it.
+        ``powers`` keeps each ``values[i] ** k`` by its field, in place in a
+        packed monomial; polynomials of one ring at the same values may
+        share it.
         """
+        d, ring = self.den, self.ring
+        top = ring.nvars - 1
+        fields = (1 << (ring.nvars * FIELD_BITS)) - 1
+        if powers is None:
+            powers = {}
         acc = None
-        for e, c in self.terms.items():
-            t = to_num(c)
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                t = t * values[i] ** k
+        for m, (a, b) in self.num.items():
+            if to_num is not None:
+                t = to_num(_gaussian(a, b, d))
+            elif d == 1:
+                t = mp.mpc(a, b)
+            else:
+                ga, gb = gcd(a, d), gcd(b, d)
+                t = mp.mpc(mp.mpf(a // ga) / (d // ga), mp.mpf(b // gb) / (d // gb))
+            # a field is zero here exactly where its exponent is; the top
+            # field left is that of the first variable left
+            x = (m ^ ring.origin) & fields
+            while x:
+                s = (x.bit_length() - 1) // FIELD_BITS * FIELD_BITS
+                field = x >> s << s
+                x ^= field
+                v = powers.get(field)
+                if v is None:
+                    k = ((field >> s) ^ _BIAS) - _BIAS
+                    v = powers[field] = values[top - s // FIELD_BITS] ** k
+                t = t * v
             acc = t if acc is None else acc + t
-        return acc if acc is not None else to_num(ZERO)
+        if acc is not None:
+            return acc
+        return mp.mpc(0) if to_num is None else to_num(ZERO)
 
     # -- division ----------------------------------------------------------
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
         """Exact division by one polynomial divisor; DivisibilityError if
         the quotient does not exist.  Requires plain (non-Laurent) exponents.
+
+        The numerators are divided fraction-free: with L the divisor's
+        leading numerator, each quotient numerator is the remainder's
+        leading numerator times conj(L), and unless L is a unit the
+        remainder is carried over a denominator that gains |L|^2 a step.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        lead_e, lead_c = divisor.leading()
-        rem = dict(self.terms)
+        ring = self.ring
+        origin, guard = ring.origin, ring.guard
+        dnum = divisor.num
+        lead = max(dnum)
+        la, lb = dnum[lead]
+        norm = la * la + lb * lb
+        rest = [(md - origin, c) for md, c in dnum.items() if md != lead]
+        rem, rden = dict(self.num), 1
         q = {}
         while rem:
-            e = max(rem, key=_grlex_key)
-            diff = tuple(map(sub, e, lead_e))
-            if any(d < 0 for d in diff):
-                raise DivisibilityError(
-                    f"leading term {e} not divisible by divisor leading {lead_e}"
-                )
+            m = max(rem)
+            if (m - lead + guard) & guard != guard:
+                raise DivisibilityError(f"leading term {ring.unpack(m)} not divisible "
+                                        f"by divisor leading {ring.unpack(lead)}")
+            a, b = rem.pop(m)
+            qa, qb = a * la + b * lb, b * la - a * lb
+            if norm != 1:
+                rem = {k: (x * norm, y * norm) for k, (x, y) in rem.items()}
+                rden *= norm
+            diff = m - lead + origin
             # each step cancels the leading term, so each diff comes once
-            qc = q[diff] = rem[e] / lead_c
-            minus_qc = -qc
-            merge_terms(rem, ((tuple(map(add, diff, de)), minus_qc * dc)
-                              for de, dc in divisor.terms.items()))
-        return Poly(self.ring, q)
+            q[diff] = (qa, qb, rden)
+            _merge(rem, ring.check({diff + md: (qb * db - qa * da, -qa * db - qb * da)
+                                    for md, (da, db) in rest}).items())
+        # self / divisor = (self.num / divisor.num) * divisor.den / self.den
+        den = lcm(*(d for _, _, d in q.values()))
+        f = divisor.den
+        return _reduced(ring, {m: (a * (f * den // d), b * (f * den // d))
+                               for m, (a, b, d) in q.items()}, den * self.den)
 
     # -- formatting ----------------------------------------------------------
 
@@ -266,7 +560,7 @@ class Poly(SparseTerms):
         return f"Poly({self})"
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -285,3 +579,41 @@ class Poly(SparseTerms):
             else:
                 parts.append(cs)
         return " + ".join(parts).replace("+ -", "- ")
+
+
+class PolySum:
+    """A running sum of products of polynomials of one ring, added in place
+    by the rule of ``merge_terms``: a key keeps its place, a zero sum
+    leaves, and a new key comes last.  The numerators stay over one common
+    denominator, and ``poly()`` takes the content once, at the end."""
+
+    __slots__ = ("ring", "num", "den")
+
+    def __init__(self, ring: PolyRing):
+        self.ring, self.num, self.den = ring, {}, 1
+
+    def add_product(self, p: Poly, q: Poly, c: int = 1) -> dict:
+        """Add c p q, as ``p * q`` would merge it but without its content
+        gcd; returns the numerators, empty when the sum is zero."""
+        pq, d = _product(self.ring, p.num, q.num), p.den * q.den
+        num, den = self.num, self.den
+        if not num:
+            # merged into nothing, the product's terms keep their order
+            if c != 1:
+                for m, (a, b) in pq.items():
+                    pq[m] = (a * c, b * c)
+            self.num, self.den = pq, d
+            return pq
+        if d != den:
+            den = lcm(den, d)
+            f = den // self.den
+            if f != 1:
+                for m, (a, b) in num.items():
+                    num[m] = (a * f, b * f)
+                self.den = den
+            c *= den // d
+        return _merge(num, pq.items() if c == 1 else
+                      ((m, (a * c, b * c)) for m, (a, b) in pq.items()))
+
+    def poly(self) -> Poly:
+        return _reduced(self.ring, self.num, self.den)

@@ -341,6 +341,17 @@ def test_centrality_at_rank_4(tmp_path, monkeypatch, capsys):
     assert code == 0 and rep["pass"] and rep["N"] == 4
 
 
+@pytest.mark.parametrize("suite", ["bridge", "casimir-equality"])
+def test_exact_suites_at_rank_4(suite, tmp_path, monkeypatch, capsys):
+    # on A4: the image of Omega_4 against det(calL)(k(k - 6) - 2 C), and the
+    # order-4 Casimir operator in coordinates against its raising and
+    # lowering assembly
+    monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))
+    code = main(["verify", suite, "--L", "2,1,0,0;1,2,1,0;0,1,2,1;0,0,1,2"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0 and rep["pass"] and rep["N"] == 4
+
+
 def test_eta_is_sl2_homomorphism_and_nu_commutes_with_radical():
     for N in (1, 2):
         alg = JacobiLieAlgebra(N)

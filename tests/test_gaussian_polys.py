@@ -12,7 +12,7 @@ from mpmath import mp
 
 from maassjacobi import linalg
 from maassjacobi.enveloping import JacobiLieAlgebra, PBWElement, pbw_normal_order
-from maassjacobi.errors import DivisibilityError
+from maassjacobi.errors import DivisibilityError, DomainError
 from maassjacobi.gaussian import (
     ZERO,
     GaussianRational,
@@ -448,3 +448,245 @@ def test_sparse_terms_laws_on_jets(data, m, n):
         assert a * (b + c) == a * b + a * c
         assert a ** (m + n) == a ** m * a ** n
 
+
+
+# -- the dict-of-GaussianRational polynomial, kept as the oracle of Poly ------
+
+
+class DictPoly:
+    """A polynomial as a dict from exponent tuples to GaussianRationals, each
+    operation done coefficient by coefficient: ``Poly`` as it was before it
+    stored packed monomials over one common denominator.  It is the ``==``
+    oracle of ``Poly``, of its values and of the order of its terms."""
+
+    def __init__(self, ring, terms):
+        self.ring = ring
+        self.terms = terms
+
+    @staticmethod
+    def of(p):
+        return DictPoly(p.ring, p.terms)
+
+    def const(self, c):
+        c = GaussianRational.coerce(c)
+        return DictPoly(self.ring, {(0,) * self.ring.nvars: c} if c else {})
+
+    def var(self, i, k):
+        return DictPoly(self.ring, {tuple(k if j == i else 0 for j in range(self.ring.nvars)):
+                                    GaussianRational(1)})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e)
+            if s is None:
+                out[e] = c
+            elif s + c:
+                out[e] = s + c
+            else:
+                del out[e]
+        return DictPoly(self.ring, out)
+
+    def __neg__(self):
+        return DictPoly(self.ring, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        t1, t2 = self.terms, other.terms
+        pairs = [(tuple(map(operator.add, e1, e2)), c1 * c2)
+                 for e1, c1 in t1.items() for e2, c2 in t2.items()]
+        if len(t1) == 1 or len(t2) == 1:
+            return DictPoly(self.ring, dict(pairs))
+        return sum((DictPoly(self.ring, {e: c}) for e, c in pairs), DictPoly(self.ring, {}))
+
+    def __pow__(self, n):
+        return power(self, n, self.const(1))
+
+    def scale(self, c):
+        c = GaussianRational.coerce(c)
+        return DictPoly(self.ring, {e: c * v for e, v in self.terms.items()} if c else {})
+
+    def subs(self, assignment):
+        out = DictPoly(self.ring, {})
+        for e, c in self.terms.items():
+            term = self.const(c)
+            for i, k in enumerate(e):
+                if k:
+                    repl = assignment.get(self.ring.names[i])
+                    term = term * (self.var(i, k) if repl is None else repl ** k)
+            out = out + term
+        return out
+
+    def derivative(self, rules, delta):
+        """OpRing.derivative, one rule at a time."""
+        poly = self
+        for rule, d in zip(rules, delta):
+            for _ in range(d):
+                if not poly.terms:
+                    return poly
+                poly = sum((DictPoly(self.ring, {e[:j] + (e[j] - 1,) + e[j + 1:]:
+                                                 rate * (c * e[j])})
+                            for j, rate in rule for e, c in poly.terms.items() if e[j]),
+                           DictPoly(self.ring, {}))
+        return poly
+
+    def eval_numeric(self, values, to_num):
+        acc = None
+        for e, c in self.terms.items():
+            t = to_num(c)
+            for i, k in enumerate(e):
+                if k:
+                    t = t * values[i] ** k
+            acc = t if acc is None else acc + t
+        return acc if acc is not None else to_num(ZERO)
+
+    def divide_exact(self, divisor):
+        def grlex(e):
+            return sum(e), e
+        lead_e = max(divisor.terms, key=grlex)
+        lead_c = divisor.terms[lead_e]
+        rem, q = dict(self.terms), {}
+        while rem:
+            e = max(rem, key=grlex)
+            diff = tuple(map(operator.sub, e, lead_e))
+            if any(d < 0 for d in diff):
+                raise DivisibilityError(e)
+            qc = q[diff] = rem[e] / lead_c
+            rem = (DictPoly(self.ring, rem) - DictPoly(self.ring, {diff: qc}) * divisor).terms
+        return DictPoly(self.ring, q)
+
+
+def _same(got, want):
+    """A Poly with the oracle's terms, in the oracle's order."""
+    assert isinstance(got, Poly)
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+_OP_RING = OpRing(1)  # k, pi, y, x, v1, u1, with pi and y Laurent
+
+
+@st.composite
+def _op_polys(draw, max_size=5, laurent=True):
+    """A Poly of the operator ring: small exponents, so that products
+    collide and cancel, and coefficients over 1, 2 or 3 and their products."""
+    low = -2 if laurent else 0
+    exps = st.tuples(st.integers(0, 2), st.integers(low, 1), st.integers(low, 2),
+                     st.integers(0, 1), st.integers(0, 2), st.integers(0, 1))
+    parts = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+    coeffs = st.builds(GaussianRational, parts, st.one_of(st.just(0), parts))
+    return Poly(_OP_RING.ring, draw(st.dictionaries(exps, coeffs, max_size=max_size)))
+
+
+@settings(settings.get_profile("exact"), max_examples=60)
+@given(p=_op_polys(), q=_op_polys(), s=_op_polys(max_size=2),
+       c=st.builds(GaussianRational, st.fractions(-4, 4, max_denominator=6),
+                    st.fractions(-4, 4, max_denominator=6)),
+       delta=st.lists(st.integers(0, 2), min_size=4, max_size=4))
+def test_poly_arithmetic_matches_the_dict_oracle(p, q, s, c, delta):
+    op, oq, os_ = DictPoly.of(p), DictPoly.of(q), DictPoly.of(s)
+    assert DictPoly.of(Poly(p.ring, op.terms)).terms == op.terms  # the boundary
+    for got, want in ((p * q, op * oq), (q * p, oq * op), (p * s, op * os_),
+                      (s * p, os_ * op), (p * p.ring.one(), op), (p + q, op + oq),
+                      (q + p, oq + op), (p - q, op - oq), (p - p, op - op),
+                      (p.scale(c), op.scale(c)), (p.scale(3), op.scale(3)),
+                      (-p, -op), (s ** 3, os_ ** 3)):
+        _same(got, want)
+        assert got == Poly(p.ring, want.terms)
+    # k -> k + 2 as in a composition, and x, v1 -> polynomials
+    k, x = p.ring.var("k"), p.ring.var("x")
+    for assignment in ({"k": k + 2}, {"x": s, "v1": q}, {"k": k * x - I, "u1": 0}):
+        oracle = {name: DictPoly.of(p._coerce(v)) for name, v in assignment.items()}
+        _same(p.subs(assignment), op.subs(oracle))
+    # OpRing.derivative, with every direction of rank 1
+    _same(_OP_RING.derivative(p, delta), op.derivative(_OP_RING.rules, delta))
+
+
+@settings(settings.get_profile("exact"), max_examples=60)
+@given(p=_op_polys(), q=_op_polys(laurent=False), k=st.fractions(-3, 3, max_denominator=4),
+       tau=st.tuples(st.integers(-9, 9), st.integers(1, 9)), bits=st.sampled_from([53, 128]))
+def test_eval_numeric_matches_the_dict_oracle(p, q, k, tau, bits):
+    # the coefficients of an operator at a point: each rounded as to_mpc
+    with mp.workprec(bits):
+        t = mp.mpc(tau[0], tau[1]) / 7
+        values = [mp.mpc(mp.mpf(k.numerator) / k.denominator), mp.pi, mp.mpc(t.imag),
+                  mp.mpc(t.real), mp.mpc(mp.mpf(1) / 3), mp.mpc(mp.mpf(-2) / 5)]
+        want = DictPoly.of(p).eval_numeric(values, lambda c: c.to_mpc(mp))
+        assert p.eval_numeric(values) == want
+        assert p.eval_numeric(values, lambda c: c.to_mpc(mp)) == want
+    # and exactly, at polynomial values, as uea_to_op evaluates Z polynomials
+    R = q.ring
+    values = [R.var("k") + 1, R.var("pi"), R.var("y") * 2, R.const(I), R.var("v1"),
+              R.var("u1") - R.var("x")]
+    _same(q.eval_numeric(values, R.const),
+          DictPoly.of(q).eval_numeric([DictPoly.of(v) for v in values],
+                                      lambda c: DictPoly.of(R.const(c))))
+
+
+@settings(settings.get_profile("exact"), max_examples=60)
+@given(q=_op_polys(laurent=False), d=_op_polys(max_size=3, laurent=False),
+       r=_op_polys(max_size=2))
+def test_divide_exact_matches_the_dict_oracle(q, d, r):
+    # an exact quotient, and a remainder that may leave none
+    if d.is_zero():
+        return
+    for p in (q * d, q * d + r):
+        try:
+            want = DictPoly.of(p).divide_exact(DictPoly.of(d))
+        except DivisibilityError:
+            with pytest.raises(DivisibilityError):
+                p.divide_exact(d)
+            continue
+        _same(p.divide_exact(d), want)
+    assert (q * d).divide_exact(d) == q
+
+
+def test_poly_cancellations_and_big_coefficients_match_the_dict_oracle():
+    # products whose terms cancel, substitutions of two many-term
+    # polynomials into one term, and a coefficient too wide for the
+    # working precision, which is rounded only once
+    R = _OP_RING.ring
+    x, y, v, u = R.var("x"), R.var("y"), R.var("v1"), R.var("u1")
+    for p, q in (((x + y), (x - y)), (x + y.scale(I), x - y.scale(I)),
+                 ((x + y) * (x - v), x.scale(Fraction(1, 2)) + v - y)):
+        _same(p * q, DictPoly.of(p) * DictPoly.of(q))
+    p = (x * v + u * u).scale(Fraction(2, 3)) + x * x * v
+    assignment = {"x": y + u.scale(I), "v1": u - y * y + 1}
+    _same(p.subs(assignment),
+          DictPoly.of(p).subs({n: DictPoly.of(r) for n, r in assignment.items()}))
+    # over the common denominator 15 * 2^70, the real part's numerator
+    # rounded to 53 bits and then divided is not the real part rounded
+    a = 2238205843402315372195116849690123733952655
+    big = GaussianRational(Fraction(a, 15 * 2 ** 70), Fraction(1, 15))
+    p = (x * y).scale(big) + v.scale(Fraction(1, 2 ** 70))
+    with mp.workprec(53):
+        values = [mp.mpc(1), mp.pi, mp.mpc(mp.mpf(1) / 3), mp.mpc(mp.mpf(3) / 7),
+                  mp.mpc(0), mp.mpc(0)]
+        assert p.eval_numeric(values) == DictPoly.of(p).eval_numeric(
+            values, lambda c: c.to_mpc(mp))
+
+
+def test_exponent_outside_its_field_raises_and_does_not_spill():
+    R = PolyRing(["a", "b"], laurent=("b",))
+    top = 2 ** 14 - 1  # the largest exponent a field holds
+    a, b = R.var("a", top), R.var("b", -top - 1)
+    assert list(a.terms) == [(top, 0)] and list(b.terms) == [(0, -top - 1)]
+    assert list((a * R.var("b", top)).terms) == [(top, top)]
+    for overflow in (lambda: a * R.var("a"), lambda: b * R.var("b", -1),
+                     lambda: (a + b) ** 2, lambda: Poly(R, {(top + 1, 0): 1}),
+                     lambda: Poly(R, {(0, -top - 2): 1}), lambda: R.var("a", top + 1),
+                     lambda: b.diff([(1, GaussianRational(1))])):
+        with pytest.raises(DomainError, match="outside"):
+            overflow()
+    # an exponent one short of either end stays in its own variable
+    assert list((R.var("a", top - 1) * R.var("a") * R.var("b", 1 - top)).terms) == [
+        (top, 1 - top)]
+
+
+def test_poly_of_another_ring_is_refused():
+    a, b = PolyRing(["a"]).var("a"), PolyRing(["b"]).var("b")
+    for op in (operator.mul, operator.add, operator.sub):
+        with pytest.raises(ValueError, match="mixed polynomial rings"):
+            op(a, b)
+    assert a * PolyRing(["a"]).var("a") == PolyRing(["a"]).var("a", 2)

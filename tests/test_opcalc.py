@@ -645,6 +645,15 @@ def test_apply_jet_degree_error(ctx):
             C.apply_jet(jet, mp.mpc(0, 1), [mp.mpc(0)], k_value=mp.mpf(2))
 
 
+def test_formal_k_without_a_k_value_is_a_domain_error(ctx):
+    # the Casimir's coefficients hold the formal k; the heat operator's do not
+    L = GramLattice([[2]])
+    with ctx.working():
+        with pytest.raises(DomainError, match="k_value"):
+            build_casimir_op(L).coefficients_at(mp.mpc(0.1, 1), [mp.mpc(0.2)])
+        assert build_heat(L).coefficients_at(mp.mpc(0.1, 1), [mp.mpc(0.2)])
+
+
 def _base_values(tau, z) -> dict:
     """A point's values keyed by variable name, as DiffOp.apply_jet took
     them before it read the ring's variables by position."""
