@@ -170,6 +170,12 @@ def _check(name, ok, detail=None):
     return entry
 
 
+def _residual_check(name, residual, tol: str):
+    """A check that passes when ``residual`` is below ``tol``, with the
+    residual as its detail."""
+    return _check(name, residual < mp.mpf(tol), detail=mpf_str(residual))
+
+
 def suite_commutators(L, ctx, samples):
     N = L.N
     checks = []
@@ -258,12 +264,9 @@ def suite_cocycle(L, ctx, samples):
             )
             worst_exp = max(worst_exp, resid)
     return [
-        _check("cocycle additivity of a", worst_a < mp.mpf("1e-30"),
-               detail=mpf_str(worst_a)),
-        _check("multiplicativity of alpha_L", worst_alpha < mp.mpf("1e-30"),
-               detail=mpf_str(worst_alpha)),
-        _check("exp matches matrix exponential", worst_exp < mp.mpf("1e-25"),
-               detail=mpf_str(worst_exp)),
+        _residual_check("cocycle additivity of a", worst_a, "1e-30"),
+        _residual_check("multiplicativity of alpha_L", worst_alpha, "1e-30"),
+        _residual_check("exp matches matrix exponential", worst_exp, "1e-25"),
     ]
 
 
@@ -291,8 +294,7 @@ def covariance_jobs(L):
 def suite_covariance(L, ctx, samples):
     jobs = covariance_jobs(L)
     residuals = covariance_residuals(list(jobs.values()), L, samples, ctx)
-    return [_check(name, r < mp.mpf("1e-22"), detail=mpf_str(r))
-            for name, r in zip(jobs, residuals)]
+    return [_residual_check(name, r, "1e-22") for name, r in zip(jobs, residuals)]
 
 
 def eigen_grid(L, ctx):
@@ -321,8 +323,7 @@ def eigen_grid(L, ctx):
 def suite_eigen(L, ctx, samples):
     pts, grid = eigen_grid(L, ctx)
     residuals = casimir_residuals([case for _, case in grid], build_casimir_op(L), pts, ctx)
-    return [_check(name, res < mp.mpf("1e-10"), detail=mpf_str(res))
-            for (name, _), res in zip(grid, residuals)]
+    return [_residual_check(name, res, "1e-10") for (name, _), res in zip(grid, residuals)]
 
 
 def suite_duality(L, ctx, samples, s=Fraction(5, 2), c_max=50):
@@ -368,9 +369,7 @@ def suite_kloosterman_symmetry(L, ctx, samples):
             a = kloosterman(c, L, n, r, np_, rp, ctx)
             b = kloosterman(c, L, np_, rp, n, r, ctx)
             worst = max(worst, abs(a - b))
-        ok = worst < mp.mpf("1e-30")
-        return [_check("K(n,r,n',r') = K(n',r',n,r), c <= 24", ok,
-                       detail=mpf_str(worst))]
+        return [_residual_check("K(n,r,n',r') = K(n',r',n,r), c <= 24", worst, "1e-30")]
 
 
 SUITES = {
@@ -388,9 +387,7 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     suite = args.suite
-    L = GramLattice(linalg.identity(args.N or 1) if args.L is None else args.L)
-    if args.N not in (None, L.N):
-        raise UsageError(f"--N {args.N} is not the rank {L.N} of --L")
+    L = _lattice_of_rank(args)
     ctx = args.precision_bits
     fn, default_samples = SUITES[suite]
     read = {"samples"} if default_samples else {"s", "cmax"} if suite == "duality" else set()
@@ -425,6 +422,15 @@ def _lattice(args) -> GramLattice:
     return GramLattice(args.L)
 
 
+def _lattice_of_rank(args) -> GramLattice:
+    """--L, else the identity of rank --N (default 1); a --N that is not
+    the rank of --L is a usage error."""
+    L = GramLattice(linalg.identity(args.N or 1) if args.L is None else args.L)
+    if args.N not in (None, L.N):
+        raise UsageError(f"--N {args.N} is not the rank {L.N} of --L")
+    return L
+
+
 def _or_zero(vector, L: GramLattice):
     """A vector option; when it is not given, the zero vector of L's rank."""
     return [0] * L.N if vector is None else vector
@@ -434,7 +440,11 @@ def _cached(args, operation: str, key_config: dict, compute) -> int:
     result = None if args.no_cache else cache.lookup(operation, key_config)
     if result is None:
         result = compute()
-        cache.store(operation, key_config, result)
+        try:
+            cache.store(operation, key_config, result)
+        except OSError as exc:
+            # the result is computed; a cache that cannot take it loses no output
+            print(f"warning: cache entry not written ({exc})", file=sys.stderr)
     # hits and misses print the same bytes: the payload is the cached string
     emit(args, json.loads(result))
     return EXIT_OK
@@ -574,7 +584,7 @@ def cmd_specialize(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    N, k, s = args.N or 1, args.k, args.s
+    N, k, s = _lattice_of_rank(args).N, args.k, args.s
     val = casimir_eigenvalue(k, N, s)
     emit(args, {
         "operation": "eigen", "N": N, "k": str(k), "s": str(s),

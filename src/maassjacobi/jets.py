@@ -15,8 +15,9 @@ product table, and it is rounded to the working precision and rounding
 mode only when it is stored.  So results do not depend on the order of the
 terms, and a product of two one-term jets has the bits of mpmath's own
 product.  The tables of each (nvars, degree) are built on first use.  A
-product of jets or a composition with a non-finite coefficient, and a
-product by a non-finite scalar, raise DomainError.
+jet built from a dict with a non-finite coefficient, and a product by a
+non-finite scalar, raise DomainError; the jets that the engine builds
+itself (``_jet``) are finite by construction and go unchecked.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def _rounded(space: "JetSpace", exact) -> "Jet":
     monos = _tables(space.nvars, space.degree).monos
     nz = [k for k in range(len(re)) if re[k] or im[k]]
     values = rounded([re[k] for k in nz], [im[k] for k in nz], e)
-    return Jet(space, dict(zip([monos[k] for k in nz], values)))
+    return _jet(space, dict(zip([monos[k] for k in nz], values)))
 
 
 class JetSpace:
@@ -204,11 +205,15 @@ class Jet(SparseTerms):
     __slots__ = ("space", "terms")
 
     def __init__(self, space: JetSpace, terms: dict):
+        """The jet with ``terms``, {exponent tuple: coefficient};
+        DomainError unless every coefficient is finite."""
+        for c in terms.values():
+            parts(c)
         self.space = space
         self.terms = terms
 
     def _like(self, terms, other) -> "Jet":
-        return Jet(self.space, terms)
+        return _jet(self.space, terms)
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
@@ -224,8 +229,8 @@ class Jet(SparseTerms):
         value = mp.mpc(value)
         parts(value)
         if value == 0:
-            return Jet(space, {})
-        return Jet(space, {space._zero: value})
+            return _jet(space, {})
+        return _jet(space, {space._zero: value})
 
     @staticmethod
     def variable(space: JetSpace, i: int, base) -> "Jet":
@@ -235,7 +240,7 @@ class Jet(SparseTerms):
             e = [0] * space.nvars
             e[i] = 1
             c[tuple(e)] = mp.mpc(1)
-        return Jet(space, {k: v for k, v in c.items() if v != 0})
+        return _jet(space, {k: v for k, v in c.items() if v != 0})
 
     # -- ring operations -----------------------------------------------------
 
@@ -244,8 +249,8 @@ class Jet(SparseTerms):
             c = mp.mpc(other)
             parts(c)  # DomainError unless finite
             if c == 0:
-                return Jet(self.space, {})
-            return Jet(self.space, {e: c * v for e, v in self.terms.items()})
+                return _jet(self.space, {})
+            return _jet(self.space, {e: c * v for e, v in self.terms.items()})
         other = self._coerce(other)
         rows = _tables(self.space.nvars, self.space.degree).rows
         return _rounded(self.space, _mul_exact(_exact(self), _exact(other), rows))
@@ -342,6 +347,14 @@ class Jet(SparseTerms):
         return f"Jet(deg<={self.space.degree}, {n} terms, value={self.value})"
 
 
+def _jet(space: JetSpace, terms: dict) -> Jet:
+    """The jet with ``terms``, whose coefficients must be finite."""
+    jet = object.__new__(Jet)
+    jet.space = space
+    jet.terms = terms
+    return jet
+
+
 class Coordinates(NamedTuple):
     """The 2N + 2 slots tau, taubar and the vectors z, zbar of H x C^N, in
     jet-variable order: the coordinate jets at a point, or the derivative
@@ -389,4 +402,5 @@ def compose_univariate(series, inner: Jet) -> Jet:
     series[n] delta^n, with delta the inner jet's nilpotent part."""
     outer = JetSpace(1, min(len(series) - 1, inner.space.degree))
     monos = _tables(1, outer.degree).monos
-    return Jet(outer, dict(zip(monos, series))).compose([inner])
+    # compose checks that each coefficient is finite
+    return _jet(outer, dict(zip(monos, series))).compose([inner])

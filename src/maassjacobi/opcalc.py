@@ -27,7 +27,7 @@ from mpmath import mp
 from . import group, linalg
 from .enveloping import PBWElement
 from .errors import DegreeError, DomainError
-from .gaussian import I, GaussianRational
+from .gaussian import I, ONE, ZERO, GaussianRational
 from .group import J2, AlgebraElement, GroupElement, Point, automorphy_factor, weight_gap
 from .jets import Coordinates, Jet, JetSpace, coordinate_jets, imaginary_parts
 from .lattice import GramLattice
@@ -227,10 +227,9 @@ class DiffOp(SparseTerms):
                                      if not any(Coordinates.of(e).zbar)}, self.shift)
 
     def uses_extended_coords(self) -> bool:
-        return any(
-            p.uses("x") or any(p.uses(f"u{j}") for j in range(1, self.op_ring.N + 1))
-            for p in self.terms.values()
-        )
+        ring = self.op_ring.ring
+        extended = ring.mask(i for i, n in enumerate(ring.names) if n == "x" or n[0] == "u")
+        return any(p.support() & extended for p in self.terms.values())
 
     # -- numeric application --------------------------------------------------------------
 
@@ -575,9 +574,8 @@ def uea_to_op(a: PBWElement, L: GramLattice) -> DiffOp:
     letters = [build_lie_slash(name, L) for name in alg.names]
     # the central letters' constants, in z_ring order
     zvalues = [op.terms.get(R.zero_dexp, R.ring.zero()) for op in letters[alg.z_start:]]
-    powers = {}
-    scalars = {tuple(g for g, kexp in enumerate(w) for _ in range(kexp)):
-               p.eval_numeric(zvalues, R.ring.const, powers) for w, p in a.terms.items()}
+    scalars = {tuple(g for g, kexp in enumerate(w) for _ in range(kexp)): p.eval_exact(zvalues)
+               for w, p in a.terms.items()}
     # the sum of each output coefficient, added in place; a coefficient
     # that sums to zero leaves, as in a sum of the scaled images
     out, prev, chain = {}, (), [DiffOp.identity(R)]
@@ -710,13 +708,13 @@ def _random_symmetric(N: int, rng):
 def random_group_element(N: int, rng) -> GroupElement:
     """Exact random element: M a product of three elementary matrices, X
     and the symmetric part of kappa with small rational entries."""
-    m = linalg.identity(2, GaussianRational(1), GaussianRational(0))
+    m = linalg.identity(2, ONE, ZERO)
     for _ in range(3):
         t = GaussianRational(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
         if rng.random() < 0.5:
-            e = ((GaussianRational(1), t), (GaussianRational(0), GaussianRational(1)))
+            e = ((ONE, t), (ZERO, ONE))
         else:
-            e = ((GaussianRational(1), GaussianRational(0)), (t, GaussianRational(1)))
+            e = ((ONE, ZERO), (t, ONE))
         m = linalg.mul(m, e)
     X = linalg.mat([
         [GaussianRational(Fraction(rng.randint(-2, 2), rng.randint(1, 2))) for _ in range(2)]

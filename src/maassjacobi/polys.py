@@ -32,12 +32,12 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd, lcm
-from operator import or_
+from operator import mul, or_
 
 from mpmath import mp
 
 from .errors import DivisibilityError, DomainError
-from .gaussian import GaussianRational, ZERO, ONE, _reduced as _gaussian, power
+from .gaussian import GaussianRational, ONE, _reduced as _gaussian, power
 
 
 class SparseTerms:
@@ -118,6 +118,23 @@ def _merge(num: dict, pairs) -> dict:
             else:
                 del num[m]
     return num
+
+
+def _merge_over(num: dict, den: int, other: dict, d: int, c: int) -> tuple:
+    """num / den + c other / d, as (numerators, denominator) over the lcm
+    of den and d: ``_merge`` of other's rescaled numerators into ``num`` in
+    place where d divides den, else into num rescaled in a new dict.  Into
+    an empty num, other's terms keep their order, in other's own dict when
+    c is 1."""
+    if not num:
+        return (other if c == 1 else {m: (a * c, b * c) for m, (a, b) in other.items()}), d
+    if den % d:
+        f = lcm(den, d) // den
+        num = {m: (a * f, b * f) for m, (a, b) in num.items()}
+        den *= f
+    c *= den // d
+    return _merge(num, other.items() if c == 1 else
+                  ((m, (a * c, b * c)) for m, (a, b) in other.items())), den
 
 
 FIELD_BITS = 16
@@ -308,9 +325,7 @@ class Poly:
         ring = self.ring
         if other.__class__ is not Poly or other.ring is not ring:
             other = self._coerce(other)
-        num = _product(ring, self.num, other.num)
-        den = self.den * other.den
-        return _poly(ring, num, den) if den == 1 else _reduced(ring, num, den)
+        return _reduced(ring, _product(ring, self.num, other.num), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -336,18 +351,11 @@ class Poly:
         if not n1 and sign == 1:
             return other
         d1, d2 = self.den, other.den
-        if d1 == d2:
-            den, out = d1, dict(n1)
-        else:
-            den = lcm(d1, d2)
-            f1 = den // d1
-            out = dict(n1) if f1 == 1 else {m: (a * f1, b * f1) for m, (a, b) in n1.items()}
-        f2 = sign * (den // d2)
-        _merge(out, n2.items() if f2 == 1 else
-               ((m, (a * f2, b * f2)) for m, (a, b) in n2.items()))
+        # n1 is copied here only where _merge_over merges into it in place
+        out, den = _merge_over(dict(n1) if d1 % d2 == 0 else n1, d1, n2, d2, sign)
         # with no key shared, each prime of den leaves some numerator of the
         # operand whose denominator holds it to the higher power undivided
-        if den == 1 or len(out) == len(n1) + len(n2):
+        if len(out) == len(n1) + len(n2):
             return _poly(self.ring, out, den)
         return _reduced(self.ring, out, den)
 
@@ -382,31 +390,14 @@ class Poly:
         ring = self.ring
         rd = lcm(*(rate._abd[2] for _, rate in rules))
         out = {}
-        get = out.get
         for i, rate in rules:
             ra, rb, d = rate._abd
-            f = rd // d
-            ra *= f
-            rb *= f
+            ra, rb = ra * (rd // d), rb * (rd // d)
             s, u = ring.shifts[i], ring.units[i]
-            for m, (a, b) in self.num.items():
-                k = ((m >> s) & _MASK) - _BIAS
-                if k:
-                    # _merge, inlined as in __mul__
-                    m -= u
-                    a *= k
-                    b *= k
-                    a, b = a * ra - b * rb, a * rb + b * ra
-                    t = get(m)
-                    if t is None:
-                        out[m] = (a, b)
-                    else:
-                        a += t[0]
-                        b += t[1]
-                        if a or b:
-                            out[m] = (a, b)
-                        else:
-                            del out[m]
+            # a rule shifts every monomial alike, so its own terms never collide
+            terms = {m - u: (k * (a * ra - b * rb), k * (a * rb + b * ra))
+                     for m, (a, b) in self.num.items() if (k := ((m >> s) & _MASK) - _BIAS)}
+            out = _merge(out, terms.items()) if out else terms
         return _reduced(ring, ring.check(out), self.den * rd)
 
     # -- structure -------------------------------------------------------
@@ -429,8 +420,7 @@ class Poly:
         return reduce(or_, (m ^ origin for m in self.num), 0)
 
     def uses(self, name: str) -> bool:
-        s = self.ring.shifts[self.ring.index[name]]
-        return any(((m >> s) & _MASK) != _BIAS for m in self.num)
+        return bool(self.support() & self.ring.mask([self.ring.index[name]]))
 
     def sorted_terms(self):
         """(exponent, coeff) pairs, grlex-leading first."""
@@ -467,17 +457,15 @@ class Poly:
             out = out + term
         return out
 
-    def eval_numeric(self, values, to_num=None, powers=None):
+    def eval_numeric(self, values, powers=None):
         """Evaluate with ``values[i]`` the value of the ring's variable i.
 
-        Each term is its coefficient times ``values[i] ** k`` for each
-        variable in order, and the terms are summed in their stored order.
-        ``to_num`` converts a GaussianRational coefficient to the values'
-        domain; by default each coefficient is rounded to an mpc at the
-        working precision as ``GaussianRational.to_mpc`` rounds it.
-        ``powers`` keeps each ``values[i] ** k`` by its field, in place in a
-        packed monomial; polynomials of one ring at the same values may
-        share it.
+        Each term is its coefficient, rounded to an mpc at the working
+        precision as ``GaussianRational.to_mpc`` rounds it, times
+        ``values[i] ** k`` for each variable in order, and the terms are
+        summed in their stored order.  ``powers`` keeps each
+        ``values[i] ** k`` by its field, in place in a packed monomial;
+        polynomials of one ring at the same values may share it.
         """
         d, ring = self.den, self.ring
         top = ring.nvars - 1
@@ -486,9 +474,7 @@ class Poly:
             powers = {}
         acc = None
         for m, (a, b) in self.num.items():
-            if to_num is not None:
-                t = to_num(_gaussian(a, b, d))
-            elif d == 1:
+            if d == 1:
                 t = mp.mpc(a, b)
             else:
                 ga, gb = gcd(a, d), gcd(b, d)
@@ -506,9 +492,15 @@ class Poly:
                     v = powers[field] = values[top - s // FIELD_BITS] ** k
                 t = t * v
             acc = t if acc is None else acc + t
-        if acc is not None:
-            return acc
-        return mp.mpc(0) if to_num is None else to_num(ZERO)
+        return mp.mpc(0) if acc is None else acc
+
+    def eval_exact(self, values) -> "Poly":
+        """Evaluate with ``values[i]``, a polynomial of another ring (the
+        same for every i), for the ring's variable i, term by term and
+        variable by variable as ``eval_numeric``."""
+        ring = values[0].ring
+        return sum((reduce(mul, (v ** k for v, k in zip(values, e) if k), ring.const(c))
+                    for e, c in self.terms.items()), ring.zero())
 
     # -- division ----------------------------------------------------------
 
@@ -595,25 +587,9 @@ class PolySum:
     def add_product(self, p: Poly, q: Poly, c: int = 1) -> dict:
         """Add c p q, as ``p * q`` would merge it but without its content
         gcd; returns the numerators, empty when the sum is zero."""
-        pq, d = _product(self.ring, p.num, q.num), p.den * q.den
-        num, den = self.num, self.den
-        if not num:
-            # merged into nothing, the product's terms keep their order
-            if c != 1:
-                for m, (a, b) in pq.items():
-                    pq[m] = (a * c, b * c)
-            self.num, self.den = pq, d
-            return pq
-        if d != den:
-            den = lcm(den, d)
-            f = den // self.den
-            if f != 1:
-                for m, (a, b) in num.items():
-                    num[m] = (a * f, b * f)
-                self.den = den
-            c *= den // d
-        return _merge(num, pq.items() if c == 1 else
-                      ((m, (a * c, b * c)) for m, (a, b) in pq.items()))
+        self.num, self.den = _merge_over(self.num, self.den, _product(self.ring, p.num, q.num),
+                                         p.den * q.den, c)
+        return self.num
 
     def poly(self) -> Poly:
         return _reduced(self.ring, self.num, self.den)

@@ -106,6 +106,24 @@ def test_series_output_is_unchanged(cache_dir, capsys, argv, digest):
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Every distinct request of the seed 1-3 rounds of the four benchmark
+# workloads, with the exit code and the sha256 of the stdout that the code
+# printed at commit b3ec132.  The argv are stored, not drawn, so that a
+# change to the benchmark's generators cannot move this gate.  The three rank-2 `verify eigen` requests are the known
+# PoleError (exit 3).
+with open(os.path.join(os.path.dirname(__file__), "benchmark_requests.json"),
+          encoding="utf-8") as _fh:
+    BENCHMARK_REQUESTS = json.load(_fh)
+
+
+@pytest.mark.parametrize("request_", BENCHMARK_REQUESTS,
+                         ids=[f"{r['workload']}-{i}" for i, r in enumerate(BENCHMARK_REQUESTS)])
+def test_benchmark_requests_print_their_pinned_bytes(cache_dir, capsys, request_):
+    code, out = run(capsys, *request_["argv"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        (request_["exit"], request_["sha256"])
+
+
 def test_cancelled_poincare_row_prints_zero(cache_dir, capsys):
     # at odd k on |L| = 1 the two sides b(n', r'), b(n', -r') cancel; the
     # row (n', r') = (-1, [1]) printed about (-5.2e-53, -3.3e-52), its
@@ -321,6 +339,21 @@ def test_no_cache_flag(cache_dir, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("no_cache", [(), ("--no-cache",)])
+def test_failed_cache_write_still_prints_the_result(cache_dir, capsys, tmp_path,
+                                                    monkeypatch, no_cache):
+    args = ("kloosterman", "--L", "2", "--c", "3", "--n", "1", "--nprime", "1", *no_cache)
+    want = run(capsys, *args)
+    # a directory under a regular file cannot be made, even by root
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setenv(cache.ENV_VAR, str(blocker / "cache"))
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    assert (code, out) == want
+    assert err.startswith("warning: ") and err.count("\n") == 1
+
+
 def test_theta_command_matches_library(cache_dir, capsys, tmp_path):
     out_file = tmp_path / "theta.json"
     code = main(["theta", "--L", "2", "--mu", "0", "--bound", "2",
@@ -458,6 +491,15 @@ def test_eigen_command(cache_dir, capsys):
     data = json.loads(out)
     assert data["eigenvalue"] == "-27/8"
     assert data["annihilation_roots"] == ["-1/4", "5/4"]
+
+
+def test_eigen_takes_the_rank_of_l(cache_dir, capsys):
+    code, out = run(capsys, "eigen", "--L", "2,1;1,2", "--k", "2")
+    assert code == 0 and out == run(capsys, "eigen", "--N", "2", "--k", "2")[1]
+    assert json.loads(out)["N"] == 2
+    code, out = run(capsys, "eigen", "--L", "2,1;1,2", "--N", "1")
+    err = json.loads(out)["error"]
+    assert code == 2 and err["type"] == "UsageError" and "--N 1" in err["message"]
 
 
 def test_config_file_precedence(cache_dir, capsys, tmp_path):

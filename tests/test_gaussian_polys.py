@@ -225,8 +225,9 @@ def test_poly_subs_and_eval():
     p = k * k + y.scale(3)
     assert p.subs({"k": k + 2}) == k * k + k.scale(4) + 4 + y.scale(3)
     with mp.workprec(100):
-        v = p.eval_numeric([mp.mpf(2), mp.mpf("0.5")], lambda c: c.to_mpc(mp))
+        v = p.eval_numeric([mp.mpf(2), mp.mpf("0.5")])
         assert abs(v - mp.mpf("5.5")) < 1e-25
+    assert p.eval_exact([R.const(2), R.const(Fraction(1, 2))]) == R.const(Fraction(11, 2))
 
 
 # Parts with numerators and denominators up to about 2^70, zero included.
@@ -614,12 +615,11 @@ def test_eval_numeric_matches_the_dict_oracle(p, q, k, tau, bits):
                   mp.mpc(t.real), mp.mpc(mp.mpf(1) / 3), mp.mpc(mp.mpf(-2) / 5)]
         want = DictPoly.of(p).eval_numeric(values, lambda c: c.to_mpc(mp))
         assert p.eval_numeric(values) == want
-        assert p.eval_numeric(values, lambda c: c.to_mpc(mp)) == want
     # and exactly, at polynomial values, as uea_to_op evaluates Z polynomials
     R = q.ring
     values = [R.var("k") + 1, R.var("pi"), R.var("y") * 2, R.const(I), R.var("v1"),
               R.var("u1") - R.var("x")]
-    _same(q.eval_numeric(values, R.const),
+    _same(q.eval_exact(values),
           DictPoly.of(q).eval_numeric([DictPoly.of(v) for v in values],
                                       lambda c: DictPoly.of(R.const(c))))
 

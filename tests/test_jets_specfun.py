@@ -300,7 +300,12 @@ def test_non_finite_jet_coefficients_raise(ctx):
         sp = JetSpace(2, 3)
         x = Jet.variable(sp, 0, mp.mpf("0.5"))
         for bad in (mp.inf, -mp.inf, mp.nan, mp.mpc(1, mp.inf), mp.mpc(mp.nan, 0)):
-            j = x + Jet(sp, {(1, 1): mp.mpc(bad)})
+            # a jet built from a dict is refused where it is built, so no
+            # scalar product or sum can carry the value on
+            with pytest.raises(DomainError):
+                (x + Jet(sp, {(1, 1): mp.mpc(bad)})) * 2
+            # and the engine still refuses one that got past unchecked
+            j = x + jets._jet(sp, {(1, 1): mp.mpc(bad)})
             with pytest.raises(DomainError):
                 x * j
             with pytest.raises(DomainError):

@@ -287,7 +287,7 @@ def test_uea_to_op_composes_each_prefix_once(monkeypatch):
         a = PBWElement.from_flat(alg, terms)
         # a word whose Z polynomial vanishes at calL is never composed
         words = {_word(w) for w, p in a.terms.items()
-                 if p.eval_numeric(zvalues, R.ring.const)}
+                 if p.eval_exact(zvalues)}
         prefixes = _prefixes(words)
         assert len(prefixes) < sum(map(len, words))
         calls.clear()
