@@ -170,10 +170,11 @@ def _check(name, ok, detail=None):
     return entry
 
 
-def _residual_check(name, residual, tol: str):
+def _residual_check(name, residual, tol: str, detail=None):
     """A check that passes when ``residual`` is below ``tol``, with the
-    residual as its detail."""
-    return _check(name, residual < mp.mpf(tol), detail=mpf_str(residual))
+    residual as its detail unless another is given."""
+    return _check(name, residual < mp.mpf(tol),
+                  detail=mpf_str(residual) if detail is None else detail)
 
 
 def suite_commutators(L, ctx, samples):
@@ -338,22 +339,19 @@ def suite_duality(L, ctx, samples, s=Fraction(5, 2), c_max=50):
                 pos.append((n, r))
     k = 1
     checks = []
-    reports = {}
     for regime, pool_b in (("D,D'<0", neg), ("D<0<D'", pos)):
         pairs = [(a, b) for a in neg[:3] for b in pool_b if a != b][:5]
         rep = duality_report(s, k, L, pairs, c_max, ctx)
         with ctx.working():
-            reports[regime] = {
+            detail = {
                 "b_mean_ratio": mpf_str(rep["b_mean"]),
                 "b_relative_spread": mpf_str(rep["b_relative_spread"]),
                 "c_mean_ratio": None if rep["c_mean"] is None else mpf_str(rep["c_mean"]),
                 "c_relative_spread": None if rep["c_relative_spread"] is None
                 else mpf_str(rep["c_relative_spread"]),
             }
-            checks.append(_check(
-                f"duality ratio constancy ({regime})",
-                rep["b_relative_spread"] < mp.mpf("1e-6"),
-                detail=reports[regime]))
+            checks.append(_residual_check(f"duality ratio constancy ({regime})",
+                                          rep["b_relative_spread"], "1e-6", detail))
     return checks
 
 
@@ -574,9 +572,10 @@ def cmd_decompose(args) -> int:
 
 def cmd_specialize(args) -> int:
     f = _expansion(args)
-    terms = specialize_torsion(f, args.lam, args.mu)
+    lam, mu = _or_zero(args.lam, f.lattice), _or_zero(args.mu, f.lattice)
+    terms = specialize_torsion(f, lam, mu)
     emit(args, {"operation": "specialize",
-                "lam": [str(x) for x in args.lam], "mu": [str(x) for x in args.mu],
+                "lam": [str(x) for x in lam], "mu": [str(x) for x in mu],
                 "terms": [{"exponent": str(e),
                            "coeff": coeff_pair(c),
                            "phase": str(ph)} for e, c, ph in terms]})
@@ -631,8 +630,8 @@ COMMANDS = {
     "decompose": (cmd_decompose, "theta decomposition of an expansion file",
                   {"infile": Option(str, flag="--in"), "skew": SWITCH}),
     "specialize": (cmd_specialize, "torsion-point specialization",
-                   {"infile": Option(str, flag="--in"), "lam": Option(_rationals, "0"),
-                    "mu": Option(_rationals, "0")}),
+                   {"infile": Option(str, flag="--in"), "lam": Option(_rationals),
+                    "mu": Option(_rationals)}),
     "eigen": (cmd_eigen, "Casimir eigenvalue of the Whittaker seed",
               {"k": Option(Fraction, "2")}),
 }

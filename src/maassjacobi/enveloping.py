@@ -25,35 +25,23 @@ from math import comb
 from . import linalg
 from .errors import DivisibilityError, DomainError
 from .gaussian import GaussianRational, I, format_gaussian, parse_gaussian
-from .polys import Poly, PolyRing, SparseTerms, merge_terms
+from .polys import Keyed, Poly, PolyRing, SparseTerms, merge_terms
 
 
-class JacobiLieAlgebra:
-    """Structure constants and monomial bookkeeping for fixed rank N."""
-
-    _instances = {}
-
-    def __new__(cls, N: int):
-        if N < 1:
-            raise DomainError("rank N must be at least 1")
-        if N not in cls._instances:
-            inst = super().__new__(cls)
-            inst._init(N)
-            cls._instances[N] = inst
-        return cls._instances[N]
-
-    def __reduce__(self):
-        # one instance per rank: copies and unpickled objects share it
-        return (JacobiLieAlgebra, (self.N,))
+class JacobiLieAlgebra(Keyed):
+    """Structure constants and monomial bookkeeping for fixed rank N;
+    ``z_pairs`` lists the (i, j) of each Z_ij, i <= j, in basis order."""
 
     def _init(self, N: int):
+        if N < 1:
+            raise DomainError("rank N must be at least 1")
         self.N = N
         names = ["E", "F", "H"]
         names += [f"e{i}" for i in range(1, N + 1)]
         names += [f"f{i}" for i in range(1, N + 1)]
         self.z_start = len(names)
-        self._zpairs = [(i, j) for i in range(1, N + 1) for j in range(i, N + 1)]
-        names += [f"Z{i}{j}" for i, j in self._zpairs]
+        self.z_pairs = [(i, j) for i in range(1, N + 1) for j in range(i, N + 1)]
+        names += [f"Z{i}{j}" for i, j in self.z_pairs]
         self.names = tuple(names)
         self.ngen = len(names)
         self.index = {n: k for k, n in enumerate(names)}
@@ -78,7 +66,7 @@ class JacobiLieAlgebra:
     def z(self, i: int, j: int) -> int:
         if i > j:
             i, j = j, i
-        return self.z_start + self._zpairs.index((i, j))
+        return self.z_start + self.z_pairs.index((i, j))
 
     def is_central(self, g: int) -> bool:
         return g >= self.z_start

@@ -548,12 +548,15 @@ def specialize_torsion(f, lam, mu):
 
     On a function handle f(tau, z) the result is a one-variable handle; on a
     FourierExpansion of constant-profile terms it is the list of one-variable
-    terms (exponent, coeff * e(r.mu)) with exponent n + r.lam.
+    terms (exponent, coeff * e(r.mu)) with exponent n + r.lam, and lam and
+    mu must have the expansion's rank.
     """
     lam = [Fraction(x) for x in lam]
     mu = [Fraction(x) for x in mu]
 
     if isinstance(f, FourierExpansion):
+        f.lattice._of_rank(lam)
+        f.lattice._of_rank(mu)
         out = []
         for index, (tag, params, coeff) in f.sorted_items():
             if tag != "constant":

@@ -217,12 +217,19 @@ def act_coordinates(g, tau, z):
     beta = beta(M, tau).
 
     Only +, * and / enter, so the map also carries coordinate jets, and for
-    the real group it maps (taubar, zbar) by the same formula.
+    the real group it maps (taubar, zbar) by the same formula.  DomainError
+    unless z has g's rank N.
     """
+    _check_z(g, z)
     M, X = g.M, g.X
     beta = cocycle_beta(M, tau)
     znew = tuple((zj + X[j][0] * tau + X[j][1]) * beta for j, zj in enumerate(z))
     return mobius(M, tau, beta), znew, beta
+
+
+def _check_z(g, z):
+    if len(z) != g.N:
+        raise DomainError(f"a z of {len(z)} entries for a group element of rank {g.N}")
 
 
 def act(g, p: Point) -> Point:
@@ -233,7 +240,9 @@ def act(g, p: Point) -> Point:
 
 def cocycle_a(g: GroupElement, p: Point):
     """The symmetric-matrix-valued cocycle underlying alpha_L; exact on exact
-    input, and on a point of coordinate jets the jets of a."""
+    input, and on a point of coordinate jets the jets of a.  DomainError
+    unless p.z has g's rank N."""
+    _check_z(g, p.z)
     M, X, kappa = g.M, g.X, g.kappa
     N = g.N
     c = M[1][0]
@@ -263,7 +272,10 @@ def cocycle_alpha(L, g: GroupElement, p: Point, ctx: PrecisionContext):
 
 
 def _alpha_of_a(L, a, ctx: PrecisionContext):
-    """exp(2 pi i tr(L a)) for an a = a(g, p) already computed."""
+    """exp(2 pi i tr(L a)) for an a = a(g, p) already computed;
+    DomainError unless L has the size of a."""
+    if len(L) != len(a):
+        raise DomainError(f"an L of rank {len(L)} for a cocycle of rank {len(a)}")
     with ctx.working():
         tr = linalg.trace_mul(_numeric(L), _numeric(a))
         return mp.exp(2j * mp.pi * tr)

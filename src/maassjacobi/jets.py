@@ -14,7 +14,7 @@ exponent, every output coefficient is summed exactly as an integer over a
 product table, and it is rounded to the working precision and rounding
 mode only when it is stored.  So results do not depend on the order of the
 terms, and a product of two one-term jets has the bits of mpmath's own
-product.  The tables of each (nvars, degree) are built on first use.  A
+product.  The tables of each (nvars, degree) are its JetSpace's.  A
 jet built from a dict with a non-finite coefficient, and a product by a
 non-finite scalar, raise DomainError; the jets that the engine builds
 itself (``_jet``) are finite by construction and go unchecked.
@@ -22,7 +22,6 @@ itself (``_jet``) are finite by construction and go unchecked.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 from typing import NamedTuple
@@ -31,50 +30,8 @@ from mpmath import mp
 
 from .errors import DegreeError, DomainError
 from .fixedpoint import parts, rounded, to_ints
-from .polys import SparseTerms
+from .polys import Keyed, SparseTerms
 from .precision import to_mpf
-
-
-class _Tables:
-    """The monomials of one (nvars, degree), sorted by (total degree,
-    exponent), their index, and for each monomial i the row of indices of
-    i + j over the prefix of monomials j with deg i + deg j <= degree;
-    ``parents[k]`` is (index of e - unit_v, v) for the last variable v of
-    monomial e = monos[k], k > 0."""
-
-    __slots__ = ("monos", "index", "rows", "parents")
-
-    def __init__(self, nvars: int, degree: int):
-        monos = []
-        upto = []
-        for d in range(degree + 1):
-            block = []
-            for combo in combinations_with_replacement(range(nvars), d):
-                e = [0] * nvars
-                for v in combo:
-                    e[v] += 1
-                block.append(tuple(e))
-            monos.extend(sorted(block))
-            upto.append(len(monos))
-        index = {e: k for k, e in enumerate(monos)}
-        self.monos = tuple(monos)
-        self.index = index
-        self.rows = tuple(
-            tuple(index[tuple(x + y for x, y in zip(e1, e2))]
-                  for e2 in monos[:upto[degree - sum(e1)]])
-            for e1 in monos
-        )
-        parents = [None]
-        for e in monos[1:]:
-            v = max(j for j, x in enumerate(e) if x)
-            parents.append((index[e[:v] + (e[v] - 1,) + e[v + 1:]], v))
-        self.parents = tuple(parents)
-
-
-@lru_cache(maxsize=64)
-def _tables(nvars: int, degree: int) -> _Tables:
-    """The tables of a space, shared read-only by every jet of the space."""
-    return _Tables(nvars, degree)
 
 
 # An exact jet is (re, im, exp): dense lists of ints over the monomial
@@ -83,8 +40,7 @@ def _tables(nvars: int, degree: int) -> _Tables:
 
 def _exact(jet: "Jet", nilpotent: bool = False):
     """The exact form of a jet, or of its nilpotent part."""
-    t = _tables(jet.space.nvars, jet.space.degree)
-    index = t.index
+    index = jet.space.index
     ks, values = [], []
     for e, c in jet.terms.items():
         k = index.get(e)
@@ -96,7 +52,7 @@ def _exact(jet: "Jet", nilpotent: bool = False):
         else:
             parts(c)  # DomainError unless finite
     re, im, emin = to_ints(values)
-    size = len(t.monos)
+    size = len(jet.space.monos)
     ore, oim = [0] * size, [0] * size
     for k, u, v in zip(ks, re, im):
         ore[k] = u
@@ -166,37 +122,54 @@ def _combine(terms, size: int):
 def _rounded(space: "JetSpace", exact) -> "Jet":
     """The jet of an exact form, each coefficient rounded once."""
     re, im, e = exact
-    monos = _tables(space.nvars, space.degree).monos
     nz = [k for k in range(len(re)) if re[k] or im[k]]
     values = rounded([re[k] for k in nz], [im[k] for k in nz], e)
-    return _jet(space, dict(zip([monos[k] for k in nz], values)))
+    return _jet(space, dict(zip([space.monos[k] for k in nz], values)))
 
 
-class JetSpace:
-    """Fixed number of variables and truncation degree."""
+class JetSpace(Keyed):
+    """Fixed number of variables and truncation degree, and the tables its
+    jets read: the monomials ``monos``, sorted by (total degree, exponent)
+    so that ``monos[0]`` is 1, their ``index``, for each monomial i the row
+    of indices of i + j over the prefix of monomials j with deg i + deg j
+    <= degree, and ``parents[k]``, (index of e - unit_v, v) for the last
+    variable v of monomial e = monos[k], k > 0."""
 
-    __slots__ = ("nvars", "degree", "_zero")
+    __slots__ = ("nvars", "degree", "monos", "index", "rows", "parents")
 
-    def __init__(self, nvars: int, degree: int):
+    def _init(self, nvars: int, degree: int):
         if degree < 0:
-            raise ValueError("jet degree must be nonnegative")
+            raise DomainError("jet degree must be nonnegative")
         self.nvars = nvars
         self.degree = degree
-        self._zero = (0,) * nvars
+        monos = []
+        upto = []
+        for d in range(degree + 1):
+            block = []
+            for combo in combinations_with_replacement(range(nvars), d):
+                e = [0] * nvars
+                for v in combo:
+                    e[v] += 1
+                block.append(tuple(e))
+            monos.extend(sorted(block))
+            upto.append(len(monos))
+        index = {e: k for k, e in enumerate(monos)}
+        self.monos = tuple(monos)
+        self.index = index
+        self.rows = tuple(
+            tuple(index[tuple(x + y for x, y in zip(e1, e2))]
+                  for e2 in monos[:upto[degree - sum(e1)]])
+            for e1 in monos
+        )
+        parents = [None]
+        for e in monos[1:]:
+            v = max(j for j, x in enumerate(e) if x)
+            parents.append((index[e[:v] + (e[v] - 1,) + e[v + 1:]], v))
+        self.parents = tuple(parents)
 
     @staticmethod
     def for_rank(N: int, degree: int) -> "JetSpace":
         return JetSpace(2 * N + 2, degree)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, JetSpace)
-            and self.nvars == other.nvars
-            and self.degree == other.degree
-        )
-
-    def __hash__(self):
-        return hash((self.nvars, self.degree))
 
 
 class Jet(SparseTerms):
@@ -230,17 +203,16 @@ class Jet(SparseTerms):
         parts(value)
         if value == 0:
             return _jet(space, {})
-        return _jet(space, {space._zero: value})
+        return _jet(space, {space.monos[0]: value})
 
     @staticmethod
     def variable(space: JetSpace, i: int, base) -> "Jet":
-        c = {space._zero: mp.mpc(base)}
-        parts(c[space._zero])
+        jet = Jet.const(space, base)
         if space.degree >= 1:
             e = [0] * space.nvars
             e[i] = 1
-            c[tuple(e)] = mp.mpc(1)
-        return _jet(space, {k: v for k, v in c.items() if v != 0})
+            jet.terms[tuple(e)] = mp.mpc(1)
+        return jet
 
     # -- ring operations -----------------------------------------------------
 
@@ -252,8 +224,7 @@ class Jet(SparseTerms):
                 return _jet(self.space, {})
             return _jet(self.space, {e: c * v for e, v in self.terms.items()})
         other = self._coerce(other)
-        rows = _tables(self.space.nvars, self.space.degree).rows
-        return _rounded(self.space, _mul_exact(_exact(self), _exact(other), rows))
+        return _rounded(self.space, _mul_exact(_exact(self), _exact(other), self.space.rows))
 
     __rmul__ = __mul__
 
@@ -274,7 +245,7 @@ class Jet(SparseTerms):
 
     @property
     def value(self):
-        return self.terms.get(self.space._zero, mp.mpc(0))
+        return self.terms.get(self.space.monos[0], mp.mpc(0))
 
     def reciprocal(self) -> "Jet":
         c = self.value
@@ -333,8 +304,7 @@ class Jet(SparseTerms):
         target = inners[0].space
         if any(j.space != target for j in inners):
             raise ValueError("mixed jet spaces")
-        rows = _tables(target.nvars, target.degree).rows
-        parents = _tables(self.space.nvars, self.space.degree).parents
+        rows, parents = target.rows, self.space.parents
         deltas = [_exact(j, nilpotent=True) for j in inners]
         re, im, e = _exact(self)
         products = {0: _unit(len(rows))}
@@ -401,6 +371,5 @@ def compose_univariate(series, inner: Jet) -> Jet:
     jet's value), taken as a one-variable jet, with the inner jet: sum_n
     series[n] delta^n, with delta the inner jet's nilpotent part."""
     outer = JetSpace(1, min(len(series) - 1, inner.space.degree))
-    monos = _tables(1, outer.degree).monos
     # compose checks that each coefficient is finite
-    return _jet(outer, dict(zip(monos, series))).compose([inner])
+    return _jet(outer, dict(zip(outer.monos, series))).compose([inner])

@@ -25,13 +25,13 @@ from operator import add, sub
 from mpmath import mp
 
 from . import group, linalg
-from .enveloping import PBWElement
+from .enveloping import JacobiLieAlgebra, PBWElement
 from .errors import DegreeError, DomainError
 from .gaussian import I, ONE, ZERO, GaussianRational
 from .group import J2, AlgebraElement, GroupElement, Point, automorphy_factor, weight_gap
 from .jets import Coordinates, Jet, JetSpace, coordinate_jets, imaginary_parts
 from .lattice import GramLattice
-from .polys import Poly, PolyRing, PolySum, SparseTerms, merge_terms
+from .polys import Keyed, Poly, PolyRing, PolySum, SparseTerms, merge_terms
 from .precision import PrecisionContext, to_mpc, to_mpf
 
 _HALF = Fraction(1, 2)
@@ -39,7 +39,7 @@ _IHALF = GaussianRational(0, _HALF)       # i/2
 _MIHALF = GaussianRational(0, -_HALF)     # -i/2
 
 
-class OpRing:
+class OpRing(Keyed):
     """Coefficient ring and direction bookkeeping for fixed rank N.
 
     Directions are ordered d_tau, d_taubar, d_z_1..d_z_N, d_zbar_1..d_zbar_N,
@@ -47,19 +47,6 @@ class OpRing:
     y, x, v_1..v_N, u_1..u_N, and k, x, y and the vectors u, v are
     attributes.
     """
-
-    _instances = {}
-
-    def __new__(cls, N: int):
-        if N not in cls._instances:
-            inst = super().__new__(cls)
-            inst._init(N)
-            cls._instances[N] = inst
-        return cls._instances[N]
-
-    def __reduce__(self):
-        # one instance per rank: copies and unpickled objects share it
-        return (OpRing, (self.N,))
 
     def _init(self, N: int):
         self.N = N
@@ -525,6 +512,10 @@ def build_lie_slash(Y, L: GramLattice) -> DiffOp:
 
 
 def _lie_slash_gen(name: str, R: OpRing, L: GramLattice) -> DiffOp:
+    alg = JacobiLieAlgebra(R.N)
+    g = alg.index.get(name)
+    if g is None:
+        raise DomainError(f"unknown generator {name}")
     d = derivatives(R)
     k = R.k
     tau, taubar = R.x + R.y.scale(I), R.x - R.y.scale(I)
@@ -544,17 +535,16 @@ def _lie_slash_gen(name: str, R: OpRing, L: GramLattice) -> DiffOp:
         return -sum_ops(R, (d.tau.scale(tau * tau), d.taubar.scale(taubar * taubar),
                             dot(z, d.z).scale(tau), dot(zbar, d.zbar).scale(taubar),
                             mul(k * tau + Lzz)))
-    if name.startswith("e"):
-        i = int(name[1:]) - 1
-        return d.z[i] + d.zbar[i]
-    if name.startswith("f"):
-        i = int(name[1:]) - 1
+    # the rest by position in the basis E, F, H, e_1..e_N, f_1..f_N, Z_ij
+    if g >= alg.z_start:
+        i, j = alg.z_pairs[g - alg.z_start]
+        return mul(calL(R, L)[i - 1][j - 1])
+    if g >= alg.f(1):
+        i = g - alg.f(1)
         Lz = calL_apply(R, L, z)[0]
         return d.z[i].scale(tau) + d.zbar[i].scale(taubar) + mul(Lz[i] * 2)
-    if name.startswith("Z"):
-        i, j = int(name[1]), int(name[2])
-        return mul(calL(R, L)[i - 1][j - 1])
-    raise DomainError(f"unknown generator {name}")
+    i = g - alg.e(1)
+    return d.z[i] + d.zbar[i]
 
 
 def uea_to_op(a: PBWElement, L: GramLattice) -> DiffOp:
@@ -574,8 +564,9 @@ def uea_to_op(a: PBWElement, L: GramLattice) -> DiffOp:
     letters = [build_lie_slash(name, L) for name in alg.names]
     # the central letters' constants, in z_ring order
     zvalues = [op.terms.get(R.zero_dexp, R.ring.zero()) for op in letters[alg.z_start:]]
-    scalars = {tuple(g for g, kexp in enumerate(w) for _ in range(kexp)): p.eval_exact(zvalues)
-               for w, p in a.terms.items()}
+    powers = {}
+    scalars = {tuple(g for g, kexp in enumerate(w) for _ in range(kexp)):
+               p.eval_exact(zvalues, powers) for w, p in a.terms.items()}
     # the sum of each output coefficient, added in place; a coefficient
     # that sums to zero leaves, as in a sum of the scaled images
     out, prev, chain = {}, (), [DiffOp.identity(R)]

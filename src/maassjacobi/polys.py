@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from functools import reduce
 from math import gcd, lcm
-from operator import mul, or_
+from operator import or_
 
 from mpmath import mp
 
@@ -80,6 +80,28 @@ class SparseTerms:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+
+class Keyed:
+    """A structure that a small key fixes: ``Cls(*key)`` is the one instance
+    for (Cls, key), built by the subclass's ``_init(*key)`` and stored only
+    once ``_init`` returns.  Copies and unpickled objects are rebuilt from
+    the key, so they share it too, and identity is equality."""
+
+    __slots__ = ("_key",)
+    _built = {}
+
+    def __new__(cls, *key):
+        inst = Keyed._built.get((cls, key))
+        if inst is None:
+            inst = super().__new__(cls)
+            inst._init(*key)
+            inst._key = key
+            Keyed._built[cls, key] = inst
+        return inst
+
+    def __reduce__(self):
+        return type(self), self._key
 
 
 def merge_terms(terms: dict, pairs) -> dict:
@@ -494,13 +516,25 @@ class Poly:
             acc = t if acc is None else acc + t
         return mp.mpc(0) if acc is None else acc
 
-    def eval_exact(self, values) -> "Poly":
+    def eval_exact(self, values, powers=None) -> "Poly":
         """Evaluate with ``values[i]``, a polynomial of another ring (the
         same for every i), for the ring's variable i, term by term and
-        variable by variable as ``eval_numeric``."""
+        variable by variable as ``eval_numeric``.  ``powers`` keeps each
+        ``values[i] ** k`` by (i, k); polynomials of one ring at the same
+        values may share it."""
         ring = values[0].ring
-        return sum((reduce(mul, (v ** k for v, k in zip(values, e) if k), ring.const(c))
-                    for e, c in self.terms.items()), ring.zero())
+        if powers is None:
+            powers = {}
+        out = ring.zero()
+        for e, c in self.terms.items():
+            term = ring.const(c)
+            for i, k in enumerate(e):
+                if k:
+                    if (i, k) not in powers:
+                        powers[i, k] = values[i] ** k
+                    term = term * powers[i, k]
+            out = out + term
+        return out
 
     # -- division ----------------------------------------------------------
 

@@ -471,6 +471,17 @@ def test_decompose_and_specialize_commands(cache_dir, capsys, tmp_path):
     assert terms and all("exponent" in t for t in terms)
 
 
+def test_specialize_defaults_to_the_zero_vector_of_the_expansions_rank(cache_dir, capsys,
+                                                                       tmp_path):
+    src = tmp_path / "f.json"
+    src.write_text(theta_lmu(GramLattice([[2, 1], [1, 2]]), [0, 0], 1).to_json())
+    code, out = run(capsys, "specialize", "--in", str(src))
+    obj = json.loads(out)
+    assert code == 0 and obj["lam"] == obj["mu"] == ["0", "0"] and obj["terms"]
+    code, out = run(capsys, "specialize", "--in", str(src), "--lam", "1")
+    assert code == 3 and json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_decompose_and_specialize_print_a_numeric_coefficient_alike(cache_dir, capsys,
                                                                      tmp_path):
     # a coefficient that is not rational is printed, not a traceback

@@ -445,6 +445,14 @@ def specialization_chain_rule_residual(f: FourierExpansion, lam, mu, tau0,
         return abs(lhs - rhs)
 
 
+@pytest.mark.parametrize("lam, mu", [([1], [0, 0]), ([1, 0, 5], [0, 0]),
+                                     ([0, 0], [1]), ([0, 0], [])])
+def test_specialize_refuses_a_vector_of_another_rank(lam, mu):
+    th = theta_lmu(GramLattice([[2, 1], [1, 2]]), [0, 0], 1)
+    with pytest.raises(DomainError):
+        specialize_torsion(th, lam, mu)
+
+
 def test_specialize_torsion(ctx):
     L = GramLattice([[2]])
     th = theta_lmu(L, [1], 2)

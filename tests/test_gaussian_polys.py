@@ -21,9 +21,9 @@ from maassjacobi.gaussian import (
     parse_gaussian,
     power,
 )
-from maassjacobi.jets import Jet, JetSpace, _tables
+from maassjacobi.jets import Jet, JetSpace
 from maassjacobi.opcalc import DiffOp, OpRing
-from maassjacobi.polys import Poly, PolyRing
+from maassjacobi.polys import Keyed, Poly, PolyRing
 
 
 class FractionPairOracle:
@@ -318,6 +318,35 @@ def test_exact_objects_copy_and_pickle():
     assert pickle.loads(pickle.dumps(x))._abd == (2, -3, 4)
 
 
+# a key of each structure built once per key
+_KEYS = {OpRing: (2,), JacobiLieAlgebra: (2,), JetSpace: (6, 2)}
+
+
+@pytest.mark.parametrize("cls", Keyed.__subclasses__(), ids=lambda cls: cls.__name__)
+def test_keyed_structures_are_one_instance_per_key(cls):
+    obj = cls(*_KEYS[cls])
+    assert cls(*_KEYS[cls]) is obj
+    for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert clone is obj
+
+
+def test_a_jets_clones_share_its_space():
+    space = JetSpace(2, 2)
+    jet = Jet(space, {(0, 0): mp.mpc(1, 2), (1, 1): mp.mpc(-3)})
+    for clone in (copy.copy(jet), copy.deepcopy(jet), pickle.loads(pickle.dumps(jet))):
+        assert clone.space is space and clone == jet
+
+
+def test_a_refused_key_builds_nothing():
+    # the instance is stored only once it is built, so a refused key is
+    # refused again
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            JetSpace(2, -1)
+        with pytest.raises(DomainError):
+            JacobiLieAlgebra(0)
+
+
 # -- the SparseTerms laws, with ==, over each exact kind --------------------
 
 _COEFFS = st.builds(GaussianRational,
@@ -433,7 +462,7 @@ def _jets(draw):
     """A jet with dyadic coefficients of a few bits each, so that every sum
     and product below is exact at the working precision."""
     dyadic = st.builds(lambda n: mp.mpf(n) / 4, st.integers(-8, 8))
-    monos = st.sampled_from(_tables(_JET_SPACE.nvars, _JET_SPACE.degree).monos)
+    monos = st.sampled_from(_JET_SPACE.monos)
     terms = draw(st.dictionaries(monos, st.builds(mp.mpc, dyadic, dyadic), max_size=6))
     return Jet(_JET_SPACE, {e: c for e, c in terms.items() if c})
 

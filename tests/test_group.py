@@ -15,7 +15,9 @@ from maassjacobi.group import (
     GroupElement,
     Point,
     act,
+    act_coordinates,
     cocycle_a,
+    cocycle_alpha,
     cocycle_beta,
     embed_algebra,
     embed_group,
@@ -482,6 +484,20 @@ def test_cocycle_a_special_values(ctx):
         a = cocycle_a(gz, p)
         assert max(abs(a[i][j] - to_mpc(kap[i][j])) for i in range(2)
                    for j in range(2)) == 0
+
+
+def test_cocycles_refuse_an_L_or_z_of_another_rank(ctx):
+    with ctx.working():
+        g = jacobi_identity_element(1).to_numeric()
+        p = Point(mp.mpc(0.1, 0.9), (mp.mpc(0.2, -0.1),))
+        L2 = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(2)))
+        with pytest.raises(DomainError):
+            cocycle_alpha(L2, g, p, ctx)
+        for z in ((), (mp.mpc(0.2), mp.mpc(0.3))):
+            with pytest.raises(DomainError):
+                cocycle_a(g, Point(p.tau, z))
+            with pytest.raises(DomainError):
+                act_coordinates(g, p.tau, z)
 
 
 def test_slash_right_action_and_central_triviality(ctx):

@@ -36,7 +36,7 @@ from conftest import sum_by_loop, whittaker_jet_by_shifts
 def _nilpotent_part(j):
     """The jet minus its constant term."""
     out = dict(j.terms)
-    out.pop(j.space._zero, None)
+    out.pop(j.space.monos[0], None)
     return Jet(j.space, out)
 
 
@@ -149,7 +149,7 @@ def _random_jet(sp, rng, fill=1.0, dyadic=False, value=None):
     """A jet whose coefficients span 1e-40 to 1e40 (or are small dyadic
     numbers), with exact zeros: absent terms, and zero real or imaginary
     parts."""
-    monos = jets._tables(sp.nvars, sp.degree).monos
+    monos = sp.monos
     terms = {}
     for e in monos:
         if rng.random() > fill:
@@ -168,7 +168,7 @@ def _random_jet(sp, rng, fill=1.0, dyadic=False, value=None):
         if c != 0:
             terms[e] = c
     if value is not None:
-        terms[sp._zero] = mp.mpc(value)
+        terms[sp.monos[0]] = mp.mpc(value)
     return Jet(sp, terms)
 
 
@@ -264,7 +264,7 @@ def test_jet_sums_from_zero_match_the_loop(N, degree, data):
     # small integer parts cancel often, so keys leave and come back; the
     # thirds round, so coefficients that are not exact sums are met too
     space = JetSpace.for_rank(N, degree)
-    monos = jets._tables(space.nvars, degree).monos
+    monos = space.monos
     parts = st.integers(-2, 2)
     terms = data.draw(st.lists(st.dictionaries(
         st.sampled_from(monos), st.tuples(parts, parts, st.sampled_from([1, 3])),

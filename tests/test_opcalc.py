@@ -412,6 +412,23 @@ def test_rl_casimir_minus_2xpxm_is_lower_order_in_z():
             assert p.uses("v1"), diff.canonical_text()
 
 
+def test_central_generators_at_rank_10_are_their_calL_entries():
+    # names such as Z110 (Z_1,10) have two-digit indices; on the A10 Cartan
+    # matrix, Z_1,10, Z_2,10, Z_9,10 and Z_10,10 differ from the Z_i,1 and
+    # Z_1,10 that reading one digit for each index gives
+    N = 10
+    L = GramLattice([[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(N)]
+                     for i in range(N)])
+    R = OpRing(N)
+    cl = calL(R, L)
+    for i in range(1, N + 1):
+        for j in range(i, N + 1):
+            assert build_lie_slash(f"Z{i}{j}", L) == DiffOp.multiplication(R, cl[i - 1][j - 1])
+    for name in ("Z1", "Z0110", "e0", "e11", "f11", "G"):
+        with pytest.raises(DomainError):
+            build_lie_slash(name, L)
+
+
 def test_lie_slash_table_and_anti_homomorphism():
     L = GramLattice([[1]])
     R = OpRing(1)

@@ -8,7 +8,9 @@ import is used by its module, every parameter of a module-level
 private function is read by its body, and every defaulted parameter of
 a function that the package calls and does not export is omitted by at
 least one of those calls.  And each record format is defined once: no two
-NamedTuple classes of the package have the same fields."""
+NamedTuple classes of the package have the same fields.  And only
+``polys.Keyed`` defines ``__new__``: a structure built once per key
+inherits it."""
 
 import ast
 import importlib
@@ -203,3 +205,12 @@ def test_no_two_namedtuples_have_the_same_fields():
                 by_fields.setdefault(obj._fields, []).append(f"{info.name}.{name}")
     assert len(by_fields) >= 2
     assert [names for names in by_fields.values() if len(names) > 1] == []
+
+
+def test_only_keyed_defines_new():
+    # one instance per key is one rule, written once
+    trees, _ = _trees()
+    defining = [f"{module}.{cls.name}" for module, tree in trees.items()
+                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                for stmt in cls.body if "__new__" in _defines(stmt)]
+    assert defining == ["polys.Keyed"]
