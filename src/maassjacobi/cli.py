@@ -95,16 +95,22 @@ def _rationals(text: str):
 
 
 def _c_range(text: str):
-    """'c', or 'lo:hi' with both ends included."""
+    """'c', or 'lo:hi' with lo <= hi and both ends included."""
     lo, sep, hi = text.partition(":")
-    return list(range(int(lo), int(hi) + 1)) if sep else [int(text)]
+    cs = list(range(int(lo), int(hi) + 1)) if sep else [int(text)]
+    if not cs:
+        raise ValueError("the range is empty")
+    return cs
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise ValueError("must be at least 1")
-    return n
+def _at_least(lo: int):
+    """The parse function of an integer option that must be at least lo."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise ValueError(f"must be at least {lo}")
+        return n
+    return parse
 
 
 class Option(NamedTuple):
@@ -314,8 +320,6 @@ def eigen_grid(L, ctx):
     for k in [0, 2, 3]:
         for s in annihilation_roots(k, N) + [Fraction(5, 2)]:
             for (n, r) in [(1, [0] * N), (-1, [1] + [0] * (N - 1))]:
-                if discriminant(L, n, r) == 0:
-                    continue
                 grid.append((f"seed eigen k={k} s={s} (n,r)=({n},{r})",
                              (phi_seed(k, L, s, n, r), k, casimir_eigenvalue(k, N, s))))
     return pts, grid
@@ -468,6 +472,12 @@ def cmd_kloosterman(args) -> int:
 
 def cmd_theta(args) -> int:
     L = _lattice(args)
+    # theta_klr with --k, else theta_lmu; flags only, as in verify
+    with_k = args.k is not None
+    for key in ("mu",) if with_k else ("r", "zeta_variant"):
+        if key in args.flags:
+            raise UsageError(f"theta {'with' if with_k else 'without'} --k does not read "
+                             f"--{key.replace('_', '-')}")
     # mu, k and r are keyed and printed as the text they were given
     key = {"L": L.to_json_obj(), "bound": str(args.bound), "mu": args.given.get("mu"),
            "k": args.given.get("k"), "r": args.given.get("r"), "variant": args.zeta_variant}
@@ -600,21 +610,21 @@ GLOBAL_OPTIONS = {
     "precision_bits": Option(lambda text: PrecisionContext(bits=int(text)), "128"),
     "cmax": Option(int, "50", help="c-sum truncation for Poincare coefficients"),
     "bound": Option(Fraction, "2", help="q-exponent truncation for theta expansions"),
-    "N": Option(_positive_int, help="rank"),
+    "N": Option(_at_least(1), help="rank"),
     "L": Option(parse_rational_matrix,
                 help="rational Gram matrix literal, rows ';'-separated: '2,1/2;1/2,1'"),
     "s": Option(Fraction, "5/2", help="spectral parameter"),
     "no_cache": SWITCH,
-    "jobs": Option(_positive_int, "1"),
+    "jobs": Option(_at_least(1), "1"),
 }
 
 _POINCARE_OPTIONS = {"k": Option(int, "3"), "n": Option(int, "1"),
-                     "r": Option(parse_vector), "window": Option(int, "2")}
+                     "r": Option(parse_vector), "window": Option(_at_least(0), "2")}
 
 # subcommand -> (its function, its help, the options it adds to the global ones)
 COMMANDS = {
     "verify": (cmd_verify, "run a verification suite",
-               {"samples": Option(_positive_int)}),
+               {"samples": Option(_at_least(1))}),
     "kloosterman": (cmd_kloosterman, "Kloosterman sum table",
                     {"c": Option(_c_range, "1"), "n": Option(int, "0"),
                      "r": Option(parse_vector), "nprime": Option(int, "0"),

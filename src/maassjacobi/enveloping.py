@@ -54,6 +54,9 @@ class JacobiLieAlgebra(Keyed):
         self.z_one = self.z_ring.one()
         # commutative full symmetric algebra ring
         self.sym_ring = PolyRing(self.names)
+        # the vectors (e_1, ..., e_N) and (f_1, ..., f_N) of PBW generators
+        self.e_gens, self.f_gens = (tuple(PBWElement.gen(self, g(i)) for i in range(1, N + 1))
+                                    for g in (self.e, self.f))
 
     # -- indexing -------------------------------------------------------
 
@@ -347,28 +350,15 @@ def adj_z(alg: JacobiLieAlgebra):
     return linalg.adjugate(z_matrix(alg))
 
 
-def _e_vec(alg):
-    return tuple(PBWElement.gen(alg, alg.e(i + 1)) for i in range(alg.N))
-
-
-def _f_vec(alg):
-    return tuple(PBWElement.gen(alg, alg.f(i + 1)) for i in range(alg.N))
-
-
-def _adj_form(alg, u, v) -> PBWElement:
-    """sum_ij u_i adj(Z)_ij v_j, each product in written order."""
+def adj_form(alg, u, v) -> PBWElement:
+    """sum_ij u_i adj(Z)_ij v_j = det(Z) (u^T Z^{-1} v), each product in
+    written order."""
     adj = adj_z(alg)
     acc = PBWElement.zero(alg)
     for i in range(alg.N):
         for j in range(alg.N):
             acc = acc + u[i] * adj[i][j] * v[j]
     return acc
-
-
-def bilinear_adj(alg, left: str, right: str) -> PBWElement:
-    """det(Z) * (left^T Z^{-1} right) via the adjugate, in written order."""
-    vecs = {"e": _e_vec(alg), "f": _f_vec(alg)}
-    return _adj_form(alg, vecs[left], vecs[right])
 
 
 # -- exact division by det(Z) ------------------------------------------------------
@@ -403,16 +393,15 @@ def build_casimir(N: int) -> PBWElement:
     F = PBWElement.gen(alg, "F")
     H = PBWElement.gen(alg, "H")
     d = det_z(alg)
-    eZf = bilinear_adj(alg, "e", "f")
-    fZf = bilinear_adj(alg, "f", "f")
-    eZe = bilinear_adj(alg, "e", "e")
+    e, f = alg.e_gens, alg.f_gens
+    eZf, fZf, eZe = adj_form(alg, e, f), adj_form(alg, f, f), adj_form(alg, e, e)
 
     head = d * (H * H - H.scale(N + 2) + (E * F).scale(4))
     half_n3 = GaussianRational(Fraction(N + 3, 2))
     mid = -(H * eZf - eZf.scale(half_n3)) + E * fZf - eZe * F
 
     # sum_ij e_i eZf adj(Z)_ij f_j - eZe fZf
-    quart = _adj_form(alg, [e * eZf for e in _e_vec(alg)], _f_vec(alg)) - eZe * fZf
+    quart = adj_form(alg, [ei * eZf for ei in e], f) - eZe * fZf
     quart = divide_by_det(quart)
 
     quarter = GaussianRational(Fraction(1, 4))
@@ -493,12 +482,13 @@ def eta(alg: JacobiLieAlgebra, gen: str) -> LocalizedPBW:
     """The radical-valued virtual image of an sl2 generator."""
     quarter = GaussianRational(Fraction(1, 4))
     half = GaussianRational(Fraction(1, 2))
+    e, f = alg.e_gens, alg.f_gens
     if gen == "E":
-        return LocalizedPBW(bilinear_adj(alg, "e", "e").scale(quarter), 1)
+        return LocalizedPBW(adj_form(alg, e, e).scale(quarter), 1)
     if gen == "F":
-        return LocalizedPBW(bilinear_adj(alg, "f", "f").scale(-quarter), 1)
+        return LocalizedPBW(adj_form(alg, f, f).scale(-quarter), 1)
     if gen == "H":
-        num = det_z(alg).scale(half * alg.N) + bilinear_adj(alg, "e", "f").scale(half)
+        num = det_z(alg).scale(half * alg.N) + adj_form(alg, e, f).scale(half)
         return LocalizedPBW(num, 1)
     raise DomainError("eta is defined on the sl2 generators E, F, H")
 

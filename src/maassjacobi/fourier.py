@@ -546,10 +546,11 @@ def heat_residual(f: FourierExpansion, points, ctx: PrecisionContext):
 def specialize_torsion(f, lam, mu):
     """Specialize z = lam tau + mu.
 
-    On a function handle f(tau, z) the result is a one-variable handle; on a
-    FourierExpansion of constant-profile terms it is the list of one-variable
-    terms (exponent, coeff * e(r.mu)) with exponent n + r.lam, and lam and
-    mu must have the expansion's rank.
+    On a function handle f(tau, z) the result is a one-variable handle, and
+    lam and mu must have one length; on a FourierExpansion of
+    constant-profile terms it is the list of one-variable terms (exponent,
+    coeff * e(r.mu)) with exponent n + r.lam, and lam and mu must have the
+    expansion's rank.
     """
     lam = [Fraction(x) for x in lam]
     mu = [Fraction(x) for x in mu]
@@ -565,6 +566,9 @@ def specialize_torsion(f, lam, mu):
             phase = sum(Fraction(a) * b for a, b in zip(index.r, mu))
             out.append((expo, coeff, phase))
         return out
+
+    if len(lam) != len(mu):
+        raise DomainError(f"lam has {len(lam)} entries and mu {len(mu)}")
 
     def handle(tau):
         z = [to_mpc(a) * tau + to_mpc(b) for a, b in zip(lam, mu)]

@@ -119,7 +119,7 @@ def jacobi_mul(g: GroupElement, h: GroupElement) -> GroupElement:
 
 def jacobi_inv(g: GroupElement) -> GroupElement:
     """Inverse; for M in SL2 the central part is -kappa - X J2 X^T."""
-    Minv = linalg.inverse(g.M)
+    Minv = linalg.scale(Fraction(1) / linalg.det(g.M), linalg.adjugate(g.M))
     Xinv = linalg.neg(linalg.mul(g.X, Minv))
     kinv = linalg.neg(linalg.add(
         g.kappa, linalg.mul(linalg.mul(g.X, J2), linalg.transpose(g.X))))

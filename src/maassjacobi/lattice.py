@@ -1,10 +1,10 @@
 """Positive definite even lattices given by exact Gram matrices.
 
 Entries live in (1/2)Z with integral diagonal, so L[lambda] is an integer
-for integer vectors.  The determinant and inverse are cached exactly, the
-inverse also as an integer matrix over one denominator, on which the forms
-of L^{-1} are integer sums; bounded enumeration runs over exact LDL^T
-pivots.
+for integer vectors, with the integer terms ``quad_terms``.  One exact LDL^T
+factorization gives the determinant, the inverse (cached also as an integer
+matrix over one denominator, on which the forms of L^{-1} are integer
+sums) and the pivots of bounded enumeration, each in O(N^3).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .precision import to_fraction
 class GramLattice:
     """Exact Gram matrix of an even positive definite lattice."""
 
-    __slots__ = ("N", "entries", "det", "inv", "_inv_int", "_ldl")
+    __slots__ = ("N", "entries", "det", "inv", "quad_terms", "_inv_int", "_ldl")
 
     def __init__(self, entries):
         rows = [[Fraction(x) for x in r] for r in entries]
@@ -37,11 +37,21 @@ class GramLattice:
             if rows[i][i].denominator != 1:
                 raise DomainError("diagonal entries must be integers")
         m = linalg.mat(rows)
-        self._ldl = linalg.ldl(m)
+        lower, diag = self._ldl = linalg.ldl(m)
         self.N = N
         self.entries = m
-        self.det = prod(self._ldl[1])
-        self.inv = linalg.inverse(m)
+        self.det = prod(diag)
+        # L^{-1} = W^T diag^{-1} W for W = lower^{-1}, which forward
+        # substitution gives row by row: W_ij = -sum_{j<=k<i} lower_ik W_kj
+        W = []
+        for i in range(N):
+            W.append([-sum(lower[i][k] * W[k][j] for k in range(j, i)) if j < i
+                      else Fraction(int(i == j)) for j in range(N)])
+        self.inv = tuple(tuple(sum(W[k][i] * W[k][j] / diag[k] for k in range(max(i, j), N))
+                               for j in range(N)) for i in range(N))
+        # L[lam] = sum coef lam_i lam_j over i <= j: coef = L_ii or 2 L_ij
+        self.quad_terms = tuple((i, j, int((1 if i == j else 2) * m[i][j]))
+                                for i in range(N) for j in range(i, N))
         # L^{-1} = A / d with A an integer matrix
         d = lcm(*(x.denominator for row in self.inv for x in row))
         self._inv_int = (tuple(tuple(x.numerator * (d // x.denominator) for x in row)

@@ -77,7 +77,9 @@ def matvec(a, v):
 
 
 def det(a):
-    """Determinant by cofactor expansion; fine at the sizes used here."""
+    """Determinant by cofactor expansion, factorial in n: for ring entries
+    (PBW elements, polynomials) and the 2 x 2 group matrix, while a
+    Gram matrix goes through ``ldl``."""
     n, m = dims(a)
     if n != m:
         raise ValueError("determinant of a non-square matrix")
@@ -113,14 +115,6 @@ def adjugate(a):
         for i in range(n)
     ]
     return transpose(mat(cof))
-
-
-def inverse(a):
-    """a^-1, exact on exact entries; numeric entries must be mpc."""
-    d = det(a)
-    if not d:
-        raise ZeroDivisionError("singular matrix")
-    return scale(Fraction(1) / d, adjugate(a))
 
 
 def quad_form(a, v):

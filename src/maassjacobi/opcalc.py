@@ -5,7 +5,7 @@ coefficients in a formal weight k, a formal pi, y and 1/y, and the real
 coordinates v_j (plus x, u_j, which only the Lie slash action needs).  All
 operator identities here are exact; numerics enter only through jets.
 
-Every operator is written from one derivative basis (``derivatives``) with
+Every operator is written from one derivative basis (``OpRing.d``) with
 the sums, ``scale`` and ``compose`` of DiffOp, the forms ``dot`` and
 ``quad_form``, and ``calL_apply`` for calL w and calL[w].
 
@@ -69,6 +69,10 @@ class OpRing(Keyed):
                      for rate in (_MIHALF, _IHALF))
         self.rules = Coordinates(hol[0], anti[0], hol[1:], anti[1:]).flat()
         self.rule_masks = [self.ring.mask(i for i, _ in rules) for rules in self.rules]
+        # the derivative basis d_tau, d_taubar, d_z, d_zbar, each with coefficient 1
+        one, n = self.ring.one(), self.ndirs
+        self.d = Coordinates.of(DiffOp(self, {tuple(int(i == j) for i in range(n)): one})
+                                for j in range(n))
 
     def derivative(self, poly: Poly, delta) -> Poly:
         """d^delta poly, direction 0 first, stopping at the first zero.
@@ -283,14 +287,7 @@ def apply_coefficients(coefficients: list, jet: Jet):
     return acc
 
 
-# -- the derivative basis and the forms built on it ------------------------------------------
-
-
-def derivatives(R: OpRing) -> Coordinates:
-    """d_tau, d_taubar and the vectors d_z, d_zbar, each with coefficient 1."""
-    one = R.ring.one()
-    return Coordinates.of(DiffOp(R, {tuple(int(i == j) for i in range(R.ndirs)): one})
-                          for j in range(R.ndirs))
+# -- sums of operators and the forms built on the derivative basis ----------------------------
 
 
 def sum_ops(R: OpRing, ops) -> DiffOp:
@@ -358,7 +355,7 @@ def build_raising_lowering(L: GramLattice) -> dict:
         Y+_j = i d_z_j + 2i y^{-1} (calL v)_j
     """
     R = OpRing(L.N)
-    d = derivatives(R)
+    d = R.d
     k, y, v = R.k, R.y, R.v
     yinv = R.ring.var("y", -1)
     Lv, Lvv = calL_apply(R, L, v)
@@ -378,7 +375,7 @@ def build_raising_lowering(L: GramLattice) -> dict:
 
 def weighted_laplacian(R: OpRing, weight: Poly) -> DiffOp:
     """4 y^2 d_tau d_taubar - 2 i w y d_taubar at formal weight w."""
-    d = derivatives(R)
+    d = R.d
     return (d.tau.compose(d.taubar).scale(R.y * R.y * 4)
             - d.taubar.scale(weight * R.y * 2 * I))
 
@@ -398,7 +395,7 @@ def build_casimir_op(L: GramLattice) -> DiffOp:
     """
     N = L.N
     R = OpRing(N)
-    d = derivatives(R)
+    d = R.d
     k, y, v = R.k, R.y, R.v
     linv = calL_inv(R, L)
     d_u = [dz + dzb for dz, dzb in zip(d.z, d.zbar)]
@@ -442,7 +439,7 @@ def semiholomorphic_casimir(L: GramLattice) -> DiffOp:
     semi-holomorphic functions."""
     N = L.N
     R = OpRing(N)
-    d = derivatives(R)
+    d = R.d
     Lz = quad_form(calL_inv(R, L), d.z, d.z)
     return (weighted_laplacian(R, R.k - Fraction(N, 2)).scale(-2)
             + d.taubar.compose(Lz).scale(R.y * R.y * 2))
@@ -461,7 +458,7 @@ def build_laplace(L: GramLattice, C) -> DiffOp:
 def build_heat(L: GramLattice) -> DiffOp:
     """2 d_tau - (1/2) L^{-1}[d_z]."""
     R = OpRing(L.N)
-    d = derivatives(R)
+    d = R.d
     Lz = quad_form(calL_inv(R, L), d.z, d.z)
     return (d.tau.scale(2) - Lz.scale(_HALF)).with_shift(2)
 
@@ -476,7 +473,7 @@ def build_D_minus(L: GramLattice) -> DiffOp:
 def d_minus_direct(L: GramLattice) -> DiffOp:
     """-2iy( y d_taubar + v^T d_zbar - (1/4) y L^{-1}[d_zbar] ), as displayed."""
     R = OpRing(L.N)
-    d = derivatives(R)
+    d = R.d
     y = R.y
     Lzbar = quad_form(calL_inv(R, L), d.zbar, d.zbar)
     inner = d.taubar.scale(y) + dot(R.v, d.zbar) - Lzbar.scale(y.scale(Fraction(1, 4)))
@@ -516,7 +513,7 @@ def _lie_slash_gen(name: str, R: OpRing, L: GramLattice) -> DiffOp:
     g = alg.index.get(name)
     if g is None:
         raise DomainError(f"unknown generator {name}")
-    d = derivatives(R)
+    d = R.d
     k = R.k
     tau, taubar = R.x + R.y.scale(I), R.x - R.y.scale(I)
     z = [u + v.scale(I) for u, v in zip(R.u, R.v)]

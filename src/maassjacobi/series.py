@@ -62,13 +62,6 @@ def _ints(v) -> tuple:
     return tuple(int(x) for x in v)
 
 
-def _quad_terms(L: GramLattice):
-    """[(i, j, coef)] with L[lam] = sum coef lam_i lam_j over i <= j:
-    L_ii and 2 L_ij, integers on a GramLattice."""
-    return [(i, j, int((1 if i == j else 2) * L.entries[i][j]))
-            for i in range(L.N) for j in range(i, L.N)]
-
-
 def _phase_counts(c: int, terms, n: int, r, nprime: int, rprime) -> list:
     """counts[j] = #{(d, lam) : (dbar (L[lam] + r.lam + n) + n' d - r'.lam)
     = j mod c} over units d mod c and lam in (Z/c)^N, exactly.
@@ -124,7 +117,7 @@ def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
         raise DomainError("c must be a positive integer")
     r, rprime = _ints(r), _ints(rprime)
     with ctx.working():
-        return _kloosterman_at(c, _quad_terms(L), L.inv_form(r, rprime),
+        return _kloosterman_at(c, L.quad_terms, L.inv_form(r, rprime),
                                int(n), r, int(nprime), rprime)
 
 
@@ -257,7 +250,6 @@ def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
             + [(nprime, _ints(rprimes[0]), n, _ints(ri)) for ri in dual])
     sides = list(dict.fromkeys(keys))
     forms = [L.inv_form(ra, rb) for _, ra, _, rb in sides]
-    terms = _quad_terms(L)
     with ctx.working():
         bessel = bessel_J if D * Dp > 0 else bessel_I
         xbase = mp.pi * mp.sqrt(abs(to_mpf(Dp * D))) / to_mpf(L.det)
@@ -267,7 +259,7 @@ def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
             w = mp.power(c, -mp.mpf(N + 2) / 2)
             bv = bessel(2 * s - 1, xbase / c, ctx)
             for i, (a, ra, b, rb) in enumerate(sides):
-                term = w * _kloosterman_at(c, terms, forms[i], a, ra, b, rb) * bv
+                term = w * _kloosterman_at(c, L.quad_terms, forms[i], a, ra, b, rb) * bv
                 accs[i] += term
                 lasts[i] = abs(term)
         sums = dict(zip(sides, zip(accs, lasts)))

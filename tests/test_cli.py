@@ -364,6 +364,28 @@ def test_theta_command_matches_library(cache_dir, capsys, tmp_path):
     assert data["expansion"] == expect
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--k", "2", "--mu", "1"), "with --k does not read --mu"),
+    (("--mu", "0", "--r", "1"), "without --k does not read --r"),
+    (("--zeta-variant",), "without --k does not read --zeta-variant"),
+])
+def test_theta_rejects_flags_its_variant_does_not_read(cache_dir, capsys, argv, message):
+    code, out = run(capsys, "theta", "--L", "2", "--bound", "2", *argv)
+    err = json.loads(out)["error"]
+    assert code == 2 and err["type"] == "UsageError" and message in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("kloosterman", "--L", "1", "--c=5:3"),
+    ("poincare", "--L", "1", "--window=-1", "--cmax", "1"),
+    ("skew-poincare", "--L", "1", "--window=-1", "--cmax", "1"),
+])
+def test_empty_tables_are_usage_errors(cache_dir, capsys, argv):
+    # a reversed c-range or a negative window would print an empty table
+    code, out = run(capsys, *argv)
+    assert code == 2 and json.loads(out)["error"]["type"] == "UsageError"
+
+
 def test_theta_cache_key_reads_r_from_config(cache_dir, capsys, tmp_path):
     # two config files that differ only in r must not share a cache entry
     outs = {}

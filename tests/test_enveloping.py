@@ -15,7 +15,7 @@ from maassjacobi.enveloping import (
     JacobiLieAlgebra,
     LocalizedPBW,
     PBWElement,
-    bilinear_adj,
+    adj_form,
     build_casimir,
     build_classical_invariants,
     check_centrality,
@@ -267,10 +267,10 @@ def test_pbw_confluence_random_associativity():
 
 def test_adjugate_substitute():
     alg1 = JacobiLieAlgebra(1)
-    assert bilinear_adj(alg1, "e", "f") == pbw_normal_order(alg1, ["e1", "f1"])
+    assert adj_form(alg1, alg1.e_gens, alg1.f_gens) == pbw_normal_order(alg1, ["e1", "f1"])
     alg2 = JacobiLieAlgebra(2)
     # N=2: det(Z) e^T Z^{-1} e = Z22 e1^2 - 2 Z12 e1 e2 + Z11 e2^2
-    got = bilinear_adj(alg2, "e", "e")
+    got = adj_form(alg2, alg2.e_gens, alg2.e_gens)
     e1, e2 = PBWElement.gen(alg2, "e1"), PBWElement.gen(alg2, "e2")
     Z11, Z12, Z22 = (PBWElement.gen(alg2, z) for z in ("Z11", "Z12", "Z22"))
     expect = Z22 * e1 * e1 - (Z12 * e1 * e2).scale(2) + Z11 * e2 * e2
@@ -290,13 +290,13 @@ def test_divide_by_det():
                 GaussianRational(Fraction(rng.randint(1, 5), rng.randint(1, 3))))
             assert divide_by_det(a * d) == a
         # the quartic numerator is divisible (the P element)
-        eZf = bilinear_adj(alg, "e", "f")
-        eZe = bilinear_adj(alg, "e", "e")
-        fZf = bilinear_adj(alg, "f", "f")
+        ev, fv = alg.e_gens, alg.f_gens
+        eZf = adj_form(alg, ev, fv)
+        eZe = adj_form(alg, ev, ev)
+        fZf = adj_form(alg, fv, fv)
         quart = PBWElement.zero(alg)
-        from maassjacobi.enveloping import adj_z, _e_vec, _f_vec
+        from maassjacobi.enveloping import adj_z
         adj = adj_z(alg)
-        ev, fv = _e_vec(alg), _f_vec(alg)
         for i in range(N):
             for j in range(N):
                 quart = quart + ev[i] * eZf * adj[i][j] * fv[j]
@@ -358,7 +358,7 @@ def test_eta_is_sl2_homomorphism_and_nu_commutes_with_radical():
         half = GaussianRational(Fraction(1, 2))
         # eta(H) = (N + e^T Z^{-1} f)/2
         expect_h = LocalizedPBW(
-            det_z(alg).scale(half * N) + bilinear_adj(alg, "e", "f").scale(half), 1)
+            det_z(alg).scale(half * N) + adj_form(alg, alg.e_gens, alg.f_gens).scale(half), 1)
         assert eta(alg, "H") == expect_h
         eE, eF, eH = eta(alg, "E"), eta(alg, "F"), eta(alg, "H")
         assert eE.commutator(eF) == eH

@@ -453,6 +453,13 @@ def test_specialize_refuses_a_vector_of_another_rank(lam, mu):
         specialize_torsion(th, lam, mu)
 
 
+@pytest.mark.parametrize("lam, mu", [([1, 2], [0]), ([1], []), ([], [0])])
+def test_specialize_refuses_a_handle_with_lam_and_mu_of_two_lengths(lam, mu):
+    # a handle has no rank to check against; z = lam tau + mu needs one length
+    with pytest.raises(DomainError, match="entries and mu"):
+        specialize_torsion(lambda tau, z: len(z), lam, mu)
+
+
 def test_specialize_torsion(ctx):
     L = GramLattice([[2]])
     th = theta_lmu(L, [1], 2)

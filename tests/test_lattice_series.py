@@ -125,6 +125,29 @@ def test_shifted_enumeration():
     assert got == want
 
 
+def test_dense_rank_10_lattice_inverts_exactly():
+    # 2 on the diagonal and 1 elsewhere: no zero entry for cofactor
+    # expansion to skip, so only the LDL^T route builds it in time
+    N = 10
+    L = GramLattice([[2 if i == j else 1 for j in range(N)] for i in range(N)])
+    assert L.det == 11
+    assert linalg.mul(L.inv, L.entries) == linalg.identity(N)
+
+
+@settings(settings.get_profile("exact"))
+@given(data=st.data(), N=st.integers(1, 4))
+def test_inverse_matches_the_cofactor_oracle(data, N):
+    # off-diagonal entries in (1/2)Z of size at most 1 and a diagonal of at
+    # least N: diagonally dominant, so positive definite
+    off = {(i, j): Fraction(data.draw(st.integers(-2, 2)), 2)
+           for i in range(N) for j in range(i + 1, N)}
+    diag = [data.draw(st.integers(N, N + 3)) for _ in range(N)]
+    L = GramLattice([[diag[i] if i == j else off[min(i, j), max(i, j)] for j in range(N)]
+                     for i in range(N)])
+    m = L.entries
+    assert L.inv == linalg.scale(Fraction(1) / linalg.det(m), linalg.adjugate(m))
+
+
 def test_kloosterman_closed_forms(ctx):
     L1 = GramLattice([[1]])
     with ctx.working():

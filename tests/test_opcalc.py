@@ -33,7 +33,6 @@ from maassjacobi.opcalc import (
     covariance_check,
     covariance_residuals,
     d_minus_direct,
-    derivatives,
     kernel_seed,
     random_group_element,
     random_point,
@@ -341,7 +340,7 @@ def test_compose_identity_and_derivation_rule():
     assert one.compose(A) == A
     assert A.compose(one) == A
     # [d_tau, y] = -i/2
-    dtau = derivatives(R).tau
+    dtau = R.d.tau
     ymul = DiffOp.multiplication(R, R.ring.var("y"))
     c = dtau.commutator(ymul)
     assert c == DiffOp.multiplication(R, R.ring.const(GaussianRational(0, Fraction(-1, 2))))
@@ -427,6 +426,9 @@ def test_central_generators_at_rank_10_are_their_calL_entries():
     for name in ("Z1", "Z0110", "e0", "e11", "f11", "G"):
         with pytest.raises(DomainError):
             build_lie_slash(name, L)
+    # the structures a rank fixes are built once, in polynomial time in N
+    assert len(R.d.flat()) == 22
+    assert len(JacobiLieAlgebra(N).e_gens) == 10
 
 
 def test_lie_slash_table_and_anti_homomorphism():
@@ -435,7 +437,7 @@ def test_lie_slash_table_and_anti_homomorphism():
     # |[Z11] = calL_11, |[E] = d_x = d_tau + d_taubar, |[e1] = d_u1
     cl = calL(R, L)
     assert build_lie_slash("Z11", L) == DiffOp.multiplication(R, cl[0][0])
-    d = derivatives(R)
+    d = R.d
     assert build_lie_slash("E", L) == d.tau + d.taubar
     assert build_lie_slash("e1", L) == d.z[0] + d.zbar[0]
     # [op(a), op(b)] = op([b, a]) for all basis pairs
