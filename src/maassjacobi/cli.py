@@ -34,8 +34,8 @@ from .fourier import (
     FourierExpansion,
     coeff_pair,
     phi_seed,
+    casimir_exact_residuals,
     casimir_residual,  # unused here; the benchmark tracer patches this binding
-    casimir_residuals,
     theta_decompose_semi,
     theta_klr,
     theta_lmu,
@@ -304,31 +304,28 @@ def suite_covariance(L, ctx, samples):
     return [_residual_check(name, r, "1e-22") for name, r in zip(jobs, residuals)]
 
 
-def eigen_grid(L, ctx):
-    """The sample points and the seeds of ``verify eigen``: (points,
-    [(name, (f, k, eigenvalue))])."""
+def eigen_grid(L):
+    """The cases of ``verify eigen``: [(name, (f, k, eigenvalue))], a Whittaker
+    seed f on each (k, s, n, r) of the grid; at N >= 2 two more indices
+    reach the Casimir terms that (1, 0) and (-1, e_1) leave unseen."""
     N = L.N
-    rng = random.Random(99)
-    with ctx.working():
-        pts = []
-        for _ in range(3):
-            tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.7, 1.2))
-            z = [mp.mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3))
-                 for _ in range(N)]
-            pts.append((tau, z))
+    indices = [(1, [0] * N), (-1, [1] + [0] * (N - 1))]
+    if N >= 2:
+        indices += [(-1, [1] * N), (-1, [1, -1] + [0] * (N - 2))]
     grid = []
     for k in [0, 2, 3]:
         for s in annihilation_roots(k, N) + [Fraction(5, 2)]:
-            for (n, r) in [(1, [0] * N), (-1, [1] + [0] * (N - 1))]:
+            for (n, r) in indices:
                 grid.append((f"seed eigen k={k} s={s} (n,r)=({n},{r})",
                              (phi_seed(k, L, s, n, r), k, casimir_eigenvalue(k, N, s))))
-    return pts, grid
+    return grid
 
 
 def suite_eigen(L, ctx, samples):
-    pts, grid = eigen_grid(L, ctx)
-    residuals = casimir_residuals([case for _, case in grid], build_casimir_op(L), pts, ctx)
-    return [_residual_check(name, res, "1e-10") for (name, _), res in zip(grid, residuals)]
+    grid = eigen_grid(L)
+    residuals = casimir_exact_residuals([case for _, case in grid], build_casimir_op(L))
+    return [_check(name, not (a or b), detail=[str(a), str(b)] if a or b else "exact")
+            for (name, _), (a, b) in zip(grid, residuals)]
 
 
 def suite_duality(L, ctx, samples, s=Fraction(5, 2), c_max=50):

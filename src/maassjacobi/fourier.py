@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import factorial
+from itertools import zip_longest
+from math import factorial, prod
 from typing import NamedTuple
 
 from mpmath import mp
@@ -23,12 +24,14 @@ from .jets import (Coordinates, Jet, JetSpace, compose_univariate, coordinate_je
                    imaginary_parts)
 from .lattice import GramLattice, discriminant, enumerate_shifted
 from .opcalc import apply_coefficients, build_heat
+from .polys import PolySum
 from .precision import PrecisionContext, mpf_str, to_mpc, to_mpf
 from .specfun import (
     e_profile_jet,
     h_profile_jet,
     whittaker_M_jet,
     whittaker_W_jet,
+    whittaker_equation,
 )
 
 
@@ -478,6 +481,78 @@ def phi_seed(k, L: GramLattice, s, n, r) -> FourierExpansion:
          "arg": D / L.det, "eexp": D / (2 * L.det)},
         GaussianRational(1),
     )
+    return out
+
+
+def _whittaker_seed(f: FourierExpansion) -> tuple:
+    """(index, s, kappa, arg) of a Whittaker seed: one term whose profile is
+    h(pi arg y) e^{pi arg y/2} with h an M or a W profile, as ``phi_seed``
+    builds it (or the same term retagged W)."""
+    if len(f.terms) == 1:
+        ((index, (tag, params, _)),) = f.terms.items()
+        arg = Fraction(params.get("arg", 0))
+        if tag in ("M", "W") and Fraction(params.get("eexp", 0)) == arg / 2:
+            return index, params["s"], params["kappa"], arg
+    raise DomainError("a Whittaker seed is one M or W term with eexp = arg/2")
+
+
+def _on_exponential(terms, index: FourierIndex, ring) -> list:
+    """[S_0, S_1, ...] with sum_e c_e d^e (f(y) E) = (sum_j S_j f^(j)) E for
+    E = e(n tau + r.z), over the (e, c_e) of ``terms``, none with a d_zbar:
+    on f(y) E, d_tau = 2 pi i n - (i/2) d/dy, d_taubar = (i/2) d/dy and
+    d_z_j = 2 pi i r_j."""
+    zero = ring.zero()
+    two_pi_i = ring.var("pi").scale(GaussianRational(0, 2))
+    d_tau = (two_pi_i.scale(index.n), ring.const(GaussianRational(0, Fraction(-1, 2))))
+    d_taubar = (zero, ring.const(GaussianRational(0, Fraction(1, 2))))
+    out = []
+    for e, c in terms:
+        d = Coordinates.of(e)
+        q = [prod((two_pi_i.scale(rj) ** ej for rj, ej in zip(index.r, d.z) if ej), start=c)]
+        for alpha, beta in [d_tau] * d.tau + [d_taubar] * d.taubar:
+            # (alpha + beta d/dy) sum_j q_j (d/dy)^j
+            q = [alpha * a + beta * b for a, b in zip(q + [zero], [zero] + q)]
+        out = [a + b for a, b in zip_longest(out, q, fillvalue=zero)]
+    return out
+
+
+def casimir_exact_residuals(cases, casimir) -> list:
+    """For each case (f, k, eigenvalue), with f a Whittaker seed, the pair
+    (A - eigenvalue, B) of Laurent polynomials in pi and y for which
+    C^{k,L} f = A f + B d_y f exactly; the case holds when both are 0.
+
+    With f = f(y) E, E = e(n tau + r.z) and a = pi D/|L|, f(y) = h(a y) e^{a y/2}
+    solves Whittaker's equation y^2 f'' + (kappa y - a y^2) f' + c0 f = 0
+    (``specfun.whittaker_equation``), which has no pole at 2s in Z<=0.  Every
+    coefficient of ``casimir`` stands left of its derivatives and d_zbar f = 0,
+    so C f = (sum_j S_j f^(j)) E (``_on_exponential``), and f^(j) = A_j f + B_j f'
+    with A_0 = 1, B_0 = 0, A_{j+1} = A_j' + B_j Q and B_{j+1} = A_j + B_j' + B_j P,
+    where P = a - kappa/y and Q = -c0/y^2.  The formal k is substituted once
+    per distinct k, and the S_j are built once per (k, n, r).
+    """
+    ring = casimir.op_ring.ring
+    dy = ((ring.index["y"], GaussianRational(1)),)
+    kept = [(e, c) for e, c in casimir.terms.items() if not any(Coordinates.of(e).zbar)]
+    by_k, by_index, out = {}, {}, []
+    for f, k, eigenvalue in cases:
+        index, s, kappa, arg = _whittaker_seed(f)
+        k = Fraction(k)
+        if k not in by_k:
+            by_k[k] = [(e, c.subs({"k": k})) for e, c in kept]
+        if (k, index) not in by_index:
+            by_index[k, index] = _on_exponential(by_k[k], index, ring)
+        eq = whittaker_equation(s, kappa)
+        kappa, c0 = eq[1][1], eq[0][0]
+        p = ring.var("pi").scale(arg) - ring.var("y", -1).scale(kappa)
+        q = ring.var("y", -2).scale(-c0)
+        a_j, b_j = ring.one(), ring.zero()
+        A, B = PolySum(ring), PolySum(ring)
+        for j, s_j in enumerate(by_index[k, index]):
+            if j:
+                a_j, b_j = a_j.diff(dy) + b_j * q, a_j + b_j.diff(dy) + b_j * p
+            A.add_product(s_j, a_j)
+            B.add_product(s_j, b_j)
+        out.append((A.poly() - eigenvalue, B.poly()))
     return out
 
 

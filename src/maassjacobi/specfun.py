@@ -229,6 +229,23 @@ def _derivatives(x0, problem, order: int, ctx: PrecisionContext) -> list:
             _ode_jet(P, to_fraction(x0), to_fraction(h0), to_fraction(h1), order)[1:]]
 
 
+def whittaker_equation(s, kappa) -> tuple:
+    """Whittaker's equation (DLMF 13.14.1) in t for
+    h(t) = |t|^{-kappa/2} M-or-W_{sgn(t) kappa/2, s-1/2}(|t|),
+
+        t^2 h'' + kappa t h' + (c0 + kappa t/2 - t^2/4) h = 0,
+        c0 = kappa^2/4 - kappa/2 + 1/4 - (s - 1/2)^2,
+
+    as the P of ``_ode_jet``, so kappa = P[1][1] and c0 = P[0][0].  It has
+    no pole at 2s in Z<=0, where M has one.  With f(y) = h(a y) e^{a y/2}
+    it reads y^2 f'' + (kappa y - a y^2) f' + c0 f = 0.
+    """
+    s, kappa = to_fraction(s), to_fraction(kappa)
+    mu = s - Fraction(1, 2)
+    return ([kappa * kappa / 4 - kappa / 2 + Fraction(1, 4) - mu * mu, kappa / 2,
+             Fraction(-1, 4)], [0, kappa], [0, 0, 1])
+
+
 def _whittaker_jet(kind: str, s, kappa, t, order, ctx: PrecisionContext):
     """Derivatives in t of h(t) = |t|^{-kappa/2} M-or-W_{sgn(t) kappa/2, s-1/2}(|t|).
 
@@ -236,13 +253,9 @@ def _whittaker_jet(kind: str, s, kappa, t, order, ctx: PrecisionContext):
     a = mu - kappa_eff + 1/2, b = 2s and K = M(a, b, .) or U(a, b, .),
     h = x^p e^{-x/2} x^{mu + 1/2} K(x).  The value is that product of
     working-precision factors, formed in that order.  The higher
-    derivatives come from Whittaker's equation (DLMF 13.14.1), which for h
-    reads, in t (kappa_eff x = kappa t/2),
-
-        t^2 h'' - 2p t h' + (p(p + 1) + 1/4 - mu^2 + kappa t/2 - t^2/4) h = 0,
-
-    seeded with K' = (a/b) M(a + 1, b + 1, .) or -a U(a + 1, b + 1, .)
-    (DLMF 13.3.15, 13.3.22).
+    derivatives come from Whittaker's equation in t (``whittaker_equation``;
+    kappa_eff x = kappa t/2), seeded with K' = (a/b) M(a + 1, b + 1, .) or
+    -a U(a + 1, b + 1, .) (DLMF 13.3.15, 13.3.22).
     """
     s = to_fraction(s)
     kappa = to_fraction(kappa)
@@ -262,9 +275,8 @@ def _whittaker_jet(kind: str, s, kappa, t, order, ctx: PrecisionContext):
         k0 = _kummer(kind, a, b, x0)
         k1 = to_mpf(a / b if kind == "M" else -a) * _kummer(kind, a + 1, b + 1, x0)
         pre = mp.exp(-x0 / 2) * mp.power(x0, to_mpf(q))
-        P = ([p * (p + 1) + Fraction(1, 4) - mu * mu, kappa / 2, Fraction(-1, 4)],
-             [0, -2 * p], [0, 0, 1])
-        return P, pre * k0, sgn * pre * (k1 + (to_mpf(q) / x0 - mp.mpf(0.5)) * k0)
+        return (whittaker_equation(s, kappa), pre * k0,
+                sgn * pre * (k1 + (to_mpf(q) / x0 - mp.mpf(0.5)) * k0))
 
     with ctx.working():
         x0 = abs(to_mpf(t))

@@ -231,9 +231,9 @@ def test_10_numeric_covariance(N):
 
 def test_11_eigenfunction_check():
     checks = run_suites(["eigen"], [GramLattice([[1]])])
-    report(11, f"Casimir eigenvalue of the seed on a (k,s,n,r) grid of {len(checks)} "
-               "cases incl. both annihilation roots", passed(checks),
-           detail=worst(checks))
+    report(11, f"Casimir eigenvalue of the seed, as an exact identity, on a (k,s,n,r) "
+               f"grid of {len(checks)} cases incl. both annihilation roots", passed(checks),
+           detail=" ".join(sorted({str(c["detail"]) for c in checks})))
 
 
 def test_12_cocycle_and_slash():

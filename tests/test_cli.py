@@ -43,30 +43,32 @@ def test_unknown_suite_is_usage_error(cache_dir, capsys):
     assert err["error"]["type"] == "UsageError"
 
 
-# small sizes; N = 1, since `verify eigen` at N = 2 is a known PoleError
+# small sizes, at N = 1
 SMALL_SUITE_ARGS = {"cocycle": ("--samples", "5"), "covariance": ("--samples", "2"),
                     "duality": ("--cmax", "4"), "kloosterman-symmetry": ("--samples", "5")}
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_verify_exit_codes(cache_dir, capsys, suite):
-    code, out = run(capsys, "verify", suite, "--N", "1",
-                    *SMALL_SUITE_ARGS.get(suite, ()))
-    rep = json.loads(out)
-    assert code == 0 and rep["pass"] and rep["suite"] == suite and rep["N"] == 1
-    assert rep["checks"]
+    # eigen also at N = 2, where its M seeds meet the Kummer pole
+    for N in ("1", "2") if suite == "eigen" else ("1",):
+        code, out = run(capsys, "verify", suite, "--N", N,
+                        *SMALL_SUITE_ARGS.get(suite, ()))
+        rep = json.loads(out)
+        assert code == 0 and rep["pass"] and rep["suite"] == suite and rep["N"] == int(N)
+        assert rep["checks"]
 
 
-# sha256 of the stdout, computed before the covariance and eigen suites
-# shared each sample's jets and the cocycle suite each a(g, p); the eigen
-# digest since the Whittaker jets come from Whittaker's equation
+# sha256 of the stdout, computed before the covariance suite shared each
+# sample's jets and the cocycle suite each a(g, p); the eigen digest since
+# its checks are exact identities, whose detail is "exact"
 @pytest.mark.parametrize("argv, digest", [
     (("covariance", "--L", "2", "--samples", "2"),
      "29c3a13650b4e970368721c98c8109337b98e1fedd055501153415410db370fc"),
     (("covariance", "--L", "2,1;1,2", "--samples", "1"),
      "e9de8cd6db09bea457534964482977b6c04d0c3e5ed851783a61455239df2312"),
     (("eigen", "--L", "1"),
-     "730f11508cbb72e491b43241147b4666004366e5e885b0e91ba88fd638599618"),
+     "2324885cb5002c2e4d7fd1e20fc39bf82d181494169517e0c9bc3783ffe446ec"),
     (("cocycle", "--L", "2", "--samples", "5"),
      "08b60f3bed74e7c17e84d58d966bbbe1647db319d2683d39e0100b871ccead21"),
     (("cocycle", "--L", "2,1;1,2", "--samples", "5"),
@@ -108,9 +110,10 @@ def test_series_output_is_unchanged(cache_dir, capsys, argv, digest):
 
 # Every distinct request of the seed 1-3 rounds of the four benchmark
 # workloads, with the exit code and the sha256 of the stdout that the code
-# printed at commit b3ec132.  The argv are stored, not drawn, so that a
-# change to the benchmark's generators cannot move this gate.  The three rank-2 `verify eigen` requests are the known
-# PoleError (exit 3).
+# printed at commit b3ec132, except the six `verify eigen` requests, pinned
+# again when that suite became exact (the three rank-2 ones then went from
+# the Kummer pole's exit 3 to exit 0).  The argv are stored, not drawn, so
+# that a change to the benchmark's generators cannot move this gate.
 with open(os.path.join(os.path.dirname(__file__), "benchmark_requests.json"),
           encoding="utf-8") as _fh:
     BENCHMARK_REQUESTS = json.load(_fh)
@@ -135,12 +138,16 @@ def test_cancelled_poincare_row_prints_zero(cache_dir, capsys):
     assert code == 0 and row["value"] == ["0.0", "0.0"]
 
 
-def test_eigen_at_rank_2_is_the_known_pole_error(cache_dir, capsys):
-    # the M-seed grid meets a Kummer pole at N = 2; the benchmark's
-    # eigen-pole matcher reads this type and message
-    code, out = run(capsys, "verify", "eigen", "--L", "2,1;1,2")
-    err = json.loads(out)["error"]
-    assert code == 3 and err["type"] == "PoleError" and "2s = -1" in err["message"]
+@pytest.mark.parametrize("gram", ["2,1;1,2", "2,0;0,4", "1,1/2;1/2,1", "2,1,0;1,2,1;0,1,2"])
+def test_eigen_is_exact_beyond_rank_1(cache_dir, capsys, gram):
+    # 36 exact identities, at N = 2 the eight at the Kummer pole points
+    # (k, s) = (0, -1/2) and (3, 0) included, where the M seed has no value
+    code, out = run(capsys, "verify", "eigen", "--L", gram)
+    rep = json.loads(out)
+    assert code == 0 and rep["pass"] is True and len(rep["checks"]) == 36
+    assert all(c["status"] == "pass" and c["detail"] == "exact" for c in rep["checks"])
+    assert sum("k=0 s=-1/2 " in c["name"] or "k=3 s=0 " in c["name"]
+               for c in rep["checks"]) == (8 if gram.count(";") == 1 else 0)
 
 
 @pytest.mark.parametrize("suite, argv, flag", [

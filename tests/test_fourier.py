@@ -15,6 +15,7 @@ from maassjacobi.fourier import (
     _index_exponential_jet,
     _profile_jet,
     _worst_residual,
+    casimir_exact_residuals,
     casimir_residual,
     casimir_residuals,
     heat_residual,
@@ -32,8 +33,9 @@ from maassjacobi.fourier import (
 )
 from maassjacobi.gaussian import GaussianRational
 from maassjacobi.lattice import GramLattice, discriminant
-from maassjacobi.opcalc import build_casimir_op
-from maassjacobi.jets import Jet, JetSpace, compose_univariate, coordinate_jets, imaginary_parts
+from maassjacobi.opcalc import DiffOp, build_casimir_op
+from maassjacobi.jets import (Coordinates, Jet, JetSpace, compose_univariate, coordinate_jets,
+                              imaginary_parts)
 from maassjacobi.precision import PrecisionContext, to_mpc, to_mpf
 from maassjacobi.specfun import e_profile_jet
 from maassjacobi.series import casimir_eigenvalue
@@ -43,6 +45,20 @@ from conftest import finite_difference, sum_by_loop
 PTS1 = [(mp.mpc("0.13", "0.9"), [mp.mpc("0.21", "0.17")]),
         (mp.mpc("-0.4", "1.3"), [mp.mpc("-0.3", "0.4")]),
         (mp.mpc("0.05", "0.72"), [mp.mpc("0.4", "-0.2")])]
+
+
+def eigen_points(N, ctx):
+    """Three sample points of rank N from random.Random(99): the numeric
+    oracle's points for the exact `verify eigen` grid."""
+    rng = random.Random(99)
+    with ctx.working():
+        pts = []
+        for _ in range(3):
+            tau = mp.mpc(rng.uniform(-0.5, 0.5), rng.uniform(0.7, 1.2))
+            z = [mp.mpc(rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3))
+                 for _ in range(N)]
+            pts.append((tau, z))
+    return pts
 
 
 def eigenfunction_ratio_residual(f: FourierExpansion, k, probe_point, points, ctx):
@@ -380,16 +396,74 @@ def test_phi_seed_eigen(ctx):
 ])
 def test_shared_eigen_matches_the_per_seed_oracle(entries, bits):
     # the grid of `verify eigen` in one call, against one call per seed; at
-    # N = 2 only s = 5/2, since the other grid points meet the Kummer pole
+    # N = 2 only s = 5/2, since some other grid points meet the Kummer pole
     L = GramLattice(entries)
     ctx = PrecisionContext(bits=bits)
-    pts, grid = eigen_grid(L, ctx)
+    grid, pts = eigen_grid(L), eigen_points(L.N, ctx)
     cases = [case for name, case in grid if L.N == 1 or " s=5/2 " in name]
     assert len(cases) > 1
     C = build_casimir_op(L)
     shared = casimir_residuals(cases, C, pts, ctx)
     assert shared == [casimir_residual(f, C, k, pts, ctx, eigenvalue=ev) for f, k, ev in cases]
     assert all(r < mp.mpf("1e-10") for r in shared)
+
+
+def _at_the_pole_as_w(f):
+    """The seed f, retagged W where 2s is a nonpositive integer: there M has
+    a Kummer pole, and W solves the same Whittaker equation."""
+    ((index, (_, params, coeff)),) = f.terms.items()
+    two_s = 2 * Fraction(params["s"])
+    if two_s.denominator == 1 and two_s <= 0:
+        return FourierExpansion(f.lattice, {index: ("W", params, coeff)})
+    return f
+
+
+@pytest.mark.parametrize("entries, size, poles", [([[1]], 18, 0), ([[2, 1], [1, 2]], 36, 8)])
+def test_exact_eigen_agrees_with_the_numeric_oracle(ctx, entries, size, poles):
+    # the exact identity on every case of the `verify eigen` grid, and the
+    # jets of the same seeds at three points; at N = 2 the pole points
+    # (k, s) = (0, -1/2) and (3, 0) are reached through the W seed.  One
+    # lattice a rank keeps it cheap: the numeric N = 2 path is the slow one
+    L = GramLattice(entries)
+    grid = [case for _, case in eigen_grid(L)]
+    cases = [(_at_the_pole_as_w(f), k, ev) for f, k, ev in grid]
+    assert len(cases) == size
+    assert sum(g is not f for (g, _, _), (f, _, _) in zip(cases, grid)) == poles
+    C = build_casimir_op(L)
+    assert all(not (a or b) for a, b in casimir_exact_residuals(cases, C))
+    residuals = casimir_residuals(cases, C, eigen_points(L.N, ctx), ctx)
+    assert all(r < mp.mpf("1e-10") for r in residuals)
+
+
+@pytest.mark.parametrize("entries, seen", [
+    ([[1]], 3), ([[2, 1], [1, 2]], 5), ([[2, 1, 0], [1, 2, 1], [0, 1, 2]], 8),
+])
+def test_exact_eigen_catches_each_doubled_casimir_term(entries, seen):
+    # the seed has no d_zbar derivative, so the grid sees exactly the terms
+    # without one; doubling any of them fails some case of the grid
+    L = GramLattice(entries)
+    C = build_casimir_op(L)
+    cases = [case for _, case in eigen_grid(L)]
+    assert all(not (a or b) for a, b in casimir_exact_residuals(cases, C))
+    kept = [e for e in C.terms if not any(Coordinates.of(e).zbar)]
+    assert len(kept) == seen
+    for e in kept:
+        doubled = DiffOp(C.op_ring, {**C.terms, e: C.terms[e].scale(2)}, C.shift)
+        assert any(a or b for a, b in casimir_exact_residuals(cases, doubled)), e
+    # and a wrong eigenvalue, or the Casimir of another weight, fails every case
+    wrong = [(f, k, ev + 1) for f, k, ev in cases] + [(f, k + 1, ev) for f, k, ev in cases]
+    assert all(a or b for a, b in casimir_exact_residuals(wrong, C))
+
+
+def test_exact_eigen_refuses_a_term_that_is_not_a_whittaker_seed():
+    L = GramLattice([[1]])
+    C = build_casimir_op(L)
+    seed = phi_seed(2, L, Fraction(5, 2), 1, [0])
+    ((index, (tag, params, coeff)),) = seed.terms.items()
+    for f in (maass_fourier_term("c+", 2, L, 1, [1]), FourierExpansion(L),
+              FourierExpansion(L, {index: (tag, {**params, "eexp": params["arg"]}, coeff)})):
+        with pytest.raises(DomainError):
+            casimir_exact_residuals([(f, 2, 0)], C)
 
 
 def test_mixed_mock_terms(ctx):
