@@ -23,7 +23,7 @@ from .gaussian import GaussianRational
 from .jets import (Coordinates, Jet, JetSpace, compose_univariate, coordinate_jets,
                    imaginary_parts)
 from .lattice import GramLattice, discriminant, enumerate_shifted
-from .opcalc import apply_coefficients, build_heat
+from .opcalc import apply_coefficients, build_heat, support_space
 from .polys import PolySum
 from .precision import PrecisionContext, mpf_str, to_mpc, to_mpf
 from .specfun import (
@@ -563,7 +563,8 @@ def _worst_residual(op, cases, points, ctx):
     """For each case (f, k_value, lam), max_p |T f - lam f| / max(1, |f|)
     over the sample points, via jets; lam None means T f alone.
 
-    The cases share one rank.  The points are the outer loop: their
+    The cases share one rank, and the jets live on the operator's
+    ``support_space``.  The points are the outer loop: their
     coordinate jets, their imaginary parts and the per-point jets of
     ``_jet_at`` are built once and shared by every case, and the operator's
     coefficient values once per k_value.  Runs inside the caller's
@@ -572,7 +573,7 @@ def _worst_residual(op, cases, points, ctx):
     if not cases:
         return []
     N = cases[0][0].lattice.N
-    space = JetSpace.for_rank(N, op.order())
+    space = support_space(N, [op])
     worst = [mp.mpf(0)] * len(cases)
     for tau, z in points:
         coords = coordinate_jets(space, tau, z)

@@ -14,7 +14,10 @@ exponent, every output coefficient is summed exactly as an integer over a
 product table, and it is rounded to the working precision and rounding
 mode only when it is stored.  So results do not depend on the order of the
 terms, and a product of two one-term jets has the bits of mpmath's own
-product.  The tables of each (nvars, degree) are its JetSpace's.  A
+product.  A JetSpace is a downward-closed set of monomials, total degree
+being the special case, and owns the tables its jets read; a coefficient
+at a monomial reads only coefficients at the monomials below it, so a
+jet on a smaller set has the bits of the total-degree one there.  A
 jet built from a dict with a non-finite coefficient, and a product by a
 non-finite scalar, raise DomainError; the jets that the engine builds
 itself (``_jet``) are finite by construction and go unchecked.
@@ -23,7 +26,7 @@ itself (``_jet``) are finite by construction and go unchecked.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
 
 from mpmath import mp
@@ -83,6 +86,8 @@ def _mul_exact(a, b, rows):
             if j >= n:
                 break
             k = row[j]
+            if k is None:
+                continue
             ore[k] += x * u - y * v
             oim[k] += x * v + y * u
     return ore, oim, ea + eb
@@ -128,48 +133,92 @@ def _rounded(space: "JetSpace", exact) -> "Jet":
 
 
 class JetSpace(Keyed):
-    """Fixed number of variables and truncation degree, and the tables its
-    jets read: the monomials ``monos``, sorted by (total degree, exponent)
-    so that ``monos[0]`` is 1, their ``index``, for each monomial i the row
-    of indices of i + j over the prefix of monomials j with deg i + deg j
-    <= degree, and ``parents[k]``, (index of e - unit_v, v) for the last
-    variable v of monomial e = monos[k], k > 0."""
+    """A downward-closed set of monomials in ``nvars`` variables, and the
+    tables its jets read.  ``JetSpace(nvars, degree)`` is the set of total
+    degree at most ``degree``; ``of_monomials`` checks and gives any other
+    set, keyed ``(nvars, degree, monos)``, and ``degree`` is then its
+    highest total degree, the one bound that the one-variable series of
+    exp, powers and the reciprocal read.
+
+    The tables: the monomials ``monos``, sorted by (total degree,
+    exponent) so that ``monos[0]`` is 1, their ``index``, for each
+    monomial i the row of the index of i + j over the monomials j with
+    deg i + deg j <= degree (None where i + j is not in the set, and no
+    trailing None), and ``parents[k]``, (index of e - unit_v, v) for the
+    last variable v of monomial e = monos[k], k > 0."""
 
     __slots__ = ("nvars", "degree", "monos", "index", "rows", "parents")
 
-    def _init(self, nvars: int, degree: int):
+    def _init(self, nvars: int, degree: int, monos: tuple = None):
         if degree < 0:
             raise DomainError("jet degree must be nonnegative")
-        self.nvars = nvars
-        self.degree = degree
-        monos = []
-        upto = []
-        for d in range(degree + 1):
-            block = []
-            for combo in combinations_with_replacement(range(nvars), d):
-                e = [0] * nvars
-                for v in combo:
-                    e[v] += 1
-                block.append(tuple(e))
-            monos.extend(sorted(block))
-            upto.append(len(monos))
+        if monos is None:
+            monos = []
+            for d in range(degree + 1):
+                block = []
+                for combo in combinations_with_replacement(range(nvars), d):
+                    e = [0] * nvars
+                    for v in combo:
+                        e[v] += 1
+                    block.append(tuple(e))
+                monos.extend(sorted(block))
         index = {e: k for k, e in enumerate(monos)}
-        self.monos = tuple(monos)
-        self.index = index
-        self.rows = tuple(
-            tuple(index[tuple(x + y for x, y in zip(e1, e2))]
-                  for e2 in monos[:upto[degree - sum(e1)]])
-            for e1 in monos
-        )
         parents = [None]
         for e in monos[1:]:
             v = max(j for j, x in enumerate(e) if x)
             parents.append((index[e[:v] + (e[v] - 1,) + e[v + 1:]], v))
+        upto = [0] * (degree + 1)
+        for e in monos:
+            upto[sum(e)] += 1
+        for d in range(degree):
+            upto[d + 1] += upto[d]
+        rows = []
+        for e1 in monos:
+            row = [index.get(tuple(x + y for x, y in zip(e1, e2)))
+                   for e2 in monos[:upto[degree - sum(e1)]]]
+            while row[-1] is None:
+                row.pop()
+            rows.append(tuple(row))
+        self.nvars = nvars
+        self.degree = degree
+        self.monos = tuple(monos)
+        self.index = index
+        self.rows = tuple(rows)
         self.parents = tuple(parents)
 
     @staticmethod
     def for_rank(N: int, degree: int) -> "JetSpace":
         return JetSpace(2 * N + 2, degree)
+
+    @staticmethod
+    def of_monomials(monomials) -> "JetSpace":
+        """The space of a set of exponent tuples of one length, which must
+        hold 1 and, with each monomial, every monomial below it; a
+        total-degree set gives ``JetSpace(nvars, degree)`` itself."""
+        held = set(map(tuple, monomials))
+        monos = sorted(held, key=lambda e: (sum(e), e))
+        if not monos or any(monos[0]):
+            raise DomainError("a jet space holds the monomial 1")
+        nvars, degree = len(monos[0]), sum(monos[-1])
+        for e in monos:
+            if len(e) != nvars or any(x < 0 for x in e):
+                raise DomainError(f"{e} is not an exponent in {nvars} variables")
+            for v, x in enumerate(e):
+                if x and e[:v] + (x - 1,) + e[v + 1:] not in held:
+                    raise DomainError(f"a jet space that holds {e} holds the monomials below it")
+        if len(monos) == comb(nvars + degree, degree):
+            return JetSpace(nvars, degree)
+        return JetSpace(nvars, degree, tuple(monos))
+
+    def require(self, alpha) -> tuple:
+        """The exponent ``alpha`` as a tuple: DomainError unless it has
+        ``nvars`` entries, DegreeError unless the space holds it."""
+        alpha = tuple(alpha)
+        if len(alpha) != self.nvars:
+            raise DomainError(f"an exponent of {len(alpha)} entries in {self.nvars} jet variables")
+        if alpha not in self.index:
+            raise DegreeError(f"the jet space of degree {self.degree} does not hold {alpha}")
+        return alpha
 
 
 class Jet(SparseTerms):
@@ -208,10 +257,9 @@ class Jet(SparseTerms):
     @staticmethod
     def variable(space: JetSpace, i: int, base) -> "Jet":
         jet = Jet.const(space, base)
-        if space.degree >= 1:
-            e = [0] * space.nvars
-            e[i] = 1
-            jet.terms[tuple(e)] = mp.mpc(1)
+        e = tuple(int(v == i) for v in range(space.nvars))
+        if e in space.index:
+            jet.terms[e] = mp.mpc(1)
         return jet
 
     # -- ring operations -----------------------------------------------------
@@ -281,12 +329,9 @@ class Jet(SparseTerms):
 
     def derivative_at_base(self, alpha) -> "mp.mpc":
         """The partial derivative of the represented function at the base
-        point, multi-index alpha over the jet variables."""
-        alpha = tuple(alpha)
-        if sum(alpha) > self.space.degree:
-            raise DegreeError(
-                f"jet of degree {self.space.degree} cannot deliver order {sum(alpha)}"
-            )
+        point, multi-index alpha over the jet variables: DomainError for an
+        alpha of another length, DegreeError for one the space lacks."""
+        alpha = self.space.require(alpha)
         c = self.terms.get(alpha, mp.mpc(0))
         scale = 1
         for a in alpha:

@@ -26,7 +26,7 @@ from mpmath import mp
 
 from . import group, linalg
 from .enveloping import JacobiLieAlgebra, PBWElement
-from .errors import DegreeError, DomainError
+from .errors import DomainError
 from .gaussian import I, ONE, ZERO, GaussianRational
 from .group import J2, AlgebraElement, GroupElement, Point, automorphy_factor, weight_gap
 from .jets import Coordinates, Jet, JetSpace, coordinate_jets, imaginary_parts
@@ -252,11 +252,11 @@ class DiffOp(SparseTerms):
 
     def apply_jet(self, jet: Jet, tau, z, k_value=None):
         """Value of (T f)(p) from a jet of f at p = (tau, z); the arguments
-        after the jet are those of ``coefficients_at``."""
-        if jet.space.degree < self.order():
-            raise DegreeError(
-                f"operator order {self.order()} exceeds jet degree {jet.space.degree}"
-            )
+        after the jet are those of ``coefficients_at``.  Each derivative
+        exponent of T must be a monomial of the jet's space
+        (``JetSpace.require``)."""
+        for e in self.terms:
+            jet.space.require(e)
         return apply_coefficients(self.coefficients_at(tau, z, k_value), jet)
 
     # -- rendering ---------------------------------------------------------------------------
@@ -285,6 +285,44 @@ def apply_coefficients(coefficients: list, jet: Jet):
     for e, c in coefficients:
         acc += c * jet.derivative_at_base(e)
     return acc
+
+
+def support_space(N: int, ops) -> JetSpace:
+    """The jet space of rank N on the monomials that ``ops`` read: the
+    downward closure of their derivative exponents and 1, closed under the
+    moves tau -> z_j and taubar -> zbar_j (one factor tau of a monomial
+    replaced by one z_j, or one taubar by one zbar_j).
+
+    Jets built at a point on a downward-closed set have the bits of the
+    total-degree ones there (``jets``).  The moves make the set fit
+    ``slashed_jet``'s composition f(g p) too.  Under the Jacobi action the
+    offset of tau' is a series in tau alone, and the offset of z'_j a
+    series in tau and z_j alone whose monomials are each >= tau or >= z_j
+    (and likewise for taubar' and zbar'_j).  So every monomial m of
+    delta^k is >= r(k), where r replaces some z_j by tau and some zbar_j by
+    taubar.  If the set holds m it holds r(k), and then k, by the moves; so
+    an outer monomial k outside the set adds nothing to a coefficient in
+    it, and f at g p can live in the same space.  With d_tau^2 alone at
+    N = 2 the downward closure has 3 monomials and the closed set 10."""
+    nvars = 2 * N + 2
+    moves = [(0, 2 + j) for j in range(N)] + [(1, 2 + N + j) for j in range(N)]
+    support = set()
+    todo = [(0,) * nvars, *(e for T in ops for e in T.terms)]
+    while todo:
+        e = todo.pop()
+        if e in support:
+            continue
+        support.add(e)
+        for v, x in enumerate(e):
+            if x:
+                todo.append(e[:v] + (x - 1,) + e[v + 1:])
+        for a, b in moves:
+            if e[a]:
+                m = list(e)
+                m[a] -= 1
+                m[b] += 1
+                todo.append(tuple(m))
+    return JetSpace.of_monomials(support)
 
 
 # -- sums of operators and the forms built on the derivative basis ----------------------------
@@ -639,13 +677,16 @@ class GaussianSeed:
         return sum((w * w * c for c, w in zip(self.quad, vars_)), acc).exp()
 
 
-def slashed_jet(seed, weights, L: GramLattice, g, tau, z, degree: int):
-    """Jets of f|_{k,kbar,L}[g] at (tau, z), one for each (k, kbar) in
-    ``weights``, plus the jet of f at the point g(tau, z) and that point.
+def slashed_jet(seed, weights, L: GramLattice, g, tau, z, space: JetSpace):
+    """Jets of f|_{k,kbar,L}[g] at (tau, z) in ``space``, one for each (k,
+    kbar) in ``weights``, plus the jet of f at the point g(tau, z), in the
+    same space, and that point.
 
-    The weight-free part is built once: the coordinate action on the tau
-    and taubar jets, f at g(tau, z) composed with it, beta, betabar and
-    the alpha_L jet.  Each weight pair then gives composed * weight * alpha.
+    ``space`` is a total-degree space of rank L.N or the ``support_space``
+    of the operators the jets serve, which is closed under the moves that
+    composing with the group action needs.  The weight-free part is built
+    once: the coordinate action on the tau and taubar jets, f at g(tau, z)
+    composed with it, beta, betabar and the alpha_L jet.  Each weight pair then gives composed * weight * alpha.
     The coordinate map and the a-cocycle are group's, run on jets; they are
     looked up on the module, so that the benchmark tracer's patches of
     group are seen.  Runs inside the caller's working-precision block.
@@ -653,8 +694,6 @@ def slashed_jet(seed, weights, L: GramLattice, g, tau, z, degree: int):
     weights single-valued.
     """
     gaps = [(weight_gap(k, kbar), Fraction(kbar)) for k, kbar in weights]
-    N = L.N
-    space = JetSpace.for_rank(N, degree)
     coords = coordinate_jets(space, tau, z)
     gm = g.to_numeric() if g.exact else g
     tau_p, z_p, beta = group.act_coordinates(gm, coords.tau, coords.z)
@@ -735,11 +774,12 @@ def covariance_residuals(jobs, L: GramLattice, samples: int, ctx: PrecisionConte
 
     The seed f is a fixed Gaussian-exponential; each residual is normalized
     by max(1, |rhs|).  Every job sees the same samples.  Per sample there is
-    one ``slashed_jet`` call, at the highest order of the jobs, with one jet
-    per source weight pair, and one automorphy factor per target weight
-    pair.  A jet coefficient is an exact sum rounded once and does not
-    depend on the higher-order ones, so each residual has the bits of a
-    check of its job alone at the order of its operator.
+    one ``slashed_jet`` call, on the ``support_space`` of the jobs'
+    operators, with one jet per source weight pair, and one automorphy
+    factor per target weight pair.  A jet coefficient is an exact sum
+    rounded once and reads only the coefficients below it, so each residual
+    has the bits of a check of its job alone in the total-degree space of
+    the order of its operator.
     """
     import random
 
@@ -748,14 +788,14 @@ def covariance_residuals(jobs, L: GramLattice, samples: int, ctx: PrecisionConte
     seed = GaussianSeed(N)
     sources = list(dict.fromkeys((k, kbar) for _, k, _, kbar, _ in jobs))
     targets = list(dict.fromkeys((k2, kbar2) for _, _, k2, _, kbar2 in jobs))
-    degree = max((T.order() for T, *_ in jobs), default=0)
+    space = support_space(N, [T for T, *_ in jobs])
     worst = [mp.mpf(0)] * len(jobs)
     with ctx.working():
         kvs = [to_mpc(Fraction(k)) for _, k, *_ in jobs]
         for _ in range(samples):
             g = random_group_element(N, rng)
             tau, z = random_point(N, rng)
-            sjs, f_at_q, (q_tau, q_z) = slashed_jet(seed, sources, L, g, tau, z, degree)
+            sjs, f_at_q, (q_tau, q_z) = slashed_jet(seed, sources, L, g, tau, z, space)
             slashed = dict(zip(sources, sjs))
             gm, p = g.to_numeric(), Point(tau, z)
             factors = {(k2, kbar2): automorphy_factor(k2, kbar2, L.entries, gm, p, ctx)

@@ -180,6 +180,32 @@ def test_point_sums_match_the_loop(ctx, h, r, degree):
         assert list(got.terms.items()) == list((expo * (2j * mp.pi)).exp().terms.items())
 
 
+def test_worst_residual_has_the_bits_of_the_total_degree_space(monkeypatch):
+    # the cases of test_16_fourier_term_templates, on the operators'
+    # support space and, as the oracle, on the total-degree space of their
+    # order
+    ctx = PrecisionContext(bits=128)
+    with ctx.working():
+        pts = [(mp.mpc("0.13", "0.9"), [mp.mpc("0.21", "0.17")]),
+               (mp.mpc("-0.4", "0.8"), [mp.mpc("-0.3", "0.4")]),
+               (mp.mpc("0.05", "0.6"), [mp.mpc("0.4", "-0.2")])]
+    L1, L2 = GramLattice([[1]]), GramLattice([[2]])
+    C1, C2 = build_casimir_op(L1), build_casimir_op(L2)
+
+    def residuals():
+        return [casimir_residual(maass_fourier_term("c-", 2, L1, -1, [1]), C1, 2, pts, ctx),
+                heat_residual(skew_fourier_term(L1, 1, [1]), pts, ctx),
+                heat_residual(skew_fourier_term(L2, 1, [2]), pts, ctx),
+                casimir_residual(mixed_mock_term(1, L2, 0, [2], 1, [0]), C2, 1, pts, ctx),
+                casimir_residual(mixed_mock_term(2, L2, 0, [2], 1, [0]), C2, 2, pts, ctx)]
+
+    on_support = residuals()
+    monkeypatch.setattr("maassjacobi.fourier.support_space",
+                        lambda N, ops: JetSpace.for_rank(N, max(T.order() for T in ops)))
+    assert on_support == residuals()
+    assert on_support[4] > mp.mpf("1e-3") > max(on_support[:4])
+
+
 @pytest.mark.parametrize("h", [[1], [1, 0, 2]], ids=["short", "long"])
 def test_e_profile_h_of_another_rank_is_a_domain_error(h):
     L = GramLattice([[2, 1], [1, 2]])

@@ -315,16 +315,19 @@ def test_exact_objects_copy_and_pickle():
     assert pickle.loads(pickle.dumps(x))._abd == (2, -3, 4)
 
 
-# a key of each structure built once per key
-_KEYS = {OpRing: (2,), JacobiLieAlgebra: (2,), JetSpace: (6, 2)}
+# keys of each structure built once per key: for JetSpace, a total-degree
+# space and the space on 1, tau and tau^2 of two variables
+_KEYS = {OpRing: [(2,)], JacobiLieAlgebra: [(2,)],
+         JetSpace: [(6, 2), (2, 2, ((0, 0), (1, 0), (2, 0)))]}
 
 
 @pytest.mark.parametrize("cls", Keyed.__subclasses__(), ids=lambda cls: cls.__name__)
 def test_keyed_structures_are_one_instance_per_key(cls):
-    obj = cls(*_KEYS[cls])
-    assert cls(*_KEYS[cls]) is obj
-    for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
-        assert clone is obj
+    for key in _KEYS[cls]:
+        obj = cls(*key)
+        assert cls(*key) is obj
+        for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert clone is obj
 
 
 def test_a_jets_clones_share_its_space():

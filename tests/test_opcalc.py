@@ -40,6 +40,7 @@ from maassjacobi.opcalc import (
     uea_to_op,
     GaussianSeed,
     slashed_jet,
+    support_space,
 )
 from maassjacobi.polys import Poly
 from maassjacobi.precision import PrecisionContext, to_mpc
@@ -529,7 +530,8 @@ def test_slashed_jet_value_is_the_slash(ctx, entries, k, kbar):
         for _ in range(4):
             g = random_group_element(N, rng)
             tau, z = random_point(N, rng)
-            (jet,), _, _ = slashed_jet(seed, [(k, kbar)], L, g, tau, z, 1)
+            (jet,), _, _ = slashed_jet(seed, [(k, kbar)], L, g, tau, z,
+                                       JetSpace.for_rank(N, 1))
             expect = slash(lambda p: _seed_value(seed, p.tau, p.z), k, kbar, L.entries,
                            g, ctx)(Point(tau, z))
             assert abs(jet.value - expect) < mp.mpf("1e-30") * abs(expect)
@@ -551,8 +553,8 @@ def _per_operator_residuals(jobs, L, samples, ctx):
             for _ in range(samples):
                 g = random_group_element(N, rng)
                 tau, z = random_point(N, rng)
-                (sj,), f_at_q, (q_tau, q_z) = slashed_jet(seed, [(k, kbar)], L, g, tau, z,
-                                                          T.order())
+                (sj,), f_at_q, (q_tau, q_z) = slashed_jet(
+                    seed, [(k, kbar)], L, g, tau, z, JetSpace.for_rank(N, T.order()))
                 lhs = T.apply_jet(sj, tau, z, k_value=kv)
                 factor = automorphy_factor(k2, kbar2, L.entries, g.to_numeric(),
                                            Point(tau, z), ctx)
@@ -578,6 +580,107 @@ def test_shared_covariance_matches_the_per_operator_oracle(N, which, samples, bi
     shared = covariance_residuals(jobs, L, samples, ctx)
     assert shared == _per_operator_residuals(jobs, L, samples, ctx)
     assert all(r < mp.mpf("1e-22") for r in shared)
+
+
+# -- jets on the monomials the operators read ------------------------------------
+
+SUPPORT_LATTICES = [GramLattice([[2]]), GramLattice([[2, 1], [1, 2]]),
+                    GramLattice([[2, 0], [0, 4]]),
+                    GramLattice([[2, 1, 0], [1, 2, 1], [0, 1, 2]])]
+SUPPORT_IDS = ["2", "2,1;1,2", "2,0;0,4", "A3"]
+
+
+def _on(jet, space):
+    """The terms of ``jet`` at the monomials of ``space``."""
+    return {e: c for e, c in jet.terms.items() if e in space.index}
+
+
+def _total_degree_space(N, ops):
+    """The oracle of ``support_space``: every monomial up to the highest
+    order of ``ops``."""
+    return JetSpace.for_rank(N, max(T.order() for T in ops))
+
+
+@pytest.mark.parametrize("L", SUPPORT_LATTICES, ids=SUPPORT_IDS)
+def test_support_space_jets_have_the_bits_of_the_total_degree_ones(L, monkeypatch):
+    # every source weight pair of `verify covariance`, and the residuals
+    ctx = PrecisionContext(bits=128)
+    N = L.N
+    jobs = list(covariance_jobs(L).values())
+    ops = [T for T, *_ in jobs]
+    space, full = support_space(N, ops), _total_degree_space(N, ops)
+    assert len(space.monos) < len(full.monos)
+    sources = list(dict.fromkeys((k, kbar) for _, k, _, kbar, _ in jobs))
+    seed = GaussianSeed(N)
+    rng = random.Random(90 + N)
+    with ctx.working():
+        for _ in range(3):
+            g = random_group_element(N, rng)
+            tau, z = random_point(N, rng)
+            sjs, f_at_q, q = slashed_jet(seed, sources, L, g, tau, z, space)
+            full_sjs, full_f_at_q, full_q = slashed_jet(seed, sources, L, g, tau, z, full)
+            assert q == full_q
+            assert f_at_q.terms == _on(full_f_at_q, space)
+            for sj, full_sj in zip(sjs, full_sjs):
+                assert sj.terms == _on(full_sj, space)
+    on_support = covariance_residuals(jobs, L, 2, ctx)
+    monkeypatch.setattr("maassjacobi.opcalc.support_space", _total_degree_space)
+    assert on_support == covariance_residuals(jobs, L, 2, ctx)
+
+
+def test_the_moves_are_what_the_composition_needs(ctx):
+    # d_tau^2 alone at N = 2: its downward closure 1, tau, tau^2 misses the
+    # outer monomials z_j that the composition carries into tau^2
+    L = GramLattice([[2, 1], [1, 2]])
+    d = OpRing(2).d
+    op = d.tau.compose(d.tau)
+    space = support_space(2, [op])
+    assert len(space.monos) == 10
+    bare = JetSpace.of_monomials([(0,) * 6, (1,) + (0,) * 5, (2,) + (0,) * 5])
+    full = JetSpace.for_rank(2, 2)
+    seed = GaussianSeed(2)
+    rng = random.Random(91)
+    tau2 = (2,) + (0,) * 5
+    with ctx.working():
+        for _ in range(3):
+            g = random_group_element(2, rng)
+            tau, z = random_point(2, rng)
+            jets = {sp: slashed_jet(seed, [(3, 0)], L, g, tau, z, sp)[0][0]
+                    for sp in (space, bare, full)}
+            assert jets[space].terms == _on(jets[full], space)
+            assert jets[bare].terms[tau2] != jets[full].terms[tau2]
+
+
+@pytest.mark.parametrize("L", SUPPORT_LATTICES, ids=SUPPORT_IDS)
+def test_support_space_is_closed_and_holds_the_operators(L):
+    N = L.N
+    ops = [T for T, *_ in covariance_jobs(L).values()]
+    space = support_space(N, ops)
+    held = set(space.monos)
+    assert space.monos[0] == (0,) * (2 * N + 2)
+    assert all(e in held for T in ops for e in T.terms)
+    for e in space.monos:
+        for v, x in enumerate(e):
+            if x:
+                assert e[:v] + (x - 1,) + e[v + 1:] in held
+        for a, b in [(0, 2 + j) for j in range(N)] + [(1, 2 + N + j) for j in range(N)]:
+            if e[a]:
+                m = list(e)
+                m[a] -= 1
+                m[b] += 1
+                assert tuple(m) in held
+    # the same set, given to of_monomials, is the same instance
+    assert JetSpace.of_monomials(reversed(space.monos)) is space
+    assert space.degree == max(T.order() for T in ops)
+
+
+def test_of_monomials_checks_the_set_and_keeps_total_degree_spaces():
+    assert JetSpace.of_monomials(JetSpace(3, 2).monos) is JetSpace(3, 2)
+    assert JetSpace.of_monomials([(2, 0), (0, 0), (1, 0)]) is \
+        JetSpace(2, 2, ((0, 0), (1, 0), (2, 0)))
+    for monos in ([], [(1, 0)], [(0, 0), (2, 0)], [(0, 0), (0, 1, 0)], [(0, 0), (-1, 1)]):
+        with pytest.raises(DomainError):
+            JetSpace.of_monomials(monos)
 
 
 def test_heat_covariance_type(ctx):
@@ -662,6 +765,29 @@ def test_apply_jet_degree_error(ctx):
         jet = seed.jet(coordinate_jets(space, mp.mpc(0, 1), [mp.mpc(0)]))
         with pytest.raises(DegreeError):
             C.apply_jet(jet, mp.mpc(0, 1), [mp.mpc(0)], k_value=mp.mpf(2))
+
+
+def test_an_exponent_the_jet_lacks_is_an_error_not_a_zero(ctx):
+    # a rank-2 operator on a rank-1 jet, whose z has the operator's two
+    # entries, read 0 once; so did an exponent of another length
+    X_plus = build_raising_lowering(GramLattice([[2, 1], [1, 2]]))["X+"]
+    tau, z = mp.mpc("0.1", "1.1"), [mp.mpc("0.2", "0.1"), mp.mpc("-0.1", "0.3")]
+    with ctx.working():
+        jet = GaussianSeed(1).jet(coordinate_jets(JetSpace.for_rank(1, 2), tau, z[:1]))
+        with pytest.raises(DomainError, match="entries"):
+            X_plus.apply_jet(jet, tau, z, k_value=mp.mpf(3))
+        with pytest.raises(DomainError):
+            jet.derivative_at_base((1, 0, 0, 0, 0, 0))
+        with pytest.raises(DegreeError):
+            jet.derivative_at_base((3, 0, 0, 0))
+        # below the degree, but outside a space on 1, tau and tau^2
+        space = JetSpace.of_monomials([(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)])
+        jet = GaussianSeed(1).jet(coordinate_jets(space, tau, z[:1]))
+        assert jet.derivative_at_base((2, 0, 0, 0)) != 0
+        with pytest.raises(DegreeError):
+            jet.derivative_at_base((0, 1, 0, 0))
+        with pytest.raises(DegreeError):
+            build_heat(GramLattice([[2]])).apply_jet(jet, tau, z[:1])
 
 
 def test_formal_k_without_a_k_value_is_a_domain_error(ctx):
