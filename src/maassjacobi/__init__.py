@@ -12,7 +12,6 @@ from .errors import (
     DomainError,
     PoleError,
     PrecisionError,
-    DivisibilityError,
     NotSemiHolomorphicError,
     DegreeError,
     UsageError,
@@ -38,7 +37,6 @@ from .enveloping import (
     PBWElement,
     LocalizedPBW,
     pbw_normal_order,
-    divide_by_det,
     build_casimir,
     check_centrality,
     eta,

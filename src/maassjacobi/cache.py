@@ -4,6 +4,10 @@ Entries are keyed by the SHA-256 of the canonical JSON of (operation,
 config); the config always embeds the precision context, so results at
 different precision never alias.  Corrupt entries are recomputed and
 overwritten with a warning.
+
+A store writes a temporary file and renames it into place, so a reader
+sees the old entry or the new one, never a part; a store of the bytes an
+entry already holds writes nothing.
 """
 
 from __future__ import annotations
@@ -50,10 +54,17 @@ def store(operation: str, config: dict, result: str):
     d = cache_dir()
     os.makedirs(d, exist_ok=True)
     path = os.path.join(d, cache_key(operation, config) + ".json")
+    data = json.dumps({"operation": operation, "config": config, "result": result},
+                      sort_keys=True, separators=(",", ":")).encode("utf-8")
+    try:
+        with open(path, "rb") as fh:
+            if fh.read() == data:
+                return
+    except OSError:
+        pass
     # a temp file of its own per writer process: concurrent stores of one
     # key must not move each other's file away
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"operation": operation, "config": config, "result": result},
-                  fh, sort_keys=True, separators=(",", ":"))
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)

@@ -20,10 +20,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from . import linalg
-from .errors import DivisibilityError, DomainError
+from .errors import DomainError
 from .gaussian import GaussianRational, I, format_gaussian, parse_gaussian
 from .polys import Keyed, Poly, PolyRing, SparseTerms, merge_terms
 
@@ -361,26 +362,34 @@ def adj_form(alg, u, v) -> PBWElement:
     return acc
 
 
-# -- exact division by det(Z) ------------------------------------------------------
+# -- the quartic part, from the complementary minors of Z -------------------------
 
 
-def divide_by_det(a: PBWElement) -> PBWElement:
-    """Exact quotient of ``a`` by the central determinant det(Z).
+def quartic_over_det(Z, e, f):
+    """(sum_ij e_i (e^T A f) A_ij f_j - (e^T A e)(f^T A f)) / det(Z), A = adj(Z),
+    with no division.
 
-    The divisibility is a theorem for the inputs this is applied to, so a
-    failure raises DivisibilityError rather than returning a remainder.
+    With Z symmetric and central the numerator is the sum over i, a, b, j
+    of e_i e_a f_b f_j (A_ij A_ab - A_ia A_bj), whose bracket is the minor
+    of A on rows {i, b} and columns {j, a}.  By Jacobi's complementary-minor
+    theorem (Horn & Johnson, *Matrix Analysis*, 2nd ed., ch. 0) that is
+    sgn(b - i) sgn(a - j) (-1)^(i+b+j+a) det(Z) times the minor of Z without
+    rows {j, a} and columns {i, b}; it vanishes at i = b or j = a, and the
+    four orders of each two pairs are the four words below.  Each product
+    is taken in written order, so this holds in the enveloping algebra too.
     """
-    alg = a.alg
-    d = det_z(alg).terms[alg._zero_nc]
-    out = {}
-    for w, p in a.terms.items():
-        try:
-            out[w] = p.divide_exact(d)
-        except DivisibilityError as exc:
-            raise DivisibilityError(
-                f"coefficient of {_monomial_text(alg, w)} is not divisible by det(Z)"
-            ) from exc
-    return PBWElement(alg, out)
+    N = len(Z)
+    acc = Z[0][0] * 0
+    one = acc + 1  # the empty minor, at N = 2
+    for i, b in combinations(range(N), 2):
+        cols = [c for c in range(N) if c not in (i, b)]
+        for j, a in combinations(range(N), 2):
+            sub = [[Z[r][c] for c in cols] for r in range(N) if r not in (j, a)]
+            minor = linalg.det(sub) if sub else one
+            term = minor * (e[i] * e[a] * f[b] * f[j] - e[b] * e[a] * f[i] * f[j]
+                            - e[i] * e[j] * f[b] * f[a] + e[b] * e[j] * f[i] * f[a])
+            acc = acc + (-term if (i + b + j + a) % 2 else term)
+    return acc
 
 
 # -- the Casimir element ------------------------------------------------------------
@@ -400,10 +409,7 @@ def build_casimir(N: int) -> PBWElement:
     half_n3 = GaussianRational(Fraction(N + 3, 2))
     mid = -(H * eZf - eZf.scale(half_n3)) + E * fZf - eZe * F
 
-    # sum_ij e_i eZf adj(Z)_ij f_j - eZe fZf
-    quart = adj_form(alg, [ei * eZf for ei in e], f) - eZe * fZf
-    quart = divide_by_det(quart)
-
+    quart = quartic_over_det(z_matrix(alg), e, f)
     quarter = GaussianRational(Fraction(1, 4))
     return head + mid + quart.scale(quarter)
 
@@ -542,11 +548,9 @@ def build_classical_invariants(N: int) -> dict:
     detZ = linalg.det(Zm)
     adjZ = linalg.adjugate(Zm)
 
-    AQ = linalg.mul(adjZ, linalg.mat(Q))
-    trAQ2 = linalg.trace_mul(AQ, AQ)
-    PN = detZ * Q0 + linalg.trace_mul(adjZ, C)
-    if trAQ2:
-        PN = PN + trAQ2.divide_exact(detZ).scale(half)
+    # tr((adj(Z) Q)^2) / (2 det(Z)), since Q = (f e^T - e f^T) / 2
+    PN = (detZ * Q0 + linalg.trace_mul(adjZ, C)
+          + quartic_over_det(Zm, e, f).scale(Fraction(1, 4)))
     return {"Q0": Q0, "Q": linalg.mat(Q), "C": linalg.mat(C), "PN": PN, "detZ": detZ}
 
 

@@ -21,10 +21,6 @@ class PrecisionError(MaassJacobiError):
     """A computation could not reach the requested precision."""
 
 
-class DivisibilityError(MaassJacobiError):
-    """An exact polynomial division that a theorem guarantees has failed."""
-
-
 class NotSemiHolomorphicError(MaassJacobiError):
     """An expansion does not satisfy the (D, r mod L) dependence required
     by the theta decomposition."""

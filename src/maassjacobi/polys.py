@@ -36,7 +36,7 @@ from operator import or_
 
 from mpmath import mp
 
-from .errors import DivisibilityError, DomainError
+from .errors import DomainError
 from .gaussian import GaussianRational, ONE, _reduced as _gaussian, power
 
 
@@ -535,50 +535,6 @@ class Poly:
                     term = term * powers[i, k]
             out = out + term
         return out
-
-    # -- division ----------------------------------------------------------
-
-    def divide_exact(self, divisor: "Poly") -> "Poly":
-        """Exact division by one polynomial divisor; DivisibilityError if
-        the quotient does not exist.  Requires plain (non-Laurent) exponents.
-
-        The numerators are divided fraction-free: with L the divisor's
-        leading numerator, each quotient numerator is the remainder's
-        leading numerator times conj(L), and unless L is a unit the
-        remainder is carried over a denominator that gains |L|^2 a step.
-        """
-        divisor = self._coerce(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        ring = self.ring
-        origin, guard = ring.origin, ring.guard
-        dnum = divisor.num
-        lead = max(dnum)
-        la, lb = dnum[lead]
-        norm = la * la + lb * lb
-        rest = [(md - origin, c) for md, c in dnum.items() if md != lead]
-        rem, rden = dict(self.num), 1
-        q = {}
-        while rem:
-            m = max(rem)
-            if (m - lead + guard) & guard != guard:
-                raise DivisibilityError(f"leading term {ring.unpack(m)} not divisible "
-                                        f"by divisor leading {ring.unpack(lead)}")
-            a, b = rem.pop(m)
-            qa, qb = a * la + b * lb, b * la - a * lb
-            if norm != 1:
-                rem = {k: (x * norm, y * norm) for k, (x, y) in rem.items()}
-                rden *= norm
-            diff = m - lead + origin
-            # each step cancels the leading term, so each diff comes once
-            q[diff] = (qa, qb, rden)
-            _merge(rem, ring.check({diff + md: (qb * db - qa * da, -qa * db - qb * da)
-                                    for md, (da, db) in rest}).items())
-        # self / divisor = (self.num / divisor.num) * divisor.den / self.den
-        den = lcm(*(d for _, _, d in q.values()))
-        f = divisor.den
-        return _reduced(ring, {m: (a * (f * den // d), b * (f * den // d))
-                               for m, (a, b, d) in q.items()}, den * self.den)
 
     # -- formatting ----------------------------------------------------------
 

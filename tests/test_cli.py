@@ -338,6 +338,53 @@ def test_concurrent_stores_of_one_key(cache_dir):
     assert not [f for f in os.listdir(cache_dir) if f.endswith(".tmp")]
 
 
+def _entry_path(operation, config):
+    return os.path.join(cache.cache_dir(), cache.cache_key(operation, config) + ".json")
+
+
+def test_store_of_equal_bytes_keeps_the_entry(cache_dir):
+    cache.store("once", {"x": 1}, '{"v": 1}')
+    path = _entry_path("once", {"x": 1})
+    inode = os.stat(path).st_ino
+    cache.store("once", {"x": 1}, '{"v": 1}')
+    assert os.stat(path).st_ino == inode
+    assert os.listdir(cache_dir) == [os.path.basename(path)]
+
+
+def test_store_of_other_bytes_replaces_the_entry(cache_dir):
+    cache.store("once", {"x": 1}, '{"v": 1}')
+    cache.store("once", {"x": 1}, '{"v": 2}')
+    assert cache.lookup("once", {"x": 1}) == '{"v": 2}'
+    assert os.listdir(cache_dir) == [os.path.basename(_entry_path("once", {"x": 1}))]
+
+
+@pytest.mark.parametrize("bad", ["", "{ this is not json"], ids=["empty", "garbage"])
+def test_corrupt_entry_is_rewritten_with_its_warning(cache_dir, capsys, bad):
+    cache.store("once", {"x": 1}, '{"v": 1}')
+    with open(_entry_path("once", {"x": 1}), "w") as fh:
+        fh.write(bad)
+    assert cache.lookup("once", {"x": 1}) is None
+    assert capsys.readouterr().err.startswith("warning: corrupt cache entry")
+    cache.store("once", {"x": 1}, '{"v": 1}')
+    assert cache.lookup("once", {"x": 1}) == '{"v": 1}'
+    assert capsys.readouterr().err == ""
+
+
+def test_leftover_temp_file_does_not_touch_the_entry(cache_dir):
+    # a store that crashed before its rename leaves its temp file behind
+    cache.store("once", {"x": 1}, '{"v": 1}')
+    path = _entry_path("once", {"x": 1})
+    with open(f"{path}.{os.getpid()}.tmp", "w") as fh:
+        fh.write("{ half a store")
+    inode = os.stat(path).st_ino
+    cache.store("once", {"x": 1}, '{"v": 1}')
+    assert os.stat(path).st_ino == inode
+    assert cache.lookup("once", {"x": 1}) == '{"v": 1}'
+    cache.store("once", {"x": 1}, '{"v": 2}')
+    assert cache.lookup("once", {"x": 1}) == '{"v": 2}'
+    assert os.listdir(cache_dir) == [os.path.basename(path)]
+
+
 def test_no_cache_flag(cache_dir, capsys):
     args = ("--no-cache", "kloosterman", "--c", "2", "--L", "2", "--n", "1",
             "--r", "0", "--nprime", "1", "--rprime", "0")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maassjacobi import cache
+from maassjacobi import cache, linalg
 from maassjacobi.cli import main
 
 from maassjacobi.enveloping import (
@@ -20,7 +20,6 @@ from maassjacobi.enveloping import (
     build_classical_invariants,
     check_centrality,
     det_z,
-    divide_by_det,
     eta,
     nu,
     nu_casimir_identity,
@@ -31,7 +30,7 @@ from maassjacobi.enveloping import (
     tau_automorphism,
     tilde_basis,
 )
-from maassjacobi.errors import DivisibilityError, DomainError
+from maassjacobi.errors import DomainError
 from maassjacobi.gaussian import ZERO, GaussianRational, I
 from maassjacobi.group import AlgebraElement
 from maassjacobi.opcalc import random_algebra_element
@@ -277,34 +276,33 @@ def test_adjugate_substitute():
     assert got == expect
 
 
-def test_divide_by_det():
-    for N in (1, 2):
-        alg = JacobiLieAlgebra(N)
-        d = det_z(alg)
-        assert divide_by_det(d) == PBWElement.const(alg, 1)
-        # divide then multiply is the identity on random elements
-        rng = random.Random(N)
-        for _ in range(10):
-            w = [rng.randrange(alg.ngen) for _ in range(rng.randint(0, 4))]
-            a = pbw_normal_order(alg, w).scale(
-                GaussianRational(Fraction(rng.randint(1, 5), rng.randint(1, 3))))
-            assert divide_by_det(a * d) == a
-        # the quartic numerator is divisible (the P element)
-        ev, fv = alg.e_gens, alg.f_gens
-        eZf = adj_form(alg, ev, fv)
-        eZe = adj_form(alg, ev, ev)
-        fZf = adj_form(alg, fv, fv)
-        quart = PBWElement.zero(alg)
-        from maassjacobi.enveloping import adj_z
-        adj = adj_z(alg)
-        for i in range(N):
-            for j in range(N):
-                quart = quart + ev[i] * eZf * adj[i][j] * fv[j]
-        quart = quart - eZe * fZf
-        divide_by_det(quart)  # must not raise
-    alg2 = JacobiLieAlgebra(2)
-    with pytest.raises(DivisibilityError):
-        divide_by_det(PBWElement.gen(alg2, "Z11") * PBWElement.gen(alg2, "e1"))
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_casimir_times_det_is_the_adjugate_numerator(N):
+    # det(Z) Omega_N = det(Z) (head + mid) + numerator / 4: the quartic part
+    # is numerator / det(Z), numerator = sum_ij e_i eZf adj(Z)_ij f_j - eZe fZf
+    alg = JacobiLieAlgebra(N)
+    E, F, H = (PBWElement.gen(alg, g) for g in "EFH")
+    d = det_z(alg)
+    e, f = alg.e_gens, alg.f_gens
+    eZf, fZf, eZe = adj_form(alg, e, f), adj_form(alg, f, f), adj_form(alg, e, e)
+    head = d * (H * H - H.scale(N + 2) + (E * F).scale(4))
+    mid = -(H * eZf - eZf.scale(Fraction(N + 3, 2))) + E * fZf - eZe * F
+    numerator = adj_form(alg, [ei * eZf for ei in e], f) - eZe * fZf
+    assert d * build_casimir(N) == d * (head + mid) + numerator.scale(Fraction(1, 4))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_pn_times_det_is_the_trace_form(N):
+    # det(Z) P_N = det(Z) (det(Z) Q0 + tr(adj(Z) C)) + tr((adj(Z) Q)^2) / 2
+    data = build_classical_invariants(N)
+    R = JacobiLieAlgebra(N).sym_ring
+    adj = linalg.adjugate(linalg.mat(
+        [[R.var(f"Z{min(i, j) + 1}{max(i, j) + 1}") for j in range(N)] for i in range(N)]))
+    detZ = data["detZ"]
+    AQ = linalg.mul(adj, data["Q"])
+    expect = (detZ * (detZ * data["Q0"] + linalg.trace_mul(adj, data["C"]))
+              + linalg.trace_mul(AQ, AQ).scale(Fraction(1, 2)))
+    assert detZ * data["PN"] == expect
 
 
 def test_casimir_n1_matches_displayed_expansion():
@@ -485,6 +483,9 @@ def test_tau_automorphism():
     (1, "44043f09128e3cd86cd33b80ba782d6474bd8ff5094ef6cf5d5ea2dc0e2dad8f"),
     (2, "bb1e380ad7e036daf8cb9c5daccdd6d5fd11410603a3a781eeefffcc2db2399c"),
     (3, "a8e3c2721661da58d4497b96d3c8e911c3ded546dddef07019b14540b313eba0"),
+    (4, "1e2ae20af40fb1639b7fe8b7512d68cd1412fa50fbd05ec77e52535f904f9de2"),
+    (5, "ed927bc8abc169517e8dc6e3ddb581d1fae5c765fc3af11bca3aeca77bfd96a3"),
+    (6, "becdd2aa05b642ad4b1ec938ddb79d8776afbc1fe55358f9d7e2bf4f55f62824"),
 ])
 def test_casimir_json_is_unchanged(N, digest):
     assert hashlib.sha256(pbw_to_json(build_casimir(N)).encode()).hexdigest() == digest

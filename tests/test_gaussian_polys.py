@@ -12,7 +12,7 @@ from mpmath import mp
 
 from maassjacobi import linalg
 from maassjacobi.enveloping import JacobiLieAlgebra, PBWElement, pbw_normal_order
-from maassjacobi.errors import DivisibilityError, DomainError
+from maassjacobi.errors import DomainError
 from maassjacobi.gaussian import (
     ZERO,
     GaussianRational,
@@ -193,9 +193,6 @@ def test_poly_arithmetic_and_division():
     p = (a + b) * (a - b)
     assert p == a * a - b * b
     q = (a * a - b * b) * (c + 2) + R.zero()
-    assert q.divide_exact(a + b) == (a - b) * (c + 2)
-    with pytest.raises(DivisibilityError):
-        (a * a + b).divide_exact(a + b)
     # laurent variables
     Ry = PolyRing(["y", "v"], laurent=("y",))
     y = Ry.var("y")
@@ -572,21 +569,6 @@ class DictPoly:
             acc = t if acc is None else acc + t
         return acc if acc is not None else to_num(ZERO)
 
-    def divide_exact(self, divisor):
-        def grlex(e):
-            return sum(e), e
-        lead_e = max(divisor.terms, key=grlex)
-        lead_c = divisor.terms[lead_e]
-        rem, q = dict(self.terms), {}
-        while rem:
-            e = max(rem, key=grlex)
-            diff = tuple(map(operator.sub, e, lead_e))
-            if any(d < 0 for d in diff):
-                raise DivisibilityError(e)
-            qc = q[diff] = rem[e] / lead_c
-            rem = (DictPoly(self.ring, rem) - DictPoly(self.ring, {diff: qc}) * divisor).terms
-        return DictPoly(self.ring, q)
-
 
 def _same(got, want):
     """A Poly with the oracle's terms, in the oracle's order."""
@@ -651,24 +633,6 @@ def test_eval_numeric_matches_the_dict_oracle(p, q, k, tau, bits):
     _same(q.eval_exact(values),
           DictPoly.of(q).eval_numeric([DictPoly.of(v) for v in values],
                                       lambda c: DictPoly.of(R.const(c))))
-
-
-@settings(settings.get_profile("exact"), max_examples=60)
-@given(q=_op_polys(laurent=False), d=_op_polys(max_size=3, laurent=False),
-       r=_op_polys(max_size=2))
-def test_divide_exact_matches_the_dict_oracle(q, d, r):
-    # an exact quotient, and a remainder that may leave none
-    if d.is_zero():
-        return
-    for p in (q * d, q * d + r):
-        try:
-            want = DictPoly.of(p).divide_exact(DictPoly.of(d))
-        except DivisibilityError:
-            with pytest.raises(DivisibilityError):
-                p.divide_exact(d)
-            continue
-        _same(p.divide_exact(d), want)
-    assert (q * d).divide_exact(d) == q
 
 
 def test_poly_cancellations_and_big_coefficients_match_the_dict_oracle():
