@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -58,6 +57,8 @@ class JacobiLieAlgebra(Keyed):
         # the vectors (e_1, ..., e_N) and (f_1, ..., f_N) of PBW generators
         self.e_gens, self.f_gens = (tuple(PBWElement.gen(self, g(i)) for i in range(1, N + 1))
                                     for g in (self.e, self.f))
+        # Z's minors, each computed on first use: det(Z), adj(Z) and the quartic read them
+        self.z_minors = linalg.Minors(z_matrix(self))
 
     # -- indexing -------------------------------------------------------
 
@@ -342,19 +343,13 @@ def z_matrix(alg: JacobiLieAlgebra):
 
 
 def det_z(alg: JacobiLieAlgebra) -> PBWElement:
-    return linalg.det(z_matrix(alg))
-
-
-@lru_cache(maxsize=None)
-def adj_z(alg: JacobiLieAlgebra):
-    """adj(Z), computed once per rank: the algebra has one instance per rank."""
-    return linalg.adjugate(z_matrix(alg))
+    return alg.z_minors.det()
 
 
 def adj_form(alg, u, v) -> PBWElement:
     """sum_ij u_i adj(Z)_ij v_j = det(Z) (u^T Z^{-1} v), each product in
     written order."""
-    adj = adj_z(alg)
+    adj = alg.z_minors.adjugate()
     acc = PBWElement.zero(alg)
     for i in range(alg.N):
         for j in range(alg.N):
@@ -365,9 +360,9 @@ def adj_form(alg, u, v) -> PBWElement:
 # -- the quartic part, from the complementary minors of Z -------------------------
 
 
-def quartic_over_det(Z, e, f):
+def quartic_over_det(minor, e, f):
     """(sum_ij e_i (e^T A f) A_ij f_j - (e^T A e)(f^T A f)) / det(Z), A = adj(Z),
-    with no division.
+    with no division; ``minor`` is Z's ``linalg.Minors`` and N = len(e).
 
     With Z symmetric and central the numerator is the sum over i, a, b, j
     of e_i e_a f_b f_j (A_ij A_ab - A_ia A_bj), whose bracket is the minor
@@ -378,16 +373,14 @@ def quartic_over_det(Z, e, f):
     four orders of each two pairs are the four words below.  Each product
     is taken in written order, so this holds in the enveloping algebra too.
     """
-    N = len(Z)
-    acc = Z[0][0] * 0
-    one = acc + 1  # the empty minor, at N = 2
+    N = len(e)
+    acc = minor.a[0][0] * 0
     for i, b in combinations(range(N), 2):
-        cols = [c for c in range(N) if c not in (i, b)]
+        cols = tuple(c for c in range(N) if c not in (i, b))
         for j, a in combinations(range(N), 2):
-            sub = [[Z[r][c] for c in cols] for r in range(N) if r not in (j, a)]
-            minor = linalg.det(sub) if sub else one
-            term = minor * (e[i] * e[a] * f[b] * f[j] - e[b] * e[a] * f[i] * f[j]
-                            - e[i] * e[j] * f[b] * f[a] + e[b] * e[j] * f[i] * f[a])
+            rows = tuple(r for r in range(N) if r not in (j, a))
+            term = minor[rows, cols] * (e[i] * e[a] * f[b] * f[j] - e[b] * e[a] * f[i] * f[j]
+                                        - e[i] * e[j] * f[b] * f[a] + e[b] * e[j] * f[i] * f[a])
             acc = acc + (-term if (i + b + j + a) % 2 else term)
     return acc
 
@@ -409,7 +402,7 @@ def build_casimir(N: int) -> PBWElement:
     half_n3 = GaussianRational(Fraction(N + 3, 2))
     mid = -(H * eZf - eZf.scale(half_n3)) + E * fZf - eZe * F
 
-    quart = quartic_over_det(z_matrix(alg), e, f)
+    quart = quartic_over_det(alg.z_minors, e, f)
     quarter = GaussianRational(Fraction(1, 4))
     return head + mid + quart.scale(quarter)
 
@@ -545,12 +538,12 @@ def build_classical_invariants(N: int) -> dict:
     Zm = linalg.mat(
         [[R.var(f"Z{min(i, j) + 1}{max(i, j) + 1}") for j in range(N)] for i in range(N)]
     )
-    detZ = linalg.det(Zm)
-    adjZ = linalg.adjugate(Zm)
+    minor = linalg.Minors(Zm)
+    detZ = minor.det()
 
     # tr((adj(Z) Q)^2) / (2 det(Z)), since Q = (f e^T - e f^T) / 2
-    PN = (detZ * Q0 + linalg.trace_mul(adjZ, C)
-          + quartic_over_det(Zm, e, f).scale(Fraction(1, 4)))
+    PN = (detZ * Q0 + linalg.trace_mul(minor.adjugate(), C)
+          + quartic_over_det(minor, e, f).scale(Fraction(1, 4)))
     return {"Q0": Q0, "Q": linalg.mat(Q), "C": linalg.mat(C), "PN": PN, "detZ": detZ}
 
 

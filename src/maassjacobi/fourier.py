@@ -56,8 +56,8 @@ class FourierIndex(NamedTuple):
 #   E           {"nu": int, "h": [rationals]}        E((nu + h.v/y) sqrt(2y))
 
 
-def _profile_jet(tag: str, params: dict, imag: tuple, order: int,
-                 ctx: PrecisionContext, per_point: dict) -> Jet:
+def _profile_jet(tag: str, params: dict, imag: tuple, ctx: PrecisionContext,
+                 per_point: dict) -> Jet:
     y, v = imag
 
     def pi_y(c, exp=False):
@@ -80,11 +80,11 @@ def _profile_jet(tag: str, params: dict, imag: tuple, order: int,
         arg = pi_y(Fraction(params["arg"]))
         if tag == "H":
             derivs = h_profile_jet(Fraction(params["k"]), int(params["N"]),
-                                   arg.value.real, order, ctx)
+                                   arg.value.real, y.space.degree, ctx)
         else:
             whittaker = whittaker_W_jet if tag == "W" else whittaker_M_jet
             derivs = whittaker(Fraction(params["s"]), Fraction(params["kappa"]),
-                               arg.value.real, order, ctx)
+                               arg.value.real, y.space.degree, ctx)
         taylor = [d / factorial(j) for j, d in enumerate(derivs)]
         out = compose_univariate(taylor, arg)
         c2 = Fraction(params.get("eexp", 0))
@@ -98,7 +98,7 @@ def _profile_jet(tag: str, params: dict, imag: tuple, order: int,
             hv = sum((vj * to_mpf(hj) for vj, hj in zip(v, h) if hj), Jet.const(y.space, 0))
             w = w + hv * y.reciprocal()
         w = w * (y * 2).pow_scalar(mp.mpf("0.5"))
-        derivs = e_profile_jet(w.value.real, order, ctx)
+        derivs = e_profile_jet(w.value.real, y.space.degree, ctx)
         return compose_univariate([d / factorial(j) for j, d in enumerate(derivs)], w)
     raise DomainError(f"unknown profile tag {tag!r}")
 
@@ -172,7 +172,7 @@ class FourierExpansion:
         space = coords.tau.space
         acc = Jet.const(space, 0)
         for index, (tag, params, coeff) in self.terms.items():
-            pj = _profile_jet(tag, params, imag, space.degree, ctx, per_point)
+            pj = _profile_jet(tag, params, imag, ctx, per_point)
             qz = per_point.get(index)
             if qz is None:
                 qz = per_point[index] = _index_exponential_jet(index, coords)

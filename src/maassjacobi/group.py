@@ -289,22 +289,27 @@ def weight_gap(k, kprime) -> int:
     return int(gap)
 
 
-def automorphy_factor(k, kprime, L, g: GroupElement, p: Point,
+def automorphy_factor(weights, L, g: GroupElement, p: Point,
                       ctx: PrecisionContext):
-    """beta^(k-k') |beta|^(2k') alpha_L(g, p), the factor the slash action
-    puts in front of f(g p).
+    """beta^(k-k') |beta|^(2k') alpha_L(g, p) for each (k, k') in
+    ``weights``: the factors the slash action puts in front of f(g p).
+    beta, |beta|^2 and alpha_L are weight-free, so each is computed once.
 
     ``g`` and ``p`` are numeric and the caller holds the working-precision
     block; ``ctx`` sets the precision of alpha_L.  Raises DomainError
-    unless k - k' is an integer.
+    unless each k - k' is an integer.
     """
-    kprime = Fraction(kprime)
     beta = cocycle_beta(g.M, p.tau)
-    w = beta ** weight_gap(k, kprime)
-    if kprime:
-        w *= (beta * mp.conj(beta)).real ** to_mpf(kprime)
-    w *= cocycle_alpha(L, g, p, ctx)
-    return w
+    if any(kprime for _, kprime in weights):
+        modulus = (beta * mp.conj(beta)).real
+    alpha = cocycle_alpha(L, g, p, ctx)
+    out = []
+    for k, kprime in weights:
+        w = beta ** weight_gap(k, kprime)
+        if kprime:
+            w *= modulus ** to_mpf(Fraction(kprime))
+        out.append(w * alpha)
+    return out
 
 
 def slash(f, k, kprime, L, g: GroupElement, ctx: PrecisionContext):
@@ -320,7 +325,7 @@ def slash(f, k, kprime, L, g: GroupElement, ctx: PrecisionContext):
         with ctx.working():
             gm = g if not g.exact else g.to_numeric()
             pm = Point(to_mpc(p.tau), tuple(to_mpc(zj) for zj in p.z))
-            return automorphy_factor(k, kprime, L, gm, pm, ctx) * f(act(gm, pm))
+            return automorphy_factor([(k, kprime)], L, gm, pm, ctx)[0] * f(act(gm, pm))
 
     return slashed
 

@@ -76,45 +76,50 @@ def matvec(a, v):
     return tuple(_dot(r, v) for r in a)
 
 
+class Minors(dict):
+    """The minors of a square matrix ``a``, each computed on first use and
+    kept: ``minors[rows, cols]`` (sorted index tuples) expands along the
+    first of ``rows`` over the minors one size smaller, skipping zero
+    entries; the empty minor is the unit.  det(a) fills 2^n of them."""
+
+    def __init__(self, a):
+        n, m = dims(a)
+        if n != m:
+            raise ValueError("minors of a non-square matrix")
+        super().__init__({((), ()): a[0][0] * 0 + 1})
+        self.a = a
+
+    def __missing__(self, key):
+        rows, cols = key
+        row = self.a[rows[0]]
+        acc = row[cols[0]] * 0
+        for k, c in enumerate(cols):
+            if row[c]:
+                term = row[c] * self[rows[1:], cols[:k] + cols[k + 1:]]
+                acc = acc + (-term if k % 2 else term)
+        self[key] = acc
+        return acc
+
+    def det(self):
+        full = tuple(range(len(self.a)))
+        return self[full, full]
+
+    def adjugate(self):
+        """adj(a)_ij = (-1)^(i+j) times the minor without row j and column i."""
+        n = len(self.a)
+        rest = [tuple(k for k in range(n) if k != i) for i in range(n)]
+        return tuple(
+            tuple((-1) ** (i + j) * self[rest[j], rest[i]] for j in range(n))
+            for i in range(n)
+        )
+
+
 def det(a):
-    """Determinant by cofactor expansion, factorial in n: for ring entries
-    (PBW elements, polynomials) and the 2 x 2 group matrix, while a
-    Gram matrix goes through ``ldl``."""
-    n, m = dims(a)
-    if n != m:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    acc = a[0][0] * 0
-    for j in range(n):
-        if a[0][j]:
-            term = a[0][j] * _minor_det(a, 0, j)
-            acc = acc + (-term if j % 2 else term)
-    return acc
-
-
-def _minor_det(a, i, j):
-    n = len(a)
-    sub_rows = [
-        tuple(a[r][c] for c in range(n) if c != j)
-        for r in range(n) if r != i
-    ]
-    return det(tuple(sub_rows))
+    return Minors(a).det()
 
 
 def adjugate(a):
-    n, m = dims(a)
-    if n != m:
-        raise ValueError("adjugate of a non-square matrix")
-    if n == 1:
-        return ((a[0][0] * 0 + 1,),)
-    cof = [
-        [(-1) ** (i + j) * _minor_det(a, i, j) for j in range(n)]
-        for i in range(n)
-    ]
-    return transpose(mat(cof))
+    return Minors(a).adjugate()
 
 
 def quad_form(a, v):

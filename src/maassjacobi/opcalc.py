@@ -798,8 +798,7 @@ def covariance_residuals(jobs, L: GramLattice, samples: int, ctx: PrecisionConte
             sjs, f_at_q, (q_tau, q_z) = slashed_jet(seed, sources, L, g, tau, z, space)
             slashed = dict(zip(sources, sjs))
             gm, p = g.to_numeric(), Point(tau, z)
-            factors = {(k2, kbar2): automorphy_factor(k2, kbar2, L.entries, gm, p, ctx)
-                       for k2, kbar2 in targets}
+            factors = dict(zip(targets, automorphy_factor(targets, L.entries, gm, p, ctx)))
             for i, ((T, k, k2, kbar, kbar2), kv) in enumerate(zip(jobs, kvs)):
                 lhs = T.apply_jet(slashed[k, kbar], tau, z, k_value=kv)
                 rhs = factors[k2, kbar2] * T.apply_jet(f_at_q, q_tau, q_z, k_value=kv)

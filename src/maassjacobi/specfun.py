@@ -392,9 +392,7 @@ def h_profile(k, N: int, y, ctx: PrecisionContext):
                 f"H(y) diverges at t=0 for y > 0 with k + N/2 = {a} >= 1"
             )
         val = mp.exp(-yv) * mp.gammainc(to_mpf(1 - a), -2 * yv)
-        if mp.im(val) == 0 or abs(mp.im(val)) < abs(val) * ctx.eps:
-            return mp.re(val)
-        return val
+        return mp.re(val) if yv < 0 or a.denominator == 1 else val
 
 
 def h_profile_jet(k, N: int, y, order: int, ctx: PrecisionContext):

@@ -486,6 +486,7 @@ def test_tau_automorphism():
     (4, "1e2ae20af40fb1639b7fe8b7512d68cd1412fa50fbd05ec77e52535f904f9de2"),
     (5, "ed927bc8abc169517e8dc6e3ddb581d1fae5c765fc3af11bca3aeca77bfd96a3"),
     (6, "becdd2aa05b642ad4b1ec938ddb79d8776afbc1fe55358f9d7e2bf4f55f62824"),
+    (7, "ce56b06606a81307e169563e4cc81f2d4562167f04463bc9f65103f48aad33bd"),
 ])
 def test_casimir_json_is_unchanged(N, digest):
     assert hashlib.sha256(pbw_to_json(build_casimir(N)).encode()).hexdigest() == digest

@@ -172,7 +172,7 @@ def test_point_sums_match_the_loop(ctx, h, r, degree):
         w = w * (y * 2).pow_scalar(mp.mpf("0.5"))
         derivs = e_profile_jet(w.value.real, degree, ctx)
         expect = compose_univariate([d / factorial(j) for j, d in enumerate(derivs)], w)
-        got = _profile_jet("E", {"nu": nu, "h": h}, imag, degree, ctx, {})
+        got = _profile_jet("E", {"nu": nu, "h": h}, imag, ctx, {})
         assert list(got.terms.items()) == list(expect.terms.items())
         expo = sum_by_loop([coords.tau * to_mpc(n)]
                             + [zj * rj for zj, rj in zip(coords.z, r) if rj])

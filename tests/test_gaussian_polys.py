@@ -3,6 +3,7 @@ import operator
 import pickle
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -163,6 +164,70 @@ def test_det_matches_the_loop():
                 assert got == expect and type(got) is type(expect)
                 if isinstance(got, Poly):
                     assert list(got.terms.items()) == list(expect.terms.items())
+
+
+def _random_entries(rng):
+    # Fraction, Gaussian-rational and polynomial entries, about a fifth of
+    # them zero, so that expansions skip entries
+    R = PolyRing(["a", "b", "c"])
+
+    def sparse(draw):
+        return lambda: draw() * 0 if rng.random() < 0.2 else draw()
+
+    return [sparse(lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 2))),
+            sparse(lambda: GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))),
+            sparse(lambda: R.var("a").scale(rng.randint(-2, 2)) + R.var("b") * rng.randint(-1, 1)
+                   + R.var("c"))]
+
+
+def _same_entry(got, expect):
+    assert got == expect and type(got) is type(expect)
+    if isinstance(got, Poly):
+        assert list(got.terms.items()) == list(expect.terms.items())
+
+
+def test_minors_match_the_loop():
+    # every square minor of 4 x 4 and 5 x 5 matrices, read from one table,
+    # against the cofactor loop on the submatrix; sizes 1 and 2 against
+    # the entry and the 2 x 2 formula, which the loop defers to det for
+    rng = random.Random(12)
+    for entry in _random_entries(rng):
+        for n in (4, 5):
+            m = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+            minor = linalg.Minors(m)
+            for size in range(1, n + 1):
+                for rows in combinations(range(n), size):
+                    for cols in combinations(range(n), size):
+                        sub = tuple(tuple(m[r][c] for c in cols) for r in rows)
+                        got = minor[rows, cols]
+                        if size == 1:
+                            _same_entry(got, sub[0][0])
+                        elif size == 2:
+                            _same_entry(got, sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0])
+                        else:
+                            _same_entry(got, _det_by_loop(sub))
+            assert minor[(), ()] == 1
+            _same_entry(minor.det(), linalg.det(m))
+
+
+def test_adjugate_from_a_shared_table():
+    # the table that has already answered det and smaller minors gives the
+    # adjugate of a fresh one, and a adj(a) = det(a) I
+    rng = random.Random(13)
+    for entry in _random_entries(rng):
+        for n in (1, 2, 3, 4):
+            m = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+            minor = linalg.Minors(m)
+            d = minor.det()
+            for rows in combinations(range(n), n - 1):
+                minor[rows, rows]
+            adj = minor.adjugate()
+            for got, expect in zip(sum(adj, ()), sum(linalg.adjugate(m), ())):
+                _same_entry(got, expect)
+            zero, one = m[0][0] * 0, m[0][0] * 0 + 1
+            assert linalg.mul(m, adj) == linalg.scale(d, linalg.identity(n, one, zero))
+    with pytest.raises(ValueError):
+        linalg.Minors(((1, 2),))
 
 
 def test_gaussian_format_round_trip():

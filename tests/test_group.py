@@ -16,6 +16,7 @@ from maassjacobi.group import (
     Point,
     act,
     act_coordinates,
+    automorphy_factor,
     cocycle_a,
     cocycle_alpha,
     cocycle_beta,
@@ -32,7 +33,7 @@ from maassjacobi.group import (
 )
 from maassjacobi.jets import JetSpace, coordinate_jets
 from maassjacobi.opcalc import random_algebra_element, random_group_element, random_point
-from maassjacobi.precision import MAX_TERMS, PrecisionContext, to_mpc
+from maassjacobi.precision import MAX_TERMS, PrecisionContext, to_mpc, to_mpf
 
 GR = GaussianRational
 
@@ -535,6 +536,31 @@ def test_slash_right_action_and_central_triviality(ctx):
 
     with pytest.raises(DomainError):
         slash(seed, Fraction(1, 2), 0, L, jacobi_identity_element(2), ctx)
+
+
+def test_automorphy_factors_share_their_weight_free_part(ctx):
+    # one call for several weight pairs gives, bit for bit, the factor
+    # beta^(k-k') |beta|^(2k') alpha_L of each pair in the written order
+    rng = random.Random(61)
+    L = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(2)))
+    weights = [(Fraction(5, 2), Fraction(1, 2)), (3, 0), (Fraction(1, 3), Fraction(-2, 3)),
+               (-1, 2)]
+    with ctx.working():
+        for _ in range(5):
+            g = random_group_element(2, rng).to_numeric()
+            p = Point(*random_point(2, rng))
+            beta = cocycle_beta(g.M, p.tau)
+            alpha = cocycle_alpha(L, g, p, ctx)
+            got = automorphy_factor(weights, L, g, p, ctx)
+            for (k, kp), w in zip(weights, got):
+                expect = beta ** weight_gap(k, kp)
+                if kp:
+                    expect *= (beta * mp.conj(beta)).real ** to_mpf(Fraction(kp))
+                expect *= alpha
+                assert w == expect
+                assert automorphy_factor([(k, kp)], L, g, p, ctx) == [w]
+        with pytest.raises(DomainError):
+            automorphy_factor([(3, 0), (Fraction(1, 2), 0)], L, g, p, ctx)
 
 
 def test_point_requires_upper_half_plane():

@@ -509,6 +509,18 @@ def test_h_profile_continues_past_zero(ctx):
                 assert isinstance(v, mp.mpc) == (a != int(a))
 
 
+def test_h_profile_is_real_by_the_exact_rule(ctx):
+    # real for y < 0 or an integer a = k + N/2, complex otherwise
+    with ctx.working():
+        for k, N in ((Fraction(-1), 1), (Fraction(-3, 4), 1), (Fraction(-2), 2), (Fraction(3), 1)):
+            a = k + Fraction(N, 2)
+            for y in (mp.mpf("-0.7"), mp.mpf("0.4")):
+                if y > 0 and a >= 1:
+                    continue
+                v = h_profile(k, N, y, ctx)
+                assert isinstance(v, mp.mpc) == (y > 0 and a.denominator != 1)
+
+
 def test_e_profile(ctx):
     with ctx.working():
         assert e_profile(0, ctx) == 0

@@ -556,8 +556,8 @@ def _per_operator_residuals(jobs, L, samples, ctx):
                 (sj,), f_at_q, (q_tau, q_z) = slashed_jet(
                     seed, [(k, kbar)], L, g, tau, z, JetSpace.for_rank(N, T.order()))
                 lhs = T.apply_jet(sj, tau, z, k_value=kv)
-                factor = automorphy_factor(k2, kbar2, L.entries, g.to_numeric(),
-                                           Point(tau, z), ctx)
+                (factor,) = automorphy_factor([(k2, kbar2)], L.entries, g.to_numeric(),
+                                              Point(tau, z), ctx)
                 rhs = factor * T.apply_jet(f_at_q, q_tau, q_z, k_value=kv)
                 worst = max(worst, abs(lhs - rhs) / max(mp.mpf(1), abs(rhs)))
         out.append(worst)
