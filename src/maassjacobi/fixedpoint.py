@@ -8,9 +8,11 @@ order of the terms.
 
 Two engines use this kernel.  The jet engine (``jets``) converts each jet
 exactly over the smallest exponent of its coefficients.  The matrix
-exponentials (``group.expm`` and ``group.jacobi_exp``) run their series at
-one fixed scale 2^-P, where P is the working precision plus guard bits,
-flooring each product to that scale.  A non-finite value raises
+exponentials run their series at one fixed scale 2^-P, where P is the
+working precision plus guard bits, flooring each product to that scale:
+``group.expm`` as a series of matrix products, and ``group.jacobi_exp``
+as two series of Gaussian-integer scalars, whose sums are the coefficients
+of M and I in h(M) by Cayley-Hamilton.  A non-finite value raises
 DomainError.
 
 A matrix here is ``(re, im, e)``: two lists of integer rows and one

@@ -162,8 +162,11 @@ class GaussianRational:
     def to_mpc(self, mp):
         """Convert to an mpmath complex at the current working precision.
 
-        Each part is divided in its own lowest terms, as one rounding."""
+        Each part is divided in its own lowest terms, as one rounding; over
+        d = 1 there is nothing to divide, and each part is rounded as it is."""
         a, b, d = self._abd
+        if d == 1:
+            return mp.mpc(a, b)
         ga, gb = gcd(a, d), gcd(b, d)
         return mp.mpc(mp.mpf(a // ga) / (d // ga), mp.mpf(b // gb) / (d // gb))
 

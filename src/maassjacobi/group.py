@@ -4,9 +4,12 @@ define the slash actions.
 
 Elements carry either exact Gaussian-rational entries or mpmath numbers;
 the mode is decided once, at construction, from the entry types.  Algebraic
-formulas (product, inverse, embeddings, the a-cocycle) stay exact on exact
-input.  The exponential map and its oracle ``expm`` sum their series on the
-Gaussian-integer kernel of ``fixedpoint`` and round each entry once.
+formulas (product, inverse, embeddings, the action, the a-cocycle) stay
+exact on exact input, and alpha_L of an exact a rounds the exact tr(L a)
+once.  The exponential map and its oracle ``expm`` sum their series on the
+Gaussian-integer kernel of ``fixedpoint`` and round each entry once: the
+exponential map as two scalar series by Cayley-Hamilton, ``expm`` as a
+matrix series.
 """
 
 from __future__ import annotations
@@ -272,12 +275,16 @@ def cocycle_alpha(L, g: GroupElement, p: Point, ctx: PrecisionContext):
 
 
 def _alpha_of_a(L, a, ctx: PrecisionContext):
-    """exp(2 pi i tr(L a)) for an a = a(g, p) already computed;
-    DomainError unless L has the size of a."""
+    """exp(2 pi i tr(L a)) for an a = a(g, p) already computed, where an
+    exact L and a give an exact tr(L a), rounded once; DomainError unless L
+    has the size of a."""
     if len(L) != len(a):
         raise DomainError(f"an L of rank {len(L)} for a cocycle of rank {len(a)}")
     with ctx.working():
-        tr = linalg.trace_mul(_numeric(L), _numeric(a))
+        if _is_exact(L) and _is_exact(a):
+            tr = to_mpc(linalg.trace_mul(L, a))
+        else:
+            tr = linalg.trace_mul(_numeric(L), _numeric(a))
         return mp.exp(2j * mp.pi * tr)
 
 
@@ -354,13 +361,31 @@ def _exp_series_2x2(M, ctx: PrecisionContext):
 
     g(z) = (e^z - 1)/z and h(z) = (e^z - z - 1)/z^2.  Only h(M) = sum
     M^n/(n+2)! is summed; then g(M) = 1 + M h(M) and e^M = 1 + M g(M).
-    The entries of all three are below e^8 < 2^12 in modulus, and the two
-    products by M scale the error of h by at most 2^6.
+    By Cayley-Hamilton, M^2 = t M - d I with t = tr M and d = det M, so the
+    term M^n/(n+2)! is p_n M + q_n I, with p_0 = 0, q_0 = 1/2 and
+    p_n = (t p_{n-1} + q_{n-1})/(n+2), q_n = -d p_{n-1}/(n+2): two scalar
+    series, which hold for any trace.
+
+    Each step floors p_n and q_n, less than 2 units of 2^-P each, so less
+    than 2||M|| + 2 < 18 units in p_n M + q_n I.  The recurrence carries
+    that error on as the series carries a term, times M^j (n+2)!/(n+2+j)!,
+    which is below e^8 < 2^12 in norm summed over j.  So with n terms,
+    h(M) is within n 2^16 + 3 units of its sum, and the two products by M
+    scale the error by at most 2^6.
     """
     P = _guard(18)
     M = fixedpoint.rescale(M, -P)
-    one = fixedpoint.identity(2, -P)
-    term = h_acc = fixedpoint.floordiv(one, 2)
+    (r00, r01), (r10, r11) = M[0]
+    (i00, i01), (i10, i11) = M[1]
+    # t at 2^-P and d at 2^-2P, exactly
+    tr, ti = r00 + r11, i00 + i11
+    dr = r00 * r11 - i00 * i11 - r01 * r10 + i01 * i10
+    di = r00 * i11 + i00 * r11 - r01 * i10 - i01 * r10
+    P2 = 2 * P
+    pr = pi = qi = 0
+    qr = 1 << (P - 1)
+    hp_r = hp_i = hq_i = 0
+    hq_r = qr
     norm = fixedpoint.row_norm(M)
     # norm^(n+1)/(n+1)! at 2^-P, rounded up, bounds the tails of all three
     # series after their terms in M^n
@@ -371,13 +396,29 @@ def _exp_series_2x2(M, ctx: PrecisionContext):
         n += 1
         if n > MAX_TERMS:
             ctx.exhausted("matrix exponential series")
-        term = fixedpoint.floordiv(fixedpoint.matmul(term, M, P), n + 2)
-        h_acc = fixedpoint.add(h_acc, term)
+        k = n + 2
+        pr, pi, qr, qi = (
+            (((tr * pr - ti * pi) >> P) + qr) // k,
+            (((tr * pi + ti * pr) >> P) + qi) // k,
+            ((di * pi - dr * pr) >> P2) // k,
+            (-(dr * pi + di * pr) >> P2) // k,
+        )
+        hp_r += pr
+        hp_i += pi
+        hq_r += qr
+        hq_i += qi
         tail = -((-tail * norm >> P) // (n + 1))
         # once the ratio bound norm/(n+1) < 1/2, the remaining tail is below
         # twice the next term bound
         if 2 * norm < (n + 1) << P and tail < tol:
             break
+    # h(M) = (sum p_n) M + (sum q_n) I
+    rows = list(zip(*M[:2]))
+    h_acc = fixedpoint.add(
+        ([[(hp_r * x - hp_i * y) >> P for x, y in zip(u, v)] for u, v in rows],
+         [[(hp_r * y + hp_i * x) >> P for x, y in zip(u, v)] for u, v in rows], -P),
+        ([[hq_r, 0], [0, hq_r]], [[hq_i, 0], [0, hq_i]], -P))
+    one = fixedpoint.identity(2, -P)
     g_acc = fixedpoint.add(one, fixedpoint.matmul(M, h_acc, P))
     return fixedpoint.add(one, fixedpoint.matmul(M, g_acc, P)), g_acc, h_acc
 

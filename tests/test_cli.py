@@ -60,8 +60,9 @@ def test_verify_exit_codes(cache_dir, capsys, suite):
 
 
 # sha256 of the stdout, computed before the covariance suite shared each
-# sample's jets and the cocycle suite each a(g, p); the eigen digest since
-# its checks are exact identities, whose detail is "exact"
+# sample's jets; the eigen digest since its checks are exact identities,
+# whose detail is "exact", and the cocycle digests since its additivity of a
+# is one too
 @pytest.mark.parametrize("argv, digest", [
     (("covariance", "--L", "2", "--samples", "2"),
      "29c3a13650b4e970368721c98c8109337b98e1fedd055501153415410db370fc"),
@@ -70,9 +71,9 @@ def test_verify_exit_codes(cache_dir, capsys, suite):
     (("eigen", "--L", "1"),
      "2324885cb5002c2e4d7fd1e20fc39bf82d181494169517e0c9bc3783ffe446ec"),
     (("cocycle", "--L", "2", "--samples", "5"),
-     "08b60f3bed74e7c17e84d58d966bbbe1647db319d2683d39e0100b871ccead21"),
+     "499df008947d314340348d684f04aa6bb42d775935aa32224698aec5b93f922a"),
     (("cocycle", "--L", "2,1;1,2", "--samples", "5"),
-     "2fc0849ddcaae4ea2fe2ad84e49aa7e003d15b1ce3b30d8cb39d50e514ee1893"),
+     "a960bd03794854b3378e09f96ac591cbf4b03efa82a15e03587b14a3c471f956"),
     (("duality", "--L", "2", "--cmax", "4"),
      "2bd902c70e668c9b745ccf7c31f6b8213756ed05d4c6200ed5316a0f2f01d470"),
 ])
@@ -112,7 +113,8 @@ def test_series_output_is_unchanged(cache_dir, capsys, argv, digest):
 # workloads, with the exit code and the sha256 of the stdout that the code
 # printed at commit b3ec132, except the six `verify eigen` requests, pinned
 # again when that suite became exact (the three rank-2 ones then went from
-# the Kummer pole's exit 3 to exit 0).  The argv are stored, not drawn, so
+# the Kummer pole's exit 3 to exit 0), and the six `verify cocycle` requests,
+# pinned again when its additivity of a became exact.  The argv are stored, not drawn, so
 # that a change to the benchmark's generators cannot move this gate.
 with open(os.path.join(os.path.dirname(__file__), "benchmark_requests.json"),
           encoding="utf-8") as _fh:

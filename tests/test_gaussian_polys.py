@@ -361,6 +361,19 @@ def test_gaussian_rational_zero_division():
             f()
 
 
+@pytest.mark.parametrize("a, b", [
+    (0, 0), (1, 0), (3, -7), (-5, 2),
+    # at 128 bits: a tie, broken to even, a part that rounds up, and 206 bits
+    (2 ** 128 + 1, -(2 ** 129 + 3)), (-(3 ** 130), 3 ** 130 + 1),
+])
+def test_integer_to_mpc_is_the_divided_value(a, b):
+    # over d = 1 each part is rounded once as it is, to what dividing each
+    # part by d in lowest terms gives
+    with mp.workprec(128):
+        want = mp.mpc(mp.mpf(a) / 1, mp.mpf(b) / 1)
+        assert GaussianRational(a, b).to_mpc(mp)._mpc_ == want._mpc_
+
+
 def test_exact_objects_copy_and_pickle():
     x = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
     R = PolyRing(["y", "v"], laurent=("y",))

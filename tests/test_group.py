@@ -11,6 +11,7 @@ from maassjacobi.errors import DomainError, MalformedElementError, PrecisionErro
 from maassjacobi.gaussian import GaussianRational
 from maassjacobi.group import (
     J2,
+    NUMERIC_TOL,
     AlgebraElement,
     GroupElement,
     Point,
@@ -350,6 +351,31 @@ def test_exp_halving_matches_the_mpc_oracle(ctx, N, data):
     _assert_close(embed_group(jacobi_exp(Y, ctx)), embed_group(_mpc_jacobi_exp(Y, ctx)), ctx)
 
 
+@settings(settings.get_profile("numeric"))
+@given(N=st.sampled_from([1, 2]), data=st.data())
+def test_exp_of_a_numeric_trace_matches_the_mpc_oracle(ctx, N, data):
+    # a numeric algebra element may carry a trace up to NUMERIC_TOL, which the
+    # series must not take for zero; ||M|| <= 4 + |trace| keeps both sides
+    # from halving, since with a trace exp(Y) leaves the group, and squaring
+    # it by the group law no longer gives exp(2Y)
+    def entry(parts=_SMALL):
+        return to_mpc(GR(data.draw(parts), data.draw(parts)))
+
+    unit = st.fractions(min_value=-1, max_value=1, max_denominator=8)
+    with ctx.working():
+        trace = mp.mpc(data.draw(st.integers(1, 9)), data.draw(st.integers(-9, 9))) * 1e-11
+        a = entry(unit)
+        M = ((a + trace, entry(unit)), (entry(unit), -a))
+        X = [[entry() for _ in range(2)] for _ in range(N)]
+        kap = [[None] * N for _ in range(N)]
+        for i in range(N):
+            for j in range(i, N):
+                kap[i][j] = kap[j][i] = entry()
+        Y = AlgebraElement(M, X, kap)
+    assert 0 < abs(complex(Y.M[0][0] + Y.M[1][1])) < NUMERIC_TOL
+    _assert_close(embed_group(jacobi_exp(Y, ctx)), embed_group(_mpc_jacobi_exp(Y, ctx)), ctx)
+
+
 @pytest.mark.parametrize("bad", [mp.inf, mp.nan], ids=["inf", "nan"])
 def test_expm_rejects_non_finite_entries(ctx, bad):
     with pytest.raises(DomainError):
@@ -434,7 +460,7 @@ def test_action_properties(ctx):
 
 
 def test_cocycle_identities(ctx):
-    # the numeric additivity of a is `verify cocycle`'s check, asserted at
+    # the additivity of a is `verify cocycle`'s exact check, asserted at
     # N = 1 by acceptance 12 and at N = 2 by test_cocycle_alpha_multiplicative
     rng = random.Random(50)
     with ctx.working():
@@ -581,3 +607,54 @@ def test_cocycle_alpha_multiplicative(ctx):
     checks = {c["name"]: c for c in SUITES["cocycle"][0](L, ctx, 20)}
     assert checks["multiplicativity of alpha_L"]["status"] == "pass"
     assert checks["cocycle additivity of a"]["status"] == "pass"
+
+
+def _cocycle_checks(ctx, samples=10):
+    from maassjacobi.cli import SUITES
+    from maassjacobi.lattice import GramLattice
+
+    L = GramLattice([[2, 1], [1, 2]])
+    return {c["name"]: c for c in SUITES["cocycle"][0](L, ctx, samples)}
+
+
+@pytest.mark.parametrize("defect", ["1e-40 on one entry", "no c beta w_i w_j term"])
+def test_cocycle_suite_catches_a_defective_a(ctx, monkeypatch, defect):
+    # 1e-40 is below the 1e-30 a residual check would allow: == catches it
+    from maassjacobi import group
+
+    true_a = group.cocycle_a
+
+    def defective_a(g, p):
+        a = [list(r) for r in true_a(g, p)]
+        if defect == "1e-40 on one entry":
+            a[0][0] += Fraction(1, 10 ** 40)
+        else:
+            beta = cocycle_beta(g.M, p.tau)
+            w = [p.z[j] + g.X[j][0] * p.tau + g.X[j][1] for j in range(g.N)]
+            a = [[x + g.M[1][0] * beta * w[i] * w[j] for j, x in enumerate(r)]
+                 for i, r in enumerate(a)]
+        return linalg.mat(a)
+
+    monkeypatch.setattr(group, "cocycle_a", defective_a)
+    check = _cocycle_checks(ctx)["cocycle additivity of a"]
+    assert check["status"] == "fail"
+    if defect == "1e-40 on one entry":
+        # a(gh, p) - a(g, hp) - a(h, p) is -1e-40 in that entry
+        assert float(check["detail"]) == pytest.approx(1e-40, rel=1e-15)
+
+
+def test_cocycle_suite_reaches_group_through_its_module(ctx, monkeypatch):
+    # the benchmark tracer's group span patches these names in group, so the
+    # suite must look them up there when it runs
+    from maassjacobi import group
+
+    calls = dict.fromkeys(["act", "cocycle_a", "jacobi_mul", "jacobi_exp"], 0)
+    for name in calls:
+        def counted(*args, _f=getattr(group, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(group, name, counted)
+    assert all(c["status"] == "pass" for c in _cocycle_checks(ctx, samples=5).values())
+    # 5 samples of the cocycle, 5 exponentials; jacobi_exp may square
+    assert calls["act"] == 5 and calls["cocycle_a"] == 15 and calls["jacobi_exp"] == 5
+    assert calls["jacobi_mul"] >= 5
