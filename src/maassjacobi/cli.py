@@ -274,14 +274,14 @@ def suite_cocycle(L, ctx, samples):
                 for x, y in zip(r1, r2)
             )
             worst_exp = max(worst_exp, resid)
-    return [
-        # an exact identity; when it fails, the largest entry of
-        # a(gh, p) - a(g, hp) - a(h, p) in modulus is its detail
-        _check("cocycle additivity of a", not worst_a,
-               detail=mpf_str(worst_a) if worst_a else "exact"),
-        _residual_check("multiplicativity of alpha_L", worst_alpha, "1e-30"),
-        _residual_check("exp matches matrix exponential", worst_exp, "1e-25"),
-    ]
+        return [
+            # an exact identity; when it fails, the largest entry of
+            # a(gh, p) - a(g, hp) - a(h, p) in modulus is its detail
+            _check("cocycle additivity of a", not worst_a,
+                   detail=mpf_str(worst_a) if worst_a else "exact"),
+            _residual_check("multiplicativity of alpha_L", worst_alpha, "1e-30"),
+            _residual_check("exp matches matrix exponential", worst_exp, "1e-25"),
+        ]
 
 
 def covariance_jobs(L):
@@ -308,7 +308,8 @@ def covariance_jobs(L):
 def suite_covariance(L, ctx, samples):
     jobs = covariance_jobs(L)
     residuals = covariance_residuals(list(jobs.values()), L, samples, ctx)
-    return [_residual_check(name, r, "1e-22") for name, r in zip(jobs, residuals)]
+    with ctx.working():
+        return [_residual_check(name, r, "1e-22") for name, r in zip(jobs, residuals)]
 
 
 def eigen_grid(L):

@@ -403,6 +403,10 @@ def build_casimir(N: int) -> PBWElement:
     mid = -(H * eZf - eZf.scale(half_n3)) + E * fZf - eZe * F
 
     quart = quartic_over_det(alg.z_minors, e, f)
+    # det_z and adj_form read the minors of sizes N and N - 1 again; the
+    # others are kept only while this builds (the unit is every table's base)
+    for key in [key for key in alg.z_minors if 0 < len(key[0]) < N - 1]:
+        del alg.z_minors[key]
     quarter = GaussianRational(Fraction(1, 4))
     return head + mid + quart.scale(quarter)
 

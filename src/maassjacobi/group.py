@@ -340,8 +340,6 @@ def slash(f, k, kprime, L, g: GroupElement, ctx: PrecisionContext):
 # -- exponential map and embeddings -------------------------------------------
 
 
-# jacobi_exp halves Y until ||M|| < 2^_EXP_NORM_BITS before summing
-_EXP_NORM_BITS = 3
 # expm refuses ||A|| >= 2^_EXPM_NORM_BITS, whose fixed-point integers would
 # need more than 3 * 2^_EXPM_NORM_BITS bits above the working precision
 _EXPM_NORM_BITS = 12
@@ -356,8 +354,8 @@ def _guard(norm_bits: int, s: int = 0) -> int:
 
 
 def _exp_series_2x2(M, ctx: PrecisionContext):
-    """exp, g, h power series on a 2x2 integer matrix with ||M|| < 8, in
-    fixed point at 2^-P, with rigorous tail control.
+    """exp, g, h power series on a 2x2 integer matrix, in fixed point at
+    2^-P, with rigorous tail control.
 
     g(z) = (e^z - 1)/z and h(z) = (e^z - z - 1)/z^2.  Only h(M) = sum
     M^n/(n+2)! is summed; then g(M) = 1 + M h(M) and e^M = 1 + M g(M).
@@ -366,14 +364,19 @@ def _exp_series_2x2(M, ctx: PrecisionContext):
     p_n = (t p_{n-1} + q_{n-1})/(n+2), q_n = -d p_{n-1}/(n+2): two scalar
     series, which hold for any trace.
 
-    Each step floors p_n and q_n, less than 2 units of 2^-P each, so less
-    than 2||M|| + 2 < 18 units in p_n M + q_n I.  The recurrence carries
-    that error on as the series carries a term, times M^j (n+2)!/(n+2+j)!,
-    which is below e^8 < 2^12 in norm summed over j.  So with n terms,
-    h(M) is within n 2^16 + 3 units of its sum, and the two products by M
-    scale the error by at most 2^6.
+    With ||M|| < 2^b, each step floors p_n and q_n, less than 2 units of
+    2^-P each, so less than 2^(b+1) + 2 units in p_n M + q_n I.  The
+    recurrence carries that error on as the series carries a term, times
+    M^j (n+2)!/(n+2+j)!, which is below e^(2^b) in norm summed over j.  So
+    with n terms, h(M) is within n (2^(b+1) + 2) e^(2^b) + 3 units of its
+    sum, and the two products by M scale the error by at most (1 + 2^b)^2:
+    below n 2^23 units for b <= 3, where the guard adds 18 bits, and below
+    n 2^(2^b log2(e) + 3b + 2) above, where it adds 3 2^b bits, as ``expm``
+    does.  The series stops only after 2 ||M|| terms, so MAX_TERMS refuses
+    a norm of MAX_TERMS / 2 or more.
     """
-    P = _guard(18)
+    b = fixedpoint.norm_exponent(M)
+    P = _guard(18 if b <= 3 else 3 << b)
     M = fixedpoint.rescale(M, -P)
     (r00, r01), (r10, r11) = M[0]
     (i00, i01), (i10, i11) = M[1]
@@ -426,23 +429,18 @@ def _exp_series_2x2(M, ctx: PrecisionContext):
 def jacobi_exp(Y: AlgebraElement, ctx: PrecisionContext) -> GroupElement:
     """exp(M, X, kappa) = (e^M, X g(M), kappa - X h(M) J2 X^T).
 
-    The series run in fixed point, X and kappa enter exactly, and each
-    entry is rounded once.  Inputs with ||M|| beyond the series bound are
-    halved s times and recombined by s squarings with the group law.
-    Raises DomainError on a non-finite entry.
+    The series run in fixed point at a scale that grows with ||M||, X and
+    kappa enter exactly, and each entry is rounded once.  No element is
+    halved and squared: with a trace, as a numeric M may carry, exp(Y/2)
+    is not in the group.  Raises DomainError on a non-finite entry.
     """
     with ctx.working():
         M, X, kappa = (fixedpoint.matrix(_numeric(m)) for m in (Y.M, Y.X, Y.kappa))
-        s = max(0, fixedpoint.norm_exponent(M) - _EXP_NORM_BITS)
-        M, X, kappa = (fixedpoint.scaled(m, s) for m in (M, X, kappa))
         eM, gM, hM = _exp_series_2x2(M, ctx)
         XhJ = fixedpoint.matmul(fixedpoint.matmul(X, hM), _J2)
         corr = fixedpoint.matmul(XhJ, fixedpoint.transpose(X))
-        g = GroupElement(fixedpoint.to_mpc(eM), fixedpoint.to_mpc(fixedpoint.matmul(X, gM)),
-                         fixedpoint.to_mpc(fixedpoint.add(kappa, corr, -1)), check=False)
-        for _ in range(s):
-            g = jacobi_mul(g, g)
-        return g
+        return GroupElement(fixedpoint.to_mpc(eM), fixedpoint.to_mpc(fixedpoint.matmul(X, gM)),
+                            fixedpoint.to_mpc(fixedpoint.add(kappa, corr, -1)), check=False)
 
 
 def expm(A, ctx: PrecisionContext):

@@ -11,13 +11,14 @@ of unity in the integer form of ``fixedpoint``, so it is exact, does not
 depend on the order of its terms, and is rounded once; the prefactor
 e(-r^T L^{-1} r'/2c) is cached by its exact phase.
 
-A c-sum does each piece of work once per call: D and D', L^{-1}(r, r') of
-each side, each c's power c^{-(N+2)/2} and Bessel value for every side,
-and the sums of equal sides (r' = -r' when r' = 0).  The r' and -r' sides
-of a symmetrized coefficient share D', and the weight-k and dual sides of
-one duality pair share |D D'|, so each shares one power and one Bessel
-value per c.  Nothing is kept between calls but the tables of roots and
-prefactors.
+A c-sum takes one r' and sums both signs, as the symmetrized coefficient
+b(n', r') + (-1)^k b(n', -r') reads them, with one histogram per seed and
+c: d -> -d takes the phase j of r' to the phase -j of -r', so the -r'
+counts are the r' counts read backwards, and a zero r' is one term for
+both.  D, D', L^{-1}(r, r') and each c's power c^{-(N+2)/2} and Bessel
+value are taken once for all the sums of a call (the weight-k and dual
+seeds of a duality pair share |D D'|).  Nothing is kept between calls but
+the tables of roots and prefactors.
 """
 
 from __future__ import annotations
@@ -93,10 +94,9 @@ def _phase_sum(counts, c: int):
                               [sum(map(mul, counts, im))], e)[0]
 
 
-def _kloosterman_at(c: int, terms, inv_form: Fraction, n, r, nprime, rprime):
-    """K_c(n, r, n', r') at the working precision, given L's quadratic
-    terms and L^{-1}(r, r')."""
-    counts = _phase_counts(c, terms, n, r, nprime, rprime)
+def _kloosterman_at(c: int, inv_form: Fraction, counts):
+    """K_c(n, r, n', r') at the working precision, given L^{-1}(r, r') and
+    the phase counts of (n, r, n', r')."""
     return _root(-inv_form / (2 * c), mp.prec) * _phase_sum(counts, c)
 
 
@@ -117,8 +117,8 @@ def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
         raise DomainError("c must be a positive integer")
     r, rprime = _ints(r), _ints(rprime)
     with ctx.working():
-        return _kloosterman_at(c, L.quad_terms, L.inv_form(r, rprime),
-                               int(n), r, int(nprime), rprime)
+        return _kloosterman_at(c, L.inv_form(r, rprime), _phase_counts(
+            c, L.quad_terms, int(n), r, int(nprime), rprime))
 
 
 def casimir_eigenvalue(k, N: int, s) -> Fraction:
@@ -178,7 +178,7 @@ def poincare_coeff_b(y, s, k, L: GramLattice, n, r, nprime, rprime,
     e(-iD'y/4|L|) W_{s,k-N/2}(pi D'y/|L|), and the truncated c-sum;
     tail_ratio is |last term|/|sum|, the recorded truncation heuristic.
     """
-    return _coeff_b_sides(y, s, k, L, n, r, nprime, [rprime], c_max, ctx)[0]
+    return _coeff_b_sides(y, s, k, L, n, r, nprime, rprime, c_max, ctx)[0]
 
 
 def _coeff_b_discriminants(s: Fraction, L: GramLattice, n, r, nprime, rprime):
@@ -198,19 +198,18 @@ def _coeff_b_discriminants(s: Fraction, L: GramLattice, n, r, nprime, rprime):
     return D, Dp
 
 
-def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprimes, c_max: int,
+def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprime, c_max: int,
                    ctx: PrecisionContext):
-    """poincare_coeff_b at (n', r') for each r' of rprimes, which share D'
-    (as r' and -r' do): one weight factor, power and profile, and one c-sum
-    pass."""
+    """poincare_coeff_b at (n', r') and at (n', -r'), which share D': one
+    weight factor, power and profile, and one c-sum pass."""
     k = int(k)
     s = Fraction(s)
     N = L.N
-    D, Dp = _coeff_b_discriminants(s, L, n, r, nprime, rprimes[0])
+    D, Dp = _coeff_b_discriminants(s, L, n, r, nprime, rprime)
     if y <= 0:
         raise DomainError("the profile needs a point of H: y = Im tau > 0")
     with ctx.working():
-        sides = poincare_csum(s, L, n, r, nprime, rprimes, 1, c_max, ctx,
+        sides = poincare_csum(s, L, n, r, nprime, rprime, c_max, ctx,
                               discriminants=(D, Dp))
         arg = mp.pi * to_mpf(Dp / L.det) * to_mpf(y)
         profile = mp.exp(arg / 2) * whittaker_W_renorm(s, k - Fraction(N, 2), arg, ctx)
@@ -220,50 +219,49 @@ def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprimes, c_max: int,
                 for acc, last in sides]
 
 
-def poincare_csum(s, L: GramLattice, n, r, nprime, rprimes,
-                  c_lo: int, c_hi: int, ctx: PrecisionContext, *,
-                  dual=(), discriminants):
-    """Partial sums over c in [c_lo, c_hi] of c^{-(N+2)/2} K_c Bessel(..),
-    one for each r' of rprimes, then one for each r_i of ``dual``.
+def poincare_csum(s, L: GramLattice, n, r, nprime, rprime, c_max: int,
+                  ctx: PrecisionContext, *, dual=False, discriminants):
+    """Partial sums over c = 1..c_max of c^{-(N+2)/2} K_c Bessel(..) at the
+    seed (n, r, n', r') and at (n, r, n', -r'), in that order; with ``dual``,
+    then those of K_c(n', r', n, r) and K_c(n', r', n, -r), the c-sums of
+    the seed (n', r') that the weight N+2-k side of a duality pair takes.
 
-    It needs c_lo >= 1 and c_hi >= 0; an empty range gives zero sums.  The
-    r' must share D' (as r' and -r' do), so each c has one power and one
-    Bessel value for all of them.  A dual side r_i, which must share D with
-    r, sums K_c(n', r'_0, n, r_i) instead: the c-sum of the seed (n', r'_0)
-    at (n, r_i), which the weight N+2-k side of a duality pair takes.  Its
-    |D D'| is the same, so it shares the power and the Bessel value too.
-    ``discriminants`` is (D, D'), which the caller has checked its sides
-    share.  Returns [(sum, |last term|)] in that order, each summed in
-    c-order and each term ``w * K * bv`` with K as ``kloosterman`` gives
-    it; equal sides are summed once.  J is used when D D' > 0 and I
-    otherwise; the skew-holomorphic coefficients use it at s = (2k - N)/4.
+    All of them share |D D'|, so each c has one power and one Bessel value.
+    ``discriminants`` is (D, D'), which the caller has checked.  Returns
+    [(sum, |last term|)], each summed in c-order and each term ``w * K * bv``
+    with K as ``kloosterman`` gives it; c_max = 0 gives zero sums.  Each
+    seed makes one ``_phase_counts`` pass per c: its second sign reads the
+    counts at -j with the form L^{-1} negated, and is the first when the
+    flipped vector is zero.  J is used when D D' > 0 and I otherwise; the
+    skew-holomorphic coefficients use it at s = (2k - N)/4.
     """
     s = Fraction(s)
     N = L.N
-    if c_lo < 1:
-        raise DomainError("c must be a positive integer")
-    if c_hi < 0:
+    if c_max < 0:
         raise DomainError("c_max must be nonnegative")
     D, Dp = discriminants
-    n, nprime = int(n), int(nprime)
-    keys = ([(n, _ints(r), nprime, _ints(rp)) for rp in rprimes]
-            + [(nprime, _ints(rprimes[0]), n, _ints(ri)) for ri in dual])
-    sides = list(dict.fromkeys(keys))
-    forms = [L.inv_form(ra, rb) for _, ra, _, rb in sides]
+    n, nprime, r, rprime = int(n), int(nprime), _ints(r), _ints(rprime)
+    seeds = [(n, r, nprime, rprime)] + ([(nprime, rprime, n, r)] if dual else [])
+    forms = [L.inv_form(ra, rb) for _, ra, _, rb in seeds]
     with ctx.working():
         bessel = bessel_J if D * Dp > 0 else bessel_I
         xbase = mp.pi * mp.sqrt(abs(to_mpf(Dp * D))) / to_mpf(L.det)
-        accs = [mp.mpc(0)] * len(sides)
-        lasts = [mp.mpf(0)] * len(sides)
-        for c in range(c_lo, c_hi + 1):
+        accs = [mp.mpc(0)] * (2 * len(seeds))
+        lasts = [mp.mpf(0)] * len(accs)
+        for c in range(1, c_max + 1):
             w = mp.power(c, -mp.mpf(N + 2) / 2)
             bv = bessel(2 * s - 1, xbase / c, ctx)
-            for i, (a, ra, b, rb) in enumerate(sides):
-                term = w * _kloosterman_at(c, L.quad_terms, forms[i], a, ra, b, rb) * bv
+            terms = []
+            for (a, ra, b, rb), form in zip(seeds, forms):
+                counts = _phase_counts(c, L.quad_terms, a, ra, b, rb)
+                term = w * _kloosterman_at(c, form, counts) * bv
+                flipped = (w * _kloosterman_at(c, -form, counts[:1] + counts[:0:-1]) * bv
+                           if any(rb) else term)
+                terms += [term, flipped]
+            for i, term in enumerate(terms):
                 accs[i] += term
                 lasts[i] = abs(term)
-        sums = dict(zip(sides, zip(accs, lasts)))
-        return [sums[key] for key in keys]
+        return list(zip(accs, lasts))
 
 
 def _symmetrized(b1, b2, k, ctx: PrecisionContext):
@@ -278,8 +276,7 @@ def full_coeff_c(y, s, k, L: GramLattice, n, r, nprime, rprime, c_max: int,
                  ctx: PrecisionContext):
     """b(n', r') + (-1)^k b(n', -r'), the symmetrized coefficient; an exact
     zero where the two sides cancel (``_symmetrized``)."""
-    (b1, t1), (b2, t2) = _coeff_b_sides(
-        y, s, k, L, n, r, nprime, [rprime, [-x for x in rprime]], c_max, ctx)
+    (b1, t1), (b2, t2) = _coeff_b_sides(y, s, k, L, n, r, nprime, rprime, c_max, ctx)
     with ctx.working():
         return _symmetrized(b1, b2, k, ctx), max(t1, t2)
 
@@ -303,11 +300,10 @@ def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
 
     with ctx.working():
         # at s = (2k - N)/4 the c-sum's J_{2s-1} is J_{k-(N+2)/2}
-        sums = poincare_csum(Fraction(2 * k - N, 4), L, n, r, nprime,
-                             [[-x for x in rprime], rprime], 1, c_max, ctx,
-                             discriminants=(D, Dp))
+        (plus, _), (minus, _) = poincare_csum(Fraction(2 * k - N, 4), L, n, r, nprime,
+                                              rprime, c_max, ctx, discriminants=(D, Dp))
         pref = _prefactor(L, 1 - k) * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
-        return _symmetrized(pref * sums[0][0], pref * sums[1][0], k, ctx)
+        return _symmetrized(pref * minus, pref * plus, k, ctx)
 
 
 def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
@@ -352,8 +348,7 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
     with ctx.working():
         for (n, r), (npd, rpd) in index_pairs:
             D, Dp = _coeff_b_discriminants(s, L, n, r, npd, rpd)
-            sums = poincare_csum(s, L, n, r, npd, [rpd, [-x for x in rpd]],
-                                 1, c_max, ctx, dual=[r, [-x for x in r]],
+            sums = poincare_csum(s, L, n, r, npd, rpd, c_max, ctx, dual=True,
                                  discriminants=(D, Dp))
             prefA, prefB = _pref(k, Dp, D), _pref(kd, D, Dp)
             bA, bA_neg, bB, bB_neg = (pref * acc for pref, (acc, _) in

@@ -59,21 +59,20 @@ def test_verify_exit_codes(cache_dir, capsys, suite):
         assert rep["checks"]
 
 
-# sha256 of the stdout, computed before the covariance suite shared each
-# sample's jets; the eigen digest since its checks are exact identities,
-# whose detail is "exact", and the cocycle digests since its additivity of a
-# is one too
+# sha256 of the stdout; the eigen digest since its checks are exact
+# identities, whose detail is "exact", and the covariance and cocycle
+# digests since their residuals print at the working precision
 @pytest.mark.parametrize("argv, digest", [
     (("covariance", "--L", "2", "--samples", "2"),
-     "29c3a13650b4e970368721c98c8109337b98e1fedd055501153415410db370fc"),
+     "3839bedc151dc77fe528bfb634ab5ad216bac53dd58db9cc8097c35305d9cc98"),
     (("covariance", "--L", "2,1;1,2", "--samples", "1"),
-     "e9de8cd6db09bea457534964482977b6c04d0c3e5ed851783a61455239df2312"),
+     "2be19c13b888a1f4463274c7f8896a852e8975718af1c8c8cf9229f88bcdd349"),
     (("eigen", "--L", "1"),
      "2324885cb5002c2e4d7fd1e20fc39bf82d181494169517e0c9bc3783ffe446ec"),
     (("cocycle", "--L", "2", "--samples", "5"),
-     "499df008947d314340348d684f04aa6bb42d775935aa32224698aec5b93f922a"),
+     "666133b68c7e6764b4f76967fc2dfc17ff9b623ffad3caee6038fd253ceeeeae"),
     (("cocycle", "--L", "2,1;1,2", "--samples", "5"),
-     "a960bd03794854b3378e09f96ac591cbf4b03efa82a15e03587b14a3c471f956"),
+     "98e69e577552f50328245ffb5f84d784496a3127f87a9d656d8d2ab0e80303c3"),
     (("duality", "--L", "2", "--cmax", "4"),
      "2bd902c70e668c9b745ccf7c31f6b8213756ed05d4c6200ed5316a0f2f01d470"),
 ])
@@ -113,9 +112,10 @@ def test_series_output_is_unchanged(cache_dir, capsys, argv, digest):
 # workloads, with the exit code and the sha256 of the stdout that the code
 # printed at commit b3ec132, except the six `verify eigen` requests, pinned
 # again when that suite became exact (the three rank-2 ones then went from
-# the Kummer pole's exit 3 to exit 0), and the six `verify cocycle` requests,
-# pinned again when its additivity of a became exact.  The argv are stored, not drawn, so
-# that a change to the benchmark's generators cannot move this gate.
+# the Kummer pole's exit 3 to exit 0), and the six `verify cocycle` and six
+# `verify covariance` requests, pinned again when their residuals came to print
+# at the working precision.  The argv are stored, not drawn, so that a change to
+# the benchmark's generators cannot move this gate.
 with open(os.path.join(os.path.dirname(__file__), "benchmark_requests.json"),
           encoding="utf-8") as _fh:
     BENCHMARK_REQUESTS = json.load(_fh)

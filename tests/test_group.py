@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -34,7 +34,7 @@ from maassjacobi.group import (
 )
 from maassjacobi.jets import JetSpace, coordinate_jets
 from maassjacobi.opcalc import random_algebra_element, random_group_element, random_point
-from maassjacobi.precision import MAX_TERMS, PrecisionContext, to_mpc, to_mpf
+from maassjacobi.precision import MAX_TERMS, PrecisionContext, mpf_str, to_mpc, to_mpf
 
 GR = GaussianRational
 
@@ -169,7 +169,8 @@ def test_exp_matches_matrix_exponential(ctx):
 
 
 def test_exp_halves_large_elements(ctx):
-    # ||M|| = 9 exceeds the series bound, so jacobi_exp halves before summing
+    # ||M|| = 9: jacobi_exp sums it at a guard grown with the norm, where a
+    # halving and squaring exponential would halve it first
     M = ((GR(5), GR(4)), (GR(-3), GR(-5)))
     for N in (1, 2):
         rng = random.Random(N)
@@ -340,7 +341,8 @@ def test_expm_matches_the_mpc_oracle(ctx, N, rng, data):
 @settings(settings.get_profile("numeric"))
 @given(N=st.sampled_from([1, 2]), data=st.data())
 def test_exp_halving_matches_the_mpc_oracle(ctx, N, data):
-    # ||M|| = 9 exceeds the series bound, so both halve once before summing
+    # ||M|| = 9 exceeds the oracle's series bound, so the oracle halves once
+    # and squares, while jacobi_exp sums the series at a grown guard
     M = ((GR(5), GR(4)), (GR(-3), GR(-5)))
     X = [[GR(data.draw(_SMALL)) for _ in range(2)] for _ in range(N)]
     kap = [[GR(0)] * N for _ in range(N)]
@@ -353,9 +355,13 @@ def test_exp_halving_matches_the_mpc_oracle(ctx, N, data):
 
 @settings(settings.get_profile("numeric"))
 @given(N=st.sampled_from([1, 2]), data=st.data())
+# M = ((2i + 1e-11, 0), (3 + 3i, -2i)), X = ((0, i)), kappa = 0: its
+# fixed-point norm bound is 8, where an exponential that halves and squares
+# by the group law is O(|trace|) off, here 6.5e-13 in kappa
+@example(N=1, data=None)
 def test_exp_of_a_numeric_trace_matches_the_mpc_oracle(ctx, N, data):
     # a numeric algebra element may carry a trace up to NUMERIC_TOL, which the
-    # series must not take for zero; ||M|| <= 4 + |trace| keeps both sides
+    # series must not take for zero; ||M|| <= 4 + |trace| keeps the oracle
     # from halving, since with a trace exp(Y) leaves the group, and squaring
     # it by the group law no longer gives exp(2Y)
     def entry(parts=_SMALL):
@@ -363,15 +369,20 @@ def test_exp_of_a_numeric_trace_matches_the_mpc_oracle(ctx, N, data):
 
     unit = st.fractions(min_value=-1, max_value=1, max_denominator=8)
     with ctx.working():
-        trace = mp.mpc(data.draw(st.integers(1, 9)), data.draw(st.integers(-9, 9))) * 1e-11
-        a = entry(unit)
-        M = ((a + trace, entry(unit)), (entry(unit), -a))
-        X = [[entry() for _ in range(2)] for _ in range(N)]
-        kap = [[None] * N for _ in range(N)]
-        for i in range(N):
-            for j in range(i, N):
-                kap[i][j] = kap[j][i] = entry()
-        Y = AlgebraElement(M, X, kap)
+        if data is None:
+            zero, i = mp.mpc(0), mp.mpc(0, 1)
+            Y = AlgebraElement(((2 * i + 1e-11, zero), (3 + 3 * i, -2 * i)), [[zero, i]],
+                               [[zero]])
+        else:
+            trace = mp.mpc(data.draw(st.integers(1, 9)), data.draw(st.integers(-9, 9))) * 1e-11
+            a = entry(unit)
+            M = ((a + trace, entry(unit)), (entry(unit), -a))
+            X = [[entry() for _ in range(2)] for _ in range(N)]
+            kap = [[None] * N for _ in range(N)]
+            for i in range(N):
+                for j in range(i, N):
+                    kap[i][j] = kap[j][i] = entry()
+            Y = AlgebraElement(M, X, kap)
     assert 0 < abs(complex(Y.M[0][0] + Y.M[1][1])) < NUMERIC_TOL
     _assert_close(embed_group(jacobi_exp(Y, ctx)), embed_group(_mpc_jacobi_exp(Y, ctx)), ctx)
 
@@ -639,8 +650,11 @@ def test_cocycle_suite_catches_a_defective_a(ctx, monkeypatch, defect):
     check = _cocycle_checks(ctx)["cocycle additivity of a"]
     assert check["status"] == "fail"
     if defect == "1e-40 on one entry":
-        # a(gh, p) - a(g, hp) - a(h, p) is -1e-40 in that entry
+        # a(gh, p) - a(g, hp) - a(h, p) is -1e-40 in that entry, and its
+        # modulus prints at the working precision, not at 53 bits
         assert float(check["detail"]) == pytest.approx(1e-40, rel=1e-15)
+        with ctx.working():
+            assert check["detail"] == mpf_str(to_mpf(Fraction(1, 10 ** 40)))
 
 
 def test_cocycle_suite_reaches_group_through_its_module(ctx, monkeypatch):
@@ -655,6 +669,6 @@ def test_cocycle_suite_reaches_group_through_its_module(ctx, monkeypatch):
             return _f(*args)
         monkeypatch.setattr(group, name, counted)
     assert all(c["status"] == "pass" for c in _cocycle_checks(ctx, samples=5).values())
-    # 5 samples of the cocycle, 5 exponentials; jacobi_exp may square
+    # 5 samples of the cocycle (one jacobi_mul each), 5 exponentials
     assert calls["act"] == 5 and calls["cocycle_a"] == 15 and calls["jacobi_exp"] == 5
     assert calls["jacobi_mul"] >= 5

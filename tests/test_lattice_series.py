@@ -19,6 +19,7 @@ from maassjacobi.lattice import (
 from maassjacobi.precision import PrecisionContext, e_of, to_fraction, to_mpf
 from maassjacobi.specfun import bessel_I, bessel_J
 from maassjacobi.series import (
+    _phase_counts,
     _pow_ratio,
     _weight_factor,
     casimir_eigenvalue,
@@ -290,6 +291,35 @@ def test_kloosterman_properties(ctx, L, data):
         assert abs(k - kloosterman(c, L, nprime, rprime, n, r, ctx)) < mp.mpf("1e-30")
 
 
+def _counts_oracle(c, L, n, r, nprime, rprime):
+    """counts[j] of the definitional double sum over units d, then lambda in
+    (Z/c)^N, with L[lam] in Fractions: the (d, lambda) at phase j/c."""
+    counts = [0] * c
+    for d in range(1, c + 1):
+        if gcd(d, c) != 1:
+            continue
+        dbar = pow(d, -1, c)
+        for lam in product(range(c), repeat=L.N):
+            counts[(dbar * (int(L.quad(lam)) + sum(a * b for a, b in zip(r, lam)) + n)
+                    + nprime * d - sum(a * b for a, b in zip(rprime, lam))) % c] += 1
+    return counts
+
+
+@settings(settings.get_profile("exact"))
+@given(L=_even_gram(), data=st.data())
+def test_minus_rprime_counts_are_the_rprime_counts_at_minus_j(L, data):
+    # d -> -d maps the phase j of (n, r, n', r') to the phase -j of
+    # (n, r, n', -r'), so one histogram serves both signs
+    c = data.draw(st.integers(1, min(12, _MAX_C[L.N])), label="c")
+    n, nprime = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+    index = st.lists(st.integers(-4, 4), min_size=L.N, max_size=L.N)
+    r, rprime = data.draw(index), data.draw(index)
+    counts = _phase_counts(c, L.quad_terms, n, r, nprime, rprime)
+    assert counts == _counts_oracle(c, L, n, r, nprime, rprime)
+    assert counts[:1] + counts[:0:-1] == _counts_oracle(c, L, n, r, nprime,
+                                                        [-x for x in rprime])
+
+
 def test_casimir_eigenvalue_values():
     # |value| at (N,k,s) = (1,0,2) is 27/8; the toolkit's sign convention is
     # fixed by the operator it builds (see the docstring and ledger)
@@ -356,8 +386,8 @@ def test_bessel_kind_dispatch(ctx):
         for (np_, rp) in [(-1, [0]), (1, [0])]:
             n, r = -1, [1]
             D, Dp = discriminant(L, n, r), discriminant(L, np_, rp)
-            [(acc, _)] = poincare_csum(s, L, n, r, np_, [rp], 1, 6, ctx,
-                                       discriminants=(D, Dp))
+            (acc, _), _ = poincare_csum(s, L, n, r, np_, rp, 6, ctx,
+                                        discriminants=(D, Dp))
             bess = bessel_J if D * Dp > 0 else bessel_I
             expect = mp.mpc(0)
             xb = mp.pi * mp.sqrt(abs(mp.mpf(int(D * Dp)))) / 1
@@ -367,21 +397,22 @@ def test_bessel_kind_dispatch(ctx):
             assert abs(acc - expect) < mp.mpf("1e-30")
 
 
-def _csum_oracle(s, L, n, r, nprime, rprimes, c_lo, c_hi, ctx, dual=()):
+def _csum_oracle(s, L, n, r, nprime, rprime, c_max, ctx, dual=False):
     """Each side's own loop sum_c w * kloosterman(c, ...) * bv, with every
-    K from the public function: the r' sides at the seed (n, r), then the
-    dual sides K_c(n', r'_0, n, r_i)."""
+    K from the public function: the seed (n, r) at r' and at -r', then with
+    ``dual`` the seed (n', r') at r and at -r."""
     s = Fraction(s)
-    D, Dp = discriminant(L, n, r), discriminant(L, nprime, rprimes[0])
-    problems = ([(n, r, nprime, rp) for rp in rprimes]
-                + [(nprime, rprimes[0], n, ri) for ri in dual])
+    D, Dp = discriminant(L, n, r), discriminant(L, nprime, rprime)
+    problems = [(n, r, nprime, rprime), (n, r, nprime, [-x for x in rprime])]
+    if dual:
+        problems += [(nprime, rprime, n, r), (nprime, rprime, n, [-x for x in r])]
     out = []
     with ctx.working():
         bessel = bessel_J if D * Dp > 0 else bessel_I
         xbase = mp.pi * mp.sqrt(abs(to_mpf(Dp * D))) / to_mpf(L.det)
         for a, ra, b, rb in problems:
             acc, last = mp.mpc(0), mp.mpf(0)
-            for c in range(c_lo, c_hi + 1):
+            for c in range(1, c_max + 1):
                 w = mp.power(c, -mp.mpf(L.N + 2) / 2)
                 term = w * kloosterman(c, L, a, ra, b, rb, ctx) * bessel(
                     2 * s - 1, xbase / c, ctx)
@@ -391,28 +422,53 @@ def _csum_oracle(s, L, n, r, nprime, rprimes, c_lo, c_hi, ctx, dual=()):
     return out
 
 
-@pytest.mark.parametrize("entries, n, r, nprime, rprimes, c_lo, c_hi, dual", [
-    ([[1]], -1, [1], -1, [[0], [0]], 1, 8, ()),              # r' = 0, J
-    ([[1]], -1, [1], 1, [[0]], 1, 8, ()),                    # I
-    ([[1]], -1, [1], -2, [[1], [-1]], 2, 9, ()),             # +-r', from c = 2
-    ([[1]], -1, [1], 1, [[1], [-1]], 1, 6, ([1], [-1])),    # dual sides, I
-    ([[2, 1], [1, 2]], 0, [1, 0], -1, [[1, 1], [-1, -1]], 1, 4, ([1, 0], [-1, 0])),
-    ([[2, 0], [0, 4]], -1, [0, 0], 0, [[1, 0], [-1, 0]], 1, 4, ([0, 0], [0, 0])),
-    ([[1, Fraction(1, 2)], [Fraction(1, 2), 1]], 1, [1, 0], 1, [[0, 1], [0, -1]], 1, 3, ()),
+@pytest.mark.parametrize("entries, n, r, nprime, rprime, c_max, dual", [
+    ([[1]], -1, [1], -1, [0], 8, False),                    # r' = 0, J
+    ([[1]], -1, [1], 1, [0], 8, False),                     # I
+    ([[1]], -1, [1], -2, [1], 9, False),                    # +-r'
+    ([[1]], -1, [1], 1, [1], 6, True),                      # dual sides, I
+    ([[2, 1], [1, 2]], 0, [1, 0], -1, [1, 1], 4, True),
+    ([[2, 0], [0, 4]], -1, [0, 0], 0, [1, 0], 4, True),     # r = 0 on the dual seed
+    ([[1, Fraction(1, 2)], [Fraction(1, 2), 1]], 1, [1, 0], 1, [0, 1], 3, False),
+    ([[1]], -1, [1], -2, [1], 0, False),                    # empty c-range
 ])
-def test_poincare_csum_matches_the_per_side_loop(ctx, entries, n, r, nprime, rprimes,
-                                                 c_lo, c_hi, dual):
-    # the c-sum, with its power, Bessel value and equal sides shared, equals
-    # the per-side loop over the public Kloosterman sum bit for bit
+def test_poincare_csum_matches_the_per_side_loop(ctx, entries, n, r, nprime, rprime,
+                                                 c_max, dual):
+    # the c-sum, with its power, Bessel value and histogram shared by both
+    # signs, equals the per-side loop over the public Kloosterman sum bit
+    # for bit
     L = GramLattice(entries)
     s = Fraction(5, 2)
-    D, Dp = discriminant(L, n, r), discriminant(L, nprime, rprimes[0])
-    got = poincare_csum(s, L, n, r, nprime, rprimes, c_lo, c_hi, ctx, dual=dual,
+    D, Dp = discriminant(L, n, r), discriminant(L, nprime, rprime)
+    got = poincare_csum(s, L, n, r, nprime, rprime, c_max, ctx, dual=dual,
                         discriminants=(D, Dp))
-    assert got == _csum_oracle(s, L, n, r, nprime, rprimes, c_lo, c_hi, ctx, dual)
+    assert got == _csum_oracle(s, L, n, r, nprime, rprime, c_max, ctx, dual)
     with pytest.raises(DomainError):
-        poincare_csum(s, L, n, r, nprime, rprimes, 0, c_hi, ctx, dual=dual,
+        poincare_csum(s, L, n, r, nprime, rprime, -1, ctx, dual=dual,
                       discriminants=(D, Dp))
+
+
+@pytest.mark.parametrize("rprime, dual", [([1, 1], False), ([1, 1], True),
+                                          ([0, 0], False), ([0, 0], True)])
+def test_poincare_csum_makes_one_phase_count_pass_per_seed_and_c(ctx, monkeypatch,
+                                                                 rprime, dual):
+    # the -r' counts are the r' counts read backwards, so each seed takes
+    # one histogram per c, whether or not r' is zero
+    from maassjacobi import series
+
+    calls = []
+    original = series._phase_counts
+
+    def counted(c, *args):
+        calls.append(c)
+        return original(c, *args)
+    monkeypatch.setattr(series, "_phase_counts", counted)
+    L = GramLattice([[2, 1], [1, 2]])
+    n, r, nprime = 0, [1, 0], -1
+    D, Dp = discriminant(L, n, r), discriminant(L, nprime, rprime)
+    poincare_csum(Fraction(5, 2), L, n, r, nprime, rprime, 5, ctx, dual=dual,
+                  discriminants=(D, Dp))
+    assert sorted(calls) == sorted(list(range(1, 6)) * (2 if dual else 1))
 
 
 def test_duality_report_takes_one_bessel_value_per_pair_and_c(ctx, monkeypatch):
@@ -534,10 +590,10 @@ def test_duality_mechanism(ctx):
         D, Dp = discriminant(L2, n, r), discriminant(L2, npd, rpd)
         pref = (_weight_factor(s, k, L2, 1 if Dp > 0 else -1)
                 * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(L2.N + 2, 4)))
-        (acc1, _), = poincare_csum(s, L2, n, r, npd, [rpd], 1, 3, ctx,
-                                   discriminants=(D, Dp))
-        (acc2, _), = poincare_csum(s, L2, n, r, npd, [[-x for x in rpd]], 1, 3, ctx,
-                                   discriminants=(D, Dp))
+        (acc1, _), _ = poincare_csum(s, L2, n, r, npd, rpd, 3, ctx,
+                                     discriminants=(D, Dp))
+        (acc2, _), _ = poincare_csum(s, L2, n, r, npd, [-x for x in rpd], 3, ctx,
+                                     discriminants=(D, Dp))
         return pref * acc1 + (-1) ** k * (pref * acc2)
 
     with ctx.working():

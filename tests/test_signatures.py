@@ -7,16 +7,18 @@ package does not export is referenced by the package, every module-level
 import is used by its module, every parameter of a module-level
 private function is read by its body, and every defaulted parameter of
 a function that the package calls and does not export is omitted by at
-least one of those calls.  And each record format is defined once: no two
-NamedTuple classes of the package have the same fields.  And only
-``polys.Keyed`` defines ``__new__``: a structure built once per key
-inherits it."""
+least one of those calls, and no parameter of such a function is passed
+one and the same literal by every call.  And each record format is
+defined once: no two NamedTuple classes of the package have the same
+fields.  And only ``polys.Keyed`` defines ``__new__``: a structure built
+once per key inherits it."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
 from collections import Counter
+from itertools import takewhile
 from pathlib import Path
 
 import maassjacobi
@@ -214,3 +216,38 @@ def test_only_keyed_defines_new():
                 for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                 for stmt in cls.body if "__new__" in _defines(stmt)]
     assert defining == ["polys.Keyed"]
+
+
+
+def _is_literal(node) -> bool:
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return False
+    return True
+
+
+def test_no_parameter_is_always_passed_one_literal():
+    # a parameter that every call in the package passes as one and the same
+    # literal is a constant of the function, not a parameter
+    trees, exported = _trees()
+    functions = {fn.name: (module, fn) for module, tree in trees.items() for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name not in exported}
+    passed = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name not in functions:
+                    continue
+                a = functions[name][1].args
+                args = takewhile(lambda x: not isinstance(x, ast.Starred), node.args)
+                bound = dict(zip([p.arg for p in a.posonlyargs + a.args], args))
+                bound.update((k.arg, k.value) for k in node.keywords if k.arg is not None)
+                for p in a.posonlyargs + a.args + a.kwonlyargs:
+                    passed.setdefault((name, p.arg), []).append(bound.get(p.arg))
+    constant = [f"{functions[name][0]}.{name}({p})" for (name, p), args in passed.items()
+                if None not in args and _is_literal(args[0])
+                and len({ast.dump(x) for x in args}) == 1]
+    assert constant == []
