@@ -34,17 +34,21 @@ def cache_key(operation: str, config: dict) -> str:
 
 
 def lookup(operation: str, config: dict):
-    """Returns the cached result string or None."""
+    """The stored result string, parsed: a JSON object; None on a miss or a
+    corrupt entry."""
     path = os.path.join(cache_dir(), cache_key(operation, config) + ".json")
     if not os.path.exists(path):
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             entry = json.load(fh)
-        if entry.get("operation") != operation:
-            raise ValueError("operation mismatch")
-        return entry["result"]
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        if not isinstance(entry, dict) or entry.get("operation") != operation:
+            raise ValueError("not an entry of this operation")
+        result = json.loads(entry["result"])
+        if not isinstance(result, dict):
+            raise ValueError("the result is not a JSON object")
+        return result
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"warning: corrupt cache entry {path} ({exc}); recomputing",
               file=sys.stderr)
         return None

@@ -79,15 +79,13 @@ EXIT_ERROR = 3
 
 
 def parse_rational_matrix(text: str):
-    """Rows separated by ';', entries by ','; entries are rationals a/b."""
-    rows = []
-    for row in text.strip().split(";"):
-        rows.append([Fraction(x.strip()) for x in row.split(",") if x.strip()])
-    return rows
+    """Rows separated by ';', entries by ','; entries are rationals a/b, and
+    an empty one is a ValueError."""
+    return [_rationals(row) for row in text.split(";")]
 
 
 def parse_vector(text: str):
-    return [int(x.strip()) for x in text.split(",") if x.strip()]
+    return [int(x) for x in text.split(",")]
 
 
 def _rationals(text: str):
@@ -444,16 +442,17 @@ def _or_zero(vector, L: GramLattice):
 
 
 def _cached(args, operation: str, key_config: dict, compute) -> int:
-    result = None if args.no_cache else cache.lookup(operation, key_config)
-    if result is None:
+    payload = None if args.no_cache else cache.lookup(operation, key_config)
+    if payload is None:
         result = compute()
         try:
             cache.store(operation, key_config, result)
         except OSError as exc:
             # the result is computed; a cache that cannot take it loses no output
             print(f"warning: cache entry not written ({exc})", file=sys.stderr)
-    # hits and misses print the same bytes: the payload is the cached string
-    emit(args, json.loads(result))
+        payload = json.loads(result)
+    # hits and misses print the same bytes: the payload of the cached string
+    emit(args, payload)
     return EXIT_OK
 
 

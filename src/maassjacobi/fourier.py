@@ -23,7 +23,7 @@ from .gaussian import GaussianRational
 from .jets import (Coordinates, Jet, JetSpace, compose_univariate, coordinate_jets,
                    imaginary_parts)
 from .lattice import GramLattice, discriminant, enumerate_shifted
-from .opcalc import apply_coefficients, build_heat, support_space
+from .opcalc import build_heat, support_space
 from .polys import PolySum
 from .precision import PrecisionContext, mpf_str, to_mpc, to_mpf
 from .specfun import (
@@ -56,26 +56,18 @@ class FourierIndex(NamedTuple):
 #   E           {"nu": int, "h": [rationals]}        E((nu + h.v/y) sqrt(2y))
 
 
-def _profile_jet(tag: str, params: dict, imag: tuple, ctx: PrecisionContext,
-                 per_point: dict) -> Jet:
+def _profile_jet(tag: str, params: dict, imag: tuple, ctx: PrecisionContext) -> Jet:
     y, v = imag
 
-    def pi_y(c, exp=False):
-        # the jet of pi c y, or of exp(pi c y), built once per point in
-        # per_point; a key's leading str never equals a FourierIndex's n
-        key = ("exp(pi c y)" if exp else "pi c y", c)
-        jet = per_point.get(key)
-        if jet is None:
-            jet = pi_y(c).exp() if exp else y * (mp.pi * to_mpf(c))
-            per_point[key] = jet
-        return jet
+    def pi_y(c):
+        return y * (mp.pi * to_mpf(c))
 
     if tag == "constant":
         return Jet.const(y.space, 1)
     if tag == "y_power":
         return y.pow_scalar(to_mpf(Fraction(params["exponent"])))
     if tag == "exp_real":
-        return pi_y(Fraction(params["eexp"]), exp=True)
+        return pi_y(Fraction(params["eexp"])).exp()
     if tag in ("H", "W", "M"):
         arg = pi_y(Fraction(params["arg"]))
         if tag == "H":
@@ -89,7 +81,7 @@ def _profile_jet(tag: str, params: dict, imag: tuple, ctx: PrecisionContext,
         out = compose_univariate(taylor, arg)
         c2 = Fraction(params.get("eexp", 0))
         if c2:
-            out = out * pi_y(c2, exp=True)
+            out = out * pi_y(c2).exp()
         return out
     if tag == "E":
         h = [Fraction(x) for x in params["h"]]
@@ -160,23 +152,16 @@ class FourierExpansion:
             return self.jet(tau, z, 0, ctx).value
 
     def jet(self, tau, z, degree: int, ctx: PrecisionContext) -> Jet:
-        coords = coordinate_jets(JetSpace.for_rank(self.lattice.N, degree), tau, z)
-        return self._jet_at(coords, imaginary_parts(coords), {}, ctx)
+        space = JetSpace.for_rank(self.lattice.N, degree)
+        return self._jet_at(coordinate_jets(space, tau, z), ctx)
 
-    def _jet_at(self, coords: Coordinates, imag: tuple, per_point: dict,
-               ctx: PrecisionContext) -> Jet:
-        """Jet at the base point of the coordinate jets ``coords``, whose
-        imaginary parts (y, v) are ``imag``; ``per_point`` caches jets that
-        depend only on this base point: e(n tau + r.z) by index, and the
-        profiles' pi c y and exp(pi c y) by c."""
-        space = coords.tau.space
-        acc = Jet.const(space, 0)
+    def _jet_at(self, coords: Coordinates, ctx: PrecisionContext) -> Jet:
+        """Jet at the base point of the coordinate jets ``coords``."""
+        imag = imaginary_parts(coords)
+        acc = Jet.const(coords.tau.space, 0)
         for index, (tag, params, coeff) in self.terms.items():
-            pj = _profile_jet(tag, params, imag, ctx, per_point)
-            qz = per_point.get(index)
-            if qz is None:
-                qz = per_point[index] = _index_exponential_jet(index, coords)
-            acc = acc + pj * qz * to_mpc(coeff)
+            pj = _profile_jet(tag, params, imag, ctx)
+            acc = acc + pj * _index_exponential_jet(index, coords) * to_mpc(coeff)
         return acc
 
     # -- serialization: stable key order, exact rational strings ------------
@@ -559,61 +544,35 @@ def casimir_exact_residuals(cases, casimir) -> list:
 # -- operator annihilation / eigenvalue reports ------------------------------------
 
 
-def _worst_residual(op, cases, points, ctx):
-    """For each case (f, k_value, lam), max_p |T f - lam f| / max(1, |f|)
-    over the sample points, via jets; lam None means T f alone.
-
-    The cases share one rank, and the jets live on the operator's
-    ``support_space``.  The points are the outer loop: their
-    coordinate jets, their imaginary parts and the per-point jets of
-    ``_jet_at`` are built once and shared by every case, and the operator's
-    coefficient values once per k_value.  Runs inside the caller's
-    working-precision block.
-    """
-    if not cases:
-        return []
-    N = cases[0][0].lattice.N
-    space = support_space(N, [op])
-    worst = [mp.mpf(0)] * len(cases)
+def _worst_residual(op, f: FourierExpansion, k_value, lam, points, ctx):
+    """max_p |T f - lam f| / max(1, |f|) over the sample points, via jets on
+    the operator's ``support_space``; lam None means T f alone.  Runs inside
+    the caller's working-precision block."""
+    space = support_space(f.lattice.N, [op])
+    worst = mp.mpf(0)
     for tau, z in points:
-        coords = coordinate_jets(space, tau, z)
-        imag = imaginary_parts(coords)
-        per_point = {}
-        coefficients = {}
-        for i, (f, k_value, lam) in enumerate(cases):
-            jet = f._jet_at(coords, imag, per_point, ctx)
-            if k_value not in coefficients:
-                coefficients[k_value] = op.coefficients_at(tau, z, k_value)
-            val = apply_coefficients(coefficients[k_value], jet)
-            if lam is not None:
-                val = val - lam * jet.value
-            res = abs(val) / max(mp.mpf(1), abs(jet.value))
-            worst[i] = max(worst[i], res)
+        jet = f._jet_at(coordinate_jets(space, tau, z), ctx)
+        val = op.apply_jet(jet, tau, z, k_value)
+        if lam is not None:
+            val = val - lam * jet.value
+        worst = max(worst, abs(val) / max(mp.mpf(1), abs(jet.value)))
     return worst
-
-
-def casimir_residuals(cases, casimir, points, ctx: PrecisionContext):
-    """For each case (f, k, eigenvalue), max_p |C^{k,L} f - eigenvalue f| / |f|
-    over sample points, via jets; ``casimir`` is build_casimir_op of the
-    cases' lattice, built once by the caller."""
-    with ctx.working():
-        return _worst_residual(
-            casimir, [(f, to_mpc(Fraction(k)), to_mpc(ev)) for f, k, ev in cases],
-            points, ctx)
 
 
 def casimir_residual(f: FourierExpansion, casimir, k, points, ctx: PrecisionContext,
                      eigenvalue=0):
-    """max_p |C^{k,L} f - lambda f| / |f| over sample points: the one-case
-    call of ``casimir_residuals``."""
-    return casimir_residuals([(f, k, eigenvalue)], casimir, points, ctx)[0]
+    """max_p |C^{k,L} f - eigenvalue f| / |f| over sample points, via jets;
+    ``casimir`` is build_casimir_op of f's lattice, built once by the caller."""
+    with ctx.working():
+        return _worst_residual(casimir, f, to_mpc(Fraction(k)), to_mpc(eigenvalue),
+                               points, ctx)
 
 
 def heat_residual(f: FourierExpansion, points, ctx: PrecisionContext):
     """max_p |heat f| / |f| over sample points."""
     op = build_heat(f.lattice)
     with ctx.working():
-        return _worst_residual(op, [(f, None, None)], points, ctx)[0]
+        return _worst_residual(op, f, None, None, points, ctx)
 
 
 # -- torsion specialization --------------------------------------------------------

@@ -229,7 +229,6 @@ class DiffOp(SparseTerms):
         point (tau, z), with its derivative exponent e, in the stored order.
 
         k_value is required when the operator still contains the formal k.
-        The values serve every jet at that point and k (``apply_coefficients``).
         """
         N = self.op_ring.N
         if len(z) != N:
@@ -251,13 +250,17 @@ class DiffOp(SparseTerms):
         return out
 
     def apply_jet(self, jet: Jet, tau, z, k_value=None):
-        """Value of (T f)(p) from a jet of f at p = (tau, z); the arguments
-        after the jet are those of ``coefficients_at``.  Each derivative
-        exponent of T must be a monomial of the jet's space
+        """Value of (T f)(p) = sum c d^e f(p) from a jet of f at p = (tau, z),
+        summed over the (e, c) of ``coefficients_at`` in their order; the
+        arguments after the jet are those of ``coefficients_at``.  Each
+        derivative exponent of T must be a monomial of the jet's space
         (``JetSpace.require``)."""
         for e in self.terms:
             jet.space.require(e)
-        return apply_coefficients(self.coefficients_at(tau, z, k_value), jet)
+        acc = mp.mpc(0)
+        for e, c in self.coefficients_at(tau, z, k_value):
+            acc += c * jet.derivative_at_base(e)
+        return acc
 
     # -- rendering ---------------------------------------------------------------------------
 
@@ -276,15 +279,6 @@ class DiffOp(SparseTerms):
 
     def __repr__(self):
         return f"DiffOp(order={self.order()}, terms={len(self.terms)}, shift={self.shift})"
-
-
-def apply_coefficients(coefficients: list, jet: Jet):
-    """(T f)(p) = sum c d^e f(p) over the (e, c) of ``T.coefficients_at(p)``,
-    summed in their order, from a jet of f at p."""
-    acc = mp.mpc(0)
-    for e, c in coefficients:
-        acc += c * jet.derivative_at_base(e)
-    return acc
 
 
 def support_space(N: int, ops) -> JetSpace:

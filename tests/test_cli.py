@@ -336,7 +336,7 @@ def test_concurrent_stores_of_one_key(cache_dir):
         p.join(timeout=120)
     assert not any(p.is_alive() for p in procs)
     assert [p.exitcode for p in procs] == [0] * 4
-    assert cache.lookup("race", {"x": 1}) == '{"v": 1}'
+    assert cache.lookup("race", {"x": 1}) == {"v": 1}
     assert not [f for f in os.listdir(cache_dir) if f.endswith(".tmp")]
 
 
@@ -356,11 +356,22 @@ def test_store_of_equal_bytes_keeps_the_entry(cache_dir):
 def test_store_of_other_bytes_replaces_the_entry(cache_dir):
     cache.store("once", {"x": 1}, '{"v": 1}')
     cache.store("once", {"x": 1}, '{"v": 2}')
-    assert cache.lookup("once", {"x": 1}) == '{"v": 2}'
+    assert cache.lookup("once", {"x": 1}) == {"v": 2}
     assert os.listdir(cache_dir) == [os.path.basename(_entry_path("once", {"x": 1}))]
 
 
-@pytest.mark.parametrize("bad", ["", "{ this is not json"], ids=["empty", "garbage"])
+# text that is no entry: no JSON, JSON that is no entry object, and an
+# entry whose result is no JSON object's text
+CORRUPT_ENTRIES = {
+    "empty": "", "garbage": "{ this is not json", "list": "[]", "number": "5",
+    "result-number": '{"operation": "once", "result": 7}',
+    "result-not-json": '{"operation": "once", "result": "{ not json"}',
+    "result-not-object": '{"operation": "once", "result": "7"}',
+    "no-result": '{"operation": "once"}',
+}
+
+
+@pytest.mark.parametrize("bad", CORRUPT_ENTRIES.values(), ids=CORRUPT_ENTRIES.keys())
 def test_corrupt_entry_is_rewritten_with_its_warning(cache_dir, capsys, bad):
     cache.store("once", {"x": 1}, '{"v": 1}')
     with open(_entry_path("once", {"x": 1}), "w") as fh:
@@ -368,8 +379,21 @@ def test_corrupt_entry_is_rewritten_with_its_warning(cache_dir, capsys, bad):
     assert cache.lookup("once", {"x": 1}) is None
     assert capsys.readouterr().err.startswith("warning: corrupt cache entry")
     cache.store("once", {"x": 1}, '{"v": 1}')
-    assert cache.lookup("once", {"x": 1}) == '{"v": 1}'
+    assert cache.lookup("once", {"x": 1}) == {"v": 1}
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("bad", CORRUPT_ENTRIES.values(), ids=CORRUPT_ENTRIES.keys())
+def test_corrupt_entry_prints_the_bytes_of_a_fresh_run(cache_dir, capsys, bad):
+    args = ("kloosterman", "--c=3", "--L", "2", "--n", "1", "--nprime", "1")
+    fresh = run(capsys, *args, "--no-cache")
+    run(capsys, *args)
+    (path,) = [cache_dir / name for name in os.listdir(cache_dir)]
+    path.write_text(bad.replace('"once"', '"kloosterman"'))
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    assert (code, out) == fresh and err.startswith("warning: corrupt cache entry")
+    assert run(capsys, *args) == fresh and capsys.readouterr().err == ""
 
 
 def test_leftover_temp_file_does_not_touch_the_entry(cache_dir):
@@ -381,9 +405,9 @@ def test_leftover_temp_file_does_not_touch_the_entry(cache_dir):
     inode = os.stat(path).st_ino
     cache.store("once", {"x": 1}, '{"v": 1}')
     assert os.stat(path).st_ino == inode
-    assert cache.lookup("once", {"x": 1}) == '{"v": 1}'
+    assert cache.lookup("once", {"x": 1}) == {"v": 1}
     cache.store("once", {"x": 1}, '{"v": 2}')
-    assert cache.lookup("once", {"x": 1}) == '{"v": 2}'
+    assert cache.lookup("once", {"x": 1}) == {"v": 2}
     assert os.listdir(cache_dir) == [os.path.basename(path)]
 
 
@@ -438,6 +462,22 @@ def test_theta_rejects_flags_its_variant_does_not_read(cache_dir, capsys, argv, 
 ])
 def test_empty_tables_are_usage_errors(cache_dir, capsys, argv):
     # a reversed c-range or a negative window would print an empty table
+    code, out = run(capsys, *argv)
+    assert code == 2 and json.loads(out)["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize("argv", [
+    ("kloosterman", "--L", "2,1;1,2", "--r=1,,0"),
+    ("kloosterman", "--L", "2,1;1,2", "--rprime=1,0,"),
+    ("theta", "--L", "2", "--mu", ","),
+    ("kloosterman", "--L", "2,,1;1,2"),
+    ("kloosterman", "--L", "2,1,;1,2"),
+    ("kloosterman", "--L", "2,1;1,2;"),
+    ("kloosterman", "--L", ""),
+], ids=" ".join)
+def test_empty_entries_are_usage_errors(cache_dir, capsys, argv):
+    # an empty entry of a vector or matrix literal is refused, not dropped:
+    # --r=1,,0 is not the vector 1,0
     code, out = run(capsys, *argv)
     assert code == 2 and json.loads(out)["error"]["type"] == "UsageError"
 

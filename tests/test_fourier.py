@@ -17,7 +17,6 @@ from maassjacobi.fourier import (
     _worst_residual,
     casimir_exact_residuals,
     casimir_residual,
-    casimir_residuals,
     heat_residual,
     maass_fourier_term,
     mixed_mock_term,
@@ -71,7 +70,7 @@ def eigenfunction_ratio_residual(f: FourierExpansion, k, probe_point, points, ct
         tau, z = probe_point
         jet = f.jet(tau, z, degree=op.order(), ctx=ctx)
         lam = op.apply_jet(jet, tau, z, k_value=kv) / jet.value
-        return _worst_residual(op, [(f, kv, lam)], points, ctx)[0], lam
+        return _worst_residual(op, f, kv, lam, points, ctx), lam
 
 
 def test_theta_lmu_examples():
@@ -172,7 +171,7 @@ def test_point_sums_match_the_loop(ctx, h, r, degree):
         w = w * (y * 2).pow_scalar(mp.mpf("0.5"))
         derivs = e_profile_jet(w.value.real, degree, ctx)
         expect = compose_univariate([d / factorial(j) for j, d in enumerate(derivs)], w)
-        got = _profile_jet("E", {"nu": nu, "h": h}, imag, ctx, {})
+        got = _profile_jet("E", {"nu": nu, "h": h}, imag, ctx)
         assert list(got.terms.items()) == list(expect.terms.items())
         expo = sum_by_loop([coords.tau * to_mpc(n)]
                             + [zj * rj for zj, rj in zip(coords.z, r) if rj])
@@ -180,10 +179,9 @@ def test_point_sums_match_the_loop(ctx, h, r, degree):
         assert list(got.terms.items()) == list((expo * (2j * mp.pi)).exp().terms.items())
 
 
-def test_worst_residual_has_the_bits_of_the_total_degree_space(monkeypatch):
-    # the cases of test_16_fourier_term_templates, on the operators'
-    # support space and, as the oracle, on the total-degree space of their
-    # order
+def _template_residuals():
+    """The residuals of test_16_fourier_term_templates, at 128 bits: the c-
+    term, two skew terms and the mixed-mock term at k = 1 and at k = 2."""
     ctx = PrecisionContext(bits=128)
     with ctx.working():
         pts = [(mp.mpc("0.13", "0.9"), [mp.mpc("0.21", "0.17")]),
@@ -191,19 +189,57 @@ def test_worst_residual_has_the_bits_of_the_total_degree_space(monkeypatch):
                (mp.mpc("0.05", "0.6"), [mp.mpc("0.4", "-0.2")])]
     L1, L2 = GramLattice([[1]]), GramLattice([[2]])
     C1, C2 = build_casimir_op(L1), build_casimir_op(L2)
+    return [casimir_residual(maass_fourier_term("c-", 2, L1, -1, [1]), C1, 2, pts, ctx),
+            heat_residual(skew_fourier_term(L1, 1, [1]), pts, ctx),
+            heat_residual(skew_fourier_term(L2, 1, [2]), pts, ctx),
+            casimir_residual(mixed_mock_term(1, L2, 0, [2], 1, [0]), C2, 1, pts, ctx),
+            casimir_residual(mixed_mock_term(2, L2, 0, [2], 1, [0]), C2, 2, pts, ctx)]
 
-    def residuals():
-        return [casimir_residual(maass_fourier_term("c-", 2, L1, -1, [1]), C1, 2, pts, ctx),
-                heat_residual(skew_fourier_term(L1, 1, [1]), pts, ctx),
-                heat_residual(skew_fourier_term(L2, 1, [2]), pts, ctx),
-                casimir_residual(mixed_mock_term(1, L2, 0, [2], 1, [0]), C2, 1, pts, ctx),
-                casimir_residual(mixed_mock_term(2, L2, 0, [2], 1, [0]), C2, 2, pts, ctx)]
 
-    on_support = residuals()
+def test_worst_residual_has_the_bits_of_the_total_degree_space(monkeypatch):
+    # the cases of test_16_fourier_term_templates, on the operators'
+    # support space and, as the oracle, on the total-degree space of their
+    # order
+    on_support = _template_residuals()
     monkeypatch.setattr("maassjacobi.fourier.support_space",
                         lambda N, ops: JetSpace.for_rank(N, max(T.order() for T in ops)))
-    assert on_support == residuals()
+    assert on_support == _template_residuals()
     assert on_support[4] > mp.mpf("1e-3") > max(on_support[:4])
+
+
+# 40 digits of each residual, as the per-point caches of the batched
+# residuals gave them: one case at a time, every jet and sum keeps its bits
+TEMPLATE_DIGITS = [
+    "7.70943216759044447040091064590404081077e-50",
+    "2.888850790713520936080208593475312630402e-45",
+    "9.080704639780414121770540412090008392203e-46",
+    "1.935288372246823236135208335037390604013e-48",
+    "0.05081569873458914251130570743695097118072",
+]
+EIGEN_DIGITS = [  # the s = 5/2 seeds of eigen_grid on 2,1;1,2, in its order
+    "3.196828251938273604115664465171199197524e-44",
+    "1.916728426386958772350847816086628417944e-44",
+    "2.00163698799888201597876644241018769189e-44",
+    "5.469087923655163596352332529232749598208e-44",
+    "7.21521022185927688653631380938426557504e-44",
+    "4.919672807329186839806080913641616035126e-44",
+    "4.954540054496226262366025173226639220689e-44",
+    "8.915062821584391181964408541800748087084e-44",
+    "5.149801059797741169285687886653201353108e-44",
+    "3.585944689744261897717613000559784542386e-44",
+    "3.905278297540735239727566031848760272076e-44",
+    "1.198655247890550681295657398359583890959e-43",
+]
+
+
+def test_template_residuals_keep_their_digits():
+    assert [mp.nstr(x, 40) for x in _template_residuals()] == TEMPLATE_DIGITS
+    L = GramLattice([[2, 1], [1, 2]])
+    ctx = PrecisionContext(bits=128)
+    C, pts = build_casimir_op(L), eigen_points(L.N, ctx)
+    got = [casimir_residual(f, C, k, pts, ctx, eigenvalue=ev)
+           for name, (f, k, ev) in eigen_grid(L) if " s=5/2 " in name]
+    assert [mp.nstr(x, 40) for x in got] == EIGEN_DIGITS
 
 
 @pytest.mark.parametrize("h", [[1], [1, 0, 2]], ids=["short", "long"])
@@ -255,7 +291,7 @@ def test_residual_over_no_points_is_zero(ctx):
     L = GramLattice([[2]])
     f = theta_lmu(L, [1], 2)
     with ctx.working():
-        assert _worst_residual(build_casimir_op(L), [(f, None, None)], [], ctx) == [mp.mpf(0)]
+        assert _worst_residual(build_casimir_op(L), f, None, None, [], ctx) == mp.mpf(0)
 
 
 _E_CASES = [(GramLattice([[2]]), [1], 0, [Fraction(1, 2)], PTS1[0]),
@@ -417,23 +453,6 @@ def test_phi_seed_eigen(ctx):
         assert casimir_residual(f, C, k, PTS1, ctx, eigenvalue=ev) < mp.mpf("1e-10")
 
 
-@pytest.mark.parametrize("entries, bits", [
-    ([[1]], 128), ([[3]], 256), ([[2, 1], [1, 2]], 128),
-])
-def test_shared_eigen_matches_the_per_seed_oracle(entries, bits):
-    # the grid of `verify eigen` in one call, against one call per seed; at
-    # N = 2 only s = 5/2, since some other grid points meet the Kummer pole
-    L = GramLattice(entries)
-    ctx = PrecisionContext(bits=bits)
-    grid, pts = eigen_grid(L), eigen_points(L.N, ctx)
-    cases = [case for name, case in grid if L.N == 1 or " s=5/2 " in name]
-    assert len(cases) > 1
-    C = build_casimir_op(L)
-    shared = casimir_residuals(cases, C, pts, ctx)
-    assert shared == [casimir_residual(f, C, k, pts, ctx, eigenvalue=ev) for f, k, ev in cases]
-    assert all(r < mp.mpf("1e-10") for r in shared)
-
-
 def _at_the_pole_as_w(f):
     """The seed f, retagged W where 2s is a nonpositive integer: there M has
     a Kummer pole, and W solves the same Whittaker equation."""
@@ -444,21 +463,27 @@ def _at_the_pole_as_w(f):
     return f
 
 
-@pytest.mark.parametrize("entries, size, poles", [([[1]], 18, 0), ([[2, 1], [1, 2]], 36, 8)])
-def test_exact_eigen_agrees_with_the_numeric_oracle(ctx, entries, size, poles):
+@pytest.mark.parametrize("entries, size, poles, bits", [
+    pytest.param([[1]], 18, 0, 128, id="entries0-18-0"),
+    pytest.param([[2, 1], [1, 2]], 36, 8, 128, id="entries1-36-8"),
+    pytest.param([[3]], 18, 0, 256, id="entries2-18-0-256"),
+])
+def test_exact_eigen_agrees_with_the_numeric_oracle(entries, size, poles, bits):
     # the exact identity on every case of the `verify eigen` grid, and the
     # jets of the same seeds at three points; at N = 2 the pole points
-    # (k, s) = (0, -1/2) and (3, 0) are reached through the W seed.  One
-    # lattice a rank keeps it cheap: the numeric N = 2 path is the slow one
+    # (k, s) = (0, -1/2) and (3, 0) are reached through the W seed.  Few
+    # lattices a rank keep it cheap: the numeric N = 2 path is the slow one
     L = GramLattice(entries)
+    ctx = PrecisionContext(bits=bits)
     grid = [case for _, case in eigen_grid(L)]
     cases = [(_at_the_pole_as_w(f), k, ev) for f, k, ev in grid]
     assert len(cases) == size
     assert sum(g is not f for (g, _, _), (f, _, _) in zip(cases, grid)) == poles
     C = build_casimir_op(L)
     assert all(not (a or b) for a, b in casimir_exact_residuals(cases, C))
-    residuals = casimir_residuals(cases, C, eigen_points(L.N, ctx), ctx)
-    assert all(r < mp.mpf("1e-10") for r in residuals)
+    pts = eigen_points(L.N, ctx)
+    assert all(casimir_residual(f, C, k, pts, ctx, eigenvalue=ev) < mp.mpf("1e-10")
+               for f, k, ev in cases)
 
 
 @pytest.mark.parametrize("entries, seen", [

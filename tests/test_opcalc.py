@@ -19,7 +19,6 @@ from maassjacobi.lattice import GramLattice
 from maassjacobi.opcalc import (
     DiffOp,
     OpRing,
-    apply_coefficients,
     bridge_check,
     bridge_rhs,
     build_casimir_op,
@@ -836,9 +835,8 @@ def _coefficients_by_name(op, tau, z, k_value):
 
 
 def _apply_jet_per_term(op, jet, tau, z, k_value):
-    """(T f)(p) with every coefficient evaluated for this one jet, summed in
-    the stored order: DiffOp.apply_jet before its coefficient values were
-    shared by the jets of one point and k."""
+    """(T f)(p) from the name-keyed coefficient values, summed in the stored
+    order: the oracle of DiffOp.apply_jet."""
     acc = mp.mpc(0)
     for e, c in _coefficients_by_name(op, tau, z, k_value):
         acc += c * jet.derivative_at_base(e)
@@ -851,8 +849,8 @@ def _apply_jet_per_term(op, jet, tau, z, k_value):
        bits=st.sampled_from([128, 256]))
 def test_shared_coefficients_match_the_per_term_oracle(N, which, k, seed, bits):
     # the coefficient values of one point and k, read by variable position,
-    # are those of the name-keyed evaluation, and shared by three drawn jets
-    # they give each jet the bits of the per-term loop
+    # are those of the name-keyed evaluation, and apply_jet gives each of
+    # three drawn jets the bits of the per-term loop
     L = LATTICES[N][seed % 2]
     op = build_casimir_op(L) if which == "casimir" else build_heat(L)
     k_value = to_mpc(k) if which == "casimir" else None
@@ -867,7 +865,6 @@ def test_shared_coefficients_match_the_per_term_oracle(N, which, k, seed, bits):
         for _ in range(3):
             jet = Jet(space, {e: mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for e in monos})
             expect = _apply_jet_per_term(op, jet, tau, z, k_value)
-            assert apply_coefficients(shared, jet) == expect
             assert op.apply_jet(jet, tau, z, k_value=k_value) == expect
 
 
