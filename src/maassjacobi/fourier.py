@@ -148,6 +148,8 @@ class FourierExpansion:
         return sorted(self.terms.items(), key=lambda kv: (kv[0].n, kv[0].r))
 
     def evaluate(self, tau, z, ctx: PrecisionContext):
+        """The expansion's value at (tau, z) at ctx's working precision, the
+        value of its degree-0 jet there; public API."""
         with ctx.working():
             return self.jet(tau, z, 0, ctx).value
 

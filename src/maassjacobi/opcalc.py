@@ -20,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
-from operator import add, sub
 
 from mpmath import mp
 
@@ -38,6 +37,13 @@ _HALF = Fraction(1, 2)
 _IHALF = GaussianRational(0, _HALF)       # i/2
 _MIHALF = GaussianRational(0, -_HALF)     # -i/2
 
+# the bits of one direction's field in a packed derivative exponent; its
+# top bit is a guard, so exponents lie in [0, _DGUARD) and the sum of two
+# sets the guard instead of carrying into the next field
+DFIELD_BITS = 8
+_DGUARD = 1 << (DFIELD_BITS - 1)
+_DMASK = (1 << DFIELD_BITS) - 1
+
 
 class OpRing(Keyed):
     """Coefficient ring and direction bookkeeping for fixed rank N.
@@ -45,7 +51,9 @@ class OpRing(Keyed):
     Directions are ordered d_tau, d_taubar, d_z_1..d_z_N, d_zbar_1..d_zbar_N,
     as the slots of ``Coordinates``; the ring's variables are ordered k, pi,
     y, x, v_1..v_N, u_1..u_N, and k, x, y and the vectors u, v are
-    attributes.
+    attributes.  ``compose`` works on derivative exponents packed into
+    ints (``pack`` and ``exponent``) and reads its Leibniz splits from
+    the ring (``splits``).
     """
 
     def _init(self, N: int):
@@ -73,6 +81,61 @@ class OpRing(Keyed):
         one, n = self.ring.one(), self.ndirs
         self.d = Coordinates.of(DiffOp(self, {tuple(int(i == j) for i in range(n)): one})
                                 for j in range(n))
+        # a derivative exponent packs into one int, direction j in the field
+        # at dshifts[j], whose top bit is a guard (``pack``); the tables
+        # below hold exponents and splits only, filled on first use
+        self.dshifts = tuple(j * DFIELD_BITS for j in range(n))
+        self.dguard = sum(_DGUARD << s for s in self.dshifts)
+        self._packed, self._exps, self._splits, self._flat = {}, {}, {}, {}
+
+    def pack(self, e) -> int:
+        """The packed derivative exponent of an exponent tuple."""
+        p = self._packed.get(e)
+        if p is None:
+            if len(e) != self.ndirs or not all(0 <= x < _DGUARD for x in e):
+                raise DomainError(f"a derivative exponent {e} outside the {self.ndirs} "
+                                  f"directions' fields [0, {_DGUARD})")
+            p = self._packed[e] = sum(x << s for x, s in zip(e, self.dshifts))
+            self._exps.setdefault(p, e)
+        return p
+
+    def exponent(self, p: int) -> tuple:
+        """The exponent tuple of a packed derivative exponent; DomainError
+        once a field has reached its guard bit."""
+        e = self._exps.get(p)
+        if e is None:
+            if p & self.dguard:
+                j = next(j for j, s in enumerate(self.dshifts) if p >> s & _DGUARD)
+                raise DomainError(f"a derivative exponent of direction {j} outside "
+                                  f"[0, {_DGUARD})")
+            e = self._exps[p] = tuple((p >> s) & _DMASK for s in self.dshifts)
+        return e
+
+    def splits(self, p: int, flat: int) -> list:
+        """The Leibniz splits of the packed exponent p, gamma + delta = p,
+        whose delta has no direction among the bits of ``flat``: (packed
+        gamma, packed delta, binomial) with gamma in lexicographic order,
+        built once for each (p, flat)."""
+        out = self._splits.get((p, flat))
+        if out is None:
+            alpha = self.exponent(p)
+            out = []
+            for gamma in product(*(range(a if flat >> j & 1 else 0, a + 1)
+                                   for j, a in enumerate(alpha))):
+                g = self.pack(gamma)
+                out.append((g, p - g, prod(map(comb, alpha, gamma))))
+            self._splits[p, flat] = out
+        return out
+
+    def flat_dirs(self, support: int) -> int:
+        """The directions, as bits, in which a coefficient of this support
+        has no derivative: those whose rules meet none of its variables (a
+        derivative never brings a variable in)."""
+        flat = self._flat.get(support)
+        if flat is None:
+            flat = self._flat[support] = sum(1 << j for j, mask in enumerate(self.rule_masks)
+                                             if not support & mask)
+        return flat
 
     def derivative(self, poly: Poly, delta) -> Poly:
         """d^delta poly, direction 0 first, stopping at the first zero.
@@ -153,45 +216,39 @@ class DiffOp(SparseTerms):
         where the formal k inside a becomes k + other.shift."""
         other = self._coerce(other)
         R = self.op_ring
+        ring, pack, splits = R.ring, R.pack, R.splits
         ksub = None
-        # the sum of each output coefficient, added in place; a key stays
-        # where it was first put even while its coefficient sums to zero
+        # the sum of each output coefficient by packed exponent, added in
+        # place; a key stays where it was first put even while its
+        # coefficient sums to zero
         out = {}
-        # d^delta b by the exponent of b, then by delta: the same derivative
-        # recurs for every left term whose exponent reaches delta; and the
-        # directions, as bits, whose rules meet none of b's variables, where
-        # b has no derivative (a derivative never brings a variable in)
-        derivs = {}
-        for be, bp in other.terms.items():
-            support = bp.support()
-            derivs[be] = ({R.zero_dexp: bp},
-                          sum(1 << j for j, mask in enumerate(R.rule_masks) if not support & mask))
+        # each term of other: its packed exponent, its coefficient b, d^delta b
+        # by packed delta (the same derivative recurs for every left term
+        # whose exponent reaches delta), and the directions where b is flat
+        rights = [(pack(be), bp, {0: bp}, R.flat_dirs(bp.support()))
+                  for be, bp in other.terms.items()]
         for ae, ap in self.terms.items():
             if other.shift and ap.uses("k"):
                 if ksub is None:
                     ksub = {"k": R.k + other.shift}
                 ap = ap.subs(ksub)
-            splits = []
-            for gamma in product(*(range(a + 1) for a in ae)):
-                delta = tuple(map(sub, ae, gamma))
-                splits.append((gamma, delta, sum(1 << j for j, d in enumerate(delta) if d),
-                               prod(map(comb, ae, gamma))))
-            for be, bp in other.terms.items():
-                dbs, flat = derivs[be]
-                for gamma, delta, dirs, binom in splits:
-                    if dirs & flat:
-                        continue
+            pa = pack(ae)
+            for be, bp, dbs, flat in rights:
+                for gamma, delta, binom in splits(pa, flat):
                     dp = dbs.get(delta)
                     if dp is None:
-                        dp = dbs[delta] = R.derivative(bp, delta)
+                        dp = dbs[delta] = R.derivative(bp, R.exponent(delta))
                     if not dp:
                         continue
-                    e = tuple(map(add, gamma, be))
+                    e = gamma + be
                     acc = out.get(e)
                     if acc is None:
-                        acc = out[e] = PolySum(R.ring)
+                        acc = out[e] = PolySum(ring)
                     acc.add_product(ap, dp, binom)
-        return DiffOp(R, {e: acc.poly() for e, acc in out.items()},
+        # a sum whose field reached its guard bit raises DomainError here,
+        # before any key is written
+        exponent = R.exponent
+        return DiffOp(R, {exponent(e): acc.poly() for e, acc in out.items()},
                       self.shift + other.shift)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
@@ -265,6 +322,10 @@ class DiffOp(SparseTerms):
     # -- rendering ---------------------------------------------------------------------------
 
     def canonical_text(self) -> str:
+        """The operator as text, one ``(coefficient) * monomial`` line per
+        term, sorted by order and then by exponent, "0" when it has no
+        terms; public API, its rendering of the builders pinned by golden
+        tests."""
         R = self.op_ring
         names = ["dtau", "dtaubar"]
         names += [f"dz{j}" for j in range(1, R.N + 1)]

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from maassjacobi.cli import covariance_jobs, parse_rational_matrix
+from maassjacobi import opcalc
+from maassjacobi.cli import covariance_jobs, main, parse_rational_matrix
 from maassjacobi.enveloping import JacobiLieAlgebra, PBWElement, build_casimir, pbw_normal_order
 from maassjacobi.errors import DegreeError, DomainError
 from maassjacobi.gaussian import GaussianRational
@@ -17,6 +18,7 @@ from maassjacobi.group import AlgebraElement, Point, automorphy_factor, slash
 from maassjacobi.jets import Jet, JetSpace, coordinate_jets, imaginary_parts
 from maassjacobi.lattice import GramLattice
 from maassjacobi.opcalc import (
+    DFIELD_BITS,
     DiffOp,
     OpRing,
     bridge_check,
@@ -172,12 +174,50 @@ def test_derivative_matches_the_sum_of_scaled_rules(N):
 def test_compose_matches_the_recursive_leibniz_oracle(N):
     R = OpRing(N)
     rng = random.Random(40 + N)
+
+    def draw(order):
+        return ((_random_op(R, rng, order) + _random_op(R, rng, order).scale(R.k))
+                .with_shift(rng.choice([-2, -1, 1, 2])))
+
     for _ in range(20):
-        A, B = ((_random_op(R, rng) + _random_op(R, rng).scale(R.k))
-                .with_shift(rng.choice([-2, -1, 1, 2])) for _ in range(2))
+        A, B = draw(2), draw(2)
         got, expect = A.compose(B), _leibniz_compose(A, B)
         assert got == expect
         assert _layout(got) == _layout(expect)
+    # up to the Casimir's order 4, where binomials of 2 and more split
+    # exponents, and chains of three compositions either way round
+    for _ in range(6):
+        A, B, C = draw(4), draw(4), draw(2)
+        got, expect = A.compose(B), _leibniz_compose(A, B)
+        assert got == expect
+        assert _layout(got) == _layout(expect)
+        for got, expect in ((got.compose(C), _leibniz_compose(expect, C)),
+                            (A.compose(B.compose(C)), _leibniz_compose(A, _leibniz_compose(B, C)))):
+            assert got == expect
+            assert _layout(got) == _layout(expect)
+
+
+def test_compose_past_a_packed_field_is_a_domain_error():
+    # each direction's field holds exponents below 2^(DFIELD_BITS - 1)
+    R = OpRing(2)
+    top = 2 ** (DFIELD_BITS - 1)
+    one = R.ring.one()
+
+    def power(j, n):
+        return DiffOp(R, {tuple(n if i == j else 0 for i in range(R.ndirs)): one})
+
+    assert power(3, top // 2).compose(power(3, top // 2 - 1)) == power(3, top - 1)
+    with pytest.raises(DomainError):
+        power(3, top // 2).compose(power(3, top // 2))
+    # a coefficient the left factor differentiates takes the splits too
+    vmul = DiffOp.multiplication(R, R.v[0])
+    assert power(2, top - 1).compose(vmul).terms[(0, 0, top - 1, 0, 0, 0)] == R.v[0]
+    with pytest.raises(DomainError):
+        power(2, top - 1).compose(vmul.compose(power(2, 1)))
+    with pytest.raises(DomainError):
+        power(0, top).compose(DiffOp.identity(R))
+    with pytest.raises(DomainError):
+        DiffOp.identity(R).compose(DiffOp(R, {(1, 0, 0): one}))
 
 
 def _golden_builders(L):
@@ -431,17 +471,10 @@ def test_central_generators_at_rank_10_are_their_calL_entries():
     assert len(JacobiLieAlgebra(N).e_gens) == 10
 
 
-def test_lie_slash_table_and_anti_homomorphism():
-    L = GramLattice([[1]])
-    R = OpRing(1)
-    # |[Z11] = calL_11, |[E] = d_x = d_tau + d_taubar, |[e1] = d_u1
-    cl = calL(R, L)
-    assert build_lie_slash("Z11", L) == DiffOp.multiplication(R, cl[0][0])
-    d = R.d
-    assert build_lie_slash("E", L) == d.tau + d.taubar
-    assert build_lie_slash("e1", L) == d.z[0] + d.zbar[0]
-    # [op(a), op(b)] = op([b, a]) for all basis pairs
-    alg = JacobiLieAlgebra(1)
+def _check_letter_relations(L):
+    """[op(a), op(b)] = op([b, a]) for all pairs of basis letters."""
+    R = OpRing(L.N)
+    alg = JacobiLieAlgebra(L.N)
     for a in alg.names:
         for b in alg.names:
             lhs = build_lie_slash(a, L).commutator(build_lie_slash(b, L))
@@ -451,12 +484,82 @@ def test_lie_slash_table_and_anti_homomorphism():
                 idx = [i for i, kk in enumerate(exp) if kk][0]
                 rhs = rhs + build_lie_slash(alg.names[idx], L).scale(c)
             assert lhs == rhs, (a, b)
+
+
+def test_lie_slash_table_and_anti_homomorphism():
+    L = GramLattice([[1]])
+    R = OpRing(1)
+    # |[Z11] = calL_11, |[E] = d_x = d_tau + d_taubar, |[e1] = d_u1
+    cl = calL(R, L)
+    assert build_lie_slash("Z11", L) == DiffOp.multiplication(R, cl[0][0])
+    d = R.d
+    assert build_lie_slash("E", L) == d.tau + d.taubar
+    assert build_lie_slash("e1", L) == d.z[0] + d.zbar[0]
+    _check_letter_relations(L)
     # linearity through AlgebraElement input
     Y = AlgebraElement(((0, 2), (0, 0)), [[Fraction(1, 2), 0]], [[-1]])  # 2 E + f1/2 - Z11
     got = build_lie_slash(Y, L)
     expect = build_lie_slash("E", L).scale(2) + \
         build_lie_slash("f1", L).scale(Fraction(1, 2)) - build_lie_slash("Z11", L)
     assert got == expect
+
+
+@pytest.mark.parametrize("gram", ["2,1;1,2", "2,1,0;1,2,1;0,1,2"])
+def test_letter_relations_at_higher_rank(gram):
+    # the bridge through uea_to_op rests on these relations at every rank
+    _check_letter_relations(GramLattice(parse_rational_matrix(gram)))
+
+
+EXACT_SUITES = ("commutators", "casimir-equality", "bridge")
+
+
+def _exact_suite_codes(capsys):
+    """The exit code of each exact suite on 2,1;1,2 (verify reads no cache)."""
+    codes = {}
+    for suite in EXACT_SUITES:
+        codes[suite] = main(["verify", suite, "--L", "2,1;1,2"])
+        capsys.readouterr()
+    return codes
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_exact_suites_catch_a_leibniz_binomial_set_to_1(j, monkeypatch, capsys):
+    # the split table as compose reads it, with C(2, 1) = 2 of d_z_j^2 set
+    # to 1: d_z_j^2 on a coefficient in v_j is the one split with a
+    # binomial above 1 that these suites read at rank 2
+    R = OpRing(2)
+    alpha = R.pack(tuple(2 * (i == 2 + j) for i in range(R.ndirs)))
+    gamma = R.pack(tuple(int(i == 2 + j) for i in range(R.ndirs)))
+    splits = OpRing.splits
+    read = []
+
+    def defective(self, p, flat):
+        out = splits(self, p, flat)
+        if p != alpha:
+            return out
+        read.append(flat)
+        return [(g, d, 1 if g == gamma else binom) for g, d, binom in out]
+
+    assert _exact_suite_codes(capsys) == dict.fromkeys(EXACT_SUITES, 0)
+    monkeypatch.setattr(OpRing, "splits", defective)
+    codes = _exact_suite_codes(capsys)
+    assert read and codes["casimir-equality"] == 1
+
+
+@pytest.mark.parametrize("name", JacobiLieAlgebra(2).names)
+def test_exact_suites_catch_a_letter_missing_a_term(name, monkeypatch, capsys):
+    true_letter = opcalc.build_lie_slash
+    for drop in range(len(true_letter(name, LATTICES[2][1]).terms)):
+
+        def defective(Y, L, drop=drop):
+            op = true_letter(Y, L)
+            if Y != name:
+                return op
+            return DiffOp(op.op_ring, {e: p for i, (e, p) in enumerate(op.terms.items())
+                                       if i != drop}, op.shift)
+
+        monkeypatch.setattr(opcalc, "build_lie_slash", defective)
+        assert _exact_suite_codes(capsys)["bridge"] == 1, drop
 
 
 def test_uea_to_op_reverses_order():
