@@ -63,7 +63,6 @@ from .opcalc import (
     build_D_minus,
     xi_apply,
     build_lie_slash,
-    uea_to_op,
     bridge_check,
     covariance_check,
     kernel_seed,

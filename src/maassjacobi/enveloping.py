@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import add
 
 from . import linalg
 from .errors import DomainError
@@ -321,13 +323,16 @@ def pbw_normal_order(alg: JacobiLieAlgebra, word) -> PBWElement:
 
 
 def check_centrality(a: PBWElement):
-    """Commutators of ``a`` with every generator; empty list iff central."""
+    """Commutators of ``a`` with those of E, F, e_1, ..., e_N it fails to
+    commute with; empty list iff central.  These generate the Lie algebra
+    ([E, F] = H, [e_i, F] = f_i, [e_i, f_j] = -2 Z_ij) and ad a is a
+    derivation, so ``a`` commutes with every generator once with these."""
     alg = a.alg
     bad = []
-    for g in range(alg.ngen):
+    for g in ("E", "F", *alg.names[alg.e(1):alg.f(1)]):
         c = a.commutator(PBWElement.gen(alg, g))
         if not c.is_zero():
-            bad.append((alg.names[g], c))
+            bad.append((g, c))
     return bad
 
 
@@ -346,18 +351,20 @@ def det_z(alg: JacobiLieAlgebra) -> PBWElement:
     return alg.z_minors.det()
 
 
+def bilinear(u, A, v):
+    """u^T A v = sum_i u_i (sum_j v_j A_ij), each scalar A_ij right of its
+    letter and each u_i multiplied once."""
+    return reduce(add, (ui * reduce(add, (vj * aij for vj, aij in zip(v, row)))
+                        for ui, row in zip(u, A)))
+
+
 def adj_form(alg, u, v) -> PBWElement:
-    """sum_ij u_i adj(Z)_ij v_j = det(Z) (u^T Z^{-1} v), each product in
-    written order."""
-    adj = alg.z_minors.adjugate()
-    acc = PBWElement.zero(alg)
-    for i in range(alg.N):
-        for j in range(alg.N):
-            acc = acc + u[i] * adj[i][j] * v[j]
-    return acc
+    """u^T adj(Z) v = det(Z) (u^T Z^{-1} v), the ``bilinear`` form of the
+    Casimir formula."""
+    return bilinear(u, alg.z_minors.adjugate(), v)
 
 
-# -- the quartic part, from the complementary minors of Z -------------------------
+# -- the Casimir formula, over any algebra of its letters ----------------------------
 
 
 def quartic_over_det(minor, e, f):
@@ -370,45 +377,59 @@ def quartic_over_det(minor, e, f):
     theorem (Horn & Johnson, *Matrix Analysis*, 2nd ed., ch. 0) that is
     sgn(b - i) sgn(a - j) (-1)^(i+b+j+a) det(Z) times the minor of Z without
     rows {j, a} and columns {i, b}; it vanishes at i = b or j = a, and the
-    four orders of each two pairs are the four words below.  Each product
-    is taken in written order, so this holds in the enveloping algebra too.
+    four orders of each two pairs are the four words below.  The e's commute
+    among themselves and so do the f's, so each word is e_i e_a f_b f_j with
+    i <= a and b <= j, and the quartic is the sum over (i, a) of
+    e_i e_a (sum over (b, j) of f_b f_j Q), each scalar Q collected first.
     """
     N = len(e)
-    acc = minor.a[0][0] * 0
+    Q = {}
     for i, b in combinations(range(N), 2):
         cols = tuple(c for c in range(N) if c not in (i, b))
         for j, a in combinations(range(N), 2):
             rows = tuple(r for r in range(N) if r not in (j, a))
-            term = minor[rows, cols] * (e[i] * e[a] * f[b] * f[j] - e[b] * e[a] * f[i] * f[j]
-                                        - e[i] * e[j] * f[b] * f[a] + e[b] * e[j] * f[i] * f[a])
-            acc = acc + (-term if (i + b + j + a) % 2 else term)
+            m = minor[rows, cols]
+            m, neg = (-m, m) if (i + b + j + a) % 2 else (m, -m)
+            for ew, fw, c in (((i, a), (b, j), m), ((b, a), (i, j), neg),
+                              ((i, j), (b, a), neg), ((b, j), (i, a), m)):
+                row = Q.setdefault(tuple(sorted(ew)), {})
+                key = tuple(sorted(fw))
+                row[key] = row[key] + c if key in row else c
+    ff = {(b, j): f[b] * f[j] for b, j in {key for row in Q.values() for key in row}}
+    acc = e[0] * 0
+    for (i, a), row in Q.items():
+        inner = [ff[key] * c for key, c in row.items() if c]
+        if inner:
+            acc = acc + e[i] * e[a] * reduce(add, inner)
     return acc
 
 
-# -- the Casimir element ------------------------------------------------------------
+def casimir_formula(E, F, H, e, f, minor):
+    """Omega_N = det(Z) (H^2 - (N + 2) H + 4 E F) - H e^T A f + (N + 3)/2 e^T A f
+    + E f^T A f - e^T A e F + quartic / 4, with A = adj(Z), N = len(e) and
+    ``minor`` Z's ``linalg.Minors``.  Each product is taken in written order
+    and each scalar (a minor or a number) stands right of its letters, so it
+    holds in the enveloping algebra and under any anti-homomorphism."""
+    N = len(e)
+    A = minor.adjugate()
+    eAf = bilinear(e, A, f)
+    head = (H * H - H * (N + 2) + E * F * 4) * minor.det()
+    mid = (E * bilinear(f, A, f) - bilinear(e, A, e) * F
+           - H * eAf + eAf * Fraction(N + 3, 2))
+    return head + mid + quartic_over_det(minor, e, f) * Fraction(1, 4)
 
 
 def build_casimir(N: int) -> PBWElement:
-    """The degree-(N+2) central element beyond the Z's."""
+    """The degree-(N+2) central element beyond the Z's: ``casimir_formula``
+    on the PBW generators and Z's minors."""
     alg = JacobiLieAlgebra(N)
-    E = PBWElement.gen(alg, "E")
-    F = PBWElement.gen(alg, "F")
-    H = PBWElement.gen(alg, "H")
-    d = det_z(alg)
-    e, f = alg.e_gens, alg.f_gens
-    eZf, fZf, eZe = adj_form(alg, e, f), adj_form(alg, f, f), adj_form(alg, e, e)
-
-    head = d * (H * H - H.scale(N + 2) + (E * F).scale(4))
-    half_n3 = GaussianRational(Fraction(N + 3, 2))
-    mid = -(H * eZf - eZf.scale(half_n3)) + E * fZf - eZe * F
-
-    quart = quartic_over_det(alg.z_minors, e, f)
+    E, F, H = (PBWElement.gen(alg, g) for g in "EFH")
+    omega = casimir_formula(E, F, H, alg.e_gens, alg.f_gens, alg.z_minors)
     # det_z and adj_form read the minors of sizes N and N - 1 again; the
     # others are kept only while this builds (the unit is every table's base)
     for key in [key for key in alg.z_minors if 0 < len(key[0]) < N - 1]:
         del alg.z_minors[key]
-    quarter = GaussianRational(Fraction(1, 4))
-    return head + mid + quart.scale(quarter)
+    return omega
 
 
 # -- localization at det(Z) ----------------------------------------------------------

@@ -24,7 +24,7 @@ from math import comb, prod
 from mpmath import mp
 
 from . import group, linalg
-from .enveloping import JacobiLieAlgebra, PBWElement
+from .enveloping import JacobiLieAlgebra, casimir_formula
 from .errors import DomainError
 from .gaussian import I, ONE, ZERO, GaussianRational
 from .group import J2, AlgebraElement, GroupElement, Point, automorphy_factor, weight_gap
@@ -637,45 +637,27 @@ def _lie_slash_gen(name: str, R: OpRing, L: GramLattice) -> DiffOp:
     return d.z[i] + d.zbar[i]
 
 
-def uea_to_op(a: PBWElement, L: GramLattice) -> DiffOp:
-    """Anti-homomorphic image of an enveloping-algebra element.
+class _Opposite:
+    """A DiffOp in the opposite algebra: the slash action is a right action
+    while the letters' operators act on the left, so ``a * b`` is b after a
+    and a word's image composes its letters' operators in reversed order.
+    A polynomial or constant factor is applied with ``scale``."""
 
-    The slash action is a right action while the generator formulas are
-    left-acting, so each PBW word maps to the composition of its letters'
-    operators in reversed order.  A central letter Z_ij acts as the constant
-    calL_ij, so each noncentral word is scaled by its Z polynomial at calL,
-    and a word whose polynomial vanishes there is never composed; the words
-    are taken in sorted order, so each shared prefix is composed once.
-    """
-    alg = a.alg
-    if alg.N != L.N:
-        raise DomainError("rank mismatch between element and lattice")
-    R = OpRing(L.N)
-    letters = [build_lie_slash(name, L) for name in alg.names]
-    # the central letters' constants, in z_ring order
-    zvalues = [op.terms.get(R.zero_dexp, R.ring.zero()) for op in letters[alg.z_start:]]
-    powers = {}
-    scalars = {tuple(g for g, kexp in enumerate(w) for _ in range(kexp)):
-               p.eval_exact(zvalues, powers) for w, p in a.terms.items()}
-    # the sum of each output coefficient, added in place; a coefficient
-    # that sums to zero leaves, as in a sum of the scaled images
-    out, prev, chain = {}, (), [DiffOp.identity(R)]
-    for word in sorted(w for w, c in scalars.items() if c):
-        # keep the images of the prefixes this word shares with the last one
-        n = 0
-        while n < len(prev) and prev[n] == word[n]:
-            n += 1
-        del chain[n + 1:]
-        for g in word[n:]:  # first letter acts first: compose onto the left
-            chain.append(letters[g].compose(chain[-1]))
-        prev = word
-        for e, p in chain[-1].terms.items():
-            acc = out.get(e)
-            if acc is None:
-                acc = out[e] = PolySum(R.ring)
-            if not acc.add_product(scalars[word], p):
-                del out[e]
-    return DiffOp(R, {e: acc.poly() for e, acc in out.items()})
+    __slots__ = ("op",)
+
+    def __init__(self, op: DiffOp):
+        self.op = op
+
+    def __mul__(self, other):
+        if isinstance(other, _Opposite):
+            return _Opposite(other.op.compose(self.op))
+        return _Opposite(self.op.scale(other))
+
+    def __add__(self, other):
+        return _Opposite(self.op + other.op)
+
+    def __sub__(self, other):
+        return _Opposite(self.op - other.op)
 
 
 def bridge_rhs(L: GramLattice) -> DiffOp:
@@ -693,14 +675,23 @@ def bridge_rhs(L: GramLattice) -> DiffOp:
 
 
 def bridge_check(L: GramLattice):
-    """uea_to_op(Omega_N) against det(calL)(k(k-N-2) - 2 C^{k,L}).
+    """The image of Omega_N against det(calL)(k(k-N-2) - 2 C^{k,L}).
 
+    The image is ``casimir_formula`` on the Lie-slash letters under the
+    opposite product (``_Opposite``), with Z's minor table built from the Z
+    letters' own constants, calL.  It is the image of Omega_N because the
+    letters satisfy [op(a), op(b)] = op([b, a]).
     Returns (lhs, rhs, equal, xu_free): the bridge is the ground truth for
     the coordinate transcription of the Casimir operator.
     """
-    from .enveloping import build_casimir
-
-    lhs = uea_to_op(build_casimir(L.N), L)
+    N = L.N
+    alg = JacobiLieAlgebra(N)
+    R = OpRing(N)
+    letter = [_Opposite(build_lie_slash(name, L)) for name in alg.names]
+    zconst = [[letter[alg.z(i, j)].op.terms.get(R.zero_dexp, R.ring.zero())
+               for j in range(1, N + 1)] for i in range(1, N + 1)]
+    e, f = ([letter[g(i)] for i in range(1, N + 1)] for g in (alg.e, alg.f))
+    lhs = casimir_formula(*letter[:3], e, f, linalg.Minors(linalg.mat(zconst))).op
     rhs = bridge_rhs(L)
     return lhs, rhs, lhs == rhs, not lhs.uses_extended_coords()
 

@@ -516,26 +516,6 @@ class Poly:
             acc = t if acc is None else acc + t
         return mp.mpc(0) if acc is None else acc
 
-    def eval_exact(self, values, powers=None) -> "Poly":
-        """Evaluate with ``values[i]``, a polynomial of another ring (the
-        same for every i), for the ring's variable i, term by term and
-        variable by variable as ``eval_numeric``.  ``powers`` keeps each
-        ``values[i] ** k`` by (i, k); polynomials of one ring at the same
-        values may share it."""
-        ring = values[0].ring
-        if powers is None:
-            powers = {}
-        out = ring.zero()
-        for e, c in self.terms.items():
-            term = ring.const(c)
-            for i, k in enumerate(e):
-                if k:
-                    if (i, k) not in powers:
-                        powers[i, k] = values[i] ** k
-                    term = term * powers[i, k]
-            out = out + term
-        return out
-
     # -- formatting ----------------------------------------------------------
 
     def __repr__(self):

@@ -331,6 +331,36 @@ def test_casimir_degree_and_centrality():
     assert bad and any(name == "F" for name, _ in bad)
 
 
+def _centrality_on_every_generator(a):
+    """The slow oracle of check_centrality: a's commutator with every
+    generator, the Z's included, kept where it is not zero."""
+    alg = a.alg
+    bad = [(name, a.commutator(PBWElement.gen(alg, name))) for name in alg.names]
+    return [(name, c) for name, c in bad if not c.is_zero()]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_centrality_on_the_generating_set_matches_every_generator(N):
+    # E, F, e_1..e_N generate the Lie algebra, so an element commuting with
+    # them is central; the failures named are those of the set
+    alg = JacobiLieAlgebra(N)
+    gen = {name: PBWElement.gen(alg, name) for name in alg.names}
+    E, F, H = gen["E"], gen["F"], gen["H"]
+    omega = build_casimir(N)
+    sl2 = H * H - H.scale(2) + (E * F).scale(4)
+    rng = random.Random(90 + N)
+    noisy = pbw_normal_order(alg, [rng.choice(alg.names) for _ in range(3)])
+    cases = [omega, omega * gen["Z11"], PBWElement.const(alg, 3), *gen.values(),
+             sl2, omega + H, omega + gen[f"f{N}"], omega * gen["e1"], noisy]
+    generating = ["E", "F", *(f"e{i}" for i in range(1, N + 1))]
+    for a in cases:
+        got, full = check_centrality(a), _centrality_on_every_generator(a)
+        assert (got == []) == (full == [])
+        assert got == [(name, c) for name, c in full if name in generating]
+    assert check_centrality(sl2) == [(f"e{i}", sl2.commutator(gen[f"e{i}"]))
+                                     for i in range(1, N + 1)]
+
+
 def test_centrality_at_rank_4(tmp_path, monkeypatch, capsys):
     # the A4 Gram matrix: Omega_4 has degree 6
     monkeypatch.setenv(cache.ENV_VAR, str(tmp_path))

@@ -286,7 +286,6 @@ def test_poly_subs_and_eval():
     with mp.workprec(100):
         v = p.eval_numeric([mp.mpf(2), mp.mpf("0.5")])
         assert abs(v - mp.mpf("5.5")) < 1e-25
-    assert p.eval_exact([R.const(2), R.const(Fraction(1, 2))]) == R.const(Fraction(11, 2))
 
 
 # Parts with numerators and denominators up to about 2^70, zero included.
@@ -658,11 +657,10 @@ _OP_RING = OpRing(1)  # k, pi, y, x, v1, u1, with pi and y Laurent
 
 
 @st.composite
-def _op_polys(draw, max_size=5, laurent=True):
+def _op_polys(draw, max_size=5):
     """A Poly of the operator ring: small exponents, so that products
     collide and cancel, and coefficients over 1, 2 or 3 and their products."""
-    low = -2 if laurent else 0
-    exps = st.tuples(st.integers(0, 2), st.integers(low, 1), st.integers(low, 2),
+    exps = st.tuples(st.integers(0, 2), st.integers(-2, 1), st.integers(-2, 2),
                      st.integers(0, 1), st.integers(0, 2), st.integers(0, 1))
     parts = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
     coeffs = st.builds(GaussianRational, parts, st.one_of(st.just(0), parts))
@@ -694,9 +692,9 @@ def test_poly_arithmetic_matches_the_dict_oracle(p, q, s, c, delta):
 
 
 @settings(settings.get_profile("exact"), max_examples=60)
-@given(p=_op_polys(), q=_op_polys(laurent=False), k=st.fractions(-3, 3, max_denominator=4),
+@given(p=_op_polys(), k=st.fractions(-3, 3, max_denominator=4),
        tau=st.tuples(st.integers(-9, 9), st.integers(1, 9)), bits=st.sampled_from([53, 128]))
-def test_eval_numeric_matches_the_dict_oracle(p, q, k, tau, bits):
+def test_eval_numeric_matches_the_dict_oracle(p, k, tau, bits):
     # the coefficients of an operator at a point: each rounded as to_mpc
     with mp.workprec(bits):
         t = mp.mpc(tau[0], tau[1]) / 7
@@ -704,13 +702,6 @@ def test_eval_numeric_matches_the_dict_oracle(p, q, k, tau, bits):
                   mp.mpc(t.real), mp.mpc(mp.mpf(1) / 3), mp.mpc(mp.mpf(-2) / 5)]
         want = DictPoly.of(p).eval_numeric(values, lambda c: c.to_mpc(mp))
         assert p.eval_numeric(values) == want
-    # and exactly, at polynomial values, as uea_to_op evaluates Z polynomials
-    R = q.ring
-    values = [R.var("k") + 1, R.var("pi"), R.var("y") * 2, R.const(I), R.var("v1"),
-              R.var("u1") - R.var("x")]
-    _same(q.eval_exact(values),
-          DictPoly.of(q).eval_numeric([DictPoly.of(v) for v in values],
-                                      lambda c: DictPoly.of(R.const(c))))
 
 
 def test_poly_cancellations_and_big_coefficients_match_the_dict_oracle():

@@ -11,7 +11,7 @@ from mpmath import mp
 
 from maassjacobi import opcalc
 from maassjacobi.cli import covariance_jobs, main, parse_rational_matrix
-from maassjacobi.enveloping import JacobiLieAlgebra, PBWElement, build_casimir, pbw_normal_order
+from maassjacobi.enveloping import JacobiLieAlgebra, PBWElement, build_casimir
 from maassjacobi.errors import DegreeError, DomainError
 from maassjacobi.gaussian import GaussianRational
 from maassjacobi.group import AlgebraElement, Point, automorphy_factor, slash
@@ -38,7 +38,6 @@ from maassjacobi.opcalc import (
     random_group_element,
     random_point,
     semiholomorphic_casimir,
-    uea_to_op,
     GaussianSeed,
     slashed_jet,
     support_space,
@@ -70,7 +69,7 @@ def _random_op(R, rng, order=2):
     return DiffOp(R, terms)
 
 
-# -- the slow versions, kept as oracles of DiffOp.compose and uea_to_op ----------
+# -- the slow versions, kept as oracles of DiffOp.compose and the bridge ----------
 
 
 def _deriv(poly, name):
@@ -251,112 +250,28 @@ def test_builders_keep_their_term_order_under_the_oracle(entries, monkeypatch):
 
 
 @pytest.mark.parametrize("N", [1, 2])
-def test_uea_to_op_matches_the_wordwise_oracle_on_casimir(N):
+def test_bridge_matches_the_wordwise_oracle_on_casimir(N):
+    # the formula on the letters under the opposite product is the image of
+    # the PBW normal form of Omega_N, each word composed letter by letter
     omega = build_casimir(N)
     for L in LATTICES[N]:
-        assert uea_to_op(omega, L) == _uea_to_op_wordwise(omega, L)
+        assert bridge_check(L)[0] == _uea_to_op_wordwise(omega, L)
 
 
-# sha256 of the _layout of uea_to_op(Omega_N, L) and of bridge_rhs(L), taken
-# before uea_to_op and compose merged their coefficients in place
-@pytest.mark.parametrize("gram, uea_digest, rhs_digest", [
-    ("1", "b1a0cc2fabf485f3be6e07d83531b40e2a89d93ce03cc1ced24f8cfa0fb050a8",
-     "7c69217698796ca42d13e756434e926edf3bf6bfeefa1ad4c60a7b01bfd065dd"),
-    ("2", "bfcbe5f3f1d9429578eda0b23a60054e4fddce6fdea2ecf09911f14a4304bda6",
-     "30b1b928b16a92961f4a73f992083a78da6eff8861da8640f326ad9c439af55a"),
-    ("3", "111dae31cfb532d505f79d9e8e024a99150f8424422741c8d2daca65dc9f5bf3",
-     "a8e89c0c0edb4674403101faaec2fbef57576d9b7a5aea0f2cbd922849b327ba"),
-    ("2,1;1,2", "262a872d22299db4baad9f334622d5cfe7c5bc34fc59788e12944c0e969eedf4",
-     "e50cec3d09e11a5bd9a41c62fb0f07647542ab4324615feabed9489ca3821eeb"),
-    ("2,0;0,4", "a424ff1fc9c1df86ff4abbda02ba5e778b102aea8703549aac4e81a635f91168",
-     "743e0a01339ae142b60b8db94b6120531db9941d49e96fb77596e957de8909bf"),
-    ("1,1/2;1/2,1", "7d822deacbe829105a5b0cbf1c94e68054d74829a33e312cc27acccf0ad5862c",
-     "c2ad9dd106996e917fbf95ec228a0f5d3d485532622df5f0fbf4277abae444e7"),
-    ("2,1,0;1,2,1;0,1,2", "7870954b54ea034618535c1c11ee3392c130403c9d42239d0e6c1a04fd6ec305",
-     "8e8fe1120973821d10558019bc4aa3f98dc2d1e34263ef66b033330a21148fdc"),
+# sha256 of the _layout of bridge_rhs(L), taken before compose merged its
+# coefficients in place
+@pytest.mark.parametrize("gram, rhs_digest", [
+    ("1", "7c69217698796ca42d13e756434e926edf3bf6bfeefa1ad4c60a7b01bfd065dd"),
+    ("2", "30b1b928b16a92961f4a73f992083a78da6eff8861da8640f326ad9c439af55a"),
+    ("3", "a8e89c0c0edb4674403101faaec2fbef57576d9b7a5aea0f2cbd922849b327ba"),
+    ("2,1;1,2", "e50cec3d09e11a5bd9a41c62fb0f07647542ab4324615feabed9489ca3821eeb"),
+    ("2,0;0,4", "743e0a01339ae142b60b8db94b6120531db9941d49e96fb77596e957de8909bf"),
+    ("1,1/2;1/2,1", "c2ad9dd106996e917fbf95ec228a0f5d3d485532622df5f0fbf4277abae444e7"),
+    ("2,1,0;1,2,1;0,1,2", "8e8fe1120973821d10558019bc4aa3f98dc2d1e34263ef66b033330a21148fdc"),
 ])
-def test_bridge_sides_keep_their_term_order(gram, uea_digest, rhs_digest):
+def test_bridge_sides_keep_their_term_order(gram, rhs_digest):
     L = GramLattice(parse_rational_matrix(gram))
-    digests = [hashlib.sha256(repr(_layout(op)).encode()).hexdigest()
-               for op in (uea_to_op(build_casimir(L.N), L), bridge_rhs(L))]
-    assert digests == [uea_digest, rhs_digest]
-
-
-def _word(exp):
-    return tuple(g for g, kexp in enumerate(exp) for _ in range(kexp))
-
-
-def _prefixes(words):
-    return {w[:n] for w in words for n in range(1, len(w) + 1)}
-
-
-def _counting_compose(monkeypatch):
-    calls = []
-    compose = DiffOp.compose
-
-    def counted(self, other):
-        calls.append(1)
-        return compose(self, other)
-
-    monkeypatch.setattr(DiffOp, "compose", counted)
-    return calls
-
-
-def test_uea_to_op_composes_each_prefix_once(monkeypatch):
-    # random N=2 elements whose terms share noncentral words and carry Z letters
-    alg = JacobiLieAlgebra(2)
-    zs = alg.z_start
-    L = LATTICES[2][1]
-    R = OpRing(2)
-    zvalues = [build_lie_slash(name, L).terms.get(R.zero_dexp, R.ring.zero())
-               for name in alg.names[zs:]]
-    rng = random.Random(17)
-    calls = _counting_compose(monkeypatch)
-    for _ in range(3):
-        terms = {}
-        letters = rng.sample(range(zs), 2)
-        for _ in range(4):
-            nc = [0] * zs
-            for _ in range(rng.randint(1, 3)):
-                nc[rng.choice(letters)] += 1
-            for _ in range(rng.randint(1, 3)):
-                zexp = tuple(rng.randint(0, 2) for _ in range(alg.ngen - zs))
-                terms[tuple(nc) + zexp] = GaussianRational(rng.randint(-3, 3) or 1,
-                                                           rng.randint(-2, 2))
-        a = PBWElement.from_flat(alg, terms)
-        # a word whose Z polynomial vanishes at calL is never composed
-        words = {_word(w) for w, p in a.terms.items()
-                 if p.eval_exact(zvalues)}
-        prefixes = _prefixes(words)
-        assert len(prefixes) < sum(map(len, words))
-        calls.clear()
-        assert uea_to_op(a, L) == _uea_to_op_wordwise(a, L)
-        assert len(calls) == len(prefixes)
-
-
-def test_uea_to_op_skips_a_word_whose_scalar_vanishes(monkeypatch):
-    # Z12 is 0 on a diagonal lattice, so the word F e1 is never composed
-    alg = JacobiLieAlgebra(2)
-    L = LATTICES[2][0]
-    gen = alg.index
-
-    def flat(*names, z=(0, 0, 0)):
-        exp = [0] * alg.z_start
-        for name in names:
-            exp[gen[name]] += 1
-        return tuple(exp) + z
-
-    terms = {flat("E", "e1", z=(1, 0, 0)): GaussianRational(2),
-             flat("E", "e2", z=(0, 0, 1)): GaussianRational(1, -1),
-             flat("F", "e1", z=(0, 1, 0)): GaussianRational(3),
-             flat("F", "e1", z=(0, 2, 1)): GaussianRational(-1)}
-    a = PBWElement.from_flat(alg, terms)
-    calls = _counting_compose(monkeypatch)
-    got = uea_to_op(a, L)
-    assert len(calls) == len(_prefixes([_word(flat("E", "e1")[:alg.z_start]),
-                                        _word(flat("E", "e2")[:alg.z_start])])) == 3
-    assert got == _uea_to_op_wordwise(a, L)
-    assert got == uea_to_op(PBWElement.from_flat(alg, dict(list(terms.items())[:2])), L)
+    assert hashlib.sha256(repr(_layout(bridge_rhs(L))).encode()).hexdigest() == rhs_digest
 
 
 def test_laplace_needs_a_positive_definite_c():
@@ -504,9 +419,11 @@ def test_lie_slash_table_and_anti_homomorphism():
     assert got == expect
 
 
-@pytest.mark.parametrize("gram", ["2,1;1,2", "2,1,0;1,2,1;0,1,2"])
+@pytest.mark.parametrize("gram", ["2,1;1,2", "2,1,0;1,2,1;0,1,2",
+                                  "2,1,0,0;1,2,1,0;0,1,2,1;0,0,1,2"])
 def test_letter_relations_at_higher_rank(gram):
-    # the bridge through uea_to_op rests on these relations at every rank
+    # the bridge reads the Casimir formula's words on the letters, and that
+    # is the image of Omega_N because these relations hold at every rank
     _check_letter_relations(GramLattice(parse_rational_matrix(gram)))
 
 
@@ -522,11 +439,13 @@ def _exact_suite_codes(capsys):
     return codes
 
 
-@pytest.mark.parametrize("j", [0, 1])
+@pytest.mark.parametrize("j", [0, 1, 2, 3])
 def test_exact_suites_catch_a_leibniz_binomial_set_to_1(j, monkeypatch, capsys):
-    # the split table as compose reads it, with C(2, 1) = 2 of d_z_j^2 set
-    # to 1: d_z_j^2 on a coefficient in v_j is the one split with a
-    # binomial above 1 that these suites read at rank 2
+    # the split table as compose reads it, with C(2, 1) = 2 of the square of
+    # direction 2 + j set to 1 (d_z_1, d_z_2, d_zbar_1, d_zbar_2 at rank 2):
+    # on a coefficient in v_j, d_z_j^2 is read by casimir-equality and the
+    # bridge, d_zbar_j^2 by the bridge's words alone.  These are the only
+    # splits with a binomial above 1 that these suites read at rank 2
     R = OpRing(2)
     alpha = R.pack(tuple(2 * (i == 2 + j) for i in range(R.ndirs)))
     gamma = R.pack(tuple(int(i == 2 + j) for i in range(R.ndirs)))
@@ -543,7 +462,7 @@ def test_exact_suites_catch_a_leibniz_binomial_set_to_1(j, monkeypatch, capsys):
     assert _exact_suite_codes(capsys) == dict.fromkeys(EXACT_SUITES, 0)
     monkeypatch.setattr(OpRing, "splits", defective)
     codes = _exact_suite_codes(capsys)
-    assert read and codes["casimir-equality"] == 1
+    assert read and codes["casimir-equality" if j < 2 else "bridge"] == 1
 
 
 @pytest.mark.parametrize("name", JacobiLieAlgebra(2).names)
@@ -562,13 +481,11 @@ def test_exact_suites_catch_a_letter_missing_a_term(name, monkeypatch, capsys):
         assert _exact_suite_codes(capsys)["bridge"] == 1, drop
 
 
-def test_uea_to_op_reverses_order():
+def test_opposite_product_reverses_order():
     L = GramLattice([[1]])
-    alg = JacobiLieAlgebra(1)
-    ef = pbw_normal_order(alg, ["E", "F"])
-    got = uea_to_op(ef, L)
-    expect = build_lie_slash("F", L).compose(build_lie_slash("E", L))
-    assert got == expect
+    E, F = build_lie_slash("E", L), build_lie_slash("F", L)
+    got = opcalc._Opposite(E) * opcalc._Opposite(F)
+    assert got.op == F.compose(E)
 
 
 @pytest.mark.parametrize("entries", [[[1]], [[2]]])
