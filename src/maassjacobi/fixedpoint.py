@@ -10,10 +10,11 @@ Two engines use this kernel.  The jet engine (``jets``) converts each jet
 exactly over the smallest exponent of its coefficients.  The matrix
 exponentials run their series at one fixed scale 2^-P, where P is the
 working precision plus guard bits, flooring each product to that scale:
-``group.expm`` as a series of matrix products, and ``group.jacobi_exp``
-as two series of Gaussian-integer scalars, whose sums are the coefficients
-of M and I in h(M) by Cayley-Hamilton.  A non-finite value raises
-DomainError.
+``group.expm`` as a matrix polynomial by Paterson-Stockmeyer, from a few
+powers, blocks that are one ``lincomb`` each, and Horner products, and
+``group.jacobi_exp`` as two series of Gaussian-integer scalars, whose sums
+are the coefficients of M and I in h(M) by Cayley-Hamilton.  A non-finite
+value raises DomainError.
 
 A matrix here is ``(re, im, e)``: two lists of integer rows and one
 exponent, entry (j, k) being (re[j][k] + i im[j][k]) 2^e.
@@ -141,10 +142,17 @@ def add(a, b, sign: int = 1):
             [[x + sign * y for x, y in zip(r, s)] for r, s in zip(aim, bim)], e)
 
 
-def floordiv(m, d: int):
-    """m / d, floored to a multiple of 2^e."""
-    re, im, e = m
-    return [[x // d for x in r] for r in re], [[x // d for x in r] for r in im], e
+def lincomb(coeffs, mats, shift: int):
+    """sum_k (coeffs[k] 2^-shift) mats[k], for integer coefficients and
+    matrices at one exponent: each entry summed exactly, then floored to a
+    multiple of that exponent."""
+    def part(p):
+        return [[sum(map(mul, coeffs, xs)) >> shift for xs in zip(*rows)]
+                for rows in zip(*(m[p] for m in mats))]
+    re = part(0)
+    # real matrices: no imaginary sums
+    im = part(1) if any(any(map(any, m[1])) for m in mats) else [[0] * len(r) for r in re]
+    return re, im, mats[0][2]
 
 
 def row_norm(m) -> int:

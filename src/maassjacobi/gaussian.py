@@ -201,7 +201,6 @@ def _reduced(a, b, d) -> GaussianRational:
 
 
 I = GaussianRational(0, 1)
-ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 
 

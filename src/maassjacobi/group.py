@@ -9,12 +9,13 @@ exact on exact input, and alpha_L of an exact a rounds the exact tr(L a)
 once.  The exponential map and its oracle ``expm`` sum their series on the
 Gaussian-integer kernel of ``fixedpoint`` and round each entry once: the
 exponential map as two scalar series by Cayley-Hamilton, ``expm`` as a
-matrix series.
+matrix polynomial of a degree fixed up front, by Paterson-Stockmeyer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, isqrt
 
 from mpmath import mp
 
@@ -114,8 +115,9 @@ def jacobi_mul(g: GroupElement, h: GroupElement) -> GroupElement:
     if g.N != h.N:
         raise MalformedElementError("rank mismatch")
     MM = linalg.mul(g.M, h.M)
-    XX = linalg.add(linalg.mul(g.X, h.M), h.X)
-    cross = linalg.mul(linalg.mul(linalg.mul(g.X, h.M), J2), linalg.transpose(h.X))
+    XM = linalg.mul(g.X, h.M)
+    XX = linalg.add(XM, h.X)
+    cross = linalg.mul(linalg.mul(XM, J2), linalg.transpose(h.X))
     kk = linalg.sub(linalg.add(g.kappa, h.kappa), cross)
     return GroupElement(MM, XX, kk, check=False)
 
@@ -448,6 +450,26 @@ def expm(A, ctx: PrecisionContext):
     fixed point at 2^-P, each entry rounded once; DomainError on a
     non-finite entry.
 
+    A is scaled by 2^-s to ||A|| < 1/2 (max row sum, up to the rounding of
+    A to 2^-P), so past the first each term bound ||A||^k/k! is below half
+    the one before, and the series sum_k A^k/k! is cut after A^m, m the
+    least degree whose first term left out is bounded below
+    tol = 2^-(bits+16): the tail is below 2 tol.  The truncated series is
+    evaluated by Paterson-Stockmeyer (Higham, Functions of Matrices, 2008,
+    4.2), with about 2 sqrt(m) products in place of m: the powers
+    A^0..A^q, q = floor(sqrt(m+1)), the blocks
+    B_j = sum_i floor(2^P/(jq+i)!) A^i, each entry one exact integer sum
+    floored once, and Horner's rule in A^q.
+
+    Each floor costs under 1 unit of 2^-P in each real part, under 2n in
+    norm for an n x n matrix, and each coefficient's floor under ||A^i||
+    units.  So the powers are within 4n units of A^i, the blocks within
+    16n of B_j, and since ||A^q|| < 1/2 and each partial sum is below
+    e^(1/2) < 2 in norm, Horner's rule ends within 52n units of the
+    truncated series.  P holds at least prec.bit_length() + 3 bits above
+    the working precision prec, so that is below one of its units while
+    52n < 2^(prec.bit_length() + 3): n < 40 at 128 bits.
+
     Kept independent of jacobi_exp on purpose: it is the oracle the
     exponential map is tested against.
     """
@@ -462,17 +484,28 @@ def expm(A, ctx: PrecisionContext):
         s = max(0, t + 1)
         P = _guard(3 << max(t, 0), s)
         A = fixedpoint.rescale(fixedpoint.scaled(A, s), -P)
-        acc = term = fixedpoint.identity(len(A[0]), -P)
+        norm = fixedpoint.row_norm(A)
         tol = 1 << (P - ctx.bits - 16)
-        k = 0
-        while True:
-            k += 1
-            if k > MAX_TERMS:
+        # norm^(m+1)/(m+1)! at 2^-P, rounded up
+        m, tail = 0, norm
+        while tail >= tol:
+            m += 1
+            if m > MAX_TERMS:
                 ctx.exhausted("expm series")
-            term = fixedpoint.floordiv(fixedpoint.matmul(term, A, P), k)
-            acc = fixedpoint.add(acc, term)
-            if fixedpoint.row_norm(term) < tol and k > 4:
-                break
+            tail = -((-tail * norm >> P) // (m + 1))
+        q = isqrt(m + 1)
+        powers = [fixedpoint.identity(len(A[0]), -P), A]
+        while len(powers) <= q:
+            powers.append(fixedpoint.matmul(powers[-1], A, P))
+        # 1/k! at 2^-P, floored
+        coeffs = [(1 << P) // factorial(k) for k in range(m + 1)]
+        # Horner's rule in A^q, from the last block, which may be short
+        j = m - m % q
+        acc = fixedpoint.lincomb(coeffs[j:], powers[:m + 1 - j], P)
+        while j:
+            j -= q
+            acc = fixedpoint.add(fixedpoint.matmul(powers[q], acc, P),
+                                 fixedpoint.lincomb(coeffs[j:j + q], powers[:q], P))
         for _ in range(s):
             acc = fixedpoint.matmul(acc, acc, P)
         return fixedpoint.to_mpc(acc)

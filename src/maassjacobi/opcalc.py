@@ -26,8 +26,8 @@ from mpmath import mp
 from . import group, linalg
 from .enveloping import JacobiLieAlgebra, casimir_formula
 from .errors import DomainError
-from .gaussian import I, ONE, ZERO, GaussianRational
-from .group import J2, AlgebraElement, GroupElement, Point, automorphy_factor, weight_gap
+from .gaussian import I, GaussianRational
+from .group import AlgebraElement, GroupElement, Point, automorphy_factor, weight_gap
 from .jets import Coordinates, Jet, JetSpace, coordinate_jets, imaginary_parts
 from .lattice import GramLattice
 from .polys import Keyed, Poly, PolyRing, PolySum, SparseTerms, merge_terms
@@ -771,40 +771,44 @@ def slashed_jet(seed, weights, L: GramLattice, g, tau, z, space: JetSpace):
 
 
 def _random_symmetric(N: int, rng):
-    S = [[GaussianRational(rng.randint(-2, 2)) for _ in range(N)] for _ in range(N)]
+    """A symmetric N x N list of ints in [-2, 2]; all N^2 entries are drawn."""
+    S = [[rng.randint(-2, 2) for _ in range(N)] for _ in range(N)]
     for i in range(N):
         for j in range(i):
             S[i][j] = S[j][i]
-    return linalg.mat(S)
+    return S
 
 
 def random_group_element(N: int, rng) -> GroupElement:
     """Exact random element: M a product of three elementary matrices, X
-    and the symmetric part of kappa with small rational entries."""
-    m = linalg.identity(2, ONE, ZERO)
+    and the symmetric part of kappa with small rational entries.
+
+    The entries are drawn and combined as Fractions, and the element is
+    built once, without validation: det M = 1, and kappa + X J2 X^T / 2 is
+    the symmetric draw by construction."""
+    (a, b), (c, d) = (1, 0), (0, 1)
     for _ in range(3):
-        t = GaussianRational(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+        t = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
         if rng.random() < 0.5:
-            e = ((ONE, t), (ZERO, ONE))
+            # times ((1, t), (0, 1))
+            b, d = a * t + b, c * t + d
         else:
-            e = ((ONE, ZERO), (t, ONE))
-        m = linalg.mul(m, e)
-    X = linalg.mat([
-        [GaussianRational(Fraction(rng.randint(-2, 2), rng.randint(1, 2))) for _ in range(2)]
-        for _ in range(N)
-    ])
-    XJX = linalg.mul(linalg.mul(X, J2), linalg.transpose(X))
-    kap = linalg.sub(_random_symmetric(N, rng),
-                     linalg.scale(GaussianRational(_HALF), XJX))
-    return GroupElement(m, X, kap)
+            # times ((1, 0), (t, 1))
+            a, c = a + b * t, c + d * t
+    X = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(2)]
+         for _ in range(N)]
+    S = _random_symmetric(N, rng)
+    # kappa = S - X J2 X^T / 2, where (X J2 X^T)_ij = X_i2 X_j1 - X_i1 X_j2
+    kap = [[S[i][j] - (xi[1] * xj[0] - xi[0] * xj[1]) / 2 for j, xj in enumerate(X)]
+           for i, xi in enumerate(X)]
+    return GroupElement(((a, b), (c, d)), X, kap, check=False)
 
 
 def random_algebra_element(N: int, rng) -> AlgebraElement:
     """Exact random element with every coordinate a small integer."""
-    a = GaussianRational(rng.randint(-2, 2))
-    M = ((a, GaussianRational(rng.randint(-2, 2))),
-         (GaussianRational(rng.randint(-2, 2)), -a))
-    X = [[GaussianRational(rng.randint(-2, 2)) for _ in range(2)] for _ in range(N)]
+    a = rng.randint(-2, 2)
+    M = ((a, rng.randint(-2, 2)), (rng.randint(-2, 2), -a))
+    X = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(N)]
     return AlgebraElement(M, X, _random_symmetric(N, rng))
 
 

@@ -31,9 +31,11 @@ from maassjacobi.enveloping import (
     tilde_basis,
 )
 from maassjacobi.errors import DomainError
-from maassjacobi.gaussian import ZERO, GaussianRational, I
+from maassjacobi.gaussian import GaussianRational, I
 from maassjacobi.group import AlgebraElement
 from maassjacobi.opcalc import random_algebra_element
+
+ZERO = GaussianRational(0)
 
 
 def _generator(N, name):

@@ -15,7 +15,6 @@ from maassjacobi import linalg
 from maassjacobi.enveloping import JacobiLieAlgebra, PBWElement, pbw_normal_order
 from maassjacobi.errors import DomainError
 from maassjacobi.gaussian import (
-    ZERO,
     GaussianRational,
     I,
     format_gaussian,
@@ -25,6 +24,8 @@ from maassjacobi.gaussian import (
 from maassjacobi.jets import Jet, JetSpace
 from maassjacobi.opcalc import DiffOp, OpRing
 from maassjacobi.polys import Keyed, Poly, PolyRing
+
+ZERO = GaussianRational(0)
 
 
 class FractionPairOracle:

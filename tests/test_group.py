@@ -81,6 +81,42 @@ def test_malformed_numeric_elements_rejected():
     AlgebraElement([[one, zero], [zero, -one]], [[half, zero]], [[one]])
 
 
+def _random_group_element_by_products(N, rng):
+    """The sampler's oracle: the same draws, combined by ``linalg`` products
+    over GaussianRational, and the element validated on construction."""
+    one, zero = GR(1), GR(0)
+    m = linalg.identity(2, one, zero)
+    for _ in range(3):
+        t = GR(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+        if rng.random() < 0.5:
+            e = ((one, t), (zero, one))
+        else:
+            e = ((one, zero), (t, one))
+        m = linalg.mul(m, e)
+    X = linalg.mat([[GR(Fraction(rng.randint(-2, 2), rng.randint(1, 2))) for _ in range(2)]
+                    for _ in range(N)])
+    S = [[GR(rng.randint(-2, 2)) for _ in range(N)] for _ in range(N)]
+    for i in range(N):
+        for j in range(i):
+            S[i][j] = S[j][i]
+    XJX = linalg.mul(linalg.mul(X, J2), linalg.transpose(X))
+    kap = linalg.sub(linalg.mat(S), linalg.scale(GR(Fraction(1, 2)), XJX))
+    return GroupElement(m, X, kap)
+
+
+@pytest.mark.parametrize("seed", [4242, 77001, 50])
+def test_group_sampler_matches_its_product_oracle(seed):
+    # the seeds of `verify cocycle`, of the covariance samples and one more
+    for N in (1, 2, 3):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for _ in range(300):
+            g = random_group_element(N, rng)
+            assert g == _random_group_element_by_products(N, oracle_rng)
+            g._validate()
+        # both consumed the same draws
+        assert rng.random() == oracle_rng.random()
+
+
 def test_embedding_homomorphism_and_inverse():
     for N in (1, 2):
         rng = random.Random(10 + N)
@@ -336,6 +372,18 @@ def test_expm_matches_the_mpc_oracle(ctx, N, rng, data):
     n = data.draw(st.integers(1, 4))
     A = [[GR(data.draw(_SMALL), data.draw(_SMALL)) for _ in range(n)] for _ in range(n)]
     _assert_close(expm(A, ctx), _mpc_expm(A, ctx), ctx)
+
+
+@pytest.mark.parametrize("t", range(12))
+def test_expm_degree_holds_at_the_top_of_each_scaling(ctx, t):
+    # ||A|| just under 2^t scales to just under 1/2, where the series needs
+    # the most terms; a nilpotent A's terms vanish past A^1, so there a
+    # degree read off the terms, not the norm, would be cut short
+    x = Fraction(2 ** t) - Fraction(1, 64)
+    assert 2 ** (t - 1) < x < 2 ** t
+    z = GR(0)
+    for A in (((GR(x), z), (z, GR(-x))), ((z, GR(-x)), (GR(x), z)), ((z, GR(x)), (z, z))):
+        _assert_close(expm(A, ctx), _mpc_expm(A, ctx), ctx)
 
 
 @settings(settings.get_profile("numeric"))
@@ -655,6 +703,32 @@ def test_cocycle_suite_catches_a_defective_a(ctx, monkeypatch, defect):
         assert float(check["detail"]) == pytest.approx(1e-40, rel=1e-15)
         with ctx.working():
             assert check["detail"] == mpf_str(to_mpf(Fraction(1, 10 ** 40)))
+
+
+@pytest.mark.parametrize("defect", ["no kappa correction", "one squaring short"])
+def test_cocycle_suite_catches_a_defective_exponential(ctx, monkeypatch, defect):
+    # each side of "exp matches matrix exponential" planted with a defect:
+    # jacobi_exp without its X h(M) J2 X^T term in kappa, or expm stopping
+    # one squaring short, which returns exp(A/2) in place of exp(A)
+    from maassjacobi import group
+
+    true_exp, true_expm = group.jacobi_exp, group.expm
+
+    def defective_exp(Y, ctx):
+        g = true_exp(Y, ctx)
+        with ctx.working():
+            kappa = tuple(tuple(to_mpc(x) for x in r) for r in Y.kappa)
+        return GroupElement(g.M, g.X, kappa, check=False)
+
+    def defective_expm(A, ctx):
+        return true_expm(linalg.scale(Fraction(1, 2), A), ctx)
+
+    if defect == "no kappa correction":
+        monkeypatch.setattr(group, "jacobi_exp", defective_exp)
+    else:
+        monkeypatch.setattr(group, "expm", defective_expm)
+    check = _cocycle_checks(ctx)["exp matches matrix exponential"]
+    assert check["status"] == "fail"
 
 
 def test_cocycle_suite_reaches_group_through_its_module(ctx, monkeypatch):
