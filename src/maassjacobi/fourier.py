@@ -514,32 +514,30 @@ def casimir_exact_residuals(cases, casimir) -> list:
     coefficient of ``casimir`` stands left of its derivatives and d_zbar f = 0,
     so C f = (sum_j S_j f^(j)) E (``_on_exponential``), and f^(j) = A_j f + B_j f'
     with A_0 = 1, B_0 = 0, A_{j+1} = A_j' + B_j Q and B_{j+1} = A_j + B_j' + B_j P,
-    where P = a - kappa/y and Q = -c0/y^2.  The formal k is substituted once
-    per distinct k, and the S_j are built once per (k, n, r).
+    where P = a - kappa/y and Q = -c0/y^2.  The S_j are built once per
+    (n, r) with k formal, and k is substituted into A and B.
     """
     ring = casimir.op_ring.ring
     dy = ((ring.index["y"], GaussianRational(1)),)
     kept = [(e, c) for e, c in casimir.terms.items() if not any(Coordinates.of(e).zbar)]
-    by_k, by_index, out = {}, {}, []
+    by_index, out = {}, []
     for f, k, eigenvalue in cases:
         index, s, kappa, arg = _whittaker_seed(f)
-        k = Fraction(k)
-        if k not in by_k:
-            by_k[k] = [(e, c.subs({"k": k})) for e, c in kept]
-        if (k, index) not in by_index:
-            by_index[k, index] = _on_exponential(by_k[k], index, ring)
+        if index not in by_index:
+            by_index[index] = _on_exponential(kept, index, ring)
         eq = whittaker_equation(s, kappa)
         kappa, c0 = eq[1][1], eq[0][0]
         p = ring.var("pi").scale(arg) - ring.var("y", -1).scale(kappa)
         q = ring.var("y", -2).scale(-c0)
         a_j, b_j = ring.one(), ring.zero()
         A, B = PolySum(ring), PolySum(ring)
-        for j, s_j in enumerate(by_index[k, index]):
+        for j, s_j in enumerate(by_index[index]):
             if j:
                 a_j, b_j = a_j.diff(dy) + b_j * q, a_j + b_j.diff(dy) + b_j * p
             A.add_product(s_j, a_j)
             B.add_product(s_j, b_j)
-        out.append((A.poly() - eigenvalue, B.poly()))
+        at_k = {"k": Fraction(k)}
+        out.append((A.poly().subs(at_k) - eigenvalue, B.poly().subs(at_k)))
     return out
 
 

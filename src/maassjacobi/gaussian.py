@@ -6,7 +6,8 @@ An element is stored as one reduced integer triple ``(a, b, d)`` for
 element has exactly one form; zero is ``(0, 0, 1)``.  Arithmetic works on
 the integers and reduces each result by one gcd (Knuth, TAOCP Vol. 2,
 4.5.1).  Elements are immutable and support mixed arithmetic with int and
-Fraction.
+Fraction.  The module is purely exact: ``precision.to_mpc`` rounds an
+element to an mpmath number.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ class GaussianRational:
         a, b, d = self._abd
         return _raw(a, -b, d)
 
-    # -- predicates / conversions --------------------------------------
+    # -- predicates ---------------------------------------------------
 
     def __bool__(self):
         a, b, _ = self._abd
@@ -158,17 +159,6 @@ class GaussianRational:
         if not self._abd[1]:
             return hash(self.re)
         return hash((self.re, self.im))
-
-    def to_mpc(self, mp):
-        """Convert to an mpmath complex at the current working precision.
-
-        Each part is divided in its own lowest terms, as one rounding; over
-        d = 1 there is nothing to divide, and each part is rounded as it is."""
-        a, b, d = self._abd
-        if d == 1:
-            return mp.mpc(a, b)
-        ga, gb = gcd(a, d), gcd(b, d)
-        return mp.mpc(mp.mpf(a // ga) / (d // ga), mp.mpf(b // gb) / (d // gb))
 
     # -- formatting -----------------------------------------------------
 

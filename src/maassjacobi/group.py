@@ -5,11 +5,12 @@ define the slash actions.
 Elements carry either exact Gaussian-rational entries or mpmath numbers;
 the mode is decided once, at construction, from the entry types.  Algebraic
 formulas (product, inverse, embeddings, the action, the a-cocycle) stay
-exact on exact input, and alpha_L of an exact a rounds the exact tr(L a)
-once.  The exponential map and its oracle ``expm`` sum their series on the
-Gaussian-integer kernel of ``fixedpoint`` and round each entry once: the
-exponential map as two scalar series by Cayley-Hamilton, ``expm`` as a
-matrix polynomial of a degree fixed up front, by Paterson-Stockmeyer.
+exact on exact input, and alpha_L of an exact a rounds each part of the
+exact tr(L a) once (``precision.to_mpc``).  The exponential map and its
+oracle ``expm`` sum their series on the Gaussian-integer kernel of
+``fixedpoint`` and round each entry once: the exponential map as two scalar
+series by Cayley-Hamilton, ``expm`` as a matrix polynomial of a degree
+fixed up front, by Paterson-Stockmeyer.
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from mpmath import mp
 
 from .errors import DomainError
 from .gaussian import GaussianRational, ONE, _reduced as _gaussian, power
+from .precision import rounded_mpc
 
 
 class SparseTerms:
@@ -482,8 +483,8 @@ class Poly:
     def eval_numeric(self, values, powers=None):
         """Evaluate with ``values[i]`` the value of the ring's variable i.
 
-        Each term is its coefficient, rounded to an mpc at the working
-        precision as ``GaussianRational.to_mpc`` rounds it, times
+        Each term is its coefficient, each part rounded once to the working
+        precision by ``precision.rounded_mpc``, times
         ``values[i] ** k`` for each variable in order, and the terms are
         summed in their stored order.  ``powers`` keeps each
         ``values[i] ** k`` by its field, in place in a packed monomial;
@@ -496,11 +497,7 @@ class Poly:
             powers = {}
         acc = None
         for m, (a, b) in self.num.items():
-            if d == 1:
-                t = mp.mpc(a, b)
-            else:
-                ga, gb = gcd(a, d), gcd(b, d)
-                t = mp.mpc(mp.mpf(a // ga) / (d // ga), mp.mpf(b // gb) / (d // gb))
+            t = rounded_mpc(a, b, d)
             # a field is zero here exactly where its exponent is; the top
             # field left is that of the first variable left
             x = (m ^ ring.origin) & fields

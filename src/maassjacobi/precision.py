@@ -3,6 +3,11 @@
 Every numeric routine takes a PrecisionContext; nothing reads or writes
 ambient precision outside a ``with ctx.working():`` block, and the block
 restores the previous mpmath state on exit.
+
+An exact value becomes an mpmath number here only, by one rule: each
+rational part num/den, however wide, is rounded once to nearest at the
+working precision (``to_mpf``; ``rounded_mpc``, which ``to_mpc`` of a
+GaussianRational and ``Poly.eval_numeric`` share).
 """
 
 from __future__ import annotations
@@ -56,19 +61,30 @@ def to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _rounded(num: int, den: int):
+    """num/den as a raw mpf, rounded once to nearest at the working precision."""
+    return libmp.from_rational(num, den, mp.prec, libmp.round_nearest)
+
+
+def rounded_mpc(a: int, b: int, d: int):
+    """(a + b i) / d for integers a, b and d > 0 as an mpc, each part
+    rounded once at the working precision."""
+    return mp.make_mpc((_rounded(a, d), _rounded(b, d)))
+
+
 def to_mpf(x):
     """Exact rational (or int/float/mpf) to mpf at current working precision;
     a Fraction is rounded once, however wide its numerator."""
     if isinstance(x, Fraction):
-        return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, mp.prec,
-                                               libmp.round_nearest))
+        return mp.make_mpf(_rounded(x.numerator, x.denominator))
     return mp.mpf(x)
 
 
 def to_mpc(x):
-    """Coerce exact and floating inputs to mpc at current working precision."""
+    """Coerce exact and floating inputs to mpc at current working precision;
+    each part of a GaussianRational is rounded once."""
     if isinstance(x, GaussianRational):
-        return x.to_mpc(mp)
+        return rounded_mpc(*x._abd)
     if isinstance(x, Fraction):
         return mp.mpc(to_mpf(x))
     return mp.mpc(x)

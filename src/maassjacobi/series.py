@@ -150,7 +150,7 @@ def _prefactor(L: GramLattice, p: int):
     """2^{1-N/2} pi i^p / sqrt|L|, the leading factor of the Maass (p = -k)
     and skew (p = 1 - k) Poincare coefficients."""
     return (mp.power(2, 1 - mp.mpf(L.N) / 2) * mp.pi
-            * (GaussianRational(0, 1) ** p).to_mpc(mp) / mp.sqrt(to_mpf(L.det)))
+            * to_mpc(GaussianRational(0, 1) ** p) / mp.sqrt(to_mpf(L.det)))
 
 
 def _pow_ratio(num, den, expo: Fraction):
@@ -232,8 +232,11 @@ def poincare_csum(s, L: GramLattice, n, r, nprime, rprime, c_max: int,
     with K as ``kloosterman`` gives it; c_max = 0 gives zero sums.  Each
     seed makes one ``_phase_counts`` pass per c: its second sign reads the
     counts at -j with the form L^{-1} negated, and is the first when the
-    flipped vector is zero.  J is used when D D' > 0 and I otherwise; the
-    skew-holomorphic coefficients use it at s = (2k - N)/4.
+    flipped vector is zero.  The dual seed's counts equal the seed's, by
+    (d, lam) -> (dbar, -dbar lam), but are counted on their own: they are
+    ``verify duality``'s one independent witness of that symmetry.  J is
+    used when D D' > 0 and I otherwise; the skew-holomorphic coefficients
+    use it at s = (2k - N)/4.
     """
     s = Fraction(s)
     N = L.N

@@ -193,26 +193,16 @@ def _ode_jet(P, x0: Fraction, h0: Fraction, h1: Fraction, order: int) -> list:
 
         p_20 (n + 1)(n + 2) h_{n+2} = -sum_{(i, j) != (2, 0), j <= n}
                                            p_ij (n - j + 1)_i h_{n-j+i}.
-
-    Times d D^e, with x0 = X / D, e the largest degree and d the common
-    denominator of the coefficients, every p_ij is an integer, and the h_n
-    are kept as integers over one running denominator.
     """
-    X, D = x0.numerator, x0.denominator
-    e = max(len(q) for q in P) - 1
-    d = math.lcm(*(c.denominator for q in P for c in q))
-    # p[i][j] = p_ij d D^e
-    p = [[sum(math.comb(l, j) * q[l].numerator * (d // q[l].denominator) * X ** (l - j)
-              * D ** (e - l + j) for l in range(j, len(q))) for j in range(len(q))] for q in P]
-    den = math.lcm(h0.denominator, h1.denominator)
-    g = [h0.numerator * (den // h0.denominator), h1.numerator * (den // h1.denominator)]
+    # p[i][j] = p_ij, the coefficients of P[i] about x0
+    p = [[sum(math.comb(l, j) * q[l] * x0 ** (l - j) for l in range(j, len(q)))
+          for j in range(len(q))] for q in P]
+    h = [h0, h1]
     for n in range(order - 1):
-        acc = sum(c * _pochhammer(n - j + 1, i) * g[n - j + i] for i, q in enumerate(p)
+        acc = sum(c * _pochhammer(n - j + 1, i) * h[n - j + i] for i, q in enumerate(p)
                   for j, c in enumerate(q[:n + 1]) if c and (i, j) != (2, 0))
-        f = p[2][0] * (n + 1) * (n + 2)
-        g = [v * f for v in g] + [-acc]
-        den *= f
-    return [Fraction(factorial(j) * v, den) for j, v in enumerate(g[:order + 1])]
+        h.append(-acc / (p[2][0] * (n + 1) * (n + 2)))
+    return [factorial(j) * v for j, v in enumerate(h[:order + 1])]
 
 
 def _derivatives(x0, problem, order: int, ctx: PrecisionContext) -> list:

@@ -24,6 +24,7 @@ from maassjacobi.gaussian import (
 from maassjacobi.jets import Jet, JetSpace
 from maassjacobi.opcalc import DiffOp, OpRing
 from maassjacobi.polys import Keyed, Poly, PolyRing
+from maassjacobi.precision import to_mpc
 
 ZERO = GaussianRational(0)
 
@@ -103,8 +104,10 @@ class FractionPairOracle:
         return hash((self.re, self.im))
 
     def to_mpc(self, mp):
-        return mp.mpc(mp.mpf(self.re.numerator) / self.re.denominator,
-                      mp.mpf(self.im.numerator) / self.im.denominator)
+        # each exact part divided, and so rounded, once by mpmath's own
+        # division of its integers
+        return mp.mpc(mp.fdiv(self.re.numerator, self.re.denominator),
+                      mp.fdiv(self.im.numerator, self.im.denominator))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -330,7 +333,7 @@ def test_gaussian_rational_matches_the_fraction_pair_oracle(p, q, n, f, k):
         assert parse_gaussian(str(v)) == v
         assert hash(v) == hash(ov)
         with mp.workprec(128):
-            assert v.to_mpc(mp)._mpc_ == ov.to_mpc(mp)._mpc_
+            assert to_mpc(v)._mpc_ == ov.to_mpc(mp)._mpc_
         for got, want in ((_outcome(v.inverse), _outcome(ov.inverse)),
                           (_outcome(lambda: v ** k), _outcome(lambda: ov ** k))):
             if want is ZeroDivisionError:
@@ -371,7 +374,34 @@ def test_integer_to_mpc_is_the_divided_value(a, b):
     # part by d in lowest terms gives
     with mp.workprec(128):
         want = mp.mpc(mp.mpf(a) / 1, mp.mpf(b) / 1)
-        assert GaussianRational(a, b).to_mpc(mp)._mpc_ == want._mpc_
+        assert to_mpc(GaussianRational(a, b))._mpc_ == want._mpc_
+
+
+def _wide_part(rng) -> Fraction:
+    """A numerator of up to 300 bits over a denominator of up to 200 bits,
+    each width drawn uniformly."""
+    num = rng.getrandbits(rng.randint(0, 300)) * rng.choice((-1, 1))
+    return Fraction(num, rng.getrandbits(rng.randint(0, 200)) + 1)
+
+
+@settings(settings.get_profile("exact"))
+@given(rng=st.randoms(use_true_random=False), bits=st.sampled_from([53, 128, 152]))
+def test_wide_parts_are_rounded_once(rng, bits):
+    # to_mpc of a GaussianRational, and eval_numeric of a one-term Poly,
+    # give each part the nearest mpf to its exact value, as mpmath divides
+    # the part's integers, however wide they are
+    R = PolyRing(["x"])
+    parts = [(_wide_part(rng), _wide_part(rng)) for _ in range(40)]
+    # a 161-bit numerator over 3 at 152 bits: rounding the numerator before
+    # dividing lands one ulp off the nearest value
+    parts.append((Fraction(2871496717442553517632561761299637186624589704039, 3), Fraction(0)))
+    with mp.workprec(bits):
+        for re, im in parts:
+            x = GaussianRational(re, im)
+            want = mp.mpc(mp.fdiv(re.numerator, re.denominator),
+                          mp.fdiv(im.numerator, im.denominator))._mpc_
+            assert to_mpc(x)._mpc_ == want
+            assert R.var("x").scale(x).eval_numeric([mp.mpc(1)])._mpc_ == want
 
 
 def test_exact_objects_copy_and_pickle():
@@ -701,7 +731,7 @@ def test_eval_numeric_matches_the_dict_oracle(p, k, tau, bits):
         t = mp.mpc(tau[0], tau[1]) / 7
         values = [mp.mpc(mp.mpf(k.numerator) / k.denominator), mp.pi, mp.mpc(t.imag),
                   mp.mpc(t.real), mp.mpc(mp.mpf(1) / 3), mp.mpc(mp.mpf(-2) / 5)]
-        want = DictPoly.of(p).eval_numeric(values, lambda c: c.to_mpc(mp))
+        want = DictPoly.of(p).eval_numeric(values, to_mpc)
         assert p.eval_numeric(values) == want
 
 
@@ -726,8 +756,7 @@ def test_poly_cancellations_and_big_coefficients_match_the_dict_oracle():
     with mp.workprec(53):
         values = [mp.mpc(1), mp.pi, mp.mpc(mp.mpf(1) / 3), mp.mpc(mp.mpf(3) / 7),
                   mp.mpc(0), mp.mpc(0)]
-        assert p.eval_numeric(values) == DictPoly.of(p).eval_numeric(
-            values, lambda c: c.to_mpc(mp))
+        assert p.eval_numeric(values) == DictPoly.of(p).eval_numeric(values, to_mpc)
 
 
 def test_exponent_outside_its_field_raises_and_does_not_spill():

@@ -34,7 +34,14 @@ from maassjacobi.group import (
 )
 from maassjacobi.jets import JetSpace, coordinate_jets
 from maassjacobi.opcalc import random_algebra_element, random_group_element, random_point
-from maassjacobi.precision import MAX_TERMS, PrecisionContext, mpf_str, to_mpc, to_mpf
+from maassjacobi.precision import (
+    MAX_TERMS,
+    PrecisionContext,
+    mpf_str,
+    to_fraction,
+    to_mpc,
+    to_mpf,
+)
 
 GR = GaussianRational
 
@@ -666,6 +673,31 @@ def test_cocycle_alpha_multiplicative(ctx):
     checks = {c["name"]: c for c in SUITES["cocycle"][0](L, ctx, 20)}
     assert checks["multiplicativity of alpha_L"]["status"] == "pass"
     assert checks["cocycle additivity of a"]["status"] == "pass"
+
+
+def test_alpha_of_an_exact_a_rounds_the_trace_once(ctx):
+    # on the exact a of `verify cocycle`'s draws, alpha_L reads tr(L a) with
+    # each part rounded once, as mpmath divides the part's integers; some
+    # of these parts are wider than the working precision
+    from maassjacobi.group import _alpha_of_a
+    from maassjacobi.lattice import GramLattice
+
+    def exact(x):
+        return GR(to_fraction(x.real), to_fraction(x.imag))
+
+    L = GramLattice([[2, 1], [1, 2]]).entries
+    rng = random.Random(4242)
+    wide = 0
+    for _ in range(10):
+        g, h = random_group_element(2, rng), random_group_element(2, rng)
+        tau, z = random_point(2, rng)
+        a = cocycle_a(jacobi_mul(g, h), Point(exact(tau), [exact(zj) for zj in z]))
+        tr = linalg.trace_mul(L, a)
+        with ctx.working():
+            wide += max(abs(tr.re.numerator), abs(tr.im.numerator)).bit_length() > mp.prec
+            parts = [mp.fdiv(x.numerator, x.denominator) for x in (tr.re, tr.im)]
+            assert _alpha_of_a(L, a, ctx) == mp.exp(2j * mp.pi * mp.mpc(*parts))
+    assert wide
 
 
 def _cocycle_checks(ctx, samples=10):

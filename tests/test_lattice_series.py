@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from maassjacobi import linalg
+from maassjacobi.cli import parse_rational_matrix
 from maassjacobi.errors import DomainError
 from maassjacobi.lattice import (
     GramLattice,
@@ -291,14 +292,15 @@ def test_kloosterman_properties(ctx, L, data):
         assert abs(k - kloosterman(c, L, nprime, rprime, n, r, ctx)) < mp.mpf("1e-30")
 
 
-def _counts_oracle(c, L, n, r, nprime, rprime):
+def _counts_oracle(c, L, n, r, nprime, rprime, inverse=True):
     """counts[j] of the definitional double sum over units d, then lambda in
-    (Z/c)^N, with L[lam] in Fractions: the (d, lambda) at phase j/c."""
+    (Z/c)^N, with L[lam] in Fractions: the (d, lambda) at phase j/c.  With
+    inverse=False d stands in place of dbar, a planted defect."""
     counts = [0] * c
     for d in range(1, c + 1):
         if gcd(d, c) != 1:
             continue
-        dbar = pow(d, -1, c)
+        dbar = pow(d, -1, c) if inverse else d
         for lam in product(range(c), repeat=L.N):
             counts[(dbar * (int(L.quad(lam)) + sum(a * b for a, b in zip(r, lam)) + n)
                     + nprime * d - sum(a * b for a, b in zip(rprime, lam))) % c] += 1
@@ -318,6 +320,46 @@ def test_minus_rprime_counts_are_the_rprime_counts_at_minus_j(L, data):
     assert counts == _counts_oracle(c, L, n, r, nprime, rprime)
     assert counts[:1] + counts[:0:-1] == _counts_oracle(c, L, n, r, nprime,
                                                         [-x for x in rprime])
+
+
+@settings(settings.get_profile("exact"))
+@given(L=_even_gram(), data=st.data())
+def test_swapped_seed_counts_are_the_seed_counts(L, data):
+    # (d, lam) -> (dbar, -dbar lam) takes the phase j of (n, r, n', r') to
+    # the phase j of (n', r', n, r): the symmetry that `verify
+    # kloosterman-symmetry` checks to 1e-30 holds exactly on the counts
+    c = data.draw(st.integers(1, _MAX_C[L.N]), label="c")
+    n, nprime = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+    index = st.lists(st.integers(-4, 4), min_size=L.N, max_size=L.N)
+    r, rprime = data.draw(index), data.draw(index)
+    assert _phase_counts(c, L.quad_terms, n, r, nprime, rprime) == \
+        _phase_counts(c, L.quad_terms, nprime, rprime, n, r)
+
+
+@pytest.mark.parametrize("gram", ["1", "2,1;1,2"])
+def test_series_suites_catch_d_in_place_of_dbar(gram, monkeypatch, capsys):
+    # the phases d (L[lam] + r.lam + n) + n' d - r'.lam, with d in place of
+    # dbar: over the units d -> dbar they are the true phases of
+    # (n + n', r, 0, r').  Both sides of the symmetry and of the duality
+    # ratios carry the defect, and the dual c-sum, computed on its own, is
+    # what lets `verify duality` see it
+    from maassjacobi import series
+    from maassjacobi.cli import main
+
+    true_counts = series._phase_counts
+
+    def defective(c, terms, n, r, nprime, rprime):
+        return true_counts(c, terms, n + nprime, r, 0, rprime)
+
+    L = GramLattice(parse_rational_matrix(gram))
+    r, rprime = [1] + [0] * (L.N - 1), [0] * (L.N - 1) + [-1]
+    for c in range(1, 8):
+        assert defective(c, L.quad_terms, 1, r, 2, rprime) == \
+            _counts_oracle(c, L, 1, r, 2, rprime, inverse=False)
+    monkeypatch.setattr(series, "_phase_counts", defective)
+    for suite in ("kloosterman-symmetry", "duality"):
+        assert main(["verify", suite, "--L", gram]) == 1, suite
+        capsys.readouterr()
 
 
 def test_casimir_eigenvalue_values():

@@ -850,7 +850,7 @@ def _coefficients_by_name(op, tau, z, k_value):
     values["pi"] = mp.pi
     if k_value is not None:
         values["k"] = to_mpc(k_value)
-    return [(e, c) for e, c in ((e, _eval_by_name(p, values, lambda c: c.to_mpc(mp)))
+    return [(e, c) for e, c in ((e, _eval_by_name(p, values, to_mpc))
                                 for e, p in op.terms.items()) if c]
 
 
