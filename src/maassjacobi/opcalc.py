@@ -37,13 +37,6 @@ _HALF = Fraction(1, 2)
 _IHALF = GaussianRational(0, _HALF)       # i/2
 _MIHALF = GaussianRational(0, -_HALF)     # -i/2
 
-# the bits of one direction's field in a packed derivative exponent; its
-# top bit is a guard, so exponents lie in [0, _DGUARD) and the sum of two
-# sets the guard instead of carrying into the next field
-DFIELD_BITS = 8
-_DGUARD = 1 << (DFIELD_BITS - 1)
-_DMASK = (1 << DFIELD_BITS) - 1
-
 
 class OpRing(Keyed):
     """Coefficient ring and direction bookkeeping for fixed rank N.
@@ -51,9 +44,10 @@ class OpRing(Keyed):
     Directions are ordered d_tau, d_taubar, d_z_1..d_z_N, d_zbar_1..d_zbar_N,
     as the slots of ``Coordinates``; the ring's variables are ordered k, pi,
     y, x, v_1..v_N, u_1..u_N, and k, x, y and the vectors u, v are
-    attributes.  ``compose`` works on derivative exponents packed into
-    ints (``pack`` and ``exponent``) and reads its Leibniz splits from
-    the ring (``splits``).
+    attributes.  ``compose`` works on derivative exponents packed as the
+    monomials of ``dring``, a PolyRing with one variable per direction
+    (``pack`` and ``exponent``; an entry outside [0, 2^14) raises
+    DomainError), and reads its Leibniz splits from the ring (``splits``).
     """
 
     def _init(self, N: int):
@@ -81,21 +75,19 @@ class OpRing(Keyed):
         one, n = self.ring.one(), self.ndirs
         self.d = Coordinates.of(DiffOp(self, {tuple(int(i == j) for i in range(n)): one})
                                 for j in range(n))
-        # a derivative exponent packs into one int, direction j in the field
-        # at dshifts[j], whose top bit is a guard (``pack``); the tables
-        # below hold exponents and splits only, filled on first use
-        self.dshifts = tuple(j * DFIELD_BITS for j in range(n))
-        self.dguard = sum(_DGUARD << s for s in self.dshifts)
+        # the tables below hold exponents and splits only, filled on first use
+        self.dring = PolyRing(["dtau", "dtaubar"] + [f"d{w}{j}" for w in ("z", "zbar")
+                                                     for j in range(1, N + 1)])
         self._packed, self._exps, self._splits, self._flat = {}, {}, {}, {}
 
     def pack(self, e) -> int:
-        """The packed derivative exponent of an exponent tuple."""
+        """The packed derivative exponent of an exponent tuple, its monomial
+        in ``dring``; DomainError on a negative entry, which the ring packs."""
         p = self._packed.get(e)
         if p is None:
-            if len(e) != self.ndirs or not all(0 <= x < _DGUARD for x in e):
-                raise DomainError(f"a derivative exponent {e} outside the {self.ndirs} "
-                                  f"directions' fields [0, {_DGUARD})")
-            p = self._packed[e] = sum(x << s for x, s in zip(e, self.dshifts))
+            if min(e, default=0) < 0:
+                raise DomainError(f"a negative derivative exponent {e}")
+            p = self._packed[e] = self.dring.pack(e)
             self._exps.setdefault(p, e)
         return p
 
@@ -104,11 +96,8 @@ class OpRing(Keyed):
         once a field has reached its guard bit."""
         e = self._exps.get(p)
         if e is None:
-            if p & self.dguard:
-                j = next(j for j, s in enumerate(self.dshifts) if p >> s & _DGUARD)
-                raise DomainError(f"a derivative exponent of direction {j} outside "
-                                  f"[0, {_DGUARD})")
-            e = self._exps[p] = tuple((p >> s) & _DMASK for s in self.dshifts)
+            self.dring.check((p,))
+            e = self._exps[p] = self.dring.unpack(p)
         return e
 
     def splits(self, p: int, flat: int) -> list:
@@ -118,12 +107,12 @@ class OpRing(Keyed):
         built once for each (p, flat)."""
         out = self._splits.get((p, flat))
         if out is None:
-            alpha = self.exponent(p)
+            alpha, origin = self.exponent(p), self.dring.origin
             out = []
             for gamma in product(*(range(a if flat >> j & 1 else 0, a + 1)
                                    for j, a in enumerate(alpha))):
                 g = self.pack(gamma)
-                out.append((g, p - g, prod(map(comb, alpha, gamma))))
+                out.append((g, p - g + origin, prod(map(comb, alpha, gamma))))
             self._splits[p, flat] = out
         return out
 
@@ -222,10 +211,13 @@ class DiffOp(SparseTerms):
         # place; a key stays where it was first put even while its
         # coefficient sums to zero
         out = {}
-        # each term of other: its packed exponent, its coefficient b, d^delta b
-        # by packed delta (the same derivative recurs for every left term
-        # whose exponent reaches delta), and the directions where b is flat
-        rights = [(pack(be), bp, {0: bp}, R.flat_dirs(bp.support()))
+        # each term of other: its packed exponent less origin (so that gamma
+        # + beta is one int add, as in a product of monomials), its
+        # coefficient b, d^delta b by packed delta (the same derivative recurs
+        # for every left term whose exponent reaches delta; the zero exponent
+        # packs to origin), and the directions where b is flat
+        origin = R.dring.origin
+        rights = [(pack(be) - origin, bp, {origin: bp}, R.flat_dirs(bp.support()))
                   for be, bp in other.terms.items()]
         for ae, ap in self.terms.items():
             if other.shift and ap.uses("k"):
@@ -326,10 +318,7 @@ class DiffOp(SparseTerms):
         term, sorted by order and then by exponent, "0" when it has no
         terms; public API, its rendering of the builders pinned by golden
         tests."""
-        R = self.op_ring
-        names = ["dtau", "dtaubar"]
-        names += [f"dz{j}" for j in range(1, R.N + 1)]
-        names += [f"dzbar{j}" for j in range(1, R.N + 1)]
+        names = self.op_ring.dring.names
         lines = []
         for e, p in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0])):
             mono = " ".join(

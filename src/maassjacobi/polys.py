@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over the Gaussian rationals.
 
-One engine serves three distinct uses: commutative symmetric-algebra
+One engine serves four distinct uses: commutative symmetric-algebra
 elements, operator coefficients (where some variables are Laurent, e.g. y
-and pi), and Z-coefficient polynomials inside the enveloping algebra.
+and pi), Z-coefficient polynomials inside the enveloping algebra, and,
+by its packing alone, the derivative exponents of differential operators.
 Variables are fixed per ring.
 
 A polynomial is stored fraction-free (Geddes, Czapor & Labahn, *Algorithms

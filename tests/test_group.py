@@ -326,12 +326,12 @@ def _mpc_expm(A, ctx: PrecisionContext):
         return acc
 
 
-def _assert_close(new, old, ctx):
-    """Entrywise within 2^-(bits-8) of the largest entry of the oracle."""
+def _assert_close(new, old, ctx, slack=8):
+    """Entrywise within 2^(slack-bits) of the largest entry of the oracle."""
     with ctx.working():
         scale = max(abs(b) for rb in old for b in rb)
         worst = max(abs(a - b) for ra, rb in zip(new, old) for a, b in zip(ra, rb))
-        assert worst <= mp.mpf(2) ** (8 - ctx.bits) * scale
+        assert worst <= mp.mpf(2) ** (slack - ctx.bits) * scale
 
 
 _SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=8)
@@ -385,12 +385,14 @@ def test_expm_matches_the_mpc_oracle(ctx, N, rng, data):
 def test_expm_degree_holds_at_the_top_of_each_scaling(ctx, t):
     # ||A|| just under 2^t scales to just under 1/2, where the series needs
     # the most terms; a nilpotent A's terms vanish past A^1, so there a
-    # degree read off the terms, not the norm, would be cut short
+    # degree read off the terms, not the norm, would be cut short.  expm is
+    # within 2^-137.5 of the oracle here at 128 bits, and with its last
+    # Taylor coefficient zeroed 2^-132, so the bound is 2^-(bits + 8)
     x = Fraction(2 ** t) - Fraction(1, 64)
     assert 2 ** (t - 1) < x < 2 ** t
     z = GR(0)
     for A in (((GR(x), z), (z, GR(-x))), ((z, GR(-x)), (GR(x), z)), ((z, GR(x)), (z, z))):
-        _assert_close(expm(A, ctx), _mpc_expm(A, ctx), ctx)
+        _assert_close(expm(A, ctx), _mpc_expm(A, ctx), ctx, slack=-8)
 
 
 @settings(settings.get_profile("numeric"))

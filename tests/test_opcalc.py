@@ -18,7 +18,6 @@ from maassjacobi.group import AlgebraElement, Point, automorphy_factor, slash
 from maassjacobi.jets import Jet, JetSpace, coordinate_jets, imaginary_parts
 from maassjacobi.lattice import GramLattice
 from maassjacobi.opcalc import (
-    DFIELD_BITS,
     DiffOp,
     OpRing,
     bridge_check,
@@ -42,7 +41,7 @@ from maassjacobi.opcalc import (
     slashed_jet,
     support_space,
 )
-from maassjacobi.polys import Poly
+from maassjacobi.polys import FIELD_BITS, Poly
 from maassjacobi.precision import PrecisionContext, to_mpc
 
 from conftest import finite_difference
@@ -197,26 +196,43 @@ def test_compose_matches_the_recursive_leibniz_oracle(N):
 
 
 def test_compose_past_a_packed_field_is_a_domain_error():
-    # each direction's field holds exponents below 2^(DFIELD_BITS - 1)
+    # each direction's field holds exponents in [0, 2^(FIELD_BITS - 2)); the
+    # bound is met with constant coefficients, which take one split each
     R = OpRing(2)
-    top = 2 ** (DFIELD_BITS - 1)
+    top = 2 ** (FIELD_BITS - 2)
     one = R.ring.one()
 
-    def power(j, n):
-        return DiffOp(R, {tuple(n if i == j else 0 for i in range(R.ndirs)): one})
+    def dexp(j, n):
+        return tuple(n if i == j else 0 for i in range(R.ndirs))
 
+    def power(j, n, coeff=one):
+        return DiffOp(R, {dexp(j, n): coeff})
+
+    assert R.exponent(R.pack(dexp(3, top - 1))) == dexp(3, top - 1)
+    with pytest.raises(DomainError):
+        R.pack(dexp(3, top))
+    with pytest.raises(DomainError):
+        R.exponent(R.pack(dexp(3, top // 2)) + R.pack(dexp(3, top // 2)) - R.dring.origin)
     assert power(3, top // 2).compose(power(3, top // 2 - 1)) == power(3, top - 1)
     with pytest.raises(DomainError):
         power(3, top // 2).compose(power(3, top // 2))
-    # a coefficient the left factor differentiates takes the splits too
-    vmul = DiffOp.multiplication(R, R.v[0])
-    assert power(2, top - 1).compose(vmul).terms[(0, 0, top - 1, 0, 0, 0)] == R.v[0]
+    # a coefficient in v_1, flat in d_tau, meets one split there too
     with pytest.raises(DomainError):
-        power(2, top - 1).compose(vmul.compose(power(2, 1)))
+        power(0, top - 1).compose(power(0, 1, R.v[0]))
+    # a coefficient the left factor differentiates takes the splits:
+    # d_z1^3 v_1 = v_1 d_z1^3 + 3 (-i/2) d_z1^2
+    vmul = DiffOp.multiplication(R, R.v[0])
+    assert power(2, 3).compose(vmul) == power(2, 3, R.v[0]) + power(2, 2).scale(
+        GaussianRational(0, Fraction(-3, 2)))
     with pytest.raises(DomainError):
         power(0, top).compose(DiffOp.identity(R))
     with pytest.raises(DomainError):
         DiffOp.identity(R).compose(DiffOp(R, {(1, 0, 0): one}))
+    # a negative entry fits a field of the ring but is no derivative
+    with pytest.raises(DomainError):
+        R.pack(dexp(1, -1))
+    with pytest.raises(DomainError):
+        power(1, -1).compose(DiffOp.identity(R))
 
 
 def _golden_builders(L):
