@@ -86,7 +86,9 @@ from .specfun import (
 from .series import (
     kloosterman,
     casimir_eigenvalue,
+    poincare_csum,
     poincare_coeff_b,
+    poincare_table,
     full_coeff_c,
     skew_poincare_coeff,
     duality_report,

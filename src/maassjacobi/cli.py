@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
@@ -66,10 +67,9 @@ from .series import (
     annihilation_roots,
     casimir_eigenvalue,
     duality_report,
-    full_coeff_c,
     kloosterman,
     poincare_csum,  # unused here; the benchmark tracer patches this binding
-    skew_poincare_coeff,
+    poincare_table,
 )
 
 EXIT_OK = 0
@@ -525,39 +525,48 @@ def cmd_poincare(args, skew=False) -> int:
         if workers > 1:
             rows = _parallel_coeff(specs, workers)
         else:
-            rows = [_poincare_row(spec) for spec in specs]
+            rows = _poincare_rows(specs)
         return json.dumps({"operation": "skew-poincare" if skew else "poincare",
                            "config": key, "table": rows}, sort_keys=True)
 
     return _cached(args, "skew-poincare" if skew else "poincare", key, compute)
 
 
-def _poincare_row(spec):
-    """One table row: the coefficient at (n', r') or the library's error."""
-    skew, y, s, k, L, n, r, np_, rp, c_max, ctx = spec
-    row = {"nprime": np_, "rprime": rp, "D'": str(discriminant(L, np_, rp))}
-    with ctx.working():
-        try:
-            if skew:
-                v, tail = skew_poincare_coeff(k, L, n, r, np_, rp, c_max, ctx), None
-            else:
-                v, tail = full_coeff_c(y, s, k, L, n, r, np_, rp, c_max, ctx)
-        except MaassJacobiError as exc:
-            row["error"] = {"type": type(exc).__name__, "message": str(exc)}
-            return row
-        row["value"] = [mpf_str(v.real), mpf_str(v.imag)]
-        row["tail_ratio"] = None if tail is None else mpf_str(tail)
-    return row
+def _poincare_rows(specs):
+    """The table rows of ``specs``, each the coefficient at (n', r') or the
+    library's error: each run of specs of one table is one
+    ``poincare_table`` call."""
+    out = []
+    # a spec is its table's parameters with (n', r') at places 7 and 8
+    for table, run in itertools.groupby(specs, key=lambda spec: spec[:7] + spec[9:]):
+        skew, y, s, k, L, n, r, c_max, ctx = table
+        indices = [spec[7:9] for spec in run]
+        results = poincare_table(skew, y, s, k, L, n, r, indices, c_max, ctx)
+        with ctx.working():
+            for (np_, rp), result in zip(indices, results):
+                row = {"nprime": np_, "rprime": rp, "D'": str(discriminant(L, np_, rp))}
+                if isinstance(result, MaassJacobiError):
+                    row["error"] = {"type": type(result).__name__, "message": str(result)}
+                else:
+                    v, tail = result
+                    row["value"] = [mpf_str(v.real), mpf_str(v.imag)]
+                    row["tail_ratio"] = None if tail is None else mpf_str(tail)
+                out.append(row)
+    return out
 
 
 def _parallel_coeff(specs, jobs):
-    """``_poincare_row`` over ``specs`` on one pool of ``jobs`` processes.
+    """``_poincare_rows`` over ``specs`` on one pool of ``jobs`` processes,
+    one contiguous chunk of rows a worker.
 
-    ``map`` returns the rows in input order and each row is computed by the
-    sequential code, so bytes do not depend on the pool size.
+    ``map`` returns the chunks in input order, and a row's bytes do not
+    depend on the rows it shares a table call with, so they do not depend
+    on the pool size.
     """
+    size = -(-len(specs) // jobs)
+    chunks = [specs[i:i + size] for i in range(0, len(specs), size)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_poincare_row, specs))
+        return [row for rows in pool.map(_poincare_rows, chunks) for row in rows]
 
 
 def _expansion(args) -> FourierExpansion:

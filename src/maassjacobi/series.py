@@ -11,13 +11,19 @@ of unity in the integer form of ``fixedpoint``, so it is exact, does not
 depend on the order of its terms, and is rounded once; the prefactor
 e(-r^T L^{-1} r'/2c) is cached by its exact phase.
 
-A c-sum takes one r' and sums both signs, as the symmetrized coefficient
-b(n', r') + (-1)^k b(n', -r') reads them, with one histogram per seed and
-c: d -> -d takes the phase j of r' to the phase -j of -r', so the -r'
-counts are the r' counts read backwards, and a zero r' is one term for
-both.  D, D', L^{-1}(r, r') and each c's power c^{-(N+2)/2} and Bessel
-value are taken once for all the sums of a call (the weight-k and dual
-seeds of a duality pair share |D D'|).  Nothing is kept between calls but
+A Poincare table is computed as one unit: ``poincare_table`` takes every
+row (n', r') of one seed (n, r) at once and walks c outermost over all of
+them (``_c_sums``), so each piece of work is taken once for the rows that
+share it.  Per table: D, the weight factor of each sign of D' and the skew
+prefactor; per distinct D': the (D'/D) power and the profile; per c: the
+power c^{-(N+2)/2}; per (c, D D'): the Bessel value; per (c, r'): the
+lambda histogram, which n' does not enter, and the prefactor roots.  Each
+row makes its own pass over the units d and sums both signs of r', as
+the symmetrized coefficient b(n', r') + (-1)^k b(n', -r') reads them: d ->
+-d takes the phase j of r' to the phase -j of -r', so the -r' counts are
+the r' counts read backwards, and a zero r' is one term for both.  The
+one-row functions are the one-row case of the table, and a row's value
+does not depend on the rows beside it.  Nothing is kept between calls but
 the tables of roots and prefactors.
 """
 
@@ -63,18 +69,21 @@ def _ints(v) -> tuple:
     return tuple(int(x) for x in v)
 
 
-def _phase_counts(c: int, terms, n: int, r, nprime: int, rprime) -> list:
-    """counts[j] = #{(d, lam) : (dbar (L[lam] + r.lam + n) + n' d - r'.lam)
-    = j mod c} over units d mod c and lam in (Z/c)^N, exactly.
-
-    The lambda part does not depend on d: one pass over (Z/c)^N histograms
-    the pairs (a, b) = (L[lam] + r.lam + n, r'.lam) mod c, and each unit d
-    adds every bin's count at the phase dbar a + n' d - b."""
+def _pair_histogram(c: int, terms, n: int, r, rprime) -> dict:
+    """{(a, b): #lam} over lam in (Z/c)^N, with (a, b) = (L[lam] + r.lam + n,
+    r'.lam) mod c: the part of the phase counts that n' does not enter."""
     hist = {}
     for lam in product(range(c), repeat=len(r)):
         q = sum([coef * lam[i] * lam[j] for i, j, coef in terms])
         pair = ((q + sum(map(mul, r, lam)) + n) % c, sum(map(mul, rprime, lam)) % c)
         hist[pair] = hist.get(pair, 0) + 1
+    return hist
+
+
+def _unit_counts(c: int, hist: dict, nprime: int) -> list:
+    """counts[j] = #{(d, lam)} at the phase dbar a + n' d - b = j mod c, over
+    units d mod c and the bins (a, b) of ``hist``, each bin counted as often
+    as it holds lambdas."""
     counts = [0] * c
     for d in range(1, c + 1):
         if gcd(d, c) != 1:
@@ -86,18 +95,23 @@ def _phase_counts(c: int, terms, n: int, r, nprime: int, rprime) -> list:
     return counts
 
 
-def _phase_sum(counts, c: int):
-    """sum_j counts[j] e(j/c), summed exactly over the integer roots of unity
-    at the working precision and rounded once."""
-    re, im, e = _roots_of_unity(c, mp.prec)
+def _phase_counts(c: int, terms, n: int, r, nprime: int, rprime) -> list:
+    """counts[j] = #{(d, lam) : (dbar (L[lam] + r.lam + n) + n' d - r'.lam)
+    = j mod c} over units d mod c and lam in (Z/c)^N, exactly.
+
+    The lambda part does not depend on d: one pass over (Z/c)^N histograms
+    the pairs (a, b) (``_pair_histogram``), and one pass over the units d
+    adds every bin's count at the phase dbar a + n' d - b."""
+    return _unit_counts(c, _pair_histogram(c, terms, n, r, rprime), nprime)
+
+
+def _phase_sum(counts, roots):
+    """sum_j counts[j] e(j/c), summed exactly over ``roots``, the c-th roots
+    of unity of ``_roots_of_unity`` at the working precision, and rounded
+    once."""
+    re, im, e = roots
     return fixedpoint.rounded([sum(map(mul, counts, re))],
                               [sum(map(mul, counts, im))], e)[0]
-
-
-def _kloosterman_at(c: int, inv_form: Fraction, counts):
-    """K_c(n, r, n', r') at the working precision, given L^{-1}(r, r') and
-    the phase counts of (n, r, n', r')."""
-    return _root(-inv_form / (2 * c), mp.prec) * _phase_sum(counts, c)
 
 
 def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
@@ -110,15 +124,16 @@ def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
     exactly in integers; the sum of those counts times e(j/c) is then
     taken exactly over the integer form of the cached c-th roots of unity
     at the working precision and rounded once, so it does not depend on
-    the order of its terms.  ``poincare_csum`` composes the same pieces,
-    once per call, for its c-range.
+    the order of its terms.  The c-sums of ``_c_sums`` compose the same
+    pieces, each taken once for all the rows that share it.
     """
     if c < 1:
         raise DomainError("c must be a positive integer")
     r, rprime = _ints(r), _ints(rprime)
     with ctx.working():
-        return _kloosterman_at(c, L.inv_form(r, rprime), _phase_counts(
-            c, L.quad_terms, int(n), r, int(nprime), rprime))
+        counts = _phase_counts(c, L.quad_terms, int(n), r, int(nprime), rprime)
+        return (_root(-L.inv_form(r, rprime) / (2 * c), mp.prec)
+                * _phase_sum(counts, _roots_of_unity(c, mp.prec)))
 
 
 def casimir_eigenvalue(k, N: int, s) -> Fraction:
@@ -169,25 +184,16 @@ def _weight_factor(s: Fraction, k: int, L: GramLattice, sgn: int):
     return _prefactor(L, -k) * (mp.gamma(to_mpf(2 * s)) / mp.gamma(to_mpf(a)))
 
 
-def poincare_coeff_b(y, s, k, L: GramLattice, n, r, nprime, rprime,
-                     c_max: int, ctx: PrecisionContext):
-    """One unsymmetrized Fourier coefficient of the Maass Poincare series.
-
-    Returns (value, tail_ratio): the displayed product of the weight factor
-    (``_weight_factor``), the (D'/D) power, the y-profile
-    e(-iD'y/4|L|) W_{s,k-N/2}(pi D'y/|L|), and the truncated c-sum;
-    tail_ratio is |last term|/|sum|, the recorded truncation heuristic.
-    """
-    return _coeff_b_sides(y, s, k, L, n, r, nprime, rprime, c_max, ctx)[0]
-
-
-def _coeff_b_discriminants(s: Fraction, L: GramLattice, n, r, nprime, rprime):
-    """(D, D') of the coefficient b(n', r') of the seed (n, r), after the
-    checks that it is defined."""
-    if s <= 1 + Fraction(L.N, 2):
+def _converges(s, N: int) -> Fraction:
+    """s as a Fraction, after the check that the Maass series converges."""
+    s = Fraction(s)
+    if s <= 1 + Fraction(N, 2):
         raise DomainError("convergence requires Re(s) > 1 + N/2")
-    D = discriminant(L, n, r)
-    Dp = discriminant(L, nprime, rprime)
+    return s
+
+
+def _check_defined(D, Dp):
+    """The checks that a Maass coefficient at (D, D') is defined."""
     if D == 0:
         raise DomainError("seed index must have D != 0")
     if Dp == 0:
@@ -195,76 +201,170 @@ def _coeff_b_discriminants(s: Fraction, L: GramLattice, n, r, nprime, rprime):
             "D' = 0 coefficients are unsupported: the defining constant "
             "a_s(n', r') is not specified"
         )
-    return D, Dp
 
 
-def _coeff_b_sides(y, s, k, L: GramLattice, n, r, nprime, rprime, c_max: int,
-                   ctx: PrecisionContext):
-    """poincare_coeff_b at (n', r') and at (n', -r'), which share D': one
-    weight factor, power and profile, and one c-sum pass."""
-    k = int(k)
-    s = Fraction(s)
-    N = L.N
-    D, Dp = _coeff_b_discriminants(s, L, n, r, nprime, rprime)
-    if y <= 0:
-        raise DomainError("the profile needs a point of H: y = Im tau > 0")
-    with ctx.working():
-        sides = poincare_csum(s, L, n, r, nprime, rprime, c_max, ctx,
-                              discriminants=(D, Dp))
-        arg = mp.pi * to_mpf(Dp / L.det) * to_mpf(y)
-        profile = mp.exp(arg / 2) * whittaker_W_renorm(s, k - Fraction(N, 2), arg, ctx)
-        pref = (_weight_factor(s, k, L, 1 if Dp > 0 else -1)
-                * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4)) * profile)
-        return [(pref * acc, last / abs(acc) if acc != 0 else mp.mpf(0))
-                for acc, last in sides]
+def _c_sums(s: Fraction, L: GramLattice, seeds, c_max: int, ctx: PrecisionContext):
+    """Partial sums over c = 1..c_max of c^{-(N+2)/2} K_c Bessel(..) for every
+    row of every seed, walked c outermost; call it inside ctx.working().
+
+    ``seeds`` is [(a, ra, rows)] and each row is (b, rb, D D'), with
+    integers a, b, integer tuples ra, rb and D D' != 0.  Returns, seed after
+    seed and row after row, (sum, |last term|) at K_c(a, ra, b, rb) and
+    then at K_c(a, ra, b, -rb), each summed in c-order, each term
+    ``w * K * bv`` with K as ``kloosterman`` gives it; c_max = 0 gives zero
+    sums.  J is used when D D' > 0 and I otherwise.
+
+    What terms share is taken once: each c's power w; each (c, D D')'s
+    Bessel value; each (c, seed, rb)'s histogram, form L^{-1}(ra, rb) and
+    prefactor roots e(-+L^{-1}(ra, rb)/2c).  Each row makes its own unit
+    pass, phase sums and terms; its -rb side reads its counts at -j with
+    the form negated, and is its rb side when rb is zero.  Seeds share the
+    Bessel values only: each seed counts its own phases.
+    """
+    if c_max < 0:
+        raise DomainError("c_max must be nonnegative")
+    N, terms, prec = L.N, L.quad_terms, mp.prec
+    nu = 2 * s - 1
+    # (a, ra, rb, L^{-1}(ra, rb), [(slot, b, D D')]) per seed and distinct rb
+    groups, slots, kinds = [], 0, {}
+    for a, ra, rows in seeds:
+        by_rb = {}
+        for b, rb, DD in rows:
+            by_rb.setdefault(rb, []).append((slots, b, DD))
+            slots += 2
+            if DD not in kinds:
+                kinds[DD] = (bessel_J if DD > 0 else bessel_I,
+                             mp.pi * mp.sqrt(abs(to_mpf(DD))) / to_mpf(L.det))
+        groups += [(a, ra, rb, L.inv_form(ra, rb), members)
+                   for rb, members in by_rb.items()]
+    accs = [mp.mpc(0)] * slots
+    lasts = [mp.mpf(0)] * slots
+    for c in range(1, c_max + 1):
+        w = mp.power(c, -mp.mpf(N + 2) / 2)
+        bvs = {DD: bessel(nu, xbase / c, ctx) for DD, (bessel, xbase) in kinds.items()}
+        roots = _roots_of_unity(c, prec)
+        for a, ra, rb, form, members in groups:
+            hist = _pair_histogram(c, terms, a, ra, rb)
+            plus = _root(-form / (2 * c), prec)
+            minus = _root(form / (2 * c), prec) if any(rb) else None
+            for slot, b, DD in members:
+                counts = _unit_counts(c, hist, b)
+                bv = bvs[DD]
+                term = w * (plus * _phase_sum(counts, roots)) * bv
+                flipped = (term if minus is None else
+                           w * (minus * _phase_sum(counts[:1] + counts[:0:-1], roots)) * bv)
+                accs[slot] += term
+                accs[slot + 1] += flipped
+                if c == c_max:
+                    lasts[slot], lasts[slot + 1] = abs(term), abs(flipped)
+    return list(zip(accs, lasts))
 
 
 def poincare_csum(s, L: GramLattice, n, r, nprime, rprime, c_max: int,
                   ctx: PrecisionContext, *, dual=False, discriminants):
-    """Partial sums over c = 1..c_max of c^{-(N+2)/2} K_c Bessel(..) at the
-    seed (n, r, n', r') and at (n, r, n', -r'), in that order; with ``dual``,
+    """The c-sums of one row, the one-row case of ``_c_sums``: at
+    (n, r, n', r') and at (n, r, n', -r'), in that order; with ``dual``,
     then those of K_c(n', r', n, r) and K_c(n', r', n, -r), the c-sums of
     the seed (n', r') that the weight N+2-k side of a duality pair takes.
 
-    All of them share |D D'|, so each c has one power and one Bessel value.
-    ``discriminants`` is (D, D'), which the caller has checked.  Returns
-    [(sum, |last term|)], each summed in c-order and each term ``w * K * bv``
-    with K as ``kloosterman`` gives it; c_max = 0 gives zero sums.  Each
-    seed makes one ``_phase_counts`` pass per c: its second sign reads the
-    counts at -j with the form L^{-1} negated, and is the first when the
-    flipped vector is zero.  The dual seed's counts equal the seed's, by
-    (d, lam) -> (dbar, -dbar lam), but are counted on their own: they are
-    ``verify duality``'s one independent witness of that symmetry.  J is
-    used when D D' > 0 and I otherwise; the skew-holomorphic coefficients
-    use it at s = (2k - N)/4.
+    ``discriminants`` is (D, D'), which the caller has checked; both seeds
+    have the product D D', so each c has one power and one Bessel value.
+    The dual seed's counts equal the seed's, by (d, lam) -> (dbar, -dbar
+    lam), but are counted on their own: they are ``verify duality``'s one
+    independent witness of that symmetry.  The skew-holomorphic
+    coefficients take the c-sum at s = (2k - N)/4.
     """
-    s = Fraction(s)
-    N = L.N
-    if c_max < 0:
-        raise DomainError("c_max must be nonnegative")
     D, Dp = discriminants
     n, nprime, r, rprime = int(n), int(nprime), _ints(r), _ints(rprime)
-    seeds = [(n, r, nprime, rprime)] + ([(nprime, rprime, n, r)] if dual else [])
-    forms = [L.inv_form(ra, rb) for _, ra, _, rb in seeds]
+    seeds = [(n, r, [(nprime, rprime, D * Dp)])]
+    if dual:
+        seeds.append((nprime, rprime, [(n, r, D * Dp)]))
     with ctx.working():
-        bessel = bessel_J if D * Dp > 0 else bessel_I
-        xbase = mp.pi * mp.sqrt(abs(to_mpf(Dp * D))) / to_mpf(L.det)
-        accs = [mp.mpc(0)] * (2 * len(seeds))
-        lasts = [mp.mpf(0)] * len(accs)
-        for c in range(1, c_max + 1):
-            w = mp.power(c, -mp.mpf(N + 2) / 2)
-            bv = bessel(2 * s - 1, xbase / c, ctx)
-            terms = []
-            for (a, ra, b, rb), form in zip(seeds, forms):
-                counts = _phase_counts(c, L.quad_terms, a, ra, b, rb)
-                term = w * _kloosterman_at(c, form, counts) * bv
-                flipped = (w * _kloosterman_at(c, -form, counts[:1] + counts[:0:-1]) * bv
-                           if any(rb) else term)
-                terms += [term, flipped]
-            for i, term in enumerate(terms):
-                accs[i] += term
-                lasts[i] = abs(term)
-        return list(zip(accs, lasts))
+        return _c_sums(Fraction(s), L, seeds, c_max, ctx)
+
+
+def _table_sides(skew, y, s, k, L: GramLattice, n, r, rows, c_max: int,
+                 ctx: PrecisionContext) -> list:
+    """Per row (n', r') of one table of the seed (n, r): the DomainError of
+    its checks, or its two sides [(b(n', r'), tail), (b(n', -r'), tail)].
+
+    Maass (``skew`` false): b is the displayed product of the weight factor
+    (``_weight_factor``), the (D'/D) power, the y-profile
+    e(-iD'y/4|L|) W_{s,k-N/2}(pi D'y/|L|) and the c-sum; tail is
+    |last term|/|sum|, the recorded truncation heuristic.  Skew: b(n', r')
+    is the prefactor 2^{1-N/2} pi i^{1-k} / sqrt|L| times the (D'/D) power
+    times the c-sum of K_c(n, r, n', -r') at s = (2k - N)/4, where the
+    c-sum's J_{2s-1} is J_{k-(N+2)/2}; tail is None.
+
+    A row reports the first check that fails, in this order: k >= 3 (skew)
+    or Re(s) > 1 + N/2 (Maass); the ranks of r, then r'; D, D' > 0 (skew)
+    or D != 0, D' != 0 and y > 0 (Maass); c_max >= 0.  Past them no row
+    raises a toolkit error: D D' != 0 and y > 0 keep every Bessel and
+    Whittaker argument off 0.  The table takes D, the skew prefactor and
+    the weight factor of each sign of D' once; the (D'/D) power and the
+    profile once per distinct D'; and one ``_c_sums`` walk for all rows.
+    """
+    k, N = int(k), L.N
+    try:
+        if skew:
+            if k < 3:
+                raise DomainError("skew Poincare series require k >= 3")
+            s = Fraction(2 * k - N, 4)
+        else:
+            s = _converges(s, N)
+        D = discriminant(L, n, r)
+    except DomainError as exc:
+        # kept without its traceback, whose frame would hold the table
+        return [exc.with_traceback(None)] * len(rows)
+    out, todo = [], []
+    for np_, rp in rows:
+        try:
+            Dp = discriminant(L, np_, rp)
+            if skew:
+                if D <= 0 or Dp <= 0:
+                    raise DomainError("skew coefficients require D, D' > 0")
+            else:
+                _check_defined(D, Dp)
+                if y <= 0:
+                    raise DomainError("the profile needs a point of H: y = Im tau > 0")
+        except DomainError as exc:
+            out.append(exc.with_traceback(None))
+        else:
+            todo.append((len(out), int(np_), _ints(rp), Dp))
+            out.append(None)
+    expo = Fraction(k, 2) - Fraction(N + 2, 4)
+    with ctx.working():
+        try:
+            sums = _c_sums(s, L, [(int(n), _ints(r), [(np_, rp, D * Dp)
+                                                      for _, np_, rp, Dp in todo])],
+                           c_max, ctx)
+        except DomainError as exc:
+            for i, *_ in todo:
+                out[i] = exc.with_traceback(None)
+            return out
+        if skew:
+            lead = _prefactor(L, 1 - k)
+        weights, prefs = {}, {}
+        for (i, _, _, Dp), (plus, last_plus), (minus, last_minus) in zip(
+                todo, sums[::2], sums[1::2]):
+            if Dp not in prefs:
+                if skew:
+                    prefs[Dp] = lead * _pow_ratio(Dp, D, expo)
+                else:
+                    arg = mp.pi * to_mpf(Dp / L.det) * to_mpf(y)
+                    profile = mp.exp(arg / 2) * whittaker_W_renorm(
+                        s, k - Fraction(N, 2), arg, ctx)
+                    sgn = 1 if Dp > 0 else -1
+                    if sgn not in weights:
+                        weights[sgn] = _weight_factor(s, k, L, sgn)
+                    prefs[Dp] = weights[sgn] * _pow_ratio(Dp, D, expo) * profile
+            pref = prefs[Dp]
+            if skew:
+                out[i] = [(pref * minus, None), (pref * plus, None)]
+            else:
+                out[i] = [(pref * acc, last / abs(acc) if acc != 0 else mp.mpf(0))
+                          for acc, last in ((plus, last_plus), (minus, last_minus))]
+    return out
 
 
 def _symmetrized(b1, b2, k, ctx: PrecisionContext):
@@ -275,38 +375,59 @@ def _symmetrized(b1, b2, k, ctx: PrecisionContext):
     return mp.mpc(0) if abs(v) <= ctx.eps * (abs(b1) + abs(b2)) else v
 
 
+def poincare_table(skew, y, s, k, L: GramLattice, n, r, rows, c_max: int,
+                   ctx: PrecisionContext) -> list:
+    """b(n', r') + (-1)^k b(n', -r') at every row (n', r') of one Maass
+    (``skew`` false, at s and y) or skew-holomorphic table of the seed
+    (n, r): (value, tail ratio), the tail the larger of the two sides' and
+    None for skew, or the DomainError of the row's checks
+    (``_table_sides``).  A value is an exact zero where the two sides
+    cancel (``_symmetrized``).  Each row's value is that of the row alone:
+    what rows share is equal for all of them."""
+    out = []
+    with ctx.working():
+        for sides in _table_sides(skew, y, s, k, L, n, r, rows, c_max, ctx):
+            if isinstance(sides, DomainError):
+                out.append(sides)
+            else:
+                (b1, t1), (b2, t2) = sides
+                out.append((_symmetrized(b1, b2, k, ctx), None if skew else max(t1, t2)))
+    return out
+
+
+def _one(results):
+    """The result of a one-row table, or its error raised."""
+    (result,) = results
+    if isinstance(result, DomainError):
+        raise result
+    return result
+
+
+def poincare_coeff_b(y, s, k, L: GramLattice, n, r, nprime, rprime,
+                     c_max: int, ctx: PrecisionContext):
+    """One unsymmetrized Fourier coefficient b(n', r') of the Maass Poincare
+    series, as (value, tail_ratio): the one-row case of ``_table_sides``."""
+    return _one(_table_sides(False, y, s, k, L, n, r, [(nprime, rprime)], c_max, ctx))[0]
+
+
 def full_coeff_c(y, s, k, L: GramLattice, n, r, nprime, rprime, c_max: int,
                  ctx: PrecisionContext):
-    """b(n', r') + (-1)^k b(n', -r'), the symmetrized coefficient; an exact
-    zero where the two sides cancel (``_symmetrized``)."""
-    (b1, t1), (b2, t2) = _coeff_b_sides(y, s, k, L, n, r, nprime, rprime, c_max, ctx)
-    with ctx.working():
-        return _symmetrized(b1, b2, k, ctx), max(t1, t2)
+    """b(n', r') + (-1)^k b(n', -r'), the symmetrized coefficient, as
+    (value, tail ratio): the one-row case of ``poincare_table``."""
+    return _one(poincare_table(False, y, s, k, L, n, r, [(nprime, rprime)], c_max, ctx))
 
 
 def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
                         ctx: PrecisionContext):
-    """Fourier coefficient of the skew-holomorphic Poincare series.
+    """Fourier coefficient of the skew-holomorphic Poincare series, the
+    one-row case of ``poincare_table``.
 
     Requires k >= 3 and D, D' > 0; note the -r' inside the Kloosterman sum.
     The value adds (-1)^k times the side at -r', and is an exact zero
     where the two sides cancel (``_symmetrized``).
     """
-    k = int(k)
-    N = L.N
-    if k < 3:
-        raise DomainError("skew Poincare series require k >= 3")
-    D = discriminant(L, n, r)
-    Dp = discriminant(L, nprime, rprime)
-    if D <= 0 or Dp <= 0:
-        raise DomainError("skew coefficients require D, D' > 0")
-
-    with ctx.working():
-        # at s = (2k - N)/4 the c-sum's J_{2s-1} is J_{k-(N+2)/2}
-        (plus, _), (minus, _) = poincare_csum(Fraction(2 * k - N, 4), L, n, r, nprime,
-                                              rprime, c_max, ctx, discriminants=(D, Dp))
-        pref = _prefactor(L, 1 - k) * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
-        return _symmetrized(pref * minus, pref * plus, k, ctx)
+    return _one(poincare_table(True, None, None, k, L, n, r, [(nprime, rprime)],
+                               c_max, ctx))[0]
 
 
 def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
@@ -328,9 +449,9 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
     N = L.N
     k = int(k)
     kd = N + 2 - k
-    s = Fraction(s)
     if c_max < 1:
         raise DomainError("duality ratios need c_max >= 1")
+    s = _converges(s, N)
 
     def _stats(ratios):
         clean = [x for x in ratios if x is not None]
@@ -350,7 +471,8 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
     ratios_b, ratios_c = [], []
     with ctx.working():
         for (n, r), (npd, rpd) in index_pairs:
-            D, Dp = _coeff_b_discriminants(s, L, n, r, npd, rpd)
+            D, Dp = discriminant(L, n, r), discriminant(L, npd, rpd)
+            _check_defined(D, Dp)
             sums = poincare_csum(s, L, n, r, npd, rpd, c_max, ctx, dual=True,
                                  discriminants=(D, Dp))
             prefA, prefB = _pref(k, Dp, D), _pref(kd, D, Dp)

@@ -706,7 +706,7 @@ def test_table_above_the_work_threshold_takes_the_pool(cache_dir, capsys, monkey
 
     def rows_in_process(specs, jobs):
         calls.append(jobs)
-        return [cli._poincare_row(spec) for spec in specs]
+        return cli._poincare_rows(specs)
 
     monkeypatch.setattr(cli, "_parallel_coeff", rows_in_process)
     code1, out1 = run(capsys, *_rank2_table(cmax, 1))
@@ -727,9 +727,25 @@ def test_parallel_coeff_on_a_pool_matches_the_rows_in_order():
              for np_ in (-1, 0, 1) for rp in (0, 1)]
     specs += [(True, None, None, 3, L, 1, [1], np_, [rp], 6, ctx)
               for np_ in (-2, 0, 2) for rp in (0, 1, 2)]
-    rows = [cli._poincare_row(spec) for spec in specs]
+    rows = [cli._poincare_rows([spec])[0] for spec in specs]
     assert any("error" in row for row in rows) and any("value" in row for row in rows)
     assert cli._parallel_coeff(specs, 2) == rows
+
+
+def test_chunked_parallel_coeff_returns_the_in_process_rows():
+    # each worker takes one contiguous chunk of rows, which may cut one table
+    # or hold the end of one and the start of the next; the rows are those
+    # of the in-process table calls
+    ctx = PrecisionContext(bits=128)
+    L1, L2 = GramLattice([[1]]), GramLattice([[2, 1], [1, 2]])
+    specs = [(False, Fraction(1), Fraction(5, 2), 2, L1, -1, [1], np_, [rp], 6, ctx)
+             for np_ in (-1, 0, 1) for rp in (0, 1)]
+    specs += [(True, None, None, 3, L2, 1, [1, 0], np_, [rp, 0], 3, ctx)
+              for np_ in (-2, -1, 0, 1, 2) for rp in (0, 1, 2)]
+    rows = cli._poincare_rows(specs)
+    assert any("error" in row for row in rows) and any("value" in row for row in rows)
+    for jobs in (2, 3):
+        assert cli._parallel_coeff(specs, jobs) == rows
 
 
 def test_missing_input_file_is_structured_error(cache_dir, capsys):

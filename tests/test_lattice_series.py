@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 import random
 from fractions import Fraction
 from itertools import product
@@ -18,7 +21,7 @@ from maassjacobi.lattice import (
     h_of_r,
 )
 from maassjacobi.precision import PrecisionContext, e_of, to_fraction, to_mpf
-from maassjacobi.specfun import bessel_I, bessel_J
+from maassjacobi.specfun import bessel_I, bessel_J, whittaker_W_renorm
 from maassjacobi.series import (
     _phase_counts,
     _pow_ratio,
@@ -29,6 +32,7 @@ from maassjacobi.series import (
     kloosterman,
     poincare_coeff_b,
     poincare_csum,
+    poincare_table,
     skew_poincare_coeff,
 )
 
@@ -338,25 +342,28 @@ def test_swapped_seed_counts_are_the_seed_counts(L, data):
 
 @pytest.mark.parametrize("gram", ["1", "2,1;1,2"])
 def test_series_suites_catch_d_in_place_of_dbar(gram, monkeypatch, capsys):
-    # the phases d (L[lam] + r.lam + n) + n' d - r'.lam, with d in place of
-    # dbar: over the units d -> dbar they are the true phases of
+    # the unit pass with d in place of dbar: over the units d -> dbar its
+    # phases d (L[lam] + r.lam + n) + n' d - r'.lam are the true phases of
     # (n + n', r, 0, r').  Both sides of the symmetry and of the duality
     # ratios carry the defect, and the dual c-sum, computed on its own, is
     # what lets `verify duality` see it
     from maassjacobi import series
     from maassjacobi.cli import main
 
-    true_counts = series._phase_counts
-
-    def defective(c, terms, n, r, nprime, rprime):
-        return true_counts(c, terms, n + nprime, r, 0, rprime)
+    def defective(c, hist, nprime):
+        counts = [0] * c
+        for d in range(1, c + 1):
+            if gcd(d, c) == 1:
+                for (a, b), cnt in hist.items():
+                    counts[(d * a + nprime * d - b) % c] += cnt
+        return counts
 
     L = GramLattice(parse_rational_matrix(gram))
     r, rprime = [1] + [0] * (L.N - 1), [0] * (L.N - 1) + [-1]
     for c in range(1, 8):
-        assert defective(c, L.quad_terms, 1, r, 2, rprime) == \
+        assert defective(c, series._pair_histogram(c, L.quad_terms, 1, r, rprime), 2) == \
             _counts_oracle(c, L, 1, r, 2, rprime, inverse=False)
-    monkeypatch.setattr(series, "_phase_counts", defective)
+    monkeypatch.setattr(series, "_unit_counts", defective)
     for suite in ("kloosterman-symmetry", "duality"):
         assert main(["verify", suite, "--L", gram]) == 1, suite
         capsys.readouterr()
@@ -494,23 +501,221 @@ def test_poincare_csum_matches_the_per_side_loop(ctx, entries, n, r, nprime, rpr
                                           ([0, 0], False), ([0, 0], True)])
 def test_poincare_csum_makes_one_phase_count_pass_per_seed_and_c(ctx, monkeypatch,
                                                                  rprime, dual):
-    # the -r' counts are the r' counts read backwards, so each seed takes
-    # one histogram per c, whether or not r' is zero
+    # a table takes one histogram per (c, distinct r') and one unit pass per
+    # (row, c), the -r' counts being the r' counts read backwards; a duality
+    # pair takes one of each per c for its seed and again for its dual seed,
+    # which counts its own phases
     from maassjacobi import series
 
-    calls = []
-    original = series._phase_counts
-
-    def counted(c, *args):
-        calls.append(c)
-        return original(c, *args)
-    monkeypatch.setattr(series, "_phase_counts", counted)
+    hists, units = [], []
+    for name, calls in (("_pair_histogram", hists), ("_unit_counts", units)):
+        def counted(c, *args, _original=getattr(series, name), _calls=calls):
+            _calls.append(c)
+            return _original(c, *args)
+        monkeypatch.setattr(series, name, counted)
     L = GramLattice([[2, 1], [1, 2]])
-    n, r, nprime = 0, [1, 0], -1
-    D, Dp = discriminant(L, n, r), discriminant(L, nprime, rprime)
-    poincare_csum(Fraction(5, 2), L, n, r, nprime, rprime, 5, ctx, dual=dual,
-                  discriminants=(D, Dp))
-    assert sorted(calls) == sorted(list(range(1, 6)) * (2 if dual else 1))
+    n, r, c_max = 0, [1, 0], 5
+    if dual:
+        D, Dp = discriminant(L, n, r), discriminant(L, -1, rprime)
+        poincare_csum(Fraction(5, 2), L, n, r, -1, rprime, c_max, ctx, dual=True,
+                      discriminants=(D, Dp))
+        assert sorted(hists) == sorted(units) == sorted(list(range(1, c_max + 1)) * 2)
+        return
+    # r', -r' and (1, 0) at each n', where D' = 12 n' - 2 or 12 n' is not 0
+    rows = [(np_, rp) for np_ in (-1, 1, 2)
+            for rp in (rprime, [-x for x in rprime], [1, 0])]
+    results = poincare_table(False, 1, Fraction(5, 2), 1, L, n, r, rows, c_max, ctx)
+    assert not any(isinstance(x, DomainError) for x in results)
+    distinct = len({tuple(rp) for _, rp in rows})
+    assert sorted(hists) == sorted(list(range(1, c_max + 1)) * distinct)
+    assert sorted(units) == sorted(list(range(1, c_max + 1)) * len(rows))
+
+
+def _row_oracle(skew, y, s, k, L, n, r, np_, rp, c_max, ctx):
+    """One table row on its own: the message of its first failing check, in
+    the stated order, or (value, tail ratio) from each side's own c-sum
+    (``_csum_oracle``, ``_skew_side`` for skew) times the displayed
+    prefactor, symmetrized."""
+    N = L.N
+    D, Dp = discriminant(L, n, r), discriminant(L, np_, rp)
+    if skew:
+        failed = ("skew Poincare series require k >= 3" if k < 3 else
+                  "skew coefficients require D, D' > 0" if D <= 0 or Dp <= 0 else None)
+    else:
+        failed = ("convergence requires Re(s) > 1 + N/2" if s <= 1 + Fraction(N, 2) else
+                  "seed index must have D != 0" if D == 0 else
+                  "D' = 0 coefficients are unsupported" if Dp == 0 else
+                  "y = Im tau > 0" if y <= 0 else None)
+    if failed is None and c_max < 0:
+        failed = "c_max must be nonnegative"
+    if failed:
+        return failed
+    sums = None if skew else _csum_oracle(s, L, n, r, np_, rp, c_max, ctx)
+    with ctx.working():
+        if skew:
+            b1 = _skew_side(k, L, n, r, np_, rp, c_max, ctx)
+            b2 = _skew_side(k, L, n, r, np_, [-x for x in rp], c_max, ctx)
+            return _symmetrized_oracle(b1, b2, k, ctx), None
+        arg = mp.pi * to_mpf(Dp / L.det) * to_mpf(y)
+        pref = (_weight_factor(s, k, L, 1 if Dp > 0 else -1)
+                * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
+                * (mp.exp(arg / 2) * whittaker_W_renorm(s, k - Fraction(N, 2), arg, ctx)))
+        (b1, t1), (b2, t2) = [(pref * acc, last / abs(acc) if acc != 0 else 0)
+                              for acc, last in sums]
+        return _symmetrized_oracle(b1, b2, k, ctx), max(t1, t2)
+
+
+def _matches(got, want) -> bool:
+    if isinstance(want, str):
+        return isinstance(got, DomainError) and want in str(got)
+    return got == want
+
+
+def _window_rows(L, window):
+    """The rows of a ``poincare --window`` table, then each r' != 0 again at
+    -r' (so rows with equal D' share a table) and a full-support r' at +-."""
+    rows = [(np_, [rp0] + [0] * (L.N - 1)) for np_ in range(-window, window + 1)
+            for rp0 in range(0, window + 1)]
+    rows += [(np_, [-x for x in rp]) for np_, rp in rows if any(rp)]
+    return rows + [(1, [1] * L.N), (1, [-1] * L.N), (-1, [1] * L.N)]
+
+
+def _drawn_tables():
+    """Tables of ranks 1-3 at windows 1 and 2, Maass and skew, with seeds
+    drawn so that D != 0 (Maass) or D > 0 (skew), and tables whose every
+    row fails a check: k < 3, D = 0, y <= 0, c_max < 0."""
+    rng = random.Random(46)
+    half = Fraction(1, 2)
+    tables = []
+    for entries, c_max in [([[1]], 8), ([[2]], 6), ([[3]], 5), ([[2, 1], [1, 2]], 3),
+                           ([[2, 0], [0, 4]], 3), ([[1, half], [half, 1]], 3),
+                           ([[2, 1, 0], [1, 2, 1], [0, 1, 2]], 2)]:
+        L = GramLattice(entries)
+        s = Fraction(5, 2) if L.N < 3 else Fraction(3)
+        for window in (1, 2):
+            for skew in (False, True):
+                while True:
+                    n, r = rng.randint(-2, 2), [rng.randint(-1, 1) for _ in range(L.N)]
+                    D = discriminant(L, n, r)
+                    if (D > 0) if skew else (D != 0):
+                        break
+                k = rng.choice((3, 4)) if skew else rng.choice((1, 2))
+                y = None if skew else rng.choice((Fraction(1), Fraction(3, 2)))
+                tables.append((skew, y, None if skew else s, k, L, n, r,
+                               _window_rows(L, window), c_max))
+    L = GramLattice([[1]])
+    rows = _window_rows(L, 1)
+    tables += [(True, None, None, 2, L, 1, [1], rows, 3),                 # k < 3
+               (True, None, None, 3, L, -1, [1], rows, 3),                # D < 0
+               (False, Fraction(1), Fraction(5, 2), 1, L, 0, [0], rows, 3),   # D = 0
+               (False, Fraction(0), Fraction(5, 2), 1, L, -1, [1], rows, 3),  # y = 0
+               (False, Fraction(1), Fraction(5, 2), 1, L, -1, [1], rows, -1),
+               (True, None, None, 3, L, 1, [1], rows, 0),
+               (False, Fraction(1), Fraction(3, 2), 1, L, -1, [1], rows, 3)]  # s too small
+    return tables
+
+
+def _table_and_oracle(table, ctx):
+    skew, y, s, k, L, n, r, rows, c_max = table
+    got = poincare_table(skew, y, s, k, L, n, r, rows, c_max, ctx)
+    want = [_row_oracle(skew, y, s, k, L, n, r, np_, rp, c_max, ctx) for np_, rp in rows]
+    return got, want
+
+
+def test_every_table_row_equals_its_own_c_sums(ctx):
+    # what the rows of a table share (histograms, Bessel values, prefactors)
+    # changes no row: each equals its per-side oracle bit for bit, and each
+    # error row reports its own first failing check
+    kinds = set()
+    for table in _drawn_tables():
+        got, want = _table_and_oracle(table, ctx)
+        assert len(got) == len(want)
+        for row, g, w in zip(table[7], got, want):
+            assert _matches(g, w), (table[:7], table[8], row, g, w)
+            kinds.add(w if isinstance(w, str) else "value")
+    assert len(kinds) == 8          # values and every check's message
+
+
+def _pinned_table_requests():
+    with open(os.path.join(os.path.dirname(__file__), "benchmark_requests.json"),
+              encoding="utf-8") as fh:
+        return [req for req in json.load(fh) if req["workload"] == "series"
+                and req["argv"][0] in ("poincare", "skew-poincare")]
+
+
+def _pins_moved(capsys, reset) -> int:
+    """How many pinned ``series`` table requests print other bytes, with
+    ``reset()`` called before each."""
+    from maassjacobi.cli import main
+
+    moved = 0
+    for req in _pinned_table_requests():
+        reset()
+        code = main(list(req["argv"]))
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        moved += (code, digest) != (req["exit"], req["sha256"])
+    return moved
+
+
+def _defect_tables():
+    L1, L2 = GramLattice([[2]]), GramLattice([[2, 1], [1, 2]])
+    return [(False, Fraction(1), Fraction(5, 2), 2, L1, -2, [1], _window_rows(L1, 1), 6),
+            (True, None, None, 3, L2, 1, [1, 0], _window_rows(L2, 2), 3)]
+
+
+def _assert_caught(ctx, monkeypatch, capsys, plant, reset):
+    """With the defect that ``plant(monkeypatch)`` sets, some row of the
+    defect tables differs from its oracle (taken before the plant) and some
+    pinned table request prints other bytes; ``reset()`` starts each table
+    afresh."""
+    tables = _defect_tables()
+    wants = [_table_and_oracle(table, ctx)[1] for table in tables]
+    plant(monkeypatch)
+    misses = 0
+    for table, want in zip(tables, wants):
+        reset()
+        got = poincare_table(*table, ctx)
+        misses += sum(not _matches(g, w) for g, w in zip(got, want))
+    assert misses > 0
+    assert _pins_moved(capsys, reset) > 0
+
+
+def test_table_checks_catch_one_histogram_for_every_rprime(ctx, monkeypatch, capsys):
+    # planted: each (c, seed) of a table reuses the histogram of its first r'
+    # for every r'
+    from maassjacobi import series
+
+    true_histogram, first = series._pair_histogram, {}
+
+    def defective(c, terms, n, r, rprime):
+        key = (c, terms, n, tuple(r))
+        if key not in first:
+            first[key] = true_histogram(c, terms, n, r, rprime)
+        return first[key]
+
+    _assert_caught(ctx, monkeypatch, capsys,
+                   lambda mp_: mp_.setattr(series, "_pair_histogram", defective),
+                   first.clear)
+
+
+def test_table_checks_catch_one_bessel_value_for_both_signs_of_dd(ctx, monkeypatch,
+                                                                   capsys):
+    # planted: J and I share one value per (order, argument), so rows whose
+    # D D' differ only in sign share a Bessel value; the D' = +-4|L| rows at
+    # r' = 0 of every poincare window are such a pair
+    from maassjacobi import series
+
+    memo = {}
+
+    def plant(mp_):
+        for name in ("bessel_J", "bessel_I"):
+            def shared(nu, x, ctx, _original=getattr(series, name)):
+                if (nu, x) not in memo:
+                    memo[(nu, x)] = _original(nu, x, ctx)
+                return memo[(nu, x)]
+            mp_.setattr(series, name, shared)
+
+    _assert_caught(ctx, monkeypatch, capsys, plant, memo.clear)
 
 
 def test_duality_report_takes_one_bessel_value_per_pair_and_c(ctx, monkeypatch):

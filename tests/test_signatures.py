@@ -128,7 +128,7 @@ def _imported(stmt):
 
 def test_every_import_is_used():
     # cli imports these two only so that the benchmark tracer can patch them
-    # in its namespace (ROADMAP item 4); __init__'s imports are the exports
+    # in its namespace (ROADMAP item 6); __init__'s imports are the exports
     allowed = {"cli.casimir_residual", "cli.poincare_csum"}
     unused = []
     for path in Path(maassjacobi.__file__).parent.glob("*.py"):
