@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import random
 import sys
@@ -517,56 +516,54 @@ def cmd_poincare(args, skew=False) -> int:
            "y": None if y is None else str(y), "precision_bits": ctx.bits}
 
     def compute():
-        specs = [(skew, y, s, k, L, n, r, np_, [rp0] + [0] * (L.N - 1), c_max, ctx)
-                 for np_ in range(-window, window + 1)
-                 for rp0 in range(0, window + 1)]
-        points = len(specs) * sum(c ** L.N for c in range(1, c_max + 1))
-        workers = min(args.jobs, len(specs), points // POINTS_PER_WORKER)
+        table = (skew, y, s, k, L, n, r, c_max, ctx)
+        rows = [(np_, [rp0] + [0] * (L.N - 1))
+                for np_ in range(-window, window + 1) for rp0 in range(0, window + 1)]
+        points = len(rows) * sum(c ** L.N for c in range(1, c_max + 1))
+        workers = min(args.jobs, len(rows), points // POINTS_PER_WORKER)
         if workers > 1:
-            rows = _parallel_coeff(specs, workers)
+            out = _parallel_coeff(table, rows, workers)
         else:
-            rows = _poincare_rows(specs)
+            out = _poincare_rows(table, rows)
         return json.dumps({"operation": "skew-poincare" if skew else "poincare",
-                           "config": key, "table": rows}, sort_keys=True)
+                           "config": key, "table": out}, sort_keys=True)
 
     return _cached(args, "skew-poincare" if skew else "poincare", key, compute)
 
 
-def _poincare_rows(specs):
-    """The table rows of ``specs``, each the coefficient at (n', r') or the
-    library's error: each run of specs of one table is one
-    ``poincare_table`` call."""
+def _poincare_rows(table, rows):
+    """The printed rows of one ``poincare_table`` call: ``table`` is its
+    (skew, y, s, k, L, n, r, c_max, ctx) and ``rows`` its (n', r'), and
+    each row holds the coefficient at (n', r') or the library's error."""
+    skew, y, s, k, L, n, r, c_max, ctx = table
+    results = poincare_table(skew, y, s, k, L, n, r, rows, c_max, ctx)
     out = []
-    # a spec is its table's parameters with (n', r') at places 7 and 8
-    for table, run in itertools.groupby(specs, key=lambda spec: spec[:7] + spec[9:]):
-        skew, y, s, k, L, n, r, c_max, ctx = table
-        indices = [spec[7:9] for spec in run]
-        results = poincare_table(skew, y, s, k, L, n, r, indices, c_max, ctx)
-        with ctx.working():
-            for (np_, rp), result in zip(indices, results):
-                row = {"nprime": np_, "rprime": rp, "D'": str(discriminant(L, np_, rp))}
-                if isinstance(result, MaassJacobiError):
-                    row["error"] = {"type": type(result).__name__, "message": str(result)}
-                else:
-                    v, tail = result
-                    row["value"] = [mpf_str(v.real), mpf_str(v.imag)]
-                    row["tail_ratio"] = None if tail is None else mpf_str(tail)
-                out.append(row)
+    with ctx.working():
+        for (np_, rp), result in zip(rows, results):
+            row = {"nprime": np_, "rprime": rp, "D'": str(discriminant(L, np_, rp))}
+            if isinstance(result, MaassJacobiError):
+                row["error"] = {"type": type(result).__name__, "message": str(result)}
+            else:
+                v, tail = result
+                row["value"] = [mpf_str(v.real), mpf_str(v.imag)]
+                row["tail_ratio"] = None if tail is None else mpf_str(tail)
+            out.append(row)
     return out
 
 
-def _parallel_coeff(specs, jobs):
-    """``_poincare_rows`` over ``specs`` on one pool of ``jobs`` processes,
-    one contiguous chunk of rows a worker.
+def _parallel_coeff(table, rows, jobs):
+    """``_poincare_rows`` of one table on one pool of ``jobs`` processes,
+    one contiguous chunk of its rows a worker.
 
     ``map`` returns the chunks in input order, and a row's bytes do not
     depend on the rows it shares a table call with, so they do not depend
     on the pool size.
     """
-    size = -(-len(specs) // jobs)
-    chunks = [specs[i:i + size] for i in range(0, len(specs), size)]
+    size = -(-len(rows) // jobs)
+    chunks = [rows[i:i + size] for i in range(0, len(rows), size)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [row for rows in pool.map(_poincare_rows, chunks) for row in rows]
+        return [row for part in pool.map(functools.partial(_poincare_rows, table), chunks)
+                for row in part]
 
 
 def _expansion(args) -> FourierExpansion:

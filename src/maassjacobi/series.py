@@ -9,7 +9,8 @@ and each unit d relabels the bins into counts indexed by phase j/c.  The
 sum of the counts times e(j/c) runs over a cached table of the c-th roots
 of unity in the integer form of ``fixedpoint``, so it is exact, does not
 depend on the order of its terms, and is rounded once; the prefactor
-e(-r^T L^{-1} r'/2c) is cached by its exact phase.
+e(-r^T L^{-1} r'/2c) is cached by its exact phase.  The root table is
+conjugate-symmetric: the sum at -r' is the exact conjugate of that at r'.
 
 A Poincare table is computed as one unit: ``poincare_table`` takes every
 row (n', r') of one seed (n, r) at once and walks c outermost over all of
@@ -17,14 +18,11 @@ them (``_c_sums``), so each piece of work is taken once for the rows that
 share it.  Per table: D, the weight factor of each sign of D' and the skew
 prefactor; per distinct D': the (D'/D) power and the profile; per c: the
 power c^{-(N+2)/2}; per (c, D D'): the Bessel value; per (c, r'): the
-lambda histogram, which n' does not enter, and the prefactor roots.  Each
-row makes its own pass over the units d and sums both signs of r', as
-the symmetrized coefficient b(n', r') + (-1)^k b(n', -r') reads them: d ->
--d takes the phase j of r' to the phase -j of -r', so the -r' counts are
-the r' counts read backwards, and a zero r' is one term for both.  The
-one-row functions are the one-row case of the table, and a row's value
-does not depend on the rows beside it.  Nothing is kept between calls but
-the tables of roots and prefactors.
+lambda histogram, which n' does not enter, and the prefactor root.  Each
+row makes its own pass over the units d and takes one c-sum, whose
+conjugate is its other side.  The one-row functions are the one-row case
+of the table, and a row's value does not depend on the rows beside it.
+Nothing is kept between calls but the tables of roots and prefactors.
 """
 
 from __future__ import annotations
@@ -52,10 +50,13 @@ _PREFACTORS = 4096
 
 @lru_cache(maxsize=_ROOT_TABLES)
 def _roots_of_unity(c: int, prec: int):
-    """(re, im, e): e(j/c) = (re[j] + i im[j]) 2^e for j = 0..c-1, the
-    values e_of gives at prec bits, in ``fixedpoint`` integer form."""
+    """(re, im, e): e(j/c) = (re[j] + i im[j]) 2^e for j = 0..c-1 at prec
+    bits in ``fixedpoint`` integer form: e_of(j/c) for 2j < c, exactly -1
+    at 2j = c, and at c - j the conjugate of entry j, as e_of(-j/c) is."""
     with mp.workprec(prec):
-        return fixedpoint.to_ints([e_of(Fraction(j, c)) for j in range(c)])
+        half = [e_of(Fraction(j, c)) for j in range((c + 1) // 2)]
+        middle = [mp.mpc(-1)] if c % 2 == 0 else []
+        return fixedpoint.to_ints(half + middle + [mp.conj(z) for z in half[:0:-1]])
 
 
 @lru_cache(maxsize=_PREFACTORS)
@@ -65,8 +66,16 @@ def _root(phase: Fraction, prec: int):
         return e_of(phase)
 
 
-def _ints(v) -> tuple:
-    return tuple(int(x) for x in v)
+def _integer(x, what: str) -> int:
+    """x as an int; DomainError unless x is an integer in value."""
+    if int(x) != x:
+        raise DomainError(f"{what} must be an integer, not {x}")
+    return int(x)
+
+
+def _index(n, r, prime: str = ""):
+    """(n, r) as an int and a tuple of ints, each checked by ``_integer``."""
+    return _integer(n, "n" + prime), tuple(_integer(x, f"each entry of r{prime}") for x in r)
 
 
 def _pair_histogram(c: int, terms, n: int, r, rprime) -> dict:
@@ -124,14 +133,16 @@ def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
     exactly in integers; the sum of those counts times e(j/c) is then
     taken exactly over the integer form of the cached c-th roots of unity
     at the working precision and rounded once, so it does not depend on
-    the order of its terms.  The c-sums of ``_c_sums`` compose the same
-    pieces, each taken once for all the rows that share it.
+    the order of its terms, and its value at -r' is the exact conjugate of
+    its value at r'.  The c-sums of ``_c_sums`` compose the same pieces,
+    each taken once for all the rows that share it.
     """
+    c = _integer(c, "c")
     if c < 1:
         raise DomainError("c must be a positive integer")
-    r, rprime = _ints(r), _ints(rprime)
+    (n, r), (nprime, rprime) = _index(n, r), _index(nprime, rprime, "'")
     with ctx.working():
-        counts = _phase_counts(c, L.quad_terms, int(n), r, int(nprime), rprime)
+        counts = _phase_counts(c, L.quad_terms, n, r, nprime, rprime)
         return (_root(-L.inv_form(r, rprime) / (2 * c), mp.prec)
                 * _phase_sum(counts, _roots_of_unity(c, mp.prec)))
 
@@ -209,17 +220,16 @@ def _c_sums(s: Fraction, L: GramLattice, seeds, c_max: int, ctx: PrecisionContex
 
     ``seeds`` is [(a, ra, rows)] and each row is (b, rb, D D'), with
     integers a, b, integer tuples ra, rb and D D' != 0.  Returns, seed after
-    seed and row after row, (sum, |last term|) at K_c(a, ra, b, rb) and
-    then at K_c(a, ra, b, -rb), each summed in c-order, each term
-    ``w * K * bv`` with K as ``kloosterman`` gives it; c_max = 0 gives zero
-    sums.  J is used when D D' > 0 and I otherwise.
+    seed and row after row, (sum, |last term|) at K_c(a, ra, b, rb), whose
+    conjugate is the sum at -rb, summed in c-order, each term ``w * K * bv``
+    with K as ``kloosterman`` gives it; c_max = 0 gives zero sums.  J is
+    used when D D' > 0 and I otherwise.
 
     What terms share is taken once: each c's power w; each (c, D D')'s
     Bessel value; each (c, seed, rb)'s histogram, form L^{-1}(ra, rb) and
-    prefactor roots e(-+L^{-1}(ra, rb)/2c).  Each row makes its own unit
-    pass, phase sums and terms; its -rb side reads its counts at -j with
-    the form negated, and is its rb side when rb is zero.  Seeds share the
-    Bessel values only: each seed counts its own phases.
+    prefactor root e(-L^{-1}(ra, rb)/2c).  Each row makes its own unit pass,
+    phase sum and term.  Seeds share the Bessel values only: each seed
+    counts its own phases.
     """
     if c_max < 0:
         raise DomainError("c_max must be nonnegative")
@@ -231,7 +241,7 @@ def _c_sums(s: Fraction, L: GramLattice, seeds, c_max: int, ctx: PrecisionContex
         by_rb = {}
         for b, rb, DD in rows:
             by_rb.setdefault(rb, []).append((slots, b, DD))
-            slots += 2
+            slots += 1
             if DD not in kinds:
                 kinds[DD] = (bessel_J if DD > 0 else bessel_I,
                              mp.pi * mp.sqrt(abs(to_mpf(DD))) / to_mpf(L.det))
@@ -245,25 +255,18 @@ def _c_sums(s: Fraction, L: GramLattice, seeds, c_max: int, ctx: PrecisionContex
         roots = _roots_of_unity(c, prec)
         for a, ra, rb, form, members in groups:
             hist = _pair_histogram(c, terms, a, ra, rb)
-            plus = _root(-form / (2 * c), prec)
-            minus = _root(form / (2 * c), prec) if any(rb) else None
+            root = _root(-form / (2 * c), prec)
             for slot, b, DD in members:
-                counts = _unit_counts(c, hist, b)
-                bv = bvs[DD]
-                term = w * (plus * _phase_sum(counts, roots)) * bv
-                flipped = (term if minus is None else
-                           w * (minus * _phase_sum(counts[:1] + counts[:0:-1], roots)) * bv)
+                term = w * (root * _phase_sum(_unit_counts(c, hist, b), roots)) * bvs[DD]
                 accs[slot] += term
-                accs[slot + 1] += flipped
-                if c == c_max:
-                    lasts[slot], lasts[slot + 1] = abs(term), abs(flipped)
-    return list(zip(accs, lasts))
+                lasts[slot] = term
+    return [(acc, abs(last)) for acc, last in zip(accs, lasts)]
 
 
 def poincare_csum(s, L: GramLattice, n, r, nprime, rprime, c_max: int,
                   ctx: PrecisionContext, *, dual=False, discriminants):
     """The c-sums of one row, the one-row case of ``_c_sums``: at
-    (n, r, n', r') and at (n, r, n', -r'), in that order; with ``dual``,
+    (n, r, n', r') and at (n, r, n', -r'), its conjugate; with ``dual``,
     then those of K_c(n', r', n, r) and K_c(n', r', n, -r), the c-sums of
     the seed (n', r') that the weight N+2-k side of a duality pair takes.
 
@@ -275,18 +278,19 @@ def poincare_csum(s, L: GramLattice, n, r, nprime, rprime, c_max: int,
     coefficients take the c-sum at s = (2k - N)/4.
     """
     D, Dp = discriminants
-    n, nprime, r, rprime = int(n), int(nprime), _ints(r), _ints(rprime)
+    (n, r), (nprime, rprime) = _index(n, r), _index(nprime, rprime, "'")
     seeds = [(n, r, [(nprime, rprime, D * Dp)])]
     if dual:
         seeds.append((nprime, rprime, [(n, r, D * Dp)]))
     with ctx.working():
-        return _c_sums(Fraction(s), L, seeds, c_max, ctx)
+        return [side for acc, last in _c_sums(Fraction(s), L, seeds, c_max, ctx)
+                for side in ((acc, last), (mp.conj(acc), last))]
 
 
 def _table_sides(skew, y, s, k, L: GramLattice, n, r, rows, c_max: int,
                  ctx: PrecisionContext) -> list:
     """Per row (n', r') of one table of the seed (n, r): the DomainError of
-    its checks, or its two sides [(b(n', r'), tail), (b(n', -r'), tail)].
+    its checks, or (b(n', r'), tail, b(n', -r')).
 
     Maass (``skew`` false): b is the displayed product of the weight factor
     (``_weight_factor``), the (D'/D) power, the y-profile
@@ -294,24 +298,28 @@ def _table_sides(skew, y, s, k, L: GramLattice, n, r, rows, c_max: int,
     |last term|/|sum|, the recorded truncation heuristic.  Skew: b(n', r')
     is the prefactor 2^{1-N/2} pi i^{1-k} / sqrt|L| times the (D'/D) power
     times the c-sum of K_c(n, r, n', -r') at s = (2k - N)/4, where the
-    c-sum's J_{2s-1} is J_{k-(N+2)/2}; tail is None.
+    c-sum's J_{2s-1} is J_{k-(N+2)/2}; tail is None.  A row takes the one
+    c-sum of b(n', r'); that of b(n', -r') is its conjugate.
 
-    A row reports the first check that fails, in this order: k >= 3 (skew)
-    or Re(s) > 1 + N/2 (Maass); the ranks of r, then r'; D, D' > 0 (skew)
-    or D != 0, D' != 0 and y > 0 (Maass); c_max >= 0.  Past them no row
-    raises a toolkit error: D D' != 0 and y > 0 keep every Bessel and
+    A row reports the first check that fails, in this order: k an integer;
+    k >= 3 (skew) or Re(s) > 1 + N/2 (Maass); n and r integers, the rank of
+    r (these fail every row); n' and r' integers, the rank of r'; D, D' > 0
+    (skew) or D != 0, D' != 0 and y > 0 (Maass); c_max >= 0.  Past them no
+    row raises a toolkit error: D D' != 0 and y > 0 keep every Bessel and
     Whittaker argument off 0.  The table takes D, the skew prefactor and
     the weight factor of each sign of D' once; the (D'/D) power and the
     profile once per distinct D'; and one ``_c_sums`` walk for all rows.
     """
-    k, N = int(k), L.N
+    N = L.N
     try:
+        k = _integer(k, "k")
         if skew:
             if k < 3:
                 raise DomainError("skew Poincare series require k >= 3")
             s = Fraction(2 * k - N, 4)
         else:
             s = _converges(s, N)
+        n, r = _index(n, r)
         D = discriminant(L, n, r)
     except DomainError as exc:
         # kept without its traceback, whose frame would hold the table
@@ -319,6 +327,7 @@ def _table_sides(skew, y, s, k, L: GramLattice, n, r, rows, c_max: int,
     out, todo = [], []
     for np_, rp in rows:
         try:
+            np_, rp = _index(np_, rp, "'")
             Dp = discriminant(L, np_, rp)
             if skew:
                 if D <= 0 or Dp <= 0:
@@ -330,13 +339,12 @@ def _table_sides(skew, y, s, k, L: GramLattice, n, r, rows, c_max: int,
         except DomainError as exc:
             out.append(exc.with_traceback(None))
         else:
-            todo.append((len(out), int(np_), _ints(rp), Dp))
+            todo.append((len(out), np_, tuple(-x for x in rp) if skew else rp, Dp))
             out.append(None)
     expo = Fraction(k, 2) - Fraction(N + 2, 4)
     with ctx.working():
         try:
-            sums = _c_sums(s, L, [(int(n), _ints(r), [(np_, rp, D * Dp)
-                                                      for _, np_, rp, Dp in todo])],
+            sums = _c_sums(s, L, [(n, r, [(np_, rp, D * Dp) for _, np_, rp, Dp in todo])],
                            c_max, ctx)
         except DomainError as exc:
             for i, *_ in todo:
@@ -345,8 +353,7 @@ def _table_sides(skew, y, s, k, L: GramLattice, n, r, rows, c_max: int,
         if skew:
             lead = _prefactor(L, 1 - k)
         weights, prefs = {}, {}
-        for (i, _, _, Dp), (plus, last_plus), (minus, last_minus) in zip(
-                todo, sums[::2], sums[1::2]):
+        for (i, _, _, Dp), (acc, last) in zip(todo, sums):
             if Dp not in prefs:
                 if skew:
                     prefs[Dp] = lead * _pow_ratio(Dp, D, expo)
@@ -358,12 +365,8 @@ def _table_sides(skew, y, s, k, L: GramLattice, n, r, rows, c_max: int,
                     if sgn not in weights:
                         weights[sgn] = _weight_factor(s, k, L, sgn)
                     prefs[Dp] = weights[sgn] * _pow_ratio(Dp, D, expo) * profile
-            pref = prefs[Dp]
-            if skew:
-                out[i] = [(pref * minus, None), (pref * plus, None)]
-            else:
-                out[i] = [(pref * acc, last / abs(acc) if acc != 0 else mp.mpf(0))
-                          for acc, last in ((plus, last_plus), (minus, last_minus))]
+            tail = None if skew else (last / abs(acc) if acc != 0 else mp.mpf(0))
+            out[i] = (prefs[Dp] * acc, tail, prefs[Dp] * mp.conj(acc))
     return out
 
 
@@ -379,19 +382,18 @@ def poincare_table(skew, y, s, k, L: GramLattice, n, r, rows, c_max: int,
                    ctx: PrecisionContext) -> list:
     """b(n', r') + (-1)^k b(n', -r') at every row (n', r') of one Maass
     (``skew`` false, at s and y) or skew-holomorphic table of the seed
-    (n, r): (value, tail ratio), the tail the larger of the two sides' and
-    None for skew, or the DomainError of the row's checks
-    (``_table_sides``).  A value is an exact zero where the two sides
-    cancel (``_symmetrized``).  Each row's value is that of the row alone:
-    what rows share is equal for all of them."""
+    (n, r): (value, tail ratio), the tail None for skew, or the DomainError
+    of the row's checks (``_table_sides``).  A value is an exact zero where
+    the two sides cancel (``_symmetrized``).  Each row's value is that of
+    the row alone: what rows share is equal for all of them."""
     out = []
     with ctx.working():
         for sides in _table_sides(skew, y, s, k, L, n, r, rows, c_max, ctx):
             if isinstance(sides, DomainError):
                 out.append(sides)
             else:
-                (b1, t1), (b2, t2) = sides
-                out.append((_symmetrized(b1, b2, k, ctx), None if skew else max(t1, t2)))
+                b1, tail, b2 = sides
+                out.append((_symmetrized(b1, b2, k, ctx), tail))
     return out
 
 
@@ -407,7 +409,7 @@ def poincare_coeff_b(y, s, k, L: GramLattice, n, r, nprime, rprime,
                      c_max: int, ctx: PrecisionContext):
     """One unsymmetrized Fourier coefficient b(n', r') of the Maass Poincare
     series, as (value, tail_ratio): the one-row case of ``_table_sides``."""
-    return _one(_table_sides(False, y, s, k, L, n, r, [(nprime, rprime)], c_max, ctx))[0]
+    return _one(_table_sides(False, y, s, k, L, n, r, [(nprime, rprime)], c_max, ctx))[:2]
 
 
 def full_coeff_c(y, s, k, L: GramLattice, n, r, nprime, rprime, c_max: int,
@@ -447,7 +449,7 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
     taken once per weight and sign of D'.
     """
     N = L.N
-    k = int(k)
+    k = _integer(k, "k")
     kd = N + 2 - k
     if c_max < 1:
         raise DomainError("duality ratios need c_max >= 1")

@@ -63,8 +63,10 @@ def test_verify_exit_codes(cache_dir, capsys, suite):
 # identities, whose detail is "exact", and the covariance and cocycle
 # digests since their residuals print at the working precision (the cocycle
 # ones again since `expm` sums its series by Paterson-Stockmeyer, and once
-# more since alpha_L rounds each part of the exact tr(L a) once)
-@pytest.mark.parametrize("argv, digest", [
+# more since alpha_L rounds each part of the exact tr(L a) once); the
+# duality digest since the root tables are conjugate-symmetric (below).
+# Each case is named by its argv, so that a new digest keeps its name.
+VERIFY_DIGESTS = [
     (("covariance", "--L", "2", "--samples", "2"),
      "3839bedc151dc77fe528bfb634ab5ad216bac53dd58db9cc8097c35305d9cc98"),
     (("covariance", "--L", "2,1;1,2", "--samples", "1"),
@@ -76,19 +78,29 @@ def test_verify_exit_codes(cache_dir, capsys, suite):
     (("cocycle", "--L", "2,1;1,2", "--samples", "5"),
      "441e78feea9d9f88deedcc3f0cb9b9be6a1a0db0c7b867027301728bacc68d88"),
     (("duality", "--L", "2", "--cmax", "4"),
-     "2bd902c70e668c9b745ccf7c31f6b8213756ed05d4c6200ed5316a0f2f01d470"),
-])
+     "db915626847f4f966bb512aeb848dee2439433f9e02b0221359fc44f8e48184c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", VERIFY_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in VERIFY_DIGESTS])
 def test_verify_output_is_unchanged(cache_dir, capsys, argv, digest):
     code, out = run(capsys, "verify", *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # sha256 of the stdout, computed since each Kloosterman phase sum is exact
-# and rounded once and cancelled symmetrized coefficients print 0
-@pytest.mark.parametrize("argv, digest", [
+# and rounded once and cancelled symmetrized coefficients print 0, and again
+# since each table of c-th roots of unity is conjugate-symmetric (e(j/c) for
+# 2j < c, exactly -1 at 2j = c, the conjugate of entry j at c - j) and the
+# -r' side of each coefficient is the conjugate of its r' side: that moved
+# three of these digests, each printed number above 1e-30 by at most 1.3e-43
+# relative, and the rounding residues of exactly-zero sums at or below it.
+# Each case is named by its argv, so that a new digest keeps its name.
+SERIES_DIGESTS = [
     (("poincare", "--k", "1", "--L", "1", "--s", "5/2", "--n=-1", "--r=-1",
       "--window", "1", "--cmax", "8"),
-     "f3ffa98e285d98a24bcd5ee757cfef5e0cc391a05a860f516ca4002085335977"),
+     "5abb693f99ac64ddf10afad71f20940cb5281eb3c9c2aa3a7df4f18ca610741b"),
     (("poincare", "--k", "1", "--L", "2,1;1,2", "--s", "5/2", "--n=-1", "--r=1,0",
       "--window", "1", "--cmax", "3"),
      "0533d9d593ccaf436c1cb43369e404cffe1ad18b13037f865bce03f917092ce4"),
@@ -100,11 +112,15 @@ def test_verify_output_is_unchanged(cache_dir, capsys, argv, digest):
      "b7510ef7f4162114654a96e7e71484dd2420b63021532ec6a3d50b0962bdf622"),
     (("kloosterman", "--c=1:12", "--L", "1", "--n=1", "--r=1", "--nprime=0",
       "--rprime=1"),
-     "51ea03b4e3a430e8421e839cec97058f605110c9ab52b480c11ae686194511f5"),
+     "770adafef50d14238cfb2df539d9d75cbc0273341c84de52eff733d7ff550f03"),
     (("kloosterman", "--c=1:6", "--L", "2,1;1,2", "--n=1", "--r=1,0", "--nprime=2",
       "--rprime=0,1"),
-     "e5e4cd6aa6f7ea33b4743936aef05730993d29b30b4ce355011f3a8481f305ef"),
-])
+     "dbca20e7acacd9cafb138585ae3a2f2763dc43459abc34cc47350ca3a4a03568"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", SERIES_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in SERIES_DIGESTS])
 def test_series_output_is_unchanged(cache_dir, capsys, argv, digest):
     code, out = run(capsys, *argv)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
@@ -120,8 +136,14 @@ def test_series_output_is_unchanged(cache_dir, capsys, argv, digest):
 # came to sum its series by Paterson-Stockmeyer, which moved the exp residual
 # each prints by about 1 ulp, and again when alpha_L came to round each part
 # of the exact tr(L a) once, which moved the multiplicativity residual each
-# prints.  The argv are stored, not drawn, so that a change to the
-# benchmark's generators cannot move this gate.
+# prints; and 62 of the 81 `series` and `repeat` requests pinned again when
+# each table of c-th roots of unity became conjugate-symmetric, so that the
+# -r' side of every Poincare coefficient is the exact conjugate of its r'
+# side: the exit codes, keys, error rows and check statuses stayed, every
+# printed number above 1e-30 in modulus moved by at most 1.3e-43 relative
+# (a tail ratio by 5.5e-44), and only the rounding residues of exactly-zero
+# sums, at or below 1e-30, moved more.  The argv are stored, not drawn, so
+# that a change to the benchmark's generators cannot move this gate.
 with open(os.path.join(os.path.dirname(__file__), "benchmark_requests.json"),
           encoding="utf-8") as _fh:
     BENCHMARK_REQUESTS = json.load(_fh)
@@ -704,9 +726,9 @@ def test_table_above_the_work_threshold_takes_the_pool(cache_dir, capsys, monkey
                 if 6 * sum(j * j for j in range(1, c + 1)) >= 2 * cli.POINTS_PER_WORKER)
     calls = []
 
-    def rows_in_process(specs, jobs):
+    def rows_in_process(table, rows, jobs):
         calls.append(jobs)
-        return cli._poincare_rows(specs)
+        return cli._poincare_rows(table, rows)
 
     monkeypatch.setattr(cli, "_parallel_coeff", rows_in_process)
     code1, out1 = run(capsys, *_rank2_table(cmax, 1))
@@ -720,32 +742,34 @@ def test_table_above_the_work_threshold_takes_the_pool(cache_dir, capsys, monkey
     assert run(capsys, *_rank2_table(cmax - 1, 2))[0] == 0 and calls == [2, 2]
 
 
+def _pool_tables():
+    """A Maass and a skew table, each with D' = 0 (skew: D' <= 0) error rows
+    and value rows."""
+    ctx, L1, L2 = PrecisionContext(bits=128), GramLattice([[1]]), GramLattice([[2, 1], [1, 2]])
+    return [((False, Fraction(1), Fraction(5, 2), 2, L1, -1, [1], 6, ctx),
+             [(np_, [rp]) for np_ in (-1, 0, 1) for rp in (0, 1)]),
+            ((True, None, None, 3, L2, 1, [1, 0], 3, ctx),
+             [(np_, [rp, 0]) for np_ in (-2, -1, 0, 1, 2) for rp in (0, 1, 2)])]
+
+
 def test_parallel_coeff_on_a_pool_matches_the_rows_in_order():
-    # one row per (table, n', r'), the D' = 0 error rows among them
-    ctx, L = PrecisionContext(bits=128), GramLattice([[1]])
-    specs = [(False, Fraction(1), Fraction(5, 2), 2, L, -1, [1], np_, [rp], 6, ctx)
-             for np_ in (-1, 0, 1) for rp in (0, 1)]
-    specs += [(True, None, None, 3, L, 1, [1], np_, [rp], 6, ctx)
-              for np_ in (-2, 0, 2) for rp in (0, 1, 2)]
-    rows = [cli._poincare_rows([spec])[0] for spec in specs]
-    assert any("error" in row for row in rows) and any("value" in row for row in rows)
-    assert cli._parallel_coeff(specs, 2) == rows
+    # one printed row per (n', r'), each the row of its own one-row table
+    for table, rows in _pool_tables():
+        rows_alone = [cli._poincare_rows(table, [row])[0] for row in rows]
+        assert any("error" in row for row in rows_alone)
+        assert any("value" in row for row in rows_alone)
+        assert cli._parallel_coeff(table, rows, 2) == rows_alone
 
 
 def test_chunked_parallel_coeff_returns_the_in_process_rows():
-    # each worker takes one contiguous chunk of rows, which may cut one table
-    # or hold the end of one and the start of the next; the rows are those
-    # of the in-process table calls
-    ctx = PrecisionContext(bits=128)
-    L1, L2 = GramLattice([[1]]), GramLattice([[2, 1], [1, 2]])
-    specs = [(False, Fraction(1), Fraction(5, 2), 2, L1, -1, [1], np_, [rp], 6, ctx)
-             for np_ in (-1, 0, 1) for rp in (0, 1)]
-    specs += [(True, None, None, 3, L2, 1, [1, 0], np_, [rp, 0], 3, ctx)
-              for np_ in (-2, -1, 0, 1, 2) for rp in (0, 1, 2)]
-    rows = cli._poincare_rows(specs)
-    assert any("error" in row for row in rows) and any("value" in row for row in rows)
-    for jobs in (2, 3):
-        assert cli._parallel_coeff(specs, jobs) == rows
+    # each worker takes one contiguous chunk of one table's rows; the rows
+    # are those of the in-process table call
+    for table, rows in _pool_tables():
+        in_process = cli._poincare_rows(table, rows)
+        assert any("error" in row for row in in_process)
+        assert any("value" in row for row in in_process)
+        for jobs in (2, 3):
+            assert cli._parallel_coeff(table, rows, jobs) == in_process
 
 
 def test_missing_input_file_is_structured_error(cache_dir, capsys):

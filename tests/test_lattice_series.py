@@ -199,7 +199,8 @@ def test_integer_forms_of_the_inverse_match_fractions(entries, n, u, v):
 
 def _kloosterman_oracle(c, L, n, r, nprime, rprime, ctx, reverse=False):
     """The definitional double sum over units d, then lambda in (Z/c)^N, with
-    L[lam] in Fractions and one e_of per distinct phase: the counts times
+    L[lam] in Fractions and one root per distinct phase, e_of at its
+    representative in (-1/2, 1/2) and exactly -1 at 1/2: the counts times
     those roots are summed exactly in Fractions, in order of first
     appearance (or the reverse), and rounded once."""
     counts = {}
@@ -219,7 +220,7 @@ def _kloosterman_oracle(c, L, n, r, nprime, rprime, ctx, reverse=False):
     with ctx.working():
         re = im = Fraction(0)
         for num, cnt in items:
-            root = e_of(Fraction(num, c))
+            root = mp.mpc(-1) if 2 * num == c else e_of(Fraction(num, c) - (2 * num > c))
             re += cnt * to_fraction(root.real)
             im += cnt * to_fraction(root.imag)
         return e_of(pre_phase) * mp.mpc(to_mpf(re), to_mpf(im))
@@ -296,6 +297,80 @@ def test_kloosterman_properties(ctx, L, data):
         assert abs(k - kloosterman(c, L, nprime, rprime, n, r, ctx)) < mp.mpf("1e-30")
 
 
+@pytest.mark.parametrize("prec", [128, 152, 170])
+def test_root_table_is_conjugate_symmetric(prec):
+    # entry j is e_of(j/c) for 2j < c and exactly -1 at 2j = c, and entry
+    # c - j is the exact conjugate of entry j, as e_of(-j/c) is
+    from maassjacobi import fixedpoint
+    from maassjacobi.series import _roots_of_unity
+
+    for c in range(1, 51):
+        re, im, e = _roots_of_unity(c, prec)
+        assert len(re) == len(im) == c
+        for j in range(1, c):
+            assert (re[c - j], im[c - j]) == (re[j], -im[j]), (c, j)
+        with mp.workprec(prec):
+            roots = fixedpoint.rounded(re, im, e)
+            for j in range(c):
+                if 2 * j < c:
+                    assert roots[j] == e_of(Fraction(j, c)) == mp.conj(e_of(Fraction(-j, c)))
+                elif 2 * j == c:
+                    assert roots[j] == -1
+
+
+@settings(settings.get_profile("exact"))
+@given(L=_even_gram(), data=st.data())
+def test_kloosterman_at_minus_rprime_is_the_exact_conjugate(ctx, L, data):
+    # d -> -d takes the phase j at r' to the phase -j at -r', and the roots
+    # at -j are the conjugates of those at j, so the two sums agree exactly
+    c = data.draw(st.integers(1, _MAX_C[L.N]), label="c")
+    n, nprime = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
+    index = st.lists(st.integers(-4, 4), min_size=L.N, max_size=L.N)
+    r, rprime = data.draw(index), data.draw(index)
+    with ctx.working():
+        assert kloosterman(c, L, n, r, nprime, [-x for x in rprime], ctx) == \
+            mp.conj(kloosterman(c, L, n, r, nprime, rprime, ctx))
+
+
+def test_series_inputs_that_must_be_integers_are_checked(ctx):
+    # a non-integral index or weight is a DomainError, not truncated toward
+    # zero; an integral value of another type is read as its integer
+    half = Fraction(1, 2)
+    L1, L2 = GramLattice([[1]]), GramLattice([[2]])
+    for args, what in [((5, L2, half, [1], 0, [Fraction(3, 2)]), "n must"),
+                       ((5, L2, 0, [half], 0, [1]), "each entry of r must"),
+                       ((5, L2, 0, [1], 1.5, [1]), "n' must"),
+                       ((5, L2, 0, [1], 0, [Fraction(3, 2)]), "each entry of r' must"),
+                       ((Fraction(5, 2), L2, 0, [1], 0, [1]), "c must")]:
+        with pytest.raises(DomainError, match=what):
+            kloosterman(*args, ctx)
+    assert kloosterman(5, L2, 0.0, [Fraction(2, 2)], mp.mpf(1), [1], ctx) == \
+        kloosterman(5, L2, 0, [1], 1, [1], ctx)
+    s = Fraction(5, 2)
+    with pytest.raises(DomainError, match="k must be an integer"):
+        full_coeff_c(1, s, Fraction(5, 2), L1, -1, [1], -1, [0], 4, ctx)
+    with pytest.raises(DomainError, match="k must be an integer"):
+        skew_poincare_coeff(3.9, L1, 1, [1], 1, [1], 4, ctx)
+    with pytest.raises(DomainError, match="k must be an integer"):
+        duality_report(s, Fraction(3, 2), L1, [((0, [1]), (-1, [0]))], 4, ctx)
+    with pytest.raises(DomainError, match="n' must be an integer"):
+        poincare_csum(s, L1, -1, [1], half, [0], 4, ctx, discriminants=(-3, -2))
+    # in a table, k, s, n and r fail every row, n' and r' their own row,
+    # each in the stated order
+    rows = [(-1, [0]), (half, [0]), (-1, [half]), (half, [half]), (1, [2])]
+    assert [str(x) for x in poincare_table(False, 1, s, 1, L1, -1, [half], rows, 4, ctx)] \
+        == ["each entry of r must be an integer, not 1/2"] * len(rows)
+    assert [str(x) for x in poincare_table(False, 1, 1, half, L1, -1, [half], rows, 4, ctx)] \
+        == ["k must be an integer, not 1/2"] * len(rows)
+    got = poincare_table(False, 1, s, 1, L1, -1, [1], rows, 4, ctx)
+    assert [str(x) for x in got[1:]] == ["n' must be an integer, not 1/2",
+                                         "each entry of r' must be an integer, not 1/2",
+                                         "n' must be an integer, not 1/2",
+                                         "D' = 0 coefficients are unsupported: the defining "
+                                         "constant a_s(n', r') is not specified"]
+    assert got[0] == full_coeff_c(1, s, 1, L1, -1, [1], -1, [0], 4, ctx)
+
+
 def _counts_oracle(c, L, n, r, nprime, rprime, inverse=True):
     """counts[j] of the definitional double sum over units d, then lambda in
     (Z/c)^N, with L[lam] in Fractions: the (d, lambda) at phase j/c.  With
@@ -315,7 +390,8 @@ def _counts_oracle(c, L, n, r, nprime, rprime, inverse=True):
 @given(L=_even_gram(), data=st.data())
 def test_minus_rprime_counts_are_the_rprime_counts_at_minus_j(L, data):
     # d -> -d maps the phase j of (n, r, n', r') to the phase -j of
-    # (n, r, n', -r'), so one histogram serves both signs
+    # (n, r, n', -r'), so over conjugate-symmetric roots the sum at -r' is
+    # the conjugate of the sum at r'
     c = data.draw(st.integers(1, min(12, _MAX_C[L.N])), label="c")
     n, nprime = data.draw(st.integers(-6, 6)), data.draw(st.integers(-6, 6))
     index = st.lists(st.integers(-4, 4), min_size=L.N, max_size=L.N)
@@ -483,9 +559,8 @@ def _csum_oracle(s, L, n, r, nprime, rprime, c_max, ctx, dual=False):
 ])
 def test_poincare_csum_matches_the_per_side_loop(ctx, entries, n, r, nprime, rprime,
                                                  c_max, dual):
-    # the c-sum, with its power, Bessel value and histogram shared by both
-    # signs, equals the per-side loop over the public Kloosterman sum bit
-    # for bit
+    # the c-sum, with its -r' side the conjugate of its r' side, equals the
+    # per-side loop over the public Kloosterman sum bit for bit
     L = GramLattice(entries)
     s = Fraction(5, 2)
     D, Dp = discriminant(L, n, r), discriminant(L, nprime, rprime)
@@ -501,17 +576,19 @@ def test_poincare_csum_matches_the_per_side_loop(ctx, entries, n, r, nprime, rpr
                                           ([0, 0], False), ([0, 0], True)])
 def test_poincare_csum_makes_one_phase_count_pass_per_seed_and_c(ctx, monkeypatch,
                                                                  rprime, dual):
-    # a table takes one histogram per (c, distinct r') and one unit pass per
-    # (row, c), the -r' counts being the r' counts read backwards; a duality
-    # pair takes one of each per c for its seed and again for its dual seed,
-    # which counts its own phases
+    # a table takes one histogram per (c, distinct r') and one unit pass and
+    # one phase sum per (row, c), the -r' side being the conjugate of the r'
+    # side; a duality pair takes one of each per c for its seed and again for
+    # its dual seed, which counts its own phases
     from maassjacobi import series
 
-    hists, units = [], []
-    for name, calls in (("_pair_histogram", hists), ("_unit_counts", units)):
-        def counted(c, *args, _original=getattr(series, name), _calls=calls):
-            _calls.append(c)
-            return _original(c, *args)
+    hists, units, phase_sums = [], [], []
+    for name, calls in (("_pair_histogram", hists), ("_unit_counts", units),
+                        ("_phase_sum", phase_sums)):
+        def counted(first, *args, _original=getattr(series, name), _calls=calls):
+            # the c of the call: its first argument, or the length of its counts
+            _calls.append(first if isinstance(first, int) else len(first))
+            return _original(first, *args)
         monkeypatch.setattr(series, name, counted)
     L = GramLattice([[2, 1], [1, 2]])
     n, r, c_max = 0, [1, 0], 5
@@ -519,7 +596,8 @@ def test_poincare_csum_makes_one_phase_count_pass_per_seed_and_c(ctx, monkeypatc
         D, Dp = discriminant(L, n, r), discriminant(L, -1, rprime)
         poincare_csum(Fraction(5, 2), L, n, r, -1, rprime, c_max, ctx, dual=True,
                       discriminants=(D, Dp))
-        assert sorted(hists) == sorted(units) == sorted(list(range(1, c_max + 1)) * 2)
+        assert sorted(hists) == sorted(units) == sorted(phase_sums) == \
+            sorted(list(range(1, c_max + 1)) * 2)
         return
     # r', -r' and (1, 0) at each n', where D' = 12 n' - 2 or 12 n' is not 0
     rows = [(np_, rp) for np_ in (-1, 1, 2)
@@ -528,7 +606,7 @@ def test_poincare_csum_makes_one_phase_count_pass_per_seed_and_c(ctx, monkeypatc
     assert not any(isinstance(x, DomainError) for x in results)
     distinct = len({tuple(rp) for _, rp in rows})
     assert sorted(hists) == sorted(list(range(1, c_max + 1)) * distinct)
-    assert sorted(units) == sorted(list(range(1, c_max + 1)) * len(rows))
+    assert sorted(units) == sorted(phase_sums) == sorted(list(range(1, c_max + 1)) * len(rows))
 
 
 def _row_oracle(skew, y, s, k, L, n, r, np_, rp, c_max, ctx):
