@@ -3,26 +3,18 @@ coefficients for lattice-index Jacobi forms of both kinds (Maass and
 skew-holomorphic), including the data needed for the weight k vs N+2-k
 duality checks.
 
-A Kloosterman sum is exact integer work up to its last step: one pass over
-lambda in (Z/c)^N histograms the pairs (L[lam] + r.lam + n, r'.lam) mod c,
-and each unit d relabels the bins into counts indexed by phase j/c.  The
-sum of the counts times e(j/c) runs over a cached table of the c-th roots
-of unity in the integer form of ``fixedpoint``, so it is exact, does not
-depend on the order of its terms, and is rounded once; the prefactor
-e(-r^T L^{-1} r'/2c) is cached by its exact phase.  The root table is
-conjugate-symmetric: the sum at -r' is the exact conjugate of that at r'.
+A Kloosterman sum is exact integer work up to its last step: its terms are
+counted at each phase j/c (``_phase_counts``).  With L^{-1}(r, r') = a/b,
+K_c is a cyclotomic integer over the M-th roots of unity, M = 2bc, and one
+rule makes it a number (``_k_sum``): each part is summed exactly over a
+cached conjugate-symmetric table of those roots, rounded once, and 0
+exactly when it vanishes in Z[zeta_M] (``_vanishes``).  So K_c(-r') is
+exactly conj K_c(r'), and plain arithmetic carries zeros on.
 
-A Poincare table is computed as one unit: ``poincare_table`` takes every
-row (n', r') of one seed (n, r) at once and walks c outermost over all of
-them (``_c_sums``), so each piece of work is taken once for the rows that
-share it.  Per table: D, the weight factor of each sign of D' and the skew
-prefactor; per distinct D': the (D'/D) power and the profile; per c: the
-power c^{-(N+2)/2}; per (c, D D'): the Bessel value; per (c, r'): the
-lambda histogram, which n' does not enter, and the prefactor root.  Each
-row makes its own pass over the units d and takes one c-sum, whose
-conjugate is its other side.  The one-row functions are the one-row case
-of the table, and a row's value does not depend on the rows beside it.
-Nothing is kept between calls but the tables of roots and prefactors.
+A Poincare table walks c outermost over its rows (``_c_sums``), taking
+shared work once; a row's c-sum has its -r' side as conjugate, its value
+pref (sum + (-1)^k conj(sum)) is 0 where the part it keeps is 0, and its
+tail ratio is 0 where its last K_c is.  Only the root tables are kept.
 """
 
 from __future__ import annotations
@@ -42,10 +34,8 @@ from .lattice import GramLattice, discriminant
 from .precision import PrecisionContext, e_of, to_mpc, to_mpf
 from .specfun import bessel_I, bessel_J, whittaker_W_renorm
 
-# (c, precision) pairs whose tables of c-th roots of unity are kept, and
-# (phase, precision) pairs whose prefactors are kept
+# (M, precision) pairs whose tables of M-th roots of unity are kept
 _ROOT_TABLES = 256
-_PREFACTORS = 4096
 
 
 @lru_cache(maxsize=_ROOT_TABLES)
@@ -59,18 +49,15 @@ def _roots_of_unity(c: int, prec: int):
         return fixedpoint.to_ints(half + middle + [mp.conj(z) for z in half[:0:-1]])
 
 
-@lru_cache(maxsize=_PREFACTORS)
-def _root(phase: Fraction, prec: int):
-    """e(phase) at prec bits, exactly as e_of gives it at that precision."""
-    with mp.workprec(prec):
-        return e_of(phase)
-
-
 def _integer(x, what: str) -> int:
-    """x as an int; DomainError unless x is an integer in value."""
-    if int(x) != x:
-        raise DomainError(f"{what} must be an integer, not {x}")
-    return int(x)
+    """x as an int; DomainError unless x is an integer in value, also where
+    int() refuses x (nan, an infinity, None)."""
+    try:
+        if int(x) == x:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} must be an integer, not {x}")
 
 
 def _index(n, r, prime: str = ""):
@@ -114,13 +101,37 @@ def _phase_counts(c: int, terms, n: int, r, nprime: int, rprime) -> list:
     return _unit_counts(c, _pair_histogram(c, terms, n, r, rprime), nprime)
 
 
-def _phase_sum(counts, roots):
-    """sum_j counts[j] e(j/c), summed exactly over ``roots``, the c-th roots
-    of unity of ``_roots_of_unity`` at the working precision, and rounded
-    once."""
-    re, im, e = roots
-    return fixedpoint.rounded([sum(map(mul, counts, re))],
-                              [sum(map(mul, counts, im))], e)[0]
+def _vanishes(g, M: int) -> bool:
+    """Whether sum_m g[m] zeta^m = 0 at a primitive M-th root of unity zeta,
+    i.e. Phi_M | g(x): whether x^M - 1 = prod_{d | M} Phi_d divides g(x)
+    prod_{p | M} (x^{M/p} - 1), which holds every Phi_d but Phi_M."""
+    for p in range(2, M + 1):
+        if M % p == 0 and all(p % q for q in range(2, p)):
+            g = [g[m - M // p] - g[m] for m in range(M)]
+    return not any(g)
+
+
+def _k_sum(counts, c: int, form: Fraction, prec: int):
+    """K_c = e(-form/2c) sum_j counts[j] e(j/c) at prec bits, form = a/b: the
+    count at j goes to index (2bj - a) mod M, M = 2bc, of integers u; each
+    part, one exact sum over ``_roots_of_unity(M, prec)`` rounded once, is 0
+    exactly when it vanishes: 2 Re K_c = (u + ubar)(zeta_M), 2i Im K_c =
+    (u - ubar)(zeta_M), ubar moving the count at m to -m.  Table entries are
+    within 2^(4-prec) of their roots (e_of rounds x, pi and 2 pi x), so
+    only a part within sum(counts) 2^(4-prec) of 0 is tested."""
+    a, b = form.numerator, form.denominator
+    M = 2 * b * c
+    u = [0] * M
+    for j, cnt in enumerate(counts):
+        u[(2 * b * j - a) % M] += cnt
+    re, im, e = _roots_of_unity(M, prec)
+    parts = [sum(map(mul, u, table)) for table in (re, im)]
+    total, shift = sum(counts), 4 - prec - e
+    for i, sign in ((0, 1), (1, -1)):
+        if (abs(parts[i]) << max(-shift, 0) <= total << max(shift, 0)
+                and _vanishes([x + sign * u[-m] for m, x in enumerate(u)], M)):
+            parts[i] = 0
+    return fixedpoint.rounded(parts[:1], parts[1:], e)[0]
 
 
 def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
@@ -129,22 +140,18 @@ def kloosterman(c: int, L: GramLattice, n, r, nprime, rprime,
 
     Prefactor e(-r^T L^{-1} r' / 2c) times the sum over units d mod c and
     lambda in (Z/c)^N of e((dbar L[lam] + dbar r.lam + dbar n + n' d
-    - r'.lam)/c).  The number of (d, lambda) at each phase j/c is counted
-    exactly in integers; the sum of those counts times e(j/c) is then
-    taken exactly over the integer form of the cached c-th roots of unity
-    at the working precision and rounded once, so it does not depend on
-    the order of its terms, and its value at -r' is the exact conjugate of
-    its value at r'.  The c-sums of ``_c_sums`` compose the same pieces,
-    each taken once for all the rows that share it.
+    - r'.lam)/c).  The (d, lambda) at each phase j/c are counted exactly,
+    and ``_k_sum`` sums each part once, rounds it once, and makes it 0
+    exactly when it vanishes in Z[zeta_M]; the value at -r' is the exact
+    conjugate of that at r'.  ``_c_sums`` composes the same pieces.
     """
     c = _integer(c, "c")
     if c < 1:
         raise DomainError("c must be a positive integer")
     (n, r), (nprime, rprime) = _index(n, r), _index(nprime, rprime, "'")
     with ctx.working():
-        counts = _phase_counts(c, L.quad_terms, n, r, nprime, rprime)
-        return (_root(-L.inv_form(r, rprime) / (2 * c), mp.prec)
-                * _phase_sum(counts, _roots_of_unity(c, mp.prec)))
+        return _k_sum(_phase_counts(c, L.quad_terms, n, r, nprime, rprime), c,
+                      L.inv_form(r, rprime), mp.prec)
 
 
 def casimir_eigenvalue(k, N: int, s) -> Fraction:
@@ -221,15 +228,15 @@ def _c_sums(s: Fraction, L: GramLattice, seeds, c_max: int, ctx: PrecisionContex
     ``seeds`` is [(a, ra, rows)] and each row is (b, rb, D D'), with
     integers a, b, integer tuples ra, rb and D D' != 0.  Returns, seed after
     seed and row after row, (sum, |last term|) at K_c(a, ra, b, rb), whose
-    conjugate is the sum at -rb, summed in c-order, each term ``w * K * bv``
-    with K as ``kloosterman`` gives it; c_max = 0 gives zero sums.  J is
-    used when D D' > 0 and I otherwise.
+    conjugate is the sum at -rb, summed in c-order; each term ``w * K * bv``
+    takes K_c from ``_k_sum``, as ``kloosterman`` does: summed and rounded
+    once, each part 0 exactly when it vanishes in Z[zeta_M], so a term is 0
+    where K_c is.  c_max = 0 gives zero sums.  Bessel J if D D' > 0, else I.
 
     What terms share is taken once: each c's power w; each (c, D D')'s
-    Bessel value; each (c, seed, rb)'s histogram, form L^{-1}(ra, rb) and
-    prefactor root e(-L^{-1}(ra, rb)/2c).  Each row makes its own unit pass,
-    phase sum and term.  Seeds share the Bessel values only: each seed
-    counts its own phases.
+    Bessel value; each (c, seed, rb)'s histogram and form L^{-1}(ra, rb).
+    Each row makes its own unit pass, ``_k_sum`` and term.  Seeds share the
+    Bessel values only: each seed counts its own phases.
     """
     if c_max < 0:
         raise DomainError("c_max must be nonnegative")
@@ -252,12 +259,10 @@ def _c_sums(s: Fraction, L: GramLattice, seeds, c_max: int, ctx: PrecisionContex
     for c in range(1, c_max + 1):
         w = mp.power(c, -mp.mpf(N + 2) / 2)
         bvs = {DD: bessel(nu, xbase / c, ctx) for DD, (bessel, xbase) in kinds.items()}
-        roots = _roots_of_unity(c, prec)
         for a, ra, rb, form, members in groups:
             hist = _pair_histogram(c, terms, a, ra, rb)
-            root = _root(-form / (2 * c), prec)
             for slot, b, DD in members:
-                term = w * (root * _phase_sum(_unit_counts(c, hist, b), roots)) * bvs[DD]
+                term = w * _k_sum(_unit_counts(c, hist, b), c, form, prec) * bvs[DD]
                 accs[slot] += term
                 lasts[slot] = term
     return [(acc, abs(last)) for acc, last in zip(accs, lasts)]
@@ -265,17 +270,17 @@ def _c_sums(s: Fraction, L: GramLattice, seeds, c_max: int, ctx: PrecisionContex
 
 def poincare_csum(s, L: GramLattice, n, r, nprime, rprime, c_max: int,
                   ctx: PrecisionContext, *, dual=False, discriminants):
-    """The c-sums of one row, the one-row case of ``_c_sums``: at
-    (n, r, n', r') and at (n, r, n', -r'), its conjugate; with ``dual``,
-    then those of K_c(n', r', n, r) and K_c(n', r', n, -r), the c-sums of
-    the seed (n', r') that the weight N+2-k side of a duality pair takes.
-
-    ``discriminants`` is (D, D'), which the caller has checked; both seeds
-    have the product D D', so each c has one power and one Bessel value.
-    The dual seed's counts equal the seed's, by (d, lam) -> (dbar, -dbar
-    lam), but are counted on their own: they are ``verify duality``'s one
-    independent witness of that symmetry.  The skew-holomorphic
-    coefficients take the c-sum at s = (2k - N)/4.
+    """The c-sums of one row, the one-row case of ``_c_sums``: [(sum, |last
+    term|)] at (n, r, n', r'), whose conjugate is the c-sum at -r'; with
+    ``dual``, then that at (n', r', n, r), the c-sum of the seed (n', r')
+    that the weight N+2-k side of a duality pair takes.  Each K_c is summed
+    and rounded once, a part 0 exactly when it vanishes in Z[zeta_M], and a
+    last term is 0 where its K_c is.  ``discriminants`` is (D, D'), which
+    the caller has checked; both seeds have the product D D', so each c has
+    one power and one Bessel value.  The dual seed's counts equal the
+    seed's, by (d, lam) -> (dbar, -dbar lam), but are counted on their own:
+    they are ``verify duality``'s one independent witness of that symmetry.
+    The skew-holomorphic coefficients take the c-sum at s = (2k - N)/4.
     """
     D, Dp = discriminants
     (n, r), (nprime, rprime) = _index(n, r), _index(nprime, rprime, "'")
@@ -283,23 +288,22 @@ def poincare_csum(s, L: GramLattice, n, r, nprime, rprime, c_max: int,
     if dual:
         seeds.append((nprime, rprime, [(n, r, D * Dp)]))
     with ctx.working():
-        return [side for acc, last in _c_sums(Fraction(s), L, seeds, c_max, ctx)
-                for side in ((acc, last), (mp.conj(acc), last))]
+        return _c_sums(Fraction(s), L, seeds, c_max, ctx)
 
 
 def _table_sides(skew, y, s, k, L: GramLattice, n, r, rows, c_max: int,
                  ctx: PrecisionContext) -> list:
     """Per row (n', r') of one table of the seed (n, r): the DomainError of
-    its checks, or (b(n', r'), tail, b(n', -r')).
+    its checks, or (prefactor, c-sum, tail): b(n', r') = prefactor c-sum,
+    b(n', -r') = prefactor conj(c-sum) is not stored, and each K_c of the
+    c-sum is summed and rounded once, 0 in a part that vanishes in Z[zeta_M].
 
-    Maass (``skew`` false): b is the displayed product of the weight factor
-    (``_weight_factor``), the (D'/D) power, the y-profile
-    e(-iD'y/4|L|) W_{s,k-N/2}(pi D'y/|L|) and the c-sum; tail is
-    |last term|/|sum|, the recorded truncation heuristic.  Skew: b(n', r')
-    is the prefactor 2^{1-N/2} pi i^{1-k} / sqrt|L| times the (D'/D) power
-    times the c-sum of K_c(n, r, n', -r') at s = (2k - N)/4, where the
-    c-sum's J_{2s-1} is J_{k-(N+2)/2}; tail is None.  A row takes the one
-    c-sum of b(n', r'); that of b(n', -r') is its conjugate.
+    Maass (``skew`` false): the prefactor is the weight factor times the
+    (D'/D) power times the y-profile e(-iD'y/4|L|) W_{s,k-N/2}(pi D'y/|L|);
+    tail is |last term|/|sum|, the recorded truncation heuristic, 0 where
+    the last K_c is.  Skew: the prefactor is 2^{1-N/2} pi i^{1-k} / sqrt|L|
+    times the (D'/D) power, and the c-sum that of K_c(n, r, n', -r') at
+    s = (2k - N)/4, its J_{2s-1} being J_{k-(N+2)/2}; tail is None.
 
     A row reports the first check that fails, in this order: k an integer;
     k >= 3 (skew) or Re(s) > 1 + N/2 (Maass); n and r integers, the rank of
@@ -366,16 +370,13 @@ def _table_sides(skew, y, s, k, L: GramLattice, n, r, rows, c_max: int,
                         weights[sgn] = _weight_factor(s, k, L, sgn)
                     prefs[Dp] = weights[sgn] * _pow_ratio(Dp, D, expo) * profile
             tail = None if skew else (last / abs(acc) if acc != 0 else mp.mpf(0))
-            out[i] = (prefs[Dp] * acc, tail, prefs[Dp] * mp.conj(acc))
+            out[i] = (prefs[Dp], acc, tail)
     return out
 
 
-def _symmetrized(b1, b2, k, ctx: PrecisionContext):
-    """b1 + (-1)^k b2 at the working precision, or an exact zero where the
-    two sides cancel, |b1 + (-1)^k b2| <= eps (|b1| + |b2|): what is left
-    there is rounding residue, not a coefficient."""
-    v = b1 + (-1) ** int(k) * b2
-    return mp.mpc(0) if abs(v) <= ctx.eps * (abs(b1) + abs(b2)) else v
+def _symmetric(pref, acc, k: int):
+    """pref (acc + (-1)^k conj(acc)): b(n', r') + (-1)^k b(n', -r') of b = pref acc."""
+    return pref * (acc + (-1) ** k * mp.conj(acc))
 
 
 def poincare_table(skew, y, s, k, L: GramLattice, n, r, rows, c_max: int,
@@ -383,17 +384,18 @@ def poincare_table(skew, y, s, k, L: GramLattice, n, r, rows, c_max: int,
     """b(n', r') + (-1)^k b(n', -r') at every row (n', r') of one Maass
     (``skew`` false, at s and y) or skew-holomorphic table of the seed
     (n, r): (value, tail ratio), the tail None for skew, or the DomainError
-    of the row's checks (``_table_sides``).  A value is an exact zero where
-    the two sides cancel (``_symmetrized``).  Each row's value is that of
-    the row alone: what rows share is equal for all of them."""
+    of the row's checks (``_table_sides``).  Each K_c is summed and rounded
+    once, a part 0 exactly when it vanishes in Z[zeta_M]; so a value is 0
+    where the part of every K_c that it keeps is (``_symmetric``), and a
+    tail ratio whose last term is 0 is 0.  A row's value is the row's own."""
     out = []
     with ctx.working():
         for sides in _table_sides(skew, y, s, k, L, n, r, rows, c_max, ctx):
             if isinstance(sides, DomainError):
                 out.append(sides)
             else:
-                b1, tail, b2 = sides
-                out.append((_symmetrized(b1, b2, k, ctx), tail))
+                pref, acc, tail = sides
+                out.append((_symmetric(pref, acc, int(k)), tail))
     return out
 
 
@@ -409,7 +411,10 @@ def poincare_coeff_b(y, s, k, L: GramLattice, n, r, nprime, rprime,
                      c_max: int, ctx: PrecisionContext):
     """One unsymmetrized Fourier coefficient b(n', r') of the Maass Poincare
     series, as (value, tail_ratio): the one-row case of ``_table_sides``."""
-    return _one(_table_sides(False, y, s, k, L, n, r, [(nprime, rprime)], c_max, ctx))[:2]
+    with ctx.working():
+        pref, acc, tail = _one(_table_sides(False, y, s, k, L, n, r, [(nprime, rprime)],
+                                            c_max, ctx))
+        return pref * acc, tail
 
 
 def full_coeff_c(y, s, k, L: GramLattice, n, r, nprime, rprime, c_max: int,
@@ -425,8 +430,9 @@ def skew_poincare_coeff(k, L: GramLattice, n, r, nprime, rprime, c_max: int,
     one-row case of ``poincare_table``.
 
     Requires k >= 3 and D, D' > 0; note the -r' inside the Kloosterman sum.
-    The value adds (-1)^k times the side at -r', and is an exact zero
-    where the two sides cancel (``_symmetrized``).
+    The value adds (-1)^k times the side at -r'; each K_c is summed and
+    rounded once, and the value is 0 where the part of every K_c that it
+    keeps vanishes in Z[zeta_M] (``_symmetric``).
     """
     return _one(poincare_table(True, None, None, k, L, n, r, [(nprime, rprime)],
                                c_max, ctx))[0]
@@ -442,11 +448,11 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
     N the two tables agree; for odd N the (-1)^k symmetrization flips sign
     on the dual side (and with |L| = 1 the odd-weight side vanishes
     identically), so the c-table may be degenerate and is never asserted.
-    A c-ratio is None where either side's two terms cancel
-    (``_symmetrized``), so rounding noise is never reported as a ratio.
-    Ratios are reported, not asserted.  The two sides of a pair have the
-    same |D D'|, so one c-sum pass serves both, and the weight factor is
-    taken once per weight and sign of D'.
+    Each K_c is summed and rounded once, a part 0 exactly when it vanishes
+    in Z[zeta_M]: a b-ratio is None exactly where the dual b is 0, and a
+    c-ratio where either ``_symmetric`` value is.  Ratios are reported, not
+    asserted.  The sides of a pair share |D D'|, so one c-sum serves both;
+    each weight factor is taken once per weight and sign of D'.
     """
     N = L.N
     k = _integer(k, "k")
@@ -475,15 +481,13 @@ def duality_report(s, k, L: GramLattice, index_pairs, c_max: int,
         for (n, r), (npd, rpd) in index_pairs:
             D, Dp = discriminant(L, n, r), discriminant(L, npd, rpd)
             _check_defined(D, Dp)
-            sums = poincare_csum(s, L, n, r, npd, rpd, c_max, ctx, dual=True,
-                                 discriminants=(D, Dp))
+            (accA, _), (accB, _) = poincare_csum(s, L, n, r, npd, rpd, c_max, ctx,
+                                                 dual=True, discriminants=(D, Dp))
             prefA, prefB = _pref(k, Dp, D), _pref(kd, D, Dp)
-            bA, bA_neg, bB, bB_neg = (pref * acc for pref, (acc, _) in
-                                      zip((prefA, prefA, prefB, prefB), sums))
-            ratios_b.append(bA / bB if abs(bB) > ctx.eps else None)
-            # the symmetrized c of full_coeff_c, from the same four b
-            cA = _symmetrized(bA, bA_neg, k, ctx)
-            cB = _symmetrized(bB, bB_neg, kd, ctx)
+            bB = prefB * accB
+            ratios_b.append(prefA * accA / bB if bB != 0 else None)
+            # the symmetrized c of full_coeff_c, from the same two c-sums
+            cA, cB = _symmetric(prefA, accA, k), _symmetric(prefB, accB, kd)
             ratios_c.append(None if cA == 0 or cB == 0 else cA / cB)
         mean_b, spread_b = _stats(ratios_b)
         mean_c, spread_c = _stats(ratios_c)

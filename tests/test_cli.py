@@ -95,15 +95,19 @@ def test_verify_output_is_unchanged(cache_dir, capsys, argv, digest):
 # 2j < c, exactly -1 at 2j = c, the conjugate of entry j at c - j) and the
 # -r' side of each coefficient is the conjugate of its r' side: that moved
 # three of these digests, each printed number above 1e-30 by at most 1.3e-43
-# relative, and the rounding residues of exactly-zero sums at or below it.
-# Each case is named by its argv, so that a new digest keeps its name.
+# relative, and the rounding residues of exactly-zero sums at or below it;
+# and again since each K_c is one exact sum over the M-th roots of unity,
+# rounded once, with a part that vanishes in Z[zeta_M] an exact 0: that
+# moved four, each number above 1e-30 by at most 8.6e-43 relative, and 20
+# residues of at most 5.2e-45 became 0.  Each case is named by its argv, so
+# that a new digest keeps its name.
 SERIES_DIGESTS = [
     (("poincare", "--k", "1", "--L", "1", "--s", "5/2", "--n=-1", "--r=-1",
       "--window", "1", "--cmax", "8"),
-     "5abb693f99ac64ddf10afad71f20940cb5281eb3c9c2aa3a7df4f18ca610741b"),
+     "eadb86d90d23488f7a8d33e9a3033e8376086c0fa0624ebe5c3cda6542c0b2f6"),
     (("poincare", "--k", "1", "--L", "2,1;1,2", "--s", "5/2", "--n=-1", "--r=1,0",
       "--window", "1", "--cmax", "3"),
-     "0533d9d593ccaf436c1cb43369e404cffe1ad18b13037f865bce03f917092ce4"),
+     "3ee0bbd0345a4c6b6e0fc615383d962b7db7d06966502a5acca7eed0204b7482"),
     (("skew-poincare", "--k", "3", "--L", "1", "--n=1", "--r=1", "--window", "2",
       "--cmax", "6"),
      "f867951fb7a85d82fc7b49f9ae40c1e7505a03652262d8ac6f4d8c238df8c5d6"),
@@ -112,10 +116,10 @@ SERIES_DIGESTS = [
      "b7510ef7f4162114654a96e7e71484dd2420b63021532ec6a3d50b0962bdf622"),
     (("kloosterman", "--c=1:12", "--L", "1", "--n=1", "--r=1", "--nprime=0",
       "--rprime=1"),
-     "770adafef50d14238cfb2df539d9d75cbc0273341c84de52eff733d7ff550f03"),
+     "b297ee656ec52b8e2ef3181d7a5811f00bbdba7619dbb0a7c31c3c3b20ffc181"),
     (("kloosterman", "--c=1:6", "--L", "2,1;1,2", "--n=1", "--r=1,0", "--nprime=2",
       "--rprime=0,1"),
-     "dbca20e7acacd9cafb138585ae3a2f2763dc43459abc34cc47350ca3a4a03568"),
+     "f7e44326bd5b4d43710e47e7d16f473fb0a34de5e417cb70674ff1c6fccfc8ee"),
 ]
 
 
@@ -142,8 +146,13 @@ def test_series_output_is_unchanged(cache_dir, capsys, argv, digest):
 # side: the exit codes, keys, error rows and check statuses stayed, every
 # printed number above 1e-30 in modulus moved by at most 1.3e-43 relative
 # (a tail ratio by 5.5e-44), and only the rounding residues of exactly-zero
-# sums, at or below 1e-30, moved more.  The argv are stored, not drawn, so
-# that a change to the benchmark's generators cannot move this gate.
+# sums, at or below 1e-30, moved more; and 48 of them again when each K_c
+# became one exact sum over the M-th roots of unity, rounded once, and 0
+# where it vanishes in Z[zeta_M]: the same exit codes and masked texts
+# (``tests/compare_outputs.py``), every number above 1e-30 within 8.6e-43
+# relative, 174 residues of at most 5.2e-45 became 0, and no 0 moved.  The
+# argv are stored, not drawn, so that a change to the benchmark's
+# generators cannot move this gate.
 with open(os.path.join(os.path.dirname(__file__), "benchmark_requests.json"),
           encoding="utf-8") as _fh:
     BENCHMARK_REQUESTS = json.load(_fh)

@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import floor, gcd
 
@@ -160,9 +163,9 @@ def test_kloosterman_closed_forms(ctx):
         # c = 1: single term e(-r L^{-1} r'/2)
         v = kloosterman(1, L1, 1, [3], 2, [5], ctx)
         assert abs(v - e_of(Fraction(-15, 2))) < mp.mpf("1e-40")
-        # hand-checked c = 2 vanishing
+        # hand-checked c = 2 vanishing: an exact zero
         v = kloosterman(2, L1, 1, [0], 1, [0], ctx)
-        assert abs(v) < mp.mpf("1e-40")
+        assert v == 0
     with pytest.raises(DomainError):
         kloosterman(0, L1, 0, [0], 0, [0], ctx)
 
@@ -197,12 +200,44 @@ def test_integer_forms_of_the_inverse_match_fractions(entries, n, u, v):
         L.inv, tuple(Fraction(x) for x in v)))
 
 
+def _poly_divmod(num, den):
+    """(quotient, remainder) of integer polynomials, coefficient lists from
+    the constant term up, by a monic den."""
+    num, q = list(num), [0] * max(len(num) - len(den) + 1, 0)
+    for i in range(len(num) - len(den), -1, -1):
+        q[i] = num[i + len(den) - 1]
+        for j, x in enumerate(den):
+            num[i + j] -= q[i] * x
+    return q, num[:len(den) - 1]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(M):
+    """Phi_M: x^M - 1 divided exactly by Phi_d for each divisor d < M."""
+    poly = [-1] + [0] * (M - 1) + [1]
+    for d in range(1, M):
+        if M % d == 0:
+            poly, rem = _poly_divmod(poly, _cyclotomic(d))
+            assert not any(rem)
+    return tuple(poly)
+
+
+def _vanishes_oracle(g, M):
+    """Whether the integer polynomial g, of degree below M, is 0 modulo Phi_M."""
+    return not any(_poly_divmod(g, _cyclotomic(M))[1])
+
+
 def _kloosterman_oracle(c, L, n, r, nprime, rprime, ctx, reverse=False):
     """The definitional double sum over units d, then lambda in (Z/c)^N, with
-    L[lam] in Fractions and one root per distinct phase, e_of at its
-    representative in (-1/2, 1/2) and exactly -1 at 1/2: the counts times
-    those roots are summed exactly in Fractions, in order of first
-    appearance (or the reverse), and rounded once."""
+    L[lam] and f = r^T L^{-1} r' = a/b in Fractions: each term
+    e(-f/2c + num/c) is the M-th root of unity at the index m = 2b num - a
+    mod M, M = 2bc, taken as e_of at its representative in (-1/2, 1/2) and
+    exactly -1 at 1/2.  The counts at each m times those roots are summed
+    exactly in Fractions, in order of first appearance (or the reverse),
+    and each part is rounded once; a part of less than 1e-30 is 0 where
+    its integer vector vanishes modulo Phi_M (``_vanishes_oracle``)."""
+    f = Fraction(sum(a * b for a, b in zip(r, _inv_apply_fractions(L, rprime))))
+    M = 2 * f.denominator * c
     counts = {}
     for d in range(1, c + 1):
         if gcd(d, c) != 1:
@@ -212,18 +247,23 @@ def _kloosterman_oracle(c, L, n, r, nprime, rprime, ctx, reverse=False):
             q = L.quad(lam)
             num = (dbar * (int(q) + sum(a * b for a, b in zip(r, lam)) + n)
                    + nprime * d - sum(a * b for a, b in zip(rprime, lam))) % c
-            counts[num] = counts.get(num, 0) + 1
-    pre_phase = -Fraction(sum(a * b for a, b in zip(r, _inv_apply_fractions(L, rprime)))) / (2 * c)
+            m = (2 * f.denominator * num - f.numerator) % M
+            counts[m] = counts.get(m, 0) + 1
     items = list(counts.items())
     if reverse:
         items.reverse()
     with ctx.working():
         re = im = Fraction(0)
-        for num, cnt in items:
-            root = mp.mpc(-1) if 2 * num == c else e_of(Fraction(num, c) - (2 * num > c))
+        for m, cnt in items:
+            root = mp.mpc(-1) if 2 * m == M else e_of(Fraction(m, M) - (2 * m > M))
             re += cnt * to_fraction(root.real)
             im += cnt * to_fraction(root.imag)
-        return e_of(pre_phase) * mp.mpc(to_mpf(re), to_mpf(im))
+        parts = []
+        for part, sign in ((re, 1), (im, -1)):
+            g = [counts.get(m, 0) + sign * counts.get(-m % M, 0) for m in range(M)]
+            parts.append(0 if abs(part) < Fraction(1, 10 ** 30) and _vanishes_oracle(g, M)
+                         else part)
+        return mp.mpc(to_mpf(parts[0]), to_mpf(parts[1]))
 
 
 def test_kloosterman_matches_oracle_exactly():
@@ -318,6 +358,70 @@ def test_root_table_is_conjugate_symmetric(prec):
                     assert roots[j] == -1
 
 
+@pytest.mark.parametrize("prec", [77, 152, 280])
+def test_root_tables_are_within_the_zero_gate_of_their_roots(prec):
+    # each part of each entry is within 2^(4 - prec) of that part of the
+    # exact root, so a part of K_c that vanishes sums to within
+    # sum(counts) 2^(4 - prec) of 0 and is always tested (errors of up to
+    # about 5.4 2^-prec occur for M <= 1000 at 280 bits, beyond 2^(2 - prec))
+    from maassjacobi.series import _roots_of_unity
+
+    for M in range(1, 121):
+        re, im, e = _roots_of_unity(M, prec)
+        with mp.workprec(2 * prec + 20):
+            gate = mp.ldexp(1, 4 - prec)
+            for j in range(M):
+                root = mp.expjpi(mp.mpf(2 * j) / M)
+                assert abs(mp.ldexp(re[j], e) - root.real) <= gate, (M, j)
+                assert abs(mp.ldexp(im[j], e) - root.imag) <= gate, (M, j)
+
+
+_THREE_PRIMES = (30, 42, 60, 66, 70, 78, 84)
+
+
+def _vanishing_draws():
+    """(g, M, vanishes by construction or None) for M <= 120, three times
+    each and the seven M with three prime factors 20 times: small random
+    vectors (None); multiples of Phi_M folded modulo x^M - 1 (True); and
+    such a multiple with one unit added at one index (False)."""
+    rng = random.Random(48)
+    draws = []
+    for M in list(range(1, 121)) * 3 + list(_THREE_PRIMES) * 20:
+        phi = _cyclotomic(M)
+        draws.append(([rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(M)], M, None))
+        for built in (True, False):
+            g = [0] * M
+            for i in range(M):
+                q = rng.randint(-2, 2)
+                for j, x in enumerate(phi):
+                    g[(i + j) % M] += q * x
+            if not built:
+                g[rng.randrange(M)] += rng.choice((1, -1))
+            draws.append((g, M, built))
+    return draws
+
+
+def _check_vanishes():
+    """``series._vanishes`` against the remainder modulo Phi_M on every draw,
+    and the oracle against the construction where it fixes the answer;
+    returns (draws, random vectors that vanish)."""
+    from maassjacobi import series
+
+    draws = _vanishing_draws()
+    for g, M, built in draws:
+        want = _vanishes_oracle(g, M)
+        assert built is None or want == built, (M, g)
+        assert series._vanishes(g, M) == want, (M, g)
+    return len(draws), sum(built is None and _vanishes_oracle(g, M) for g, M, built in draws)
+
+
+def test_vanishing_test_matches_the_remainder_modulo_phi_m():
+    # x^M - 1 | g(x) prod_{p | M} (x^{M/p} - 1) exactly when Phi_M | g(x);
+    # the oracle divides by Phi_M, built by exact division of x^M - 1
+    draws, random_zeros = _check_vanishes()
+    assert draws == 3 * (3 * 120 + 20 * len(_THREE_PRIMES)) and random_zeros > 0
+
+
 @settings(settings.get_profile("exact"))
 @given(L=_even_gram(), data=st.data())
 def test_kloosterman_at_minus_rprime_is_the_exact_conjugate(ctx, L, data):
@@ -346,6 +450,12 @@ def test_series_inputs_that_must_be_integers_are_checked(ctx):
             kloosterman(*args, ctx)
     assert kloosterman(5, L2, 0.0, [Fraction(2, 2)], mp.mpf(1), [1], ctx) == \
         kloosterman(5, L2, 0, [1], 1, [1], ctx)
+    # what int() refuses (nan, an infinity, None) is a DomainError too
+    for bad, shown in [(mp.mpf("nan"), "nan"), (float("inf"), "inf"), (None, "None")]:
+        with pytest.raises(DomainError, match=f"n must be an integer, not {shown}"):
+            kloosterman(5, L2, bad, [1], 0, [1], ctx)
+        with pytest.raises(DomainError, match=f"each entry of r' must be an integer, not {shown}"):
+            kloosterman(5, L2, 0, [1], 0, [bad], ctx)
     s = Fraction(5, 2)
     with pytest.raises(DomainError, match="k must be an integer"):
         full_coeff_c(1, s, Fraction(5, 2), L1, -1, [1], -1, [0], 4, ctx)
@@ -362,6 +472,8 @@ def test_series_inputs_that_must_be_integers_are_checked(ctx):
         == ["each entry of r must be an integer, not 1/2"] * len(rows)
     assert [str(x) for x in poincare_table(False, 1, 1, half, L1, -1, [half], rows, 4, ctx)] \
         == ["k must be an integer, not 1/2"] * len(rows)
+    assert [str(x) for x in poincare_table(True, None, None, float("nan"), L1, 1, [1], rows,
+                                           4, ctx)] == ["k must be an integer, not nan"] * len(rows)
     got = poincare_table(False, 1, s, 1, L1, -1, [1], rows, 4, ctx)
     assert [str(x) for x in got[1:]] == ["n' must be an integer, not 1/2",
                                          "each entry of r' must be an integer, not 1/2",
@@ -476,7 +588,7 @@ def test_poincare_coeff_basics(ctx):
         c0, _ = full_coeff_c(1, s, 2, L, -1, [1], -1, [0], 4, ctx)
         assert c0 == 2 * b0                         # r' = 0, k even
         c1, _ = full_coeff_c(1, s, 3, L, -1, [1], -1, [0], 4, ctx)
-        assert abs(c1) < mp.mpf("1e-30")            # r' = 0, k odd
+        assert c1 == 0                              # r' = 0, k odd: exactly
         # random-input wrapper assembly
         rng = random.Random(5)
         for _ in range(3):
@@ -485,10 +597,8 @@ def test_poincare_coeff_basics(ctx):
             if discriminant(L, np_, rp) == 0:
                 continue
             k = rng.choice([1, 2, 3])
-            b1, _ = poincare_coeff_b(1, s, k, L, n, r, np_, rp, 3, ctx)
-            b2, _ = poincare_coeff_b(1, s, k, L, n, r, np_, [-rp[0]], 3, ctx)
-            cc, _ = full_coeff_c(1, s, k, L, n, r, np_, rp, 3, ctx)
-            assert cc == _symmetrized_oracle(b1, b2, k, ctx)
+            cc, tail = full_coeff_c(1, s, k, L, n, r, np_, rp, 3, ctx)
+            assert (cc, tail) == _row_oracle(False, 1, s, k, L, n, r, np_, rp, 3, ctx)
     # the two sides are combined at the working precision, not the ambient one
     cc, _ = full_coeff_c(1, s, 1, L, -1, [1], -1, [2], 3, ctx)
     with ctx.working():
@@ -511,8 +621,8 @@ def test_bessel_kind_dispatch(ctx):
         for (np_, rp) in [(-1, [0]), (1, [0])]:
             n, r = -1, [1]
             D, Dp = discriminant(L, n, r), discriminant(L, np_, rp)
-            (acc, _), _ = poincare_csum(s, L, n, r, np_, rp, 6, ctx,
-                                        discriminants=(D, Dp))
+            [(acc, _)] = poincare_csum(s, L, n, r, np_, rp, 6, ctx,
+                                       discriminants=(D, Dp))
             bess = bessel_J if D * Dp > 0 else bessel_I
             expect = mp.mpc(0)
             xb = mp.pi * mp.sqrt(abs(mp.mpf(int(D * Dp)))) / 1
@@ -559,14 +669,18 @@ def _csum_oracle(s, L, n, r, nprime, rprime, c_max, ctx, dual=False):
 ])
 def test_poincare_csum_matches_the_per_side_loop(ctx, entries, n, r, nprime, rprime,
                                                  c_max, dual):
-    # the c-sum, with its -r' side the conjugate of its r' side, equals the
-    # per-side loop over the public Kloosterman sum bit for bit
+    # the c-sum of each seed equals the per-side loop over the public
+    # Kloosterman sum bit for bit, and the loop at -r' (at -r for the dual
+    # seed) is its exact conjugate, with the same last term
     L = GramLattice(entries)
     s = Fraction(5, 2)
     D, Dp = discriminant(L, n, r), discriminant(L, nprime, rprime)
     got = poincare_csum(s, L, n, r, nprime, rprime, c_max, ctx, dual=dual,
                         discriminants=(D, Dp))
-    assert got == _csum_oracle(s, L, n, r, nprime, rprime, c_max, ctx, dual)
+    want = _csum_oracle(s, L, n, r, nprime, rprime, c_max, ctx, dual)
+    assert len(got) == 1 + dual and got == want[::2]
+    with ctx.working():
+        assert want[1::2] == [(mp.conj(acc), last) for acc, last in got]
     with pytest.raises(DomainError):
         poincare_csum(s, L, n, r, nprime, rprime, -1, ctx, dual=dual,
                       discriminants=(D, Dp))
@@ -577,14 +691,14 @@ def test_poincare_csum_matches_the_per_side_loop(ctx, entries, n, r, nprime, rpr
 def test_poincare_csum_makes_one_phase_count_pass_per_seed_and_c(ctx, monkeypatch,
                                                                  rprime, dual):
     # a table takes one histogram per (c, distinct r') and one unit pass and
-    # one phase sum per (row, c), the -r' side being the conjugate of the r'
-    # side; a duality pair takes one of each per c for its seed and again for
-    # its dual seed, which counts its own phases
+    # one Kloosterman sum per (row, c), the -r' side being the conjugate of
+    # the r' side; a duality pair takes one of each per c for its seed and
+    # again for its dual seed, which counts its own phases
     from maassjacobi import series
 
-    hists, units, phase_sums = [], [], []
+    hists, units, k_sums = [], [], []
     for name, calls in (("_pair_histogram", hists), ("_unit_counts", units),
-                        ("_phase_sum", phase_sums)):
+                        ("_k_sum", k_sums)):
         def counted(first, *args, _original=getattr(series, name), _calls=calls):
             # the c of the call: its first argument, or the length of its counts
             _calls.append(first if isinstance(first, int) else len(first))
@@ -596,7 +710,7 @@ def test_poincare_csum_makes_one_phase_count_pass_per_seed_and_c(ctx, monkeypatc
         D, Dp = discriminant(L, n, r), discriminant(L, -1, rprime)
         poincare_csum(Fraction(5, 2), L, n, r, -1, rprime, c_max, ctx, dual=True,
                       discriminants=(D, Dp))
-        assert sorted(hists) == sorted(units) == sorted(phase_sums) == \
+        assert sorted(hists) == sorted(units) == sorted(k_sums) == \
             sorted(list(range(1, c_max + 1)) * 2)
         return
     # r', -r' and (1, 0) at each n', where D' = 12 n' - 2 or 12 n' is not 0
@@ -606,14 +720,14 @@ def test_poincare_csum_makes_one_phase_count_pass_per_seed_and_c(ctx, monkeypatc
     assert not any(isinstance(x, DomainError) for x in results)
     distinct = len({tuple(rp) for _, rp in rows})
     assert sorted(hists) == sorted(list(range(1, c_max + 1)) * distinct)
-    assert sorted(units) == sorted(phase_sums) == sorted(list(range(1, c_max + 1)) * len(rows))
+    assert sorted(units) == sorted(k_sums) == sorted(list(range(1, c_max + 1)) * len(rows))
 
 
 def _row_oracle(skew, y, s, k, L, n, r, np_, rp, c_max, ctx):
     """One table row on its own: the message of its first failing check, in
-    the stated order, or (value, tail ratio) from each side's own c-sum
-    (``_csum_oracle``, ``_skew_side`` for skew) times the displayed
-    prefactor, symmetrized."""
+    the stated order, or (value, tail ratio), the value the displayed
+    prefactor times the c-sum at r' plus (-1)^k that at -r', each side's
+    c-sum from its own loop (``_csum_oracle``, ``_skew_parts`` for skew)."""
     N = L.N
     D, Dp = discriminant(L, n, r), discriminant(L, np_, rp)
     if skew:
@@ -631,16 +745,16 @@ def _row_oracle(skew, y, s, k, L, n, r, np_, rp, c_max, ctx):
     sums = None if skew else _csum_oracle(s, L, n, r, np_, rp, c_max, ctx)
     with ctx.working():
         if skew:
-            b1 = _skew_side(k, L, n, r, np_, rp, c_max, ctx)
-            b2 = _skew_side(k, L, n, r, np_, [-x for x in rp], c_max, ctx)
-            return _symmetrized_oracle(b1, b2, k, ctx), None
+            pref, acc1 = _skew_parts(k, L, n, r, np_, rp, c_max, ctx)
+            _, acc2 = _skew_parts(k, L, n, r, np_, [-x for x in rp], c_max, ctx)
+            return pref * (acc1 + (-1) ** k * acc2), None
         arg = mp.pi * to_mpf(Dp / L.det) * to_mpf(y)
         pref = (_weight_factor(s, k, L, 1 if Dp > 0 else -1)
                 * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(N + 2, 4))
                 * (mp.exp(arg / 2) * whittaker_W_renorm(s, k - Fraction(N, 2), arg, ctx)))
-        (b1, t1), (b2, t2) = [(pref * acc, last / abs(acc) if acc != 0 else 0)
-                              for acc, last in sums]
-        return _symmetrized_oracle(b1, b2, k, ctx), max(t1, t2)
+        (acc1, t1), (acc2, t2) = [(acc, last / abs(acc) if acc != 0 else 0)
+                                  for acc, last in sums]
+        return pref * (acc1 + (-1) ** k * acc2), max(t1, t2)
 
 
 def _matches(got, want) -> bool:
@@ -714,11 +828,98 @@ def test_every_table_row_equals_its_own_c_sums(ctx):
     assert len(kinds) == 8          # values and every check's message
 
 
-def _pinned_table_requests():
+def _pinned_table_requests(workloads=("series",)):
     with open(os.path.join(os.path.dirname(__file__), "benchmark_requests.json"),
               encoding="utf-8") as fh:
-        return [req for req in json.load(fh) if req["workload"] == "series"
+        return [req for req in json.load(fh) if req["workload"] in workloads
                 and req["argv"][0] in ("poincare", "skew-poincare")]
+
+
+def _pinned_tables(monkeypatch, tmp_path):
+    """The (skew, y, s, k, L, n, r, rows, c_max, ctx) of each ``poincare_table``
+    call that the pinned ``series`` and ``repeat`` table requests make through
+    the CLI, with an empty cache (each ``repeat`` table is small enough to
+    run in-process at --jobs 2)."""
+    from maassjacobi import cache, cli
+
+    tables = []
+
+    def recorded(*args, _original=cli.poincare_table):
+        tables.append(args)
+        return _original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "poincare_table", recorded)
+        patch.setenv(cache.ENV_VAR, str(tmp_path / "cache"))
+        for req in _pinned_table_requests(("series", "repeat")):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(list(req["argv"])) == req["exit"]
+    return tables
+
+
+def _check_zeros(tables):
+    """Over every row with a value: the value is exactly 0 where the eps rule
+    finds its two sides b(n', r') = pref sum and b(n', -r') = pref conj(sum)
+    cancel (``_symmetrized_oracle``), and nonzero everywhere else.  Returns
+    (rows with a value, rows at 0, rows at 0 with odd k and r' in L Z^N)."""
+    from maassjacobi import series
+
+    rows = zeros = lattice_zeros = 0
+    for args in tables:
+        k, L, table_rows, ctx = args[3], args[4], args[7], args[-1]
+        sides = series._table_sides(*args)
+        with ctx.working():
+            for (np_, rp), side, got in zip(table_rows, sides, poincare_table(*args)):
+                if isinstance(side, DomainError):
+                    continue
+                pref, acc, _ = side
+                cancel = _symmetrized_oracle(pref * acc, pref * mp.conj(acc), k, ctx) == 0
+                assert (got[0] == 0) == cancel, (args[:7], np_, rp, got, cancel)
+                rows += 1
+                zeros += cancel
+                lattice_zeros += cancel and k % 2 == 1 and all(
+                    x.denominator == 1 for x in _inv_apply_fractions(L, rp))
+    return rows, zeros, lattice_zeros
+
+
+def test_exact_zeros_agree_with_the_eps_rule(ctx, monkeypatch, tmp_path):
+    # on every row of the pinned tables and of the drawn tables of ranks
+    # 1-3, a value is 0 exactly where the eps rule that decided zeros before
+    # the exact one finds its two sides cancelled; of the 266 pinned rows
+    # with a value, 112 are 0, 80 of them at odd k with r' in L Z^N, where
+    # r' = -r' mod 2L makes each K_c real
+    assert _check_zeros(_pinned_tables(monkeypatch, tmp_path)) == (266, 112, 80)
+    rows, zeros, _ = _check_zeros([table + (ctx,) for table in _drawn_tables()])
+    assert rows > zeros > 0
+
+
+@pytest.mark.parametrize("verdict", [False, True])
+def test_zero_checks_catch_a_vanishing_test_with_one_answer(ctx, monkeypatch, capsys,
+                                                            tmp_path, verdict):
+    # planted: _vanishes gives one answer whatever the vector.  False: the
+    # rounding residues of exactly-zero sums come back, so the pinned
+    # `kloosterman --c=3:6 --L 1,1/2;1/2,1 ...` request prints other bytes
+    # and the exact zeros no longer agree with the eps rule.  True: every
+    # vector vanishes, so the check against the remainder modulo Phi_M
+    # fails.  The tables cannot see the True plant: a part that reaches
+    # the test lies within sum(counts) 2^(4 - prec) of 0, and no nonzero
+    # part of these sizes comes that close
+    from maassjacobi import series
+    from maassjacobi.cli import main
+
+    monkeypatch.setattr(series, "_vanishes", lambda g, M: verdict)
+    if verdict:
+        with pytest.raises(AssertionError):
+            _check_vanishes()
+        return
+    with open(os.path.join(os.path.dirname(__file__), "benchmark_requests.json"),
+              encoding="utf-8") as fh:
+        req = json.load(fh)[0]
+    assert req["argv"][:2] == ["kloosterman", "--c=3:6"]
+    assert main(list(req["argv"])) == req["exit"]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != req["sha256"]
+    with pytest.raises(AssertionError):
+        _check_zeros(_pinned_tables(monkeypatch, tmp_path))
 
 
 def _pins_moved(capsys, reset) -> int:
@@ -818,8 +1019,9 @@ def test_duality_report_takes_one_bessel_value_per_pair_and_c(ctx, monkeypatch):
 
 def test_cancelled_symmetrized_coefficient_is_an_exact_zero(ctx):
     # poincare --k 1 --L 1 --s 5/2 --n=-1 --r=-1 at (n', r') = (-1, [1]),
-    # c_max 8: two sides of about 5.9e-7 i whose difference is rounding
-    # residue; the coefficient is an exact zero, and its tail ratio stays
+    # c_max 8: r' = -r' mod 2L, so each K_c is real, its imaginary part an
+    # exact 0 in Z[zeta_M]; the two sides of about 5.9e-7 i are equal, the
+    # coefficient at odd k is an exact zero, and its tail ratio stays
     L = GramLattice([[1]])
     s = Fraction(5, 2)
     b1, t1 = poincare_coeff_b(1, s, 1, L, -1, [-1], -1, [1], 8, ctx)
@@ -831,9 +1033,9 @@ def test_cancelled_symmetrized_coefficient_is_an_exact_zero(ctx):
     assert c == 0 and tail == max(t1, t2)
 
 
-def _skew_side(k, L, n, r, np_, rp, c_max, ctx):
-    """The displayed one-sided skew coefficient b(n', r'): the prefactor
-    times sum_c c^{-(N+2)/2} K_c(n, r, n', -r') J_{k-(N+2)/2}(x/c), in the
+def _skew_parts(k, L, n, r, np_, rp, c_max, ctx):
+    """The displayed one-sided skew coefficient b(n', r') as (prefactor,
+    sum_c c^{-(N+2)/2} K_c(n, r, n', -r') J_{k-(N+2)/2}(x/c)), in the
     operation order of skew_poincare_coeff, so that the match is exact."""
     from maassjacobi.precision import to_mpf
     from maassjacobi.series import _pow_ratio
@@ -851,7 +1053,7 @@ def _skew_side(k, L, n, r, np_, rp, c_max, ctx):
     for c in range(1, c_max + 1):
         kl = kloosterman(c, L, n, r, np_, [-x for x in rp], ctx)
         acc += mp.power(c, -mp.mpf(N + 2) / 2) * kl * bessel_J(order, xbase / c, ctx)
-    return pref * acc
+    return pref, acc
 
 
 def test_skew_poincare(ctx):
@@ -859,13 +1061,15 @@ def test_skew_poincare(ctx):
     with ctx.working():
         assert skew_poincare_coeff(3, L, 1, [1], 1, [0], 0, ctx) == 0
         # symmetrization sign: at k = 4 the two sides add; at odd k and
-        # |L| = 1 they cancel, and what is left is returned as an exact zero
+        # |L| = 1 they cancel, where the eps rule of the two displayed sides
+        # agrees with the exact zero that is returned
         for k in (4, 3):
             v = skew_poincare_coeff(k, L, 1, [1], 2, [1], 6, ctx)
-            b1 = _skew_side(k, L, 1, [1], 2, [1], 6, ctx)
-            b2 = _skew_side(k, L, 1, [1], 2, [-1], 6, ctx)
-            assert abs(b1) > 0 and v == _symmetrized_oracle(b1, b2, k, ctx)
-            assert (v == 0) == (k == 3)
+            pref, acc1 = _skew_parts(k, L, 1, [1], 2, [1], 6, ctx)
+            _, acc2 = _skew_parts(k, L, 1, [1], 2, [-1], 6, ctx)
+            assert abs(acc1) > 0 and v == pref * (acc1 + (-1) ** k * acc2)
+            assert (v == 0) == (k == 3) == (_symmetrized_oracle(
+                pref * acc1, pref * acc2, k, ctx) == 0)
     # the value is b(n', r') + (-1)^k b(n', -r') of the displayed sides
     for entries, k, n, r, np_, rp, c_max in [
             ([[1]], 3, 1, [1], 2, [1], 6),
@@ -873,10 +1077,10 @@ def test_skew_poincare(ctx):
         L = GramLattice(entries)
         assert discriminant(L, n, r) > 0 and discriminant(L, np_, rp) > 0
         with ctx.working():
-            got = _skew_side(k, L, n, r, np_, rp, c_max, ctx)
-            mirror = _skew_side(k, L, n, r, np_, [-x for x in rp], c_max, ctx)
+            pref, got = _skew_parts(k, L, n, r, np_, rp, c_max, ctx)
+            _, mirror = _skew_parts(k, L, n, r, np_, [-x for x in rp], c_max, ctx)
             assert skew_poincare_coeff(k, L, n, r, np_, rp, c_max, ctx) == (
-                _symmetrized_oracle(got, mirror, k, ctx))
+                pref * (got + (-1) ** k * mirror))
     L = GramLattice([[1]])
     with pytest.raises(DomainError):
         skew_poincare_coeff(2, L, 1, [1], 1, [0], 4, ctx)   # k < 3
@@ -898,12 +1102,12 @@ def test_duality_mechanism(ctx):
         assert rep["b_relative_spread"] < mp.mpf("1e-30")
         expect = mp.mpc(0, 1) * mp.gamma(mp.mpf(13) / 4) / mp.gamma(mp.mpf(11) / 4)
         assert abs(rep["b_mean"] - expect) < mp.mpf("1e-30")
-    # at odd N with |L| = 1 the symmetrized cA vanishes identically: its
-    # ratios are rounding noise and are recorded as None, not as numbers
+    # at odd N with |L| = 1 the symmetrized cA vanishes identically: it is
+    # an exact zero, so its ratios are recorded as None, not as numbers
     assert rep["c_ratios"] == [None] * len(pairs)
     assert rep["c_mean"] is None and rep["c_relative_spread"] is None
     # the c-ratio is exactly that of the profile-stripped symmetrized
-    # coefficients b(n', r') + (-1)^k b(n', -r'), each b from its own c-sum;
+    # coefficients pref (sum at r' + (-1)^k sum at -r'), each sum its own;
     # at odd N with |L| = 1 the c-table is degenerate, so this uses an
     # even-N lattice
     L2 = GramLattice([[2, 1], [1, 2]])
@@ -915,11 +1119,11 @@ def test_duality_mechanism(ctx):
         D, Dp = discriminant(L2, n, r), discriminant(L2, npd, rpd)
         pref = (_weight_factor(s, k, L2, 1 if Dp > 0 else -1)
                 * _pow_ratio(Dp, D, Fraction(k, 2) - Fraction(L2.N + 2, 4)))
-        (acc1, _), _ = poincare_csum(s, L2, n, r, npd, rpd, 3, ctx,
-                                     discriminants=(D, Dp))
-        (acc2, _), _ = poincare_csum(s, L2, n, r, npd, [-x for x in rpd], 3, ctx,
-                                     discriminants=(D, Dp))
-        return pref * acc1 + (-1) ** k * (pref * acc2)
+        [(acc1, _)] = poincare_csum(s, L2, n, r, npd, rpd, 3, ctx,
+                                    discriminants=(D, Dp))
+        [(acc2, _)] = poincare_csum(s, L2, n, r, npd, [-x for x in rpd], 3, ctx,
+                                    discriminants=(D, Dp))
+        return pref * (acc1 + (-1) ** k * acc2)
 
     with ctx.working():
         cA = c_stripped(1, n, r, npd, rpd)
